@@ -1,14 +1,13 @@
-//! Microbench for the storage engines' durable-append hot paths: one
+//! Microbench for the storage engine's durable-append hot path: one
 //! group-commit batch (64 appends + one covering fsync) on the shared
-//! segmented log vs one durably-acked append (write + fdatasync) on a
-//! per-capsule `FileStore`. The full capsule-count sweep with asserted
-//! floors lives in `report store`; this isolates the per-call costs.
+//! segmented log. The full capsule-count sweep with asserted floors
+//! lives in `report store`; this isolates the per-call cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gdp_bench::storebench::GROUP_SIZE;
 use gdp_capsule::{Record, RecordHash};
 use gdp_crypto::SigningKey;
-use gdp_store::{CapsuleStore, FileStore, FsyncPolicy, SegConfig, SegLog};
+use gdp_store::{CapsuleStore, SegConfig, SegLog};
 use gdp_wire::Name;
 use std::path::PathBuf;
 
@@ -19,7 +18,7 @@ fn bench_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn store_engines(c: &mut Criterion) {
+fn store_engine(c: &mut Criterion) {
     let writer = SigningKey::from_seed(&[0xB5; 32]);
     let capsule = Name::from_content(b"bench-store-engine");
     let mut group = c.benchmark_group("store/durable_append");
@@ -44,23 +43,8 @@ fn store_engines(c: &mut Criterion) {
             log.flush_now(now_us).expect("flush");
         });
     });
-
-    let dir = bench_dir("file");
-    let mut store = FileStore::open(dir.join("bench.log"))
-        .and_then(|s| s.with_policy(FsyncPolicy::Always))
-        .expect("open file store");
-    let mut seq = 0u64;
-    let mut prev = RecordHash::anchor(&capsule);
-    group.bench_function("file_fsync_always_1", |b| {
-        b.iter(|| {
-            seq += 1;
-            let r = Record::create(&capsule, &writer, seq, 0, prev, vec![], vec![0xAB; 64]);
-            prev = r.hash();
-            store.append_acked(&r).expect("append");
-        });
-    });
     group.finish();
 }
 
-criterion_group!(benches, store_engines);
+criterion_group!(benches, store_engine);
 criterion_main!(benches);

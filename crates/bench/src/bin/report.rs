@@ -10,10 +10,10 @@
 //!                       (+ data-path ablations and the perf-smoke floor)
 //!   perf-smoke          re-measure 64 B forwarding; fail if >30% below
 //!                       the floor recorded in BENCH_fig6.json
-//!   store               storage engines at equal durability: segmented
-//!                       group-commit log vs per-capsule files, appends/s
-//!                       and p99 ack latency at 1 / 10k / 100k capsules,
-//!                       plus bounded crash recovery (BENCH_store.json)
+//!   store               the segmented group-commit log: durable
+//!                       appends/s and p99 ack latency at 1 / 10k / 100k
+//!                       capsules, bounded crash recovery, and the
+//!                       sealed-segment read series (BENCH_store.json)
 //!   overload            goodput vs offered load through a budgeted
 //!                       server: typed-Nack shedding saturates goodput
 //!                       at the append budget (BENCH_overload.json)
@@ -410,96 +410,56 @@ fn run_perf_smoke() {
     println!("perf-smoke: OK");
 }
 
-/// Storage-engine comparison at equal durability (every append acked
-/// durable before it counts), across capsule counts, plus the bounded
-/// crash-recovery series and the sealed-segment read series (1k → 1M
-/// capsules). Emits `BENCH_store.json` with the contracts asserted
-/// before writing: a build where the segmented engine is not ≥10× the
-/// file engine at 10k+ capsules, where recovery replays more than the
-/// checkpoint tail, where warm point reads are not ≥5× uncached at 10k+
-/// capsules, where warm range records are not zero-copy, or where the
-/// 1M run exceeds its pooled-fd budget, fails here.
+/// Storage-engine series: durable appends (every append acked durable
+/// before it counts) across capsule counts, the bounded crash-recovery
+/// series and the sealed-segment read series (1k → 1M capsules). Emits
+/// `BENCH_store.json` with the contracts asserted before writing: a
+/// build where recovery replays more than the checkpoint tail, where
+/// warm point reads are not ≥5× uncached at 10k+ capsules, where warm
+/// range records are not zero-copy, or where the 1M run exceeds its
+/// pooled-fd budget, fails here.
 fn run_store() {
     let dir = std::env::temp_dir().join(format!("gdp-report-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create bench dir");
 
-    println!("Storage engines — durably-acked appends/s and p99 ack latency");
-    println!(
-        "(file = one log + fsync per capsule per append, ≤{} resident fds;\n\
-         \x20segmented = shared log, one fsync per {}-append group commit)\n",
-        storebench::FD_BUDGET,
-        storebench::GROUP_SIZE
-    );
-    let mut t = Table::new(&[
-        "capsules",
-        "appends",
-        "file app/s",
-        "file p99 µs",
-        "seg app/s",
-        "seg p99 µs",
-        "speedup",
-    ]);
+    println!("Segmented log — durably-acked appends/s and p99 ack latency");
+    println!("(shared log, one fsync per {}-append group commit)\n", storebench::GROUP_SIZE);
+    let mut t = Table::new(&["capsules", "appends", "seg app/s", "seg p99 µs"]);
     let mut points_json = Vec::new();
-    let mut floor_assert_ok = true;
     for (capsules, appends) in [(1usize, 2_000usize), (10_000, 10_000), (100_000, 10_000)] {
-        let p =
-            storebench::append_comparison(&dir.join(format!("ap-{capsules}")), capsules, appends);
-        t.row(&[
-            capsules.to_string(),
-            appends.to_string(),
-            rate(p.file.per_sec),
-            p.file.p99_us.to_string(),
-            rate(p.seg.per_sec),
-            p.seg.p99_us.to_string(),
-            format!("{:.1}x", p.speedup()),
-        ]);
-        if capsules >= 10_000 && p.speedup() < 10.0 {
-            floor_assert_ok = false;
-        }
+        let p = storebench::append_point(&dir.join(format!("ap-{capsules}")), capsules, appends);
+        t.row(&[capsules.to_string(), appends.to_string(), rate(p.per_sec), p.p99_us.to_string()]);
         points_json.push(format!(
-            "{{\"capsules\":{},\"appends\":{},\"file_per_sec\":{:.3},\"file_p99_us\":{},\
-             \"seg_per_sec\":{:.3},\"seg_p99_us\":{},\"speedup\":{:.3}}}",
-            p.capsules,
-            p.appends,
-            p.file.per_sec,
-            p.file.p99_us,
-            p.seg.per_sec,
-            p.seg.p99_us,
-            p.speedup()
+            "{{\"capsules\":{},\"appends\":{},\"seg_per_sec\":{:.3},\"seg_p99_us\":{}}}",
+            p.capsules, p.appends, p.per_sec, p.p99_us
         ));
     }
     t.print();
-    assert!(
-        floor_assert_ok,
-        "store bench: segmented engine is <10x the file engine at 10k+ capsules"
-    );
 
     println!("\ncrash recovery — reopen time vs log size (tail = entries past checkpoint):");
-    let mut t = Table::new(&["records", "tail", "file reopen µs", "seg reopen µs", "seg replayed"]);
+    let mut t = Table::new(&["records", "tail", "seg reopen µs", "seg replayed"]);
     let mut recovery_json = Vec::new();
     for (records, tail) in [(4_000u64, 256u64), (16_000, 256)] {
-        // recovery_comparison asserts seg replayed exactly `tail` entries
+        // recovery_point asserts the log replayed exactly `tail` entries
         // with no full scan — the bounded-recovery contract.
-        let p = storebench::recovery_comparison(&dir, records, tail);
+        let p = storebench::recovery_point(&dir, records, tail);
         t.row(&[
             p.records.to_string(),
             p.tail.to_string(),
-            p.file_us.to_string(),
             p.seg_us.to_string(),
             p.seg_stats.tail_entries.to_string(),
         ]);
         recovery_json.push(format!(
-            "{{\"records\":{},\"tail\":{},\"file_us\":{},\"seg_us\":{},\
+            "{{\"records\":{},\"tail\":{},\"seg_us\":{},\
              \"seg_tail_entries\":{},\"seg_full_scan\":{}}}",
-            p.records, p.tail, p.file_us, p.seg_us, p.seg_stats.tail_entries, p.seg_stats.full_scan
+            p.records, p.tail, p.seg_us, p.seg_stats.tail_entries, p.seg_stats.full_scan
         ));
     }
     t.print();
     println!(
-        "\nshape: the file store re-scans every record on reopen; the segmented log\n\
-         replays exactly the checkpointed tail (asserted above) and stays well\n\
-         below the full re-scan."
+        "\nshape: reopen replays exactly the checkpointed tail (asserted above), so it\n\
+         does not grow with the log."
     );
 
     println!(
@@ -576,13 +536,12 @@ fn run_store() {
     write_bench_json(
         "BENCH_store.json",
         format!(
-            "{{\"figure\":\"store\",\"group_size\":{},\"fd_budget\":{},\
+            "{{\"figure\":\"store\",\"group_size\":{},\
              \"append_points\":[{}],\"recovery\":[{}],\"read_points\":[{}],\
              \"store_floor\":{{\"capsules\":{},\"appends\":{},\"appends_per_sec\":{:.3}}},\
              \"read_floor\":{{\"capsules\":{},\"records_per_capsule\":{},\
              \"point_reads_per_sec\":{:.3}}}}}",
             storebench::GROUP_SIZE,
-            storebench::FD_BUDGET,
             points_json.join(","),
             recovery_json.join(","),
             read_json.join(","),

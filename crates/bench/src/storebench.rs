@@ -1,22 +1,16 @@
-//! Storage-engine benchmark: the shared segmented group-commit log vs
-//! per-capsule file stores, compared **at equal durability** — every
-//! append in the timed region is acked durable (fsynced) before it
-//! counts. That is the comparison the engine exists for: `FileStore`
-//! with `fsync = always` pays one `fdatasync` per record per file (plus
-//! an open/scan/close cycle per append once the capsule count exceeds
-//! the fd budget), while the segmented engine batches every capsule's
-//! appends into one segment write and one covering fsync.
+//! Storage-engine benchmark: the shared segmented group-commit log,
+//! measured **durably** — every append in the timed region is acked
+//! durable (fsynced) before it counts. The engine batches every capsule's
+//! appends into one segment write and one covering fsync, so the rate
+//! should hold as the capsule count grows.
 //!
-//! Recovery is measured the same way the engine bounds it: the segmented
-//! log replays only the checkpointed tail (asserted via
-//! [`RecoveryStats::tail_entries`], not wall-clock), while the file
-//! store re-scans its entire log.
+//! Recovery is measured the way the engine bounds it: the log replays
+//! only the checkpointed tail (asserted via
+//! [`RecoveryStats::tail_entries`], not wall-clock).
 
 use gdp_capsule::{Record, RecordHash, RecordHeader};
 use gdp_crypto::{sha256, Signature, SigningKey};
-use gdp_store::{
-    AppendAck, CapsuleStore, FileStore, FsyncPolicy, RecoveryStats, SegConfig, SegLog,
-};
+use gdp_store::{CapsuleStore, FsyncPolicy, RecoveryStats, SegConfig, SegLog};
 use gdp_wire::{Bytes, Name};
 use std::path::Path;
 use std::time::Instant;
@@ -25,56 +19,35 @@ use std::time::Instant;
 /// 5 ms group-commit window collects at the measured rates.
 pub const GROUP_SIZE: usize = 64;
 
-/// Open file stores the file engine may keep resident; beyond this the
-/// bench models a bounded-fd node (open + append + fsync + close per
-/// append), which is what a real deployment at 100k capsules does.
-pub const FD_BUDGET: usize = 4096;
-
 /// Workload the perf-smoke store floor is recorded at — and re-measured
 /// at, so the comparison is like-for-like.
 pub const FLOOR_CAPSULES: usize = 1_000;
 /// Appends in the floor measurement.
 pub const FLOOR_APPENDS: usize = 5_000;
 
-/// One engine's measured side of an append comparison.
-#[derive(Clone, Copy, Debug)]
-pub struct EngineSide {
-    /// Durably-acked appends per second over the whole timed region.
-    pub per_sec: f64,
-    /// 99th-percentile append→durable-ack latency (µs).
-    pub p99_us: u64,
-}
-
-/// Both engines at one capsule count.
+/// Durable append measurement at one capsule count.
 #[derive(Clone, Copy, Debug)]
 pub struct AppendPoint {
     /// Logical streams the appends round-robin over.
     pub capsules: usize,
     /// Total appends in the timed region.
     pub appends: usize,
-    pub file: EngineSide,
-    pub seg: EngineSide,
+    /// Durably-acked appends per second over the whole timed region.
+    pub per_sec: f64,
+    /// 99th-percentile append→durable-ack latency (µs).
+    pub p99_us: u64,
 }
 
-impl AppendPoint {
-    /// Segmented-over-file speedup on acked appends/s.
-    pub fn speedup(&self) -> f64 {
-        self.seg.per_sec / self.file.per_sec
-    }
-}
-
-/// Crash-recovery comparison at one log size.
+/// Crash-recovery measurement at one log size.
 #[derive(Clone, Copy, Debug)]
 pub struct RecoveryPoint {
     /// Records in the log before the simulated crash.
     pub records: u64,
-    /// Records appended after the last segmented checkpoint.
+    /// Records appended after the last checkpoint.
     pub tail: u64,
-    /// File-store reopen time (scans all `records`), µs.
-    pub file_us: u64,
-    /// Segmented reopen time (replays only `tail`), µs.
+    /// Reopen time (replays only `tail`), µs.
     pub seg_us: u64,
-    /// What the segmented recovery actually did.
+    /// What the recovery actually did.
     pub seg_stats: RecoveryStats,
 }
 
@@ -114,45 +87,11 @@ fn p99(mut latencies: Vec<u64>) -> u64 {
     latencies[(latencies.len() - 1) * 99 / 100]
 }
 
-/// File engine, durably acked: `fsync = always`, one log file per
-/// capsule. Stores stay open up to [`FD_BUDGET`] capsules; beyond that
-/// every append is an open/append/close cycle.
-fn bench_file(dir: &Path, names: &[Name], records: &[Record]) -> EngineSide {
-    let path_of = |name: &Name| dir.join("file-engine").join(format!("{}.log", name.to_hex()));
-    let resident = names.len() <= FD_BUDGET;
-    let mut open: Vec<Option<FileStore>> = Vec::new();
-    if resident {
-        for name in names {
-            let s = FileStore::open(path_of(name))
-                .and_then(|s| s.with_policy(FsyncPolicy::Always))
-                .expect("open file store");
-            open.push(Some(s));
-        }
-    }
-    let mut lat = Vec::with_capacity(records.len());
-    let start = Instant::now();
-    for (i, r) in records.iter().enumerate() {
-        let t0 = Instant::now();
-        let c = i % names.len();
-        if resident {
-            let store = open[c].as_mut().expect("resident store");
-            assert_eq!(store.append_acked(r).expect("append"), AppendAck::Durable);
-        } else {
-            let mut store = FileStore::open(path_of(&names[c]))
-                .and_then(|s| s.with_policy(FsyncPolicy::Always))
-                .expect("open file store");
-            assert_eq!(store.append_acked(r).expect("append"), AppendAck::Durable);
-        }
-        lat.push(t0.elapsed().as_micros() as u64);
-    }
-    let secs = start.elapsed().as_secs_f64();
-    EngineSide { per_sec: records.len() as f64 / secs.max(1e-9), p99_us: p99(lat) }
-}
-
-/// Segmented engine, durably acked: appends batch into the shared log
-/// and a covering `flush_now` every [`GROUP_SIZE`] appends makes them
-/// durable; a record's latency runs from its append to that flush.
-fn bench_seg(dir: &Path, names: &[Name], records: &[Record]) -> EngineSide {
+/// Durably acked appends: they batch into the shared log and a covering
+/// `flush_now` every [`GROUP_SIZE`] appends makes them durable; a
+/// record's latency runs from its append to that flush. Returns
+/// `(appends/s, p99 µs)`.
+fn bench_seg(dir: &Path, names: &[Name], records: &[Record]) -> (f64, u64) {
     let scope = gdp_obs::Metrics::new().scope("store");
     let cfg = SegConfig { policy: FsyncPolicy::DEFAULT_BATCH, ..SegConfig::default() };
     let log = SegLog::open_with(dir.join("seg-engine"), cfg, &scope).expect("open seg log");
@@ -164,9 +103,7 @@ fn bench_seg(dir: &Path, names: &[Name], records: &[Record]) -> EngineSide {
     for (i, r) in records.iter().enumerate() {
         let c = i % names.len();
         pending.push(Instant::now());
-        match handles[c].append_acked(r).expect("append") {
-            AppendAck::Pending(_) | AppendAck::Durable => {}
-        }
+        handles[c].append_acked(r).expect("append");
         if pending.len() >= GROUP_SIZE || i == records.len() - 1 {
             now_us += 5_000;
             log.flush_now(now_us).expect("flush");
@@ -176,35 +113,32 @@ fn bench_seg(dir: &Path, names: &[Name], records: &[Record]) -> EngineSide {
         }
     }
     let secs = start.elapsed().as_secs_f64();
-    EngineSide { per_sec: records.len() as f64 / secs.max(1e-9), p99_us: p99(lat) }
+    (records.len() as f64 / secs.max(1e-9), p99(lat))
 }
 
-/// Runs both engines over the same pre-signed workload in fresh
-/// subdirectories of `dir`.
-pub fn append_comparison(dir: &Path, capsules: usize, appends: usize) -> AppendPoint {
+/// Measures durable appends over a pre-signed workload in a fresh
+/// subdirectory of `dir`.
+pub fn append_point(dir: &Path, capsules: usize, appends: usize) -> AppendPoint {
     let (names, records) = mk_workload(capsules, appends);
-    let file = bench_file(dir, &names, &records);
-    let seg = bench_seg(dir, &names, &records);
-    AppendPoint { capsules, appends, file, seg }
+    let (per_sec, p99_us) = bench_seg(dir, &names, &records);
+    AppendPoint { capsules, appends, per_sec, p99_us }
 }
 
-/// Quick segmented-only re-measurement (the perf-smoke probe).
+/// Quick rate-only re-measurement (the perf-smoke probe).
 pub fn seg_append_rate(dir: &Path, capsules: usize, appends: usize) -> f64 {
-    let (names, records) = mk_workload(capsules, appends);
-    bench_seg(dir, &names, &records).per_sec
+    append_point(dir, capsules, appends).per_sec
 }
 
-/// Builds a segmented log of `records` entries with a checkpoint
-/// covering all but the last `tail`, plus a file-store log of the same
-/// `records` count, then measures both engines' reopen (crash-recovery)
-/// time. The segmented bound is asserted structurally: recovery must
-/// replay exactly `tail` entries and never fall back to a full scan.
-pub fn recovery_comparison(dir: &Path, records: u64, tail: u64) -> RecoveryPoint {
+/// Builds a log of `records` entries with a checkpoint covering all but
+/// the last `tail`, then measures its reopen (crash-recovery) time. The
+/// bound is asserted structurally: recovery must replay exactly `tail`
+/// entries and never fall back to a full scan.
+pub fn recovery_point(dir: &Path, records: u64, tail: u64) -> RecoveryPoint {
     assert!(tail < records);
     let streams = 16usize;
     let (names, all) = mk_workload(streams, records as usize);
 
-    // Segmented: checkpoint after `records - tail`, then the tail.
+    // Checkpoint after `records - tail`, then the tail.
     let seg_dir = dir.join(format!("seg-recover-{records}"));
     let scope = gdp_obs::Metrics::new().scope("store");
     let cfg = SegConfig { policy: FsyncPolicy::DEFAULT_BATCH, ..SegConfig::default() };
@@ -231,23 +165,7 @@ pub fn recovery_comparison(dir: &Path, records: u64, tail: u64) -> RecoveryPoint
         seg_stats.tail_entries, tail,
         "recovery bench: replayed tail != appended tail (bounded recovery is broken)"
     );
-
-    // File store: one log holding the same record count; recovery always
-    // re-scans everything. The store never validates chaining, so the
-    // interleaved workload can be reused as-is.
-    let file_path = dir.join(format!("file-recover-{records}.log"));
-    {
-        let mut store = FileStore::open(&file_path).expect("open file store");
-        for r in &all {
-            store.append(r).expect("append");
-        }
-    }
-    let t0 = Instant::now();
-    let store = FileStore::open(&file_path).expect("reopen file store");
-    let file_us = t0.elapsed().as_micros() as u64;
-    assert_eq!(store.len() as u64, records);
-
-    RecoveryPoint { records, tail, file_us, seg_us, seg_stats }
+    RecoveryPoint { records, tail, seg_us, seg_stats }
 }
 
 // ------------------------------------------------------------------ reads

@@ -87,7 +87,7 @@ pub struct CallGraph {
 
 /// Names too common for name-based call resolution — resolving them by
 /// bare name across the workspace would wire unrelated types together.
-const RESOLVE_STOPLIST: [&str; 40] = [
+const RESOLVE_STOPLIST: [&str; 41] = [
     "append",
     "build",
     "clear",
@@ -119,6 +119,7 @@ const RESOLVE_STOPLIST: [&str; 40] = [
     "poll",
     "pop",
     "push",
+    "range",
     "read",
     "recv",
     "remove",

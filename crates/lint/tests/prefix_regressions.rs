@@ -357,7 +357,7 @@ fn seglog_writer_is_hot_path() {
         found.contains(&("HP01".to_string(), 2)),
         "unwrap in the seglog writer must fire HP01: {found:?}"
     );
-    let elsewhere = findings_at("crates/store/src/file.rs", src);
+    let elsewhere = findings_at("crates/store/src/store.rs", src);
     assert!(
         !elsewhere.iter().any(|(r, _)| r == "HP01"),
         "the same snippet off the hot-path list must not fire HP01: {elsewhere:?}"

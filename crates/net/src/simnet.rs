@@ -16,7 +16,7 @@
 //!   be dead while B→A still delivers;
 //! * **crash / restart** — a crashed endpoint loses its inbox and all
 //!   in-flight traffic toward it; the address survives restart (durable
-//!   state lives outside the fabric, e.g. in `gdp-store` file engines).
+//!   state lives outside the fabric, e.g. in a `gdp-store` segmented log).
 //!
 //! Every state transition folds into a running SHA-256 *trace digest*:
 //! two runs with the same seed and same driver are byte-identical iff

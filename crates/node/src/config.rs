@@ -13,17 +13,17 @@
 //! router     = ab…cd             # Name (64 hex) of the router to attach
 //!                                # through (storage role; optional when
 //!                                # this node runs its own router)
-//! data_dir   = /var/lib/gdp      # optional: file-backed capsule stores
-//! store_engine = segmented       # file | segmented (default file);
-//!                                # segmented = one shared group-commit
-//!                                # log for all capsules (needs data_dir)
-//! fsync      = batch(5)          # never | always | batch(<ms>):
-//!                                # durability policy for the store
-//!                                # engine (needs data_dir)
-//! read_cache_bytes = 4194304     # optional (segmented engine): byte
+//! data_dir   = /var/lib/gdp      # optional: capsules persist in one
+//!                                # shared segmented group-commit log
+//!                                # under <data_dir>/seglog/; in memory
+//!                                # when absent
+//! fsync      = batch(5)          # always | batch(<ms>), default batch(5):
+//!                                # when an append is durable and may be
+//!                                # acked (needs data_dir)
+//! read_cache_bytes = 4194304     # optional (needs data_dir): byte
 //!                                # budget of the sealed-segment block
 //!                                # cache; 0 disables read caching
-//! max_open_segments = 128        # optional (segmented engine): cap on
+//! max_open_segments = 128        # optional (needs data_dir): cap on
 //!                                # pooled sealed-segment read fds
 //! stats_path = /run/gdp/stats.json # optional: metrics dump target; the
 //!                                # daemon dumps on shutdown and whenever
@@ -39,6 +39,9 @@
 //!                                # frames (requires admission_rate)
 //! host       = <meta>:<chain>:<peer>,<peer>   # repeatable, see below
 //! ```
+//!
+//! `store_engine = segmented` is still accepted (it was the opt-in when
+//! there was a second engine) and changes nothing; `render` never emits it.
 //!
 //! A `host` entry tells a storage node to serve one DataCapsule. The three
 //! `:`-separated fields are the hex-encoded wire encodings of the
@@ -76,19 +79,6 @@ impl Role {
     pub fn stores(self) -> bool {
         matches!(self, Role::Storage | Role::Both)
     }
-}
-
-/// Which storage engine backs hosted capsules when `data_dir` is set
-/// (without a `data_dir` everything is in memory and the engine choice
-/// is moot).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum StoreEngine {
-    /// One append-only log file per capsule (`<data_dir>/<name>.log`).
-    #[default]
-    File,
-    /// One shared segmented log for the whole node, with group-commit,
-    /// checkpointed recovery, and compaction (`<data_dir>/seglog/`).
-    Segmented,
 }
 
 /// One capsule this node serves: metadata + this server's delegation +
@@ -156,21 +146,17 @@ pub struct NodeConfig {
     /// Name of the router to attach through. Required for `Storage`;
     /// ignored for `Both` (the local router is used) and `Router`.
     pub router: Option<Name>,
-    /// Directory for file-backed capsule stores; in-memory when absent.
+    /// Directory holding the node's segmented log (`<data_dir>/seglog/`);
+    /// capsules live in memory when absent.
     pub data_dir: Option<PathBuf>,
-    /// Storage engine for hosted capsules (only meaningful with
-    /// `data_dir`; `segmented` requires it).
-    pub store_engine: StoreEngine,
-    /// Durability policy for the storage engine; `None` keeps each
-    /// engine's default (`never` for `file`, `batch(5)` for `segmented`).
+    /// Durability policy of the segmented log; `None` keeps the default
+    /// (`batch(5)`). Requires `data_dir`.
     pub fsync: Option<FsyncPolicy>,
-    /// Byte budget of the segmented engine's sealed-segment block cache;
-    /// `None` keeps the engine default. Requires `store_engine =
-    /// segmented`. `0` disables read caching.
+    /// Byte budget of the sealed-segment block cache; `None` keeps the
+    /// engine default, `0` disables read caching. Requires `data_dir`.
     pub read_cache_bytes: Option<u64>,
-    /// Cap on pooled sealed-segment read fds in the segmented engine;
-    /// `None` keeps the engine default. Requires `store_engine =
-    /// segmented`.
+    /// Cap on pooled sealed-segment read fds; `None` keeps the engine
+    /// default. Requires `data_dir`.
     pub max_open_segments: Option<u64>,
     /// Where to dump the metrics registry as JSON. Dumped on shutdown,
     /// and on demand whenever a `<stats_path>.request` trigger file
@@ -207,7 +193,6 @@ impl std::fmt::Debug for NodeConfig {
             .field("peers", &self.peers)
             .field("router", &self.router)
             .field("data_dir", &self.data_dir)
-            .field("store_engine", &self.store_engine)
             .field("fsync", &self.fsync)
             .field("read_cache_bytes", &self.read_cache_bytes)
             .field("max_open_segments", &self.max_open_segments)
@@ -254,7 +239,7 @@ impl NodeConfig {
         let mut label = None;
         let mut router = None;
         let mut data_dir = None;
-        let mut store_engine = None;
+        let mut segmented_requested = false;
         let mut fsync = None;
         let mut read_cache_bytes = None;
         let mut max_open_segments = None;
@@ -302,19 +287,20 @@ impl NodeConfig {
                         Some(Name::from_hex(value).ok_or(ConfigError::bad("router", "bad name"))?)
                 }
                 "data_dir" => data_dir = Some(PathBuf::from(value)),
-                "store_engine" => {
-                    store_engine = Some(match value {
-                        "file" => StoreEngine::File,
-                        "segmented" => StoreEngine::Segmented,
-                        _ => {
-                            return Err(ConfigError::bad("store_engine", "must be file|segmented"))
-                        }
-                    })
-                }
+                "store_engine" => match value {
+                    "segmented" => segmented_requested = true,
+                    "file" => {
+                        return Err(ConfigError::bad(
+                            "store_engine",
+                            "the file engine was removed; segmented is the only engine",
+                        ))
+                    }
+                    _ => return Err(ConfigError::bad("store_engine", "must be segmented")),
+                },
                 "fsync" => {
                     fsync = Some(
                         FsyncPolicy::parse(value)
-                            .ok_or(ConfigError::bad("fsync", "must be never|always|batch(<ms>)"))?,
+                            .ok_or(ConfigError::bad("fsync", "must be always|batch(<ms>)"))?,
                     )
                 }
                 "read_cache_bytes" => {
@@ -376,7 +362,6 @@ impl NodeConfig {
             peers,
             router,
             data_dir,
-            store_engine: store_engine.unwrap_or_default(),
             fsync,
             read_cache_bytes,
             max_open_segments,
@@ -396,17 +381,19 @@ impl NodeConfig {
         if admission_burst.is_some() && cfg.admission_rate == 0 {
             return Err(ConfigError::bad("admission_burst", "requires admission_rate > 0"));
         }
-        if cfg.store_engine == StoreEngine::Segmented && cfg.data_dir.is_none() {
-            return Err(ConfigError::bad("store_engine", "segmented requires data_dir"));
-        }
-        if cfg.fsync.is_some() && cfg.data_dir.is_none() {
-            return Err(ConfigError::bad("fsync", "durability policy requires data_dir"));
-        }
-        if cfg.read_cache_bytes.is_some() && cfg.store_engine != StoreEngine::Segmented {
-            return Err(ConfigError::bad("read_cache_bytes", "requires store_engine = segmented"));
-        }
-        if cfg.max_open_segments.is_some() && cfg.store_engine != StoreEngine::Segmented {
-            return Err(ConfigError::bad("max_open_segments", "requires store_engine = segmented"));
+        if cfg.data_dir.is_none() {
+            // Without a data_dir capsules live in memory: a key that tunes
+            // or asks for the durable log is a mistake, not a no-op.
+            for (key, set) in [
+                ("store_engine", segmented_requested),
+                ("fsync", cfg.fsync.is_some()),
+                ("read_cache_bytes", cfg.read_cache_bytes.is_some()),
+                ("max_open_segments", cfg.max_open_segments.is_some()),
+            ] {
+                if set {
+                    return Err(ConfigError::bad(key, "requires data_dir"));
+                }
+            }
         }
         if cfg.role == Role::Storage {
             if cfg.router.is_none() {
@@ -440,9 +427,6 @@ impl NodeConfig {
         }
         if let Some(d) = &self.data_dir {
             out.push_str(&format!("data_dir = {}\n", d.display()));
-        }
-        if self.store_engine != StoreEngine::File {
-            out.push_str("store_engine = segmented\n");
         }
         if let Some(p) = &self.fsync {
             out.push_str(&format!("fsync = {}\n", p.render()));
@@ -521,7 +505,6 @@ mod tests {
             peers: vec!["127.0.0.1:7000".parse().unwrap()],
             router: Some(Name::from_content(b"router")),
             data_dir: Some(PathBuf::from("/tmp/gdp-test")),
-            store_engine: StoreEngine::Segmented,
             fsync: Some(FsyncPolicy::Batch { interval_us: 7_000 }),
             read_cache_bytes: Some(8 * 1024 * 1024),
             max_open_segments: Some(32),
@@ -541,7 +524,6 @@ mod tests {
         assert_eq!(parsed.peers, cfg.peers);
         assert_eq!(parsed.router, cfg.router);
         assert_eq!(parsed.data_dir, cfg.data_dir);
-        assert_eq!(parsed.store_engine, cfg.store_engine);
         assert_eq!(parsed.fsync, cfg.fsync);
         assert_eq!(parsed.read_cache_bytes, cfg.read_cache_bytes);
         assert_eq!(parsed.max_open_segments, cfg.max_open_segments);
@@ -643,28 +625,30 @@ mod tests {
     #[test]
     fn store_engine_and_fsync_parse_render_and_validation() {
         let base = "role = router\nlisten = 127.0.0.1:0\nseed = 0101010101010101010101010101010101010101010101010101010101010101\nlabel = r\n";
-        // Defaults: file engine, no explicit policy, keys not emitted.
+        // Defaults: no explicit policy, keys not emitted.
         let cfg = NodeConfig::parse(base).unwrap();
-        assert_eq!(cfg.store_engine, StoreEngine::File);
         assert_eq!(cfg.fsync, None);
-        assert!(!cfg.render().contains("store_engine"));
         assert!(!cfg.render().contains("fsync"));
-        // Explicit values round-trip.
+        // An explicit policy round-trips; `store_engine = segmented` from
+        // older configs still parses, changes nothing and is not emitted.
         let text =
             format!("{base}data_dir = /tmp/d\nstore_engine = segmented\nfsync = batch(12)\n");
         let cfg = NodeConfig::parse(&text).unwrap();
-        assert_eq!(cfg.store_engine, StoreEngine::Segmented);
         assert_eq!(cfg.fsync, Some(FsyncPolicy::Batch { interval_us: 12_000 }));
-        let re = NodeConfig::parse(&cfg.render()).unwrap();
-        assert_eq!(re.store_engine, cfg.store_engine);
-        assert_eq!(re.fsync, cfg.fsync);
-        // Bad values are rejected with the offending key.
-        let err = NodeConfig::parse(&format!("{base}store_engine = sqlite\n")).unwrap_err();
-        assert_eq!(err.key, "store_engine");
-        let err =
-            NodeConfig::parse(&format!("{base}data_dir = /tmp/d\nfsync = batch(0)\n")).unwrap_err();
-        assert_eq!(err.key, "fsync");
-        // Both knobs are meaningless without a data_dir: reject.
+        assert!(!cfg.render().contains("store_engine"));
+        assert_eq!(NodeConfig::parse(&cfg.render()).unwrap().fsync, cfg.fsync);
+        // The removed engine and the removed policy are rejected with the
+        // offending key, as is any other bad value.
+        let dir = format!("{base}data_dir = /tmp/d\n");
+        for (line, key) in [
+            ("store_engine = file", "store_engine"),
+            ("store_engine = sqlite", "store_engine"),
+            ("fsync = never", "fsync"),
+            ("fsync = batch(0)", "fsync"),
+        ] {
+            assert_eq!(NodeConfig::parse(&format!("{dir}{line}\n")).unwrap_err().key, key);
+        }
+        // Both keys are meaningless without a data_dir: reject.
         let err = NodeConfig::parse(&format!("{base}store_engine = segmented\n")).unwrap_err();
         assert_eq!(err.key, "store_engine");
         let err = NodeConfig::parse(&format!("{base}fsync = always\n")).unwrap_err();
@@ -681,7 +665,7 @@ mod tests {
         assert!(!cfg.render().contains("read_cache_bytes"));
         assert!(!cfg.render().contains("max_open_segments"));
         // Explicit values round-trip (0 = caching disabled is legal).
-        let seg = format!("{base}data_dir = /tmp/d\nstore_engine = segmented\n");
+        let seg = format!("{base}data_dir = /tmp/d\n");
         let cfg =
             NodeConfig::parse(&format!("{seg}read_cache_bytes = 0\nmax_open_segments = 16\n"))
                 .unwrap();
@@ -695,7 +679,7 @@ mod tests {
         assert_eq!(err.key, "read_cache_bytes");
         let err = NodeConfig::parse(&format!("{seg}max_open_segments = 0\n")).unwrap_err();
         assert_eq!(err.key, "max_open_segments");
-        // Both knobs tune the segmented read path only: reject elsewhere.
+        // Both knobs tune the segmented log's read path: reject without one.
         let err = NodeConfig::parse(&format!("{base}read_cache_bytes = 4096\n")).unwrap_err();
         assert_eq!(err.key, "read_cache_bytes");
         let err = NodeConfig::parse(&format!("{base}max_open_segments = 8\n")).unwrap_err();

@@ -23,7 +23,7 @@ pub mod runtime;
 pub mod shard;
 
 pub use client_io::{ClientError, ClusterClient};
-pub use config::{ConfigError, HostSpec, NodeConfig, Role, StoreEngine};
+pub use config::{ConfigError, HostSpec, NodeConfig, Role};
 pub use ingress::IngressQueue;
 pub use node::{request_path, start, NodeError, NodeHandle, FOREVER};
 pub use runtime::{

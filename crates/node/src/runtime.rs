@@ -11,7 +11,7 @@
 //! [`NodeRuntime::set_rng_seed`]) never touches OS randomness, which is
 //! what makes simulation runs byte-for-byte replayable.
 
-use crate::config::{NodeConfig, Role, StoreEngine};
+use crate::config::{NodeConfig, Role};
 use crate::node::NodeError;
 use gdp_obs::Metrics;
 use gdp_router::{attach_directly, AttachStep, Attacher, Router};
@@ -21,6 +21,7 @@ use gdp_wire::{Name, Pdu};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -163,8 +164,8 @@ enum ServerAttach {
 /// the configured storage engine (when the role stores).
 ///
 /// Extracted from the TCP daemon so the simulator restarts a crashed
-/// node through the *same* code path — including `FileStore` torn-tail
-/// recovery and `host_with_store` replay.
+/// node through the *same* code path — including the segmented log's
+/// torn-tail recovery and `host_with_store` replay.
 pub fn build_cores(
     cfg: &NodeConfig,
 ) -> Result<(Option<Router>, Option<DataCapsuleServer>), NodeError> {
@@ -190,19 +191,19 @@ pub fn build_cores_with_obs(
         seed[0] ^= 0x5a;
         let mut server =
             DataCapsuleServer::from_seed_with_obs(&seed, &cfg.label, &metrics.scope("server"));
-        if let Some(dir) = &cfg.data_dir {
-            std::fs::create_dir_all(dir).map_err(|e| NodeError::Host(format!("data_dir: {e}")))?;
-        }
-        // The storage engine maps the config's `data_dir`/`store_engine`/
-        // `fsync` knobs onto one backing shared by every hosted capsule:
-        // per-capsule log files, one shared segmented group-commit log, or
-        // memory when no data_dir is configured. Restart recovery (torn
-        // tails, checkpoint replay) happens inside the engine's open path,
-        // then `host_with_store` replays the store into the server core.
-        let backing = match (&cfg.data_dir, cfg.store_engine) {
-            (None, _) => Backing::Memory,
-            (Some(dir), StoreEngine::File) => Backing::Directory(dir.clone()),
-            (Some(dir), StoreEngine::Segmented) => Backing::Segmented(dir.join("seglog")),
+        // One backing is shared by every hosted capsule: the segmented
+        // group-commit log under `<data_dir>/seglog/`, or memory when no
+        // data_dir is configured. Restart recovery (torn tails, checkpoint
+        // replay) happens inside the engine's open path, then
+        // `host_with_store` replays the store into the server core.
+        let backing = match &cfg.data_dir {
+            None => Backing::Memory,
+            Some(dir) => {
+                std::fs::create_dir_all(dir)
+                    .map_err(|e| NodeError::Host(format!("data_dir: {e}")))?;
+                refuse_file_engine_logs(dir)?;
+                Backing::Segmented(dir.join("seglog"))
+            }
         };
         let mut engine = StorageEngine::with_obs(backing, metrics.scope("store"));
         if let Some(policy) = cfg.fsync {
@@ -234,6 +235,29 @@ pub fn build_cores_with_obs(
     };
 
     Ok((router, server))
+}
+
+/// Fails when `data_dir` still holds `<64-hex>.log` files, the per-capsule
+/// logs of the removed file engine: starting an empty `seglog/` next to
+/// them would silently serve none of the data they hold.
+fn refuse_file_engine_logs(data_dir: &Path) -> Result<(), NodeError> {
+    let io = |e: std::io::Error| NodeError::Host(format!("data_dir: {e}"));
+    for entry in std::fs::read_dir(data_dir).map_err(io)? {
+        let name = entry.map_err(io)?.file_name();
+        let is_capsule_log = name
+            .to_str()
+            .and_then(|n| n.strip_suffix(".log"))
+            .is_some_and(|stem| Name::from_hex(stem).is_some());
+        if is_capsule_log {
+            return Err(NodeError::Host(format!(
+                "data_dir {} holds capsule logs of the removed file engine ({}); this node \
+                 only reads <data_dir>/seglog/ and refuses to start empty on top of them",
+                data_dir.display(),
+                name.to_string_lossy()
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// The node composition as a sans-I/O state machine over peer type `P`.

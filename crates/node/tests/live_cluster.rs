@@ -12,7 +12,7 @@ use gdp_capsule::{MetadataBuilder, PointerStrategy};
 use gdp_cert::{AdCert, PrincipalId, PrincipalKind, Scope, ServingChain};
 use gdp_client::VerifiedRead;
 use gdp_crypto::SigningKey;
-use gdp_node::{ClusterClient, HostSpec, NodeConfig, Role, StoreEngine, FOREVER};
+use gdp_node::{ClusterClient, HostSpec, NodeConfig, NodeError, Role, FOREVER};
 use gdp_router::Router;
 use gdp_server::{AckMode, ReadTarget};
 use std::io::{BufRead, BufReader};
@@ -106,7 +106,6 @@ fn three_process_cluster_with_failover() {
             peers: vec![],
             router: None,
             data_dir: None,
-            store_engine: StoreEngine::File,
             fsync: None,
             read_cache_bytes: None,
             max_open_segments: None,
@@ -128,7 +127,6 @@ fn three_process_cluster_with_failover() {
             peers: vec![router.listen],
             router: Some(router_name),
             data_dir: Some(dir.join(label)),
-            store_engine: StoreEngine::File,
             fsync: None,
             read_cache_bytes: None,
             max_open_segments: None,
@@ -200,7 +198,9 @@ fn three_process_cluster_with_failover() {
 }
 
 /// The same wiring, but exercising the `both` role: a single process that
-/// routes and stores, with a client attached over TCP.
+/// routes and stores, with a client attached over TCP. Given only a
+/// `data_dir`, the node persists under `<data_dir>/seglog/` — and refuses
+/// to start there at all next to logs of the removed file engine.
 #[test]
 fn single_both_node_serves_clients() {
     let dir = std::env::temp_dir().join(format!("gdp-live-both-{}", std::process::id()));
@@ -220,29 +220,25 @@ fn single_both_node_serves_clients() {
         server.principal().clone(),
     );
 
-    let node = spawn_gdpd(
-        &dir,
-        "solo",
-        &NodeConfig {
-            role: Role::Both,
-            listen: "127.0.0.1:0".parse().unwrap(),
-            seed,
-            label: "solo".into(),
-            peers: vec![],
-            router: None,
-            data_dir: Some(dir.join("data")),
-            store_engine: StoreEngine::File,
-            fsync: None,
-            read_cache_bytes: None,
-            max_open_segments: None,
-            stats_path: None,
-            shards: 1,
-            shard_batch: 64,
-            admission_rate: 0,
-            admission_burst: 64,
-            hosts: vec![HostSpec { metadata: meta.clone(), chain, peers: vec![] }],
-        },
-    );
+    let cfg = NodeConfig {
+        role: Role::Both,
+        listen: "127.0.0.1:0".parse().unwrap(),
+        seed,
+        label: "solo".into(),
+        peers: vec![],
+        router: None,
+        data_dir: Some(dir.join("data")),
+        fsync: None,
+        read_cache_bytes: None,
+        max_open_segments: None,
+        stats_path: None,
+        shards: 1,
+        shard_batch: 64,
+        admission_rate: 0,
+        admission_burst: 64,
+        hosts: vec![HostSpec { metadata: meta.clone(), chain, peers: vec![] }],
+    };
+    let node = spawn_gdpd(&dir, "solo", &cfg);
 
     let mut client =
         ClusterClient::connect(node.listen, router_name, &[53u8; 32], "cli2").expect("attach");
@@ -253,7 +249,21 @@ fn single_both_node_serves_clients() {
     let VerifiedRead::Latest(rec, _) = read else { panic!("wanted latest, got {read:?}") };
     assert_eq!(rec.body, b"solo record");
 
+    assert!(dir.join("data/seglog/0000000000.seg").exists(), "data_dir alone means seglog");
+
     client.close();
     drop(node);
+
+    // Regression: a data_dir still holding a file-engine capsule log must
+    // fail the start, not come up serving an empty seglog beside it.
+    std::fs::remove_dir_all(dir.join("data/seglog")).unwrap();
+    std::fs::write(dir.join("data").join(format!("{}.log", capsule.to_hex())), b"old").unwrap();
+    match gdp_node::start(cfg) {
+        Err(NodeError::Host(why)) => {
+            assert!(why.contains(dir.join("data").to_str().unwrap()), "must name the dir: {why}")
+        }
+        Err(e) => panic!("expected NodeError::Host, got {e}"),
+        Ok(_) => panic!("node started empty on top of file-engine logs"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

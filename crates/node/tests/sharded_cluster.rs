@@ -9,9 +9,7 @@
 use gdp_capsule::{MetadataBuilder, PointerStrategy};
 use gdp_cert::{AdCert, PrincipalId, PrincipalKind, Scope, ServingChain};
 use gdp_client::VerifiedRead;
-use gdp_node::{
-    node, request_path, ClusterClient, HostSpec, NodeConfig, Role, StoreEngine, FOREVER,
-};
+use gdp_node::{node, request_path, ClusterClient, HostSpec, NodeConfig, Role, FOREVER};
 use gdp_router::Router;
 use gdp_server::{AckMode, ReadTarget};
 use std::time::{Duration, Instant};
@@ -52,7 +50,6 @@ fn sharded_router_carries_cluster_traffic() {
         peers: vec![],
         router: None,
         data_dir: None,
-        store_engine: StoreEngine::File,
         fsync: None,
         read_cache_bytes: None,
         max_open_segments: None,
@@ -83,7 +80,6 @@ fn sharded_router_carries_cluster_traffic() {
         peers: vec![router.local_addr()],
         router: Some(router_name),
         data_dir: None,
-        store_engine: StoreEngine::File,
         fsync: None,
         read_cache_bytes: None,
         max_open_segments: None,

@@ -2,7 +2,7 @@
 //! makes the event loop write the whole metric registry as one JSON
 //! document, and a stopping node leaves a final dump behind.
 
-use gdp_node::{node, request_path, NodeConfig, Role, StoreEngine};
+use gdp_node::{node, request_path, NodeConfig, Role};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -25,7 +25,6 @@ fn trigger_file_and_shutdown_both_dump_valid_json() {
         peers: vec![],
         router: None,
         data_dir: None,
-        store_engine: StoreEngine::File,
         fsync: None,
         read_cache_bytes: None,
         max_open_segments: None,

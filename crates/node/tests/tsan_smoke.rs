@@ -16,7 +16,7 @@ use gdp_capsule::{MetadataBuilder, PointerStrategy, Record, RecordHash};
 use gdp_cert::{AdCert, PrincipalId, PrincipalKind, Scope, ServingChain};
 use gdp_client::VerifiedRead;
 use gdp_crypto::SigningKey;
-use gdp_node::{node, ClusterClient, HostSpec, NodeConfig, Role, StoreEngine, FOREVER};
+use gdp_node::{node, ClusterClient, HostSpec, NodeConfig, Role, FOREVER};
 use gdp_router::Router;
 use gdp_server::{AckMode, ReadTarget};
 use gdp_store::{Backing, StorageEngine};
@@ -146,7 +146,6 @@ fn sharded_engine_carries_traffic_under_tsan() {
         peers: vec![],
         router: None,
         data_dir: None,
-        store_engine: StoreEngine::File,
         fsync: None,
         read_cache_bytes: None,
         max_open_segments: None,
@@ -178,7 +177,6 @@ fn sharded_engine_carries_traffic_under_tsan() {
         peers: vec![router.local_addr()],
         router: Some(router_name),
         data_dir: Some(dir.clone()),
-        store_engine: StoreEngine::Segmented,
         fsync: None,
         read_cache_bytes: None,
         max_open_segments: None,

@@ -1,5 +1,5 @@
 //! A full GDP cluster — real router, real DataCapsule servers with
-//! file-backed stores, real verifying client — running on the
+//! segmented-log stores, real verifying client — running on the
 //! deterministic [`SimNet`] fabric from `gdp_net::simnet`.
 //!
 //! This is the chassis for seeded chaos testing: the *production*
@@ -19,7 +19,7 @@ use gdp_client::{ClientEvent, GdpClient, VerifiedRead};
 use gdp_crypto::SigningKey;
 use gdp_net::simnet::{FaultSpec, SimAddr, SimEndpoint, SimNet};
 use gdp_node::runtime::FOREVER;
-use gdp_node::{HostSpec, NodeConfig, NodeRuntime, Role, StoreEngine};
+use gdp_node::{HostSpec, NodeConfig, NodeRuntime, Role};
 use gdp_obs::Metrics;
 use gdp_router::{AttachStep, Attacher};
 use gdp_server::{AckMode, ReadTarget};
@@ -91,23 +91,11 @@ pub struct SimCluster {
 
 impl SimCluster {
     /// Builds the cluster on a fresh fabric. `seed` drives every fault
-    /// and RNG decision; `data_root` holds the replicas' file stores
+    /// and RNG decision; `data_root` holds the replicas' segmented logs
     /// (durable across [`SimCluster::crash_storage`] /
-    /// [`SimCluster::restart_storage`]).
+    /// [`SimCluster::restart_storage`]). Acks gate on the covering fsync,
+    /// so every run exercises the deferred-ack path end to end.
     pub fn new(seed: u64, faults: FaultSpec, data_root: &Path) -> SimCluster {
-        SimCluster::new_with_engine(seed, faults, data_root, StoreEngine::File)
-    }
-
-    /// [`SimCluster::new`] with an explicit storage engine: `File` keeps
-    /// the per-capsule log files; `Segmented` mounts both replicas on the
-    /// shared group-commit log (acks then gate on the covering fsync, so
-    /// this exercises the deferred-ack path end to end).
-    pub fn new_with_engine(
-        seed: u64,
-        faults: FaultSpec,
-        data_root: &Path,
-        engine: StoreEngine,
-    ) -> SimCluster {
         let net = SimNet::with_faults(seed, faults);
         let endpoints: Vec<SimEndpoint> = (0..STORAGE + 2).map(|_| net.endpoint()).collect();
 
@@ -147,7 +135,6 @@ impl SimCluster {
             peers: vec![],
             router: None,
             data_dir: None,
-            store_engine: StoreEngine::File,
             fsync: None,
             read_cache_bytes: None,
             max_open_segments: None,
@@ -170,13 +157,12 @@ impl SimCluster {
                 peers: vec![],
                 router: Some(router_name),
                 data_dir: Some(data_root.join(format!("s{i}"))),
-                store_engine: engine,
                 fsync: None,
-                // Segmented chaos nodes run a deliberately tiny block
-                // cache and fd pool: constant eviction/refill and fd
-                // churn under faults is exactly the stress we want.
-                read_cache_bytes: (engine == StoreEngine::Segmented).then_some(4096),
-                max_open_segments: (engine == StoreEngine::Segmented).then_some(4),
+                // Chaos nodes run a deliberately tiny block cache and fd
+                // pool: constant eviction/refill and fd churn under
+                // faults is exactly the stress we want.
+                read_cache_bytes: Some(4096),
+                max_open_segments: Some(4),
                 stats_path: None,
                 shards: 1,
                 shard_batch: 64,
@@ -681,7 +667,7 @@ impl SimCluster {
     // ---- fault injection -----------------------------------------------
 
     /// Crashes storage `i` (0-based): its process state evaporates, its
-    /// file store survives on disk. The router "notices" after the
+    /// segmented log survives on disk. The router "notices" after the
     /// transport detection delay, withdrawing the replica's routes.
     pub fn crash_storage(&mut self, i: usize) {
         let addr = self.storage_addr(i);
@@ -703,7 +689,7 @@ impl SimCluster {
     }
 
     /// Restarts a crashed storage node through the production boot path:
-    /// cores rebuilt from config, file store re-opened (torn-tail
+    /// cores rebuilt from config, segmented log re-opened (torn-tail
     /// recovery + record replay), then a fresh network attach.
     pub fn restart_storage(&mut self, i: usize) {
         let addr = self.storage_addr(i);
@@ -727,29 +713,28 @@ impl SimCluster {
         self.transmit(1 + i, out);
     }
 
+    /// Storage `i`'s config, as its next [`SimCluster::restart_storage`]
+    /// boots it (e.g. to change the `fsync` policy across a restart).
+    pub fn storage_config_mut(&mut self, i: usize) -> &mut NodeConfig {
+        &mut self.cfgs[1 + i]
+    }
+
     /// Torn-write fault: appends `garbage` to the tail of storage `i`'s
-    /// active on-disk log — the shared log's highest-id segment under the
-    /// segmented engine, the capsule's log file under the file engine —
+    /// active on-disk log — the shared log's highest-id segment —
     /// simulating a partially persisted write that the crash cut short.
     /// Only meaningful while the node is crashed (the store is closed);
     /// recovery on restart must truncate the torn tail and keep every
     /// acked record. Returns the file that was damaged.
     pub fn tear_storage_tail(&mut self, i: usize, garbage: &[u8]) -> std::path::PathBuf {
         assert!(self.storage_crashed(i), "tear_storage_tail on a running node");
-        let cfg = &self.cfgs[1 + i];
-        let data_dir = cfg.data_dir.as_ref().expect("sim storage nodes have a data_dir");
-        let target = match cfg.store_engine {
-            StoreEngine::Segmented => {
-                let seg_dir = data_dir.join("seglog");
-                std::fs::read_dir(&seg_dir)
-                    .expect("seglog dir exists after first boot")
-                    .filter_map(|e| e.ok().map(|e| e.path()))
-                    .filter(|p| p.extension().map(|x| x == "seg").unwrap_or(false))
-                    .max()
-                    .expect("seglog has at least one segment")
-            }
-            StoreEngine::File => data_dir.join(format!("{}.log", self.capsule.to_hex())),
-        };
+        let data_dir =
+            self.cfgs[1 + i].data_dir.as_ref().expect("sim storage nodes have a data_dir");
+        let target = std::fs::read_dir(data_dir.join("seglog"))
+            .expect("seglog dir exists after first boot")
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .filter(|p| p.extension().map(|x| x == "seg").unwrap_or(false))
+            .max()
+            .expect("seglog has at least one segment");
         use std::io::Write;
         let mut f = std::fs::OpenOptions::new()
             .append(true)

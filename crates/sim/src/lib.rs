@@ -7,7 +7,7 @@
 //!
 //! Deterministic chaos testing lives in [`cluster`] + [`check`]: the
 //! *production* node runtimes (router, DataCapsule servers with
-//! file-backed stores, verifying client) on the seeded
+//! segmented-log stores, verifying client) on the seeded
 //! `gdp_net::simnet` fabric, with fault injection and post-recovery
 //! invariant checks (see `tests/chaos.rs` and DESIGN.md, "Simulation
 //! architecture").
@@ -24,5 +24,4 @@ pub use baselines::{BaselineWorld, BlobServer};
 pub use check::check_invariants;
 pub use cluster::SimCluster;
 pub use gdp_net::simnet::{FaultSpec, SimAddr, SimEndpoint, SimNetError, SimStats};
-pub use gdp_node::StoreEngine;
 pub use world::{GdpWorld, Placement, FOREVER};

@@ -16,7 +16,8 @@
 use gdp_cert::{PrincipalId, PrincipalKind};
 use gdp_router::{AttachStep, Attacher};
 use gdp_server::{AckMode, ReadTarget};
-use gdp_sim::{check_invariants, FaultSpec, SimCluster, StoreEngine, FOREVER};
+use gdp_sim::{check_invariants, FaultSpec, SimCluster, FOREVER};
+use gdp_store::FsyncPolicy;
 use gdp_wire::{Name, Pdu, PduType};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,7 +30,7 @@ const S: u64 = 1_000_000;
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A process-unique scratch dir per run: two runs of the same seed must
-/// never see each other's file stores (that would break replay).
+/// never see each other's segmented logs (that would break replay).
 fn fresh_dir() -> PathBuf {
     let d = std::env::temp_dir().join(format!(
         "gdp-chaos-{}-{}",
@@ -51,25 +52,9 @@ struct RunResult {
     crashes: u32,
 }
 
-/// Seed parity picks the storage engine, so the sweep exercises both the
-/// per-capsule file stores (even seeds) and the shared segmented
-/// group-commit log with its deferred acks (odd seeds) under the same
-/// fault schedules.
-fn engine_for(seed: u64) -> StoreEngine {
-    if seed % 2 == 1 {
-        StoreEngine::Segmented
-    } else {
-        StoreEngine::File
-    }
-}
-
 fn run_scenario(seed: u64) -> RunResult {
-    run_scenario_with(seed, engine_for(seed))
-}
-
-fn run_scenario_with(seed: u64, engine: StoreEngine) -> RunResult {
     let dir = fresh_dir();
-    let result = run_scenario_in(seed, &dir, engine);
+    let result = run_scenario_in(seed, &dir);
     let _ = std::fs::remove_dir_all(&dir);
     result
 }
@@ -77,7 +62,7 @@ fn run_scenario_with(seed: u64, engine: StoreEngine) -> RunResult {
 /// One full seeded chaos run: derive a fault model and workload from the
 /// seed, drive appends/reads while disturbing at most one replica at a
 /// time, then heal + restart everything and check invariants.
-fn run_scenario_in(seed: u64, dir: &Path, engine: StoreEngine) -> RunResult {
+fn run_scenario_in(seed: u64, dir: &Path) -> RunResult {
     let mut wl = StdRng::seed_from_u64(seed ^ 0x5745_4154);
     let faults = FaultSpec {
         latency_us: wl.gen_range(1_000..5_000),
@@ -85,7 +70,7 @@ fn run_scenario_in(seed: u64, dir: &Path, engine: StoreEngine) -> RunResult {
         drop: wl.gen_range(0.0..0.12),
         duplicate: wl.gen_range(0.0..0.05),
     };
-    let mut c = SimCluster::new_with_engine(seed, faults, dir, engine);
+    let mut c = SimCluster::new(seed, faults, dir);
     assert!(c.attach_client(60 * S), "GDP_SIM_SEED={seed}: client attach timed out");
     if wl.gen_bool(0.5) {
         // Sessions are optional (responses fall back to the signed-chain
@@ -181,13 +166,17 @@ fn run_scenario_in(seed: u64, dir: &Path, engine: StoreEngine) -> RunResult {
 
 /// Acceptance criterion: the same seed must replay byte-identically —
 /// same fabric trace digest, same event count, same set of acked seqs —
-/// across two runs in fresh scratch dirs.
+/// across two runs in fresh scratch dirs. Group-commit flushes, deferred
+/// acks, rotation, and checkpoints are all driven by virtual time, so
+/// the store never perturbs the replay.
 #[test]
 fn same_seed_identical_trace() {
-    let a = run_scenario(42);
-    let b = run_scenario(42);
-    assert_eq!(a, b, "GDP_SIM_SEED=42 diverged between two runs: replay is broken");
-    assert!(a.events > 0, "scenario produced no fabric traffic");
+    for seed in [42, 43] {
+        let a = run_scenario(seed);
+        let b = run_scenario(seed);
+        assert_eq!(a, b, "GDP_SIM_SEED={seed} diverged between two runs: replay is broken");
+        assert!(a.events > 0, "scenario produced no fabric traffic");
+    }
 }
 
 /// Different seeds must explore different schedules (sanity check that
@@ -241,7 +230,7 @@ fn seed_sweep() {
 /// exercised on every run even if the sweep default shrinks.
 #[test]
 fn pinned_stale_down_detection() {
-    let r = run_scenario_with(4, StoreEngine::File);
+    let r = run_scenario(4);
     assert!(r.crashes >= 2, "seed 4's schedule changed — repin this regression seed");
 }
 
@@ -255,7 +244,7 @@ fn pinned_stale_down_detection() {
 /// re-keying on "MAC response without session" (driver).
 #[test]
 fn pinned_half_established_session() {
-    let r = run_scenario_with(12, StoreEngine::File);
+    let r = run_scenario(12);
     assert!(!r.acked.is_empty(), "seed 12's schedule changed — repin this regression seed");
 }
 
@@ -270,7 +259,7 @@ fn pinned_half_established_session() {
 /// recoverable no-session path instead of looking like corruption.
 #[test]
 fn pinned_duplicate_session_init_rekey() {
-    let r = run_scenario_with(36, StoreEngine::File);
+    let r = run_scenario(36);
     assert!(!r.acked.is_empty(), "seed 36's schedule changed — repin this regression seed");
 }
 
@@ -288,7 +277,7 @@ fn pinned_duplicate_session_init_rekey() {
 /// sending it inline (node runtime + sim client driver).
 #[test]
 fn pinned_attach_storm_livelock() {
-    let r = run_scenario_with(160, StoreEngine::File);
+    let r = run_scenario(160);
     assert!(!r.acked.is_empty(), "seed 160's schedule changed — repin this regression seed");
 }
 
@@ -304,36 +293,8 @@ fn pinned_attach_storm_livelock() {
 /// "MAC response without session" path instead of reading as tampering.
 #[test]
 fn pinned_rekey_epoch_skew() {
-    let r = run_scenario_with(747, StoreEngine::File);
+    let r = run_scenario(747);
     assert!(!r.acked.is_empty(), "seed 747's schedule changed — repin this regression seed");
-}
-
-/// Scripted (non-random) crash/restart durability check: acked writes
-/// must survive a replica crash because the file store is durable and
-/// recovery replays it.
-#[test]
-fn crash_restart_preserves_acked_writes() {
-    let seed = 0xD00D;
-    let dir = fresh_dir();
-    let mut c = SimCluster::new(seed, FaultSpec::reliable(), &dir);
-    assert!(c.attach_client(30 * S));
-
-    for i in 0..5 {
-        c.client_append(format!("pre-crash {i}").as_bytes(), AckMode::Quorum(1), 60 * S)
-            .expect("append before crash");
-    }
-    // Crash replica 0: it holds the acked records only on disk now.
-    c.crash_storage(0);
-    c.run_for(5 * S);
-    // The survivor keeps serving appends.
-    c.client_append(b"during outage", AckMode::Local, 60 * S).expect("append during outage");
-    // Restart through the production boot path (FileStore recovery).
-    c.restart_storage(0);
-    c.run_for(20 * S);
-
-    check_invariants(&c);
-    assert_eq!(c.acked().len(), 6);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Scripted partition-during-replication: a partition opens between the
@@ -411,12 +372,35 @@ fn fault_free_metric_accounting() {
         assert_eq!(nm.counter_value("server", "appends_rejected"), 0);
         assert_eq!(nm.counter_value("server", "verify_failures"), 0);
         assert_eq!(nm.counter_value("server", "durability_timeouts"), 0);
-        // Store layer: every committed record hit the log; recovery never
-        // had to truncate and no CRC ever failed.
+        // Store layer: every committed record hit the log under batched
+        // (not per-append) fsyncs; recovery never had to truncate or
+        // full-scan and no CRC ever failed.
         assert!(nm.counter_value("store", "entries_appended") > 0);
+        assert!(nm.counter_value("store", "group_commits") > 0);
+        assert!(
+            nm.counter_value("store", "fsyncs") <= nm.counter_value("store", "entries_appended"),
+            "GDP_SIM_SEED={seed}: more fsyncs than entries — batching never engaged"
+        );
         assert_eq!(nm.counter_value("store", "recovery_truncations"), 0);
+        assert_eq!(nm.counter_value("store", "recovery_full_scans"), 0);
         assert_eq!(nm.counter_value("store", "crc_failures"), 0);
+        // Read-path conservation: every read the store served is exactly
+        // one block-cache hit or one miss — no double counting, no leak.
+        assert_eq!(
+            nm.counter_value("store", "read_cache_hits")
+                + nm.counter_value("store", "read_cache_misses"),
+            nm.counter_value("store", "reads_served_from_store"),
+            "GDP_SIM_SEED={seed}: read-cache hit/miss accounting does not conserve reads"
+        );
+        // Acked ⇒ durable: acks wait for their covering fsync, and every
+        // deferred ack was eventually released.
+        let deferred = nm.counter_value("server", "acks_deferred");
+        let released = nm.counter_value("server", "acks_released");
+        assert_eq!(deferred, released, "GDP_SIM_SEED={seed}: acks parked forever");
     }
+    let deferred: u64 =
+        (1..=2).map(|i| c.node_metrics(i).counter_value("server", "acks_deferred")).sum();
+    assert!(deferred > 0, "GDP_SIM_SEED={seed}: the default batch policy never deferred an ack");
     let served: u64 =
         (1..=2).map(|i| c.node_metrics(i).counter_value("server", "reads_served")).sum();
     assert_eq!(served, reads);
@@ -499,38 +483,28 @@ fn timeout_sweep_fires_under_loss() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Determinism must hold under the segmented engine too: group-commit
-/// flushes, deferred acks, rotation, and checkpoints are all driven by
-/// virtual time, so the same seed must replay byte-identically.
+/// Scripted (non-random) crash/restart durability check: every *acked*
+/// append must survive a replica crash. With the group-commit default
+/// (`batch(5)`), the server defers acks until the covering fsync, so an
+/// ack reaching the client proves the record was on disk — the crash
+/// then exercises checkpointed tail replay on the shared log.
 #[test]
-fn same_seed_identical_trace_segmented() {
-    let a = run_scenario_with(43, StoreEngine::Segmented);
-    let b = run_scenario_with(43, StoreEngine::Segmented);
-    assert_eq!(a, b, "GDP_SIM_SEED=43 diverged under the segmented engine: replay is broken");
-    assert!(a.events > 0, "scenario produced no fabric traffic");
-}
-
-/// Scripted crash/restart durability under the segmented engine: every
-/// *acked* append must survive a replica crash. With the group-commit
-/// default (`batch(5)`), the server defers acks until the covering fsync,
-/// so an ack reaching the client proves the record was on disk — the
-/// crash then exercises checkpointed tail replay on the shared log
-/// instead of per-capsule file recovery.
-#[test]
-fn crash_restart_preserves_acked_writes_segmented() {
+fn crash_restart_preserves_acked_writes() {
     let seed = 0x5E6D;
     let dir = fresh_dir();
-    let mut c =
-        SimCluster::new_with_engine(seed, FaultSpec::reliable(), &dir, StoreEngine::Segmented);
+    let mut c = SimCluster::new(seed, FaultSpec::reliable(), &dir);
     assert!(c.attach_client(30 * S));
 
     for i in 0..5 {
         c.client_append(format!("pre-crash {i}").as_bytes(), AckMode::Quorum(1), 60 * S)
             .expect("append before crash");
     }
+    // Crash replica 0: it holds the acked records only on disk now.
     c.crash_storage(0);
     c.run_for(5 * S);
+    // The survivor keeps serving appends.
     c.client_append(b"during outage", AckMode::Local, 60 * S).expect("append during outage");
+    // Restart through the production boot path (segmented-log recovery).
     c.restart_storage(0);
     c.run_for(20 * S);
 
@@ -565,8 +539,7 @@ fn crash_restart_preserves_acked_writes_segmented() {
 fn torn_segment_tail_recovers_on_restart() {
     let seed = 0x7EA4;
     let dir = fresh_dir();
-    let mut c =
-        SimCluster::new_with_engine(seed, FaultSpec::reliable(), &dir, StoreEngine::Segmented);
+    let mut c = SimCluster::new(seed, FaultSpec::reliable(), &dir);
     assert!(c.attach_client(30 * S));
 
     for i in 0..4 {
@@ -591,59 +564,6 @@ fn torn_segment_tail_recovers_on_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Fault-free metric accounting for the segmented engine: the group-commit
-/// observability contract. Every acked write crossed one deferred-ack
-/// cycle, fsyncs were batched (not per-append), and no corruption or
-/// full-scan recovery ever happened on a clean run.
-#[test]
-fn fault_free_metric_accounting_segmented() {
-    let seed = 0x0B6;
-    let dir = fresh_dir();
-    let mut c =
-        SimCluster::new_with_engine(seed, FaultSpec::reliable(), &dir, StoreEngine::Segmented);
-    assert!(c.attach_client(30 * S));
-
-    const N: u64 = 6;
-    for i in 0..N {
-        c.client_append(format!("obs {i}").as_bytes(), AckMode::Local, 60 * S)
-            .expect("fault-free append");
-    }
-    c.run_for(10 * S);
-    check_invariants(&c);
-
-    assert_eq!(c.client_metrics().counter_value("client", "acked_writes"), N);
-    for i in 1..=2 {
-        let nm = c.node_metrics(i);
-        // Group commit ran and covered the appends with batched fsyncs.
-        assert!(nm.counter_value("store", "entries_appended") > 0);
-        assert!(nm.counter_value("store", "group_commits") > 0);
-        assert!(
-            nm.counter_value("store", "fsyncs") <= nm.counter_value("store", "entries_appended"),
-            "GDP_SIM_SEED={seed}: more fsyncs than entries — batching never engaged"
-        );
-        // Clean run: no corruption, no torn tails, no full-scan recovery.
-        assert_eq!(nm.counter_value("store", "crc_failures"), 0);
-        assert_eq!(nm.counter_value("store", "recovery_truncations"), 0);
-        assert_eq!(nm.counter_value("store", "recovery_full_scans"), 0);
-        // Read-path conservation: every read the store served is exactly
-        // one block-cache hit or one miss — no double counting, no leak.
-        assert_eq!(
-            nm.counter_value("store", "read_cache_hits")
-                + nm.counter_value("store", "read_cache_misses"),
-            nm.counter_value("store", "reads_served_from_store"),
-            "GDP_SIM_SEED={seed}: read-cache hit/miss accounting does not conserve reads"
-        );
-        // Every deferred ack was eventually released.
-        let deferred = nm.counter_value("server", "acks_deferred");
-        let released = nm.counter_value("server", "acks_released");
-        assert_eq!(deferred, released, "GDP_SIM_SEED={seed}: acks parked forever");
-    }
-    let deferred: u64 =
-        (1..=2).map(|i| c.node_metrics(i).counter_value("server", "acks_deferred")).sum();
-    assert!(deferred > 0, "GDP_SIM_SEED={seed}: batch policy never deferred an ack");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 // ---- overload & hostile-load scenarios (DESIGN.md, "Overload &
 // admission") ----------------------------------------------------------
 
@@ -658,6 +578,15 @@ fn flash_crowd_sheds_typed_nacks_and_recovers() {
     let seed = 0xF1A5;
     let dir = fresh_dir();
     let mut c = SimCluster::new(seed, FaultSpec::reliable(), &dir);
+    // The crowd is one closed-loop driver: under the default group commit
+    // every ack waits for the tick's fsync, so it could never exceed one
+    // append per tick. Reboot the replicas on fsync-per-append: acks
+    // return at once and the whole burst lands inside one tick's budget.
+    for i in 0..2 {
+        c.crash_storage(i);
+        c.storage_config_mut(i).fsync = Some(FsyncPolicy::Always);
+        c.restart_storage(i);
+    }
     assert!(c.attach_client(30 * S), "GDP_SIM_SEED={seed}: attach timed out");
     c.set_storage_overload_policy(1, 100_000);
 

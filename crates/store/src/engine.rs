@@ -1,13 +1,9 @@
 //! Multi-capsule storage engine: what a DataCapsule-server mounts.
 //!
-//! Selects the backing for hosted capsules (gdpd config `store_engine`):
-//! in memory, one append-only file per capsule (the paper prototype's
-//! one-SQLite-file-per-capsule layout, §VIII), or one shared segmented
-//! log for the whole node (`seglog`). The engine also carries the node's
-//! [`FsyncPolicy`], so both durable backings answer acked-durability the
-//! same way.
+//! Hosted capsules live in one shared segmented log for the whole node
+//! (`seglog`, when gdpd has a `data_dir`) or in memory. The engine also
+//! carries the node's [`FsyncPolicy`].
 
-use crate::file::FileStore;
 use crate::policy::FsyncPolicy;
 use crate::seglog::{SegConfig, SegLog};
 use crate::store::{CapsuleStore, MemStore, StoreError};
@@ -24,8 +20,6 @@ use std::sync::Arc;
 pub enum Backing {
     /// Everything in memory (simulations, tests).
     Memory,
-    /// One append-only segment file per capsule under this directory.
-    Directory(PathBuf),
     /// One shared segmented log for all capsules under this directory.
     Segmented(PathBuf),
 }
@@ -36,7 +30,7 @@ pub type SharedStore = Arc<Mutex<Box<dyn CapsuleStore>>>;
 /// A thread-safe collection of per-capsule stores.
 pub struct StorageEngine {
     backing: Backing,
-    policy: Option<FsyncPolicy>,
+    policy: FsyncPolicy,
     read_cache_bytes: Option<usize>,
     max_open_segments: Option<usize>,
     stores: Mutex<HashMap<Name, SharedStore>>,
@@ -54,7 +48,7 @@ impl StorageEngine {
     pub fn with_obs(backing: Backing, scope: Scope) -> StorageEngine {
         StorageEngine {
             backing,
-            policy: None,
+            policy: FsyncPolicy::DEFAULT_BATCH,
             read_cache_bytes: None,
             max_open_segments: None,
             stores: Mutex::new(HashMap::new()),
@@ -63,16 +57,15 @@ impl StorageEngine {
         }
     }
 
-    /// Sets the durability policy (engine default when unset: `never` for
-    /// per-capsule files, the default batch window for the shared log).
+    /// Sets the durability policy (default: [`FsyncPolicy::DEFAULT_BATCH`]).
     pub fn with_policy(mut self, policy: FsyncPolicy) -> StorageEngine {
-        self.policy = Some(policy);
+        self.policy = policy;
         self
     }
 
     /// Tunes the segmented engine's read path (block-cache byte budget,
     /// pooled-fd cap); `None` keeps the [`SegConfig`] defaults. Ignored
-    /// by the other backings.
+    /// by the memory backing.
     pub fn with_seg_tuning(
         mut self,
         read_cache_bytes: Option<usize>,
@@ -93,10 +86,6 @@ impl StorageEngine {
     fn build(&self, capsule: &Name) -> Result<Box<dyn CapsuleStore>, StoreError> {
         Ok(match &self.backing {
             Backing::Memory => Box::new(MemStore::new()),
-            Backing::Directory(dir) => Box::new(
-                FileStore::open_with(dir.join(format!("{}.log", capsule.to_hex())), &self.obs)?
-                    .with_policy(self.policy.unwrap_or(FsyncPolicy::Never))?,
-            ),
             Backing::Segmented(dir) => {
                 let mut seg = self.seg.lock();
                 let log = match &*seg {
@@ -104,7 +93,7 @@ impl StorageEngine {
                     None => {
                         let defaults = SegConfig::default();
                         let cfg = SegConfig {
-                            policy: self.policy.unwrap_or(FsyncPolicy::DEFAULT_BATCH),
+                            policy: self.policy,
                             read_cache_bytes: self
                                 .read_cache_bytes
                                 .unwrap_or(defaults.read_cache_bytes),
@@ -136,9 +125,9 @@ impl StorageEngine {
         if let Some(s) = self.stores.lock().get(capsule) {
             return Ok(Arc::clone(s));
         }
-        // Build outside the `stores` lock: file-backed builds replay a
-        // log from disk, and `stores` sits on the lookup path of every
-        // request. Two threads may race to build the same capsule; the
+        // Build outside the `stores` lock: the first segmented build
+        // recovers the log from disk, and `stores` sits on the lookup
+        // path of every request. Two threads may race to build the same capsule; the
         // first inserter wins and the loser adopts its store, so handle
         // sharing is preserved.
         let built = self.build(capsule)?;
@@ -212,36 +201,6 @@ mod tests {
         let a = engine.open(&n).unwrap();
         let b = engine.open(&n).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn directory_engine_persists() {
-        let dir = std::env::temp_dir().join(format!("gdp-engine-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let owner = SigningKey::from_seed(&[1u8; 32]);
-        let writer = SigningKey::from_seed(&[2u8; 32]);
-        let meta = MetadataBuilder::new().writer(&writer.verifying_key()).sign(&owner);
-        let name = meta.name();
-        {
-            let engine = StorageEngine::new(Backing::Directory(dir.clone()));
-            let s = engine.open(&name).unwrap();
-            s.lock().put_metadata(&meta).unwrap();
-            let r = Record::create(
-                &name,
-                &writer,
-                1,
-                0,
-                RecordHash::anchor(&name),
-                vec![],
-                b"persisted".to_vec(),
-            );
-            s.lock().append(&r).unwrap();
-        }
-        let engine = StorageEngine::new(Backing::Directory(dir.clone()));
-        let s = engine.open(&name).unwrap();
-        assert_eq!(s.lock().len(), 1);
-        assert_eq!(s.lock().metadata().unwrap(), meta);
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

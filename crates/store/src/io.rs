@@ -1,9 +1,8 @@
-//! Low-level file-IO helpers shared by both storage engines.
+//! Low-level file-IO helpers of the segmented log.
 //!
-//! `FileStore` recovery and the segmented log's scanner both stream files
-//! through short reads; the segmented read path additionally does
-//! positional reads against pooled, shared fds. These helpers are the one
-//! place the retry-on-`Interrupted` loop lives.
+//! The recovery/compaction scanner streams files through short reads; the
+//! read path does positional reads against pooled, shared fds. These
+//! helpers are the one place the retry-on-`Interrupted` loop lives.
 
 use std::fs::File;
 use std::io::Read;

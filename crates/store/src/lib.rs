@@ -1,37 +1,34 @@
 //! # gdp-store
 //!
-//! Storage engines for DataCapsule-servers.
+//! Storage for DataCapsule-servers.
 //!
-//! Two durable engines share one [`CapsuleStore`] interface and one
-//! [`FsyncPolicy`] durability-policy type:
+//! One durable engine sits behind the [`CapsuleStore`] interface:
+//! [`SegLog`], one *shared* segmented log per node with per-capsule
+//! logical streams, group-commit (one fsync per batch of appends across
+//! all capsules), checkpointed bounded recovery, crash-safe compaction,
+//! and cold-capsule index eviction. The paper's prototype keeps one
+//! SQLite database per capsule (§VIII); a node hosting very many capsules
+//! cannot afford a file and an fsync per capsule, so this one multiplexes
+//! them. [`FsyncPolicy`] says when an append becomes durable.
 //!
-//! * [`FileStore`] — one append-only CRC-framed log per capsule, the
-//!   paper-prototype shape (one SQLite database per capsule, §VIII).
-//!   Simple and fine for dozens of capsules.
-//! * [`SegLog`] — one *shared* segmented log per node with per-capsule
-//!   logical streams, group-commit (one fsync per batch of appends across
-//!   all capsules), checkpointed bounded recovery, crash-safe compaction,
-//!   and cold-capsule index eviction. The capacity engine: a node hosting
-//!   very many capsules cannot afford a file and an fsync per capsule.
-//!
-//! Plus [`MemStore`], the pure in-memory backend for simulation.
-//! [`StorageEngine`] selects between them (`store_engine = "file" |
-//! "segmented"` in gdpd config).
+//! Plus [`MemStore`], the pure in-memory backend for simulation and the
+//! reference model the property tests compare the log against.
+//! [`StorageEngine`] is what a server mounts: segmented under a
+//! directory, or memory.
 
 #![forbid(unsafe_code)]
 
 pub mod crc;
 pub mod engine;
-pub mod file;
 mod io;
 pub mod policy;
 pub mod seglog;
 pub mod store;
 
 pub use engine::{Backing, StorageEngine};
-pub use file::{FileStore, RECOVERY_CHUNK, SEGMENT_MAGIC};
 pub use policy::{AppendAck, FsyncPolicy};
 pub use seglog::{
-    RecoveryStats, SegConfig, SegLog, SegStore, CKPT_MAGIC, SEG_MAGIC as SEGLOG_MAGIC,
+    RecoveryStats, SegConfig, SegLog, SegStore, CKPT_MAGIC, RECOVERY_CHUNK,
+    SEG_MAGIC as SEGLOG_MAGIC,
 };
 pub use store::{CapsuleStore, MemStore, StoreError};

@@ -1,29 +1,25 @@
-//! Durability policy shared by every storage engine.
+//! Durability policy of the storage engine.
 //!
-//! Both [`FileStore`](crate::FileStore) and the segmented engine
-//! ([`SegLog`](crate::SegLog)) answer the same question — *when does an
-//! append become durable?* — with one of three answers:
+//! The segmented log ([`SegLog`](crate::SegLog)) answers *when does an
+//! append become durable?* with one of two answers:
 //!
-//! * [`FsyncPolicy::Never`]: never fsync; rely on the OS flusher. Appends
-//!   ack immediately. This is the historical `FileStore` behaviour and the
-//!   default for `store_engine = "file"`.
 //! * [`FsyncPolicy::Always`]: fsync after every append. Appends ack
 //!   immediately *and* durably — at the cost of one `fdatasync` per record.
-//! * [`FsyncPolicy::Batch`]: group-commit. Appends are buffered and acked
-//!   [`AppendAck::Pending`] with the durability epoch that will cover them;
-//!   a periodic `flush(now)` issues one write + one fsync for the whole
-//!   batch and advances the durable epoch. Bounded ack latency, one fsync
-//!   amortised over every append in the window.
+//! * [`FsyncPolicy::Batch`]: group-commit (the default, 5 ms). Appends are
+//!   buffered and acked [`AppendAck::Pending`] with the durability epoch
+//!   that will cover them; a periodic `flush(now)` issues one write + one
+//!   fsync for the whole batch and advances the durable epoch. Bounded ack
+//!   latency, one fsync amortised over every append in the window.
 //!
-//! The config syntax (`fsync = "never" | "always" | "batch(5)"`, argument
-//! in milliseconds) round-trips through [`FsyncPolicy::parse`] and
+//! There is no "never fsync" answer: an acked append is a durable append.
+//!
+//! The config syntax (`fsync = "always" | "batch(5)"`, argument in
+//! milliseconds) round-trips through [`FsyncPolicy::parse`] and
 //! [`FsyncPolicy::render`].
 
 /// When appends are fsynced (see module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// Never fsync; durability is best-effort (OS flusher).
-    Never,
     /// fsync after every append.
     Always,
     /// Group-commit: one fsync per flush interval (µs).
@@ -37,27 +33,23 @@ impl FsyncPolicy {
     /// The default group-commit window: 5 ms.
     pub const DEFAULT_BATCH: FsyncPolicy = FsyncPolicy::Batch { interval_us: 5_000 };
 
-    /// Parses the config syntax: `never`, `always`, or `batch(<ms>)`.
+    /// Parses the config syntax: `always` or `batch(<ms>)`.
     pub fn parse(s: &str) -> Option<FsyncPolicy> {
         let s = s.trim();
-        match s {
-            "never" => Some(FsyncPolicy::Never),
-            "always" => Some(FsyncPolicy::Always),
-            _ => {
-                let inner = s.strip_prefix("batch(")?.strip_suffix(')')?;
-                let ms: u64 = inner.trim().parse().ok()?;
-                if ms == 0 || ms > 60_000 {
-                    return None;
-                }
-                Some(FsyncPolicy::Batch { interval_us: ms * 1_000 })
-            }
+        if s == "always" {
+            return Some(FsyncPolicy::Always);
         }
+        let inner = s.strip_prefix("batch(")?.strip_suffix(')')?;
+        let ms: u64 = inner.trim().parse().ok()?;
+        if ms == 0 || ms > 60_000 {
+            return None;
+        }
+        Some(FsyncPolicy::Batch { interval_us: ms * 1_000 })
     }
 
     /// Renders back to the config syntax (inverse of [`FsyncPolicy::parse`]).
     pub fn render(&self) -> String {
         match self {
-            FsyncPolicy::Never => "never".to_string(),
             FsyncPolicy::Always => "always".to_string(),
             FsyncPolicy::Batch { interval_us } => format!("batch({})", interval_us / 1_000),
         }
@@ -68,8 +60,7 @@ impl FsyncPolicy {
 /// tell the client.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AppendAck {
-    /// The record is durable (or the policy never makes anything durable,
-    /// in which case this is as good as it gets): ack immediately.
+    /// The record is durable: ack immediately.
     Durable,
     /// The record is written but not yet fsynced; hold the ack until
     /// [`flush`](crate::CapsuleStore::flush) returns an epoch `>=` this.
@@ -82,9 +73,7 @@ mod tests {
 
     #[test]
     fn parse_render_round_trip() {
-        for p in
-            [FsyncPolicy::Never, FsyncPolicy::Always, FsyncPolicy::Batch { interval_us: 5_000 }]
-        {
+        for p in [FsyncPolicy::Always, FsyncPolicy::DEFAULT_BATCH] {
             assert_eq!(FsyncPolicy::parse(&p.render()), Some(p));
         }
         assert_eq!(
@@ -96,7 +85,9 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
-        for bad in ["", "batch", "batch()", "batch(0)", "batch(-1)", "batch(99999999)", "sync"] {
+        for bad in
+            ["", "batch", "batch()", "batch(0)", "batch(-1)", "batch(99999999)", "sync", "never"]
+        {
             assert_eq!(FsyncPolicy::parse(bad), None, "{bad:?} must not parse");
         }
     }

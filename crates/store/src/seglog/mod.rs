@@ -2,9 +2,9 @@
 //!
 //! One append log per *node*, shared by every hosted capsule: records
 //! from all capsules multiplex onto a sequence of fixed-size segment
-//! files, with a per-capsule in-memory index for random reads. This is
-//! the capacity-oriented engine from ROADMAP Open item 5 — a node hosting
-//! millions of capsules cannot afford one file + one fsync per capsule.
+//! files, with a per-capsule in-memory index for random reads. It is the
+//! node's only durable engine: a node hosting millions of capsules cannot
+//! afford one file + one fsync per capsule.
 //!
 //! The moving parts (see DESIGN.md, "Storage engine"):
 //!
@@ -35,9 +35,8 @@ mod segment;
 mod writer;
 
 pub use checkpoint::{CheckpointPos, CKPT_MAGIC};
-pub use segment::SEG_MAGIC;
+pub use segment::{RECOVERY_CHUNK, SEG_MAGIC};
 
-use crate::file::RECOVERY_CHUNK;
 use crate::policy::{AppendAck, FsyncPolicy};
 use crate::store::{CapsuleStore, StoreError};
 use cache::BlockCache;
@@ -57,9 +56,7 @@ use writer::{entry_crc, GroupCommit, ENTRY_HEADER, KIND_METADATA, KIND_RECORD};
 /// Tuning knobs for a [`SegLog`].
 #[derive(Clone, Debug)]
 pub struct SegConfig {
-    /// Durability policy. [`FsyncPolicy::Never`] is normalized to the
-    /// default batch window: the whole point of this engine is acked
-    /// durability, and "never fsync" has no coherent ack story here.
+    /// Durability policy.
     pub policy: FsyncPolicy,
     /// Seal the active segment once it reaches this size.
     pub segment_max_bytes: u64,
@@ -109,8 +106,7 @@ impl Default for SegConfig {
     }
 }
 
-/// Cached metric handles (scope "store"; shares the FileStore counter
-/// names so dashboards and the chaos metric smoke read both engines).
+/// Cached metric handles (scope "store").
 #[derive(Clone)]
 struct SegObs {
     entries_appended: Counter,
@@ -271,12 +267,9 @@ impl SegLog {
     /// [`SegLog::open`], registering metrics under `scope`.
     pub fn open_with(
         dir: impl AsRef<Path>,
-        mut cfg: SegConfig,
+        cfg: SegConfig,
         scope: &Scope,
     ) -> Result<SegLog, StoreError> {
-        if cfg.policy == FsyncPolicy::Never {
-            cfg.policy = FsyncPolicy::DEFAULT_BATCH;
-        }
         let inner = LogInner::open(dir.as_ref(), cfg, scope)?;
         Ok(SegLog { inner: Arc::new(Mutex::new(inner)) })
     }
@@ -509,6 +502,19 @@ impl LogInner {
                 segments.insert(id, SegMeta { len, ..SegMeta::default() });
             }
         }
+        // A crash inside `create_segment` can leave the newest segment
+        // shorter than its magic (its directory entry reached disk before
+        // its first bytes did). Nothing was ever appended to it: re-stamp.
+        if let Some((&id, m)) = segments.iter_mut().next_back() {
+            if m.len < SEG_MAGIC.len() as u64 {
+                let mut f =
+                    OpenOptions::new().write(true).truncate(true).open(seg_path(dir, id))?;
+                std::io::Write::write_all(&mut f, &SEG_MAGIC)?;
+                f.sync_data()?;
+                m.len = SEG_MAGIC.len() as u64;
+                obs.recovery_truncations.inc();
+            }
+        }
         let fresh = segments.is_empty();
         if fresh {
             create_segment(dir, 0)?;
@@ -700,7 +706,7 @@ impl LogInner {
     }
 
     /// Sequential scan chunk for recovery and compaction: the readahead
-    /// window, never below the historical [`RECOVERY_CHUNK`] bound.
+    /// window, never below [`RECOVERY_CHUNK`].
     pub(crate) fn scan_chunk(&self) -> usize {
         (self.cfg.read_block_bytes * self.cfg.readahead_blocks.max(1)).max(RECOVERY_CHUNK)
     }
@@ -881,7 +887,6 @@ impl LogInner {
     fn flush_inner(&mut self, now_us: u64, force: bool) -> Result<u64, StoreError> {
         let due = match self.cfg.policy {
             FsyncPolicy::Always => true,
-            FsyncPolicy::Never => true, // normalized away in open_with
             FsyncPolicy::Batch { interval_us } => self.gc.due(now_us, interval_us),
         };
         if force || due {

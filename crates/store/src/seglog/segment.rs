@@ -2,11 +2,10 @@
 //!
 //! A segment is `GDPSEG\0\x01` followed by entries in the framing defined
 //! in `writer.rs`. Scanning streams the file in [`RECOVERY_CHUNK`]-sized
-//! reads (same bound as `FileStore` recovery): peak memory is one chunk
-//! plus the largest single entry, never segment size.
+//! reads: peak memory is one chunk plus the largest single entry, never
+//! segment size.
 
 use super::writer::{entry_crc, ENTRY_HEADER};
-use crate::file::RECOVERY_CHUNK;
 use crate::io::read_fill;
 use crate::store::StoreError;
 use gdp_wire::Name;
@@ -16,6 +15,10 @@ use std::path::{Path, PathBuf};
 
 /// Leading magic of a shared-log segment file.
 pub const SEG_MAGIC: [u8; 8] = *b"GDPSEG\x00\x01";
+
+/// Smallest read size of a recovery/compaction scan. Peak scan memory is
+/// bounded by the scan chunk plus the largest single entry.
+pub const RECOVERY_CHUNK: usize = 64 * 1024;
 
 /// `<dir>/<id>.seg`, zero-padded so lexical order is id order.
 pub(crate) fn seg_path(dir: &Path, id: u64) -> PathBuf {
@@ -61,12 +64,11 @@ pub(crate) struct ScanOutcome {
 
 /// Streams entries from `offset` (or just past the magic when 0),
 /// invoking `on_entry` for each CRC-clean frame. Decode errors inside a
-/// CRC-clean body are hard [`StoreError::Corrupt`] failures, as in
-/// `FileStore`: valid-CRC-invalid-wire means a bug, not rot.
+/// CRC-clean body are hard [`StoreError::Corrupt`] failures:
+/// valid-CRC-invalid-wire means a bug, not rot.
 ///
 /// `chunk` sets the sequential read size (recovery readahead tuning);
-/// it is clamped to at least [`RECOVERY_CHUNK`] so peak memory claims
-/// stay monotone with the historical bound.
+/// it is clamped to at least [`RECOVERY_CHUNK`].
 pub(crate) fn scan_segment(
     path: &Path,
     offset: u64,
@@ -93,8 +95,8 @@ pub(crate) fn scan_segment(
     let mut peak = 0usize;
     let mut valid_end = start_at;
 
-    // Same bounded top-up as FileStore recovery: compact consumed bytes,
-    // then read until `need` unparsed bytes are available or EOF.
+    // Bounded top-up: compact consumed bytes, then read until `need`
+    // unparsed bytes are available or EOF.
     fn ensure(
         file: &mut File,
         buf: &mut Vec<u8>,

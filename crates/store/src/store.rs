@@ -3,9 +3,10 @@
 //! The paper's prototype keeps "each DataCapsule ... in its own separate
 //! SQLite database" so servers "respond to random reads efficiently"
 //! (§VIII). The equivalent here is a [`CapsuleStore`] trait with two
-//! backends: an in-memory map (simulation, tests) and an append-only
-//! segment file with CRC framing and crash-recovery scan (`FileStore` in
-//! `file.rs`). Both index records by sequence number and header hash.
+//! backends: an in-memory map (simulation, tests, the reference model)
+//! and a per-capsule stream of the node's shared segmented log with CRC
+//! framing and crash-recovery scan (`SegStore` in `seglog`). Both index
+//! records by sequence number and header hash.
 
 use crate::policy::AppendAck;
 use gdp_capsule::{CapsuleError, CapsuleMetadata, Record, RecordHash};

@@ -1,14 +1,19 @@
-//! Property tests for the storage engine: the file store must agree with
-//! the in-memory model under arbitrary operation sequences and arbitrary
-//! tail corruption.
+//! Property tests for the storage engine: a [`SegLog`] stream must agree
+//! with the in-memory model ([`MemStore`]) under arbitrary operation
+//! sequences, and survive arbitrary tail truncation and byte corruption.
+//! Segments are tiny, so rotation, checkpointing and reopen all happen
+//! inside each property.
 
-use gdp_capsule::{CapsuleWriter, MetadataBuilder, PointerStrategy, Record};
+use gdp_capsule::{CapsuleMetadata, CapsuleWriter, MetadataBuilder, PointerStrategy, Record};
 use gdp_crypto::SigningKey;
-use gdp_store::{CapsuleStore, FileStore, MemStore};
+use gdp_obs::Metrics;
+use gdp_store::{CapsuleStore, MemStore, SegConfig, SegLog, SegStore, StoreError};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-fn records(n: u64) -> (gdp_capsule::CapsuleMetadata, Vec<Record>) {
+fn records(n: u64) -> (CapsuleMetadata, Vec<Record>) {
     let owner = SigningKey::from_seed(&[1u8; 32]);
     let wk = SigningKey::from_seed(&[2u8; 32]);
     let meta = MetadataBuilder::new()
@@ -20,121 +25,189 @@ fn records(n: u64) -> (gdp_capsule::CapsuleMetadata, Vec<Record>) {
     (meta, rs)
 }
 
-fn tmppath(tag: u64) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "gdp-store-prop-{}-{}-{}.log",
+static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+
+fn tmpdir() -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "gdp-store-prop-{}-{}",
         std::process::id(),
-        std::thread::current().name().unwrap_or("t").len(),
-        tag
-    ))
+        DIR_SEQ.fetch_add(1, Ordering::SeqCst)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A couple of records per segment.
+fn small_cfg() -> SegConfig {
+    SegConfig { segment_max_bytes: 512, compact_min_dead_pct: 0, ..SegConfig::default() }
+}
+
+/// Writes `meta` + `rs` through a fresh log, one group commit (and, when
+/// the segment is full, one rotation) per record, then closes it.
+fn written_log(dir: &Path, meta: &CapsuleMetadata, rs: &[Record]) {
+    let log = SegLog::open(dir, small_cfg()).unwrap();
+    let mut h = log.handle(meta.name());
+    h.put_metadata(meta).unwrap();
+    for (i, r) in rs.iter().enumerate() {
+        h.append(r).unwrap();
+        h.flush((i as u64 + 1) * 10_000).unwrap();
+    }
+}
+
+/// Segment files of the log under `dir`, ascending (last is the active).
+fn segment_files(dir: &Path) -> Vec<PathBuf> {
+    let mut segs: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+        .collect();
+    segs.sort();
+    segs
+}
+
+fn assert_same(seg: &SegStore, mem: &MemStore, query: u64) -> Result<(), TestCaseError> {
+    prop_assert_eq!(seg.len(), mem.len());
+    prop_assert_eq!(seg.latest_seq(), mem.latest_seq());
+    prop_assert_eq!(seg.get_by_seq(query).unwrap(), mem.get_by_seq(query).unwrap());
+    prop_assert_eq!(seg.get_all_at_seq(query).unwrap(), mem.get_all_at_seq(query).unwrap());
+    let lo = query.min(3);
+    prop_assert_eq!(seg.range(lo, query).unwrap(), mem.range(lo, query).unwrap());
+    let mut sh = seg.hashes();
+    let mut mh = mem.hashes();
+    sh.sort();
+    mh.sort();
+    prop_assert_eq!(sh, mh);
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// FileStore and MemStore answer identically for any subset/order of
-    /// appends and any queried seq/range.
+    /// A SegLog stream and MemStore answer identically for any
+    /// subset/order of appends (duplicates included) and any queried
+    /// seq/range — before and after a reopen at an arbitrary point.
     #[test]
-    fn file_store_matches_memory_model(
+    fn seg_log_matches_memory_model(
         order in proptest::collection::vec(0usize..12, 1..24),
         query in 0u64..14,
-        tag in any::<u64>(),
+        reopen_at in 0usize..24,
     ) {
         let (meta, rs) = records(12);
-        let path = tmppath(tag);
-        let _ = std::fs::remove_file(&path);
-        let mut file = FileStore::open(&path).unwrap();
+        let dir = tmpdir();
+        let metrics = Metrics::new();
+        let open = || SegLog::open_with(&dir, small_cfg(), &metrics.scope("store")).unwrap();
+        let mut log = open();
+        let mut seg = log.handle(meta.name());
         let mut mem = MemStore::new();
-        file.put_metadata(&meta).unwrap();
+
+        // An untouched stream is an empty store.
+        prop_assert!(seg.is_empty() && seg.latest_seq() == 0);
+        prop_assert!(matches!(seg.metadata(), Err(StoreError::NoMetadata)));
+
+        seg.put_metadata(&meta).unwrap();
         mem.put_metadata(&meta).unwrap();
-        for &i in &order {
-            file.append(&rs[i]).unwrap();
+        let mut now = 0u64;
+        for (k, &i) in order.iter().enumerate() {
+            seg.append(&rs[i]).unwrap();
             mem.append(&rs[i]).unwrap();
+            now += 10_000;
+            seg.flush(now).unwrap(); // group commit; rotates a full segment
+            if k == reopen_at {
+                drop(seg);
+                drop(log);
+                log = open();
+                seg = log.handle(meta.name());
+            }
         }
-        prop_assert_eq!(file.len(), mem.len());
-        prop_assert_eq!(file.latest_seq(), mem.latest_seq());
+        assert_same(&seg, &mem, query)?;
+        prop_assert_eq!(seg.metadata().unwrap(), mem.metadata().unwrap());
+
+        drop(seg);
+        drop(log);
+        let log = open();
+        assert_same(&log.handle(meta.name()), &mem, query)?;
+
+        // Duplicate appends are never rewritten: one entry per distinct
+        // record plus the metadata. A segment's directory entry is fsynced
+        // when it is created (and once more for the rotation checkpoint),
+        // never again on reopen.
+        let distinct = order.iter().collect::<HashSet<_>>().len() as u64;
+        prop_assert_eq!(metrics.counter_value("store", "entries_appended"), distinct + 1);
         prop_assert_eq!(
-            file.get_by_seq(query).unwrap(),
-            mem.get_by_seq(query).unwrap()
+            metrics.counter_value("store", "dir_fsyncs"),
+            1 + 2 * metrics.counter_value("store", "segments_rotated")
         );
-        let lo = query.min(3);
-        prop_assert_eq!(
-            file.range(lo, query).unwrap(),
-            mem.range(lo, query).unwrap()
-        );
-        let mut fh = file.hashes();
-        let mut mh = mem.hashes();
-        fh.sort();
-        mh.sort();
-        prop_assert_eq!(fh, mh);
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
-    /// Reopening after truncating any number of tail bytes yields a clean
-    /// prefix: never a panic, never a corrupt record served.
+    /// Reopening after truncating any number of tail bytes off the active
+    /// segment yields a clean prefix: never a panic, never a corrupt
+    /// record served, and nothing in a sealed segment is lost.
     #[test]
     fn arbitrary_tail_truncation_recovers_prefix(
         n in 1u64..10,
         cut in 1usize..200,
-        tag in any::<u64>(),
     ) {
         let (meta, rs) = records(n);
-        let path = tmppath(tag.wrapping_add(1));
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut store = FileStore::open(&path).unwrap();
-            store.put_metadata(&meta).unwrap();
-            for r in &rs {
-                store.append(r).unwrap();
-            }
-        }
-        let bytes = std::fs::read(&path).unwrap();
+        let dir = tmpdir();
+        written_log(&dir, &meta, &rs);
+        let segs = segment_files(&dir);
+        let active = segs.last().unwrap();
+        let bytes = std::fs::read(active).unwrap();
         let keep = bytes.len().saturating_sub(cut);
-        std::fs::write(&path, &bytes[..keep]).unwrap();
-        let store = FileStore::open(&path).unwrap();
-        // Every surviving record is byte-identical to the original.
-        for seq in 1..=store.latest_seq() {
-            if let Some(got) = store.get_by_seq(seq).unwrap() {
-                prop_assert_eq!(&got, &rs[(seq - 1) as usize]);
-            }
+        std::fs::write(active, &bytes[..keep]).unwrap();
+
+        let log = SegLog::open(&dir, small_cfg()).unwrap();
+        let store = log.handle(meta.name());
+        // The survivors are exactly records 1..=latest, byte-identical.
+        let latest = store.latest_seq();
+        prop_assert_eq!(store.len() as u64, latest);
+        for seq in 1..=latest {
+            prop_assert_eq!(&store.get_by_seq(seq).unwrap().unwrap(), &rs[(seq - 1) as usize]);
         }
-        prop_assert!(store.len() <= rs.len());
-        let _ = std::fs::remove_file(&path);
+        // Only the active segment was cut: a record costs ~200 bytes on
+        // disk, so at most `cut / 200 + 1` of them can be gone.
+        prop_assert!(latest + (cut as u64 / 200) + 1 >= n);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
-    /// Arbitrary byte flips anywhere in the file never cause a panic on
-    /// reopen, and any record served still matches one of the originals
-    /// (CRC + recovery stop at the first bad entry).
+    /// An arbitrary byte flip anywhere in any file of the log (segments
+    /// or checkpoint) never causes a panic on reopen, and any record
+    /// served still matches one of the originals.
     #[test]
     fn random_corruption_never_serves_garbage(
+        file_frac in 0.0f64..1.0,
         pos_frac in 0.0f64..1.0,
         flip in 1u8..=255,
-        tag in any::<u64>(),
     ) {
         let (meta, rs) = records(6);
-        let path = tmppath(tag.wrapping_add(2));
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut store = FileStore::open(&path).unwrap();
-            store.put_metadata(&meta).unwrap();
-            for r in &rs {
-                store.append(r).unwrap();
-            }
-        }
-        let mut bytes = std::fs::read(&path).unwrap();
+        let dir = tmpdir();
+        written_log(&dir, &meta, &rs);
+        let mut files = segment_files(&dir);
+        files.push(dir.join("index.ckpt"));
+        let victim = &files[((files.len() - 1) as f64 * file_frac).round() as usize];
+        let mut bytes = std::fs::read(victim).unwrap();
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= flip;
-        std::fs::write(&path, &bytes).unwrap();
-        if let Ok(store) = FileStore::open(&path) {
-            for seq in 1..=store.latest_seq() {
-                if let Ok(Some(got)) = store.get_by_seq(seq) {
-                    prop_assert!(
-                        rs.contains(&got),
-                        "served record must be one of the originals"
-                    );
+        std::fs::write(victim, &bytes).unwrap();
+
+        match SegLog::open(&dir, small_cfg()) {
+            Ok(log) => {
+                let store = log.handle(meta.name());
+                for seq in 1..=store.latest_seq() {
+                    match store.get_by_seq(seq) {
+                        Ok(Some(got)) => prop_assert!(
+                            rs.contains(&got),
+                            "served record must be one of the originals"
+                        ),
+                        Ok(None) | Err(StoreError::Corrupt(_)) => {}
+                        Err(e) => prop_assert!(false, "non-corruption error: {}", e),
+                    }
                 }
             }
+            Err(StoreError::Corrupt(_)) => {}
+            Err(e) => prop_assert!(false, "non-corruption error on open: {}", e),
         }
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -10,7 +10,9 @@
 use gdp_capsule::{CapsuleMetadata, Record, RecordHash};
 use gdp_crypto::SigningKey;
 use gdp_obs::Metrics;
-use gdp_store::{CapsuleStore, FsyncPolicy, SegConfig, SegLog, StoreError};
+use gdp_store::crc::Crc32;
+use gdp_store::{CapsuleStore, FsyncPolicy, SegConfig, SegLog, StoreError, SEGLOG_MAGIC};
+use gdp_wire::Name;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,13 +84,7 @@ fn torn_tail_on_active_segment_is_truncated() {
     let caps = vec![capsule(1, 20)];
     seeded_log(&dir, &caps);
 
-    let active = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| e.unwrap().file_name().to_str().map(String::from))
-        .filter(|n| n.ends_with(".seg"))
-        .max()
-        .unwrap();
-    let path = dir.join(active);
+    let path = active_segment(&dir);
     let clean_len = std::fs::metadata(&path).unwrap().len();
     // Several torn shapes: short garbage, a partial entry header, a long
     // blob that could swallow a whole frame.
@@ -113,6 +109,92 @@ fn torn_tail_on_active_segment_is_truncated() {
         );
     }
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// The newest segment file of the log under `dir` (the active one).
+fn active_segment(dir: &Path) -> PathBuf {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+        .max()
+        .unwrap()
+}
+
+/// Every possible truncation point of the active segment (a crash mid-
+/// write at any byte, including inside the magic of a segment that was
+/// just being created) must recover without panicking: sealed segments
+/// keep every record, the survivors are bit-identical originals, and the
+/// torn tail is gone from disk afterwards.
+#[test]
+fn every_truncation_point_of_the_active_segment_recovers_cleanly() {
+    let dir = tmpdir("trunc");
+    let caps = vec![capsule(1, 12)];
+    seeded_log(&dir, &caps);
+    let (meta, records) = &caps[0];
+    let path = active_segment(&dir);
+    let pristine = std::fs::read(&path).unwrap();
+    assert!(pristine.len() > SEGLOG_MAGIC.len(), "fixture's active segment must hold entries");
+    let ckpt = std::fs::read(dir.join("index.ckpt")).unwrap();
+
+    let mut floor = 1; // the sealed segments alone hold records
+    for cut in 0..pristine.len() {
+        std::fs::write(&path, &pristine[..cut]).unwrap();
+        std::fs::write(dir.join("index.ckpt"), &ckpt).unwrap();
+        let log = SegLog::open(&dir, small_seg_cfg())
+            .unwrap_or_else(|e| panic!("cut at {cut} failed open: {e}"));
+        let h = log.handle(meta.name());
+        let latest = h.latest_seq();
+        assert_eq!(h.len() as u64, latest, "cut at {cut}: survivors must be a prefix");
+        for r in &records[..latest as usize] {
+            assert_eq!(h.get_by_hash(&r.hash()).unwrap().unwrap(), *r, "cut at {cut}");
+        }
+        assert!(latest >= floor, "cut at {cut}: a longer tail recovered fewer records");
+        floor = latest;
+        let on_disk = std::fs::metadata(&path).unwrap().len() as usize;
+        assert!(
+            on_disk <= cut.max(SEGLOG_MAGIC.len()),
+            "cut at {cut}: torn tail not truncated ({on_disk} bytes left)"
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Appends one hand-framed entry (valid CRC) to a fresh log's segment 0.
+fn log_with_forged_entry(dir: &Path, kind: u8, body: &[u8]) {
+    drop(SegLog::open(dir, small_seg_cfg()).unwrap());
+    let capsule = Name::from_content(b"forged");
+    let mut crc = Crc32::new();
+    crc.update(&[kind]);
+    crc.update(&(body.len() as u32).to_be_bytes());
+    crc.update(capsule.as_bytes());
+    crc.update(body);
+    let mut bytes = std::fs::read(active_segment(dir)).unwrap();
+    bytes.push(kind);
+    bytes.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    bytes.extend_from_slice(&crc.finish().to_be_bytes());
+    bytes.extend_from_slice(capsule.as_bytes());
+    bytes.extend_from_slice(body);
+    std::fs::write(active_segment(dir), &bytes).unwrap();
+}
+
+/// A CRC-clean entry the engine cannot interpret — a body that is not a
+/// decodable record (a buggy writer, or rot plus a colliding CRC), or an
+/// unknown entry kind (format drift, stray writes) — must be a typed
+/// error, not a panic and not an empty success.
+#[test]
+fn valid_crc_undecodable_entries_are_typed_corruption() {
+    let undecodable: &[u8] = b"this is not a wire-encoded record at all";
+    for (kind, body, detail) in [(1u8, undecodable, "record"), (7, b"x", "kind")] {
+        let dir = tmpdir("forged");
+        log_with_forged_entry(&dir, kind, body);
+        match SegLog::open(&dir, small_seg_cfg()) {
+            Err(StoreError::Corrupt(w)) => assert!(w.contains(detail), "unexpected detail: {w}"),
+            Ok(_) => panic!("entry kind {kind} with an uninterpretable body accepted"),
+            Err(e) => panic!("expected Corrupt, got: {e}"),
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 /// Flip every byte of every file the engine wrote — all segments and the
@@ -293,7 +375,7 @@ fn crash_mid_rotation_with_fresh_empty_segment_recovers() {
         .unwrap();
     // Simulate create_segment() having run right before the crash.
     let next = dir.join(format!("{:010}.seg", max_id + 1));
-    std::fs::write(&next, gdp_store::SEGLOG_MAGIC).unwrap();
+    std::fs::write(&next, SEGLOG_MAGIC).unwrap();
 
     let log = SegLog::open(&dir, small_seg_cfg()).unwrap();
     assert!(!log.recovery_stats().full_scan, "old checkpoint is still fully valid");

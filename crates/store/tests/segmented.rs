@@ -5,7 +5,7 @@
 use gdp_capsule::{CapsuleMetadata, Record, RecordHash};
 use gdp_crypto::SigningKey;
 use gdp_obs::Metrics;
-use gdp_store::{AppendAck, CapsuleStore, FsyncPolicy, SegConfig, SegLog};
+use gdp_store::{AppendAck, CapsuleStore, FsyncPolicy, SegConfig, SegLog, RECOVERY_CHUNK};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -268,6 +268,54 @@ fn recovery_replays_only_the_tail_past_the_checkpoint() {
     assert_eq!(h.len(), 30);
     for r in &records {
         assert_eq!(h.get_by_hash(&r.hash()).unwrap().unwrap(), *r);
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Recovery memory: a full scan of a segment much larger than one scan
+/// chunk buffers a bounded window, never the whole segment — and a tear
+/// landing past the first chunk still recovers the prefix before it.
+#[test]
+fn full_scan_recovery_is_streamed_in_bounded_chunks() {
+    let dir = tmpdir("stream");
+    // One-block readahead pins the scan chunk at its RECOVERY_CHUNK floor.
+    let cfg = SegConfig { readahead_blocks: 1, ..batch_cfg() };
+    let (meta, _) = capsule(1, 0);
+    let writer = SigningKey::from_seed(&[0xEE; 32]);
+    let name = meta.name();
+    let count = 64u64;
+    {
+        let log = SegLog::open(&dir, cfg.clone()).unwrap();
+        let mut h = log.handle(name);
+        h.put_metadata(&meta).unwrap();
+        let mut prev = RecordHash::anchor(&name);
+        for seq in 1..=count {
+            let r = Record::create(&name, &writer, seq, seq, prev, vec![], vec![seq as u8; 8192]);
+            prev = r.hash();
+            h.append(&r).unwrap();
+        }
+        log.flush_now(1_000_000).unwrap(); // durable, never checkpointed
+    }
+    let seg = dir.join(format!("{:010}.seg", 0));
+    let log_len = std::fs::metadata(&seg).unwrap().len() as usize;
+    assert!(log_len > 6 * RECOVERY_CHUNK, "fixture log too small to exercise streaming");
+    let log = SegLog::open(&dir, cfg.clone()).unwrap();
+    let stats = log.recovery_stats();
+    assert!(stats.full_scan);
+    assert_eq!(log.handle(name).len(), count as usize);
+    assert!(
+        stats.peak_buffer <= 2 * RECOVERY_CHUNK,
+        "recovery buffered {} bytes for a {log_len} byte log",
+        stats.peak_buffer
+    );
+    drop(log);
+    let full = std::fs::read(&seg).unwrap();
+    std::fs::write(&seg, &full[..2 * RECOVERY_CHUNK + 17]).unwrap();
+    let log = SegLog::open(&dir, cfg).unwrap();
+    let h = log.handle(name);
+    assert!(!h.is_empty() && h.len() < count as usize);
+    for hash in h.hashes() {
+        h.get_by_hash(&hash).unwrap().unwrap();
     }
     let _ = std::fs::remove_dir_all(dir);
 }

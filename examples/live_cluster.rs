@@ -13,7 +13,7 @@ use gdp::capsule::{MetadataBuilder, PointerStrategy};
 use gdp::cert::{AdCert, PrincipalId, PrincipalKind, Scope, ServingChain};
 use gdp::client::VerifiedRead;
 use gdp::crypto::SigningKey;
-use gdp::node::{self, ClusterClient, HostSpec, NodeConfig, Role, StoreEngine, FOREVER};
+use gdp::node::{self, ClusterClient, HostSpec, NodeConfig, Role, FOREVER};
 use gdp::router::Router;
 use gdp::server::{AckMode, ReadTarget};
 
@@ -54,7 +54,6 @@ fn main() {
         peers: vec![],
         router: None,
         data_dir: None,
-        store_engine: StoreEngine::File,
         fsync: None,
         read_cache_bytes: None,
         max_open_segments: None,
@@ -77,7 +76,6 @@ fn main() {
             peers: vec![router.local_addr()],
             router: Some(router_name),
             data_dir: None, // in-memory stores for the demo
-            store_engine: StoreEngine::File,
             fsync: None,
             read_cache_bytes: None,
             max_open_segments: None,

@@ -5,7 +5,7 @@
 # Step order is deliberate and fail-fast, cheapest gate first:
 #   fmt -> clippy -> gdp-lint -> build --release -> test -> fuzz corpus
 #   -> chaos sweep -> metric smoke -> overload smoke -> bench JSON
-#   -> perf smoke
+#   -> perf smoke -> summary
 # gdp-lint runs before the release build: it is a sub-second whole-
 # workspace scan, and a workspace-invariant violation (timing-unsafe
 # compare, secret in a log, hot-path panic, swallowed wire variant)
@@ -14,10 +14,13 @@
 # Usage: scripts/verify.sh [--quick|--tsan]
 #   --quick   skip fmt/clippy/gdp-lint (compile + test only)
 #   --tsan    ThreadSanitizer pass only: build crates/node/tests/tsan_smoke.rs
-#             with -Zsanitizer=thread on nightly and run it. Skips (with a
-#             visible warning, exit 0) when no nightly toolchain is installed;
-#             the same test file runs un-instrumented in the tier-1 suite, so
-#             the workload itself is always exercised.
+#             with -Zsanitizer=thread on nightly and run it. Without a nightly
+#             toolchain the lane cannot run: the summary says so (`NOT RUN:
+#             tsan ...`, exit 0); the same test file runs un-instrumented in
+#             the tier-1 suite, so the workload itself is always exercised.
+#
+# Every mode ends with a summary that names each lane it did not run, so a
+# skipped lane is never mistaken for a passed one.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -29,11 +32,27 @@ case "${1:-}" in
 --tsan) tsan=1 ;;
 esac
 
+step() { printf '\n==> %s\n' "$*"; }
+
+# Lanes this invocation did not run, each with its reason.
+not_run=()
+summary() {
+    step "summary"
+    local lane
+    for lane in ${not_run[@]+"${not_run[@]}"}; do
+        printf 'NOT RUN: %s\n' "$lane"
+    done
+    printf 'OK\n'
+}
+
+has_nightly() { rustup toolchain list 2>/dev/null | grep -q '^nightly'; }
+
 if [ "$tsan" -eq 1 ]; then
-    printf '==> ThreadSanitizer smoke (crates/node/tests/tsan_smoke.rs)\n'
-    if ! rustup toolchain list 2>/dev/null | grep -q '^nightly'; then
-        printf 'WARNING: no nightly toolchain installed; skipping TSan pass.\n'
-        printf 'WARNING: install one with `rustup toolchain install nightly` to enable it.\n'
+    step "ThreadSanitizer smoke (crates/node/tests/tsan_smoke.rs)"
+    if ! has_nightly; then
+        printf 'install a nightly toolchain (`rustup toolchain install nightly`) to enable this lane\n'
+        not_run+=("tsan (no nightly toolchain)")
+        summary
         exit 0
     fi
     # -Zsanitizer=thread instruments every cargo-built crate. Without the
@@ -53,12 +72,19 @@ if [ "$tsan" -eq 1 ]; then
         exit 1
     fi
     printf 'tsan_smoke OK\n'
+    summary
     exit 0
 fi
 
-step() { printf '\n==> %s\n' "$*"; }
+if has_nightly; then
+    not_run+=("tsan (separate lane: scripts/verify.sh --tsan)")
+else
+    not_run+=("tsan (no nightly toolchain)")
+fi
 
-if [ "$quick" -eq 0 ]; then
+if [ "$quick" -eq 1 ]; then
+    not_run+=("fmt, clippy, gdp-lint (--quick)")
+else
     step "cargo fmt --check"
     cargo fmt --all -- --check
 
@@ -112,8 +138,9 @@ cargo test -q
 step "wire decode fuzz (corpus replay + seeded sweep)"
 cargo test -q -p gdp-wire --test fuzz_decode -- --nocapture
 
-# Seeded chaos sweep: the workspace test run above already covers the
-# default 100-seed sweep once; this dedicated pass widens/narrows it via
+# Seeded chaos sweep (every seed runs the replicas on the segmented log):
+# the workspace test run above already covers the default 100-seed sweep
+# once; this dedicated pass widens/narrows it via
 # GDP_SIM_SEEDS and, on failure, surfaces the failing seed with an exact
 # replay command (every panic in the chaos suite leads with GDP_SIM_SEED=<n>).
 sweep="${GDP_SIM_SEEDS:-50}"
@@ -150,11 +177,11 @@ cargo test -p gdp-sim --test chaos -- --nocapture \
     byzantine_flood_is_accounted_and_survived
 
 # Bench artifacts: the report binary must emit parseable figure JSON.
-# `report store` also asserts the storage-engine floors inline: segmented
-# >=10x the file engine at 10k+ capsules, recovery replay == checkpoint
-# tail, warm point reads >=5x uncached at 10k+ capsules, warm range
-# records zero-copy, and the 1M-capsule read run inside its pooled-fd
-# budget (it exits nonzero when any contract is broken).
+# `report store` also asserts the segmented log's contracts inline:
+# recovery replay == checkpoint tail, warm point reads >=5x uncached at
+# 10k+ capsules, warm range records zero-copy, and the 1M-capsule read
+# run inside its pooled-fd budget (it exits nonzero when any contract is
+# broken).
 step "bench report JSON (fig6 + store + overload + fig8-quick)"
 rm -f BENCH_fig6.json BENCH_store.json BENCH_overload.json BENCH_fig8.json
 cargo run --release -p gdp-bench --bin report -- fig6 >/dev/null
@@ -192,4 +219,4 @@ cargo run --release -p gdp-bench --bin report -- perf-smoke
 step "overload perf smoke (saturated goodput floor)"
 cargo run --release -p gdp-bench --bin report -- overload-smoke
 
-step "OK"
+summary

@@ -8,10 +8,16 @@ use gdp::cert::{AdCert, PrincipalId, PrincipalKind, Scope, ServingChain};
 use gdp::crypto::SigningKey;
 use gdp::server::{DataCapsuleServer, SimServer};
 use gdp::sim::{GdpWorld, Placement, FOREVER};
-use gdp::store::{Backing, CapsuleStore, FileStore, StorageEngine};
+use gdp::store::{Backing, FsyncPolicy, StorageEngine};
 
 fn writer_key() -> SigningKey {
     SigningKey::from_seed(&[2u8; 32])
+}
+
+/// What a server with a `data_dir` mounts, with every append fsynced (and
+/// so acked) at once: these tests kill the process without ticking it.
+fn durable_engine(dir: &std::path::Path) -> StorageEngine {
+    StorageEngine::new(Backing::Segmented(dir.to_path_buf())).with_policy(FsyncPolicy::Always)
 }
 
 /// Writer crash and resume (SSW): local state is rebuilt from the head
@@ -45,8 +51,8 @@ fn writer_crash_resume_over_network() {
     assert_eq!(all[5].body, b"post-crash");
 }
 
-/// Server restart with a file-backed store: the capsule state (including
-/// the verified DAG) is rebuilt from the segment log on disk.
+/// Server restart with a disk-backed store: the capsule state (including
+/// the verified DAG) is rebuilt from the segmented log on disk.
 #[test]
 fn server_restart_recovers_from_disk() {
     let dir = std::env::temp_dir().join(format!("gdp-restart-test-{}", std::process::id()));
@@ -63,23 +69,12 @@ fn server_restart_recovers_from_disk() {
         server_id.principal().clone(),
     );
 
-    // First server lifetime: host with a file store, ingest records.
-    let engine = StorageEngine::new(Backing::Directory(dir.clone()));
+    // First server lifetime: host on the segmented log, ingest records.
     {
         let mut server = DataCapsuleServer::new(server_id.clone());
-        let store = engine.open(&capsule_name).unwrap();
+        let store = durable_engine(&dir).open_boxed(&capsule_name).unwrap();
         // Move records in via the public protocol path.
-        server
-            .host_with_store(
-                meta.clone(),
-                chain.clone(),
-                vec![],
-                Box::new(
-                    FileStore::open(dir.join(format!("{}.log", capsule_name.to_hex()))).unwrap(),
-                ),
-            )
-            .unwrap();
-        drop(store);
+        server.host_with_store(meta.clone(), chain.clone(), vec![], store).unwrap();
         let mut writer =
             gdp::capsule::CapsuleWriter::new(&meta, writer_key(), PointerStrategy::Chain).unwrap();
         for i in 0..8u64 {
@@ -101,14 +96,8 @@ fn server_restart_recovers_from_disk() {
 
     // Second lifetime: a fresh server rebuilds from the same directory.
     let mut revived = DataCapsuleServer::new(server_id);
-    revived
-        .host_with_store(
-            meta,
-            chain,
-            vec![],
-            Box::new(FileStore::open(dir.join(format!("{}.log", capsule_name.to_hex()))).unwrap()),
-        )
-        .unwrap();
+    let store = durable_engine(&dir).open_boxed(&capsule_name).unwrap();
+    revived.host_with_store(meta, chain, vec![], store).unwrap();
     let c = revived.capsule(&capsule_name).unwrap();
     assert_eq!(c.len(), 8, "all records recovered from the segment log");
     assert!(c.is_contiguous());
@@ -160,13 +149,12 @@ fn qsw_branch_converges_across_replicas() {
 fn torn_disk_write_bounded_loss() {
     let dir = std::env::temp_dir().join(format!("gdp-torn-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
     let owner = SigningKey::from_seed(&[1u8; 32]);
     let meta = MetadataBuilder::new().writer(&writer_key().verifying_key()).sign(&owner);
     let name = meta.name();
-    let path = dir.join("capsule.log");
+    let path = dir.join("0000000000.seg"); // the log's first (active) segment
     {
-        let mut store = FileStore::open(&path).unwrap();
+        let mut store = durable_engine(&dir).open_boxed(&name).unwrap();
         store.put_metadata(&meta).unwrap();
         let mut writer =
             gdp::capsule::CapsuleWriter::new(&meta, writer_key(), PointerStrategy::Chain).unwrap();
@@ -178,7 +166,7 @@ fn torn_disk_write_bounded_loss() {
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 13]).unwrap();
 
-    let store = FileStore::open(&path).unwrap();
+    let store = durable_engine(&dir).open_boxed(&name).unwrap();
     assert_eq!(store.len(), 9, "only the torn record is lost");
     // The surviving prefix forms a verifiable capsule.
     let mut capsule = gdp::capsule::DataCapsule::new(store.metadata().unwrap()).unwrap();
@@ -188,7 +176,6 @@ fn torn_disk_write_bounded_loss() {
     assert!(capsule.is_contiguous());
     capsule.verify_history(&capsule.head_heartbeat().unwrap().unwrap()).unwrap();
     let _ = std::fs::remove_dir_all(dir);
-    let _ = name;
 }
 
 /// Router failover: when a domain's capsule replica vanishes, the FIB
