@@ -21,12 +21,7 @@ const CAPSULES: usize = 256;
 const PER_CAPSULE: u64 = 8;
 
 fn cfg(read_cache_bytes: usize) -> SegConfig {
-    SegConfig {
-        policy: FsyncPolicy::DEFAULT_BATCH,
-        compact_min_dead_pct: 0,
-        read_cache_bytes,
-        ..SegConfig::default()
-    }
+    SegConfig { policy: FsyncPolicy::DEFAULT_BATCH, read_cache_bytes, ..SegConfig::default() }
 }
 
 fn store_reads(c: &mut Criterion) {

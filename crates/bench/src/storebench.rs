@@ -222,8 +222,7 @@ impl ReadPoint {
 
 /// Segmented config for the read benches. Every stream index stays
 /// resident (index eviction scans all streams once over budget, which
-/// turns a seeding loop quadratic), auto-compaction is off so nothing
-/// perturbs the timed region, and the largest points take bigger
+/// turns a seeding loop quadratic), and the largest points take bigger
 /// segments with a deliberately tiny fd pool so the 1M run proves the
 /// budget holds while sealed segments outnumber it.
 fn read_cfg(capsules: usize, read_cache_bytes: usize) -> SegConfig {
@@ -232,7 +231,6 @@ fn read_cfg(capsules: usize, read_cache_bytes: usize) -> SegConfig {
     SegConfig {
         policy: FsyncPolicy::DEFAULT_BATCH,
         max_resident_streams: capsules + 16,
-        compact_min_dead_pct: 0,
         segment_max_bytes: if big { 48 * 1024 * 1024 } else { defaults.segment_max_bytes },
         max_open_segments: if big { 4 } else { defaults.max_open_segments },
         read_cache_bytes,

@@ -20,19 +20,12 @@
 //! fsync      = batch(5)          # always | batch(<ms>), default batch(5):
 //!                                # when an append is durable and may be
 //!                                # acked (needs data_dir)
-//! read_cache_bytes = 4194304     # optional (needs data_dir): byte
-//!                                # budget of the sealed-segment block
-//!                                # cache; 0 disables read caching
-//! max_open_segments = 128        # optional (needs data_dir): cap on
-//!                                # pooled sealed-segment read fds
 //! stats_path = /run/gdp/stats.json # optional: metrics dump target; the
 //!                                # daemon dumps on shutdown and whenever
 //!                                # `<stats_path>.request` appears
 //! shards     = 4                 # optional (router role): data-plane
 //!                                # forwarding shards; default 1 keeps the
 //!                                # single-threaded router
-//! shard_batch = 64               # optional (requires shards > 1): PDUs
-//!                                # per shard handoff batch; default 64
 //! admission_rate  = 5000         # optional: per-peer ingest admission,
 //!                                # frames/second; 0 (default) disables
 //! admission_burst = 256          # optional: admission bucket depth in
@@ -152,12 +145,6 @@ pub struct NodeConfig {
     /// Durability policy of the segmented log; `None` keeps the default
     /// (`batch(5)`). Requires `data_dir`.
     pub fsync: Option<FsyncPolicy>,
-    /// Byte budget of the sealed-segment block cache; `None` keeps the
-    /// engine default, `0` disables read caching. Requires `data_dir`.
-    pub read_cache_bytes: Option<u64>,
-    /// Cap on pooled sealed-segment read fds; `None` keeps the engine
-    /// default. Requires `data_dir`.
-    pub max_open_segments: Option<u64>,
     /// Where to dump the metrics registry as JSON. Dumped on shutdown,
     /// and on demand whenever a `<stats_path>.request` trigger file
     /// appears (the file is deleted once the dump is written).
@@ -169,11 +156,6 @@ pub struct NodeConfig {
     /// spawns N worker shards fed over bounded channels, with the FIB
     /// partitioned by destination-name hash (see `crate::shard`).
     pub shards: usize,
-    /// PDUs staged per shard handoff batch (`shards > 1` only): readers
-    /// hand workers chunks of up to this many PDUs in one channel send,
-    /// amortizing the wakeup. Default 64; `1` degenerates to per-PDU
-    /// handoff (useful for latency-sensitive or low-rate deployments).
-    pub shard_batch: usize,
     /// Per-peer token-bucket admission at TCP ingest, in frames/second;
     /// `0` (the default) disables admission control entirely (see
     /// DESIGN.md, "Overload & admission").
@@ -194,12 +176,9 @@ impl std::fmt::Debug for NodeConfig {
             .field("router", &self.router)
             .field("data_dir", &self.data_dir)
             .field("fsync", &self.fsync)
-            .field("read_cache_bytes", &self.read_cache_bytes)
-            .field("max_open_segments", &self.max_open_segments)
             .field("stats_path", &self.stats_path)
             .field("hosts", &self.hosts)
             .field("shards", &self.shards)
-            .field("shard_batch", &self.shard_batch)
             .field("admission_rate", &self.admission_rate)
             .field("admission_burst", &self.admission_burst)
             .finish()
@@ -241,13 +220,10 @@ impl NodeConfig {
         let mut data_dir = None;
         let mut segmented_requested = false;
         let mut fsync = None;
-        let mut read_cache_bytes = None;
-        let mut max_open_segments = None;
         let mut stats_path = None;
         let mut peers = Vec::new();
         let mut hosts = Vec::new();
         let mut shards = None;
-        let mut shard_batch = None;
         let mut admission_rate = None;
         let mut admission_burst = None;
         for raw in text.lines() {
@@ -303,20 +279,6 @@ impl NodeConfig {
                             .ok_or(ConfigError::bad("fsync", "must be always|batch(<ms>)"))?,
                     )
                 }
-                "read_cache_bytes" => {
-                    read_cache_bytes = Some(value.parse::<u64>().map_err(|_| {
-                        ConfigError::bad("read_cache_bytes", "must be a byte count (0 disables)")
-                    })?);
-                }
-                "max_open_segments" => {
-                    let n: u64 = value.parse().map_err(|_| {
-                        ConfigError::bad("max_open_segments", "must be a positive fd count")
-                    })?;
-                    if n == 0 {
-                        return Err(ConfigError::bad("max_open_segments", "must be at least 1"));
-                    }
-                    max_open_segments = Some(n);
-                }
                 "stats_path" => stats_path = Some(PathBuf::from(value)),
                 "host" => hosts.push(HostSpec::parse(value)?),
                 "shards" => {
@@ -328,14 +290,11 @@ impl NodeConfig {
                     }
                     shards = Some(n);
                 }
-                "shard_batch" => {
-                    let n: usize = value.parse().map_err(|_| {
-                        ConfigError::bad("shard_batch", "must be a positive integer")
-                    })?;
-                    if n == 0 {
-                        return Err(ConfigError::bad("shard_batch", "must be at least 1"));
-                    }
-                    shard_batch = Some(n);
+                "read_cache_bytes" | "max_open_segments" | "shard_batch" => {
+                    return Err(ConfigError::bad(
+                        key,
+                        "was removed; the built-in default is the only value in use",
+                    ))
                 }
                 "admission_rate" => {
                     admission_rate = Some(value.parse::<u64>().map_err(|_| {
@@ -363,20 +322,14 @@ impl NodeConfig {
             router,
             data_dir,
             fsync,
-            read_cache_bytes,
-            max_open_segments,
             stats_path,
             hosts,
             shards: shards.unwrap_or(1),
-            shard_batch: shard_batch.unwrap_or(crate::shard::DEFAULT_SHARD_BATCH),
             admission_rate: admission_rate.unwrap_or(0),
             admission_burst: admission_burst.unwrap_or(64),
         };
         if cfg.shards > 1 && cfg.role != Role::Router {
             return Err(ConfigError::bad("shards", "sharding requires role = router"));
-        }
-        if shard_batch.is_some() && cfg.shards <= 1 {
-            return Err(ConfigError::bad("shard_batch", "requires shards > 1"));
         }
         if admission_burst.is_some() && cfg.admission_rate == 0 {
             return Err(ConfigError::bad("admission_burst", "requires admission_rate > 0"));
@@ -384,12 +337,9 @@ impl NodeConfig {
         if cfg.data_dir.is_none() {
             // Without a data_dir capsules live in memory: a key that tunes
             // or asks for the durable log is a mistake, not a no-op.
-            for (key, set) in [
-                ("store_engine", segmented_requested),
-                ("fsync", cfg.fsync.is_some()),
-                ("read_cache_bytes", cfg.read_cache_bytes.is_some()),
-                ("max_open_segments", cfg.max_open_segments.is_some()),
-            ] {
+            for (key, set) in
+                [("store_engine", segmented_requested), ("fsync", cfg.fsync.is_some())]
+            {
                 if set {
                     return Err(ConfigError::bad(key, "requires data_dir"));
                 }
@@ -431,20 +381,11 @@ impl NodeConfig {
         if let Some(p) = &self.fsync {
             out.push_str(&format!("fsync = {}\n", p.render()));
         }
-        if let Some(b) = self.read_cache_bytes {
-            out.push_str(&format!("read_cache_bytes = {b}\n"));
-        }
-        if let Some(n) = self.max_open_segments {
-            out.push_str(&format!("max_open_segments = {n}\n"));
-        }
         if let Some(s) = &self.stats_path {
             out.push_str(&format!("stats_path = {}\n", s.display()));
         }
         if self.shards != 1 {
             out.push_str(&format!("shards = {}\n", self.shards));
-            if self.shard_batch != crate::shard::DEFAULT_SHARD_BATCH {
-                out.push_str(&format!("shard_batch = {}\n", self.shard_batch));
-            }
         }
         if self.admission_rate != 0 {
             out.push_str(&format!("admission_rate = {}\n", self.admission_rate));
@@ -506,12 +447,9 @@ mod tests {
             router: Some(Name::from_content(b"router")),
             data_dir: Some(PathBuf::from("/tmp/gdp-test")),
             fsync: Some(FsyncPolicy::Batch { interval_us: 7_000 }),
-            read_cache_bytes: Some(8 * 1024 * 1024),
-            max_open_segments: Some(32),
             stats_path: Some(PathBuf::from("/tmp/gdp-test/stats.json")),
             hosts: vec![sample_host()],
             shards: 1,
-            shard_batch: 64,
             admission_rate: 2_000,
             admission_burst: 128,
         };
@@ -525,8 +463,6 @@ mod tests {
         assert_eq!(parsed.router, cfg.router);
         assert_eq!(parsed.data_dir, cfg.data_dir);
         assert_eq!(parsed.fsync, cfg.fsync);
-        assert_eq!(parsed.read_cache_bytes, cfg.read_cache_bytes);
-        assert_eq!(parsed.max_open_segments, cfg.max_open_segments);
         assert_eq!(parsed.stats_path, cfg.stats_path);
         assert_eq!(parsed.hosts.len(), 1);
         assert_eq!(parsed.hosts[0].metadata, cfg.hosts[0].metadata);
@@ -604,22 +540,6 @@ mod tests {
         assert_eq!(NodeConfig::parse(&format!("{base}shards = 0\n")).unwrap_err().key, "shards");
         let both = base.replace("role = router", "role = both");
         assert_eq!(NodeConfig::parse(&format!("{both}shards = 2\n")).unwrap_err().key, "shards");
-        // Batch cap: defaults, round-trips, and is gated on sharding.
-        let cfg = NodeConfig::parse(&format!("{base}shards = 4\nshard_batch = 16\n")).unwrap();
-        assert_eq!(cfg.shard_batch, 16);
-        assert_eq!(NodeConfig::parse(&cfg.render()).unwrap().shard_batch, 16);
-        assert_eq!(
-            NodeConfig::parse(&format!("{base}shards = 4\n")).unwrap().shard_batch,
-            crate::shard::DEFAULT_SHARD_BATCH
-        );
-        assert_eq!(
-            NodeConfig::parse(&format!("{base}shards = 4\nshard_batch = 0\n")).unwrap_err().key,
-            "shard_batch"
-        );
-        assert_eq!(
-            NodeConfig::parse(&format!("{base}shard_batch = 16\n")).unwrap_err().key,
-            "shard_batch"
-        );
     }
 
     #[test]
@@ -656,34 +576,13 @@ mod tests {
     }
 
     #[test]
-    fn read_path_keys_parse_render_and_validation() {
-        let base = "role = router\nlisten = 127.0.0.1:0\nseed = 0101010101010101010101010101010101010101010101010101010101010101\nlabel = r\n";
-        // Defaults: unset, keys not emitted.
-        let cfg = NodeConfig::parse(base).unwrap();
-        assert_eq!(cfg.read_cache_bytes, None);
-        assert_eq!(cfg.max_open_segments, None);
-        assert!(!cfg.render().contains("read_cache_bytes"));
-        assert!(!cfg.render().contains("max_open_segments"));
-        // Explicit values round-trip (0 = caching disabled is legal).
-        let seg = format!("{base}data_dir = /tmp/d\n");
-        let cfg =
-            NodeConfig::parse(&format!("{seg}read_cache_bytes = 0\nmax_open_segments = 16\n"))
-                .unwrap();
-        assert_eq!(cfg.read_cache_bytes, Some(0));
-        assert_eq!(cfg.max_open_segments, Some(16));
-        let re = NodeConfig::parse(&cfg.render()).unwrap();
-        assert_eq!(re.read_cache_bytes, cfg.read_cache_bytes);
-        assert_eq!(re.max_open_segments, cfg.max_open_segments);
-        // Bad values are rejected with the offending key.
-        let err = NodeConfig::parse(&format!("{seg}read_cache_bytes = lots\n")).unwrap_err();
-        assert_eq!(err.key, "read_cache_bytes");
-        let err = NodeConfig::parse(&format!("{seg}max_open_segments = 0\n")).unwrap_err();
-        assert_eq!(err.key, "max_open_segments");
-        // Both knobs tune the segmented log's read path: reject without one.
-        let err = NodeConfig::parse(&format!("{base}read_cache_bytes = 4096\n")).unwrap_err();
-        assert_eq!(err.key, "read_cache_bytes");
-        let err = NodeConfig::parse(&format!("{base}max_open_segments = 8\n")).unwrap_err();
-        assert_eq!(err.key, "max_open_segments");
+    fn removed_tuning_keys_are_rejected_by_name() {
+        let base = "role = router\nlisten = 127.0.0.1:0\nseed = 0101010101010101010101010101010101010101010101010101010101010101\nlabel = r\ndata_dir = /tmp/d\nshards = 4\n";
+        for key in ["read_cache_bytes", "max_open_segments", "shard_batch"] {
+            let err = NodeConfig::parse(&format!("{base}{key} = 64\n")).unwrap_err();
+            assert_eq!(err.key, key);
+            assert!(err.reason.contains("removed"), "{err}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::config::{NodeConfig, Role};
 use crate::ingress::IngressQueue;
 use crate::runtime::{build_cores_with_obs, NodeRuntime};
-use crate::shard::{NetEgress, ShardedEngine};
+use crate::shard::{NetEgress, ShardedEngine, DEFAULT_SHARD_BATCH};
 use gdp_net::tcp::{PeerEvent, TcpNet, TcpNetConfig};
 use gdp_obs::{Histogram, Metrics};
 use gdp_wire::Name;
@@ -137,7 +137,7 @@ pub fn start(cfg: NodeConfig) -> Result<NodeHandle, NodeError> {
         let egress = Arc::new(NetEgress::new(net.clone(), shards_scope.counter("egress_drops")));
         let engine = ShardedEngine::start(
             cfg.shards,
-            cfg.shard_batch,
+            DEFAULT_SHARD_BATCH,
             &cfg.seed,
             &cfg.label,
             &metrics,

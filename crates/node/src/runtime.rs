@@ -209,12 +209,6 @@ pub fn build_cores_with_obs(
         if let Some(policy) = cfg.fsync {
             engine = engine.with_policy(policy);
         }
-        if cfg.read_cache_bytes.is_some() || cfg.max_open_segments.is_some() {
-            engine = engine.with_seg_tuning(
-                cfg.read_cache_bytes.map(|b| b as usize),
-                cfg.max_open_segments.map(|n| n as usize),
-            );
-        }
         for spec in &cfg.hosts {
             let capsule = spec.metadata.name();
             let store = engine

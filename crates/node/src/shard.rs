@@ -66,7 +66,7 @@ use std::time::{Duration, Instant};
 
 pub use gdp_router::is_data_plane;
 
-/// Default PDUs per batch (config key `shard_batch`). Large enough to
+/// PDUs per handoff batch on a `gdpd` router. Large enough to
 /// amortize the channel send + wakeup to noise, small enough that a
 /// batch is microseconds of worker time.
 pub const DEFAULT_SHARD_BATCH: usize = 64;

@@ -107,12 +107,9 @@ fn three_process_cluster_with_failover() {
             router: None,
             data_dir: None,
             fsync: None,
-            read_cache_bytes: None,
-            max_open_segments: None,
             stats_path: None,
             hosts: vec![],
             shards: 1,
-            shard_batch: 64,
             admission_rate: 0,
             admission_burst: 64,
         },
@@ -128,11 +125,8 @@ fn three_process_cluster_with_failover() {
             router: Some(router_name),
             data_dir: Some(dir.join(label)),
             fsync: None,
-            read_cache_bytes: None,
-            max_open_segments: None,
             stats_path: None,
             shards: 1,
-            shard_batch: 64,
             admission_rate: 0,
             admission_burst: 64,
             hosts: vec![HostSpec {
@@ -229,11 +223,8 @@ fn single_both_node_serves_clients() {
         router: None,
         data_dir: Some(dir.join("data")),
         fsync: None,
-        read_cache_bytes: None,
-        max_open_segments: None,
         stats_path: None,
         shards: 1,
-        shard_batch: 64,
         admission_rate: 0,
         admission_burst: 64,
         hosts: vec![HostSpec { metadata: meta.clone(), chain, peers: vec![] }],

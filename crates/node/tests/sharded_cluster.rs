@@ -51,12 +51,9 @@ fn sharded_router_carries_cluster_traffic() {
         router: None,
         data_dir: None,
         fsync: None,
-        read_cache_bytes: None,
-        max_open_segments: None,
         stats_path: Some(stats.clone()),
         hosts: vec![],
         shards: 4,
-        shard_batch: 64,
         admission_rate: 0,
         admission_burst: 64,
     })
@@ -81,8 +78,6 @@ fn sharded_router_carries_cluster_traffic() {
         router: Some(router_name),
         data_dir: None,
         fsync: None,
-        read_cache_bytes: None,
-        max_open_segments: None,
         stats_path: None,
         hosts: vec![HostSpec {
             metadata: meta.clone(),
@@ -93,7 +88,6 @@ fn sharded_router_carries_cluster_traffic() {
             peers: vec![],
         }],
         shards: 1,
-        shard_batch: 64,
         admission_rate: 0,
         admission_burst: 64,
     })

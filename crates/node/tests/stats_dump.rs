@@ -26,12 +26,9 @@ fn trigger_file_and_shutdown_both_dump_valid_json() {
         router: None,
         data_dir: None,
         fsync: None,
-        read_cache_bytes: None,
-        max_open_segments: None,
         stats_path: Some(stats.clone()),
         hosts: vec![],
         shards: 1,
-        shard_batch: 64,
         admission_rate: 0,
         admission_burst: 64,
     })

@@ -8,7 +8,6 @@
 //! - the segmented store's sealed-read fast lane (BlockCache + FdPool,
 //!   both owned by `LogInner`'s one mutex, fds handed out as `Arc<File>`)
 //!   under concurrent writers and readers;
-//! - the engine's build-outside-lock `open()` path racing on one capsule;
 //! - the 4-shard forwarding engine carrying a live cluster workload
 //!   (event-loop thread, shard workers, net reader/writer threads).
 
@@ -19,8 +18,7 @@ use gdp_crypto::SigningKey;
 use gdp_node::{node, ClusterClient, HostSpec, NodeConfig, Role, FOREVER};
 use gdp_router::Router;
 use gdp_server::{AckMode, ReadTarget};
-use gdp_store::{Backing, StorageEngine};
-use std::sync::Arc;
+use gdp_store::{CapsuleStore, SegConfig, SegLog};
 use std::time::Duration;
 
 #[test]
@@ -32,10 +30,9 @@ fn store_read_fast_lane_under_concurrent_load() {
     let metrics = gdp_obs::Metrics::new();
     // A deliberately tiny block cache and fd pool so concurrent readers
     // continuously evict, refill, and reopen — the churn TSan watches.
-    let engine = Arc::new(
-        StorageEngine::with_obs(Backing::Segmented(dir.clone()), metrics.scope("store"))
-            .with_seg_tuning(Some(16 * 1024), Some(2)),
-    );
+    let cfg =
+        SegConfig { read_cache_bytes: 16 * 1024, max_open_segments: 2, ..SegConfig::default() };
+    let log = SegLog::open_with(&dir, cfg, &metrics.scope("store")).expect("open log");
 
     const WRITERS: usize = 4;
     const PER_PHASE: u64 = 16;
@@ -60,17 +57,15 @@ fn store_read_fast_lane_under_concurrent_load() {
             .iter()
             .enumerate()
             .map(|(w, (meta, writer))| {
-                let engine = Arc::clone(&engine);
+                let log = log.clone();
                 let meta = meta.clone();
                 let writer = writer.clone();
                 let mut prev =
                     prevs.get(w).copied().unwrap_or_else(|| RecordHash::anchor(&meta.name()));
                 std::thread::spawn(move || {
-                    // Every thread races `open()` for its capsule (and, on
-                    // phase 0, the shared log's once-cell initialization).
-                    let store = engine.open(&meta.name()).expect("open capsule");
+                    let mut store = log.handle(meta.name());
                     if phase == 0 {
-                        store.lock().put_metadata(&meta).expect("put metadata");
+                        store.put_metadata(&meta).expect("put metadata");
                     }
                     for i in 1..=PER_PHASE {
                         let seq = phase * PER_PHASE + i;
@@ -84,15 +79,14 @@ fn store_read_fast_lane_under_concurrent_load() {
                             vec![seq as u8; 700],
                         );
                         prev = r.hash();
-                        store.lock().append(&r).expect("append");
+                        store.append(&r).expect("append");
                     }
-                    store.lock().flush(phase * 1_000_000 + 900_000).expect("flush");
+                    store.flush(phase * 1_000_000 + 900_000).expect("flush");
                     prev
                 })
             })
             .collect();
         prevs = handles.into_iter().map(|h| h.join().expect("writer thread")).collect();
-        let log = engine.seg_log().expect("segmented backing");
         log.flush_now(phase * 1_000_000 + 990_000).expect("flush_now");
         log.rotate_now(phase * 1_000_000 + 999_000).expect("rotate_now");
     }
@@ -102,13 +96,12 @@ fn store_read_fast_lane_under_concurrent_load() {
     // exercised from four threads at once.
     let readers: Vec<_> = (0..4)
         .map(|r| {
-            let engine = Arc::clone(&engine);
+            let log = log.clone();
             let names: Vec<_> = caps.iter().map(|(m, _)| m.name()).collect();
             std::thread::spawn(move || {
                 for round in 0..3 {
                     for name in &names {
-                        let store = engine.open(name).expect("reopen");
-                        let recs = store.lock().range(1, 2 * PER_PHASE).expect("range read");
+                        let recs = log.handle(*name).range(1, 2 * PER_PHASE).expect("range read");
                         assert_eq!(recs.len() as u64, 2 * PER_PHASE, "reader {r} round {round}");
                         assert_eq!(recs[0].body.len(), 700);
                     }
@@ -147,12 +140,9 @@ fn sharded_engine_carries_traffic_under_tsan() {
         router: None,
         data_dir: None,
         fsync: None,
-        read_cache_bytes: None,
-        max_open_segments: None,
         stats_path: None,
         hosts: vec![],
         shards: 4,
-        shard_batch: 16,
         admission_rate: 0,
         admission_burst: 64,
     })
@@ -178,8 +168,6 @@ fn sharded_engine_carries_traffic_under_tsan() {
         router: Some(router_name),
         data_dir: Some(dir.clone()),
         fsync: None,
-        read_cache_bytes: None,
-        max_open_segments: None,
         stats_path: None,
         hosts: vec![HostSpec {
             metadata: meta.clone(),
@@ -190,7 +178,6 @@ fn sharded_engine_carries_traffic_under_tsan() {
             peers: vec![],
         }],
         shards: 1,
-        shard_batch: 16,
         admission_rate: 0,
         admission_burst: 64,
     })

@@ -77,6 +77,7 @@ struct ServerObs {
     acks_released: Counter,
     appends_shed: Counter,
     requests_undecodable: Counter,
+    recovery_records_skipped: Counter,
 }
 
 impl ServerObs {
@@ -97,6 +98,7 @@ impl ServerObs {
             acks_released: scope.counter("acks_released"),
             appends_shed: scope.counter("appends_shed"),
             requests_undecodable: scope.counter("requests_undecodable"),
+            recovery_records_skipped: scope.counter("recovery_records_skipped"),
             scope: scope.clone(),
         }
     }
@@ -275,13 +277,34 @@ impl DataCapsuleServer {
         }
         let mut capsule = DataCapsule::new(metadata.clone())?;
         let _ = store.put_metadata(&metadata);
-        // Recover any records already in the store (restart path).
+        // Recover any records already in the store (restart path). A seq
+        // the store cannot read back (rot in a sealed segment) or whose
+        // record no longer verifies becomes a hole for anti-entropy to
+        // refill — counted and traced, never silent.
         let latest = store.latest_seq();
         for seq in 1..=latest {
-            if let Ok(records) = store.get_all_at_seq(seq) {
-                for r in records {
-                    let _ = capsule.ingest(r);
+            let mut error = None;
+            match store.get_all_at_seq(seq) {
+                Ok(records) => {
+                    for r in records {
+                        if let Err(e) = capsule.ingest(r) {
+                            error.get_or_insert(e.to_string());
+                        }
+                    }
                 }
+                Err(e) => error = Some(e.to_string()),
+            }
+            if let Some(error) = error {
+                self.obs.recovery_records_skipped.inc();
+                self.obs.trace(
+                    0,
+                    "recovery_skipped",
+                    &[
+                        ("capsule", metadata.name().to_hex()),
+                        ("seq", seq.to_string()),
+                        ("error", error),
+                    ],
+                );
             }
         }
         self.hosted.insert(
@@ -1362,6 +1385,73 @@ mod tests {
             out.iter().any(|p| p.dst == client && matches!(msg_of(p), DataMsg::AppendAck { .. })),
             "flush must release the deferred ack"
         );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Regression: restart recovery used to drop store read errors, so a
+    /// rotted sealed entry became a hole with no server-side signal.
+    #[test]
+    fn restart_recovery_counts_and_traces_a_record_the_store_cannot_read() {
+        use gdp_store::{FsyncPolicy, SegConfig, SegLog};
+        let dir =
+            std::env::temp_dir().join(format!("gdp-server-rot-{}-{}", std::process::id(), line!()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let meta = MetadataBuilder::new()
+            .writer(&wkey().verifying_key())
+            .set_str("description", "rotted")
+            .sign(&owner());
+        let cfg = SegConfig {
+            policy: FsyncPolicy::Always,
+            segment_max_bytes: 1_024,
+            ..SegConfig::default()
+        };
+        let mut writer = CapsuleWriter::new(&meta, wkey(), PointerStrategy::Chain).unwrap();
+        let records: Vec<Record> =
+            (0..12u64).map(|i| writer.append(format!("r{i}").as_bytes(), i).unwrap()).collect();
+        {
+            let log = SegLog::open(&dir, cfg.clone()).unwrap();
+            let mut store = log.handle(meta.name());
+            store.put_metadata(&meta).unwrap();
+            for (i, r) in records.iter().enumerate() {
+                store.append(r).unwrap();
+                store.flush(i as u64).unwrap(); // rotates (and checkpoints) full segments
+            }
+            assert!(log.segment_ids().len() >= 3, "fixture must seal segments");
+        }
+        // Rot the last entry of sealed segment 0: the checkpoint still
+        // indexes it, so only reading it back can notice.
+        let seg0 = dir.join(format!("{:010}.seg", 0));
+        let mut bytes = std::fs::read(&seg0).unwrap();
+        *bytes.last_mut().unwrap() ^= 0x40;
+        std::fs::write(&seg0, &bytes).unwrap();
+
+        let metrics = gdp_obs::Metrics::new();
+        let id = PrincipalId::from_seed(gdp_cert::PrincipalKind::Server, &[3u8; 32], "s");
+        let mut server = DataCapsuleServer::new_with_obs(id.clone(), &metrics.scope("server"));
+        let chain = ServingChain::direct(
+            AdCert::issue(&owner(), meta.name(), id.name(), false, Scope::Global, FOREVER),
+            id.principal().clone(),
+        );
+        let log = SegLog::open(&dir, cfg).unwrap();
+        server
+            .host_with_store(meta.clone(), chain, vec![], Box::new(log.handle(meta.name())))
+            .unwrap();
+
+        assert_eq!(metrics.counter_value("server", "recovery_records_skipped"), 1);
+        // Every other record was ingested: the prefix before the rotted
+        // one links, its successors wait on the hole for anti-entropy.
+        let capsule = server.capsule(&meta.name()).unwrap();
+        assert_eq!(capsule.len() + capsule.pending_len(), records.len() - 1);
+        assert!(capsule.pending_len() > 0, "the rot must sit mid-chain");
+        let skipped_seq = capsule.len() as u64 + 1;
+        let events = metrics.drain_trace();
+        let skipped: Vec<_> = events.iter().filter(|e| e.event == "recovery_skipped").collect();
+        assert_eq!(skipped.len(), 1);
+        let field =
+            |k: &str| skipped[0].fields.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone());
+        assert_eq!(field("capsule"), Some(meta.name().to_hex()));
+        assert_eq!(field("seq"), Some(skipped_seq.to_string()));
+        assert!(field("error").is_some_and(|e| e.contains("corrupt")), "{:?}", skipped[0]);
         let _ = std::fs::remove_dir_all(dir);
     }
 

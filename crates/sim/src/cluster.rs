@@ -136,12 +136,9 @@ impl SimCluster {
             router: None,
             data_dir: None,
             fsync: None,
-            read_cache_bytes: None,
-            max_open_segments: None,
             stats_path: None,
             hosts: vec![],
             shards: 1,
-            shard_batch: 64,
             admission_rate: 0,
             admission_burst: 64,
         }];
@@ -158,14 +155,8 @@ impl SimCluster {
                 router: Some(router_name),
                 data_dir: Some(data_root.join(format!("s{i}"))),
                 fsync: None,
-                // Chaos nodes run a deliberately tiny block cache and fd
-                // pool: constant eviction/refill and fd churn under
-                // faults is exactly the stress we want.
-                read_cache_bytes: Some(4096),
-                max_open_segments: Some(4),
                 stats_path: None,
                 shards: 1,
-                shard_batch: 64,
                 admission_rate: 0,
                 admission_burst: 64,
                 hosts: vec![HostSpec {

@@ -1,6 +1,6 @@
 //! Low-level file-IO helpers of the segmented log.
 //!
-//! The recovery/compaction scanner streams files through short reads; the
+//! The recovery scanner streams files through short reads; the
 //! read path does positional reads against pooled, shared fds. These
 //! helpers are the one place the retry-on-`Interrupted` loop lives.
 

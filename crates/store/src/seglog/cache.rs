@@ -16,10 +16,8 @@
 //! data. Entries that span blocks are assembled by copy and re-verified
 //! on every read (rare: only entries straddling a block boundary).
 //!
-//! Coherence: compaction unlinks a sealed segment only after copying its
-//! live entries forward; [`BlockCache::drop_seg`] is called in the same
-//! window as the fd pool's invalidation (`compact.rs`), so the victim's
-//! blocks can never serve a read again.
+//! Coherence: sealed segments are never rewritten or deleted, so a
+//! cached block never goes stale and needs no invalidation.
 //!
 //! Eviction is LRU by a logical tick, scanning for the minimum on
 //! overflow — block counts are small (capacity / block size), so the
@@ -122,18 +120,6 @@ impl BlockCache {
             b.verified.insert(off_in_block);
         }
     }
-
-    /// Drops every cached block of a segment about to be unlinked
-    /// (compaction coherence).
-    pub fn drop_seg(&mut self, seg: u64) {
-        let victims: Vec<(u64, u64)> =
-            self.blocks.keys().filter(|(s, _)| *s == seg).copied().collect();
-        for key in victims {
-            if let Some(b) = self.blocks.remove(&key) {
-                self.bytes = self.bytes.saturating_sub(b.data.len());
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -167,19 +153,6 @@ mod tests {
         // re-verification: the new bytes were never checked.
         c.insert(3, 7, block(1, 64));
         assert!(!c.is_verified(3, 7, 12));
-    }
-
-    #[test]
-    fn drop_seg_removes_all_blocks_of_that_segment() {
-        let mut c = BlockCache::new(4096, 64);
-        c.insert(1, 0, block(0, 64));
-        c.insert(1, 1, block(0, 64));
-        c.insert(2, 0, block(0, 64));
-        c.drop_seg(1);
-        assert!(c.get(1, 0).is_none());
-        assert!(c.get(1, 1).is_none());
-        assert!(c.get(2, 0).is_some());
-        assert_eq!(c.resident_bytes(), 64);
     }
 
     #[test]

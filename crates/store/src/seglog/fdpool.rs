@@ -7,10 +7,8 @@
 //! resident, evicting the coldest on overflow, and positional reads
 //! (`pread`) mean a pooled fd never carries cursor state.
 //!
-//! Coherence: sealed segments are immutable, so a pooled fd can only go
-//! stale when compaction unlinks its segment — [`FdPool::drop_seg`] is
-//! called in that window (see `compact.rs`), alongside the block cache's
-//! invalidation.
+//! Coherence: sealed segments are immutable and never deleted, so a
+//! pooled fd never goes stale.
 //!
 //! This module is on gdp-lint's HP01 hot-path list: no `unwrap`/`expect`/
 //! `panic!` and no literal-bound indexing.
@@ -51,11 +49,11 @@ impl FdPool {
     /// whether this call opened the file, for per-open accounting.
     ///
     /// The handle is refcounted: the `pread` it serves never borrows the
-    /// pool, so pool bookkeeping (eviction, invalidation) and the read
-    /// itself are structurally independent — evicting or dropping the
-    /// segment mid-read just drops the pool's reference while the
-    /// in-flight read keeps the file alive (LK01/LK02 audit: no second
-    /// lock, and no pool borrow, is ever held across the `pread`).
+    /// pool, so pool bookkeeping (eviction) and the read itself are
+    /// structurally independent — evicting the fd mid-read just drops the
+    /// pool's reference while the in-flight read keeps the file alive
+    /// (LK01/LK02 audit: no second lock, and no pool borrow, is ever held
+    /// across the `pread`).
     pub fn get(&mut self, dir: &Path, seg: u64) -> std::io::Result<(Arc<File>, bool)> {
         self.tick += 1;
         let tick = self.tick;
@@ -84,13 +82,6 @@ impl FdPool {
                 Err(std::io::Error::new(std::io::ErrorKind::NotFound, "pooled fd not inserted"))
             }
         }
-    }
-
-    /// Drops the pooled fd for a segment about to be unlinked
-    /// (compaction); the next read of that id — which can only be a bug —
-    /// would fail to open rather than read a deleted inode.
-    pub fn drop_seg(&mut self, seg: u64) {
-        self.files.remove(&seg);
     }
 }
 
@@ -130,18 +121,6 @@ mod tests {
         assert!(opened);
         let (_, opened) = pool.get(&dir, 5).unwrap();
         assert!(!opened, "recently-touched fd evicted out of LRU order");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn drop_seg_forces_reopen() {
-        let dir = dir_with_segs(1);
-        let mut pool = FdPool::new(4);
-        pool.get(&dir, 0).unwrap();
-        pool.drop_seg(0);
-        assert_eq!(pool.open_fds(), 0);
-        let (_, opened) = pool.get(&dir, 0).unwrap();
-        assert!(opened);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

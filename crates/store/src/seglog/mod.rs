@@ -19,17 +19,16 @@
 //!   stream directory from the last checkpoint and replays only the log
 //!   tail past it — bounded by write traffic since the last checkpoint,
 //!   not log size. Any checkpoint damage falls back to a full scan.
-//! * **Compaction** (`compact.rs`): live entries are copied out of a
-//!   mostly-dead sealed segment and the segment is deleted; every step is
-//!   crash-safe (duplicates dedup on recovery, a deleted-but-still-
-//!   referenced segment invalidates the checkpoint into a full scan).
+//! * **Append-only**: a sealed segment is never rewritten or deleted.
+//!   Nothing supersedes a record (`append` dedups by hash before it
+//!   writes), so there is nothing to compact; a physical duplicate found
+//!   on disk is indexed once, first occurrence wins.
 //! * **Index eviction**: streams untouched since the last checkpoint can
 //!   drop their in-memory index (resident memory is O(hot capsules)) and
 //!   reload it transparently from the checkpoint on next access.
 
 mod cache;
 mod checkpoint;
-mod compact;
 mod fdpool;
 mod segment;
 mod writer;
@@ -65,9 +64,6 @@ pub struct SegConfig {
     pub flush_byte_budget: usize,
     /// Evict cold stream indexes beyond this many resident streams.
     pub max_resident_streams: usize,
-    /// Auto-compact a sealed segment when at least this percentage of its
-    /// payload bytes are dead (0 disables auto-compaction).
-    pub compact_min_dead_pct: u8,
     /// Byte budget of the shared sealed-segment block cache (0 disables
     /// caching: every read refetches, correctness unchanged).
     pub read_cache_bytes: usize,
@@ -79,13 +75,6 @@ pub struct SegConfig {
     /// At most this many sealed-segment fds stay pooled for reads
     /// (LRU-evicted beyond it).
     pub max_open_segments: usize,
-    /// Test failpoint: abort compaction after copying this many bytes,
-    /// simulating a crash mid-copy.
-    pub compact_fail_after_bytes: Option<u64>,
-    /// Test failpoint: abort compaction after the victim is unlinked but
-    /// before the checkpoint is rewritten, simulating a crash in the
-    /// window where the checkpoint references a deleted segment.
-    pub compact_fail_before_checkpoint: bool,
 }
 
 impl Default for SegConfig {
@@ -95,13 +84,10 @@ impl Default for SegConfig {
             segment_max_bytes: 8 * 1024 * 1024,
             flush_byte_budget: 256 * 1024,
             max_resident_streams: 1024,
-            compact_min_dead_pct: 30,
             read_cache_bytes: 4 * 1024 * 1024,
             read_block_bytes: 64 * 1024,
             readahead_blocks: 4,
             max_open_segments: 128,
-            compact_fail_after_bytes: None,
-            compact_fail_before_checkpoint: false,
         }
     }
 }
@@ -118,8 +104,6 @@ struct SegObs {
     group_commits: Counter,
     checkpoints_written: Counter,
     segments_rotated: Counter,
-    segments_compacted: Counter,
-    compact_bytes_reclaimed: Counter,
     index_evictions: Counter,
     index_reloads: Counter,
     recovery_tail_entries: Counter,
@@ -148,8 +132,6 @@ impl SegObs {
             group_commits: scope.counter("group_commits"),
             checkpoints_written: scope.counter("checkpoints_written"),
             segments_rotated: scope.counter("segments_rotated"),
-            segments_compacted: scope.counter("segments_compacted"),
-            compact_bytes_reclaimed: scope.counter("compact_bytes_reclaimed"),
             index_evictions: scope.counter("index_evictions"),
             index_reloads: scope.counter("index_reloads"),
             recovery_tail_entries: scope.counter("recovery_tail_entries"),
@@ -178,9 +160,6 @@ struct EntryLoc {
 /// In-memory index of one capsule's stream.
 struct StreamIndex {
     metadata: Option<CapsuleMetadata>,
-    /// Canonical on-disk metadata entry (None when only the checkpoint
-    /// carries it; compaction then re-adopts the first copy it meets).
-    meta_loc: Option<EntryLoc>,
     by_hash: HashMap<RecordHash, EntryLoc>,
     by_seq: BTreeMap<u64, Vec<RecordHash>>,
     /// Logical LRU clock value of the last access.
@@ -194,7 +173,6 @@ impl StreamIndex {
     fn fresh() -> StreamIndex {
         StreamIndex {
             metadata: None,
-            meta_loc: None,
             by_hash: HashMap::new(),
             by_seq: BTreeMap::new(),
             touch: 0,
@@ -210,14 +188,10 @@ enum StreamSlot {
 }
 
 /// Per-segment bookkeeping.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 struct SegMeta {
     /// Total bytes (header + entries, durable + buffered for the active).
     len: u64,
-    /// Bytes whose entries are superseded (compaction-crash duplicates).
-    dead: u64,
-    /// Set when a compaction attempt hit rot; skip in auto-selection.
-    compact_blocked: bool,
 }
 
 /// What the last `open()` did (for bounded-recovery assertions).
@@ -284,9 +258,9 @@ impl SegLog {
         self.inner.lock().flush_inner(now_us, true)
     }
 
-    /// Periodic maintenance: due flushes, rotation, auto-compaction,
-    /// index eviction. Returns the durable epoch. This is what
-    /// [`SegStore::flush`] calls from the server tick.
+    /// Periodic maintenance: due flushes, rotation, index eviction.
+    /// Returns the durable epoch. This is what [`SegStore::flush`] calls
+    /// from the server tick.
     pub fn maintain(&self, now_us: u64) -> Result<u64, StoreError> {
         self.inner.lock().maintain(now_us)
     }
@@ -299,21 +273,6 @@ impl SegLog {
     /// Seals the active segment and starts a new one (flushing first).
     pub fn rotate_now(&self, now_us: u64) -> Result<(), StoreError> {
         self.inner.lock().rotate(now_us)
-    }
-
-    /// Compacts one sealed segment if any crosses the dead-byte
-    /// threshold; returns whether a segment was reclaimed.
-    pub fn compact_once(&self, now_us: u64) -> Result<bool, StoreError> {
-        let mut inner = self.inner.lock();
-        match inner.pick_victim() {
-            Some(victim) => inner.compact_segment(victim, now_us).map(|()| true),
-            None => Ok(false),
-        }
-    }
-
-    /// Compacts a specific sealed segment (tests, operator tooling).
-    pub fn compact_segment(&self, seg: u64, now_us: u64) -> Result<(), StoreError> {
-        self.inner.lock().compact_segment(seg, now_us)
     }
 
     /// Ids of all live segments, ascending (last is the active one).
@@ -499,7 +458,7 @@ impl LogInner {
             let Some(name) = name.to_str() else { continue };
             if let Some(id) = segment::parse_seg_id(name) {
                 let len = entry.metadata()?.len();
-                segments.insert(id, SegMeta { len, ..SegMeta::default() });
+                segments.insert(id, SegMeta { len });
             }
         }
         // A crash inside `create_segment` can leave the newest segment
@@ -519,7 +478,7 @@ impl LogInner {
         if fresh {
             create_segment(dir, 0)?;
             obs.dir_fsyncs.inc();
-            segments.insert(0, SegMeta { len: SEG_MAGIC.len() as u64, ..SegMeta::default() });
+            segments.insert(0, SegMeta { len: SEG_MAGIC.len() as u64 });
         }
         let active = segments.keys().next_back().copied().unwrap_or(0);
 
@@ -585,13 +544,7 @@ impl LogInner {
             // one chunk plus the largest entry (what `peak_buffer` claims),
             // never the decoded contents of a whole segment.
             let outcome = segment::scan_segment(&path, from, chunk, |e| {
-                self.merge_entry(
-                    e.kind,
-                    &e.capsule,
-                    e.body,
-                    EntryLoc { seg: id, off: e.offset },
-                    e.disk_len,
-                )?;
+                self.merge_entry(e.kind, &e.capsule, e.body, EntryLoc { seg: id, off: e.offset })?;
                 self.recovery.tail_entries += 1;
                 Ok(())
             })?;
@@ -613,14 +566,10 @@ impl LogInner {
                         if let Some(m) = self.segments.get_mut(&id) {
                             m.len = valid_end;
                         }
-                    } else {
-                        // Rot inside a sealed segment: entries past it are
-                        // unreachable from this scan; keep going — the
-                        // checkpoint may still index earlier entries.
-                        if let Some(m) = self.segments.get_mut(&id) {
-                            m.compact_blocked = true;
-                        }
                     }
+                    // Rot inside a sealed segment: entries past it are
+                    // unreachable from this scan; keep going — the
+                    // checkpoint may still index earlier entries.
                 }
             }
         }
@@ -639,43 +588,24 @@ impl LogInner {
         Ok(())
     }
 
-    /// Merges one scanned entry into the indexes (dedup by hash: the
-    /// first occurrence wins, so compaction-crash duplicates are dead).
+    /// Merges one scanned entry into the indexes. Dedup by hash, first
+    /// occurrence wins: a physical duplicate (a log written by a build
+    /// that still compacted can hold crash-interrupted copies) is skipped.
     fn merge_entry(
         &mut self,
         kind: u8,
         capsule: &Name,
         body: &[u8],
         loc: EntryLoc,
-        disk_len: u64,
     ) -> Result<(), StoreError> {
         self.ensure_resident(capsule)?;
         match kind {
             KIND_METADATA => {
                 let meta = CapsuleMetadata::from_wire(body)
                     .map_err(|e| StoreError::Corrupt(format!("metadata: {e}")))?;
-                let state = self.stream(capsule).map(|s| (s.metadata.is_some(), s.meta_loc));
-                match state {
-                    Some((false, _)) => {
-                        if let Some(idx) = self.stream_mut(capsule) {
-                            idx.metadata = Some(meta);
-                            idx.meta_loc = Some(loc);
-                            idx.dirty = true;
-                        }
-                    }
-                    Some((true, None)) => {
-                        // Metadata came from the checkpoint: adopt this
-                        // entry as the canonical on-disk copy.
-                        if let Some(idx) = self.stream_mut(capsule) {
-                            idx.meta_loc = Some(loc);
-                            idx.dirty = true;
-                        }
-                    }
-                    _ => {
-                        if let Some(m) = self.segments.get_mut(&loc.seg) {
-                            m.dead += disk_len;
-                        }
-                    }
+                if let Some(idx) = self.stream_mut(capsule).filter(|s| s.metadata.is_none()) {
+                    idx.metadata = Some(meta);
+                    idx.dirty = true;
                 }
             }
             KIND_RECORD => {
@@ -683,12 +613,8 @@ impl LogInner {
                     .map_err(|e| StoreError::Corrupt(format!("record: {e}")))?;
                 let hash = record.hash();
                 let seq = record.header.seq;
-                let dup = self.stream(capsule).is_some_and(|s| s.by_hash.contains_key(&hash));
-                if dup {
-                    if let Some(m) = self.segments.get_mut(&loc.seg) {
-                        m.dead += disk_len;
-                    }
-                } else if let Some(idx) = self.stream_mut(capsule) {
+                let fresh = self.stream_mut(capsule).filter(|s| !s.by_hash.contains_key(&hash));
+                if let Some(idx) = fresh {
                     idx.by_hash.insert(hash, loc);
                     idx.by_seq.entry(seq).or_default().push(hash);
                     // A stream reloaded from the checkpoint starts clean;
@@ -705,9 +631,9 @@ impl LogInner {
         Ok(())
     }
 
-    /// Sequential scan chunk for recovery and compaction: the readahead
-    /// window, never below [`RECOVERY_CHUNK`].
-    pub(crate) fn scan_chunk(&self) -> usize {
+    /// Sequential scan chunk for recovery: the readahead window, never
+    /// below [`RECOVERY_CHUNK`].
+    fn scan_chunk(&self) -> usize {
         (self.cfg.read_block_bytes * self.cfg.readahead_blocks.max(1)).max(RECOVERY_CHUNK)
     }
 
@@ -830,7 +756,7 @@ impl LogInner {
             return Ok(());
         }
         let body = metadata.to_wire();
-        let off = self.gc.append(KIND_METADATA, capsule, &body);
+        self.gc.append(KIND_METADATA, capsule, &body);
         let disk_len = (ENTRY_HEADER + body.len()) as u64;
         let active = self.active;
         if let Some(m) = self.segments.get_mut(&active) {
@@ -838,7 +764,6 @@ impl LogInner {
         }
         if let Some(idx) = self.stream_mut(capsule) {
             idx.metadata = Some(metadata.clone());
-            idx.meta_loc = Some(EntryLoc { seg: active, off });
             idx.dirty = true;
         }
         self.obs.entries_appended.inc();
@@ -901,16 +826,11 @@ impl LogInner {
         Ok(self.gc.epoch_durable())
     }
 
-    /// Maintenance pass: due flush, rotation, auto-compaction, eviction.
+    /// Maintenance pass: due flush, rotation, eviction.
     fn maintain(&mut self, now_us: u64) -> Result<u64, StoreError> {
         let epoch = self.flush_inner(now_us, false)?;
         if self.gc.total_len() >= self.cfg.segment_max_bytes {
             self.rotate(now_us)?;
-        }
-        if self.cfg.compact_min_dead_pct > 0 {
-            if let Some(victim) = self.pick_victim() {
-                self.compact_segment(victim, now_us)?;
-            }
         }
         self.evict_over_budget(Some(now_us));
         Ok(epoch)
@@ -924,7 +844,7 @@ impl LogInner {
         self.obs.dir_fsyncs.inc();
         self.gc.rotate_to(file, SEG_MAGIC.len() as u64)?;
         self.active = next;
-        self.segments.insert(next, SegMeta { len: SEG_MAGIC.len() as u64, ..SegMeta::default() });
+        self.segments.insert(next, SegMeta { len: SEG_MAGIC.len() as u64 });
         self.obs.segments_rotated.inc();
         self.obs.segments.set(self.segments.len() as i64);
         self.checkpoint_now(now_us)?;
@@ -987,25 +907,6 @@ impl LogInner {
             return Err(StoreError::Corrupt("checkpoint unreadable after write".to_string()));
         }
         Ok(())
-    }
-
-    /// The lowest sealed segment over the dead-byte threshold, if any.
-    fn pick_victim(&self) -> Option<u64> {
-        let pct = self.cfg.compact_min_dead_pct as u64;
-        if pct == 0 {
-            return None;
-        }
-        self.segments
-            .iter()
-            .filter(|(id, m)| {
-                **id != self.active
-                    && !m.compact_blocked
-                    && m.len > SEG_MAGIC.len() as u64
-                    && m.dead * 100 >= (m.len - SEG_MAGIC.len() as u64) * pct
-                    && m.dead > 0
-            })
-            .map(|(id, _)| *id)
-            .next()
     }
 
     /// Random read of one record, serving the active segment through the

@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 /// Leading magic of a shared-log segment file.
 pub const SEG_MAGIC: [u8; 8] = *b"GDPSEG\x00\x01";
 
-/// Smallest read size of a recovery/compaction scan. Peak scan memory is
+/// Smallest read size of a recovery scan. Peak scan memory is
 /// bounded by the scan chunk plus the largest single entry.
 pub const RECOVERY_CHUNK: usize = 64 * 1024;
 
@@ -41,8 +41,6 @@ pub(crate) struct ScanEntry<'a> {
     pub body: &'a [u8],
     /// Offset of the entry's first header byte in the segment.
     pub offset: u64,
-    /// Framed length on disk (header + body).
-    pub disk_len: u64,
 }
 
 /// Why a scan stopped.
@@ -162,13 +160,7 @@ pub(crate) fn scan_segment(
                 peak_buffer: peak,
             });
         }
-        on_entry(ScanEntry {
-            kind,
-            capsule,
-            body,
-            offset: valid_end,
-            disk_len: (ENTRY_HEADER + len) as u64,
-        })?;
+        on_entry(ScanEntry { kind, capsule, body, offset: valid_end })?;
         start += ENTRY_HEADER + len;
         valid_end += (ENTRY_HEADER + len) as u64;
     }

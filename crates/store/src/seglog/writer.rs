@@ -19,7 +19,7 @@ use gdp_wire::Name;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 
-/// Entry kinds shared with recovery/compaction.
+/// Entry kinds shared with recovery.
 pub(crate) const KIND_METADATA: u8 = 0;
 pub(crate) const KIND_RECORD: u8 = 1;
 

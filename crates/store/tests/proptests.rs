@@ -1,8 +1,9 @@
 //! Property tests for the storage engine: a [`SegLog`] stream must agree
 //! with the in-memory model ([`MemStore`]) under arbitrary operation
 //! sequences, and survive arbitrary tail truncation and byte corruption.
-//! Segments are tiny, so rotation, checkpointing and reopen all happen
-//! inside each property.
+//! Segments are tiny and one stream index may stay resident, so rotation,
+//! checkpointing, index eviction/reload and reopen all happen inside the
+//! model property.
 
 use gdp_capsule::{CapsuleMetadata, CapsuleWriter, MetadataBuilder, PointerStrategy, Record};
 use gdp_crypto::SigningKey;
@@ -13,8 +14,8 @@ use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-fn records(n: u64) -> (CapsuleMetadata, Vec<Record>) {
-    let owner = SigningKey::from_seed(&[1u8; 32]);
+fn records(tag: u8, n: u64) -> (CapsuleMetadata, Vec<Record>) {
+    let owner = SigningKey::from_seed(&[tag; 32]);
     let wk = SigningKey::from_seed(&[2u8; 32]);
     let meta = MetadataBuilder::new()
         .writer(&wk.verifying_key())
@@ -39,7 +40,7 @@ fn tmpdir() -> PathBuf {
 
 /// A couple of records per segment.
 fn small_cfg() -> SegConfig {
-    SegConfig { segment_max_bytes: 512, compact_min_dead_pct: 0, ..SegConfig::default() }
+    SegConfig { segment_max_bytes: 512, ..SegConfig::default() }
 }
 
 /// Writes `meta` + `rs` through a fresh log, one group commit (and, when
@@ -83,60 +84,87 @@ fn assert_same(seg: &SegStore, mem: &MemStore, query: u64) -> Result<(), TestCas
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// A SegLog stream and MemStore answer identically for any
-    /// subset/order of appends (duplicates included) and any queried
-    /// seq/range — before and after a reopen at an arbitrary point.
+    /// SegLog streams and MemStores answer identically for any
+    /// subset/order of appends across three capsules (duplicates
+    /// included) and any queried seq/range — before and after a reopen at
+    /// an arbitrary point, with at most one stream index resident.
     #[test]
     fn seg_log_matches_memory_model(
-        order in proptest::collection::vec(0usize..12, 1..24),
+        order in proptest::collection::vec((0usize..3, 0usize..12), 1..36),
         query in 0u64..14,
-        reopen_at in 0usize..24,
+        reopen_at in 0usize..36,
     ) {
-        let (meta, rs) = records(12);
+        let caps: Vec<_> = (1u8..=3).map(|tag| records(tag, 12)).collect();
         let dir = tmpdir();
         let metrics = Metrics::new();
-        let open = || SegLog::open_with(&dir, small_cfg(), &metrics.scope("store")).unwrap();
+        let cfg = SegConfig { max_resident_streams: 1, ..small_cfg() };
+        let open = || SegLog::open_with(&dir, cfg.clone(), &metrics.scope("store")).unwrap();
+        let counter = |name| metrics.counter_value("store", name);
         let mut log = open();
-        let mut seg = log.handle(meta.name());
-        let mut mem = MemStore::new();
+        let mut mems: Vec<MemStore> = caps.iter().map(|_| MemStore::new()).collect();
 
         // An untouched stream is an empty store.
+        let seg = log.handle(caps[0].0.name());
         prop_assert!(seg.is_empty() && seg.latest_seq() == 0);
         prop_assert!(matches!(seg.metadata(), Err(StoreError::NoMetadata)));
+        drop(seg);
 
-        seg.put_metadata(&meta).unwrap();
-        mem.put_metadata(&meta).unwrap();
+        for ((meta, _), mem) in caps.iter().zip(&mut mems) {
+            log.handle(meta.name()).put_metadata(meta).unwrap();
+            mem.put_metadata(meta).unwrap();
+        }
         let mut now = 0u64;
-        for (k, &i) in order.iter().enumerate() {
+        for (k, &(c, i)) in order.iter().enumerate() {
+            let (meta, rs) = &caps[c];
+            let mut seg = log.handle(meta.name());
             seg.append(&rs[i]).unwrap();
-            mem.append(&rs[i]).unwrap();
+            mems[c].append(&rs[i]).unwrap();
             now += 10_000;
-            seg.flush(now).unwrap(); // group commit; rotates a full segment
+            // Group commit; rotates a full segment; checkpoints and evicts
+            // the indexes of the other two streams.
+            seg.flush(now).unwrap();
+            drop(seg);
             if k == reopen_at {
-                drop(seg);
                 drop(log);
                 log = open();
-                seg = log.handle(meta.name());
             }
         }
-        assert_same(&seg, &mem, query)?;
-        prop_assert_eq!(seg.metadata().unwrap(), mem.metadata().unwrap());
-
-        drop(seg);
+        let matches_model = |log: &SegLog| -> Result<(), TestCaseError> {
+            for ((meta, _), mem) in caps.iter().zip(&mems) {
+                let seg = log.handle(meta.name());
+                assert_same(&seg, mem, query)?;
+                prop_assert_eq!(seg.metadata().unwrap(), mem.metadata().unwrap());
+            }
+            Ok(())
+        };
+        matches_model(&log)?;
         drop(log);
         let log = open();
-        assert_same(&log.handle(meta.name()), &mem, query)?;
+        matches_model(&log)?;
+        drop(log);
+        prop_assert!(counter("index_evictions") >= 2 && counter("index_reloads") >= 1);
 
         // Duplicate appends are never rewritten: one entry per distinct
-        // record plus the metadata. A segment's directory entry is fsynced
-        // when it is created (and once more for the rotation checkpoint),
-        // never again on reopen.
+        // record plus one metadata entry per capsule. A segment's
+        // directory entry is fsynced when it is created and the directory
+        // once per checkpoint, never again on reopen.
         let distinct = order.iter().collect::<HashSet<_>>().len() as u64;
-        prop_assert_eq!(metrics.counter_value("store", "entries_appended"), distinct + 1);
+        let appended = counter("entries_appended");
+        prop_assert_eq!(appended, distinct + caps.len() as u64);
         prop_assert_eq!(
-            metrics.counter_value("store", "dir_fsyncs"),
-            1 + 2 * metrics.counter_value("store", "segments_rotated")
+            counter("dir_fsyncs"),
+            1 + counter("segments_rotated") + counter("checkpoints_written")
         );
+
+        // The invariant that makes compaction unnecessary: the log holds
+        // no physical duplicates. Without the checkpoint, recovery scans
+        // every entry on disk — exactly one per append that was written —
+        // and the rebuilt indexes still match the model.
+        std::fs::remove_file(dir.join("index.ckpt")).unwrap();
+        let log = open();
+        prop_assert!(log.recovery_stats().full_scan);
+        prop_assert_eq!(log.recovery_stats().tail_entries, appended);
+        matches_model(&log)?;
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -148,7 +176,7 @@ proptest! {
         n in 1u64..10,
         cut in 1usize..200,
     ) {
-        let (meta, rs) = records(n);
+        let (meta, rs) = records(1, n);
         let dir = tmpdir();
         written_log(&dir, &meta, &rs);
         let segs = segment_files(&dir);
@@ -180,7 +208,7 @@ proptest! {
         pos_frac in 0.0f64..1.0,
         flip in 1u8..=255,
     ) {
-        let (meta, rs) = records(6);
+        let (meta, rs) = records(1, 6);
         let dir = tmpdir();
         written_log(&dir, &meta, &rs);
         let mut files = segment_files(&dir);

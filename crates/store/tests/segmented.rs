@@ -1,6 +1,6 @@
 //! Functional tests of the segmented shared-log engine: group-commit ack
-//! semantics, rotation, checkpointed (bounded) recovery, cold-index
-//! eviction, and compaction — the tentpole behaviors of `SegLog`.
+//! semantics, rotation, checkpointed (bounded) recovery and cold-index
+//! eviction — the tentpole behaviors of `SegLog`.
 
 use gdp_capsule::{CapsuleMetadata, Record, RecordHash};
 use gdp_crypto::SigningKey;
@@ -210,11 +210,7 @@ fn crash_loses_exactly_the_unacked_tail() {
 #[test]
 fn rotation_seals_segments_and_data_survives() {
     let dir = tmpdir("rotate");
-    let cfg = SegConfig {
-        segment_max_bytes: 2_048,
-        compact_min_dead_pct: 0, // isolate rotation from compaction
-        ..batch_cfg()
-    };
+    let cfg = SegConfig { segment_max_bytes: 2_048, ..batch_cfg() };
     let (meta, records) = capsule(1, 40);
     {
         let log = SegLog::open(&dir, cfg.clone()).unwrap();
@@ -408,48 +404,6 @@ fn recovered_tail_survives_index_eviction() {
 }
 
 #[test]
-fn compaction_relocates_live_entries_and_deletes_the_segment() {
-    let dir = tmpdir("compact");
-    let metrics = Metrics::new();
-    let cfg = SegConfig {
-        segment_max_bytes: 2_048,
-        compact_min_dead_pct: 0, // manual compaction only
-        ..batch_cfg()
-    };
-    let (meta, records) = capsule(1, 40);
-    let log = SegLog::open_with(&dir, cfg.clone(), &metrics.scope("store")).unwrap();
-    let mut h = log.handle(meta.name());
-    h.put_metadata(&meta).unwrap();
-    for (i, r) in records.iter().enumerate() {
-        h.append(r).unwrap();
-        h.flush((i as u64 + 1) * 10_000).unwrap();
-    }
-    let segs = log.segment_ids();
-    assert!(segs.len() >= 3);
-    let victim = segs[0];
-    log.compact_segment(victim, 9_000_000).unwrap();
-    assert!(!log.segment_ids().contains(&victim), "victim removed from the set");
-    assert!(!dir.join(format!("{victim:010}.seg")).exists(), "victim unlinked from disk");
-    assert_eq!(metrics.counter_value("store", "segments_compacted"), 1);
-    for r in &records {
-        assert_eq!(h.get_by_hash(&r.hash()).unwrap().unwrap(), *r, "live entries relocated");
-    }
-    assert_eq!(h.metadata().unwrap(), meta);
-
-    // And the post-compaction state reopens cleanly without a full scan.
-    drop(h);
-    drop(log);
-    let log = SegLog::open(&dir, cfg).unwrap();
-    assert!(!log.recovery_stats().full_scan);
-    let h = log.handle(meta.name());
-    assert_eq!(h.len(), records.len());
-    for r in &records {
-        assert_eq!(h.get_by_hash(&r.hash()).unwrap().unwrap(), *r);
-    }
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
 fn warm_range_reads_are_zero_copy_and_conserve_cache_counters() {
     let dir = tmpdir("readcache");
     let metrics = Metrics::new();
@@ -530,7 +484,6 @@ fn fd_pool_bounds_open_segments_and_skips_reopen_when_warm() {
     // the old one-File::open-per-read hot spot in `read_entry_at`).
     let cfg = SegConfig {
         segment_max_bytes: 1_024,
-        compact_min_dead_pct: 0,
         read_cache_bytes: 0,
         max_open_segments: 2,
         ..batch_cfg()

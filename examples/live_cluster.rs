@@ -55,12 +55,9 @@ fn main() {
         router: None,
         data_dir: None,
         fsync: None,
-        read_cache_bytes: None,
-        max_open_segments: None,
         stats_path: None,
         hosts: vec![],
         shards: 1,
-        shard_batch: 64,
         admission_rate: 0,
         admission_burst: 64,
     })
@@ -77,11 +74,8 @@ fn main() {
             router: Some(router_name),
             data_dir: None, // in-memory stores for the demo
             fsync: None,
-            read_cache_bytes: None,
-            max_open_segments: None,
             stats_path: None,
             shards: 1,
-            shard_batch: 64,
             admission_rate: 0,
             admission_burst: 64,
             hosts: vec![HostSpec {

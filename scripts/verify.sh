@@ -61,9 +61,10 @@ if [ "$tsan" -eq 1 ]; then
     # split, and --cfg gdp_tsan activates the fence words in the
     # parking_lot/crossbeam shims that restore the lock happens-before
     # edges TSan would otherwise miss (see shims/parking_lot docs).
-    # scripts/tsan.supp masks the two false-positive classes that remain
+    # scripts/tsan.supp masks the three false-positive classes that remain
     # without an instrumented std (Arc's fence-based teardown, libtest's
-    # mpsc result channel) — see the comments in that file.
+    # mpsc result channel, OnceLock initialisation) — see the comments in
+    # that file.
     if ! RUSTFLAGS="-Zsanitizer=thread -Cunsafe-allow-abi-mismatch=sanitizer --cfg gdp_tsan" \
         TSAN_OPTIONS="halt_on_error=1 suppressions=$(pwd)/scripts/tsan.supp" \
         cargo +nightly test -p gdp-node --test tsan_smoke \
