@@ -8,8 +8,9 @@
 //! cargo run --release -p gdp-bench --bin report -- <experiment>
 //!   fig6                router forwarding rate / throughput vs PDU size
 //!                       (+ data-path ablations and the perf-smoke floor)
-//!   perf-smoke          re-measure 64 B forwarding; fail if >30% below
-//!                       the floor recorded in BENCH_fig6.json
+//!   perf-smoke          re-measure 64 B forwarding, the sharded stage
+//!                       rates and the store floors; fail if any is >30%
+//!                       below the floor its full run recorded
 //!   store               the segmented group-commit log: durable
 //!                       appends/s and p99 ack latency at 1 / 10k / 100k
 //!                       capsules, bounded crash recovery, and the
@@ -93,27 +94,25 @@ fn run_fig6() {
     t.row(&["route verify, cached (digest hit)".into(), rate(verify_cached)]);
     for p in &shard_points {
         t.row(&[
-            format!("sharded forwarding, {} shard(s) [{}]", p.shards, p.mode.as_str()),
-            rate(p.pdus_per_sec),
+            format!("sharded forwarding, {} shard(s), end to end", p.shards),
+            p.pdus_per_sec.map_or_else(|| format!("not run ({} cores)", p.cores), rate),
         ]);
     }
     t.print();
-    let single = shard_points[0].pdus_per_sec;
-    let quad = shard_points.last().expect("shard points").pdus_per_sec;
+    // The stage rates are measured on any host (each is one thread). Like
+    // the 64 B floor above, the floors perf-smoke holds are the minimum
+    // over the three points just measured.
+    let stage_floor = |stage: fn(&fig6::ShardedPoint) -> f64| {
+        shard_points.iter().map(stage).fold(f64::INFINITY, f64::min)
+    };
+    let dispatch_floor = stage_floor(|p| p.dispatch_rate);
+    let worker_floor = stage_floor(|p| p.worker_rate);
     println!(
-        "\nsharded scaling: 4 shards = {:.1}x single shard (stages: dispatch {} /s, \
-         worker {} /s, {} core(s))",
-        quad / single,
-        rate(shard_points.last().expect("shard points").dispatch_rate),
-        rate(shard_points.last().expect("shard points").worker_rate),
+        "\nsharded stages (slowest of the three points): dispatch {} /s, worker {} /s \
+         ({} core(s))",
+        rate(dispatch_floor),
+        rate(worker_floor),
         shard_points[0].cores,
-    );
-    // The regression this figure gates: batched handoff must keep the
-    // dispatch stage out of the way, so 4 shards clears 3x single-shard.
-    assert!(
-        quad >= 3.0 * single,
-        "sharded scaling regressed: 4 shards = {:.2}x single shard (need >= 3x)",
-        quad / single
     );
 
     println!("\nshape: PDU rate ≈ flat (CPU-bound) for small PDUs; throughput rises with");
@@ -122,11 +121,10 @@ fn run_fig6() {
         .iter()
         .map(|p| {
             format!(
-                "{{\"shards\":{},\"pdus_per_sec\":{:.3},\"mode\":\"{}\",\
+                "{{\"shards\":{},\"pdus_per_sec\":{},\
                  \"dispatch_rate\":{:.3},\"worker_rate\":{:.3}}}",
                 p.shards,
-                p.pdus_per_sec,
-                p.mode.as_str(),
+                p.pdus_per_sec.map_or("null".into(), |r| format!("{r:.3}")),
                 p.dispatch_rate,
                 p.worker_rate
             )
@@ -142,7 +140,8 @@ fn run_fig6() {
              \"verify_cold_per_sec\":{:.3},\"verify_cached_per_sec\":{:.3},\
              \"sharded_cores\":{},\"sharded\":[{}]}},\
              \"perf_floor\":{{\"pdu_bytes\":64,\"pdus_per_sec\":{:.3},\
-             \"sharded\":{{\"shards\":4,\"pdus_per_sec\":{:.3},\"min_speedup\":2.5}}}}}}",
+             \"sharded\":{{\"single_shard_pdus_per_sec\":{:.3},\
+             \"dispatch_rate\":{:.3},\"worker_rate\":{:.3}}}}}}}",
             fig6::PER_PDU_US,
             fig6::PER_BYTE_NS,
             simulated.join(","),
@@ -154,7 +153,9 @@ fn run_fig6() {
             shard_points[0].cores,
             sharded_json.join(","),
             floor_64b,
-            quad,
+            shard_points[0].pdus_per_sec.expect("a single shard always runs end to end"),
+            dispatch_floor,
+            worker_floor,
         ),
     );
 }
@@ -244,9 +245,10 @@ fn run_overload_smoke() {
     println!("overload-smoke: OK");
 }
 
-/// CI perf smoke: re-measures the 64 B zero-copy forwarding rate and
-/// fails (exit 1) when it regresses more than 30% below the floor
-/// recorded in `BENCH_fig6.json` by the last full `fig6` run.
+/// CI perf smoke: re-measures the 64 B zero-copy forwarding rate, the
+/// sharded engine's measured rates and the store floors, and fails
+/// (exit 1) when any regresses more than 30% below the floor recorded in
+/// `BENCH_fig6.json` / `BENCH_store.json` by the last full run.
 fn run_perf_smoke() {
     let doc = match std::fs::read_to_string("BENCH_fig6.json") {
         Ok(d) => d,
@@ -276,54 +278,48 @@ fn run_perf_smoke() {
         std::process::exit(1);
     }
 
-    // Sharded floor: re-measure the 1- and 4-shard ablation points and
-    // hold two lines — relative scaling (4 shards must still clear
-    // min_speedup over a single shard, the batched-handoff contract) and
-    // the absolute 4-shard rate against the pinned floor (catches a
-    // dispatch-stage regression that degrades both points together and
-    // would slip past a pure ratio).
+    // Sharded floors: the three quantities every host measures — the
+    // end-to-end single-shard rate and the dispatch and worker stage
+    // rates (each stage is one thread). Multi-shard end-to-end points
+    // are not gated: they run only on hosts with the cores.
     let floor_tail = &doc[doc.find("\"perf_floor\"").unwrap_or(0)..];
     let sharded_tail = &floor_tail[floor_tail.find("\"sharded\"").unwrap_or(0)..];
-    let (sharded_floor, min_speedup) = match (
-        json::extract_number(sharded_tail, "pdus_per_sec"),
-        json::extract_number(sharded_tail, "min_speedup"),
-    ) {
-        (Some(f), Some(m)) => (f, m),
-        _ => {
+    let keys = ["single_shard_pdus_per_sec", "dispatch_rate", "worker_rate"];
+    let floors = keys.map(|key| {
+        json::extract_number(sharded_tail, key).unwrap_or_else(|| {
             eprintln!(
-                "perf-smoke: no perf_floor.sharded in BENCH_fig6.json; run `report fig6` first"
+                "perf-smoke: no perf_floor.sharded.{key} in BENCH_fig6.json; run `report fig6` first"
             );
             std::process::exit(2);
-        }
-    };
-    // Best of three *paired* runs: each run measures both points under
-    // the same conditions, so the ratio is robust to scheduler noise.
-    let (speedup, quad) = (0..3)
-        .map(|_| {
-            let single = fig6::sharded(64, 200_000, 1).pdus_per_sec;
-            let quad = fig6::sharded(64, 200_000, 4).pdus_per_sec;
-            (quad / single, quad)
         })
-        .fold((0.0f64, 0.0f64), |(bs, bq), (s, q)| (bs.max(s), bq.max(q)));
-    let threshold = sharded_floor * 0.7;
-    println!(
-        "perf-smoke: sharded forwarding 4 shards = {speedup:.1}x single shard, \
-         {quad:.0} PDUs/s (floor {sharded_floor:.0}, threshold {threshold:.0}, \
-         min speedup {min_speedup:.1}x)"
-    );
-    if speedup < min_speedup {
-        eprintln!(
-            "perf-smoke: FAIL — sharded scaling regressed: 4 shards = {speedup:.2}x single \
-             shard (need >= {min_speedup:.1}x)"
-        );
-        std::process::exit(1);
+    });
+    // Best of three rounds, as above; a round stages through one lane
+    // and through four, and both runs time both stages.
+    let mut measured = [0.0f64; 3];
+    for _ in 0..3 {
+        let single = fig6::sharded(64, 200_000, 1);
+        let quad = fig6::sharded(64, 200_000, 4);
+        let run = [
+            single.pdus_per_sec.expect("a single shard always runs end to end"),
+            single.dispatch_rate.max(quad.dispatch_rate),
+            single.worker_rate.max(quad.worker_rate),
+        ];
+        for (best, r) in measured.iter_mut().zip(run) {
+            *best = best.max(r);
+        }
     }
-    if quad < threshold {
-        eprintln!(
-            "perf-smoke: FAIL — 4-shard forwarding regressed >30% below the recorded floor \
-             ({quad:.0} < {threshold:.0} PDUs/s)"
+    for ((key, floor), measured) in keys.iter().zip(floors).zip(measured) {
+        let threshold = floor * 0.7;
+        println!(
+            "perf-smoke: sharded {key} {measured:.0} PDUs/s (floor {floor:.0}, threshold {threshold:.0})"
         );
-        std::process::exit(1);
+        if measured < threshold {
+            eprintln!(
+                "perf-smoke: FAIL — sharded {key} regressed >30% below the recorded floor \
+                 ({measured:.0} < {threshold:.0} PDUs/s)"
+            );
+            std::process::exit(1);
+        }
     }
 
     // Store floor: re-measure segmented durable appends at the same

@@ -8,7 +8,6 @@
 //! Expected shape (paper): on the cloud path the GDP lands between SSHFS
 //! and S3; on the edge path everything is orders of magnitude faster.
 
-use crate::table::{secs, Table};
 use gdp_caapi::GdpFs;
 use gdp_net::SimTime;
 use gdp_sim::baselines::BaselineWorld;
@@ -25,7 +24,7 @@ pub struct Fig8Cell {
 }
 
 /// Measures the GDP path (fs CAAPI over the full simulated stack).
-pub fn gdp_run(placement: Placement, model_bytes: usize, runs: u32) -> Fig8Cell {
+fn gdp_run(placement: Placement, model_bytes: usize, runs: u32) -> Fig8Cell {
     let mut write_total = 0u64;
     let mut read_total = 0u64;
     for run in 0..runs {
@@ -46,11 +45,7 @@ pub fn gdp_run(placement: Placement, model_bytes: usize, runs: u32) -> Fig8Cell 
 }
 
 /// Measures a baseline (S3-like or SSHFS-like) transfer.
-pub fn baseline_run(
-    make: impl Fn(u64) -> BaselineWorld,
-    model_bytes: usize,
-    runs: u32,
-) -> Fig8Cell {
+fn baseline_run(make: impl Fn(u64) -> BaselineWorld, model_bytes: usize, runs: u32) -> Fig8Cell {
     let mut write_total = 0u64;
     let mut read_total = 0u64;
     for run in 0..runs {
@@ -74,24 +69,6 @@ pub fn run_size(model_bytes: usize, runs: u32) -> Vec<(&'static str, Fig8Cell)> 
         ("GDP (edge)", gdp_run(Placement::EdgeLan, model_bytes, runs)),
         ("SSHFS (edge)", baseline_run(BaselineWorld::remote_fs_edge, model_bytes, runs)),
     ]
-}
-
-/// Prints the full Fig 8 table for both model sizes.
-pub fn report(runs: u32) {
-    for (label, size) in
-        [("28 MB model", workload::MODEL_SMALL), ("115 MB model", workload::MODEL_LARGE)]
-    {
-        println!("\nFig 8 — {label} (avg over {runs} runs, virtual seconds; smaller is better)");
-        let mut t = Table::new(&["system", "write (s)", "read (s)"]);
-        for (name, cell) in run_size(size, runs) {
-            t.row(&[name.to_string(), secs(cell.write_us), secs(cell.read_us)]);
-        }
-        t.print();
-    }
-    println!(
-        "\nshape check: GDP(cloud) between SSHFS(cloud) and S3; edge ≫ cloud.\n\
-         (absolute values are simulator-calibrated; see EXPERIMENTS.md)"
-    );
 }
 
 #[cfg(test)]

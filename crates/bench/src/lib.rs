@@ -1,9 +1,8 @@
 //! # gdp-bench
 //!
 //! Benchmark harness reproducing the paper's evaluation artifacts. The
-//! `report` binary regenerates each figure/table as a text series (see
-//! DESIGN.md, "Per-experiment index"); Criterion benches in `benches/`
-//! measure the real CPU-bound costs.
+//! `report` binary regenerates each figure/table as a text series and
+//! times the real CPU-bound costs (see DESIGN.md, "Per-experiment index").
 
 #![forbid(unsafe_code)]
 

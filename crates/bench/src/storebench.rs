@@ -261,7 +261,7 @@ pub fn unsigned_record(capsule: &Name, seq: u64, body: Vec<u8>) -> Record {
 /// that also drives rotation; a final rotation seals everything so the
 /// read passes exercise the sealed-segment fast lane, and its
 /// checkpoint bounds any later reopen. Returns the log and the names.
-pub fn seed_capsules(
+fn seed_capsules(
     dir: &Path,
     cfg: SegConfig,
     capsules: usize,

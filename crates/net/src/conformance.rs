@@ -1,8 +1,8 @@
 //! Transport conformance checks.
 //!
-//! Every message-oriented transport ([`crate::mem`], [`crate::tcp`], and
-//! any future substrate) must uphold the same observable contract so the
-//! sans-I/O protocol cores behave identically on all of them:
+//! Every message-oriented transport ([`crate::tcp`], [`crate::simnet`])
+//! must uphold the same observable contract so the sans-I/O protocol
+//! cores behave identically on both:
 //!
 //! 1. **Delivery** — a sent PDU arrives at the addressed peer, bit-exact.
 //! 2. **Per-peer FIFO** — PDUs from one sender arrive in send order.
@@ -11,9 +11,9 @@
 //!    `Ok(None)`, not an error and not a phantom PDU.
 //!
 //! The checks are generic over [`Transport`]; the integration test
-//! `transport_conformance.rs` instantiates them for both `MemNet`
-//! endpoints and `TcpNet` sockets. Peer-death behavior is transport-
-//! specific (endpoint drop vs. process death) and tested per-transport.
+//! `transport_conformance.rs` instantiates them for `TcpNet` sockets and
+//! `simnet` endpoints. Peer-death behavior is transport-specific (process
+//! death vs. simulated crash) and tested per-transport.
 
 use crate::Transport;
 use gdp_wire::{Name, Pdu};

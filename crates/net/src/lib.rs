@@ -6,13 +6,11 @@
 //!   bandwidth (store-and-forward serialization), loss, and partitions.
 //!   All paper-figure reproductions run on it (see DESIGN.md,
 //!   "Substitutions").
-//! * [`mem`] — a threaded in-process transport over crossbeam channels for
-//!   real-concurrency tests and CPU-bound forwarding measurements.
 //! * [`tcp`] — a real-socket transport over `std::net` TCP with
 //!   length-prefixed framing, a reconnecting per-peer connection pool, and
 //!   a hardened decode path, so GDP nodes can run as separate processes.
 //! * [`simnet`] — a deterministic, seeded discrete-event *transport*: the
-//!   same [`Transport`] contract as `mem`/`tcp`, but with virtual time,
+//!   same [`Transport`] contract as `tcp`, but with virtual time,
 //!   injectable faults (delay, reorder, drop, duplicate, asymmetric
 //!   partitions, crash/restart), and a replayable trace digest. The chaos
 //!   suite in `gdp-sim` runs the real node runtimes on it.
@@ -29,13 +27,11 @@
 
 pub mod admission;
 pub mod conformance;
-pub mod mem;
 pub mod sim;
 pub mod simnet;
 pub mod tcp;
 
 pub use admission::{AdmissionGate, TokenBucket, Verdict};
-pub use mem::{Endpoint, EndpointId, MemNet, MemNetError};
 pub use sim::{LinkSpec, NodeId, SimCtx, SimNet, SimNode, SimTime, MILLI, SECOND};
 pub use tcp::{
     IngestSink, IngestSinkFactory, PeerEvent, PeerHandle, PeerSendError, TcpNet, TcpNetConfig,
@@ -45,16 +41,16 @@ pub use tcp::{
 use gdp_wire::Pdu;
 use std::time::Duration;
 
-/// The contract shared by message-oriented transports ([`Endpoint`] over
-/// [`MemNet`], [`TcpNet`], and [`simnet::SimEndpoint`]): unicast PDU
-/// delivery with per-peer FIFO ordering and non-blocking/timeout receive.
+/// The contract shared by message-oriented transports ([`TcpNet`] and
+/// [`simnet::SimEndpoint`]): unicast PDU delivery with per-peer FIFO
+/// ordering and non-blocking/timeout receive.
 ///
 /// The callback simulator in [`sim`] is excluded — it owns virtual time
 /// and drives nodes via callbacks rather than channels. The [`simnet`]
 /// fabric is its transport-shaped successor: virtual time advances inside
 /// `recv_timeout`, so production event loops run on it unchanged.
 pub trait Transport {
-    /// Peer address type (endpoint id in-process, socket addr on TCP).
+    /// Peer address type (socket addr on TCP, endpoint address on `simnet`).
     type Peer: Copy + Eq + std::hash::Hash + std::fmt::Debug;
     /// Transport-specific error type.
     type Error: std::error::Error;
@@ -68,23 +64,6 @@ pub trait Transport {
 
     /// Non-blocking receive.
     fn try_recv(&self) -> Result<Option<(Self::Peer, Pdu)>, Self::Error>;
-}
-
-impl Transport for Endpoint {
-    type Peer = EndpointId;
-    type Error = MemNetError;
-
-    fn send(&self, to: EndpointId, pdu: Pdu) -> Result<(), MemNetError> {
-        Endpoint::send(self, to, pdu)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<(EndpointId, Pdu)>, MemNetError> {
-        Endpoint::recv_timeout(self, timeout)
-    }
-
-    fn try_recv(&self) -> Result<Option<(EndpointId, Pdu)>, MemNetError> {
-        Endpoint::try_recv(self)
-    }
 }
 
 impl Transport for TcpNet {

@@ -1,13 +1,12 @@
 //! The conformance suite from `gdp_net::conformance`, instantiated for
-//! every transport: `MemNet` endpoints, `TcpNet` over real loopback
-//! sockets, and the deterministic `simnet` fabric. The same PDU sequences
-//! must be delivered, per-peer order preserved, and peers isolated — plus
+//! both transports: `TcpNet` over real loopback sockets and the
+//! deterministic `simnet` fabric. The same PDU sequences must be
+//! delivered, per-peer order preserved, and peers isolated — plus
 //! transport-specific peer-death behavior.
 
 use gdp_net::conformance as conf;
 use gdp_net::simnet::{self, SimNetError};
 use gdp_net::tcp::{PeerEvent, TcpNet, TcpNetConfig};
-use gdp_net::{MemNet, MemNetError};
 use gdp_wire::{Name, Pdu};
 use std::time::Duration;
 
@@ -24,55 +23,6 @@ fn tcp() -> TcpNet {
 
 fn pdu(seq: u64, payload: Vec<u8>) -> Pdu {
     Pdu::data(Name::from_content(b"t-src"), Name::from_content(b"t-dst"), seq, payload)
-}
-
-// ---- MemNet ----------------------------------------------------------
-
-#[test]
-fn mem_delivery_integrity() {
-    let net = MemNet::new();
-    let (a, b) = (net.endpoint(), net.endpoint());
-    conf::check_delivery_integrity(&a, &b, b.id);
-}
-
-#[test]
-fn mem_per_peer_ordering() {
-    let net = MemNet::new();
-    let (a, b) = (net.endpoint(), net.endpoint());
-    conf::check_per_peer_ordering(&a, &b, b.id, 500);
-}
-
-#[test]
-fn mem_interleaved_senders() {
-    let net = MemNet::new();
-    let (a, b, c) = (net.endpoint(), net.endpoint(), net.endpoint());
-    conf::check_interleaved_senders(&a, &b, &c, c.id, 200);
-}
-
-#[test]
-fn mem_timeout_honesty() {
-    let net = MemNet::new();
-    let a = net.endpoint();
-    conf::check_timeout_honesty(&a);
-}
-
-#[test]
-fn mem_isolation() {
-    let net = MemNet::new();
-    let (a, b, bystander) = (net.endpoint(), net.endpoint(), net.endpoint());
-    conf::check_isolation(&a, &b, b.id, &bystander);
-}
-
-#[test]
-fn mem_peer_death_is_an_error() {
-    let net = MemNet::new();
-    let a = net.endpoint();
-    let b = net.endpoint();
-    let b_id = b.id;
-    drop(b);
-    // Sending to a dropped endpoint fails fast with a typed error.
-    let err = a.send(b_id, pdu(1, vec![1])).unwrap_err();
-    assert!(matches!(err, MemNetError::NoSuchEndpoint(_) | MemNetError::Disconnected));
 }
 
 // ---- SimNet (deterministic fabric, default no-fault config) -----------

@@ -487,10 +487,8 @@ impl ShardedEngine {
     /// it measures the dispatch stage (batcher, shard hash, batched
     /// channel enqueue, counters) in complete isolation: no forwarding
     /// work and no consumer competing for the driver's core. The fig6
-    /// sharded ablation in `gdp-bench` uses it to project multi-core
-    /// scaling on machines with fewer cores than shards; the lanes'
-    /// receivers are parked in the engine itself, so everything queued
-    /// is dropped on [`ShardedEngine::shutdown`].
+    /// sharded ablation in `gdp-bench` times its dispatch stage on it;
+    /// the lanes' receivers are handed to the caller to drain.
     #[doc(hidden)]
     pub fn start_unconsumed(
         shards: usize,

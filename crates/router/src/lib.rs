@@ -27,6 +27,6 @@ pub use dht::{DhtCluster, DhtNode};
 pub use fib::{Fib, FibEntry, NeighborId};
 pub use glookup::GLookup;
 pub use messages::{AdvertiseMsg, ControlMsg, LookupMsg, VerifiedRoute};
-pub use router::{is_data_plane, Outbox, RouteInstall, Router, RouterStats};
+pub use router::{is_data_plane, Outbox, RouteInstall, Router};
 pub use simnode::SimRouter;
 pub use vcache::{VerifyCache, DEFAULT_VERIFY_CACHE_CAP};

@@ -27,40 +27,9 @@ use rand::SeedableRng;
 /// flight stays answerable; small enough to bound per-neighbor state.
 const MAX_OUTSTANDING_CHALLENGES: usize = 4;
 
-/// Router statistics (observable by tests and benches).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RouterStats {
-    /// Data PDUs forwarded toward a FIB candidate or the parent.
-    pub forwarded: u64,
-    /// Data PDUs delivered to a locally attached principal.
-    pub delivered_local: u64,
-    /// Data PDUs dropped for lack of any route (root only).
-    pub no_route: u64,
-    /// Advertisements accepted.
-    pub adverts_accepted: u64,
-    /// Advertisements rejected (bad proof/chain/certs).
-    pub adverts_rejected: u64,
-    /// Route announcements accepted from child routers.
-    pub announces_accepted: u64,
-    /// Route announcements rejected on re-verification.
-    pub announces_rejected: u64,
-    /// Lookup queries answered from the local GLookupService.
-    pub lookups_local: u64,
-    /// Lookup queries escalated to the parent domain.
-    pub lookups_escalated: u64,
-    /// Signature verifications skipped via the verification cache.
-    pub verify_cache_hits: u64,
-    /// Verifications that ran in full (first sight, expired, or evicted).
-    pub verify_cache_misses: u64,
-    /// Control-plane PDUs (Advertise/RouterControl/Lookup) whose payload
-    /// did not decode — dropped, but counted so a byzantine flood of
-    /// garbage control frames is fully accounted for.
-    pub ctrl_undecodable: u64,
-}
-
 /// Cached observability handles: resolved once at construction so the
-/// data plane only ever touches atomics. Mirrors [`RouterStats`] and adds
-/// the FIB/GLookup hit-miss split plus sparse attach/no-route traces.
+/// data plane only ever touches atomics; carries the sparse
+/// attach/no-route traces too.
 struct RouterObs {
     scope: ObsScope,
     pdus_forwarded: Counter,
@@ -148,8 +117,6 @@ pub struct Router {
     /// sharded engine can mirror FIB state into its worker shards. Off by
     /// default — only the gdpd control router enables it.
     install_log: Option<Vec<RouteInstall>>,
-    /// Statistics.
-    pub stats: RouterStats,
     /// Cached metric handles (shared registry when built `with_obs`).
     obs: RouterObs,
     /// Where routers at this level send unknown names (`None` = root, which
@@ -218,7 +185,6 @@ impl Router {
             catalogs: FastMap::default(),
             pending_lookups: FastMap::default(),
             next_query_id: 1,
-            stats: RouterStats::default(),
             obs: RouterObs::new(obs),
             seq: 0,
             rng: StdRng::from_entropy(),
@@ -345,10 +311,8 @@ impl Router {
                 // `neighbor_down`. Checking the distance avoids a second
                 // map lookup on the forwarding fast path.
                 if best.distance == 0 {
-                    self.stats.delivered_local += 1;
                     self.obs.pdus_delivered_local.inc_single_writer();
                 } else {
-                    self.stats.forwarded += 1;
                     self.obs.pdus_forwarded.inc_single_writer();
                 }
                 out.push((best.neighbor, pdu));
@@ -357,7 +321,6 @@ impl Router {
             if let Some(alt) =
                 self.fib.candidates(&pdu.dst, now).into_iter().find(|e| e.neighbor != from)
             {
-                self.stats.forwarded += 1;
                 self.obs.pdus_forwarded.inc();
                 out.push((alt.neighbor, pdu));
                 return;
@@ -367,12 +330,10 @@ impl Router {
         }
         match self.parent {
             Some(parent) if parent != from => {
-                self.stats.forwarded += 1;
                 self.obs.pdus_forwarded.inc();
                 out.push((parent, pdu));
             }
             _ => {
-                self.stats.no_route += 1;
                 self.obs.pdus_no_route.inc();
                 self.obs.trace(now, "no_route", &[("dst", pdu.dst.to_hex())]);
                 // Report unreachability to the source if we can route back.
@@ -398,7 +359,6 @@ impl Router {
         let msg = match AdvertiseMsg::from_wire(&pdu.payload) {
             Ok(m) => m,
             Err(_) => {
-                self.stats.ctrl_undecodable += 1;
                 self.obs.ctrl_undecodable.inc();
                 return Vec::new();
             }
@@ -420,7 +380,6 @@ impl Router {
             AdvertiseMsg::Attach { proof, advertisement, rtcert } => {
                 match self.admit(now, from, &proof, &advertisement, &rtcert) {
                     Ok((accepted, mut announcements)) => {
-                        self.stats.adverts_accepted += 1;
                         self.obs.adverts_accepted.inc();
                         self.obs.trace(
                             now,
@@ -436,7 +395,6 @@ impl Router {
                         out
                     }
                     Err(reason) => {
-                        self.stats.adverts_rejected += 1;
                         self.obs.adverts_rejected.inc();
                         self.obs.trace(
                             now,
@@ -493,10 +451,8 @@ impl Router {
         // re-presents byte-identical signed objects.
         let advert_key = vcache::advert_digest(advertisement);
         if self.vcache.hit(&advert_key, now) {
-            self.stats.verify_cache_hits += 1;
             self.obs.verify_cache_hits.inc();
         } else {
-            self.stats.verify_cache_misses += 1;
             self.obs.verify_cache_misses.inc();
             advertisement.verify(now).map_err(|_| "advertisement failed verification")?;
             self.vcache.insert(advert_key, vcache::advert_expiry(advertisement));
@@ -507,10 +463,8 @@ impl Router {
         }
         let rtcert_key = vcache::rtcert_digest(rtcert, &advertisement.advertiser.key);
         if self.vcache.hit(&rtcert_key, now) {
-            self.stats.verify_cache_hits += 1;
             self.obs.verify_cache_hits.inc();
         } else {
-            self.stats.verify_cache_misses += 1;
             self.obs.verify_cache_misses.inc();
             rtcert
                 .verify(&advertisement.advertiser.key, now)
@@ -584,7 +538,6 @@ impl Router {
         };
         // gdp-lint: allow(CT01) -- advert digests are public record identifiers; the security decision is the signature verification on the next clause
         if ext.advert_digest != catalog.digest || ext.verify(&catalog.advertiser).is_err() {
-            self.stats.adverts_rejected += 1;
             self.obs.adverts_rejected.inc();
             return Vec::new();
         }
@@ -688,7 +641,6 @@ impl Router {
         let ControlMsg::Announce { route, distance } = match ControlMsg::from_wire(&pdu.payload) {
             Ok(m) => m,
             Err(_) => {
-                self.stats.ctrl_undecodable += 1;
                 self.obs.ctrl_undecodable.inc();
                 return Vec::new();
             }
@@ -698,11 +650,9 @@ impl Router {
         // so the verification memoizes; first sight and post-expiry runs
         // the full chain check.
         if !self.verify_route_cached(&route, now) {
-            self.stats.announces_rejected += 1;
             self.obs.announces_rejected.inc();
             return Vec::new();
         }
-        self.stats.announces_accepted += 1;
         self.obs.announces_accepted.inc();
         let scope_ok = match &route.entry {
             Some(entry) => self.may_propagate(&entry.chain.adcert.scope),
@@ -726,11 +676,9 @@ impl Router {
     fn verify_route_cached(&mut self, route: &VerifiedRoute, now: u64) -> bool {
         let digest = vcache::route_digest(route);
         if self.vcache.hit(&digest, now) {
-            self.stats.verify_cache_hits += 1;
             self.obs.verify_cache_hits.inc();
             return true;
         }
-        self.stats.verify_cache_misses += 1;
         self.obs.verify_cache_misses.inc();
         if route.verify(now).is_err() {
             return false;
@@ -752,7 +700,6 @@ impl Router {
                 }
                 match self.parent {
                     Some(parent) if routes.is_empty() => {
-                        self.stats.lookups_escalated += 1;
                         self.obs.lookups_escalated.inc();
                         let local_id = self.next_query_id;
                         self.next_query_id += 1;
@@ -761,7 +708,6 @@ impl Router {
                         vec![(parent, self.lookup_pdu(Name::ZERO, &query))]
                     }
                     _ => {
-                        self.stats.lookups_local += 1;
                         self.obs.lookups_local.inc();
                         let answer = LookupMsg::Answer { query_id, name, routes };
                         vec![(from, self.lookup_pdu(pdu.src, &answer))]
@@ -789,7 +735,6 @@ impl Router {
                 }
             }
             Err(_) => {
-                self.stats.ctrl_undecodable += 1;
                 self.obs.ctrl_undecodable.inc();
                 Vec::new()
             }

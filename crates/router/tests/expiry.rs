@@ -15,6 +15,11 @@ fn owner() -> SigningKey {
 }
 
 fn setup(advert_expires: u64) -> (Router, Attacher, Name) {
+    setup_with_obs(advert_expires, &gdp_obs::Scope::default())
+}
+
+/// `setup`, with the router counting into `obs`.
+fn setup_with_obs(advert_expires: u64, obs: &gdp_obs::Scope) -> (Router, Attacher, Name) {
     let writer = SigningKey::from_seed(&[2u8; 32]);
     let meta = MetadataBuilder::new()
         .writer(&writer.verifying_key())
@@ -27,7 +32,7 @@ fn setup(advert_expires: u64) -> (Router, Attacher, Name) {
         metadata: meta.clone(),
         chain: ServingChain::direct(adcert, server.principal().clone()),
     };
-    let router = Router::from_seed(&[4u8; 32], "router");
+    let router = Router::from_seed_with_obs(&[4u8; 32], "router", obs);
     let attacher = Attacher::new(server, router.name(), vec![entry], advert_expires)
         .with_rtcert_expires(CERT_BOUND);
     (router, attacher, meta.name())
@@ -79,7 +84,8 @@ fn extension_cannot_exceed_certificate_bounds() {
 
 #[test]
 fn forged_extension_ignored() {
-    let (mut router, mut attacher, capsule) = setup(1000);
+    let metrics = gdp_obs::Metrics::new();
+    let (mut router, mut attacher, capsule) = setup_with_obs(1000, &metrics.scope("router"));
     attach_directly(&mut router, 5, &mut attacher, 0).unwrap();
     // An attacker on the same link forges an extension with its own key.
     let ext_pdu = attacher.extend(5000).unwrap();
@@ -90,9 +96,9 @@ fn forged_extension_ignored() {
     let len = tampered.len();
     tampered[len - 10] ^= 0xff;
     forged.payload = tampered.into();
-    let before = router.stats.adverts_rejected;
+    let before = metrics.counter_value("router", "adverts_rejected");
     deliver(&mut router, 900, 5, forged);
-    assert_eq!(router.stats.adverts_rejected, before + 1);
+    assert_eq!(metrics.counter_value("router", "adverts_rejected"), before + 1);
     // Expiry unchanged.
     assert!(router.fib().best(&capsule, 1001).is_none());
 }

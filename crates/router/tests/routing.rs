@@ -6,7 +6,8 @@ use gdp_capsule::{CapsuleMetadata, MetadataBuilder};
 use gdp_cert::{AdCert, CapsuleAdvert, PrincipalId, PrincipalKind, Scope, ServingChain};
 use gdp_crypto::SigningKey;
 use gdp_net::{LinkSpec, NodeId, SimCtx, SimNet, SimNode};
-use gdp_router::{AttachStep, Attacher, LookupMsg, Router, SimRouter};
+use gdp_obs::Metrics;
+use gdp_router::{attach_directly, AttachStep, Attacher, LookupMsg, Router, SimRouter};
 use gdp_wire::{Name, Pdu, PduType, Wire};
 use std::any::Any;
 
@@ -97,6 +98,8 @@ fn capsule_advert(meta: &CapsuleMetadata, server: &PrincipalId, scope: Scope) ->
 /// Builds: root router ── r1 ── endpoints, r2 ── endpoints topology.
 struct Hierarchy {
     net: SimNet,
+    /// The registry r1 and r2 count into (scopes `r1`, `r2`).
+    metrics: Metrics,
     root: NodeId,
     r1: NodeId,
     r2: NodeId,
@@ -106,9 +109,10 @@ struct Hierarchy {
 
 fn hierarchy() -> Hierarchy {
     let mut net = SimNet::new(7);
+    let metrics = Metrics::new();
     let root_router = Router::from_seed(&[10u8; 32], "root");
-    let r1_router = Router::from_seed(&[11u8; 32], "domain-1");
-    let r2_router = Router::from_seed(&[12u8; 32], "domain-2");
+    let r1_router = Router::from_seed_with_obs(&[11u8; 32], "domain-1", &metrics.scope("r1"));
+    let r2_router = Router::from_seed_with_obs(&[12u8; 32], "domain-2", &metrics.scope("r2"));
     let root_name = root_router.name();
     let r1_name = r1_router.name();
     let r2_name = r2_router.name();
@@ -120,7 +124,7 @@ fn hierarchy() -> Hierarchy {
     net.node_mut::<SimRouter>(r1).router.set_parent(root);
     net.node_mut::<SimRouter>(r2).router.set_parent(root);
     let _ = root_name;
-    Hierarchy { net, root, r1, r2, r1_name, r2_name }
+    Hierarchy { net, metrics, root, r1, r2, r1_name, r2_name }
 }
 
 fn add_endpoint(
@@ -198,16 +202,15 @@ fn anycast_prefers_local_replica() {
 
     // A request from domain 2 must be served by the domain-2 replica
     // (distance 0 at r2) without ever reaching the root.
-    let before_root = h.net.node_mut::<SimRouter>(h.root).router.stats;
+    let before_root = h.net.link_delivered(h.r2, h.root);
     let data = Pdu::data(Name::from_content(b"anon"), meta.name(), 5, vec![]);
     h.net.inject(client_node, h.r2, data);
     h.net.run_to_quiescence();
     let n2_rx = &h.net.node_mut::<EndpointNode>(n2).received;
     assert_eq!(n2_rx.len(), 1, "local replica should receive the request");
-    let after_root = h.net.node_mut::<SimRouter>(h.root).router.stats;
     assert_eq!(
-        before_root.forwarded + before_root.delivered_local,
-        after_root.forwarded + after_root.delivered_local,
+        before_root,
+        h.net.link_delivered(h.r2, h.root),
         "root router should not carry anycast-local traffic"
     );
     // The root still knows both replicas (for clients elsewhere).
@@ -254,7 +257,7 @@ fn forged_advertisement_rejected() {
     assert!(node.attach_error.is_some());
     let now = h.net.now();
     assert!(h.net.node_mut::<SimRouter>(h.r1).router.lookup_local(&meta.name(), now).is_empty());
-    assert_eq!(h.net.node_mut::<SimRouter>(h.r1).router.stats.adverts_rejected, 1);
+    assert_eq!(h.metrics.counter_value("r1", "adverts_rejected"), 1);
 }
 
 #[test]
@@ -293,7 +296,7 @@ fn lookup_recurses_to_parent() {
         }
         other => panic!("expected answer, got {other:?}"),
     }
-    assert!(h.net.node_mut::<SimRouter>(h.r2).router.stats.lookups_escalated >= 1);
+    assert!(h.metrics.counter_value("r2", "lookups_escalated") >= 1);
 }
 
 #[test]
@@ -316,6 +319,37 @@ fn unroutable_name_yields_error_pdu() {
         .expect("error PDU should be routed back to the source");
     assert_eq!(err.payload, ghost.0.to_vec());
     assert_eq!(err.seq, 3);
+}
+
+/// Every Data PDU a router takes in lands in exactly one of three
+/// registry counters.
+#[test]
+fn data_pdu_outcomes_conserve_in_the_registry() {
+    let metrics = Metrics::new();
+    let mut router = Router::from_seed_with_obs(&[90u8; 32], "counted", &metrics.scope("router"));
+    let (parent, local_port, ingress) = (1, 7, 3);
+    router.set_parent(parent);
+    let local = PrincipalId::from_seed(PrincipalKind::Client, &[91u8; 32], "attached");
+    let local_name = local.name();
+    let mut attacher = Attacher::new(local, router.name(), vec![], 1 << 40);
+    attach_directly(&mut router, local_port, &mut attacher, 0).unwrap();
+
+    let elsewhere = Name::from_content(b"served in another domain");
+    // (arrives from, destination, count): attached here; unknown, so up
+    // to the parent; unknown and already coming down from the parent.
+    let mix = [(ingress, local_name, 5u64), (ingress, elsewhere, 3), (parent, elsewhere, 2)];
+    let mut data_in = 0u64;
+    for (from, dst, count) in mix {
+        for seq in 0..count {
+            let _ = router.handle_pdu(1, from, Pdu::data(Name::ZERO, dst, seq, vec![0u8; 64]));
+            data_in += 1;
+        }
+    }
+    let counted = |name| metrics.counter_value("router", name);
+    let (local, forwarded, no_route) =
+        (counted("pdus_delivered_local"), counted("pdus_forwarded"), counted("pdus_no_route"));
+    assert_eq!((local, forwarded, no_route), (5, 3, 2));
+    assert_eq!(local + forwarded + no_route, data_in);
 }
 
 #[test]

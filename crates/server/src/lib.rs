@@ -13,5 +13,5 @@ pub mod server;
 pub mod simnode;
 
 pub use proto::{AckMode, DataMsg, ErrorCode, ReadResult, ReadTarget, ResponseAuth};
-pub use server::{DataCapsuleServer, ServerStats};
+pub use server::DataCapsuleServer;
 pub use simnode::{SimServer, ATTACH_TIMER, TICK_TIMER};

@@ -33,33 +33,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap};
 
-/// Server counters, observable by tests and benches.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ServerStats {
-    /// Appends accepted and stored.
-    pub appends: u64,
-    /// Appends rejected (verification failure).
-    pub appends_rejected: u64,
-    /// Read requests served.
-    pub reads: u64,
-    /// Subscription events pushed.
-    pub events_pushed: u64,
-    /// Records received from peer replicas.
-    pub replicated_in: u64,
-    /// Records sent to peer replicas.
-    pub replicated_out: u64,
-    /// Anti-entropy records served to peers.
-    pub sync_served: u64,
-    /// Sessions established.
-    pub sessions: u64,
-    /// Appends shed with `Nack{Busy}` because the per-tick budget was
-    /// spent (see [`DataCapsuleServer::set_overload_policy`]).
-    pub appends_shed: u64,
-}
-
 /// Cached observability handles: resolved once at construction so the
-/// request paths only bump atomics. Mirrors [`ServerStats`] and adds the
-/// security-relevant `verify_failures` and `durability_timeouts` counts.
+/// request paths only bump atomics.
 struct ServerObs {
     scope: ObsScope,
     session_inits: Counter,
@@ -161,8 +136,6 @@ pub struct DataCapsuleServer {
     pending: Vec<PendingDurability>,
     /// Acks awaiting their covering fsync (group-commit stores).
     deferred: Vec<DeferredAck>,
-    /// Statistics.
-    pub stats: ServerStats,
     /// Cached metric handles (shared registry when built `with_obs`).
     obs: ServerObs,
     /// How long to wait for quorum acks before failing an append (µs).
@@ -196,7 +169,6 @@ impl DataCapsuleServer {
             sessions: HashMap::new(),
             pending: Vec::new(),
             deferred: Vec::new(),
-            stats: ServerStats::default(),
             obs: ServerObs::new(obs),
             durability_timeout: 10_000_000,
             append_budget: 0,
@@ -466,7 +438,6 @@ impl DataCapsuleServer {
                 let key = hkdf::derive_key32(capsule.as_bytes(), &shared, b"gdp/flow-key/v1");
                 let server_eph = *eph.public();
                 self.sessions.insert(client, FlowSession { client_eph, server_eph, key });
-                self.stats.sessions += 1;
                 self.obs.sessions_established.inc();
                 server_eph
             }
@@ -557,7 +528,6 @@ impl DataCapsuleServer {
         // an authenticated failure — the client keeps the request pending
         // and retries after `retry_after_us` plus jitter.
         if self.append_budget > 0 && self.appends_this_tick >= self.append_budget {
-            self.stats.appends_shed += 1;
             self.obs.appends_shed.inc();
             return vec![self.data_pdu(
                 client,
@@ -605,7 +575,6 @@ impl DataCapsuleServer {
             }
             Ok(_) => {}
             Err(e) => {
-                self.stats.appends_rejected += 1;
                 self.obs.appends_rejected.inc();
                 self.obs.verify_failures.inc();
                 self.obs.trace(
@@ -627,7 +596,6 @@ impl DataCapsuleServer {
                 return vec![self.err_pdu(client, seq, ErrorCode::BadRequest, "storage failure")]
             }
         };
-        self.stats.appends += 1;
         self.obs.appends_committed.inc();
 
         let peers = hosted.peers.clone();
@@ -641,7 +609,6 @@ impl DataCapsuleServer {
                 0,
                 &DataMsg::Replicate { capsule: capsule_name, record: record.clone() },
             ));
-            self.stats.replicated_out += 1;
             self.obs.replicated_out.inc();
         }
 
@@ -650,7 +617,6 @@ impl DataCapsuleServer {
             let body = event_body(&record);
             let auth = self.auth_for(&capsule_name, sub, 0, &body);
             out.push(self.data_pdu(*sub, 0, &DataMsg::Event { record: record.clone(), auth }));
-            self.stats.events_pushed += 1;
             self.obs.events_pushed.inc();
         }
 
@@ -694,7 +660,6 @@ impl DataCapsuleServer {
         let Some(hosted) = self.hosted.get(&capsule_name) else {
             return vec![self.err_pdu(client, seq, ErrorCode::NotServing, "unknown capsule")];
         };
-        self.stats.reads += 1;
         self.obs.reads_served.inc();
         let capsule = &hosted.capsule;
         let result = match target {
@@ -772,7 +737,6 @@ impl DataCapsuleServer {
             let body = event_body(&record);
             let auth = self.auth_for(&capsule_name, &client, 0, &body);
             out.push(self.data_pdu(client, 0, &DataMsg::Event { record, auth }));
-            self.stats.events_pushed += 1;
             self.obs.events_pushed.inc();
         }
         out
@@ -802,7 +766,6 @@ impl DataCapsuleServer {
                 let Ok(a) = hosted.store.append_acked(&record) else {
                     return Vec::new(); // never ack what we failed to store
                 };
-                self.stats.replicated_in += 1;
                 self.obs.replicated_in.inc();
                 a
             }
@@ -820,7 +783,6 @@ impl DataCapsuleServer {
             let body = event_body(&record);
             let auth = self.auth_for(&capsule_name, sub, 0, &body);
             out.push(self.data_pdu(*sub, 0, &DataMsg::Event { record: record.clone(), auth }));
-            self.stats.events_pushed += 1;
             self.obs.events_pushed.inc();
         }
         out
@@ -903,7 +865,6 @@ impl DataCapsuleServer {
         if records.is_empty() {
             return Vec::new();
         }
-        self.stats.sync_served += records.len() as u64;
         self.obs.sync_served.add(records.len() as u64);
         vec![self.data_pdu(peer, 0, &DataMsg::SyncResponse { capsule: capsule_name, records })]
     }
@@ -919,7 +880,6 @@ impl DataCapsuleServer {
                 Ok(IngestOutcome::Duplicate) => {}
                 Ok(_) => {
                     let _ = hosted.store.append(&record);
-                    self.stats.replicated_in += 1;
                     self.obs.replicated_in.inc();
                 }
                 Err(_) => self.obs.verify_failures.inc(),
@@ -1026,6 +986,8 @@ mod tests {
 
     struct Rig {
         server: DataCapsuleServer,
+        /// The registry the server counts into (scope `server`).
+        metrics: gdp_obs::Metrics,
         capsule: Name,
         writer: CapsuleWriter,
         client: Name,
@@ -1038,7 +1000,8 @@ mod tests {
 
     fn rig_with_peers(peers: Vec<Name>) -> Rig {
         let id = PrincipalId::from_seed(gdp_cert::PrincipalKind::Server, &[3u8; 32], "s");
-        let mut server = DataCapsuleServer::new(id.clone());
+        let metrics = gdp_obs::Metrics::new();
+        let mut server = DataCapsuleServer::new_with_obs(id.clone(), &metrics.scope("server"));
         let meta = MetadataBuilder::new()
             .writer(&wkey().verifying_key())
             .set_str("description", "unit")
@@ -1049,7 +1012,18 @@ mod tests {
         );
         server.host(meta.clone(), chain, peers).unwrap();
         let writer = CapsuleWriter::new(&meta, wkey(), PointerStrategy::Chain).unwrap();
-        Rig { server, capsule: meta.name(), writer, client: Name::from_content(b"client"), seq: 0 }
+        Rig {
+            server,
+            metrics,
+            capsule: meta.name(),
+            writer,
+            client: Name::from_content(b"client"),
+            seq: 0,
+        }
+    }
+
+    fn counted(rig: &Rig, name: &str) -> u64 {
+        rig.metrics.counter_value("server", name)
     }
 
     fn request(rig: &mut Rig, msg: &DataMsg) -> Vec<Pdu> {
@@ -1110,8 +1084,8 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(rig.server.stats.appends, 5);
-        assert_eq!(rig.server.stats.reads, 4);
+        assert_eq!(counted(&rig, "appends_committed"), 5);
+        assert_eq!(counted(&rig, "reads_served"), 4);
     }
 
     #[test]
@@ -1135,14 +1109,48 @@ mod tests {
         }
         assert_eq!(acked, 2, "budget of 2 admits exactly 2 appends per tick");
         assert_eq!(nacked, 3, "excess appends must be shed, not dropped silently");
-        assert_eq!(rig.server.stats.appends + rig.server.stats.appends_shed, 5, "conservation");
+        assert_eq!(
+            counted(&rig, "appends_committed") + counted(&rig, "appends_shed"),
+            5,
+            "conservation"
+        );
         // A tick opens a fresh budget: the shed records can now land.
         let _ = rig.server.tick(1_000);
         for record in records.iter().skip(2).take(2).cloned() {
             let out = request(&mut rig, &DataMsg::Append { record, ack_mode: AckMode::Local });
             assert!(matches!(msg_of(&out[0]), DataMsg::AppendAck { .. }));
         }
-        assert_eq!(rig.server.stats.appends, 4);
+        assert_eq!(counted(&rig, "appends_committed"), 4);
+    }
+
+    /// Every fresh append the server receives for a hosted capsule lands
+    /// in exactly one of three registry counters.
+    #[test]
+    fn append_outcomes_conserve_in_the_registry() {
+        let mut rig = rig();
+        rig.server.set_overload_policy(3, 75_000);
+        let good: Vec<Record> =
+            (0..5u64).map(|i| rig.writer.append(format!("r{i}").as_bytes(), i).unwrap()).collect();
+        let mut tampered = good[4].clone();
+        tampered.body = b"tampered".to_vec().into();
+        // Two commits, one rejection (which spends budget too), then two
+        // sheds; after the tick opens a fresh budget, one more commit.
+        let first_tick =
+            [good[0].clone(), good[1].clone(), tampered, good[2].clone(), good[3].clone()];
+        let received = first_tick.len() as u64 + 1;
+        for record in first_tick {
+            request(&mut rig, &DataMsg::Append { record, ack_mode: AckMode::Local });
+        }
+        let _ = rig.server.tick(1_000);
+        let record = good[2].clone();
+        request(&mut rig, &DataMsg::Append { record, ack_mode: AckMode::Local });
+        let (committed, rejected, shed) = (
+            counted(&rig, "appends_committed"),
+            counted(&rig, "appends_rejected"),
+            counted(&rig, "appends_shed"),
+        );
+        assert_eq!((committed, rejected, shed), (3, 1, 2));
+        assert_eq!(committed + rejected + shed, received);
     }
 
     #[test]
@@ -1157,7 +1165,7 @@ mod tests {
         };
         let out = rig.server.handle_pdu(0, pdu);
         assert!(matches!(msg_of(&out[0]), DataMsg::ErrResp { code: ErrorCode::BadRequest, .. }));
-        assert_eq!(rig.server.obs.requests_undecodable.get(), 1);
+        assert_eq!(counted(&rig, "requests_undecodable"), 1);
     }
 
     #[test]
@@ -1170,7 +1178,7 @@ mod tests {
             msg_of(&out[0]),
             DataMsg::ErrResp { code: ErrorCode::VerificationFailed, .. }
         ));
-        assert_eq!(rig.server.stats.appends_rejected, 1);
+        assert_eq!(counted(&rig, "appends_rejected"), 1);
     }
 
     #[test]
@@ -1198,7 +1206,7 @@ mod tests {
         assert!(matches!(msg_of(&out1[0]), DataMsg::AppendAck { .. }));
         assert!(matches!(msg_of(&out2[0]), DataMsg::AppendAck { .. }));
         assert_eq!(rig.server.capsule(&rig.capsule).unwrap().len(), 1);
-        assert_eq!(rig.server.stats.appends, 1);
+        assert_eq!(counted(&rig, "appends_committed"), 1);
     }
 
     #[test]
@@ -1255,7 +1263,7 @@ mod tests {
         let out = request(&mut rig, &DataMsg::Append { record: r2, ack_mode: AckMode::Local });
         let events = out.iter().filter(|p| matches!(msg_of(p), DataMsg::Event { .. })).count();
         assert_eq!(events, 1);
-        assert_eq!(rig.server.stats.events_pushed, 2);
+        assert_eq!(counted(&rig, "events_pushed"), 2);
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub const FOREVER: u64 = 1 << 50;
 
 /// Modeled DataCapsule-server CPU per handled request (µs): dominated by
 /// the Ed25519 record verification (~170 µs measured by
-/// `cargo bench -p gdp-bench --bench ablation_session`).
+/// `report -- ablation-session`).
 pub const SERVER_CPU_US: u64 = 200;
 
 /// Which physical deployment to model (paper §IX).

@@ -73,10 +73,10 @@ fn locality_anycast() {
     let capsule = world.provision_capsule(&meta, writer_key(), PointerStrategy::Chain).unwrap();
     world.append(&capsule, b"data").unwrap();
     world.net.run_to_quiescence();
-    let root_node = world.routers[1].0;
-    let before = world.net.node_mut::<SimRouter>(root_node).router.stats.forwarded;
+    let (client_router, root) = (world.routers[0].0, world.routers[1].0);
+    let before = world.net.link_delivered(client_router, root);
     world.read(&capsule, 1).unwrap();
-    let after = world.net.node_mut::<SimRouter>(root_node).router.stats.forwarded;
+    let after = world.net.link_delivered(client_router, root);
     assert_eq!(before, after, "read with local replica must not touch the root");
 }
 

@@ -1,134 +1,19 @@
-//! The same sans-I/O state machines, on real threads: router and server
-//! run as independent threads over the in-process `MemNet` fabric while
-//! the main thread drives a verifying client. Demonstrates that the
-//! protocol cores are transport-agnostic (deterministic simulator ⇄ real
-//! concurrency) and exercises cross-thread queueing.
+//! The sans-I/O state machines on real threads: a router node and a
+//! storage node, each on its own event-loop thread behind a loopback
+//! `TcpNet` socket (the wiring `gdpd` uses), while the main thread drives
+//! a verifying client. Exercises cross-thread queueing and the socket
+//! boundary through the `gdp` facade.
 
 use gdp::capsule::{MetadataBuilder, PointerStrategy};
 use gdp::cert::{AdCert, PrincipalId, PrincipalKind, Scope, ServingChain};
-use gdp::client::{ClientEvent, GdpClient, VerifiedRead};
+use gdp::client::VerifiedRead;
 use gdp::crypto::SigningKey;
-use gdp::net::{Endpoint, MemNet};
-use gdp::router::{AttachStep, Attacher, Router};
-use gdp::server::{AckMode, DataCapsuleServer, ReadTarget};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-
-const FOREVER: u64 = 1 << 50;
-
-/// Router thread: forward PDUs between endpoints until stopped.
-fn spawn_router(
-    router: Router,
-    endpoint: Endpoint,
-    stop: Arc<AtomicBool>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        let mut router = router;
-        while !stop.load(Ordering::Relaxed) {
-            match endpoint.recv_timeout(Duration::from_millis(10)) {
-                Ok(Some((from, pdu))) => {
-                    for (to, out) in router.handle_pdu(0, from, pdu) {
-                        let _ = endpoint.send(to, out);
-                    }
-                }
-                Ok(None) => {}
-                Err(_) => break,
-            }
-        }
-    })
-}
-
-/// Server thread: attach (secure advertisement) then serve until stopped.
-fn spawn_server(
-    mut server: DataCapsuleServer,
-    endpoint: Endpoint,
-    router_ep: usize,
-    router_name: gdp::wire::Name,
-    stop: Arc<AtomicBool>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        let mut attacher = Some(Attacher::new(
-            server.principal_id().clone(),
-            router_name,
-            server.advert_entries(),
-            FOREVER,
-        ));
-        endpoint.send(router_ep, attacher.as_ref().unwrap().hello()).unwrap();
-        while !stop.load(Ordering::Relaxed) {
-            match endpoint.recv_timeout(Duration::from_millis(10)) {
-                Ok(Some((_, pdu))) => {
-                    if let Some(a) = attacher.as_mut() {
-                        match a.on_pdu(&pdu) {
-                            AttachStep::Send(p) => {
-                                endpoint.send(router_ep, p).unwrap();
-                                continue;
-                            }
-                            AttachStep::Done(_) => {
-                                attacher = None;
-                                continue;
-                            }
-                            AttachStep::Failed(r) => panic!("server attach failed: {r}"),
-                            AttachStep::Ignored => {}
-                        }
-                    }
-                    for out in server.handle_pdu(0, pdu) {
-                        let _ = endpoint.send(router_ep, out);
-                    }
-                }
-                Ok(None) => {}
-                Err(_) => break,
-            }
-        }
-    })
-}
-
-/// Runs an attach handshake over `endpoint`, blocking.
-fn attach_blocking(attacher: &mut Attacher, endpoint: &Endpoint, router_ep: usize) {
-    endpoint.send(router_ep, attacher.hello()).unwrap();
-    loop {
-        let (_, pdu) = endpoint.recv().unwrap();
-        match attacher.on_pdu(&pdu) {
-            AttachStep::Send(p) => endpoint.send(router_ep, p).unwrap(),
-            AttachStep::Done(_) => return,
-            AttachStep::Failed(r) => panic!("client attach failed: {r}"),
-            AttachStep::Ignored => {}
-        }
-    }
-}
-
-/// Pumps client responses until `pred` returns Some, or panics at the
-/// deadline.
-fn wait_for<T>(
-    client: &mut GdpClient,
-    endpoint: &Endpoint,
-    mut pred: impl FnMut(&ClientEvent) -> Option<T>,
-) -> T {
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while std::time::Instant::now() < deadline {
-        if let Some((_, resp)) = endpoint.recv_timeout(Duration::from_millis(50)).unwrap() {
-            for ev in client.handle_pdu(0, resp) {
-                if let Some(v) = pred(&ev) {
-                    return v;
-                }
-                if matches!(ev, ClientEvent::VerificationFailed { .. }) {
-                    panic!("verification failed: {ev:?}");
-                }
-            }
-        }
-    }
-    panic!("timed out waiting for client event");
-}
+use gdp::node::{self, ClusterClient, HostSpec, NodeConfig, Role, FOREVER};
+use gdp::router::Router;
+use gdp::server::{AckMode, ReadTarget};
 
 #[test]
 fn full_stack_on_threads() {
-    let net = MemNet::new();
-    let router_endpoint = net.endpoint();
-    let server_endpoint = net.endpoint();
-    let client_endpoint = net.endpoint();
-    let router_ep = router_endpoint.id;
-    let stop = Arc::new(AtomicBool::new(false));
-
     let owner = SigningKey::from_seed(&[1u8; 32]);
     let writer_key = SigningKey::from_seed(&[2u8; 32]);
     let meta = MetadataBuilder::new()
@@ -137,71 +22,76 @@ fn full_stack_on_threads() {
         .sign(&owner);
     let capsule = meta.name();
 
-    let server_id = PrincipalId::from_seed(PrincipalKind::Server, &[3u8; 32], "threaded-srv");
-    let mut server = DataCapsuleServer::new(server_id.clone());
+    let router_seed = [4u8; 32];
+    let router_name = Router::from_seed(&router_seed, "threaded-router").name();
+    let router_cfg = NodeConfig {
+        role: Role::Router,
+        listen: "127.0.0.1:0".parse().unwrap(),
+        seed: router_seed,
+        label: "threaded-router".into(),
+        peers: vec![],
+        router: None,
+        data_dir: None,
+        fsync: None,
+        stats_path: None,
+        hosts: vec![],
+        shards: 1,
+        admission_rate: 0,
+        admission_burst: 64,
+    };
+    let router = node::start(router_cfg.clone()).expect("start router");
+
+    // The server identity a storage node derives from its config seed.
+    let server_seed = [3u8; 32];
+    let mut id_seed = server_seed;
+    id_seed[0] ^= 0x5a;
+    let server_id = PrincipalId::from_seed(PrincipalKind::Server, &id_seed, "threaded-srv");
     let chain = ServingChain::direct(
         AdCert::issue(&owner, capsule, server_id.name(), false, Scope::Global, FOREVER),
         server_id.principal().clone(),
     );
-    server.host(meta.clone(), chain, vec![]).unwrap();
+    let server = node::start(NodeConfig {
+        role: Role::Storage,
+        seed: server_seed,
+        label: "threaded-srv".into(),
+        peers: vec![router.local_addr()],
+        router: Some(router_name),
+        hosts: vec![HostSpec { metadata: meta.clone(), chain, peers: vec![] }],
+        ..router_cfg
+    })
+    .expect("start storage node");
 
-    let router = Router::from_seed(&[4u8; 32], "threaded-router");
-    let router_name = router.name();
-
-    let router_thread = spawn_router(router, router_endpoint, Arc::clone(&stop));
-    let server_thread =
-        spawn_server(server, server_endpoint, router_ep, router_name, Arc::clone(&stop));
-
-    // Client attaches from the main thread (after the server, ordering is
-    // guaranteed by retrying the first append until routable).
-    let mut client = GdpClient::from_seed(&[5u8; 32], "threaded-client");
+    let mut client =
+        ClusterClient::connect(router.local_addr(), router_name, &[5u8; 32], "threaded-client")
+            .expect("attach to router");
+    client.track(&meta).unwrap();
     client.register_writer(&meta, writer_key, PointerStrategy::Chain).unwrap();
-    let mut client_attacher =
-        Attacher::new(client.principal_id().clone(), router_name, Vec::new(), FOREVER);
-    attach_blocking(&mut client_attacher, &client_endpoint, router_ep);
 
-    // Twenty appends; the first may race the server's attach, so retry the
-    // same PDU until acked (appends are idempotent server-side).
+    // Twenty appends; the first may race the server's attach, which
+    // `ClusterClient::append` rides out by resending the same record.
     const N: u64 = 20;
     for i in 0..N {
-        let (pdu, record) =
-            client.append(capsule, format!("threaded {i}").as_bytes(), i, AckMode::Local).unwrap();
-        let want = record.header.seq;
-        loop {
-            client_endpoint.send(router_ep, pdu.clone()).unwrap();
-            let acked = wait_for(&mut client, &client_endpoint, |ev| match ev {
-                ClientEvent::AppendAcked { seq, .. } if *seq == want => Some(true),
-                ClientEvent::Unreachable { .. } => Some(false),
-                _ => None,
-            });
-            if acked {
-                break;
-            }
-            // Server not advertised yet; brief backoff then resend.
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        let seq = client
+            .append(capsule, format!("threaded {i}").as_bytes(), AckMode::Local)
+            .expect("append acked");
+        assert_eq!(seq, i + 1);
     }
 
     // Verified range read across threads.
-    let pdu = client.read(capsule, ReadTarget::Range(1, N));
-    client_endpoint.send(router_ep, pdu).unwrap();
-    let records = wait_for(&mut client, &client_endpoint, |ev| match ev {
-        ClientEvent::ReadOk { result: VerifiedRead::Records(rs), .. } => Some(rs.clone()),
-        _ => None,
-    });
+    let VerifiedRead::Records(records) =
+        client.read(capsule, ReadTarget::Range(1, N)).expect("range read")
+    else {
+        panic!("Range read did not return records");
+    };
     assert_eq!(records.len() as u64, N);
     assert_eq!(records[0].body, b"threaded 0");
     assert_eq!(records[19].body, b"threaded 19");
 
     // A session handshake also works across threads.
-    let pdu = client.session_init(capsule);
-    client_endpoint.send(router_ep, pdu).unwrap();
-    wait_for(&mut client, &client_endpoint, |ev| {
-        matches!(ev, ClientEvent::SessionReady { .. }).then_some(())
-    });
-    assert!(client.has_session(&capsule));
+    client.session(capsule).expect("session");
+    assert!(client.core().has_session(&capsule));
 
-    stop.store(true, Ordering::Relaxed);
-    router_thread.join().unwrap();
-    server_thread.join().unwrap();
+    client.close();
+    server.stop();
+    router.stop();
 }
