@@ -11,6 +11,10 @@
 //! Like the server, the client is sans-I/O: methods build request PDUs and
 //! `handle_pdu` turns responses into [`ClientEvent`]s.
 
+// Non-test matches on wire enums (`Pdu`, `PduType`, `DataMsg`) name every variant: a
+// new variant is a compile error here, not silent message loss behind a `_ =>`.
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
+
 use gdp_capsule::{CapsuleMetadata, CapsuleWriter, Heartbeat, PointerStrategy, Record};
 use gdp_cert::{Principal, PrincipalId, PrincipalKind};
 use gdp_crypto::x25519::EphemeralKeyPair;

@@ -34,11 +34,6 @@ impl SourceFile {
             in_test,
         }
     }
-
-    /// True when the file has a comment containing `needle` on `line`.
-    pub fn comment_on_line_contains(&self, line: usize, needle: &str) -> bool {
-        self.comments.iter().any(|c| c.line == line && c.text.contains(needle))
-    }
 }
 
 /// Marks tokens under `#[test]`- or `#[cfg(test)]`-attributed items.
@@ -264,10 +259,9 @@ pub fn lint_paths(
         }
     }
 
-    let workspace = rules::WorkspaceIndex::build(&parsed);
     let mut findings: Vec<Finding> = Vec::new();
     for file in &parsed {
-        findings.extend(rules::run_all(file, cfg, &workspace));
+        findings.extend(rules::run_all(file));
     }
     findings.extend(rules::run_workspace(&parsed, &aux, cfg, Some(root), default_scan));
 

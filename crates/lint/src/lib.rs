@@ -3,22 +3,21 @@
 //! An offline, dependency-free static analyzer for the GDP workspace. The
 //! paper's security argument (§IV/§VII) rests on invariants the compiler
 //! cannot see; each rule here turns one of them from a code-review
-//! convention into a CI gate:
+//! convention into a CI gate. A check lives here only while no rustc or
+//! clippy lint enforces the same invariant — hot-path panics, swallowed
+//! wire variants, the single-writer counter and `unsafe` are compiler
+//! lints declared in the files they guard (DESIGN.md, "Static analysis").
 //!
 //! | rule | invariant |
 //! |---|---|
 //! | `CT01` | MAC/tag/digest/signature byte comparisons are constant-time (`gdp_crypto::ct::eq`), never `==`/`!=` |
 //! | `SK01` | secret key material never reaches `Debug`/format/trace output |
-//! | `HP01` | hot-path/daemon modules contain no `unwrap`/`expect`/`panic!`/range-index panics |
-//! | `OB01` | plain load/store counter increments only in modules allowlisted as single-writer |
-//! | `WX01` | wire-enum decoders/dispatchers cover every variant; no silent `_ =>` swallowing |
-//! | `US01` | `unsafe` requires a `// SAFETY:` comment; unsafe-free crates carry `#![forbid(unsafe_code)]` |
 //! | `LK01` | the global lock graph is acyclic: no guard live-range (interprocedural, one call deep) acquires locks in a cycle-forming order |
 //! | `LK02` | no blocking call (`fsync`, `write_all`, `pread_fill`, channel ops, `File::open`, `sleep`, `spawn`) while a hot-path lock is held |
 //! | `CH01` | data-plane sends go to `bounded` channels, control lanes drain before data in dual-polling loops, cloned senders have a shutdown path |
 //! | `OB02` | registered metric names, DESIGN.md's metric-namespace tables, and chaos conservation laws agree exactly |
 //!
-//! The first six are per-file token rules; the `LK`/`CH`/`OB02` family
+//! The first two are per-file token rules; the `LK`/`CH`/`OB02` family
 //! runs on a two-pass, workspace-wide analysis: pass 1 builds a
 //! cross-file symbol table and call graph ([`symbols`], [`callgraph`]),
 //! pass 2 evaluates lock-guard live ranges, channel constructor kinds,
@@ -86,7 +85,7 @@ pub struct Report {
 }
 
 impl Report {
-    /// Per-rule counts of unsuppressed findings (all six rules present,
+    /// Per-rule counts of unsuppressed findings (every rule present,
     /// zeros included, so CI logs show full coverage).
     pub fn by_rule(&self) -> BTreeMap<&'static str, usize> {
         let mut map: BTreeMap<&'static str, usize> =
@@ -102,19 +101,6 @@ impl Report {
 /// policy; tests may build custom configs.
 #[derive(Clone, Debug)]
 pub struct LintConfig {
-    /// Path fragments designating hot-path/daemon modules for `HP01`:
-    /// the router forward path, the shard workers, the gdpd event loop,
-    /// and the TCP transport.
-    pub hot_path_modules: Vec<String>,
-    /// `OB01` allowlist: `(path fragment, owning thread)` pairs for
-    /// modules sanctioned to use single-writer (plain load/store) counter
-    /// increments. The reason names the one thread that owns the writes.
-    pub single_writer_allowlist: Vec<(String, String)>,
-    /// Enum names whose dispatch/decode matches `WX01` polices.
-    pub wire_enums: Vec<String>,
-    /// Minimum distinct variants a match must name before `WX01` treats
-    /// it as a dispatcher (small partial matches are exempt).
-    pub dispatch_threshold: usize,
     /// Path fragments of modules where `LK02` polices blocking calls
     /// under a held lock. Deliberately *excludes* `seglog/mod.rs`: the
     /// segmented log's `LogInner` is an I/O-owning coarse lock by design
@@ -140,42 +126,6 @@ pub struct LintConfig {
 impl Default for LintConfig {
     fn default() -> LintConfig {
         LintConfig {
-            hot_path_modules: vec![
-                // The PR-4 forwarding fast path and its lookup structures.
-                "crates/router/src/router.rs".into(),
-                "crates/router/src/fib.rs".into(),
-                "crates/router/src/vcache.rs".into(),
-                // Shard workers and the node event loop.
-                "crates/node/src/shard.rs".into(),
-                "crates/node/src/runtime.rs".into(),
-                "crates/node/src/bin/gdpd.rs".into(),
-                // The threaded transport (reader/writer/accept loops).
-                "crates/net/src/tcp.rs".into(),
-                // The segmented log's group-commit writer: every durable
-                // append crosses it, and a panic here loses the batch.
-                "crates/store/src/seglog/writer.rs".into(),
-                // The read fast lane: the block cache and fd pool sit on
-                // every sealed-segment read a serving node performs.
-                "crates/store/src/seglog/cache.rs".into(),
-                "crates/store/src/seglog/fdpool.rs".into(),
-                // The rule's own fixture corpus.
-                "fixtures/hp01/".into(),
-            ],
-            single_writer_allowlist: vec![
-                (
-                    "crates/obs/src/lib.rs".into(),
-                    "definition site of the sanctioned Counter::inc_single_writer primitive".into(),
-                ),
-                (
-                    "crates/router/src/router.rs".into(),
-                    "each Router instance is owned by exactly one thread: the gdpd event loop, \
-                     or its shard worker (crates/node/src/shard.rs) when `shards > 1`"
-                        .into(),
-                ),
-                ("fixtures/ob01/good.rs".into(), "fixture: models an allowlisted module".into()),
-            ],
-            wire_enums: vec!["Pdu".into(), "PduType".into(), "DataMsg".into()],
-            dispatch_threshold: 4,
             blocking_sensitive_modules: vec![
                 "crates/router/src/router.rs".into(),
                 "crates/router/src/fib.rs".into(),

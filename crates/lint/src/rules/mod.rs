@@ -1,171 +1,23 @@
-//! The rule engine: shared token helpers, the cross-file workspace index,
-//! and the ten rules (one module each). Six are per-file token rules run
-//! by [`run_all`]; the concurrency/namespace family (`LK01`, `LK02`,
-//! `CH01`, `OB02`) runs once over the whole scan set via
-//! [`run_workspace`] on the pass-1 symbol table and call graph.
+//! The rule engine: shared token helpers and the six rules (one module
+//! each). `CT01` and `SK01` are per-file token rules run by [`run_all`];
+//! the concurrency/namespace family (`LK01`, `LK02`, `CH01`, `OB02`) runs
+//! once over the whole scan set via [`run_workspace`] on the pass-1
+//! symbol table and call graph.
 
 pub mod ch01;
 pub mod ct01;
-pub mod hp01;
 pub mod lk01;
 pub mod lk02;
-pub mod ob01;
 pub mod ob02;
 pub mod sk01;
-pub mod us01;
-pub mod wx01;
 
 use crate::engine::SourceFile;
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::Tok;
 use crate::{Finding, LintConfig};
-use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// All rule IDs, in report order.
-pub const RULE_IDS: [&str; 10] =
-    ["CH01", "CT01", "HP01", "LK01", "LK02", "OB01", "OB02", "SK01", "US01", "WX01"];
-
-/// Cross-file facts rules need: wire-enum variant sets (`WX01`) and
-/// per-crate `unsafe` inventory (`US01`).
-pub struct WorkspaceIndex {
-    /// Designated wire enums found in the scan set: name → declared
-    /// variants. Wire enums are identified by name (see
-    /// [`crate::LintConfig::wire_enums`]).
-    pub enum_variants: BTreeMap<String, BTreeSet<String>>,
-    /// Crate roots in the scan set: `src` dir → (root file path if
-    /// scanned, crate contains `unsafe`, root carries
-    /// `#![forbid(unsafe_code)]`).
-    pub crates: BTreeMap<String, CrateFacts>,
-}
-
-/// Per-crate facts for `US01`'s crate-level check.
-#[derive(Default)]
-pub struct CrateFacts {
-    /// The crate root (`lib.rs`/`main.rs`) path, when scanned.
-    pub root: Option<String>,
-    /// Any scanned file of the crate contains an `unsafe` token.
-    pub has_unsafe: bool,
-    /// The root file carries `#![forbid(unsafe_code)]`.
-    pub root_forbids: bool,
-}
-
-impl WorkspaceIndex {
-    /// Builds the index over every scanned file. Wire enums use the
-    /// default designation list; per-run configs see the same index
-    /// because designation is by name at rule time.
-    pub fn build(files: &[SourceFile]) -> WorkspaceIndex {
-        let mut enum_variants: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        let mut crates: BTreeMap<String, CrateFacts> = BTreeMap::new();
-
-        for file in files {
-            for (name, variants) in enum_decls(&file.tokens) {
-                enum_variants.entry(name).or_default().extend(variants);
-            }
-
-            if let Some(src_dir) = crate_src_dir(&file.path) {
-                let facts = crates.entry(src_dir.clone()).or_default();
-                if file.tokens.iter().any(|t| t.text == "unsafe") {
-                    facts.has_unsafe = true;
-                }
-                let is_root = file.path == format!("{src_dir}/lib.rs")
-                    || file.path == format!("{src_dir}/main.rs");
-                if is_root {
-                    facts.root = Some(file.path.clone());
-                    facts.root_forbids = has_inner_forbid(&file.tokens);
-                }
-            }
-        }
-        WorkspaceIndex { enum_variants, crates }
-    }
-}
-
-/// The `src` directory of the crate owning `path`, if any
-/// (`crates/net/src/tcp.rs` → `crates/net/src`; `src/lib.rs` → `src`).
-fn crate_src_dir(path: &str) -> Option<String> {
-    if let Some(at) = path.find("/src/") {
-        return Some(path[..at + 4].to_string());
-    }
-    if path.starts_with("src/") {
-        return Some("src".to_string());
-    }
-    None
-}
-
-/// Detects `#![forbid(unsafe_code)]` anywhere in the token stream.
-fn has_inner_forbid(tokens: &[Tok]) -> bool {
-    tokens.windows(7).any(|w| {
-        w[0].text == "#"
-            && w[1].text == "!"
-            && w[2].text == "["
-            && w[3].text == "forbid"
-            && w[4].text == "("
-            && w[5].text == "unsafe_code"
-            && w[6].text == ")"
-    })
-}
-
-/// Collects `enum Name { Variant, ... }` declarations.
-fn enum_decls(tokens: &[Tok]) -> Vec<(String, BTreeSet<String>)> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if tokens[i].text == "enum" && tokens[i].kind == TokKind::Ident {
-            let Some(name_tok) = tokens.get(i + 1) else { break };
-            if name_tok.kind != TokKind::Ident {
-                i += 1;
-                continue;
-            }
-            // Find the `{` opening the body (skipping generics).
-            let mut j = i + 2;
-            let mut angle = 0isize;
-            while j < tokens.len() {
-                match tokens[j].text.as_str() {
-                    "<" => angle += 1,
-                    ">" => angle -= 1,
-                    "{" if angle <= 0 => break,
-                    ";" => break, // not a declaration we understand
-                    _ => {}
-                }
-                j += 1;
-            }
-            if tokens.get(j).map(|t| t.text.as_str()) != Some("{") {
-                i += 1;
-                continue;
-            }
-            let Some(close) = crate::engine::matching_brace(tokens, j) else { break };
-            let mut variants = BTreeSet::new();
-            let mut k = j + 1;
-            let mut expect_variant = true;
-            let mut depth = 0isize;
-            while k < close {
-                let t = &tokens[k];
-                match t.text.as_str() {
-                    "{" | "(" | "[" => depth += 1,
-                    "}" | ")" | "]" => depth -= 1,
-                    "," if depth == 0 => expect_variant = true,
-                    "#" if depth == 0 => {
-                        // Skip variant attributes.
-                        let (end, _) = attr_span(tokens, k);
-                        k = end;
-                        continue;
-                    }
-                    _ => {
-                        if expect_variant && depth == 0 && t.kind == TokKind::Ident {
-                            variants.insert(t.text.clone());
-                            expect_variant = false;
-                        }
-                    }
-                }
-                k += 1;
-            }
-            out.push((name_tok.text.clone(), variants));
-            i = close + 1;
-            continue;
-        }
-        i += 1;
-    }
-    out
-}
+pub const RULE_IDS: [&str; 6] = ["CH01", "CT01", "LK01", "LK02", "OB02", "SK01"];
 
 /// Span of the attribute starting at `at` (the `#`): index one past `]`.
 pub fn attr_span(tokens: &[Tok], at: usize) -> (usize, bool) {
@@ -230,14 +82,9 @@ pub fn finding(rule: &'static str, file: &SourceFile, tok: &Tok, message: String
 }
 
 /// Runs every per-file rule over one file.
-pub fn run_all(file: &SourceFile, cfg: &LintConfig, ws: &WorkspaceIndex) -> Vec<Finding> {
-    let mut out = Vec::new();
-    out.extend(ct01::run(file));
+pub fn run_all(file: &SourceFile) -> Vec<Finding> {
+    let mut out = ct01::run(file);
     out.extend(sk01::run(file));
-    out.extend(hp01::run(file, cfg));
-    out.extend(ob01::run(file, cfg));
-    out.extend(wx01::run(file, cfg, ws));
-    out.extend(us01::run(file, ws));
     out
 }
 

@@ -7,6 +7,6 @@ pub fn check_mac(mac: &[u8], other: &[u8]) -> bool {
 }
 
 pub fn wrong_rule(sig: &[u8], other: &[u8]) -> bool {
-    // gdp-lint: allow(HP01) -- fixture: reason present but names the wrong rule
+    // gdp-lint: allow(SK01) -- fixture: reason present but names the wrong rule
     sig != other
 }

@@ -7,18 +7,13 @@
 //! already caught once.
 
 use gdp_lint::engine::SourceFile;
-use gdp_lint::rules::{run_all, run_workspace, WorkspaceIndex};
+use gdp_lint::rules::{run_all, run_workspace};
 use gdp_lint::LintConfig;
 
-/// Lints a snippet as if it lived at `path` (path matters: HP01 and OB01
-/// are path-scoped).
+/// Runs the per-file rules (CT01/SK01) over a snippet.
 fn findings_at(path: &str, src: &str) -> Vec<(String, usize)> {
     let file = SourceFile::parse(path, src);
-    let ws = WorkspaceIndex::build(std::slice::from_ref(&file));
-    run_all(&file, &LintConfig::default(), &ws)
-        .into_iter()
-        .map(|f| (f.rule.to_string(), f.line))
-        .collect()
+    run_all(&file).into_iter().map(|f| (f.rule.to_string(), f.line)).collect()
 }
 
 /// Runs the workspace-wide rules (LK01/LK02/CH01) over snippets placed
@@ -29,27 +24,6 @@ fn workspace_findings(files: &[(&str, &str)]) -> Vec<(String, String, usize)> {
         .into_iter()
         .map(|f| (f.rule.to_string(), f.path, f.line))
         .collect()
-}
-
-#[test]
-fn catches_prefix_shard_of_unwrap() {
-    // crates/node/src/shard.rs:44 before the fix: a slice-index with a
-    // hard-coded bound plus try_into().unwrap() on the forwarding path.
-    let src = "pub fn shard_of(name: &Name, shards: usize) -> usize {\n\
-               \x20   let word = u64::from_le_bytes(name.as_bytes()[..8].try_into().unwrap());\n\
-               \x20   (word % shards.max(1) as u64) as usize\n\
-               }\n";
-    let found = findings_at("crates/node/src/shard.rs", src);
-    assert!(found.contains(&("HP01".to_string(), 2)), "pre-fix shard_of must fire HP01: {found:?}");
-}
-
-#[test]
-fn catches_prefix_tcp_writer_unwrap() {
-    // crates/net/src/tcp.rs:608 before the fix: unwrap on the writer
-    // thread's connection option.
-    let src = "fn writer() {\n    let stream = conn.as_mut().unwrap();\n}\n";
-    let found = findings_at("crates/net/src/tcp.rs", src);
-    assert_eq!(found, vec![("HP01".to_string(), 2)]);
 }
 
 #[test]
@@ -64,81 +38,6 @@ fn catches_prefix_node_config_debug_derive() {
                }\n";
     let found = findings_at("crates/node/src/config.rs", src);
     assert_eq!(found, vec![("SK01".to_string(), 1)]);
-}
-
-#[test]
-fn catches_prefix_client_quiet_catch_all() {
-    // crates/client/src/client.rs:615 before the fix: the client's
-    // DataMsg dispatcher ended in `_ => Vec::new()`, silently swallowing
-    // eleven request-plane variants (and any future variant).
-    let src = "pub enum DataMsg {\n\
-               \x20   SessionAccept,\n\
-               \x20   AppendAck,\n\
-               \x20   ReadResp,\n\
-               \x20   Event,\n\
-               \x20   ErrResp,\n\
-               \x20   Append,\n\
-               \x20   Read,\n\
-               }\n\
-               fn handle(msg: DataMsg) -> Vec<u32> {\n\
-               \x20   match msg {\n\
-               \x20       DataMsg::SessionAccept => vec![1],\n\
-               \x20       DataMsg::AppendAck => vec![2],\n\
-               \x20       DataMsg::ReadResp => vec![3],\n\
-               \x20       DataMsg::Event => vec![4],\n\
-               \x20       DataMsg::ErrResp => vec![5],\n\
-               \x20       _ => Vec::new(),\n\
-               \x20   }\n\
-               }\n";
-    let found = findings_at("crates/client/src/client.rs", src);
-    assert_eq!(found, vec![("WX01".to_string(), 17)]);
-}
-
-#[test]
-fn catches_prefix_router_wildcard_forward() {
-    // crates/router/src/router.rs:287 before the fix: guarded control
-    // arms fell through to `_ => self.forward_into(...)`.
-    let src = "pub enum PduType { Data, Advertise, Lookup, RouterControl, Error }\n\
-               fn handle(&mut self, pdu: Pdu) {\n\
-               \x20   match pdu.pdu_type {\n\
-               \x20       PduType::Data => self.forward_into(pdu),\n\
-               \x20       PduType::Advertise if dst == me => self.adv(pdu),\n\
-               \x20       PduType::Lookup if dst == me => self.lookup(pdu),\n\
-               \x20       PduType::RouterControl if dst == me => self.ctl(pdu),\n\
-               \x20       _ => self.forward_into(pdu),\n\
-               \x20   }\n\
-               }\n";
-    let found = findings_at("crates/router/src/router.rs", src);
-    assert!(
-        found.iter().any(|(r, l)| r == "WX01" && *l == 8),
-        "pre-fix router dispatch must fire WX01: {found:?}"
-    );
-}
-
-#[test]
-fn catches_missing_crate_forbid() {
-    // Every gdp crate root lacked `#![forbid(unsafe_code)]` before this
-    // PR; the crate-level US01 drove adding it to all fifteen roots.
-    let file = SourceFile::parse("crates/demo/src/lib.rs", "pub fn f() -> u8 { 1 }\n");
-    let ws = WorkspaceIndex::build(std::slice::from_ref(&file));
-    let found = run_all(&file, &LintConfig::default(), &ws);
-    assert!(
-        found.iter().any(|f| f.rule == "US01" && f.line == 1),
-        "crate root without forbid must fire US01: {found:?}"
-    );
-}
-
-#[test]
-fn fixed_shapes_stay_clean() {
-    // The post-fix shard_of (const-indexing a fixed-size array) must not
-    // fire: the fix is panic-free by construction, not suppressed.
-    let src = "pub fn shard_of(name: &Name, shards: usize) -> usize {\n\
-               \x20   let b = name.as_bytes();\n\
-               \x20   let word = u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);\n\
-               \x20   (word % shards.max(1) as u64) as usize\n\
-               }\n";
-    let found = findings_at("crates/node/src/shard.rs", src);
-    assert!(found.is_empty(), "post-fix shard_of must be clean: {found:?}");
 }
 
 #[test]
@@ -339,27 +238,4 @@ fn pins_shard_control_before_data_drain_order() {
                     }\n";
     let found = workspace_findings(&[("crates/node/src/shard.rs", upstream)]);
     assert!(found.is_empty(), "control-first drain must be clean: {found:?}");
-}
-
-#[test]
-fn seglog_writer_is_hot_path() {
-    // crates/store/src/seglog/writer.rs joined the HP01 hot-path list
-    // with the segmented storage engine: every durable append crosses
-    // the group-commit writer, and a panic there loses the whole batch.
-    // Pin that the path stays on the list — a snippet that would be
-    // clean elsewhere must fire HP01 at this path.
-    let src = "fn stage(buf: &mut Vec<u8>, entry: &[u8]) {\n\
-               \x20   let len: u32 = entry.len().try_into().unwrap();\n\
-               \x20   buf.extend_from_slice(&len.to_le_bytes());\n\
-               }\n";
-    let found = findings_at("crates/store/src/seglog/writer.rs", src);
-    assert!(
-        found.contains(&("HP01".to_string(), 2)),
-        "unwrap in the seglog writer must fire HP01: {found:?}"
-    );
-    let elsewhere = findings_at("crates/store/src/store.rs", src);
-    assert!(
-        !elsewhere.iter().any(|(r, _)| r == "HP01"),
-        "the same snippet off the hot-path list must not fire HP01: {elsewhere:?}"
-    );
 }

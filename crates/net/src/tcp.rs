@@ -27,6 +27,11 @@
 //! * **Clean shutdown.** [`TcpNet::shutdown`] stops the accept loop, wakes
 //!   every thread, and joins them.
 
+// Hot path: a panic here takes down a node other domains route through
+// (DESIGN.md, "Static analysis"); an exception is a reasoned `#[allow]` at the site.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crossbeam::channel::{
     bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError,
 };
@@ -304,13 +309,8 @@ pub struct TcpNet {
 }
 
 impl TcpNet {
-    /// Binds a listener (use port 0 for an OS-assigned port) with default
-    /// configuration.
-    pub fn bind(addr: SocketAddr) -> Result<TcpNet, TcpNetError> {
-        TcpNet::bind_with(addr, TcpNetConfig::default())
-    }
-
-    /// Binds with explicit configuration (private metric registry).
+    /// Binds a listener (use port 0 for an OS-assigned port) with explicit
+    /// configuration (private metric registry).
     pub fn bind_with(addr: SocketAddr, cfg: TcpNetConfig) -> Result<TcpNet, TcpNetError> {
         TcpNet::bind_with_obs(addr, cfg, &ObsScope::default())
     }
@@ -346,10 +346,13 @@ impl TcpNet {
         });
         let net = TcpNet { inner: Arc::clone(&inner) };
         let accept_net = net.clone();
+        #[allow(
+            clippy::expect_used,
+            reason = "runs once in bind_with_obs(), before any traffic; a transport that cannot spawn its accept loop must fail loudly at startup"
+        )]
         let handle = std::thread::Builder::new()
             .name(format!("gdp-tcp-accept-{local}"))
             .spawn(move || accept_loop(accept_net, listener))
-            // gdp-lint: allow(HP01) -- runs once in bind(), before any traffic; a transport that cannot spawn its accept loop must fail loudly at startup
             .expect("spawn accept thread");
         inner.threads.lock().push(handle);
         Ok(net)
@@ -498,7 +501,10 @@ fn spawn_thread(shared: &Arc<Shared>, name: String, f: impl FnOnce() + Send + 's
     if shared.shutdown.load(Ordering::SeqCst) {
         return;
     }
-    // gdp-lint: allow(HP01) -- thread creation fails only on OS resource exhaustion, which is process-fatal for a transport; callers hold no per-PDU state yet
+    #[allow(
+        clippy::expect_used,
+        reason = "thread creation fails only on OS resource exhaustion, which is process-fatal for a transport; callers hold no per-PDU state yet"
+    )]
     let handle = std::thread::Builder::new().name(name).spawn(f).expect("spawn tcp thread");
     shared.threads.lock().push(handle);
 }
@@ -507,13 +513,12 @@ fn spawn_thread(shared: &Arc<Shared>, name: String, f: impl FnOnce() + Send + 's
 fn write_hello(stream: &mut TcpStream, local: SocketAddr) -> std::io::Result<()> {
     let addr = local.to_string();
     let mut buf = [0u8; HELLO_LEN];
-    // gdp-lint: allow(HP01) -- `buf` is a fixed [u8; HELLO_LEN] array; all bounds below are compile-time constants or validated against HELLO_LEN
     buf[..4].copy_from_slice(&HELLO_MAGIC);
     buf[4] = HELLO_VERSION;
     let bytes = addr.as_bytes();
     assert!(bytes.len() <= HELLO_LEN - 6, "socket addr renders too long");
     buf[5] = bytes.len() as u8;
-    // gdp-lint: allow(HP01) -- bytes.len() <= HELLO_LEN - 6 is asserted above
+    #[allow(clippy::indexing_slicing, reason = "bytes.len() <= HELLO_LEN - 6 is asserted above")]
     buf[6..6 + bytes.len()].copy_from_slice(bytes);
     stream.write_all(&buf)
 }
@@ -522,7 +527,6 @@ fn write_hello(stream: &mut TcpStream, local: SocketAddr) -> std::io::Result<()>
 fn read_hello(stream: &mut TcpStream) -> std::io::Result<SocketAddr> {
     let mut buf = [0u8; HELLO_LEN];
     stream.read_exact(&mut buf)?;
-    // gdp-lint: allow(HP01) -- fixed [u8; HELLO_LEN] array; constant in-bounds prefix
     if buf[..4] != HELLO_MAGIC || buf[4] != HELLO_VERSION {
         return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "bad HELLO"));
     }
@@ -530,7 +534,10 @@ fn read_hello(stream: &mut TcpStream) -> std::io::Result<SocketAddr> {
     if len > HELLO_LEN - 6 {
         return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "bad HELLO length"));
     }
-    // gdp-lint: allow(HP01) -- `len > HELLO_LEN - 6` is rejected above; the range is in-bounds for the fixed-size buffer
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "`len > HELLO_LEN - 6` is rejected above; the range is in-bounds for the fixed-size buffer"
+    )]
     let addr = std::str::from_utf8(&buf[6..6 + len])
         .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad HELLO utf-8"))?;
     addr.parse().map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad HELLO addr"))
@@ -629,6 +636,7 @@ fn read_loop(shared: Arc<Shared>, peer: SocketAddr, mut stream: TcpStream) {
         match stream.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
+                #[allow(clippy::indexing_slicing, reason = "read() returns n <= buf.len()")]
                 frames.push(&buf[..n]);
                 loop {
                     match frames.next_frame() {
@@ -769,6 +777,10 @@ fn writer_loop(
             // Opportunistically drain whatever else is already queued, up
             // to a flush budget, so a backlog becomes one syscall instead
             // of one per frame.
+            #[allow(
+                clippy::indexing_slicing,
+                reason = "the recv arm above pushed one frame into the empty batch; every other arm left the loop body"
+            )]
             let mut budget = EGRESS_FLUSH_BUDGET.saturating_sub(FRAME_PREFIX + batch[0].wire_len());
             while budget > 0 {
                 match rx.try_recv() {

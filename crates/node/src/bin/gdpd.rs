@@ -9,6 +9,11 @@
 //! the process is killed. See the crate docs and README for the config
 //! format and a 3-node loopback walkthrough.
 
+// Hot path: a panic here takes down a node other domains route through
+// (DESIGN.md, "Static analysis"); an exception is a reasoned `#[allow]` at the site.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::io::Write;
 
 fn main() {

@@ -22,6 +22,10 @@
 //! On unsharded nodes this queue remains the sole ingress path and its
 //! prioritization is what keeps convergence alive under a Data flood.
 
+// Non-test matches on wire enums (`Pdu`, `PduType`, `DataMsg`) name every variant: a
+// new variant is a compile error here, not silent message loss behind a `_ =>`.
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
+
 use gdp_wire::{Pdu, PduType};
 use std::collections::VecDeque;
 

@@ -11,6 +11,11 @@
 //! [`NodeRuntime::set_rng_seed`]) never touches OS randomness, which is
 //! what makes simulation runs byte-for-byte replayable.
 
+// Hot path: a panic here takes down a node other domains route through
+// (DESIGN.md, "Static analysis"); an exception is a reasoned `#[allow]` at the site.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::config::{NodeConfig, Role};
 use crate::node::NodeError;
 use gdp_obs::Metrics;
@@ -166,15 +171,10 @@ enum ServerAttach {
 /// Extracted from the TCP daemon so the simulator restarts a crashed
 /// node through the *same* code path — including the segmented log's
 /// torn-tail recovery and `host_with_store` replay.
-pub fn build_cores(
-    cfg: &NodeConfig,
-) -> Result<(Option<Router>, Option<DataCapsuleServer>), NodeError> {
-    build_cores_with_obs(cfg, &Metrics::new())
-}
-
-/// [`build_cores`] with the node's shared metric registry: the router
-/// registers under scope `"router"`, the server under `"server"`, and
-/// every capsule store under `"store"`.
+///
+/// Metrics land in the node's shared registry: the router registers
+/// under scope `"router"`, the server under `"server"`, and every
+/// capsule store under `"store"`.
 pub fn build_cores_with_obs(
     cfg: &NodeConfig,
     metrics: &Metrics,
@@ -293,7 +293,7 @@ impl<P: Copy + Eq + Hash> NodeRuntime<P> {
 
     /// Builds cores from `cfg` and assembles the runtime.
     pub fn from_config(cfg: &NodeConfig, uplink: Option<P>) -> Result<NodeRuntime<P>, NodeError> {
-        let (router, server) = build_cores(cfg)?;
+        let (router, server) = build_cores_with_obs(cfg, &Metrics::new())?;
         Ok(NodeRuntime::new(cfg.role, router, server, cfg.router, uplink))
     }
 
@@ -400,8 +400,11 @@ impl<P: Copy + Eq + Hash> NodeRuntime<P> {
             server.advert_entries(),
             FOREVER,
         );
+        #[allow(
+            clippy::expect_used,
+            reason = "both halves of the attach run in-process with no I/O; failure is a construction-order bug, not a runtime condition"
+        )]
         attach_directly(router, LOCAL_NID, &mut attacher, now)
-            // gdp-lint: allow(HP01) -- both halves of the attach run in-process with no I/O; failure is a construction-order bug, not a runtime condition
             .expect("local attach cannot fail: both halves are in-process");
     }
 

@@ -52,6 +52,11 @@
 //! a `batch_occupancy` histogram (PDUs per batch — mean occupancy is
 //! `sum/count`).
 
+// Hot path: a panic here takes down a node other domains route through
+// (DESIGN.md, "Static analysis"); an exception is a reasoned `#[allow]` at the site.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::runtime::{NidMap, NidSnapshot};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use gdp_net::tcp::{PeerHandle, PeerSendError, TcpNet};
@@ -271,6 +276,7 @@ impl ShardBatcher {
     /// Flushes every non-empty buffer; called when the reader has no
     /// more framed PDUs to decode, so a trickle is never held hostage
     /// waiting for a full batch.
+    #[allow(clippy::indexing_slicing, reason = "i ranges over 0..self.staged.len()")]
     pub fn flush(&mut self) {
         for i in 0..self.staged.len() {
             if !self.staged[i].is_empty() {
@@ -472,10 +478,13 @@ impl ShardedEngine {
             let router = Router::from_seed_with_obs(seed, label, &scope);
             let state = ShardState::new(router, Arc::clone(&nids), egress.port());
             let worker_core = Arc::clone(&core);
+            #[allow(
+                clippy::expect_used,
+                reason = "runs once at engine construction, before the data plane is live; a node that cannot spawn its workers cannot serve at all"
+            )]
             let handle = std::thread::Builder::new()
                 .name(format!("gdp-shard-{i}"))
                 .spawn(move || shard_worker(state, data_rx, ctrl_rx, worker_core, i))
-                // gdp-lint: allow(HP01) -- runs once at engine construction, before the data plane is live; a node that cannot spawn its workers cannot serve at all
                 .expect("spawn shard worker");
             workers.push(handle);
         }

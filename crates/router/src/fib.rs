@@ -6,6 +6,11 @@
 //! ensures that the requests are automatically directed to the closest
 //! replica", paper §VI).
 
+// Hot path: a panic here takes down a node other domains route through
+// (DESIGN.md, "Static analysis"); an exception is a reasoned `#[allow]` at the site.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use gdp_wire::{FastMap, Name};
 
 /// Identifier of a neighbor attachment (a link endpoint), shared with the

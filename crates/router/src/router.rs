@@ -12,6 +12,18 @@
 //! the PDUs to emit, so the same code runs on the deterministic simulator,
 //! the threaded fabric, or (in a real deployment) sockets.
 
+// Hot path: a panic here takes down a node other domains route through
+// (DESIGN.md, "Static analysis"); an exception is a reasoned `#[allow]` at the site.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+// Non-test matches on wire enums (`Pdu`, `PduType`, `DataMsg`) name every variant: a
+// new variant is a compile error here, not silent message loss behind a `_ =>`.
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "Counter::inc_single_writer: each Router instance is owned by exactly one thread — the gdpd event loop, or its shard worker (crates/node/src/shard.rs) when `shards > 1`"
+)]
+
 use crate::fib::{Fib, FibEntry, NeighborId};
 use crate::glookup::GLookup;
 use crate::messages::{AdvertiseMsg, ControlMsg, LookupMsg, VerifiedRoute};

@@ -22,6 +22,11 @@
 //! re-verifying an evicted entry is only a latency cost, never a
 //! correctness one.
 
+// Hot path: a panic here takes down a node other domains route through
+// (DESIGN.md, "Static analysis"); an exception is a reasoned `#[allow]` at the site.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::messages::VerifiedRoute;
 use gdp_cert::{Advertisement, RtCert};
 use gdp_crypto::sha256;

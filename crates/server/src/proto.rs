@@ -8,6 +8,10 @@
 //! the server's signature or — once a flow key is established — an HMAC,
 //! "achieving a steady state byte overhead roughly similar to TLS" (§V).
 
+// Non-test matches on wire enums (`Pdu`, `PduType`, `DataMsg`) name every variant: a
+// new variant is a compile error here, not silent message loss behind a `_ =>`.
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
+
 use gdp_capsule::{CapsuleMetadata, Heartbeat, MembershipProof, RangeProof, Record, RecordHash};
 use gdp_cert::{Principal, ServingChain};
 use gdp_crypto::hmac::hmac_sha256;

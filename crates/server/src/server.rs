@@ -16,6 +16,10 @@
 //! Like the router, it is sans-I/O: `handle_pdu` maps one inbound PDU to
 //! outbound PDUs, so it runs identically on the simulator or threads.
 
+// Non-test matches on wire enums (`Pdu`, `PduType`, `DataMsg`) name every variant: a
+// new variant is a compile error here, not silent message loss behind a `_ =>`.
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
+
 use crate::proto::{
     append_ack_body, event_body, mac_response, read_result_body, session_transcript, sign_response,
     AckMode, DataMsg, ErrorCode, NackCode, ReadResult, ReadTarget, ResponseAuth,
@@ -53,6 +57,7 @@ struct ServerObs {
     appends_shed: Counter,
     requests_undecodable: Counter,
     recovery_records_skipped: Counter,
+    sync_store_failures: Counter,
 }
 
 impl ServerObs {
@@ -74,6 +79,7 @@ impl ServerObs {
             appends_shed: scope.counter("appends_shed"),
             requests_undecodable: scope.counter("requests_undecodable"),
             recovery_records_skipped: scope.counter("recovery_records_skipped"),
+            sync_store_failures: scope.counter("sync_store_failures"),
             scope: scope.clone(),
         }
     }
@@ -95,8 +101,12 @@ struct PendingDurability {
     capsule: Name,
     client: Name,
     request_seq: u64,
-    record_seq: u64,
+    /// `record.hash()`, kept so matching a `ReplicateAck` costs no SHA-256.
     hash: RecordHash,
+    /// The appended record itself (refcounted body), so the quorum path
+    /// can ask the store for its durability without the capsule — which
+    /// does not index a record parked behind a hole.
+    record: Record,
     needed: u32,
     acked: u32,
     deadline: u64,
@@ -195,11 +205,6 @@ impl DataCapsuleServer {
     pub fn set_overload_policy(&mut self, append_budget: u64, retry_after_us: u64) {
         self.append_budget = append_budget;
         self.retry_after_us = retry_after_us;
-    }
-
-    /// Convenience constructor.
-    pub fn from_seed(seed: &[u8; 32], label: &str) -> DataCapsuleServer {
-        DataCapsuleServer::new(PrincipalId::from_seed(PrincipalKind::Server, seed, label))
     }
 
     /// Seeded constructor with an observability scope.
@@ -395,7 +400,9 @@ impl DataCapsuleServer {
             DataMsg::SyncRequest { capsule, have_seq, missing } => {
                 self.on_sync_request(capsule, client, have_seq, missing)
             }
-            DataMsg::SyncResponse { capsule, records } => self.on_sync_response(capsule, records),
+            DataMsg::SyncResponse { capsule, records } => {
+                self.on_sync_response(now, capsule, records)
+            }
             // Server-originated messages arriving at a server are ignored.
             DataMsg::HostAck { .. }
             | DataMsg::SessionAccept { .. }
@@ -544,23 +551,20 @@ impl DataCapsuleServer {
         match hosted.capsule.ingest(record.clone()) {
             Ok(IngestOutcome::Duplicate) => {
                 // Idempotent: ack again — but a retry must not ack ahead
-                // of the stored record's covering fsync.
-                let dur = match hosted.store.durability_of(&hash) {
-                    Some(d) => d,
-                    // The capsule saw this record but the store never
-                    // persisted it (an earlier append_acked failed):
-                    // store it now rather than ack a phantom.
-                    None => match hosted.store.append_acked(&record) {
-                        Ok(a) => a,
-                        Err(_) => {
-                            return vec![self.err_pdu(
-                                client,
-                                seq,
-                                ErrorCode::BadRequest,
-                                "storage failure",
-                            )]
-                        }
-                    },
+                // of the stored record's covering fsync, and a record the
+                // capsule saw but the store never persisted (an earlier
+                // append_acked failed) is stored now, not acked as a
+                // phantom. A duplicate append_acked does both.
+                let dur = match hosted.store.append_acked(&record) {
+                    Ok(a) => a,
+                    Err(_) => {
+                        return vec![self.err_pdu(
+                            client,
+                            seq,
+                            ErrorCode::BadRequest,
+                            "storage failure",
+                        )]
+                    }
                 };
                 let body = append_ack_body(record_seq, &hash, 1);
                 let auth = self.auth_for(&capsule_name, &client, seq, &body);
@@ -640,8 +644,8 @@ impl DataCapsuleServer {
                 capsule: capsule_name,
                 client,
                 request_seq: seq,
-                record_seq,
                 hash,
+                record,
                 needed,
                 acked: 0,
                 deadline: now + self.durability_timeout,
@@ -751,22 +755,16 @@ impl DataCapsuleServer {
         // record durably (it may count toward a client's quorum), so it is
         // durability-gated exactly like a client ack.
         let ack = match hosted.capsule.ingest(record.clone()) {
-            Ok(IngestOutcome::Duplicate) => match hosted.store.durability_of(&hash) {
-                Some(d) => d,
-                // Known to the capsule but absent from the store (a
-                // failed earlier append): persist before acking.
-                None => {
-                    let Ok(a) = hosted.store.append_acked(&record) else {
-                        return Vec::new(); // never ack what we failed to store
-                    };
-                    a
-                }
-            },
-            Ok(_) => {
+            // For a duplicate, append_acked reports the stored record's
+            // current durability, and persists a record the capsule knows
+            // but the store does not (a failed earlier append).
+            Ok(outcome) => {
                 let Ok(a) = hosted.store.append_acked(&record) else {
                     return Vec::new(); // never ack what we failed to store
                 };
-                self.obs.replicated_in.inc();
+                if !matches!(outcome, IngestOutcome::Duplicate) {
+                    self.obs.replicated_in.inc();
+                }
                 a
             }
             Err(_) => {
@@ -803,15 +801,11 @@ impl DataCapsuleServer {
             let p = self.pending.remove(i);
             // Quorum reached — but the local copy must also be durable
             // before this server vouches for the write. A capsule that is
-            // no longer hosted, or a record the store never persisted and
-            // cannot re-persist from the in-memory capsule, fails the
-            // append instead of acking a phantom.
-            let dur = self.hosted.get_mut(&p.capsule).and_then(|h| {
-                h.store.durability_of(&p.hash).or_else(|| {
-                    let r = h.capsule.get(&p.hash).cloned()?;
-                    h.store.append_acked(&r).ok()
-                })
-            });
+            // no longer hosted, or a record the store neither holds nor
+            // can persist now, fails the append instead of acking a
+            // phantom.
+            let dur =
+                self.hosted.get_mut(&p.capsule).and_then(|h| h.store.append_acked(&p.record).ok());
             let Some(dur) = dur else {
                 out.push(self.err_pdu(
                     p.client,
@@ -821,17 +815,13 @@ impl DataCapsuleServer {
                 ));
                 continue;
             };
-            let body = append_ack_body(p.record_seq, &p.hash, p.acked + 1);
+            let record_seq = p.record.header.seq;
+            let body = append_ack_body(record_seq, &p.hash, p.acked + 1);
             let auth = self.auth_for(&p.capsule, &p.client, p.request_seq, &body);
             let pdu = self.data_pdu(
                 p.client,
                 p.request_seq,
-                &DataMsg::AppendAck {
-                    seq: p.record_seq,
-                    hash: p.hash,
-                    replicas: p.acked + 1,
-                    auth,
-                },
+                &DataMsg::AppendAck { seq: record_seq, hash: p.hash, replicas: p.acked + 1, auth },
             );
             self.gate_ack(&p.capsule, dur, pdu, &mut out);
         }
@@ -869,7 +859,7 @@ impl DataCapsuleServer {
         vec![self.data_pdu(peer, 0, &DataMsg::SyncResponse { capsule: capsule_name, records })]
     }
 
-    fn on_sync_response(&mut self, capsule_name: Name, records: Vec<Record>) -> Vec<Pdu> {
+    fn on_sync_response(&mut self, now: u64, capsule_name: Name, records: Vec<Record>) -> Vec<Pdu> {
         let Some(hosted) = self.hosted.get_mut(&capsule_name) else {
             return Vec::new();
         };
@@ -879,7 +869,21 @@ impl DataCapsuleServer {
             match hosted.capsule.ingest(record.clone()) {
                 Ok(IngestOutcome::Duplicate) => {}
                 Ok(_) => {
-                    let _ = hosted.store.append(&record);
+                    // A failed persist leaves the record served from RAM
+                    // only — counted and traced, never silent; the next
+                    // Replicate/Append of it re-persists before acking.
+                    if let Err(e) = hosted.store.append_acked(&record) {
+                        self.obs.sync_store_failures.inc();
+                        self.obs.trace(
+                            now,
+                            "sync_store_failed",
+                            &[
+                                ("capsule", capsule_name.to_hex()),
+                                ("seq", record.header.seq.to_string()),
+                                ("error", e.to_string()),
+                            ],
+                        );
+                    }
                     self.obs.replicated_in.inc();
                 }
                 Err(_) => self.obs.verify_failures.inc(),
@@ -931,7 +935,7 @@ impl DataCapsuleServer {
             self.obs.trace(
                 now,
                 "durability_timeout",
-                &[("capsule", p.capsule.to_hex()), ("seq", p.record_seq.to_string())],
+                &[("capsule", p.capsule.to_hex()), ("seq", p.record.header.seq.to_string())],
             );
             out.push(self.err_pdu(
                 p.client,
@@ -973,7 +977,10 @@ mod tests {
     use super::*;
     use gdp_capsule::{CapsuleWriter, MetadataBuilder, PointerStrategy};
     use gdp_cert::{AdCert, Scope};
+    use gdp_store::StoreError;
     use gdp_wire::PduType;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     const FOREVER: u64 = 1 << 50;
 
@@ -999,6 +1006,10 @@ mod tests {
     }
 
     fn rig_with_peers(peers: Vec<Name>) -> Rig {
+        rig_with_store(peers, Box::new(MemStore::new()))
+    }
+
+    fn rig_with_store(peers: Vec<Name>, store: Box<dyn CapsuleStore>) -> Rig {
         let id = PrincipalId::from_seed(gdp_cert::PrincipalKind::Server, &[3u8; 32], "s");
         let metrics = gdp_obs::Metrics::new();
         let mut server = DataCapsuleServer::new_with_obs(id.clone(), &metrics.scope("server"));
@@ -1010,7 +1021,7 @@ mod tests {
             AdCert::issue(&owner(), meta.name(), id.name(), false, Scope::Global, FOREVER),
             id.principal().clone(),
         );
-        server.host(meta.clone(), chain, peers).unwrap();
+        server.host_with_store(meta.clone(), chain, peers, store).unwrap();
         let writer = CapsuleWriter::new(&meta, wkey(), PointerStrategy::Chain).unwrap();
         Rig {
             server,
@@ -1040,6 +1051,68 @@ mod tests {
 
     fn msg_of(pdu: &Pdu) -> DataMsg {
         DataMsg::from_wire(&pdu.payload).unwrap()
+    }
+
+    /// A PDU from a peer server (not the rig's client).
+    fn from_peer(rig: &Rig, peer: Name, msg: &DataMsg) -> Pdu {
+        Pdu {
+            pdu_type: PduType::Data,
+            src: peer,
+            dst: rig.server.name(),
+            seq: 0,
+            payload: msg.to_wire().into(),
+        }
+    }
+
+    /// A `MemStore` whose `append_acked` fails while the shared switch is
+    /// on — the store-side fault the server must never turn into an ack.
+    struct FlakyStore {
+        inner: MemStore,
+        fail: Arc<AtomicBool>,
+    }
+
+    fn flaky_store() -> (Box<dyn CapsuleStore>, Arc<AtomicBool>) {
+        let fail = Arc::new(AtomicBool::new(false));
+        (Box::new(FlakyStore { inner: MemStore::new(), fail: fail.clone() }), fail)
+    }
+
+    impl CapsuleStore for FlakyStore {
+        fn append_acked(&mut self, record: &Record) -> Result<AppendAck, StoreError> {
+            if self.fail.load(Ordering::SeqCst) {
+                return Err(StoreError::Corrupt("injected append failure".into()));
+            }
+            self.inner.append_acked(record)
+        }
+        fn put_metadata(&mut self, m: &CapsuleMetadata) -> Result<(), StoreError> {
+            self.inner.put_metadata(m)
+        }
+        fn metadata(&self) -> Result<CapsuleMetadata, StoreError> {
+            self.inner.metadata()
+        }
+        fn append(&mut self, record: &Record) -> Result<(), StoreError> {
+            self.inner.append(record)
+        }
+        fn get_by_seq(&self, seq: u64) -> Result<Option<Record>, StoreError> {
+            self.inner.get_by_seq(seq)
+        }
+        fn get_all_at_seq(&self, seq: u64) -> Result<Vec<Record>, StoreError> {
+            self.inner.get_all_at_seq(seq)
+        }
+        fn get_by_hash(&self, h: &RecordHash) -> Result<Option<Record>, StoreError> {
+            self.inner.get_by_hash(h)
+        }
+        fn latest_seq(&self) -> u64 {
+            self.inner.latest_seq()
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn range(&self, from: u64, to: u64) -> Result<Vec<Record>, StoreError> {
+            self.inner.range(from, to)
+        }
+        fn hashes(&self) -> Vec<RecordHash> {
+            self.inner.hashes()
+        }
     }
 
     #[test]
@@ -1234,6 +1307,83 @@ mod tests {
             DataMsg::AppendAck { replicas, .. } => assert_eq!(replicas, 2),
             other => panic!("{other:?}"),
         }
+    }
+
+    /// A record that arrives ahead of its predecessor is stored but parked
+    /// (`IngestOutcome::Pending`): the capsule does not index it by hash,
+    /// so the quorum path must get its durability from the store alone.
+    #[test]
+    fn quorum_append_parked_behind_a_hole_is_acked_on_replica_ack() {
+        let peer = Name::from_content(b"peer server");
+        let mut rig = rig_with_peers(vec![peer]);
+        let _withheld = rig.writer.append(b"first", 0).unwrap();
+        let record = rig.writer.append(b"second", 1).unwrap();
+        let hash = record.hash();
+        let out = request(&mut rig, &DataMsg::Append { record, ack_mode: AckMode::Quorum(1) });
+        assert!(!out.iter().any(|p| matches!(msg_of(p), DataMsg::AppendAck { .. })));
+        let parked = rig.server.capsule(&rig.capsule).unwrap();
+        assert_eq!((parked.len(), parked.pending_len()), (0, 1), "seq 2 must wait on the hole");
+
+        let ack = from_peer(&rig, peer, &DataMsg::ReplicateAck { capsule: rig.capsule, hash });
+        let out = rig.server.handle_pdu(1, ack);
+        assert!(
+            matches!(msg_of(&out[0]), DataMsg::AppendAck { seq: 2, replicas: 2, .. }),
+            "quorum reached on a stored record must ack, got {:?}",
+            msg_of(&out[0])
+        );
+    }
+
+    /// Regression: anti-entropy discarded the store's answer, so a failed
+    /// persist left a record served from RAM that nothing mentioned.
+    #[test]
+    fn sync_response_store_failure_is_counted_traced_and_repaired_by_replicate() {
+        let peer = Name::from_content(b"peer server");
+        let (store, fail) = flaky_store();
+        let mut rig = rig_with_store(vec![peer], store);
+        let record = rig.writer.append(b"synced", 0).unwrap();
+        let hash = record.hash();
+
+        fail.store(true, Ordering::SeqCst);
+        let sync = DataMsg::SyncResponse { capsule: rig.capsule, records: vec![record.clone()] };
+        let sync = from_peer(&rig, peer, &sync);
+        assert!(rig.server.handle_pdu(7, sync).is_empty());
+        assert_eq!(counted(&rig, "sync_store_failures"), 1);
+        assert_eq!(counted(&rig, "replicated_in"), 1, "the capsule did ingest it");
+        let events = rig.metrics.drain_trace();
+        let failed: Vec<_> = events.iter().filter(|e| e.event == "sync_store_failed").collect();
+        assert_eq!(failed.len(), 1);
+        let field = |k: &str| failed[0].fields.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone());
+        assert_eq!(field("capsule"), Some(rig.capsule.to_hex()));
+        assert_eq!(field("seq"), Some("1".to_string()));
+        assert!(field("error").is_some_and(|e| e.contains("injected")), "{:?}", failed[0]);
+
+        // Still failing: a Replicate of the same record (a duplicate to
+        // the capsule, absent from the store) must not be acked.
+        let replicate = DataMsg::Replicate { capsule: rig.capsule, record };
+        let out = rig.server.handle_pdu(8, from_peer(&rig, peer, &replicate));
+        assert!(out.is_empty(), "never ack what the store failed to persist: {out:?}");
+
+        // Store healthy again: the same Replicate persists, then acks.
+        fail.store(false, Ordering::SeqCst);
+        let out = rig.server.handle_pdu(9, from_peer(&rig, peer, &replicate));
+        assert!(out.iter().any(|p| p.dst == peer
+            && matches!(msg_of(p), DataMsg::ReplicateAck { hash: h, .. } if h == hash)));
+        let read = request(&mut rig, &DataMsg::Read { target: ReadTarget::One(1) });
+        assert!(matches!(msg_of(&read[0]), DataMsg::ReadResp { .. }));
+        assert_eq!(counted(&rig, "sync_store_failures"), 1, "the repair is not a failure");
+    }
+
+    #[test]
+    fn replicate_of_a_fresh_record_the_store_rejects_is_not_acked() {
+        let peer = Name::from_content(b"peer server");
+        let (store, fail) = flaky_store();
+        let mut rig = rig_with_store(vec![peer], store);
+        let record = rig.writer.append(b"unstorable", 0).unwrap();
+        fail.store(true, Ordering::SeqCst);
+        let replicate = DataMsg::Replicate { capsule: rig.capsule, record };
+        let out = rig.server.handle_pdu(1, from_peer(&rig, peer, &replicate));
+        assert!(out.is_empty(), "no ReplicateAck (and no events) for an unstored record: {out:?}");
+        assert_eq!(counted(&rig, "replicated_in"), 0);
     }
 
     #[test]

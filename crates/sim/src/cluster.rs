@@ -118,7 +118,7 @@ impl SimCluster {
         };
         let identity = |i: usize| {
             let mut s = storage_seed(i);
-            s[0] ^= 0x5a; // the server-half seed domain (see build_cores)
+            s[0] ^= 0x5a; // the server-half seed domain (see build_cores_with_obs)
             gdp_cert::PrincipalId::from_seed(
                 gdp_cert::PrincipalKind::Server,
                 &s,

@@ -430,18 +430,6 @@ impl CapsuleStore for SegStore {
     fn durable_epoch(&self) -> u64 {
         self.log.inner.lock().gc.epoch_durable()
     }
-
-    fn durability_of(&self, hash: &RecordHash) -> Option<AppendAck> {
-        let mut inner = self.log.inner.lock();
-        if inner.ensure_resident(&self.capsule).is_err() {
-            // The index cannot be consulted: never vouch for durability.
-            return None;
-        }
-        inner
-            .stream(&self.capsule)
-            .and_then(|s| s.by_hash.get(hash).copied())
-            .map(|loc| inner.durability_at(loc))
-    }
 }
 
 impl LogInner {

@@ -118,13 +118,6 @@ pub trait CapsuleStore: Send {
     fn durable_epoch(&self) -> u64 {
         0
     }
-
-    /// Current durability of a stored record (used when an ack becomes
-    /// sendable for other reasons — e.g. replication quorum — and the
-    /// server must still not release it before the local fsync). `None`
-    /// means the store holds no such record at all — the caller must not
-    /// ack it as durable; re-append (or fail) instead.
-    fn durability_of(&self, hash: &RecordHash) -> Option<AppendAck>;
 }
 
 /// In-memory store: the default for simulations and tests.
@@ -198,10 +191,6 @@ impl CapsuleStore for MemStore {
 
     fn hashes(&self) -> Vec<RecordHash> {
         self.by_hash.keys().copied().collect()
-    }
-
-    fn durability_of(&self, hash: &RecordHash) -> Option<AppendAck> {
-        self.by_hash.contains_key(hash).then_some(AppendAck::Durable)
     }
 }
 

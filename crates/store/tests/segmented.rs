@@ -102,7 +102,6 @@ fn group_commit_acks_only_after_covering_fsync() {
     let ack = h.append_acked(&records[0]).unwrap();
     let AppendAck::Pending(epoch) = ack else { panic!("batched append acked durable: {ack:?}") };
     assert_eq!(epoch, epoch0 + 1, "buffered appends are covered by the next epoch");
-    assert_eq!(h.durability_of(&records[0].hash()), Some(AppendAck::Pending(epoch)));
     // A retried (duplicate) append must not ack ahead of the fsync.
     assert_eq!(h.append_acked(&records[0]).unwrap(), AppendAck::Pending(epoch));
 
@@ -110,13 +109,12 @@ fn group_commit_acks_only_after_covering_fsync() {
     let fsyncs_before = metrics.counter_value("store", "fsyncs");
     assert_eq!(h.flush(1_000).unwrap(), epoch0, "window not elapsed: no new epoch");
     assert_eq!(metrics.counter_value("store", "fsyncs"), fsyncs_before);
-    assert_eq!(h.durability_of(&records[0].hash()), Some(AppendAck::Pending(epoch)));
+    assert_eq!(h.append_acked(&records[0]).unwrap(), AppendAck::Pending(epoch));
 
     // Once the window elapses, one fsync covers the batch and the ack
     // epoch becomes durable.
     assert_eq!(h.flush(10_000).unwrap(), epoch);
     assert_eq!(metrics.counter_value("store", "fsyncs"), fsyncs_before + 1);
-    assert_eq!(h.durability_of(&records[0].hash()), Some(AppendAck::Durable));
     assert_eq!(h.append_acked(&records[0]).unwrap(), AppendAck::Durable);
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -144,7 +142,7 @@ fn one_fsync_covers_appends_across_many_capsules() {
         "16 appends across 8 capsules must group-commit under a single fsync"
     );
     for (m, rs) in &caps {
-        assert_eq!(log.handle(m.name()).durability_of(&rs[1].hash()), Some(AppendAck::Durable));
+        assert_eq!(log.handle(m.name()).append_acked(&rs[1]).unwrap(), AppendAck::Durable);
     }
     let _ = std::fs::remove_dir_all(dir);
 }
