@@ -170,7 +170,7 @@ enum ServerAttach {
 ///
 /// Extracted from the TCP daemon so the simulator restarts a crashed
 /// node through the *same* code path — including the segmented log's
-/// torn-tail recovery and `host_with_store` replay.
+/// torn-tail recovery and the server's replay of each hosted store.
 ///
 /// Metrics land in the node's shared registry: the router registers
 /// under scope `"router"`, the server under `"server"`, and every
@@ -191,11 +191,12 @@ pub fn build_cores_with_obs(
         seed[0] ^= 0x5a;
         let mut server =
             DataCapsuleServer::from_seed_with_obs(&seed, &cfg.label, &metrics.scope("server"));
-        // One backing is shared by every hosted capsule: the segmented
+        // One backing is shared by every hosted capsule — those in the
+        // config and those a wire `Host` request adds later: the segmented
         // group-commit log under `<data_dir>/seglog/`, or memory when no
         // data_dir is configured. Restart recovery (torn tails, checkpoint
-        // replay) happens inside the engine's open path, then
-        // `host_with_store` replays the store into the server core.
+        // replay) happens inside the engine's open path, then `host`
+        // replays the store into the server core.
         let backing = match &cfg.data_dir {
             None => Backing::Memory,
             Some(dir) => {
@@ -209,18 +210,10 @@ pub fn build_cores_with_obs(
         if let Some(policy) = cfg.fsync {
             engine = engine.with_policy(policy);
         }
+        server.set_storage_engine(engine);
         for spec in &cfg.hosts {
-            let capsule = spec.metadata.name();
-            let store = engine
-                .open_boxed(&capsule)
-                .map_err(|e| NodeError::Host(format!("open store: {e:?}")))?;
             server
-                .host_with_store(
-                    spec.metadata.clone(),
-                    spec.chain.clone(),
-                    spec.peers.clone(),
-                    store,
-                )
+                .host(spec.metadata.clone(), spec.chain.clone(), spec.peers.clone())
                 .map_err(|e| NodeError::Host(format!("{e:?}")))?;
         }
         Some(server)

@@ -12,9 +12,11 @@ use gdp_capsule::{MetadataBuilder, PointerStrategy};
 use gdp_cert::{AdCert, PrincipalId, PrincipalKind, Scope, ServingChain};
 use gdp_client::VerifiedRead;
 use gdp_crypto::SigningKey;
+use gdp_net::tcp::{TcpNet, TcpNetConfig};
 use gdp_node::{ClusterClient, HostSpec, NodeConfig, NodeError, Role, FOREVER};
-use gdp_router::Router;
-use gdp_server::{AckMode, ReadTarget};
+use gdp_router::{AttachStep, Attacher, Router};
+use gdp_server::{AckMode, DataMsg, ReadTarget};
+use gdp_wire::{Pdu, PduType, Wire};
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -256,5 +258,100 @@ fn single_both_node_serves_clients() {
         Err(e) => panic!("expected NodeError::Host, got {e}"),
         Ok(_) => panic!("node started empty on top of file-engine logs"),
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Regression: a capsule mounted by a wire `Host` request went to a
+/// `MemStore` even on a node with a `data_dir`, so its appends were acked
+/// "durable" from RAM and gone after a restart. It now lands in the node's
+/// segmented log like a capsule named in the config.
+#[test]
+fn capsule_hosted_over_the_wire_survives_a_restart() {
+    let dir = std::env::temp_dir().join(format!("gdp-live-wirehost-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let seed = [60u8; 32];
+    let router_name = Router::from_seed(&seed, "wire").name();
+    let server = server_identity(seed, "wire");
+    let owner = SigningKey::from_seed(&[61u8; 32]);
+    let writer_key = SigningKey::from_seed(&[62u8; 32]);
+    let meta = MetadataBuilder::new().writer(&writer_key.verifying_key()).sign(&owner);
+    let capsule = meta.name();
+    let chain = ServingChain::direct(
+        AdCert::issue(&owner, capsule, server.name(), false, Scope::Global, FOREVER),
+        server.principal().clone(),
+    );
+    let cfg = |hosts| NodeConfig {
+        role: Role::Both,
+        listen: "127.0.0.1:0".parse().unwrap(),
+        seed,
+        label: "wire".into(),
+        peers: vec![],
+        router: None,
+        data_dir: Some(dir.join("data")),
+        fsync: None,
+        stats_path: None,
+        shards: 1,
+        admission_rate: 0,
+        admission_burst: 64,
+        hosts,
+    };
+
+    // First life: the node hosts nothing until the owner asks it to.
+    let node = gdp_node::start(cfg(vec![])).expect("start empty node");
+    let owner_id = PrincipalId::from_seed(PrincipalKind::Client, &[63u8; 32], "owner");
+    let net = TcpNet::bind_with("127.0.0.1:0".parse().unwrap(), TcpNetConfig::default()).unwrap();
+    let mut attacher = Attacher::new(owner_id.clone(), router_name, Vec::new(), FOREVER);
+    net.send(node.local_addr(), attacher.hello()).unwrap();
+    let host = Pdu {
+        pdu_type: PduType::Data,
+        src: owner_id.name(),
+        dst: server.name(),
+        seq: 1,
+        payload: DataMsg::Host { metadata: meta.clone(), chain: chain.clone(), peers: vec![] }
+            .to_wire()
+            .into(),
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    loop {
+        assert!(std::time::Instant::now() < deadline, "no HostAck from the node");
+        let Some((_, pdu)) = net.recv_timeout(Duration::from_millis(50)).unwrap() else { continue };
+        match attacher.on_pdu(&pdu) {
+            AttachStep::Send(reply) => net.send(node.local_addr(), reply).unwrap(),
+            AttachStep::Done(_) => net.send(node.local_addr(), host.clone()).unwrap(),
+            AttachStep::Failed(why) => panic!("owner attach rejected: {why}"),
+            AttachStep::Ignored => {
+                if let Ok(DataMsg::HostAck { capsule: acked }) = DataMsg::from_wire(&pdu.payload) {
+                    assert_eq!(acked, capsule);
+                    break;
+                }
+            }
+        }
+    }
+    net.shutdown();
+
+    let mut client = ClusterClient::connect(node.local_addr(), router_name, &[64u8; 32], "w")
+        .expect("writer attach");
+    client.timeout = Duration::from_secs(20);
+    client.track(&meta).expect("track");
+    client.register_writer(&meta, writer_key, PointerStrategy::Chain).expect("writer");
+    client.append(capsule, b"hosted over the wire", AckMode::Local).expect("acked append");
+    client.close();
+    node.stop();
+
+    // Second life: the capsule is in the config; the acked record must be
+    // on disk under the same data_dir.
+    let node =
+        gdp_node::start(cfg(vec![HostSpec { metadata: meta.clone(), chain, peers: vec![] }]))
+            .expect("restart");
+    let mut reader = ClusterClient::connect(node.local_addr(), router_name, &[65u8; 32], "r")
+        .expect("reader attach");
+    reader.track(&meta).expect("track");
+    let read = reader.read(capsule, ReadTarget::Latest).expect("acked record after restart");
+    let VerifiedRead::Latest(rec, _) = read else { panic!("wanted latest, got {read:?}") };
+    assert_eq!(rec.body, b"hosted over the wire");
+    reader.close();
+    node.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,6 +8,7 @@
 
 #![forbid(unsafe_code)]
 
+mod ledger;
 pub mod proto;
 pub mod server;
 pub mod simnode;

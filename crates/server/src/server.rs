@@ -19,7 +19,11 @@
 // Non-test matches on wire enums (`Pdu`, `PduType`, `DataMsg`) name every variant: a
 // new variant is a compile error here, not silent message loss behind a `_ =>`.
 #![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
+// A discarded store `Result` is a discarded durability answer: each of the
+// silent-durability bugs found in this file began as a `let _ =`.
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
 
+use crate::ledger::{AckLedger, AckTo, Parked, Step};
 use crate::proto::{
     append_ack_body, event_body, mac_response, read_result_body, session_transcript, sign_response,
     AckMode, DataMsg, ErrorCode, NackCode, ReadResult, ReadTarget, ResponseAuth,
@@ -31,7 +35,7 @@ use gdp_cert::{CapsuleAdvert, PrincipalId, PrincipalKind, ServingChain};
 use gdp_crypto::x25519::EphemeralKeyPair;
 use gdp_crypto::{hkdf, Signature};
 use gdp_obs::{Counter, Scope as ObsScope};
-use gdp_store::{AppendAck, CapsuleStore, MemStore};
+use gdp_store::{AppendAck, Backing, CapsuleStore, StorageEngine, StoreError};
 use gdp_wire::{Name, Pdu, PduType, Wire};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,6 +62,7 @@ struct ServerObs {
     requests_undecodable: Counter,
     recovery_records_skipped: Counter,
     sync_store_failures: Counter,
+    flush_failures: Counter,
 }
 
 impl ServerObs {
@@ -80,6 +85,7 @@ impl ServerObs {
             requests_undecodable: scope.counter("requests_undecodable"),
             recovery_records_skipped: scope.counter("recovery_records_skipped"),
             sync_store_failures: scope.counter("sync_store_failures"),
+            flush_failures: scope.counter("flush_failures"),
             scope: scope.clone(),
         }
     }
@@ -97,21 +103,6 @@ struct Hosted {
     subscribers: Vec<Name>,
 }
 
-struct PendingDurability {
-    capsule: Name,
-    client: Name,
-    request_seq: u64,
-    /// `record.hash()`, kept so matching a `ReplicateAck` costs no SHA-256.
-    hash: RecordHash,
-    /// The appended record itself (refcounted body), so the quorum path
-    /// can ask the store for its durability without the capsule — which
-    /// does not index a record parked behind a hole.
-    record: Record,
-    needed: u32,
-    acked: u32,
-    deadline: u64,
-}
-
 /// An established client flow: the key plus the handshake inputs that
 /// produced it, so a retransmitted `SessionInit` can be answered
 /// idempotently (same server ephemeral, same key, same accept) instead of
@@ -124,17 +115,6 @@ struct FlowSession {
     key: [u8; 32],
 }
 
-/// An ack (to a client or an upstream replica) held back because the
-/// record's covering group-commit fsync has not happened yet. Released by
-/// [`DataCapsuleServer::tick`] once the store's durable epoch reaches
-/// `epoch` — the paper's durability promise ("make information durable",
-/// §IV-B) means an ack must never outrun the disk.
-struct DeferredAck {
-    capsule: Name,
-    epoch: u64,
-    pdu: Pdu,
-}
-
 /// A DataCapsule-server.
 pub struct DataCapsuleServer {
     id: PrincipalId,
@@ -143,12 +123,14 @@ pub struct DataCapsuleServer {
     hosted: BTreeMap<Name, Hosted>,
     /// Flow keys per client name.
     sessions: HashMap<Name, FlowSession>,
-    pending: Vec<PendingDurability>,
-    /// Acks awaiting their covering fsync (group-commit stores).
-    deferred: Vec<DeferredAck>,
+    /// Every ack not yet allowed to leave (DESIGN.md, "Ack ledger").
+    ledger: AckLedger,
+    /// Where [`DataCapsuleServer::host`] opens a capsule's store.
+    engine: StorageEngine,
     /// Cached metric handles (shared registry when built `with_obs`).
     obs: ServerObs,
-    /// How long to wait for quorum acks before failing an append (µs).
+    /// How long an ack may stay parked — waiting for replica acks or its
+    /// covering fsync — before the append fails (µs).
     pub durability_timeout: u64,
     /// Appends accepted per tick before the server sheds with
     /// `Nack{Busy}`; 0 disables shedding (the default).
@@ -177,8 +159,8 @@ impl DataCapsuleServer {
             id,
             hosted: BTreeMap::new(),
             sessions: HashMap::new(),
-            pending: Vec::new(),
-            deferred: Vec::new(),
+            ledger: AckLedger::default(),
+            engine: StorageEngine::new(Backing::Memory),
             obs: ServerObs::new(obs),
             durability_timeout: 10_000_000,
             append_budget: 0,
@@ -230,15 +212,25 @@ impl DataCapsuleServer {
         &self.id
     }
 
-    /// Starts hosting a capsule. `chain` must be a delegation ending at
-    /// this server; `peers` are the other delegated replicas.
+    /// Installs the node's storage engine: every later
+    /// [`DataCapsuleServer::host`] — from the config or from a wire
+    /// `Host` request — opens the capsule's store from it. The default is
+    /// an in-memory engine.
+    pub fn set_storage_engine(&mut self, engine: StorageEngine) {
+        self.engine = engine;
+    }
+
+    /// Starts hosting a capsule on a store opened from the server's
+    /// storage engine. `chain` must be a delegation ending at this
+    /// server; `peers` are the other delegated replicas.
     pub fn host(
         &mut self,
         metadata: CapsuleMetadata,
         chain: ServingChain,
         peers: Vec<Name>,
-    ) -> Result<(), CapsuleError> {
-        self.host_with_store(metadata, chain, peers, Box::new(MemStore::new()))
+    ) -> Result<(), StoreError> {
+        let store = self.engine.open_boxed(&metadata.name())?;
+        self.host_with_store(metadata, chain, peers, store)
     }
 
     /// Starts hosting with a caller-provided store backend.
@@ -248,12 +240,12 @@ impl DataCapsuleServer {
         chain: ServingChain,
         peers: Vec<Name>,
         mut store: Box<dyn CapsuleStore>,
-    ) -> Result<(), CapsuleError> {
+    ) -> Result<(), StoreError> {
         if chain.server().name() != self.name() {
-            return Err(CapsuleError::BadMetadata("chain does not end at this server"));
+            return Err(CapsuleError::BadMetadata("chain does not end at this server").into());
         }
         let mut capsule = DataCapsule::new(metadata.clone())?;
-        let _ = store.put_metadata(&metadata);
+        store.put_metadata(&metadata)?;
         // Recover any records already in the store (restart path). A seq
         // the store cannot read back (rot in a sealed segment) or whose
         // record no longer verifies becomes a hole for anti-entropy to
@@ -351,15 +343,64 @@ impl DataCapsuleServer {
         }
     }
 
-    /// Emits `pdu` now if the record backing it is durable, or parks it
-    /// until the covering group-commit fsync (released by `tick`).
-    fn gate_ack(&mut self, capsule: &Name, ack: AppendAck, pdu: Pdu, out: &mut Vec<Pdu>) {
-        match ack {
-            AppendAck::Durable => out.push(pdu),
-            AppendAck::Pending(epoch) => {
-                self.obs.acks_deferred.inc();
-                self.deferred.push(DeferredAck { capsule: *capsule, epoch, pdu });
+    /// The `AppendAck` or `ReplicateAck` a released ledger entry stands for.
+    fn ack_pdu(&self, ack: &Parked) -> Pdu {
+        match ack.to {
+            AckTo::Client { client, request_seq } => {
+                let body = append_ack_body(ack.record_seq, &ack.hash, ack.replicas);
+                let auth = self.auth_for(&ack.capsule, &client, request_seq, &body);
+                let msg = DataMsg::AppendAck {
+                    seq: ack.record_seq,
+                    hash: ack.hash,
+                    replicas: ack.replicas,
+                    auth,
+                };
+                self.data_pdu(client, request_seq, &msg)
             }
+            AckTo::Upstream { peer } => self.data_pdu(
+                peer,
+                0,
+                &DataMsg::ReplicateAck { capsule: ack.capsule, hash: ack.hash },
+            ),
+        }
+    }
+
+    /// Turns what the ledger decided into PDUs (appended to `out`),
+    /// counters and traces.
+    fn settle(&mut self, now: u64, steps: Vec<Step>, mut out: Vec<Pdu>) -> Vec<Pdu> {
+        for step in steps {
+            match step {
+                Step::Deferred => self.obs.acks_deferred.inc(),
+                Step::Release(ack) => out.push(self.ack_pdu(&ack)),
+                Step::Fail(ack) => {
+                    // Only a client is told: the upstream server keeps its
+                    // own deadline for the record.
+                    let AckTo::Client { client, request_seq } = ack.to else { continue };
+                    self.obs.durability_timeouts.inc();
+                    self.obs.trace(
+                        now,
+                        "durability_timeout",
+                        &[("capsule", ack.capsule.to_hex()), ("seq", ack.record_seq.to_string())],
+                    );
+                    out.push(self.err_pdu(
+                        client,
+                        request_seq,
+                        ErrorCode::DurabilityTimeout,
+                        "replica acks or fsync not in time",
+                    ));
+                }
+            }
+        }
+        out
+    }
+
+    /// Pushes `record` to each of `subs`.
+    fn push_events(&self, capsule: &Name, subs: &[Name], record: &Record, out: &mut Vec<Pdu>) {
+        let body = event_body(record);
+        for sub in subs {
+            let auth = self.auth_for(capsule, sub, 0, &body);
+            out.push(self.data_pdu(*sub, 0, &DataMsg::Event { record: record.clone(), auth }));
+            self.obs.events_pushed.inc();
         }
     }
 
@@ -395,8 +436,13 @@ impl DataCapsuleServer {
             DataMsg::Host { metadata, chain, peers } => {
                 self.on_host(now, client, seq, metadata, chain, peers)
             }
-            DataMsg::Replicate { capsule, record } => self.on_replicate(capsule, client, record),
-            DataMsg::ReplicateAck { capsule, hash } => self.on_replicate_ack(capsule, hash),
+            DataMsg::Replicate { capsule, record } => {
+                self.on_record(now, capsule, record, AckTo::Upstream { peer: client }, 0)
+            }
+            DataMsg::ReplicateAck { capsule, hash } => {
+                let steps = self.ledger.replica_ack(capsule, hash, client);
+                self.settle(now, steps, Vec::new())
+            }
             DataMsg::SyncRequest { capsule, have_seq, missing } => {
                 self.on_sync_request(capsule, client, have_seq, missing)
             }
@@ -472,10 +518,10 @@ impl DataCapsuleServer {
         // Metadata for an already-hosted capsule is idempotent; metadata
         // for an unknown capsule is accepted only if it hashes to the
         // destination name (the server may then be delegated separately).
-        match self.hosted.get_mut(&capsule) {
-            Some(h) => {
-                let _ = h.store.put_metadata(&metadata);
-                Vec::new()
+        match self.hosted.get_mut(&capsule).map(|h| h.store.put_metadata(&metadata)) {
+            Some(Ok(())) => Vec::new(),
+            Some(Err(_)) => {
+                vec![self.err_pdu(client, seq, ErrorCode::BadRequest, "storage failure")]
             }
             None => {
                 vec![self.err_pdu(client, seq, ErrorCode::NotServing, "host() this capsule first")]
@@ -543,115 +589,97 @@ impl DataCapsuleServer {
             )];
         }
         self.appends_this_tick += 1;
-        let Some(hosted) = self.hosted.get_mut(&capsule_name) else {
-            return vec![self.err_pdu(client, seq, ErrorCode::NotServing, "unknown capsule")];
-        };
-        let record_seq = record.header.seq;
-        let hash = record.hash();
-        match hosted.capsule.ingest(record.clone()) {
-            Ok(IngestOutcome::Duplicate) => {
-                // Idempotent: ack again — but a retry must not ack ahead
-                // of the stored record's covering fsync, and a record the
-                // capsule saw but the store never persisted (an earlier
-                // append_acked failed) is stored now, not acked as a
-                // phantom. A duplicate append_acked does both.
-                let dur = match hosted.store.append_acked(&record) {
-                    Ok(a) => a,
-                    Err(_) => {
-                        return vec![self.err_pdu(
-                            client,
-                            seq,
-                            ErrorCode::BadRequest,
-                            "storage failure",
-                        )]
-                    }
-                };
-                let body = append_ack_body(record_seq, &hash, 1);
-                let auth = self.auth_for(&capsule_name, &client, seq, &body);
-                let pdu = self.data_pdu(
-                    client,
-                    seq,
-                    &DataMsg::AppendAck { seq: record_seq, hash, replicas: 1, auth },
-                );
-                let mut out = Vec::new();
-                self.gate_ack(&capsule_name, dur, pdu, &mut out);
-                return out;
-            }
-            Ok(_) => {}
-            Err(e) => {
-                self.obs.appends_rejected.inc();
-                self.obs.verify_failures.inc();
-                self.obs.trace(
-                    now,
-                    "append_rejected",
-                    &[("capsule", capsule_name.to_hex()), ("reason", e.to_string())],
-                );
-                return vec![self.err_pdu(
-                    client,
-                    seq,
-                    ErrorCode::VerificationFailed,
-                    &e.to_string(),
-                )];
-            }
-        }
-        let ack = match hosted.store.append_acked(&record) {
-            Ok(a) => a,
-            Err(_) => {
-                return vec![self.err_pdu(client, seq, ErrorCode::BadRequest, "storage failure")]
-            }
-        };
-        self.obs.appends_committed.inc();
-
-        let peers = hosted.peers.clone();
-        let subscribers = hosted.subscribers.clone();
-        let mut out = Vec::new();
-
-        // Forward to peer replicas (leaderless: any order, idempotent).
-        for peer in &peers {
-            out.push(self.data_pdu(
-                *peer,
-                0,
-                &DataMsg::Replicate { capsule: capsule_name, record: record.clone() },
-            ));
-            self.obs.replicated_out.inc();
-        }
-
-        // Push to subscribers.
-        for sub in &subscribers {
-            let body = event_body(&record);
-            let auth = self.auth_for(&capsule_name, sub, 0, &body);
-            out.push(self.data_pdu(*sub, 0, &DataMsg::Event { record: record.clone(), auth }));
-            self.obs.events_pushed.inc();
-        }
-
-        // Acknowledge per durability mode.
         let needed = match ack_mode {
             AckMode::Local => 0,
-            AckMode::Quorum(n) => n.min(peers.len() as u32),
-            AckMode::All => peers.len() as u32,
+            AckMode::Quorum(n) => n,
+            AckMode::All => u32::MAX,
         };
-        if needed == 0 {
-            let body = append_ack_body(record_seq, &hash, 1);
-            let auth = self.auth_for(&capsule_name, &client, seq, &body);
-            let pdu = self.data_pdu(
-                client,
-                seq,
-                &DataMsg::AppendAck { seq: record_seq, hash, replicas: 1, auth },
-            );
-            self.gate_ack(&capsule_name, ack, pdu, &mut out);
-        } else {
-            self.pending.push(PendingDurability {
-                capsule: capsule_name,
-                client,
-                request_seq: seq,
-                hash,
-                record,
-                needed,
-                acked: 0,
-                deadline: now + self.durability_timeout,
-            });
+        let to = AckTo::Client { client, request_seq: seq };
+        self.on_record(now, capsule_name, record, to, needed)
+    }
+
+    /// The one path a record takes into a hosted capsule, fresh or
+    /// duplicate, from a client (`Append`: forwarded on to the peers, acked
+    /// under *this* request's ack mode — so a retry is never acked on the
+    /// local copy alone) or from an upstream replica (`Replicate`, which
+    /// waits for the covering fsync exactly like a client ack, because a
+    /// `ReplicateAck` may count toward a client's quorum): verify, persist,
+    /// forward, push to subscribers, park the ack.
+    fn on_record(
+        &mut self,
+        now: u64,
+        capsule_name: Name,
+        record: Record,
+        to: AckTo,
+        needed: u32,
+    ) -> Vec<Pdu> {
+        let from_client = matches!(to, AckTo::Client { .. });
+        let Some(hosted) = self.hosted.get_mut(&capsule_name) else {
+            return self.refuse(to, ErrorCode::NotServing, "unknown capsule");
+        };
+        let fresh = match hosted.capsule.ingest(record.clone()) {
+            Ok(outcome) => !matches!(outcome, IngestOutcome::Duplicate),
+            Err(e) => {
+                // Never ack unverifiable data.
+                self.obs.verify_failures.inc();
+                if from_client {
+                    self.obs.appends_rejected.inc();
+                    self.obs.trace(
+                        now,
+                        "append_rejected",
+                        &[("capsule", capsule_name.to_hex()), ("reason", e.to_string())],
+                    );
+                }
+                return self.refuse(to, ErrorCode::VerificationFailed, &e.to_string());
+            }
+        };
+        // For a duplicate the store re-reports the stored copy's durability,
+        // or persists a record an earlier failed append left only in RAM.
+        // Never ack what the store failed to persist.
+        let epoch = match hosted.store.append_acked(&record) {
+            Ok(AppendAck::Durable) => 0,
+            Ok(AppendAck::Pending(epoch)) => epoch,
+            Err(_) => return self.refuse(to, ErrorCode::BadRequest, "storage failure"),
+        };
+        let peers = if from_client { hosted.peers.clone() } else { Vec::new() };
+        let subscribers = if fresh { hosted.subscribers.clone() } else { Vec::new() };
+        let mut out = Vec::new();
+        // Forward to peer replicas (leaderless: any order, idempotent — a
+        // replica re-acks a duplicate through its own ledger).
+        for peer in &peers {
+            let msg = DataMsg::Replicate { capsule: capsule_name, record: record.clone() };
+            out.push(self.data_pdu(*peer, 0, &msg));
+            self.obs.replicated_out.inc();
         }
-        out
+        if fresh {
+            let committed =
+                if from_client { &self.obs.appends_committed } else { &self.obs.replicated_in };
+            committed.inc();
+            self.push_events(&capsule_name, &subscribers, &record, &mut out);
+        }
+        let parked = self.ledger.park(Parked {
+            capsule: capsule_name,
+            hash: record.hash(),
+            record_seq: record.header.seq,
+            to,
+            replicas: 1,
+            needed,
+            unacked: peers,
+            epoch,
+            deadline: now + self.durability_timeout,
+        });
+        self.settle(now, parked, out)
+    }
+
+    /// Answers a request that cannot be served; an upstream replica is
+    /// told nothing (its own deadline covers the record).
+    fn refuse(&self, to: AckTo, code: ErrorCode, detail: &str) -> Vec<Pdu> {
+        match to {
+            AckTo::Client { client, request_seq } => {
+                vec![self.err_pdu(client, request_seq, code, detail)]
+            }
+            AckTo::Upstream { .. } => Vec::new(),
+        }
     }
 
     fn on_read(
@@ -737,93 +765,8 @@ impl DataCapsuleServer {
         let replay: Vec<Record> =
             hosted.capsule.range(from_seq.saturating_add(1), latest).into_iter().cloned().collect();
         let mut out = Vec::new();
-        for record in replay {
-            let body = event_body(&record);
-            let auth = self.auth_for(&capsule_name, &client, 0, &body);
-            out.push(self.data_pdu(client, 0, &DataMsg::Event { record, auth }));
-            self.obs.events_pushed.inc();
-        }
-        out
-    }
-
-    fn on_replicate(&mut self, capsule_name: Name, peer: Name, record: Record) -> Vec<Pdu> {
-        let Some(hosted) = self.hosted.get_mut(&capsule_name) else {
-            return Vec::new();
-        };
-        let hash = record.hash();
-        // A ReplicateAck tells the upstream server this replica holds the
-        // record durably (it may count toward a client's quorum), so it is
-        // durability-gated exactly like a client ack.
-        let ack = match hosted.capsule.ingest(record.clone()) {
-            // For a duplicate, append_acked reports the stored record's
-            // current durability, and persists a record the capsule knows
-            // but the store does not (a failed earlier append).
-            Ok(outcome) => {
-                let Ok(a) = hosted.store.append_acked(&record) else {
-                    return Vec::new(); // never ack what we failed to store
-                };
-                if !matches!(outcome, IngestOutcome::Duplicate) {
-                    self.obs.replicated_in.inc();
-                }
-                a
-            }
-            Err(_) => {
-                self.obs.verify_failures.inc();
-                return Vec::new(); // never ack unverifiable data
-            }
-        };
-        let subscribers = hosted.subscribers.clone();
-        let mut out = Vec::new();
-        let ack_pdu =
-            self.data_pdu(peer, 0, &DataMsg::ReplicateAck { capsule: capsule_name, hash });
-        self.gate_ack(&capsule_name, ack, ack_pdu, &mut out);
-        for sub in &subscribers {
-            let body = event_body(&record);
-            let auth = self.auth_for(&capsule_name, sub, 0, &body);
-            out.push(self.data_pdu(*sub, 0, &DataMsg::Event { record: record.clone(), auth }));
-            self.obs.events_pushed.inc();
-        }
-        out
-    }
-
-    fn on_replicate_ack(&mut self, capsule: Name, hash: RecordHash) -> Vec<Pdu> {
-        let mut out = Vec::new();
-        let mut done = Vec::new();
-        for (i, p) in self.pending.iter_mut().enumerate() {
-            if p.capsule == capsule && p.hash == hash {
-                p.acked += 1;
-                if p.acked >= p.needed {
-                    done.push(i);
-                }
-            }
-        }
-        for i in done.into_iter().rev() {
-            let p = self.pending.remove(i);
-            // Quorum reached — but the local copy must also be durable
-            // before this server vouches for the write. A capsule that is
-            // no longer hosted, or a record the store neither holds nor
-            // can persist now, fails the append instead of acking a
-            // phantom.
-            let dur =
-                self.hosted.get_mut(&p.capsule).and_then(|h| h.store.append_acked(&p.record).ok());
-            let Some(dur) = dur else {
-                out.push(self.err_pdu(
-                    p.client,
-                    p.request_seq,
-                    ErrorCode::BadRequest,
-                    "record not locally durable",
-                ));
-                continue;
-            };
-            let record_seq = p.record.header.seq;
-            let body = append_ack_body(record_seq, &p.hash, p.acked + 1);
-            let auth = self.auth_for(&p.capsule, &p.client, p.request_seq, &body);
-            let pdu = self.data_pdu(
-                p.client,
-                p.request_seq,
-                &DataMsg::AppendAck { seq: record_seq, hash: p.hash, replicas: p.acked + 1, auth },
-            );
-            self.gate_ack(&p.capsule, dur, pdu, &mut out);
+        for record in &replay {
+            self.push_events(&capsule_name, &[client], record, &mut out);
         }
         out
     }
@@ -893,57 +836,36 @@ impl DataCapsuleServer {
     }
 
     /// Periodic maintenance: flushes hosted stores (group commit) and
-    /// releases acks whose covering fsync landed, emits anti-entropy
-    /// requests for capsules with holes, and fails timed-out durability
-    /// waits.
+    /// releases acks whose covering fsync landed, fails acks parked past
+    /// their deadline, and emits anti-entropy requests for capsules with
+    /// holes.
     pub fn tick(&mut self, now: u64) -> Vec<Pdu> {
-        let mut out = Vec::new();
         // A new tick opens a fresh append budget (see set_overload_policy).
         self.appends_this_tick = 0;
-        // Drive batched-durability stores; the due-ness check is theirs.
-        for h in self.hosted.values_mut() {
-            let _ = h.store.flush(now);
-        }
-        // Release deferred acks covered by an fsync (FIFO for replay
-        // determinism).
-        if !self.deferred.is_empty() {
-            let mut still = Vec::new();
-            for d in std::mem::take(&mut self.deferred) {
-                // Only the store that owns the record can confirm the
-                // covering fsync; if the capsule is no longer hosted that
-                // fsync may never happen — drop the ack, never release it.
-                let Some(h) = self.hosted.get(&d.capsule) else { continue };
-                if h.store.durable_epoch() >= d.epoch {
-                    self.obs.acks_released.inc();
-                    out.push(d.pdu);
-                } else {
-                    still.push(d);
+        // Drive batched-durability stores (the due-ness check is theirs)
+        // and tell the ledger what each has fsynced. A failed flush is
+        // counted and traced; acks it leaves uncovered fail at their
+        // deadline below instead of waiting forever.
+        let mut steps = Vec::new();
+        for (name, h) in self.hosted.iter_mut() {
+            let epoch = match h.store.flush(now) {
+                Ok(epoch) => epoch,
+                Err(e) => {
+                    self.obs.flush_failures.inc();
+                    self.obs.trace(
+                        now,
+                        "flush_failed",
+                        &[("capsule", name.to_hex()), ("error", e.to_string())],
+                    );
+                    h.store.durable_epoch()
                 }
-            }
-            self.deferred = still;
+            };
+            steps.extend(self.ledger.durable(*name, epoch));
         }
-        // Durability timeouts.
-        let mut expired = Vec::new();
-        for (i, p) in self.pending.iter().enumerate() {
-            if now >= p.deadline {
-                expired.push(i);
-            }
-        }
-        for i in expired.into_iter().rev() {
-            let p = self.pending.remove(i);
-            self.obs.durability_timeouts.inc();
-            self.obs.trace(
-                now,
-                "durability_timeout",
-                &[("capsule", p.capsule.to_hex()), ("seq", p.record.header.seq.to_string())],
-            );
-            out.push(self.err_pdu(
-                p.client,
-                p.request_seq,
-                ErrorCode::DurabilityTimeout,
-                "quorum not reached",
-            ));
-        }
+        // What a durable epoch lets out had waited on nothing else.
+        self.obs.acks_released.add(steps.len() as u64);
+        steps.extend(self.ledger.expire(now));
+        let mut out = self.settle(now, steps, Vec::new());
         // Anti-entropy for holes and missing ancestors.
         let requests: Vec<(Name, Vec<Name>, u64, Vec<RecordHash>)> = self
             .hosted
@@ -977,7 +899,7 @@ mod tests {
     use super::*;
     use gdp_capsule::{CapsuleWriter, MetadataBuilder, PointerStrategy};
     use gdp_cert::{AdCert, Scope};
-    use gdp_store::StoreError;
+    use gdp_store::MemStore;
     use gdp_wire::PduType;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -1009,19 +931,31 @@ mod tests {
         rig_with_store(peers, Box::new(MemStore::new()))
     }
 
-    fn rig_with_store(peers: Vec<Name>, store: Box<dyn CapsuleStore>) -> Rig {
-        let id = PrincipalId::from_seed(gdp_cert::PrincipalKind::Server, &[3u8; 32], "s");
-        let metrics = gdp_obs::Metrics::new();
-        let mut server = DataCapsuleServer::new_with_obs(id.clone(), &metrics.scope("server"));
-        let meta = MetadataBuilder::new()
+    fn server_id() -> PrincipalId {
+        PrincipalId::from_seed(gdp_cert::PrincipalKind::Server, &[3u8; 32], "s")
+    }
+
+    /// The capsule every rig hosts.
+    fn unit_meta() -> CapsuleMetadata {
+        MetadataBuilder::new()
             .writer(&wkey().verifying_key())
             .set_str("description", "unit")
-            .sign(&owner());
-        let chain = ServingChain::direct(
+            .sign(&owner())
+    }
+
+    fn unit_chain(id: &PrincipalId, meta: &CapsuleMetadata) -> ServingChain {
+        ServingChain::direct(
             AdCert::issue(&owner(), meta.name(), id.name(), false, Scope::Global, FOREVER),
             id.principal().clone(),
-        );
-        server.host_with_store(meta.clone(), chain, peers, store).unwrap();
+        )
+    }
+
+    fn rig_with_store(peers: Vec<Name>, store: Box<dyn CapsuleStore>) -> Rig {
+        let id = server_id();
+        let metrics = gdp_obs::Metrics::new();
+        let mut server = DataCapsuleServer::new_with_obs(id.clone(), &metrics.scope("server"));
+        let meta = unit_meta();
+        server.host_with_store(meta.clone(), unit_chain(&id, &meta), peers, store).unwrap();
         let writer = CapsuleWriter::new(&meta, wkey(), PointerStrategy::Chain).unwrap();
         Rig {
             server,
@@ -1064,16 +998,30 @@ mod tests {
         }
     }
 
-    /// A `MemStore` whose `append_acked` fails while the shared switch is
-    /// on — the store-side fault the server must never turn into an ack.
+    /// A store whose `append_acked` and `put_metadata` (or `flush`) fail
+    /// while the shared switch is on — the store-side faults the server must never turn
+    /// into an ack.
     struct FlakyStore {
-        inner: MemStore,
+        inner: Box<dyn CapsuleStore>,
         fail: Arc<AtomicBool>,
+        fail_flush: Arc<AtomicBool>,
     }
 
     fn flaky_store() -> (Box<dyn CapsuleStore>, Arc<AtomicBool>) {
         let fail = Arc::new(AtomicBool::new(false));
-        (Box::new(FlakyStore { inner: MemStore::new(), fail: fail.clone() }), fail)
+        let store = FlakyStore {
+            inner: Box::new(MemStore::new()),
+            fail: fail.clone(),
+            fail_flush: Arc::default(),
+        };
+        (Box::new(store), fail)
+    }
+
+    /// `inner` behind a switch that fails `flush`.
+    fn flaky_flush_store(inner: Box<dyn CapsuleStore>) -> (Box<dyn CapsuleStore>, Arc<AtomicBool>) {
+        let fail_flush = Arc::new(AtomicBool::new(false));
+        let store = FlakyStore { inner, fail: Arc::default(), fail_flush: fail_flush.clone() };
+        (Box::new(store), fail_flush)
     }
 
     impl CapsuleStore for FlakyStore {
@@ -1084,6 +1032,9 @@ mod tests {
             self.inner.append_acked(record)
         }
         fn put_metadata(&mut self, m: &CapsuleMetadata) -> Result<(), StoreError> {
+            if self.fail.load(Ordering::SeqCst) {
+                return Err(StoreError::Corrupt("injected metadata failure".into()));
+            }
             self.inner.put_metadata(m)
         }
         fn metadata(&self) -> Result<CapsuleMetadata, StoreError> {
@@ -1112,6 +1063,15 @@ mod tests {
         }
         fn hashes(&self) -> Vec<RecordHash> {
             self.inner.hashes()
+        }
+        fn flush(&mut self, now_us: u64) -> Result<u64, StoreError> {
+            if self.fail_flush.load(Ordering::SeqCst) {
+                return Err(StoreError::Corrupt("injected flush failure".into()));
+            }
+            self.inner.flush(now_us)
+        }
+        fn durable_epoch(&self) -> u64 {
+            self.inner.durable_epoch()
         }
     }
 
@@ -1331,6 +1291,128 @@ mod tests {
             "quorum reached on a stored record must ack, got {:?}",
             msg_of(&out[0])
         );
+    }
+
+    fn append_acks(out: &[Pdu]) -> Vec<(u64, u32)> {
+        out.iter()
+            .filter_map(|p| match msg_of(p) {
+                DataMsg::AppendAck { replicas, .. } => Some((p.seq, replicas)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Regression (hole i): the duplicate arm acked a retried append on
+    /// local durability alone, whatever ack mode the retry asked for.
+    #[test]
+    fn retransmitted_quorum_append_is_acked_only_by_the_replica_ack() {
+        let peer = Name::from_content(b"peer server");
+        let mut rig = rig_with_peers(vec![peer]);
+        let record = rig.writer.append(b"retried", 0).unwrap();
+        let hash = record.hash();
+        let append = DataMsg::Append { record, ack_mode: AckMode::Quorum(1) };
+        for _ in 0..2 {
+            let out = request(&mut rig, &append);
+            assert!(append_acks(&out).is_empty(), "no quorum yet: {out:?}");
+            assert!(
+                out.iter().any(|p| p.dst == peer && matches!(msg_of(p), DataMsg::Replicate { .. })),
+                "a retry re-forwards, so a replica that lost the first copy still acks"
+            );
+        }
+        let ack = from_peer(&rig, peer, &DataMsg::ReplicateAck { capsule: rig.capsule, hash });
+        let out = rig.server.handle_pdu(1, ack.clone());
+        assert_eq!(append_acks(&out), vec![(1, 2), (2, 2)], "one ack per request seq");
+        assert!(rig.server.handle_pdu(2, ack).is_empty(), "nothing left to release");
+        assert_eq!(counted(&rig, "appends_committed"), 1);
+    }
+
+    /// Regression (hole iv): replica acks were counted, not attributed, so
+    /// one peer acking twice (or a duplicating fabric) met `Quorum(2)`.
+    #[test]
+    fn quorum_counts_distinct_peers_not_replica_acks() {
+        let (p1, p2) = (Name::from_content(b"peer one"), Name::from_content(b"peer two"));
+        let mut rig = rig_with_peers(vec![p1, p2]);
+        let record = rig.writer.append(b"two of two", 0).unwrap();
+        let hash = record.hash();
+        request(&mut rig, &DataMsg::Append { record, ack_mode: AckMode::Quorum(2) });
+        let ack = DataMsg::ReplicateAck { capsule: rig.capsule, hash };
+        let stranger = Name::from_content(b"not a replica");
+        for from in [p1, p1, stranger] {
+            let out = rig.server.handle_pdu(1, from_peer(&rig, from, &ack));
+            assert!(out.is_empty(), "{from:?} must not complete the quorum: {out:?}");
+        }
+        let out = rig.server.handle_pdu(2, from_peer(&rig, p2, &ack));
+        assert_eq!(append_acks(&out), vec![(1, 3)]);
+    }
+
+    /// Regression (hole ii): `tick` discarded the flush result and only
+    /// quorum waits had a deadline, so an fsync-parked ack hung forever.
+    #[test]
+    fn failed_flush_is_counted_traced_and_fails_the_parked_ack_at_its_deadline() {
+        use gdp_store::{FsyncPolicy, SegConfig, SegLog};
+        let dir = std::env::temp_dir().join(format!(
+            "gdp-server-flushfail-{}-{}",
+            std::process::id(),
+            line!()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg =
+            SegConfig { policy: FsyncPolicy::Batch { interval_us: 5_000 }, ..SegConfig::default() };
+        let log = SegLog::open(&dir, cfg).unwrap();
+        let (store, fail_flush) = flaky_flush_store(Box::new(log.handle(unit_meta().name())));
+        let mut rig = rig_with_store(vec![], store);
+        rig.server.durability_timeout = 20_000;
+
+        let record = rig.writer.append(b"never fsynced", 0).unwrap();
+        let out = request(&mut rig, &DataMsg::Append { record, ack_mode: AckMode::Local });
+        assert!(out.is_empty(), "parked behind the group commit: {out:?}");
+        assert_eq!(counted(&rig, "acks_deferred"), 1);
+
+        fail_flush.store(true, Ordering::SeqCst);
+        assert!(rig.server.tick(10_000).is_empty(), "neither acked nor failed yet");
+        assert_eq!(counted(&rig, "flush_failures"), 1);
+        let events = rig.metrics.drain_trace();
+        let failed: Vec<_> = events.iter().filter(|e| e.event == "flush_failed").collect();
+        assert_eq!(failed.len(), 1);
+        let field = |k: &str| failed[0].fields.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone());
+        assert_eq!(field("capsule"), Some(rig.capsule.to_hex()));
+        assert!(field("error").is_some_and(|e| e.contains("injected")), "{:?}", failed[0]);
+
+        let out = rig.server.tick(20_000);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!((out[0].dst, out[0].seq), (rig.client, 1));
+        assert!(matches!(
+            msg_of(&out[0]),
+            DataMsg::ErrResp { code: ErrorCode::DurabilityTimeout, .. }
+        ));
+        assert_eq!(counted(&rig, "durability_timeouts"), 1);
+        assert_eq!(counted(&rig, "acks_released"), 0);
+        // The failed request is gone: a healthy flush releases nothing.
+        fail_flush.store(false, Ordering::SeqCst);
+        assert!(rig.server.tick(30_000).is_empty());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Regression: both metadata writes discarded the store's answer.
+    #[test]
+    fn metadata_store_failures_are_answered_not_discarded() {
+        let (store, fail) = flaky_store();
+        let mut rig = rig_with_store(vec![], store);
+        fail.store(true, Ordering::SeqCst);
+        let out = request(&mut rig, &DataMsg::PutMetadata { metadata: unit_meta() });
+        assert!(matches!(msg_of(&out[0]), DataMsg::ErrResp { code: ErrorCode::BadRequest, .. }));
+
+        // A store that cannot persist the metadata gets no capsule mounted.
+        let (store, fail) = flaky_store();
+        fail.store(true, Ordering::SeqCst);
+        let id = server_id();
+        let mut server = DataCapsuleServer::new(id.clone());
+        let meta = unit_meta();
+        let err = server
+            .host_with_store(meta.clone(), unit_chain(&id, &meta), vec![], store)
+            .unwrap_err();
+        assert!(err.to_string().contains("injected"), "{err}");
+        assert!(server.hosted_names().is_empty());
     }
 
     /// Regression: anti-entropy discarded the store's answer, so a failed
