@@ -4,7 +4,7 @@
 use crate::table::{rate, secs, Table};
 use gdp_capsule::{CapsuleWriter, DataCapsule, MembershipProof, MetadataBuilder, PointerStrategy};
 use gdp_crypto::SigningKey;
-use gdp_server::{AckMode, SimServer};
+use gdp_server::AckMode;
 use gdp_sim::GdpWorld;
 use gdp_wire::Wire;
 
@@ -23,6 +23,16 @@ fn build_capsule(strategy: &PointerStrategy, n: u64) -> (DataCapsule, std::time:
         capsule.ingest(r).unwrap();
     }
     (capsule, start.elapsed())
+}
+
+/// A capsule on every server in `world.servers`, written by its client.
+fn provision(world: &mut GdpWorld, description: &str) -> gdp_wire::Name {
+    let writer = SigningKey::from_seed(&[5u8; 32]);
+    let meta = MetadataBuilder::new()
+        .writer(&writer.verifying_key())
+        .set_str("description", description)
+        .sign(&world.owner);
+    world.provision_capsule(&meta, writer, PointerStrategy::Chain).unwrap()
 }
 
 /// A1 — hash-pointer strategy: append cost vs proof size/hops vs writer
@@ -76,13 +86,7 @@ pub fn durability() {
         // Latency on a healthy deployment.
         let mut world = GdpWorld::hierarchy(21);
         world.ack_mode = mode;
-        let owner = world.owner.clone();
-        let writer_key = SigningKey::from_seed(&[5u8; 32]);
-        let meta = MetadataBuilder::new()
-            .writer(&writer_key.verifying_key())
-            .set_str("description", "durability")
-            .sign(&owner);
-        let capsule = world.provision_capsule(&meta, writer_key, PointerStrategy::Chain).unwrap();
+        let capsule = provision(&mut world, "durability");
         let t0 = world.now();
         world.append(&capsule, &vec![7u8; 65_536]).unwrap();
         let latency = world.now() - t0;
@@ -92,29 +96,16 @@ pub fn durability() {
         // write and loses it; quorum modes refuse the write instead.
         let mut world = GdpWorld::hierarchy(22);
         world.ack_mode = mode;
-        let owner = world.owner.clone();
-        let writer_key = SigningKey::from_seed(&[5u8; 32]);
-        let meta = MetadataBuilder::new()
-            .writer(&writer_key.verifying_key())
-            .set_str("description", "durability-exposure")
-            .sign(&owner);
-        let capsule = world.provision_capsule(&meta, writer_key, PointerStrategy::Chain).unwrap();
+        let capsule = provision(&mut world, "durability-exposure");
         let d2_router = world.routers[0].0;
         let root_router = world.routers[1].0;
-        world.net.set_link_up(d2_router, root_router, false);
+        world.cluster.net.partition(d2_router, root_router);
         let write = world.append(&capsule, b"precious");
         let (acked, lost) = match write {
             Ok(_) => {
                 // Crash the serving replica; is the record anywhere else?
-                let (survivor_node, _) = world.servers[0];
-                world.net.run_to_quiescence();
-                let survived = world
-                    .net
-                    .node_mut::<SimServer>(survivor_node)
-                    .server
-                    .capsule(&capsule)
-                    .map(|c| c.len() == 1)
-                    .unwrap_or(false);
+                world.cluster.settle();
+                let survived = world.server(0).capsule(&capsule).is_some_and(|c| c.len() == 1);
                 ("acked", !survived)
             }
             Err(_) => ("refused", false),
@@ -190,15 +181,9 @@ pub fn anycast() {
 
     // Replicas in both domains: anycast serves from the local one.
     let mut both = GdpWorld::hierarchy(31);
-    let owner = both.owner.clone();
-    let wk = SigningKey::from_seed(&[6u8; 32]);
-    let meta = MetadataBuilder::new()
-        .writer(&wk.verifying_key())
-        .set_str("description", "anycast-both")
-        .sign(&owner);
-    let capsule = both.provision_capsule(&meta, wk, PointerStrategy::Chain).unwrap();
+    let capsule = provision(&mut both, "anycast-both");
     both.append(&capsule, b"payload").unwrap();
-    both.net.run_to_quiescence();
+    both.cluster.settle();
     let t0 = both.now();
     both.read(&capsule, 1).unwrap();
     let local_latency = both.now() - t0;
@@ -206,17 +191,11 @@ pub fn anycast() {
 
     // Replica only in the remote domain: reads cross the root.
     let mut remote = GdpWorld::hierarchy(32);
-    let owner = remote.owner.clone();
-    let wk = SigningKey::from_seed(&[6u8; 32]);
-    let meta = MetadataBuilder::new()
-        .writer(&wk.verifying_key())
-        .set_str("description", "anycast-remote")
-        .sign(&owner);
     // Keep only the remote (domain-1) server for this capsule.
     remote.servers.truncate(1);
-    let capsule = remote.provision_capsule(&meta, wk, PointerStrategy::Chain).unwrap();
+    let capsule = provision(&mut remote, "anycast-remote");
     remote.append(&capsule, b"payload").unwrap();
-    remote.net.run_to_quiescence();
+    remote.cluster.settle();
     let t0 = remote.now();
     remote.read(&capsule, 1).unwrap();
     let remote_latency = remote.now() - t0;
@@ -280,13 +259,7 @@ mod tests {
         let run = |mode: AckMode| {
             let mut world = GdpWorld::hierarchy(41);
             world.ack_mode = mode;
-            let owner = world.owner.clone();
-            let wk = SigningKey::from_seed(&[5u8; 32]);
-            let meta = MetadataBuilder::new()
-                .writer(&wk.verifying_key())
-                .set_str("description", "durability-shape")
-                .sign(&owner);
-            let capsule = world.provision_capsule(&meta, wk, PointerStrategy::Chain).unwrap();
+            let capsule = provision(&mut world, "durability-shape");
             let t0 = world.now();
             world.append(&capsule, b"x").unwrap();
             world.now() - t0

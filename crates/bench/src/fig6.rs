@@ -5,17 +5,17 @@
 //! processes and reports ~120k PDU/s for small PDUs, approaching 1 Gbps as
 //! PDU size nears 10 kB. We reproduce the *shape* two ways:
 //!
-//! * [`simulated`] — the same 32×32 topology on the simulator, with the
-//!   router's CPU modeled as `8.3 µs + 1 ns/byte` per PDU (calibrated to
-//!   the paper's two asymptotes).
+//! * [`simulated`] — the same 32×32 topology on the simulated fabric: the
+//!   router is a `NodeRuntime` node whose host CPU is modelled as
+//!   `8 µs + 7 ns/byte` per PDU (calibrated to the paper's two
+//!   asymptotes).
 //! * [`in_process`] — the real, wall-clock forwarding rate of this
 //!   implementation's `Router::handle_pdu`.
 
 use gdp_cert::{PrincipalId, PrincipalKind, Scope};
-use gdp_net::{LinkSpec, NodeId, SimCtx, SimNet, SimNode};
-use gdp_router::{AttachStep, Attacher, Router, SimRouter};
+use gdp_router::{Attacher, Router};
+use gdp_sim::{FaultSpec, HostCpu, LinkSpec, SimCluster};
 use gdp_wire::{Name, Pdu, PduType};
-use std::any::Any;
 
 /// Calibrated fixed CPU cost per forwarded PDU (µs).
 pub const PER_PDU_US: u64 = 8;
@@ -33,133 +33,47 @@ pub struct Fig6Point {
     pub throughput_bps: f64,
 }
 
-/// Endpoint that attaches and then either blasts PDUs or counts arrivals.
-struct LoadEndpoint {
-    attacher: Option<Attacher>,
-    router: NodeId,
-    peer: Name,
-    to_send: u32,
-    pdu_size: usize,
-    received: u64,
-    attached: bool,
-}
-
-impl LoadEndpoint {
-    fn new(
-        attacher: Attacher,
-        router: NodeId,
-        peer: Name,
-        to_send: u32,
-        pdu_size: usize,
-    ) -> Box<Self> {
-        Box::new(LoadEndpoint {
-            attacher: Some(attacher),
-            router,
-            peer,
-            to_send,
-            pdu_size,
-            received: 0,
-            attached: false,
-        })
-    }
-}
-
-impl SimNode for LoadEndpoint {
-    fn on_pdu(&mut self, ctx: &mut SimCtx<'_>, _from: NodeId, pdu: Pdu) {
-        if let Some(attacher) = self.attacher.as_mut() {
-            match attacher.on_pdu(&pdu) {
-                AttachStep::Send(p) => {
-                    ctx.send(self.router, p);
-                    return;
-                }
-                AttachStep::Done(_) => {
-                    self.attached = true;
-                    self.attacher = None;
-                    return;
-                }
-                AttachStep::Failed(r) => panic!("attach failed: {r}"),
-                AttachStep::Ignored => {}
-            }
-        }
-        if pdu.pdu_type == PduType::Data {
-            self.received += 1;
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut SimCtx<'_>, token: u64) {
-        match token {
-            0 => {
-                if let Some(attacher) = self.attacher.as_ref() {
-                    ctx.send(self.router, attacher.hello());
-                }
-            }
-            1 => {
-                // Blast all PDUs back to back; the sender link serializes.
-                for i in 0..self.to_send {
-                    let pdu = Pdu::data(Name::ZERO, self.peer, i as u64, vec![0u8; self.pdu_size]);
-                    ctx.send(self.router, pdu);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// Runs the simulated 32×32 experiment for one payload size.
+/// Runs the simulated 32×32 experiment for one payload size: one router
+/// node whose host spends [`PER_PDU_US`] + [`PER_BYTE_NS`]/B per PDU, 32
+/// attached senders blasting at 32 attached receivers.
 pub fn simulated(pdu_size: usize, pdus_per_sender: u32) -> Fig6Point {
-    let pairs = 32usize;
-    let mut net = SimNet::new(6 + pdu_size as u64);
-    let router = Router::from_seed(&[60u8; 32], "fig6 router");
-    let router_name = router.name();
-    let router_node = net.add_node(SimRouter::with_cpu_cost(router, PER_PDU_US, PER_BYTE_NS));
+    let mut c = SimCluster::empty(6 + pdu_size as u64, FaultSpec::reliable());
+    let router = c.add_router(&[60u8; 32], "fig6 router", None);
+    c.set_cpu(router, HostCpu { per_pdu_us: PER_PDU_US, per_byte_ns: PER_BYTE_NS });
+    c.boot();
+    let router_name = c.runtime_mut(router).router_name().expect("a router node");
 
     // 10 Gbps access links so endpoints never bottleneck the router.
     let link = LinkSpec { latency_us: 50, bandwidth_bps: 10_000_000_000, loss: 0.0 };
-    let mut senders = Vec::new();
-    for i in 0..pairs {
-        let recv_id = PrincipalId::from_seed(
-            PrincipalKind::Client,
-            &[(200 + i) as u8; 32],
-            &format!("recv{i}"),
-        );
-        let recv_name = recv_id.name();
-        let recv_attach = Attacher::new(recv_id, router_name, vec![], 1 << 50);
-        let recv_node = net.add_node(LoadEndpoint::new(recv_attach, router_node, Name::ZERO, 0, 0));
-        net.connect(recv_node, router_node, link);
-        net.inject_timer(recv_node, 0, 0);
+    let mut attach = |seed: usize, label: String| {
+        let id = PrincipalId::from_seed(PrincipalKind::Client, &[seed as u8; 32], &label);
+        let name = id.name();
+        let ep = c.net.endpoint();
+        c.net.connect(ep.addr, router, link);
+        let mut attacher = Attacher::new(id, router_name, vec![], 1 << 50);
+        c.attach_endpoint(&ep, router, &mut attacher).expect("attach");
+        (ep, name)
+    };
+    let pairs: Vec<_> = (0..32)
+        .map(|i| (attach(100 + i, format!("send{i}")).0, attach(200 + i, format!("recv{i}"))))
+        .collect();
 
-        let send_id = PrincipalId::from_seed(
-            PrincipalKind::Client,
-            &[(100 + i) as u8; 32],
-            &format!("send{i}"),
-        );
-        let send_attach = Attacher::new(send_id, router_name, vec![], 1 << 50);
-        let send_node = net.add_node(LoadEndpoint::new(
-            send_attach,
-            router_node,
-            recv_name,
-            pdus_per_sender,
-            pdu_size,
-        ));
-        net.connect(send_node, router_node, link);
-        net.inject_timer(send_node, 0, 0);
-        senders.push((send_node, recv_node));
+    // Blast all PDUs back to back; the sender link serializes.
+    let t0 = c.net.now();
+    for (sender, (_, receiver)) in &pairs {
+        for i in 0..pdus_per_sender {
+            let pdu = Pdu::data(Name::ZERO, *receiver, i as u64, vec![0u8; pdu_size]);
+            sender.send(router, pdu).expect("send");
+        }
     }
-    net.run_to_quiescence();
-    let t0 = net.now();
-    for (send_node, _) in &senders {
-        net.inject_timer(*send_node, t0 + 1, 1);
-    }
-    net.run_to_quiescence();
-    let elapsed = (net.now() - t0) as f64 / 1e6;
+    c.run_until_quiet();
+    let elapsed = (c.net.now() - t0) as f64 / 1e6;
 
     let mut delivered = 0u64;
-    for (_, recv_node) in &senders {
-        delivered += net.node_mut::<LoadEndpoint>(*recv_node).received;
+    for (_, (receiver, _)) in &pairs {
+        while let Ok(Some((_, pdu))) = receiver.try_recv() {
+            delivered += u64::from(pdu.pdu_type == PduType::Data);
+        }
     }
     let pdus_per_sec = delivered as f64 / elapsed;
     let throughput_bps = pdus_per_sec * (pdu_size as f64) * 8.0;

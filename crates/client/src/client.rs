@@ -230,16 +230,16 @@ pub struct GdpClient {
 }
 
 impl GdpClient {
-    /// Creates a client with the given identity (private metric registry).
-    pub fn new(id: PrincipalId) -> GdpClient {
-        GdpClient::new_with_obs(id, &gdp_obs::Metrics::new().scope("client"))
+    /// Creates a client whose identity derives from `seed` and `label`,
+    /// with a private metric registry.
+    pub fn from_seed(seed: &[u8; 32], label: &str) -> GdpClient {
+        GdpClient::from_seed_with_obs(seed, label, &gdp_obs::Metrics::new().scope("client"))
     }
 
-    /// Creates a client registering its metrics under `scope`.
-    pub fn new_with_obs(id: PrincipalId, scope: &Scope) -> GdpClient {
-        assert_eq!(id.principal().kind, PrincipalKind::Client);
+    /// [`GdpClient::from_seed`] registering its metrics under `scope`.
+    pub fn from_seed_with_obs(seed: &[u8; 32], label: &str, scope: &Scope) -> GdpClient {
         GdpClient {
-            id,
+            id: PrincipalId::from_seed(PrincipalKind::Client, seed, label),
             next_seq: 1,
             capsules: BTreeMap::new(),
             flows: HashMap::new(),
@@ -257,16 +257,6 @@ impl GdpClient {
     /// session keys become a function of the seed.
     pub fn set_rng_seed(&mut self, seed: u64) {
         self.rng = StdRng::seed_from_u64(seed);
-    }
-
-    /// Convenience constructor.
-    pub fn from_seed(seed: &[u8; 32], label: &str) -> GdpClient {
-        GdpClient::new(PrincipalId::from_seed(PrincipalKind::Client, seed, label))
-    }
-
-    /// Convenience constructor with an explicit metric scope.
-    pub fn from_seed_with_obs(seed: &[u8; 32], label: &str, scope: &Scope) -> GdpClient {
-        GdpClient::new_with_obs(PrincipalId::from_seed(PrincipalKind::Client, seed, label), scope)
     }
 
     /// Overrides the pending-request timeout (µs).

@@ -9,7 +9,5 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
-pub mod simnode;
 
 pub use client::{ClientEvent, GdpClient, RequestKind, VerifiedRead, DEFAULT_REQUEST_TIMEOUT_US};
-pub use simnode::SimClient;

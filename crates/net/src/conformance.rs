@@ -9,6 +9,8 @@
 //! 3. **Isolation** — traffic between two peers never leaks to a third.
 //! 4. **Timeout honesty** — `recv_timeout` on a quiet transport returns
 //!    `Ok(None)`, not an error and not a phantom PDU.
+//! 5. **Egress bound** — a PDU whose frame the receiver's decoder would
+//!    reject as oversized is refused by `send`, and the link survives.
 //!
 //! The checks are generic over [`Transport`]; the integration test
 //! `transport_conformance.rs` instantiates them for `TcpNet` sockets and
@@ -115,4 +117,16 @@ pub fn check_isolation<T: Transport>(tx: &T, rx: &T, rx_addr: T::Peer, bystander
     }
     let leaked = bystander.try_recv().expect("bystander try_recv errored");
     assert!(leaked.is_none(), "PDU leaked to a peer it was not addressed to: {leaked:?}");
+}
+
+/// Check 5: `send` refuses a PDU one byte past `max_frame` (the frame
+/// body cap both ends were configured with) instead of writing a frame
+/// the peer answers by dropping the link; traffic after it still flows.
+pub fn check_oversized_refused<T: Transport>(tx: &T, rx: &T, rx_addr: T::Peer, max_frame: usize) {
+    let at_cap = test_pdu(5, 1, vec![0u8; max_frame - gdp_wire::HEADER_LEN]);
+    let over = test_pdu(5, 2, vec![0u8; max_frame - gdp_wire::HEADER_LEN + 1]);
+    assert!(tx.send(rx_addr, over).is_err(), "oversized PDU was queued");
+    tx.send(rx_addr, at_cap.clone()).expect("a frame exactly at the cap is legal");
+    let (_, got) = expect_pdu(rx);
+    assert_eq!(got, at_cap, "the link must survive a refused send");
 }

@@ -2,37 +2,34 @@
 //!
 //! Network substrates for the Global Data Plane.
 //!
-//! * [`sim`] — a deterministic discrete-event simulator modeling latency,
-//!   bandwidth (store-and-forward serialization), loss, and partitions.
-//!   All paper-figure reproductions run on it (see DESIGN.md,
-//!   "Substitutions").
 //! * [`tcp`] — a real-socket transport over `std::net` TCP with
 //!   length-prefixed framing, a reconnecting per-peer connection pool, and
 //!   a hardened decode path, so GDP nodes can run as separate processes.
 //! * [`simnet`] — a deterministic, seeded discrete-event *transport*: the
 //!   same [`Transport`] contract as `tcp`, but with virtual time,
-//!   injectable faults (delay, reorder, drop, duplicate, asymmetric
-//!   partitions, crash/restart), and a replayable trace digest. The chaos
-//!   suite in `gdp-sim` runs the real node runtimes on it.
+//!   per-link latency/bandwidth/loss models, injectable faults (delay,
+//!   reorder, drop, duplicate, asymmetric partitions, crash/restart), and
+//!   a replayable trace digest. `gdp-sim` runs the real node runtimes on
+//!   it: the chaos suite and every paper-figure reproduction (see
+//!   DESIGN.md, "Substitutions").
 //! * [`admission`] — per-peer token-bucket admission control applied at
 //!   TCP ingest (see DESIGN.md, "Overload & admission"): a flooding peer
 //!   is shed right after frame decode, before its PDUs cost anything.
 //!
 //! Protocol logic in `gdp-router`/`gdp-server`/`gdp-client` is written
-//! sans-I/O so the same state machines run on any substrate. The
-//! [`Transport`] trait captures the shared contract; the conformance
-//! suite in [`conformance`] checks every implementation against it.
+//! sans-I/O and depends on neither substrate; `gdp-node`'s runtime is
+//! where a core meets a [`Transport`]. The trait captures the contract
+//! both substrates share; the conformance suite in [`conformance`] checks
+//! every implementation against it.
 
 #![forbid(unsafe_code)]
 
 pub mod admission;
 pub mod conformance;
-pub mod sim;
 pub mod simnet;
 pub mod tcp;
 
 pub use admission::{AdmissionGate, TokenBucket, Verdict};
-pub use sim::{LinkSpec, NodeId, SimCtx, SimNet, SimNode, SimTime, MILLI, SECOND};
 pub use tcp::{
     IngestSink, IngestSinkFactory, PeerEvent, PeerHandle, PeerSendError, TcpNet, TcpNetConfig,
     TcpNetError, TcpStats,
@@ -43,12 +40,9 @@ use std::time::Duration;
 
 /// The contract shared by message-oriented transports ([`TcpNet`] and
 /// [`simnet::SimEndpoint`]): unicast PDU delivery with per-peer FIFO
-/// ordering and non-blocking/timeout receive.
-///
-/// The callback simulator in [`sim`] is excluded — it owns virtual time
-/// and drives nodes via callbacks rather than channels. The [`simnet`]
-/// fabric is its transport-shaped successor: virtual time advances inside
-/// `recv_timeout`, so production event loops run on it unchanged.
+/// ordering and non-blocking/timeout receive. On [`simnet`] virtual time
+/// advances inside `recv_timeout`, so production event loops run on it
+/// unchanged.
 pub trait Transport {
     /// Peer address type (socket addr on TCP, endpoint address on `simnet`).
     type Peer: Copy + Eq + std::hash::Hash + std::fmt::Debug;

@@ -120,6 +120,14 @@ pub enum TcpNetError {
     Shutdown,
     /// The peer's bounded send queue is full (backpressure).
     Backpressure(SocketAddr),
+    /// The PDU's frame body exceeds `max_frame`: the peer's decoder would
+    /// answer it by dropping the connection, so it is never queued.
+    Oversized {
+        /// Frame body length of the refused PDU.
+        len: usize,
+        /// The configured cap it exceeded.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for TcpNetError {
@@ -128,6 +136,9 @@ impl std::fmt::Display for TcpNetError {
             TcpNetError::Bind(e) => write!(f, "bind failed: {e}"),
             TcpNetError::Shutdown => write!(f, "transport shut down"),
             TcpNetError::Backpressure(peer) => write!(f, "send queue full for {peer}"),
+            TcpNetError::Oversized { len, max } => {
+                write!(f, "frame of {len} bytes exceeds cap of {max}")
+            }
         }
     }
 }
@@ -150,6 +161,9 @@ pub enum PeerEvent {
 pub struct TcpStats {
     /// Frames rejected for being oversized, empty, or malformed.
     pub frames_rejected: u64,
+    /// PDUs refused at `send` because their frame would exceed
+    /// `max_frame` (never queued, never written).
+    pub encode_rejected: u64,
     /// Successful dials (initial and re-dials).
     pub connects: u64,
     /// Successful re-dials after a connection was lost.
@@ -182,9 +196,11 @@ pub struct TcpStats {
 
 /// Registry-backed counter cells (wire-level names: a "frame" carries one
 /// PDU, so `frames_encoded`/`frames_decoded` count successful writes and
-/// reads, `decode_rejected` counts framing/HELLO violations).
+/// reads, `decode_rejected` counts framing/HELLO violations,
+/// `encode_rejected` counts PDUs `send` refused as oversized).
 struct StatCells {
     frames_rejected: Counter,
+    encode_rejected: Counter,
     connects: Counter,
     reconnects: Counter,
     dial_failures: Counter,
@@ -201,6 +217,7 @@ impl StatCells {
     fn new(scope: &ObsScope) -> StatCells {
         StatCells {
             frames_rejected: scope.counter("decode_rejected"),
+            encode_rejected: scope.counter("encode_rejected"),
             connects: scope.counter("connects"),
             reconnects: scope.counter("reconnects"),
             dial_failures: scope.counter("dial_failures"),
@@ -255,6 +272,7 @@ pub trait IngestSinkFactory: Send + Sync {
 #[derive(Clone)]
 pub struct PeerHandle {
     tx: Sender<Pdu>,
+    shared: Arc<Shared>,
 }
 
 /// Why a [`PeerHandle::try_send`] did not enqueue.
@@ -265,11 +283,17 @@ pub enum PeerSendError {
     /// The writer thread exited (peer died); the PDU is returned so the
     /// caller can retry through [`TcpNet::send`], which respawns it.
     Gone(Pdu),
+    /// The PDU's frame exceeds `max_frame` — refused and counted exactly
+    /// as [`TcpNetError::Oversized`].
+    Oversized,
 }
 
 impl PeerHandle {
     /// Queues a PDU on the peer's writer without touching shared state.
     pub fn try_send(&self, pdu: Pdu) -> Result<(), PeerSendError> {
+        if self.shared.refuse_oversized(&pdu).is_err() {
+            return Err(PeerSendError::Oversized);
+        }
         match self.tx.try_send(pdu) {
             Ok(()) => Ok(()),
             Err(TrySendError::Full(_)) => Err(PeerSendError::Full),
@@ -299,6 +323,20 @@ struct Shared {
     /// either all fast-path or all slow-path for its lifetime — mixing
     /// mid-stream could reorder PDUs between the two paths.
     ingest_sink: Mutex<Option<Arc<dyn IngestSinkFactory>>>,
+}
+
+impl Shared {
+    /// The egress half of the `max_frame` bound the reader enforces on
+    /// ingress: a frame the peer's `FrameReader` would reject as
+    /// `Oversized` (terminal for the link) is refused before it is queued.
+    fn refuse_oversized(&self, pdu: &Pdu) -> Result<(), TcpNetError> {
+        let (len, max) = (pdu.wire_len(), self.cfg.max_frame);
+        if len > max {
+            self.stats.encode_rejected.inc();
+            return Err(TcpNetError::Oversized { len, max });
+        }
+        Ok(())
+    }
 }
 
 /// A TCP message fabric endpoint. Cloneable handle; all clones share the
@@ -365,12 +403,14 @@ impl TcpNet {
 
     /// Queues a PDU for delivery to `to`, dialing (with backoff) if no
     /// connection exists. Non-blocking: a full per-peer queue surfaces as
-    /// [`TcpNetError::Backpressure`]. Delivery is best-effort — peer death
+    /// [`TcpNetError::Backpressure`], a PDU too large for the peer to
+    /// accept as [`TcpNetError::Oversized`]. Delivery is best-effort — peer death
     /// is reported asynchronously via [`PeerEvent::Down`].
     pub fn send(&self, to: SocketAddr, pdu: Pdu) -> Result<(), TcpNetError> {
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return Err(TcpNetError::Shutdown);
         }
+        self.inner.refuse_oversized(&pdu)?;
         let tx = writer_for(&self.inner, to);
         match tx.try_send(pdu) {
             Ok(()) => Ok(()),
@@ -406,7 +446,7 @@ impl TcpNet {
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return Err(TcpNetError::Shutdown);
         }
-        Ok(PeerHandle { tx: writer_for(&self.inner, to) })
+        Ok(PeerHandle { tx: writer_for(&self.inner, to), shared: Arc::clone(&self.inner) })
     }
 
     /// Blocks until a PDU arrives or the fabric shuts down.
@@ -445,6 +485,7 @@ impl TcpNet {
         let s = &self.inner.stats;
         TcpStats {
             frames_rejected: s.frames_rejected.get(),
+            encode_rejected: s.encode_rejected.get(),
             connects: s.connects.get(),
             reconnects: s.reconnects.get(),
             dial_failures: s.dial_failures.get(),

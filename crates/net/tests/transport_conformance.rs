@@ -68,6 +68,13 @@ fn simnet_isolation() {
 }
 
 #[test]
+fn simnet_oversized_refused() {
+    let net = simnet::SimNet::new(0xC0FFEE);
+    let (a, b) = (net.endpoint(), net.endpoint());
+    conf::check_oversized_refused(&a, &b, b.addr, gdp_wire::frame::MAX_FRAME);
+}
+
+#[test]
 fn simnet_crashed_peer_drops_silently_then_errors_locally() {
     let net = simnet::SimNet::new(0xC0FFEE);
     let (a, b) = (net.endpoint(), net.endpoint());
@@ -129,6 +136,18 @@ fn tcp_isolation() {
     a.shutdown();
     b.shutdown();
     bystander.shutdown();
+}
+
+#[test]
+fn tcp_oversized_refused() {
+    let cfg = TcpNetConfig { max_frame: 64 * 1024, ..TcpNetConfig::default() };
+    let bind = || TcpNet::bind_with("127.0.0.1:0".parse().unwrap(), cfg.clone()).unwrap();
+    let (a, b) = (bind(), bind());
+    conf::check_oversized_refused(&a, &b, b.local_addr(), cfg.max_frame);
+    assert_eq!(a.stats().encode_rejected, 1);
+    assert_eq!(b.stats().frames_rejected, 0, "nothing oversized reached the wire");
+    a.shutdown();
+    b.shutdown();
 }
 
 #[test]

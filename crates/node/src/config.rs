@@ -10,9 +10,12 @@
 //! seed       = 0101…01           # 64 hex chars: deterministic identity
 //! label      = node-a            # human-readable identity label
 //! peer       = 127.0.0.1:7001    # repeatable: addresses this node dials
-//! router     = ab…cd             # Name (64 hex) of the router to attach
-//!                                # through (storage role; optional when
-//!                                # this node runs its own router)
+//! router     = ab…cd             # Name (64 hex) of the router above this
+//!                                # node, reached through the first `peer`:
+//!                                # the one a storage node attaches to, the
+//!                                # parent domain of a router (optional for
+//!                                # a node that routes: without it the node
+//!                                # is the root of its hierarchy)
 //! data_dir   = /var/lib/gdp      # optional: capsules persist in one
 //!                                # shared segmented group-commit log
 //!                                # under <data_dir>/seglog/; in memory
@@ -133,11 +136,14 @@ pub struct NodeConfig {
     pub seed: [u8; 32],
     /// Identity label.
     pub label: String,
-    /// Peers this node dials at startup (a storage node lists its router
-    /// here; routers may list other routers).
+    /// Peers this node dials at startup; the first one is the address of
+    /// the router named by `router`.
     pub peers: Vec<SocketAddr>,
-    /// Name of the router to attach through. Required for `Storage`;
-    /// ignored for `Both` (the local router is used) and `Router`.
+    /// Name of the router above this node. Required for `Storage` (the
+    /// router it attaches to); for `Router` and `Both` it is the parent
+    /// domain's router — unknown names are forwarded to it and accepted
+    /// advertisements are announced to it — and a node without one is a
+    /// root.
     pub router: Option<Name>,
     /// Directory holding the node's segmented log (`<data_dir>/seglog/`);
     /// capsules live in memory when absent.
@@ -345,13 +351,16 @@ impl NodeConfig {
                 }
             }
         }
-        if cfg.role == Role::Storage {
-            if cfg.router.is_none() {
-                return Err(ConfigError::bad("router", "required for role = storage"));
-            }
-            if cfg.peers.is_empty() {
-                return Err(ConfigError::bad("peer", "storage nodes need a router peer"));
-            }
+        if cfg.role == Role::Storage && cfg.router.is_none() {
+            return Err(ConfigError::bad("router", "required for role = storage"));
+        }
+        if cfg.router.is_some() && cfg.peers.is_empty() {
+            return Err(ConfigError::bad("peer", "the router above is reached through a peer"));
+        }
+        if cfg.router.is_some() && cfg.shards > 1 {
+            // Shard workers forward from mirrored routes only; none of
+            // them would hold the default route.
+            return Err(ConfigError::bad("shards", "a sharded router cannot name a parent"));
         }
         Ok(cfg)
     }
@@ -523,6 +532,25 @@ mod tests {
         );
         let err = NodeConfig::parse(&text).unwrap_err();
         assert_eq!(err.key, "router");
+    }
+
+    #[test]
+    fn a_parent_router_needs_a_peer_and_one_shard() {
+        let base = format!(
+            "role = router\nlisten = 127.0.0.1:0\nseed = {}\nlabel = leaf\nrouter = {}\n",
+            hex_encode(&[9u8; 32]),
+            Name::from_content(b"root").to_hex()
+        );
+        assert_eq!(NodeConfig::parse(&base).unwrap_err().key, "peer");
+        let with_peer = format!("{base}peer = 127.0.0.1:7000\n");
+        assert_eq!(
+            NodeConfig::parse(&with_peer).unwrap().router,
+            Some(Name::from_content(b"root"))
+        );
+        assert_eq!(
+            NodeConfig::parse(&format!("{with_peer}shards = 2\n")).unwrap_err().key,
+            "shards"
+        );
     }
 
     #[test]

@@ -253,9 +253,10 @@ pub struct NodeRuntime<P> {
     router: Option<Router>,
     server: Option<DataCapsuleServer>,
     attach: Option<ServerAttach>,
-    /// The router identity a storage node attaches to.
+    /// The router above this node (`router =`): the one a storage node
+    /// attaches to, the parent domain of a node that routes.
     attach_target: Option<Name>,
-    /// The peer all storage-role traffic is sent through.
+    /// The peer that router is reached through (the first `peer =`).
     uplink: Option<P>,
     /// Stable peer ↔ neighbor-id table (never reused; a returning peer
     /// keeps its id). Shared so TCP reader threads dispatching data-plane
@@ -264,24 +265,22 @@ pub struct NodeRuntime<P> {
 }
 
 impl<P: Copy + Eq + Hash> NodeRuntime<P> {
-    /// Assembles a runtime from pre-built cores. `attach_target` and
-    /// `uplink` are required for (and only used by) the storage role.
+    /// Assembles a runtime from pre-built cores. `attach_target` names
+    /// the router above this node and `uplink` is the peer it is reached
+    /// through: a storage node attaches to it, a node that routes makes
+    /// it its parent domain (default route and announcement target).
     pub fn new(
         role: Role,
-        router: Option<Router>,
+        mut router: Option<Router>,
         server: Option<DataCapsuleServer>,
         attach_target: Option<Name>,
         uplink: Option<P>,
     ) -> NodeRuntime<P> {
-        NodeRuntime {
-            role,
-            router,
-            server,
-            attach: None,
-            attach_target,
-            uplink,
-            nids: Arc::new(NidMap::default()),
+        let nids = Arc::new(NidMap::default());
+        if let (Some(router), Some(_), Some(uplink)) = (router.as_mut(), attach_target, uplink) {
+            router.set_parent(nids.nid(uplink));
         }
+        NodeRuntime { role, router, server, attach: None, attach_target, uplink, nids }
     }
 
     /// Builds cores from `cfg` and assembles the runtime.

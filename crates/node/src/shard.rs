@@ -167,8 +167,9 @@ impl EgressPort for NetEgressPort {
         };
         match handle.try_send(pdu) {
             Ok(()) => {}
-            // Writer saturated: shed, as `TcpNet::send` would.
-            Err(PeerSendError::Full) => self.drops.inc(),
+            // Writer saturated, or a frame the peer would reject (counted
+            // again as `net.encode_rejected`): shed, as `TcpNet::send` would.
+            Err(PeerSendError::Full | PeerSendError::Oversized) => self.drops.inc(),
             // Writer died (peer reconnecting): drop the stale handle and
             // go through the pool once, which respawns the writer.
             Err(PeerSendError::Gone(pdu)) => {

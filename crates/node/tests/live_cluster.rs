@@ -16,7 +16,7 @@ use gdp_net::tcp::{TcpNet, TcpNetConfig};
 use gdp_node::{ClusterClient, HostSpec, NodeConfig, NodeError, Role, FOREVER};
 use gdp_router::{AttachStep, Attacher, Router};
 use gdp_server::{AckMode, DataMsg, ReadTarget};
-use gdp_wire::{Pdu, PduType, Wire};
+use gdp_wire::{Name, Pdu, PduType, Wire};
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -354,4 +354,101 @@ fn capsule_hosted_over_the_wire_survives_a_restart() {
     reader.close();
     node.stop();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Federation over real sockets: two leaf routing domains under a root.
+/// A capsule hosted in domain B is written and read (with a verified
+/// membership proof) by a client attached in domain A — every request
+/// climbs A's default route to the root and descends the announced route
+/// into B. Once a second replica attaches in A, anycast serves the client
+/// from its own domain and the root carries none of it.
+#[test]
+fn two_domains_under_a_root_route_and_prefer_the_local_replica() {
+    // `above`: the name and address of the router above this node.
+    let cfg =
+        |role, seed: u8, label: &str, above: Option<(Name, std::net::SocketAddr)>| NodeConfig {
+            role,
+            listen: "127.0.0.1:0".parse().unwrap(),
+            seed: [seed; 32],
+            label: label.into(),
+            peers: above.iter().map(|(_, addr)| *addr).collect(),
+            router: above.map(|(name, _)| name),
+            data_dir: None,
+            fsync: None,
+            stats_path: None,
+            hosts: vec![],
+            shards: 1,
+            admission_rate: 0,
+            admission_burst: 64,
+        };
+    let start = |cfg| gdp_node::start(cfg).expect("start node");
+    let above =
+        |node: &gdp_node::NodeHandle| Some((node.router_name().unwrap(), node.local_addr()));
+
+    let root = start(cfg(Role::Router, 70, "root", None));
+    let a = start(cfg(Role::Router, 71, "domain-a", above(&root)));
+    let b = start(cfg(Role::Router, 72, "domain-b", above(&root)));
+
+    let owner = SigningKey::from_seed(&[73u8; 32]);
+    let writer_key = SigningKey::from_seed(&[74u8; 32]);
+    let meta = MetadataBuilder::new()
+        .writer(&writer_key.verifying_key())
+        .set_str("description", "federated")
+        .sign(&owner);
+    let capsule = meta.name();
+    let (in_a, in_b) = (server_identity([75u8; 32], "s-a"), server_identity([76u8; 32], "s-b"));
+    let replica = |seed, label: &str, me: &PrincipalId, other: &PrincipalId, domain| {
+        let chain = ServingChain::direct(
+            AdCert::issue(&owner, capsule, me.name(), false, Scope::Global, FOREVER),
+            me.principal().clone(),
+        );
+        let host = HostSpec { metadata: meta.clone(), chain, peers: vec![other.name()] };
+        NodeConfig { hosts: vec![host], ..cfg(Role::Storage, seed, label, above(domain)) }
+    };
+    let store_b = start(replica(76, "s-b", &in_b, &in_a, &b));
+
+    let mut client =
+        ClusterClient::connect(a.local_addr(), a.router_name().unwrap(), &[77u8; 32], "c")
+            .expect("attach in domain A");
+    client.timeout = Duration::from_secs(20);
+    client.register_writer(&meta, writer_key, PointerStrategy::SkipList).expect("writer");
+    for i in 0..4u64 {
+        let seq = client.append(capsule, format!("across {i}").as_bytes(), AckMode::Local);
+        assert_eq!(seq.expect("append through the root"), i + 1);
+    }
+    let read = client.read(capsule, ReadTarget::ProofOf(2)).expect("proof through the root");
+    let VerifiedRead::Proven(record) = read else { panic!("wanted a proof, got {read:?}") };
+    assert_eq!(record.body, b"across 1");
+    let counted =
+        |node: &gdp_node::NodeHandle, scope, name| node.metrics().counter_value(scope, name);
+    assert!(counted(&root, "router", "pdus_forwarded") >= 10, "the root carried the traffic");
+    assert_eq!(counted(&store_b, "server", "reads_served"), 1);
+
+    // A replica in the client's own domain: anti-entropy fills it through
+    // the root, then anycast prefers it (distance 0 at A).
+    let store_a = start(replica(75, "s-a", &in_a, &in_b, &a));
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while counted(&store_a, "server", "replicated_in") < 4 {
+        assert!(std::time::Instant::now() < deadline, "the new replica never caught up");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    // The replicas' freshness probes cross the root once a tick, so sample
+    // until a read falls between two of them: the read itself must not
+    // move the root's frame counter.
+    let mut reads = 0;
+    let root_stayed_out = (0..10).any(|_| {
+        let before = counted(&root, "net", "frames_decoded");
+        let read = client.read(capsule, ReadTarget::ProofOf(3)).expect("local proof");
+        assert!(matches!(read, VerifiedRead::Proven(r) if r.body == b"across 2"));
+        reads += 1;
+        counted(&root, "net", "frames_decoded") == before
+    });
+    assert!(root_stayed_out, "every read with a local replica still crossed the root");
+    assert_eq!(counted(&store_a, "server", "reads_served"), reads, "the local replica answers");
+    assert_eq!(counted(&store_b, "server", "reads_served"), 1, "the remote one is left alone");
+
+    client.close();
+    for node in [store_a, store_b, a, b, root] {
+        node.stop();
+    }
 }

@@ -4,7 +4,7 @@
 //! the [`GLookup`] verified routing database (one per routing domain, with
 //! hierarchical recursion to the parent and a global root — paper §VII),
 //! the control-plane [`messages`], and the sans-I/O [`Router`] state
-//! machine with a simulator adapter.
+//! machine.
 //!
 //! Routing goals implemented (paper §VII): "(a) provide locality of access
 //! and enable 'anycast' for the layer above, and (b) ensure routing
@@ -19,7 +19,6 @@ pub mod fib;
 pub mod glookup;
 pub mod messages;
 pub mod router;
-pub mod simnode;
 pub mod vcache;
 
 pub use attach::{attach_directly, AttachStep, Attacher};
@@ -28,5 +27,4 @@ pub use fib::{Fib, FibEntry, NeighborId};
 pub use glookup::GLookup;
 pub use messages::{AdvertiseMsg, ControlMsg, LookupMsg, VerifiedRoute};
 pub use router::{is_data_plane, Outbox, RouteInstall, Router};
-pub use simnode::SimRouter;
 pub use vcache::{VerifyCache, DEFAULT_VERIFY_CACHE_CAP};

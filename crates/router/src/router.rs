@@ -178,17 +178,17 @@ pub struct RouteInstall {
 }
 
 impl Router {
-    /// Creates a router with the given identity (private metric registry).
-    pub fn new(id: PrincipalId) -> Router {
-        Router::new_with_obs(id, &ObsScope::default())
+    /// Creates a router whose identity derives from `seed` and `label`,
+    /// with a private metric registry.
+    pub fn from_seed(seed: &[u8; 32], label: &str) -> Router {
+        Router::from_seed_with_obs(seed, label, &ObsScope::default())
     }
 
-    /// Creates a router registering its metrics under `obs` — the scope a
-    /// node hands out from its shared per-node [`gdp_obs::Metrics`].
-    pub fn new_with_obs(id: PrincipalId, obs: &ObsScope) -> Router {
-        assert_eq!(id.principal().kind, PrincipalKind::Router);
+    /// [`Router::from_seed`] registering its metrics under `obs` — the
+    /// scope a node hands out from its shared per-node [`gdp_obs::Metrics`].
+    pub fn from_seed_with_obs(seed: &[u8; 32], label: &str, obs: &ObsScope) -> Router {
         Router {
-            id,
+            id: PrincipalId::from_seed(PrincipalKind::Router, seed, label),
             parent: None,
             fib: Fib::new(),
             glookup: GLookup::new(),
@@ -210,16 +210,6 @@ impl Router {
     /// entire output becomes a pure function of its inputs.
     pub fn set_rng_seed(&mut self, seed: u64) {
         self.rng = StdRng::seed_from_u64(seed);
-    }
-
-    /// Convenience constructor from a seed and label.
-    pub fn from_seed(seed: &[u8; 32], label: &str) -> Router {
-        Router::new(PrincipalId::from_seed(PrincipalKind::Router, seed, label))
-    }
-
-    /// Seeded constructor with an observability scope.
-    pub fn from_seed_with_obs(seed: &[u8; 32], label: &str, obs: &ObsScope) -> Router {
-        Router::new_with_obs(PrincipalId::from_seed(PrincipalKind::Router, seed, label), obs)
     }
 
     /// Sets the parent-domain router's neighbor id (default route).

@@ -11,8 +11,6 @@
 mod ledger;
 pub mod proto;
 pub mod server;
-pub mod simnode;
 
 pub use proto::{AckMode, DataMsg, ErrorCode, ReadResult, ReadTarget, ResponseAuth};
 pub use server::DataCapsuleServer;
-pub use simnode::{SimServer, ATTACH_TIMER, TICK_TIMER};

@@ -121,8 +121,10 @@ pub struct DataCapsuleServer {
     /// Ordered by capsule name so anti-entropy fan-out and advertisement
     /// catalogs are iteration-order independent (deterministic replay).
     hosted: BTreeMap<Name, Hosted>,
-    /// Flow keys per client name.
-    sessions: HashMap<Name, FlowSession>,
+    /// Flow keys per `(client, capsule)`: the key is derived with the
+    /// capsule name and the client keeps one flow per capsule, so two
+    /// capsules on this server are two sessions even for one client.
+    sessions: HashMap<(Name, Name), FlowSession>,
     /// Every ack not yet allowed to leave (DESIGN.md, "Ack ledger").
     ledger: AckLedger,
     /// Where [`DataCapsuleServer::host`] opens a capsule's store.
@@ -326,7 +328,7 @@ impl DataCapsuleServer {
         request_seq: u64,
         body: &[u8],
     ) -> ResponseAuth {
-        match self.sessions.get(client) {
+        match self.sessions.get(&(*client, *capsule)) {
             Some(session) => ResponseAuth::Mac {
                 server: self.id.name(),
                 epoch: session.client_eph[..8].try_into().expect("8-byte epoch"),
@@ -476,7 +478,7 @@ impl DataCapsuleServer {
         // Generating a fresh server ephemeral here would replace the key
         // while the client (which processes only the first accept) keeps
         // the old one — poisoning every MAC'd response thereafter.
-        let server_eph = match self.sessions.get(&client) {
+        let server_eph = match self.sessions.get(&(client, capsule)) {
             Some(s) if s.client_eph == client_eph => s.server_eph,
             _ => {
                 let eph = EphemeralKeyPair::generate(&mut self.rng);
@@ -490,7 +492,8 @@ impl DataCapsuleServer {
                 };
                 let key = hkdf::derive_key32(capsule.as_bytes(), &shared, b"gdp/flow-key/v1");
                 let server_eph = *eph.public();
-                self.sessions.insert(client, FlowSession { client_eph, server_eph, key });
+                let session = FlowSession { client_eph, server_eph, key };
+                self.sessions.insert((client, capsule), session);
                 self.obs.sessions_established.inc();
                 server_eph
             }
@@ -1721,6 +1724,57 @@ mod tests {
                 assert_eq!(tag, expect, "server must MAC with the agreed flow key");
             }
             other => panic!("expected MAC-authenticated ack, got {other:?}"),
+        }
+    }
+
+    /// One client, three capsules on one server, a session on two of them:
+    /// each session keeps its own key and epoch (the second handshake must
+    /// not replace the first), and the capsule without one is still signed.
+    #[test]
+    fn sessions_are_per_client_and_capsule() {
+        let mut rig = rig();
+        let mut metas = vec![rig.server.capsule(&rig.capsule).unwrap().metadata().clone()];
+        for description in ["second", "third"] {
+            let meta = MetadataBuilder::new()
+                .writer(&wkey().verifying_key())
+                .set_str("description", description)
+                .sign(&owner());
+            rig.server.host(meta.clone(), unit_chain(&server_id(), &meta), vec![]).unwrap();
+            metas.push(meta);
+        }
+        let ask = |rig: &mut Rig, capsule: Name, msg: &DataMsg| {
+            rig.capsule = capsule;
+            msg_of(&request(rig, msg)[0])
+        };
+        let mut flows = Vec::new();
+        for (meta, secret) in metas.iter().zip([[7u8; 32], [8u8; 32]]) {
+            let eph = gdp_crypto::x25519::EphemeralKeyPair::from_secret(secret);
+            let init = DataMsg::SessionInit { client_eph: *eph.public() };
+            let DataMsg::SessionAccept { server_eph, .. } = ask(&mut rig, meta.name(), &init)
+            else {
+                panic!("expected SessionAccept");
+            };
+            let shared = eph.diffie_hellman(&server_eph).unwrap();
+            let key = hkdf::derive_key32(meta.name().as_bytes(), &shared, b"gdp/flow-key/v1");
+            flows.push((*eph.public(), key));
+        }
+        for (i, meta) in metas.iter().enumerate() {
+            let capsule = meta.name();
+            let mut writer = CapsuleWriter::new(meta, wkey(), PointerStrategy::Chain).unwrap();
+            let record = writer.append(b"x", 0).unwrap();
+            let body = append_ack_body(1, &record.hash(), 1);
+            let append = DataMsg::Append { record, ack_mode: AckMode::Local };
+            let DataMsg::AppendAck { auth, .. } = ask(&mut rig, capsule, &append) else {
+                panic!("expected AppendAck");
+            };
+            match (auth, flows.get(i)) {
+                (ResponseAuth::Mac { epoch, tag, .. }, Some((client_eph, key))) => {
+                    assert_eq!(epoch[..], client_eph[..8], "epoch of this capsule's session");
+                    assert_eq!(tag, mac_response(key, &capsule, rig.seq, &body));
+                }
+                (ResponseAuth::Signed { .. }, None) => {}
+                (auth, _) => panic!("capsule {i} answered under the wrong flow: {auth:?}"),
+            }
         }
     }
 }

@@ -13,13 +13,13 @@
 //!   small fixed-size blocks with a bounded
 //!   pipeline window; efficient in the common case, chatty per block.
 //!
-//! Both are plain `SimNode` servers speaking an ad-hoc request/response
-//! protocol over the same PDU fabric, so bandwidth-delay effects are
-//! identical across systems; only protocol behaviour differs.
+//! Both are a blob server answering an ad-hoc request/response protocol
+//! on a `simnet` endpoint, over the same link models as the GDP worlds,
+//! so bandwidth-delay effects are identical across systems; only
+//! protocol behaviour differs.
 
-use gdp_net::{NodeId, SimCtx, SimNet, SimNode, SimTime, MILLI};
+use gdp_net::simnet::{LinkSpec, SimEndpoint, SimNet, MS};
 use gdp_wire::{Name, Pdu, PduType};
-use std::any::Any;
 use std::collections::HashMap;
 
 /// S3-like part size (8 MiB).
@@ -30,21 +30,19 @@ pub const FS_BLOCK: usize = 64 * 1024;
 pub const FS_WINDOW: usize = 8;
 /// Modeled per-request processing overhead of the object store
 /// (auth/index/slow client), per part, on reads.
-pub const OBJECT_PART_OVERHEAD: SimTime = 120 * MILLI;
+pub const OBJECT_PART_OVERHEAD: u64 = 120 * MS;
 /// Upload overhead factor for the object store (multipart init/commit and
 /// the inefficient TF S3 writer): puts cost this multiple of the read
 /// overhead.
-pub const OBJECT_PUT_FACTOR: SimTime = 3;
+pub const OBJECT_PUT_FACTOR: u64 = 3;
 /// Modeled per-block server overhead of the remote fs.
-pub const FS_BLOCK_OVERHEAD: SimTime = 300; // µs
+pub const FS_BLOCK_OVERHEAD: u64 = 300; // µs
 
 // Ad-hoc opcodes carried in the first payload byte.
 const OP_PUT_PART: u8 = 1;
 const OP_PUT_ACK: u8 = 2;
 const OP_GET_PART: u8 = 3;
 const OP_GET_RESP: u8 = 4;
-const OP_SIZE: u8 = 5;
-const OP_SIZE_RESP: u8 = 6;
 
 fn req(src: Name, dst: Name, seq: u64, op: u8, body: Vec<u8>) -> Pdu {
     let mut payload = Vec::with_capacity(body.len() + 1);
@@ -53,117 +51,51 @@ fn req(src: Name, dst: Name, seq: u64, op: u8, body: Vec<u8>) -> Pdu {
     Pdu { pdu_type: PduType::Data, src, dst, seq, payload: payload.into() }
 }
 
-/// A blob server node (used for both baselines; behaviour differences are
+/// The blob server (used for both baselines; behaviour differences are
 /// in the *client* access patterns plus the per-request overhead).
-pub struct BlobServer {
-    /// The server's name (clients address it directly; no GDP routing).
-    pub name: Name,
-    /// Per-request modeled processing overhead.
-    pub request_overhead: SimTime,
+struct BlobServer {
+    name: Name,
+    /// Per-request modeled processing overhead (µs).
+    request_overhead: u64,
     /// Multiplier applied to `request_overhead` for PUT requests.
-    pub put_factor: SimTime,
+    put_factor: u64,
     objects: HashMap<(Name, u64), Vec<u8>>, // (object, part index) → bytes
-    sizes: HashMap<Name, u64>,
-    busy_until: SimTime,
+    busy_until: u64,
 }
 
 impl BlobServer {
-    /// Creates a server node.
-    pub fn new(name: Name, request_overhead: SimTime) -> Box<BlobServer> {
-        Box::new(BlobServer {
-            name,
-            request_overhead,
-            put_factor: 1,
-            objects: HashMap::new(),
-            sizes: HashMap::new(),
-            busy_until: 0,
-        })
-    }
-
-    fn delay(&mut self, now: SimTime, factor: SimTime) -> SimTime {
-        let start = now.max(self.busy_until);
-        let done = start + self.request_overhead * factor;
-        self.busy_until = done;
-        done - now
-    }
-}
-
-impl SimNode for BlobServer {
-    fn on_pdu(&mut self, ctx: &mut SimCtx<'_>, from: NodeId, pdu: Pdu) {
-        if pdu.payload.is_empty() {
-            return;
-        }
-        let op = pdu.payload[0];
-        let body = &pdu.payload[1..];
+    /// Handles one request at `now`: the answer and how long the server's
+    /// one core keeps it (queueing behind earlier requests included).
+    fn handle(&mut self, now: u64, pdu: &Pdu) -> Option<(Pdu, u64)> {
+        let (&op, body) = pdu.payload.as_slice().split_first()?;
         let factor = if op == OP_PUT_PART { self.put_factor } else { 1 };
-        let delay = self.delay(ctx.now, factor);
-        match op {
+        let done = now.max(self.busy_until) + self.request_overhead * factor;
+        let object = Name(body.get(..32)?.try_into().ok()?);
+        let word = |at: usize| Some(u64::from_be_bytes(body.get(at..at + 8)?.try_into().ok()?));
+        let (op, answer) = match op {
+            // body = object name (32) + part index (8) + total size (8) + bytes
             OP_PUT_PART => {
-                // body = object name (32) + part index (8) + total size (8) + bytes
-                if body.len() < 48 {
-                    return;
-                }
-                let object = Name(body[..32].try_into().unwrap());
-                let part = u64::from_be_bytes(body[32..40].try_into().unwrap());
-                let total = u64::from_be_bytes(body[40..48].try_into().unwrap());
-                self.objects.insert((object, part), body[48..].to_vec());
-                self.sizes.insert(object, total);
-                let ack = req(self.name, pdu.src, pdu.seq, OP_PUT_ACK, Vec::new());
-                ctx.send_delayed(from, ack, delay);
+                self.objects.insert((object, word(32)?), body.get(48..)?.to_vec());
+                (OP_PUT_ACK, Vec::new())
             }
             OP_GET_PART => {
-                if body.len() < 40 {
-                    return;
-                }
-                let object = Name(body[..32].try_into().unwrap());
-                let part = u64::from_be_bytes(body[32..40].try_into().unwrap());
-                let bytes = self.objects.get(&(object, part)).cloned().unwrap_or_default();
-                let resp = req(self.name, pdu.src, pdu.seq, OP_GET_RESP, bytes);
-                ctx.send_delayed(from, resp, delay);
+                (OP_GET_RESP, self.objects.get(&(object, word(32)?)).cloned().unwrap_or_default())
             }
-            OP_SIZE => {
-                if body.len() < 32 {
-                    return;
-                }
-                let object = Name(body[..32].try_into().unwrap());
-                let size = self.sizes.get(&object).copied().unwrap_or(0);
-                let resp =
-                    req(self.name, pdu.src, pdu.seq, OP_SIZE_RESP, size.to_be_bytes().to_vec());
-                ctx.send_delayed(from, resp, delay);
-            }
-            _ => {}
-        }
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// A recording client node: collects responses for the driver.
-struct BaselineClient {
-    responses: Vec<Pdu>,
-}
-
-impl SimNode for BaselineClient {
-    fn on_pdu(&mut self, _ctx: &mut SimCtx<'_>, _from: NodeId, pdu: Pdu) {
-        self.responses.push(pdu);
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+            _ => return None,
+        };
+        self.busy_until = done;
+        Some((req(self.name, pdu.src, pdu.seq, op, answer), done - now))
     }
 }
 
 /// Synchronous driver for a baseline deployment: client ↔ server over the
 /// given links, with configurable chunking and pipelining.
 pub struct BaselineWorld {
-    /// The simulator.
-    pub net: SimNet,
-    client_node: NodeId,
-    /// The blob-server node id.
-    pub server_node: NodeId,
+    net: SimNet,
+    client: SimEndpoint,
+    server_ep: SimEndpoint,
+    server: BlobServer,
     client_name: Name,
-    server_name: Name,
     /// Transfer chunk size.
     pub chunk: usize,
     /// Outstanding-request window (1 = strict request/response).
@@ -175,25 +107,29 @@ impl BaselineWorld {
     /// Builds a client↔server pair with explicit directed links.
     pub fn new(
         seed: u64,
-        up: gdp_net::LinkSpec,
-        down: gdp_net::LinkSpec,
-        request_overhead: SimTime,
+        up: LinkSpec,
+        down: LinkSpec,
+        request_overhead: u64,
         chunk: usize,
         window: usize,
     ) -> BaselineWorld {
-        let mut net = SimNet::new(seed);
-        let client_name = Name::from_content(b"baseline client");
-        let server_name = Name::from_content(b"baseline server");
-        let client_node = net.add_node(Box::new(BaselineClient { responses: Vec::new() }));
-        let server_node = net.add_node(BlobServer::new(server_name, request_overhead));
-        net.connect_directed(client_node, server_node, up);
-        net.connect_directed(server_node, client_node, down);
+        let net = SimNet::new(seed);
+        let (client, server_ep) = (net.endpoint(), net.endpoint());
+        net.connect_directed(client.addr, server_ep.addr, up);
+        net.connect_directed(server_ep.addr, client.addr, down);
+        let server = BlobServer {
+            name: Name::from_content(b"baseline server"),
+            request_overhead,
+            put_factor: 1,
+            objects: HashMap::new(),
+            busy_until: 0,
+        };
         BaselineWorld {
             net,
-            client_node,
-            server_node,
-            client_name,
-            server_name,
+            client,
+            server_ep,
+            server,
+            client_name: Name::from_content(b"baseline client"),
             chunk,
             window,
             next_seq: 1,
@@ -206,13 +142,13 @@ impl BaselineWorld {
     pub fn object_store_cloud(seed: u64) -> BaselineWorld {
         let mut w = BaselineWorld::new(
             seed,
-            gdp_net::LinkSpec::residential_up(),
-            gdp_net::LinkSpec::residential_down(),
+            LinkSpec::residential_up(),
+            LinkSpec::residential_down(),
             OBJECT_PART_OVERHEAD,
             OBJECT_PART,
             1,
         );
-        w.net.node_mut::<BlobServer>(w.server_node).put_factor = OBJECT_PUT_FACTOR;
+        w.server.put_factor = OBJECT_PUT_FACTOR;
         w
     }
 
@@ -221,8 +157,8 @@ impl BaselineWorld {
     pub fn remote_fs_cloud(seed: u64) -> BaselineWorld {
         BaselineWorld::new(
             seed,
-            gdp_net::LinkSpec::residential_up(),
-            gdp_net::LinkSpec::residential_down(),
+            LinkSpec::residential_up(),
+            LinkSpec::residential_down(),
             FS_BLOCK_OVERHEAD,
             FS_BLOCK,
             FS_WINDOW,
@@ -233,8 +169,8 @@ impl BaselineWorld {
     pub fn remote_fs_edge(seed: u64) -> BaselineWorld {
         BaselineWorld::new(
             seed,
-            gdp_net::LinkSpec::lan(),
-            gdp_net::LinkSpec::lan(),
+            LinkSpec::lan(),
+            LinkSpec::lan(),
             FS_BLOCK_OVERHEAD,
             FS_BLOCK,
             FS_WINDOW,
@@ -242,26 +178,38 @@ impl BaselineWorld {
     }
 
     /// Current virtual time.
-    pub fn now(&self) -> SimTime {
+    pub fn now(&self) -> u64 {
         self.net.now()
     }
 
-    fn take_responses(&mut self) -> Vec<Pdu> {
-        std::mem::take(&mut self.net.node_mut::<BaselineClient>(self.client_node).responses)
+    fn send(&mut self, op: u8, body: Vec<u8>) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let _ = self
+            .client
+            .send(self.server_ep.addr, req(self.client_name, self.server.name, seq, op, body));
+        seq
     }
 
-    fn run_until_responses(&mut self, n: usize) -> Vec<Pdu> {
+    /// Runs the world — the server answering whatever reaches it — until
+    /// the client holds a response, or nothing is left in flight.
+    fn next_response(&mut self) -> Option<Pdu> {
         loop {
-            let have = self.net.node_mut::<BaselineClient>(self.client_node).responses.len();
-            if have >= n || !self.net.step() {
-                return self.take_responses();
+            while let Ok(Some((from, pdu))) = self.server_ep.try_recv() {
+                if let Some((answer, delay)) = self.server.handle(self.net.now(), &pdu) {
+                    let _ = self.server_ep.send_after(from, answer, delay);
+                }
             }
+            if let Ok(Some((_, pdu))) = self.client.try_recv() {
+                return Some(pdu);
+            }
+            self.net.advance_to(self.net.next_event_at()?);
         }
     }
 
     /// Uploads an object, honoring chunk size and window. Returns elapsed
     /// virtual µs.
-    pub fn put(&mut self, object: Name, bytes: &[u8]) -> SimTime {
+    pub fn put(&mut self, object: Name, bytes: &[u8]) -> u64 {
         let t0 = self.net.now();
         let total = bytes.len() as u64;
         let parts: Vec<&[u8]> =
@@ -275,22 +223,19 @@ impl BaselineWorld {
                 body.extend_from_slice(&(sent as u64).to_be_bytes());
                 body.extend_from_slice(&total.to_be_bytes());
                 body.extend_from_slice(parts[sent]);
-                let pdu = req(self.client_name, self.server_name, self.next_seq, OP_PUT_PART, body);
-                self.next_seq += 1;
-                self.net.inject(self.client_node, self.server_node, pdu);
+                self.send(OP_PUT_PART, body);
                 sent += 1;
             }
-            let got = self.run_until_responses(1);
-            if got.is_empty() {
+            if self.next_response().is_none() {
                 break; // network drained without an ack — avoid hanging
             }
-            acked += got.len();
+            acked += 1;
         }
         self.net.now() - t0
     }
 
     /// Downloads an object of known size. Returns (bytes, elapsed µs).
-    pub fn get(&mut self, object: Name, size: usize) -> (Vec<u8>, SimTime) {
+    pub fn get(&mut self, object: Name, size: usize) -> (Vec<u8>, u64) {
         let t0 = self.net.now();
         let nparts = if size == 0 { 1 } else { size.div_ceil(self.chunk) };
         let mut out = vec![Vec::new(); nparts];
@@ -302,22 +247,16 @@ impl BaselineWorld {
                 let mut body = Vec::with_capacity(40);
                 body.extend_from_slice(&object.0);
                 body.extend_from_slice(&(requested as u64).to_be_bytes());
-                let pdu = req(self.client_name, self.server_name, self.next_seq, OP_GET_PART, body);
-                seq_to_part.insert(self.next_seq, requested);
-                self.next_seq += 1;
-                self.net.inject(self.client_node, self.server_node, pdu);
+                seq_to_part.insert(self.send(OP_GET_PART, body), requested);
                 requested += 1;
             }
-            let got = self.run_until_responses(1);
-            if got.is_empty() {
+            let Some(resp) = self.next_response() else {
                 break; // network drained without a response
-            }
-            for resp in got {
-                if resp.payload.first() == Some(&OP_GET_RESP) {
-                    if let Some(part) = seq_to_part.remove(&resp.seq) {
-                        out[part] = resp.payload[1..].to_vec();
-                        received += 1;
-                    }
+            };
+            if resp.payload.first() == Some(&OP_GET_RESP) {
+                if let Some(part) = seq_to_part.remove(&resp.seq) {
+                    out[part] = resp.payload[1..].to_vec();
+                    received += 1;
                 }
             }
         }
@@ -356,8 +295,8 @@ mod tests {
         let obj = Name::from_content(b"o");
         let mut seq = BaselineWorld::new(
             3,
-            gdp_net::LinkSpec::residential_up(),
-            gdp_net::LinkSpec::residential_down(),
+            LinkSpec::residential_up(),
+            LinkSpec::residential_down(),
             1000,
             FS_BLOCK,
             1,
@@ -366,8 +305,8 @@ mod tests {
         let (_, t_seq) = seq.get(obj, data.len());
         let mut win = BaselineWorld::new(
             3,
-            gdp_net::LinkSpec::residential_up(),
-            gdp_net::LinkSpec::residential_down(),
+            LinkSpec::residential_up(),
+            LinkSpec::residential_down(),
             1000,
             FS_BLOCK,
             8,

@@ -1,16 +1,14 @@
 //! # gdp-sim
 //!
-//! Scenario assembly and evaluation support: complete simulated GDP
-//! deployments ([`world::GdpWorld`]) that CAAPIs run over unmodified, the
-//! S3-like / SSHFS-like baseline models for the paper's case study
-//! ([`baselines`]), and deterministic workload generators ([`workload`]).
-//!
-//! Deterministic chaos testing lives in [`cluster`] + [`check`]: the
-//! *production* node runtimes (router, DataCapsule servers with
-//! segmented-log stores, verifying client) on the seeded
-//! `gdp_net::simnet` fabric, with fault injection and post-recovery
-//! invariant checks (see `tests/chaos.rs` and DESIGN.md, "Simulation
-//! architecture").
+//! Simulated deployments and evaluation support. [`cluster`] assembles
+//! the *production* node runtimes (routers in a hierarchy, DataCapsule
+//! servers on memory or segmented-log stores, verifying clients) on the
+//! seeded `gdp_net::simnet` fabric: [`SimCluster`] is the world and its
+//! fault injection, [`GdpWorld`] the paper's §IX placements that CAAPIs
+//! run over unmodified. [`check`] holds the chaos invariants (see
+//! `tests/chaos.rs` and DESIGN.md, "Simulation architecture"),
+//! [`baselines`] the S3-like / SSHFS-like models for the paper's case
+//! study, [`workload`] deterministic workload generators.
 
 #![forbid(unsafe_code)]
 
@@ -18,10 +16,8 @@ pub mod baselines;
 pub mod check;
 pub mod cluster;
 pub mod workload;
-pub mod world;
 
-pub use baselines::{BaselineWorld, BlobServer};
+pub use baselines::BaselineWorld;
 pub use check::check_invariants;
-pub use cluster::SimCluster;
-pub use gdp_net::simnet::{FaultSpec, SimAddr, SimEndpoint, SimNetError, SimStats};
-pub use world::{GdpWorld, Placement, FOREVER};
+pub use cluster::{GdpWorld, HostCpu, Placement, SimCluster, FOREVER};
+pub use gdp_net::simnet::{FaultSpec, LinkSpec, SimAddr, SimEndpoint};

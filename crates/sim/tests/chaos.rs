@@ -680,7 +680,7 @@ fn byzantine_flood_is_accounted_and_survived() {
     // is an *insider* gone hostile, not a spoofer the crypto stops cold.
     let mallory = PrincipalId::from_seed(PrincipalKind::Client, &[0x66; 32], "mallory");
     let mallory_name = mallory.name();
-    let ep = c.hostile_endpoint();
+    let ep = c.net.endpoint();
     let router = c.router_addr();
     let mut attacher = Attacher::new(mallory, c.router_name(), Vec::new(), FOREVER);
     let replay = hostile_attach(&mut c, &ep, &mut attacher, seed);

@@ -1,15 +1,16 @@
-//! End-to-end routing tests on the deterministic simulator: secure
-//! advertisement over the network, hierarchical forwarding, anycast
-//! locality, scope enforcement, and GLookupService recursion.
+//! End-to-end routing tests on the deterministic fabric, the routers
+//! running as `NodeRuntime` nodes: secure advertisement over the network,
+//! hierarchical forwarding, anycast locality, scope enforcement, and
+//! GLookupService recursion.
 
 use gdp_capsule::{CapsuleMetadata, MetadataBuilder};
 use gdp_cert::{AdCert, CapsuleAdvert, PrincipalId, PrincipalKind, Scope, ServingChain};
 use gdp_crypto::SigningKey;
-use gdp_net::{LinkSpec, NodeId, SimCtx, SimNet, SimNode};
 use gdp_obs::Metrics;
-use gdp_router::{attach_directly, AttachStep, Attacher, LookupMsg, Router, SimRouter};
+use gdp_router::{attach_directly, Attacher, LookupMsg, Router};
+use gdp_sim::cluster::DETECT_US;
+use gdp_sim::{FaultSpec, LinkSpec, SimAddr, SimCluster, SimEndpoint};
 use gdp_wire::{Name, Pdu, PduType, Wire};
-use std::any::Any;
 
 fn owner() -> SigningKey {
     SigningKey::from_seed(&[1u8; 32])
@@ -25,61 +26,22 @@ fn metadata(desc: &str) -> CapsuleMetadata {
         .sign(&owner())
 }
 
-/// A simulator node that runs an attach handshake and then records
-/// everything it receives. Stands in for a server or client endpoint.
-struct EndpointNode {
-    attacher: Option<Attacher>,
-    router_neighbor: NodeId,
-    pub attached: Option<Vec<Name>>,
-    pub attach_error: Option<String>,
-    pub received: Vec<Pdu>,
+/// A bare fabric endpoint that ran an attach handshake; whatever the
+/// routers deliver to it afterwards waits in its inbox. Stands in for a
+/// server or client.
+struct Endpoint {
+    ep: SimEndpoint,
+    attached: Result<Vec<Name>, String>,
 }
 
-impl EndpointNode {
-    fn new(attacher: Attacher, router_neighbor: NodeId) -> Box<EndpointNode> {
-        Box::new(EndpointNode {
-            attacher: Some(attacher),
-            router_neighbor,
-            attached: None,
-            attach_error: None,
-            received: Vec::new(),
-        })
-    }
-}
-
-impl SimNode for EndpointNode {
-    fn on_pdu(&mut self, ctx: &mut SimCtx<'_>, _from: NodeId, pdu: Pdu) {
-        if let Some(attacher) = self.attacher.as_mut() {
-            match attacher.on_pdu(&pdu) {
-                AttachStep::Send(p) => {
-                    ctx.send(self.router_neighbor, p);
-                    return;
-                }
-                AttachStep::Done(names) => {
-                    self.attached = Some(names);
-                    self.attacher = None;
-                    return;
-                }
-                AttachStep::Failed(reason) => {
-                    self.attach_error = Some(reason);
-                    self.attacher = None;
-                    return;
-                }
-                AttachStep::Ignored => {}
-            }
-        }
-        self.received.push(pdu);
+impl Endpoint {
+    fn addr(&self) -> SimAddr {
+        self.ep.addr
     }
 
-    fn on_timer(&mut self, ctx: &mut SimCtx<'_>, _token: u64) {
-        // Timer 0 = kick off the handshake.
-        if let Some(attacher) = self.attacher.as_ref() {
-            ctx.send(self.router_neighbor, attacher.hello());
-        }
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+    /// Everything delivered since the last call.
+    fn received(&self) -> Vec<Pdu> {
+        std::iter::from_fn(|| self.ep.try_recv().unwrap()).map(|(_, pdu)| pdu).collect()
     }
 }
 
@@ -95,50 +57,50 @@ fn capsule_advert(meta: &CapsuleMetadata, server: &PrincipalId, scope: Scope) ->
     }
 }
 
-/// Builds: root router ── r1 ── endpoints, r2 ── endpoints topology.
+/// Root router ── r1, r2 (WAN); endpoints hang off r1 and r2 (LAN).
 struct Hierarchy {
-    net: SimNet,
-    /// The registry r1 and r2 count into (scopes `r1`, `r2`).
-    metrics: Metrics,
-    root: NodeId,
-    r1: NodeId,
-    r2: NodeId,
-    r1_name: Name,
-    r2_name: Name,
+    c: SimCluster,
+    root: SimAddr,
+    r1: SimAddr,
+    r2: SimAddr,
+}
+
+impl Hierarchy {
+    fn router(&mut self, addr: SimAddr) -> &mut Router {
+        self.c.runtime_mut(addr).router_mut().unwrap()
+    }
+
+    /// Attaches a bare endpoint to `router`, advertising `entries`.
+    fn add_endpoint(
+        &mut self,
+        router: SimAddr,
+        principal: PrincipalId,
+        entries: Vec<CapsuleAdvert>,
+    ) -> Endpoint {
+        let router_name = self.router(router).name();
+        let ep = self.c.net.endpoint();
+        self.c.net.connect(ep.addr, router, LinkSpec::lan());
+        let mut attacher = Attacher::new(principal, router_name, entries, 1 << 40);
+        let attached = self.c.attach_endpoint(&ep, router, &mut attacher);
+        Endpoint { ep, attached }
+    }
+
+    /// Sends `pdu` from `from` into `router` and lets the world go quiet.
+    fn inject(&mut self, from: &Endpoint, router: SimAddr, pdu: Pdu) {
+        from.ep.send(router, pdu).unwrap();
+        self.c.settle();
+    }
 }
 
 fn hierarchy() -> Hierarchy {
-    let mut net = SimNet::new(7);
-    let metrics = Metrics::new();
-    let root_router = Router::from_seed(&[10u8; 32], "root");
-    let r1_router = Router::from_seed_with_obs(&[11u8; 32], "domain-1", &metrics.scope("r1"));
-    let r2_router = Router::from_seed_with_obs(&[12u8; 32], "domain-2", &metrics.scope("r2"));
-    let root_name = root_router.name();
-    let r1_name = r1_router.name();
-    let r2_name = r2_router.name();
-    let root = net.add_node(SimRouter::new(root_router));
-    let r1 = net.add_node(SimRouter::new(r1_router));
-    let r2 = net.add_node(SimRouter::new(r2_router));
-    net.connect(root, r1, LinkSpec::wan());
-    net.connect(root, r2, LinkSpec::wan());
-    net.node_mut::<SimRouter>(r1).router.set_parent(root);
-    net.node_mut::<SimRouter>(r2).router.set_parent(root);
-    let _ = root_name;
-    Hierarchy { net, metrics, root, r1, r2, r1_name, r2_name }
-}
-
-fn add_endpoint(
-    net: &mut SimNet,
-    router_node: NodeId,
-    router_name: Name,
-    principal: PrincipalId,
-    entries: Vec<CapsuleAdvert>,
-) -> NodeId {
-    let attacher = Attacher::new(principal, router_name, entries, 1 << 40);
-    let node = net.add_node(EndpointNode::new(attacher, router_node));
-    net.connect(node, router_node, LinkSpec::lan());
-    net.inject_timer(node, 0, 0); // start handshake
-    node
+    let mut c = SimCluster::empty(7, FaultSpec::reliable());
+    let root = c.add_router(&[10u8; 32], "root", None);
+    let r1 = c.add_router(&[11u8; 32], "domain-1", Some(root));
+    let r2 = c.add_router(&[12u8; 32], "domain-2", Some(root));
+    c.net.connect(root, r1, LinkSpec::wan());
+    c.net.connect(root, r2, LinkSpec::wan());
+    c.boot();
+    Hierarchy { c, root, r1, r2 }
 }
 
 #[test]
@@ -148,19 +110,19 @@ fn advertisement_and_cross_domain_forwarding() {
     let server = server_principal(20, "srv-d1");
     let server_name = server.name();
     let advert = capsule_advert(&meta, &server, Scope::Global);
-    let server_node = add_endpoint(&mut h.net, h.r1, h.r1_name, server, vec![advert]);
+    let server_node = h.add_endpoint(h.r1, server, vec![advert]);
 
     let client = PrincipalId::from_seed(PrincipalKind::Client, &[21u8; 32], "client-d2");
     let client_name = client.name();
-    let client_node = add_endpoint(&mut h.net, h.r2, h.r2_name, client, vec![]);
+    let client_node = h.add_endpoint(h.r2, client, vec![]);
 
-    h.net.run_to_quiescence();
-    assert!(h.net.node_mut::<EndpointNode>(server_node).attached.is_some());
-    assert!(h.net.node_mut::<EndpointNode>(client_node).attached.is_some());
+    h.c.settle();
+    assert!(server_node.attached.is_ok());
+    assert!(client_node.attached.is_ok());
 
     // The capsule propagated to the root GLookupService (global scope).
-    let now = h.net.now();
-    let root_routes = h.net.node_mut::<SimRouter>(h.root).router.lookup_local(&meta.name(), now);
+    let now = h.c.net.now();
+    let root_routes = h.router(h.root).lookup_local(&meta.name(), now);
     assert_eq!(root_routes.len(), 1);
     root_routes[0].verify(now).unwrap();
     assert_eq!(root_routes[0].server_name(), server_name);
@@ -168,17 +130,15 @@ fn advertisement_and_cross_domain_forwarding() {
     // Client sends a data PDU addressed to the *capsule name*; it must
     // cross r2 → root → r1 → server.
     let data = Pdu::data(client_name, meta.name(), 99, b"read request".to_vec());
-    h.net.inject(client_node, h.r2, data);
-    h.net.run_to_quiescence();
-    let server_rx = &h.net.node_mut::<EndpointNode>(server_node).received;
+    h.inject(&client_node, h.r2, data);
+    let server_rx = server_node.received();
     assert_eq!(server_rx.len(), 1);
     assert_eq!(server_rx[0].seq, 99);
 
     // And the server can respond to the client's flat name.
     let resp = Pdu::data(server_name, client_name, 99, b"response".to_vec());
-    h.net.inject(server_node, h.r1, resp);
-    h.net.run_to_quiescence();
-    let client_rx = &h.net.node_mut::<EndpointNode>(client_node).received;
+    h.inject(&server_node, h.r1, resp);
+    let client_rx = client_node.received();
     assert_eq!(client_rx.len(), 1);
     assert_eq!(client_rx[0].payload, b"response");
 }
@@ -193,29 +153,28 @@ fn anycast_prefers_local_replica() {
     let srv2_name = srv2.name();
     let advert1 = capsule_advert(&meta, &srv1, Scope::Global);
     let advert2 = capsule_advert(&meta, &srv2, Scope::Global);
-    let _n1 = add_endpoint(&mut h.net, h.r1, h.r1_name, srv1, vec![advert1]);
-    let n2 = add_endpoint(&mut h.net, h.r2, h.r2_name, srv2, vec![advert2]);
+    let _n1 = h.add_endpoint(h.r1, srv1, vec![advert1]);
+    let n2 = h.add_endpoint(h.r2, srv2, vec![advert2]);
 
     let client = PrincipalId::from_seed(PrincipalKind::Client, &[32u8; 32], "client-d2");
-    let client_node = add_endpoint(&mut h.net, h.r2, h.r2_name, client, vec![]);
-    h.net.run_to_quiescence();
+    let client_node = h.add_endpoint(h.r2, client, vec![]);
+    h.c.settle();
 
     // A request from domain 2 must be served by the domain-2 replica
     // (distance 0 at r2) without ever reaching the root.
-    let before_root = h.net.link_delivered(h.r2, h.root);
+    let before_root = h.c.net.link_delivered(h.r2, h.root);
     let data = Pdu::data(Name::from_content(b"anon"), meta.name(), 5, vec![]);
-    h.net.inject(client_node, h.r2, data);
-    h.net.run_to_quiescence();
-    let n2_rx = &h.net.node_mut::<EndpointNode>(n2).received;
+    h.inject(&client_node, h.r2, data);
+    let n2_rx = n2.received();
     assert_eq!(n2_rx.len(), 1, "local replica should receive the request");
     assert_eq!(
         before_root,
-        h.net.link_delivered(h.r2, h.root),
+        h.c.net.link_delivered(h.r2, h.root),
         "root router should not carry anycast-local traffic"
     );
     // The root still knows both replicas (for clients elsewhere).
-    let now = h.net.now();
-    let routes = h.net.node_mut::<SimRouter>(h.root).router.lookup_local(&meta.name(), now);
+    let now = h.c.net.now();
+    let routes = h.router(h.root).lookup_local(&meta.name(), now);
     assert_eq!(routes.len(), 2);
     assert!(routes.iter().any(|r| r.server_name() == srv2_name));
 }
@@ -226,15 +185,16 @@ fn scoped_capsule_stays_in_domain() {
     let meta = metadata("factory-secret");
     let server = server_principal(40, "factory-server");
     // Scope: do not advertise beyond router r1 (the factory domain).
-    let advert = capsule_advert(&meta, &server, Scope::Domain(h.r1_name));
-    let _srv_node = add_endpoint(&mut h.net, h.r1, h.r1_name, server, vec![advert]);
-    h.net.run_to_quiescence();
+    let factory = h.router(h.r1).name();
+    let advert = capsule_advert(&meta, &server, Scope::Domain(factory));
+    let _srv_node = h.add_endpoint(h.r1, server, vec![advert]);
+    h.c.settle();
 
-    let now = h.net.now();
+    let now = h.c.net.now();
     // r1 knows the capsule.
-    assert!(!h.net.node_mut::<SimRouter>(h.r1).router.lookup_local(&meta.name(), now).is_empty());
+    assert!(!h.router(h.r1).lookup_local(&meta.name(), now).is_empty());
     // The root must NOT know it.
-    assert!(h.net.node_mut::<SimRouter>(h.root).router.lookup_local(&meta.name(), now).is_empty());
+    assert!(h.router(h.root).lookup_local(&meta.name(), now).is_empty());
 }
 
 #[test]
@@ -249,15 +209,13 @@ fn forged_advertisement_rejected() {
         metadata: meta.clone(),
         chain: ServingChain::direct(adcert, legit.principal().clone()),
     };
-    let thief_node = add_endpoint(&mut h.net, h.r1, h.r1_name, thief, vec![stolen]);
-    h.net.run_to_quiescence();
+    let thief_node = h.add_endpoint(h.r1, thief, vec![stolen]);
+    h.c.settle();
 
-    let node = h.net.node_mut::<EndpointNode>(thief_node);
-    assert!(node.attached.is_none());
-    assert!(node.attach_error.is_some());
-    let now = h.net.now();
-    assert!(h.net.node_mut::<SimRouter>(h.r1).router.lookup_local(&meta.name(), now).is_empty());
-    assert_eq!(h.metrics.counter_value("r1", "adverts_rejected"), 1);
+    assert!(thief_node.attached.is_err());
+    let now = h.c.net.now();
+    assert!(h.router(h.r1).lookup_local(&meta.name(), now).is_empty());
+    assert_eq!(h.c.node_metrics(h.r1).counter_value("router", "adverts_rejected"), 1);
 }
 
 #[test]
@@ -266,11 +224,11 @@ fn lookup_recurses_to_parent() {
     let meta = metadata("looked-up");
     let server = server_principal(60, "srv");
     let advert = capsule_advert(&meta, &server, Scope::Global);
-    let _srv = add_endpoint(&mut h.net, h.r1, h.r1_name, server, vec![advert]);
+    let _srv = h.add_endpoint(h.r1, server, vec![advert]);
 
     let client = PrincipalId::from_seed(PrincipalKind::Client, &[61u8; 32], "asker");
-    let client_node = add_endpoint(&mut h.net, h.r2, h.r2_name, client.clone(), vec![]);
-    h.net.run_to_quiescence();
+    let client_node = h.add_endpoint(h.r2, client.clone(), vec![]);
+    h.c.settle();
 
     // r2 has no local route for the capsule; a Lookup query must recurse
     // via the root and come back verifiable.
@@ -278,25 +236,24 @@ fn lookup_recurses_to_parent() {
     let pdu = Pdu {
         pdu_type: PduType::Lookup,
         src: client.name(),
-        dst: h.r2_name,
+        dst: h.router(h.r2).name(),
         seq: 1,
         payload: query.to_wire().into(),
     };
-    h.net.inject(client_node, h.r2, pdu);
-    h.net.run_to_quiescence();
+    h.inject(&client_node, h.r2, pdu);
 
-    let received = &h.net.node_mut::<EndpointNode>(client_node).received;
+    let received = client_node.received();
     let answer = received.iter().find(|p| p.pdu_type == PduType::Lookup).expect("lookup answer");
     match LookupMsg::from_wire(&answer.payload).unwrap() {
         LookupMsg::Answer { query_id, name, routes } => {
             assert_eq!(query_id, 77);
             assert_eq!(name, meta.name());
             assert_eq!(routes.len(), 1);
-            routes[0].verify(h.net.now()).unwrap();
+            routes[0].verify(h.c.net.now()).unwrap();
         }
         other => panic!("expected answer, got {other:?}"),
     }
-    assert!(h.metrics.counter_value("r2", "lookups_escalated") >= 1);
+    assert!(h.c.node_metrics(h.r2).counter_value("router", "lookups_escalated") >= 1);
 }
 
 #[test]
@@ -304,15 +261,14 @@ fn unroutable_name_yields_error_pdu() {
     let mut h = hierarchy();
     let client = PrincipalId::from_seed(PrincipalKind::Client, &[70u8; 32], "lost");
     let client_name = client.name();
-    let client_node = add_endpoint(&mut h.net, h.r2, h.r2_name, client, vec![]);
-    h.net.run_to_quiescence();
+    let client_node = h.add_endpoint(h.r2, client, vec![]);
+    h.c.settle();
 
     let ghost = Name::from_content(b"no such capsule");
     let data = Pdu::data(client_name, ghost, 3, vec![]);
-    h.net.inject(client_node, h.r2, data);
-    h.net.run_to_quiescence();
+    h.inject(&client_node, h.r2, data);
 
-    let received = &h.net.node_mut::<EndpointNode>(client_node).received;
+    let received = client_node.received();
     let err = received
         .iter()
         .find(|p| p.pdu_type == PduType::Error)
@@ -360,20 +316,19 @@ fn router_crash_heals_via_second_replica() {
     let srv2 = server_principal(81, "r2-replica");
     let a1 = capsule_advert(&meta, &srv1, Scope::Global);
     let a2 = capsule_advert(&meta, &srv2, Scope::Global);
-    let n1 = add_endpoint(&mut h.net, h.r1, h.r1_name, srv1, vec![a1]);
-    let n2 = add_endpoint(&mut h.net, h.r2, h.r2_name, srv2, vec![a2]);
+    let n1 = h.add_endpoint(h.r1, srv1, vec![a1]);
+    let n2 = h.add_endpoint(h.r2, srv2, vec![a2]);
     let client = PrincipalId::from_seed(PrincipalKind::Client, &[82u8; 32], "c");
     let client_name = client.name();
-    let client_node = add_endpoint(&mut h.net, h.r2, h.r2_name, client, vec![]);
-    h.net.run_to_quiescence();
+    let client_node = h.add_endpoint(h.r2, client, vec![]);
+    h.c.settle();
 
-    // Partition the r2 replica away; its router notices via neighbor_down.
-    h.net.set_link_up(n2, h.r2, false);
-    h.net.node_mut::<SimRouter>(h.r2).router.neighbor_down(n2);
+    // Partition the r2 replica away; its router's transport notices.
+    h.c.partition(n2.addr(), h.r2);
+    h.c.run_for(DETECT_US);
 
     let data = Pdu::data(client_name, meta.name(), 11, vec![]);
-    h.net.inject(client_node, h.r2, data);
-    h.net.run_to_quiescence();
+    h.inject(&client_node, h.r2, data);
     // The request must reach the remaining replica in domain 1.
-    assert_eq!(h.net.node_mut::<EndpointNode>(n1).received.len(), 1);
+    assert_eq!(n1.received().len(), 1);
 }

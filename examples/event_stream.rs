@@ -8,7 +8,7 @@
 //! Run with: `cargo run --example event_stream`
 
 use gdp::caapi::{GdpStream, Message};
-use gdp::router::{DhtCluster, SimRouter};
+use gdp::router::DhtCluster;
 use gdp::sim::{GdpWorld, Placement};
 use gdp::wire::Name;
 
@@ -59,9 +59,8 @@ fn main() {
     // Publish the topic's route into a DHT-backed global GLookupService and
     // resolve it from an arbitrary member.
     let world = stream.backend_mut();
-    let (router_node, _) = world.routers[0];
     let now = world.now();
-    let routes = world.net.node_mut::<SimRouter>(router_node).router.lookup_local(&topic, now);
+    let routes = world.router(0).lookup_local(&topic, now);
     let mut dht = DhtCluster::new();
     let members: Vec<Name> =
         (0..24).map(|i| Name::from_content(format!("dht member {i}").as_bytes())).collect();

@@ -5,31 +5,27 @@
 //! Run with: `cargo run --example federated_routing`
 
 use gdp::capsule::MetadataBuilder;
-use gdp::cert::{AdCert, PrincipalId, PrincipalKind, Scope, ServingChain};
+use gdp::cert::{AdCert, Scope, ServingChain};
 use gdp::crypto::SigningKey;
-use gdp::net::{LinkSpec, SimNet};
-use gdp::router::{Router, SimRouter};
-use gdp::server::{DataCapsuleServer, SimServer};
-use gdp::sim::FOREVER;
+use gdp::node::HostSpec;
+use gdp::sim::cluster::server_identity;
+use gdp::sim::{FaultSpec, LinkSpec, SimCluster, FOREVER};
 
 fn main() {
     let owner = SigningKey::from_seed(&[1u8; 32]);
     let writer = SigningKey::from_seed(&[2u8; 32]);
 
     // Three administrative domains: a global root, a public cloud, and a
-    // factory. Each runs its own GDP-router (= its own GLookupService).
-    let mut net = SimNet::new(2026);
-    let root = Router::from_seed(&[10u8; 32], "tier-1 root");
-    let cloud = Router::from_seed(&[11u8; 32], "public cloud");
-    let factory = Router::from_seed(&[12u8; 32], "factory floor");
-    let factory_name = factory.name();
-    let root_node = net.add_node(SimRouter::new(root));
-    let cloud_node = net.add_node(SimRouter::new(cloud));
-    let factory_node = net.add_node(SimRouter::new(factory));
-    net.connect(root_node, cloud_node, LinkSpec::wan());
-    net.connect(root_node, factory_node, LinkSpec::wan());
-    net.node_mut::<SimRouter>(cloud_node).router.set_parent(root_node);
-    net.node_mut::<SimRouter>(factory_node).router.set_parent(root_node);
+    // factory. Each runs its own GDP-router (= its own GLookupService);
+    // the cloud and the factory name the root as the router above them.
+    let mut cluster = SimCluster::empty(2026, FaultSpec::reliable());
+    let root_node = cluster.add_router(&[10u8; 32], "tier-1 root", None);
+    let cloud_node = cluster.add_router(&[11u8; 32], "public cloud", Some(root_node));
+    let factory_node = cluster.add_router(&[12u8; 32], "factory floor", Some(root_node));
+    cluster.net.connect(root_node, cloud_node, LinkSpec::wan());
+    cluster.net.connect(root_node, factory_node, LinkSpec::wan());
+    cluster.boot();
+    let factory_name = cluster.runtime_mut(factory_node).router_name().unwrap();
 
     // Two capsules: a public dataset (global scope) and the factory's
     // episode log (restricted to the factory domain).
@@ -44,45 +40,39 @@ fn main() {
 
     // The factory's server hosts both; the owner scopes the episode log to
     // the factory domain in its AdCert.
-    let server_id = PrincipalId::from_seed(PrincipalKind::Server, &[20u8; 32], "factory-server");
-    let mut server = DataCapsuleServer::new(server_id.clone());
-    let chain = |meta: &gdp::capsule::CapsuleMetadata, scope: Scope| {
-        ServingChain::direct(
+    let server_id = server_identity(&[20u8; 32], "factory-server");
+    let host = |meta: &gdp::capsule::CapsuleMetadata, scope: Scope| HostSpec {
+        metadata: meta.clone(),
+        chain: ServingChain::direct(
             AdCert::issue(&owner, meta.name(), server_id.name(), false, scope, FOREVER),
             server_id.principal().clone(),
-        )
+        ),
+        peers: vec![],
     };
-    server.host(public_meta.clone(), chain(&public_meta, Scope::Global), vec![]).unwrap();
-    server
-        .host(secret_meta.clone(), chain(&secret_meta, Scope::Domain(factory_name)), vec![])
-        .unwrap();
-    let factory_router_name = net.node_mut::<SimRouter>(factory_node).router.name();
-    let server_node =
-        net.add_node(SimServer::new(server, factory_node, factory_router_name, FOREVER));
-    net.connect(server_node, factory_node, LinkSpec::lan());
-    net.inject_timer(server_node, 0, gdp::server::ATTACH_TIMER);
-    net.run_to_quiescence();
+    let hosts =
+        vec![host(&public_meta, Scope::Global), host(&secret_meta, Scope::Domain(factory_name))];
+    let server_node = cluster.add_storage(&[20u8; 32], "factory-server", factory_node, None, hosts);
+    cluster.net.connect(server_node, factory_node, LinkSpec::lan());
+    cluster.boot();
+    cluster.settle();
 
     println!("secure advertisement completed; checking GLookupService state:\n");
-    let now = net.now();
+    let now = cluster.net.now();
     for (label, node) in [("factory", factory_node), ("root", root_node), ("cloud", cloud_node)] {
-        let r = &mut net.node_mut::<SimRouter>(node).router;
+        let r = cluster.runtime_mut(node).router_mut().unwrap();
         let public_known = !r.lookup_local(&public_meta.name(), now).is_empty();
         let secret_known = !r.lookup_local(&secret_meta.name(), now).is_empty();
         println!("  {label:8} GLookupService: public dataset: {public_known:5}  episode log: {secret_known}");
     }
 
     // The scope policy: the episode log never left the factory domain.
-    assert!(net
-        .node_mut::<SimRouter>(root_node)
-        .router
-        .lookup_local(&secret_meta.name(), now)
-        .is_empty());
+    let root = cluster.runtime_mut(root_node).router_mut().unwrap();
+    assert!(root.lookup_local(&secret_meta.name(), now).is_empty());
 
     // Any party can independently verify a route returned by the (totally
     // untrusted) GLookupService: the chain runs from the capsule name to
     // the AdCert to the RtCert with no PKI.
-    let routes = net.node_mut::<SimRouter>(root_node).router.lookup_local(&public_meta.name(), now);
+    let routes = root.lookup_local(&public_meta.name(), now);
     let route = &routes[0];
     route.verify(now).expect("route verifies end to end");
     println!("\nroot route for public dataset:");

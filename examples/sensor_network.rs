@@ -8,10 +8,8 @@
 //! Run with: `cargo run --example sensor_network`
 
 use gdp::caapi::{GdpTimeSeries, Sample};
-use gdp::client::{ClientEvent, GdpClient, SimClient};
-use gdp::net::LinkSpec;
-use gdp::server::SimServer;
-use gdp::sim::{GdpWorld, Placement, FOREVER};
+use gdp::client::ClientEvent;
+use gdp::sim::{GdpWorld, Placement};
 
 fn main() {
     // A single edge domain: sensor (writer) and dashboard (subscriber)
@@ -54,28 +52,13 @@ fn main() {
     // publishing. The dashboard fetches the capsule metadata (the trust
     // anchor) from the serving replica.
     let world = series.backend_mut();
-    let (router_node, router_name) = world.routers[0];
-    let (server_node, _) = world.servers[0];
-    let metadata = world
-        .net
-        .node_mut::<SimServer>(server_node)
-        .server
-        .capsule(&capsule)
-        .unwrap()
-        .metadata()
-        .clone();
+    let metadata = world.server(0).capsule(&capsule).unwrap().metadata().clone();
 
-    let mut dashboard = GdpClient::from_seed(&[77u8; 32], "dashboard");
-    dashboard.track_capsule(&metadata).unwrap();
-    let dash_node =
-        world.net.add_node(SimClient::new(dashboard, router_node, router_name, FOREVER));
-    world.net.connect(dash_node, router_node, LinkSpec::lan());
-    world.net.inject_timer(dash_node, world.net.now() + 1, gdp::client::simnode::ATTACH_TIMER);
-    world.net.run_to_quiescence();
-
-    let sub = world.net.node_mut::<SimClient>(dash_node).client.subscribe(capsule, 240); // only future records
-    world.net.inject(dash_node, router_node, sub);
-    world.net.run_to_quiescence();
+    let dash_node = world.add_client(&[77u8; 32], "dashboard", 0);
+    world.cluster.client_at(dash_node).track_capsule(&metadata).unwrap();
+    let sub = world.cluster.client_at(dash_node).subscribe(capsule, 240); // only future records
+    world.cluster.send_from(dash_node, sub);
+    world.cluster.settle();
 
     println!("dashboard subscribed; sensor publishes 5 live samples…");
     for i in 0..5u64 {
@@ -84,9 +67,9 @@ fn main() {
         series.record(sample).unwrap();
     }
     let world = series.backend_mut();
-    world.net.run_to_quiescence();
+    world.cluster.settle();
 
-    let events = world.net.node_mut::<SimClient>(dash_node).take_events();
+    let events = world.cluster.take_events(dash_node);
     let live = events.iter().filter(|e| matches!(e, ClientEvent::SubEvent { .. })).count();
     println!("dashboard received {live} live, verified events ✔");
     assert_eq!(live, 5);

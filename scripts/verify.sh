@@ -3,9 +3,9 @@
 # This is what CI runs; keep it green before merging.
 #
 # Step order is deliberate and fail-fast, cheapest gate first:
-#   fmt -> lint-table check -> clippy -> gdp-lint -> build --release
-#   -> test -> fuzz corpus -> chaos sweep -> metric smoke -> overload smoke
-#   -> bench JSON -> perf smoke -> summary
+#   fmt -> lint-table check -> layering check -> clippy -> gdp-lint
+#   -> build --release -> test -> fuzz corpus -> chaos sweep
+#   -> metric smoke -> overload smoke -> bench JSON -> perf smoke -> summary
 # clippy is not a style pass here: it carries five workspace invariants
 # as lints declared in the files they guard (DESIGN.md, "Static analysis")
 # — no panic in a hot-path module, no wire-enum variant swallowed by a
@@ -106,6 +106,24 @@ else
             exit 1
         }
     done
+    printf 'OK\n'
+
+    # Layering: the protocol cores and everything below them are sans-I/O.
+    # `gdp-node`'s runtime is the one place a core meets a `Transport`, so
+    # none of these crates may depend on a network substrate or a driver,
+    # and the callback simulator's names must not come back.
+    step "sans-I/O crates stay off gdp-net / gdp-node / gdp-sim"
+    for crate in crypto wire capsule cert store obs router server client; do
+        manifest="crates/$crate/Cargo.toml"
+        if sed -n '/^\[dependencies\]/,/^\[/p' "$manifest" | grep -E '^gdp-(net|node|sim)\b'; then
+            printf '!!! %s depends on a network substrate or driver (see above)\n' "$manifest"
+            exit 1
+        fi
+    done
+    if grep -rn "SimNode\|SimCtx\|simnode\|gdp_net::sim\b" crates src tests examples; then
+        printf '!!! a name of the deleted callback simulator is back (see above)\n'
+        exit 1
+    fi
     printf 'OK\n'
 
     step "cargo clippy (deny warnings; invariants: hot-path panic, swallowed wire variant, discarded durability result, single-writer counter, unsafe)"

@@ -5,9 +5,10 @@
 //! and in every case "a client can detect such deviations".
 
 use gdp::capsule::{MetadataBuilder, PointerStrategy, Record, RecordHash};
+use gdp::cert::{PrincipalId, ServingChain};
 use gdp::client::ClientEvent;
 use gdp::crypto::SigningKey;
-use gdp::server::{DataMsg, ReadResult, ReadTarget, ResponseAuth, SimServer};
+use gdp::server::{DataMsg, ReadResult, ReadTarget, ResponseAuth};
 use gdp::sim::{GdpWorld, Placement};
 use gdp::wire::{Name, Pdu, PduType, Wire};
 
@@ -33,16 +34,34 @@ fn world_with_data(seed: u64, n: u64) -> (GdpWorld, Name) {
 /// Grabs the stored record at `seq` straight from the server (what an
 /// attacker controlling the server can see and resend).
 fn stored_record(world: &mut GdpWorld, capsule: &Name, seq: u64) -> Record {
-    let (node, _) = world.servers[0];
-    world
-        .net
-        .node_mut::<SimServer>(node)
-        .server
-        .capsule(capsule)
-        .unwrap()
-        .get_one(seq)
-        .unwrap()
-        .clone()
+    world.server(0).capsule(capsule).unwrap().get_one(seq).unwrap().clone()
+}
+
+/// The `ReadResp` a server holding `signer`'s key and `chain` can give
+/// request `request_seq`: `result`, correctly signed with its own key.
+fn signed_read_resp(
+    world: &mut GdpWorld,
+    capsule: &Name,
+    (signer, chain): (&PrincipalId, ServingChain),
+    request_seq: u64,
+    result: ReadResult,
+) -> Pdu {
+    let body = gdp::server::proto::read_result_body(&result);
+    let signature =
+        gdp::server::proto::sign_response(signer.signing_key(), capsule, request_seq, &body);
+    let auth = ResponseAuth::Signed { server: signer.principal().clone(), chain, signature };
+    Pdu {
+        pdu_type: PduType::Data,
+        src: signer.name(),
+        dst: world.client_name(),
+        seq: request_seq,
+        payload: DataMsg::ReadResp { result, auth }.to_wire().into(),
+    }
+}
+
+/// The world's (delegated) server and its serving chain for the capsule.
+fn real_server(world: &mut GdpWorld) -> (PrincipalId, ServingChain) {
+    (world.servers[0].1.clone(), world.server(0).advert_entries()[0].chain.clone())
 }
 
 /// Replaying an old (validly signed) response to a *different* request is
@@ -55,8 +74,7 @@ fn response_replay_rejected() {
     // from the server (same auth the server would produce for request A).
     let pdu_a = world.client_mut().read(capsule, ReadTarget::One(1));
     let seq_a = pdu_a.seq;
-    let (srv_node, _) = world.servers[0];
-    let responses = world.net.node_mut::<SimServer>(srv_node).server.handle_pdu(0, pdu_a);
+    let responses = world.server(0).handle_pdu(0, pdu_a);
     let genuine = responses.into_iter().next().unwrap();
     assert_eq!(genuine.seq, seq_a);
     // Deliver it: accepted.
@@ -119,27 +137,8 @@ fn stale_replica_detected() {
     let request_seq = pdu.seq;
     let result = ReadResult::Latest(old_record, hb);
     // The malicious server signs its response correctly with its own key.
-    let (srv_node, _) = world.servers[0];
-    let body = gdp::server::proto::read_result_body(&result);
-    let server = &world.net.node_mut::<SimServer>(srv_node).server;
-    let chain = server.advert_entries()[0].chain.clone();
-    let auth = ResponseAuth::Signed {
-        server: server.principal().clone(),
-        chain,
-        signature: gdp::server::proto::sign_response(
-            world.servers[0].1.signing_key(),
-            &capsule,
-            request_seq,
-            &body,
-        ),
-    };
-    let forged = Pdu {
-        pdu_type: PduType::Data,
-        src: world.servers[0].1.name(),
-        dst: world.client_name(),
-        seq: request_seq,
-        payload: DataMsg::ReadResp { result, auth }.to_wire().into(),
-    };
+    let (server, chain) = real_server(&mut world);
+    let forged = signed_read_resp(&mut world, &capsule, (&server, chain), request_seq, result);
     let events = world.client_mut().handle_pdu(0, forged);
     assert!(
         matches!(events[0], ClientEvent::VerificationFailed { reason: "stale replica state", .. }),
@@ -160,27 +159,8 @@ fn reordered_range_rejected() {
     // Malicious server swaps records 2 and 3 (both individually valid) and
     // mislabels them: change the order in the response.
     let result = ReadResult::Records(vec![r1, r3, r2]);
-    let body = gdp::server::proto::read_result_body(&result);
-    let (srv_node, _) = world.servers[0];
-    let server = &world.net.node_mut::<SimServer>(srv_node).server;
-    let chain = server.advert_entries()[0].chain.clone();
-    let auth = ResponseAuth::Signed {
-        server: server.principal().clone(),
-        chain,
-        signature: gdp::server::proto::sign_response(
-            world.servers[0].1.signing_key(),
-            &capsule,
-            request_seq,
-            &body,
-        ),
-    };
-    let forged = Pdu {
-        pdu_type: PduType::Data,
-        src: world.servers[0].1.name(),
-        dst: world.client_name(),
-        seq: request_seq,
-        payload: DataMsg::ReadResp { result, auth }.to_wire().into(),
-    };
+    let (server, chain) = real_server(&mut world);
+    let forged = signed_read_resp(&mut world, &capsule, (&server, chain), request_seq, result);
     let events = world.client_mut().handle_pdu(0, forged);
     assert!(
         matches!(events[0], ClientEvent::VerificationFailed { .. }),
@@ -196,8 +176,7 @@ fn undelegated_server_response_rejected() {
     let record = stored_record(&mut world, &capsule, 1);
 
     // A rogue server with NO AdCert chain for this capsule.
-    let rogue =
-        gdp::cert::PrincipalId::from_seed(gdp::cert::PrincipalKind::Server, &[88u8; 32], "rogue");
+    let rogue = PrincipalId::from_seed(gdp::cert::PrincipalKind::Server, &[88u8; 32], "rogue");
     // It forges a chain by self-issuing the AdCert.
     let rogue_adcert = gdp::cert::AdCert::issue(
         rogue.signing_key(),
@@ -207,29 +186,12 @@ fn undelegated_server_response_rejected() {
         gdp::cert::Scope::Global,
         1 << 50,
     );
-    let rogue_chain = gdp::cert::ServingChain::direct(rogue_adcert, rogue.principal().clone());
+    let rogue_chain = ServingChain::direct(rogue_adcert, rogue.principal().clone());
 
     let pdu = world.client_mut().read(capsule, ReadTarget::One(1));
     let request_seq = pdu.seq;
     let result = ReadResult::Record(record);
-    let body = gdp::server::proto::read_result_body(&result);
-    let auth = ResponseAuth::Signed {
-        server: rogue.principal().clone(),
-        chain: rogue_chain,
-        signature: gdp::server::proto::sign_response(
-            rogue.signing_key(),
-            &capsule,
-            request_seq,
-            &body,
-        ),
-    };
-    let forged = Pdu {
-        pdu_type: PduType::Data,
-        src: rogue.name(),
-        dst: world.client_name(),
-        seq: request_seq,
-        payload: DataMsg::ReadResp { result, auth }.to_wire().into(),
-    };
+    let forged = signed_read_resp(&mut world, &capsule, (&rogue, rogue_chain), request_seq, result);
     let events = world.client_mut().handle_pdu(0, forged);
     assert!(
         matches!(events[0], ClientEvent::VerificationFailed { .. }),
@@ -255,8 +217,7 @@ fn session_mitm_rejected() {
     let mitm_eph = gdp::crypto::x25519::EphemeralKeyPair::from_secret([5u8; 32]);
     let transcript =
         gdp::server::proto::session_transcript(&capsule, &client_eph, mitm_eph.public());
-    let (srv_node, _) = world.servers[0];
-    let server = &world.net.node_mut::<SimServer>(srv_node).server;
+    let server = world.server(0);
     let real_chain = server.advert_entries()[0].chain.clone();
     let real_principal = server.principal().clone();
     let msg = DataMsg::SessionAccept {
@@ -290,16 +251,9 @@ fn lossy_network_never_yields_wrong_data() {
     // Make the client↔router link 40% lossy in both directions.
     let (router_node, _) = world.routers[0];
     let client_node = world.client_node;
-    world.net.connect_directed(
-        client_node,
-        router_node,
-        gdp::net::LinkSpec { latency_us: 200, bandwidth_bps: 1_000_000_000, loss: 0.4 },
-    );
-    world.net.connect_directed(
-        router_node,
-        client_node,
-        gdp::net::LinkSpec { latency_us: 200, bandwidth_bps: 1_000_000_000, loss: 0.4 },
-    );
+    let lossy = gdp::sim::LinkSpec { latency_us: 200, bandwidth_bps: 1_000_000_000, loss: 0.4 };
+    world.cluster.net.connect_directed(client_node, router_node, lossy);
+    world.cluster.net.connect_directed(router_node, client_node, lossy);
     let mut ok = 0;
     let mut failed = 0;
     for seq in 1..=10u64 {

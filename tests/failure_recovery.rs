@@ -6,7 +6,8 @@ use gdp::caapi::CapsuleAccess;
 use gdp::capsule::{MetadataBuilder, PointerStrategy, WriterMode};
 use gdp::cert::{AdCert, PrincipalId, PrincipalKind, Scope, ServingChain};
 use gdp::crypto::SigningKey;
-use gdp::server::{DataCapsuleServer, SimServer};
+use gdp::server::DataCapsuleServer;
+use gdp::sim::cluster::DETECT_US;
 use gdp::sim::{GdpWorld, Placement, FOREVER};
 use gdp::store::{Backing, FsyncPolicy, StorageEngine};
 
@@ -120,7 +121,7 @@ fn qsw_branch_converges_across_replicas() {
     for i in 0..4u64 {
         world.append(&capsule, format!("main {i}").as_bytes()).unwrap();
     }
-    world.net.run_to_quiescence();
+    world.cluster.settle();
 
     // The writer restarts from seq-2 state (lost newer local state) in
     // QSW mode and appends — forking at seq 3.
@@ -132,11 +133,11 @@ fn qsw_branch_converges_across_replicas() {
         *w = qsw;
     }
     world.append(&capsule, b"branch!").unwrap();
-    world.net.run_to_quiescence();
+    world.cluster.settle();
 
     // Both replicas converge to the same branched DAG.
-    for (node, _) in world.servers.clone() {
-        let c = world.net.node_mut::<SimServer>(node).server.capsule(&capsule).unwrap();
+    for i in 0..world.servers.len() {
+        let c = world.server(i).capsule(&capsule).unwrap();
         assert_eq!(c.heads().len(), 2, "both replicas see the fork");
         assert_eq!(c.get_by_seq(3).len(), 2);
         assert_eq!(c.len(), 5);
@@ -190,13 +191,14 @@ fn replica_failover_read_path() {
         .sign(&owner);
     let capsule = world.provision_capsule(&meta, writer_key(), PointerStrategy::Chain).unwrap();
     world.append(&capsule, b"replicated payload").unwrap();
-    world.net.run_to_quiescence();
+    world.cluster.settle();
 
-    // Kill the local (domain-2) replica: link down + router purge.
+    // Kill the local (domain-2) replica: the link goes down and the
+    // router's transport reports the peer dead.
     let (local_srv, _) = world.servers[1];
     let (d2_router, _) = world.routers[0];
-    world.net.set_link_up(local_srv, d2_router, false);
-    world.net.node_mut::<gdp::router::SimRouter>(d2_router).router.neighbor_down(local_srv);
+    world.cluster.partition(local_srv, d2_router);
+    world.cluster.run_for(DETECT_US);
 
     // The read is transparently served by the domain-1 replica.
     let r = world.read(&capsule, 1).unwrap();

@@ -7,12 +7,10 @@
 use gdp::caapi::{CapsuleAccess, GdpFs, GdpKv, GdpTimeSeries, LocalBackend, Sample};
 use gdp::capsule::{MetadataBuilder, PointerStrategy};
 use gdp::cert::{AdCert, CapsuleAdvert, PrincipalId, PrincipalKind, Scope, ServingChain};
-use gdp::client::{ClientEvent, GdpClient, SimClient};
+use gdp::client::ClientEvent;
 use gdp::crypto::SigningKey;
-use gdp::net::{LinkSpec, SimNet};
-use gdp::router::{Router, SimRouter};
-use gdp::server::{ReadTarget, SimServer};
-use gdp::sim::{GdpWorld, Placement, FOREVER};
+use gdp::server::ReadTarget;
+use gdp::sim::{FaultSpec, GdpWorld, Placement, SimCluster, FOREVER};
 
 fn owner() -> SigningKey {
     SigningKey::from_seed(&[1u8; 32])
@@ -72,11 +70,11 @@ fn locality_anycast() {
         .sign(&owner);
     let capsule = world.provision_capsule(&meta, writer_key(), PointerStrategy::Chain).unwrap();
     world.append(&capsule, b"data").unwrap();
-    world.net.run_to_quiescence();
+    world.cluster.settle();
     let (client_router, root) = (world.routers[0].0, world.routers[1].0);
-    let before = world.net.link_delivered(client_router, root);
+    let before = world.cluster.net.link_delivered(client_router, root);
     world.read(&capsule, 1).unwrap();
-    let after = world.net.link_delivered(client_router, root);
+    let after = world.cluster.net.link_delivered(client_router, root);
     assert_eq!(before, after, "read with local replica must not touch the root");
 }
 
@@ -102,16 +100,7 @@ fn secure_storage_untrusted_server() {
     // Build the forged ReadResp the way a compromised server would.
     use gdp::server::{DataMsg, ReadResult, ResponseAuth};
     use gdp::wire::{Pdu, PduType, Wire};
-    let (server_node, _) = world.servers[0];
-    let mut record = world
-        .net
-        .node_mut::<SimServer>(server_node)
-        .server
-        .capsule(&capsule)
-        .unwrap()
-        .get_one(1)
-        .unwrap()
-        .clone();
+    let mut record = world.server(0).capsule(&capsule).unwrap().get_one(1).unwrap().clone();
     record.body = b"a falsehood".to_vec().into(); // tamper
     let msg = DataMsg::ReadResp {
         result: ReadResult::Record(record),
@@ -179,10 +168,10 @@ fn administrative_delegation() {
 /// cryptographic delegations" mean nobody can squat a name.
 #[test]
 fn secure_routing_no_squatting() {
-    let mut net = SimNet::new(63);
-    let router = Router::from_seed(&[20u8; 32], "router");
-    let router_name = router.name();
-    let router_node = net.add_node(SimRouter::new(router));
+    let mut cluster = SimCluster::empty(63, FaultSpec::reliable());
+    let router_node = cluster.add_router(&[20u8; 32], "router", None);
+    cluster.boot();
+    let router_name = cluster.runtime_mut(router_node).router_name().unwrap();
 
     // A legitimate capsule owned by `owner`, and a squatter who tries to
     // advertise it without a delegation.
@@ -204,52 +193,13 @@ fn secure_routing_no_squatting() {
         metadata: meta.clone(),
         chain: ServingChain::direct(forged_adcert, squatter.principal().clone()),
     };
-    let attacher = gdp::router::Attacher::new(squatter, router_name, vec![entry], FOREVER);
-    let node = net.add_node(TestEndpoint::new(attacher, router_node));
-    net.connect(node, router_node, LinkSpec::lan());
-    // Drive the handshake manually through the sim.
-    net.inject_timer(node, 0, 0);
-    net.run_to_quiescence();
-    let rejected = net.node_mut::<TestEndpoint>(node).failed;
+    let mut attacher = gdp::router::Attacher::new(squatter, router_name, vec![entry], FOREVER);
+    // The squatter drives the handshake from a bare fabric endpoint.
+    let ep = cluster.net.endpoint();
+    let rejected = cluster.attach_endpoint(&ep, router_node, &mut attacher).is_err();
     assert!(rejected, "router must reject the squatter's advertisement");
-    assert!(net.node_mut::<SimRouter>(router_node).router.lookup_local(&meta.name(), 0).is_empty());
-}
-
-// Small harness node for the squatting test.
-struct TestEndpoint {
-    attacher: Option<gdp::router::Attacher>,
-    router: usize,
-    failed: bool,
-}
-impl TestEndpoint {
-    fn new(attacher: gdp::router::Attacher, router: usize) -> Box<TestEndpoint> {
-        Box::new(TestEndpoint { attacher: Some(attacher), router, failed: false })
-    }
-}
-impl gdp::net::SimNode for TestEndpoint {
-    fn on_pdu(&mut self, ctx: &mut gdp::net::SimCtx<'_>, _from: usize, pdu: gdp::wire::Pdu) {
-        if let Some(attacher) = self.attacher.as_mut() {
-            match attacher.on_pdu(&pdu) {
-                gdp::router::AttachStep::Send(p) => ctx.send(self.router, p),
-                gdp::router::AttachStep::Failed(_) => {
-                    self.failed = true;
-                    self.attacher = None;
-                }
-                gdp::router::AttachStep::Done(_) => {
-                    self.attacher = None;
-                }
-                gdp::router::AttachStep::Ignored => {}
-            }
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut gdp::net::SimCtx<'_>, _token: u64) {
-        if let Some(a) = self.attacher.as_ref() {
-            ctx.send(self.router, a.hello());
-        }
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
+    let router = cluster.runtime_mut(router_node).router_mut().unwrap();
+    assert!(router.lookup_local(&meta.name(), 0).is_empty());
 }
 
 /// Row 7 — Publish-subscribe: "Publish-subscribe as a native mode of
@@ -265,23 +215,17 @@ fn native_pubsub() {
     let capsule = world.provision_capsule(&meta, writer_key(), PointerStrategy::Chain).unwrap();
 
     // A second client subscribes before any data exists.
-    let (router_node, router_name) = world.routers[0];
-    let mut sub_client = GdpClient::from_seed(&[31u8; 32], "subscriber");
-    sub_client.track_capsule(&meta).unwrap();
-    let sub_node =
-        world.net.add_node(SimClient::new(sub_client, router_node, router_name, FOREVER));
-    world.net.connect(sub_node, router_node, LinkSpec::lan());
-    world.net.inject_timer(sub_node, world.net.now() + 1, gdp::client::simnode::ATTACH_TIMER);
-    world.net.run_to_quiescence();
-    let sub_pdu = world.net.node_mut::<SimClient>(sub_node).client.subscribe(capsule, 0);
-    world.net.inject(sub_node, router_node, sub_pdu);
-    world.net.run_to_quiescence();
+    let sub_node = world.add_client(&[31u8; 32], "subscriber", 0);
+    world.cluster.client_at(sub_node).track_capsule(&meta).unwrap();
+    let sub_pdu = world.cluster.client_at(sub_node).subscribe(capsule, 0);
+    world.cluster.send_from(sub_node, sub_pdu);
+    world.cluster.settle();
 
     // Publisher appends; subscriber receives verified events.
     world.append(&capsule, b"event-1").unwrap();
     world.append(&capsule, b"event-2").unwrap();
-    world.net.run_to_quiescence();
-    let events = world.net.node_mut::<SimClient>(sub_node).take_events();
+    world.cluster.settle();
+    let events = world.cluster.take_events(sub_node);
     let bodies: Vec<Vec<u8>> = events
         .iter()
         .filter_map(|e| match e {
