@@ -9,12 +9,15 @@
 //!   fig6                router forwarding rate / throughput vs PDU size
 //!                       (+ data-path ablations and the perf-smoke floor)
 //!   perf-smoke          re-measure 64 B forwarding, the sharded stage
-//!                       rates and the store floors; fail if any is >30%
-//!                       below the floor its full run recorded
+//!                       rates, the store floors and the served-scan
+//!                       share of the raw range rate; fail if any is
+//!                       >30% below the floor its full run recorded
 //!   store               the segmented group-commit log: durable
 //!                       appends/s and p99 ack latency at 1 / 10k / 100k
-//!                       capsules, bounded crash recovery, and the
-//!                       sealed-segment read series (BENCH_store.json)
+//!                       capsules, bounded crash recovery, the
+//!                       sealed-segment read series, and reads served
+//!                       through the server on top of it
+//!                       (BENCH_store.json)
 //!   overload            goodput vs offered load through a budgeted
 //!                       server: typed-Nack shedding saturates goodput
 //!                       at the append budget (BENCH_overload.json)
@@ -246,9 +249,10 @@ fn run_overload_smoke() {
 }
 
 /// CI perf smoke: re-measures the 64 B zero-copy forwarding rate, the
-/// sharded engine's measured rates and the store floors, and fails
-/// (exit 1) when any regresses more than 30% below the floor recorded in
-/// `BENCH_fig6.json` / `BENCH_store.json` by the last full run.
+/// sharded engine's measured rates, the store floors and the served-scan
+/// share of the raw range rate, and fails (exit 1) when any regresses
+/// more than 30% below the floor recorded in `BENCH_fig6.json` /
+/// `BENCH_store.json` by the last full run.
 fn run_perf_smoke() {
     let doc = match std::fs::read_to_string("BENCH_fig6.json") {
         Ok(d) => d,
@@ -403,12 +407,46 @@ fn run_perf_smoke() {
         );
         std::process::exit(1);
     }
+
+    // Served floor: the path requests take (index → store → encode → MAC
+    // through `handle_pdu`), as a ratio of the raw range-scan rate of the
+    // same run — adjacent measurements share the box's slow spells.
+    let floor =
+        json::extract_number(&doc[doc.find("\"served_floor\"").unwrap_or(0)..], "scan_ratio")
+            .unwrap_or_else(|| {
+                eprintln!(
+                    "perf-smoke: no served_floor in BENCH_store.json; run `report store` first"
+                );
+                std::process::exit(2);
+            });
+    let dir = std::env::temp_dir().join(format!("gdp-perf-smoke-served-{}", std::process::id()));
+    let measured = (0..3)
+        .map(|_| {
+            let _ = std::fs::remove_dir_all(&dir);
+            let p = storebench::served_comparison(&dir);
+            let _ = std::fs::remove_dir_all(&dir);
+            p.scan_ratio()
+        })
+        .fold(0.0f64, f64::max);
+    let threshold = floor * 0.7;
+    println!(
+        "perf-smoke: served scans {measured:.3} of the raw range rate (floor {floor:.3}, threshold {threshold:.3})"
+    );
+    if measured < threshold {
+        eprintln!(
+            "perf-smoke: FAIL — served range scans regressed >30% below the recorded share \
+             of the raw store rate ({measured:.3} < {threshold:.3})"
+        );
+        std::process::exit(1);
+    }
     println!("perf-smoke: OK");
 }
 
 /// Storage-engine series: durable appends (every append acked durable
 /// before it counts) across capsule counts, the bounded crash-recovery
-/// series and the sealed-segment read series (1k → 1M capsules). Emits
+/// series, the sealed-segment read series (1k → 1M capsules) and the
+/// served series (proof reads and range scans through
+/// `DataCapsuleServer::handle_pdu` beside the raw range rate). Emits
 /// `BENCH_store.json` with the contracts asserted before writing: a
 /// build where recovery replays more than the checkpoint tail, where
 /// warm point reads are not ≥5× uncached at 10k+ capsules, where warm
@@ -519,6 +557,38 @@ fn run_store() {
     t.print();
     assert!(read_assert_ok, "store bench: warm point reads are <5x uncached at 10k+ capsules");
 
+    println!(
+        "\nserved reads — through DataCapsuleServer::handle_pdu (index → store → encode → MAC)\n\
+         on a seglog-backed host, capsule {} x {} B = 8x the {} KiB block cache;\n\
+         raw = SegStore::range over the same {}-record spans:",
+        storebench::SERVED_RECORDS,
+        storebench::SERVED_BODY_BYTES,
+        storebench::SERVED_CACHE_BYTES / 1024,
+        storebench::SERVED_SCAN_LEN
+    );
+    // Median of three by the ratio the floor holds.
+    let mut served: Vec<storebench::ServedPoint> =
+        (0..3).map(|i| storebench::served_comparison(&dir.join(format!("served-{i}")))).collect();
+    served.sort_by(|a, b| a.scan_ratio().total_cmp(&b.scan_ratio()));
+    let served = served[1];
+    let mut t = Table::new(&[
+        "raw range rec/s",
+        "served scan rec/s",
+        "ratio",
+        "served proof/s",
+        "store reads/scan",
+        "cache hits",
+    ]);
+    t.row(&[
+        rate(served.raw_range_records_per_sec),
+        rate(served.served_scan_records_per_sec),
+        format!("{:.3}", served.scan_ratio()),
+        rate(served.served_proof_reads_per_sec),
+        format!("{:.1}", served.store_reads_per_scan),
+        format!("{:.1}%", served.cache_hit_ratio * 100.0),
+    ]);
+    t.print();
+
     let floor = storebench::seg_append_rate(
         &dir.join("floor"),
         storebench::FLOOR_CAPSULES,
@@ -536,7 +606,12 @@ fn run_store() {
              \"append_points\":[{}],\"recovery\":[{}],\"read_points\":[{}],\
              \"store_floor\":{{\"capsules\":{},\"appends\":{},\"appends_per_sec\":{:.3}}},\
              \"read_floor\":{{\"capsules\":{},\"records_per_capsule\":{},\
-             \"point_reads_per_sec\":{:.3}}}}}",
+             \"point_reads_per_sec\":{:.3}}},\
+             \"served\":{{\"records\":{},\"body_bytes\":{},\"cache_bytes\":{},\"scan_len\":{},\
+             \"raw_range_records_per_sec\":{:.3},\"served_scan_records_per_sec\":{:.3},\
+             \"served_proof_reads_per_sec\":{:.3},\"store_reads_per_scan\":{:.3},\
+             \"cache_hit_ratio\":{:.4}}},\
+             \"served_floor\":{{\"scan_ratio\":{:.4}}}}}",
             storebench::GROUP_SIZE,
             points_json.join(","),
             recovery_json.join(","),
@@ -546,7 +621,17 @@ fn run_store() {
             floor,
             storebench::FLOOR_READ_CAPSULES,
             storebench::FLOOR_READ_RECORDS,
-            read_floor
+            read_floor,
+            storebench::SERVED_RECORDS,
+            storebench::SERVED_BODY_BYTES,
+            storebench::SERVED_CACHE_BYTES,
+            storebench::SERVED_SCAN_LEN,
+            served.raw_range_records_per_sec,
+            served.served_scan_records_per_sec,
+            served.served_proof_reads_per_sec,
+            served.store_reads_per_scan,
+            served.cache_hit_ratio,
+            served.scan_ratio()
         ),
     );
     let _ = std::fs::remove_dir_all(&dir);

@@ -8,10 +8,15 @@
 //! only the checkpointed tail (asserted via
 //! [`RecoveryStats::tail_entries`], not wall-clock).
 
-use gdp_capsule::{Record, RecordHash, RecordHeader};
+use gdp_capsule::{
+    CapsuleWriter, MetadataBuilder, PointerStrategy, Record, RecordHash, RecordHeader,
+};
+use gdp_cert::{AdCert, PrincipalId, PrincipalKind, Scope, ServingChain};
+use gdp_crypto::x25519::EphemeralKeyPair;
 use gdp_crypto::{sha256, Signature, SigningKey};
+use gdp_server::{DataCapsuleServer, DataMsg, ReadResult, ReadTarget};
 use gdp_store::{CapsuleStore, FsyncPolicy, RecoveryStats, SegConfig, SegLog};
-use gdp_wire::{Bytes, Name};
+use gdp_wire::{Bytes, Name, Pdu, Wire};
 use std::path::Path;
 use std::time::Instant;
 
@@ -391,4 +396,149 @@ pub fn seg_read_rate(dir: &Path, capsules: usize, per_capsule: usize) -> f64 {
     point_pass(&log, &sample, seq, 1); // fill
     let reps = (100_000 / sample.len()).max(4);
     point_pass(&log, &sample, seq, reps)
+}
+
+// ----------------------------------------------------------------- served
+
+/// Records in the served-read capsule: with [`SERVED_BODY_BYTES`] bodies,
+/// 8× [`SERVED_CACHE_BYTES`] — the working-set-to-cache ratio of the
+/// end-to-end read workloads, at a size a CI floor can afford to sign.
+pub const SERVED_RECORDS: u64 = 1_024;
+/// Body bytes per record of the served-read capsule.
+pub const SERVED_BODY_BYTES: usize = 4_096;
+/// Block-cache budget of the served-read host.
+pub const SERVED_CACHE_BYTES: usize = 512 * 1024;
+/// Records per served range scan.
+pub const SERVED_SCAN_LEN: u64 = 32;
+
+/// The path requests take, beside the raw store lane under it: reads
+/// through `DataCapsuleServer::handle_pdu` (header index → store → encode
+/// → session MAC) on a seglog-backed host whose capsule is 8× its cache.
+#[derive(Clone, Copy, Debug)]
+pub struct ServedPoint {
+    /// Records/s of `SegStore::range` over uniform 32-record spans.
+    pub raw_range_records_per_sec: f64,
+    /// Records/s of `Read Range` over the same spans, through the server.
+    pub served_scan_records_per_sec: f64,
+    /// `Read ProofOf` point reads/s at uniform seqs, through the server.
+    pub served_proof_reads_per_sec: f64,
+    /// Store reads per served scan (one per record when nothing is amiss).
+    pub store_reads_per_scan: f64,
+    /// Block-cache hit ratio over the served passes.
+    pub cache_hit_ratio: f64,
+}
+
+impl ServedPoint {
+    /// Served scan rate as a fraction of the raw range rate of the same
+    /// run — what `perf-smoke` holds a floor on: adjacent measurements
+    /// share the box's slow spells, so the ratio moves only when the
+    /// server's share of the path does.
+    pub fn scan_ratio(&self) -> f64 {
+        self.served_scan_records_per_sec / self.raw_range_records_per_sec
+    }
+}
+
+/// Seeds and mounts the served-read capsule under `dir`, then times raw
+/// range scans, served range scans and served proof reads over one
+/// seeded sequence of positions.
+pub fn served_comparison(dir: &Path) -> ServedPoint {
+    const FOREVER: u64 = 1 << 50;
+    let owner = SigningKey::from_seed(&[0x61; 32]);
+    let writer_key = SigningKey::from_seed(&[0x62; 32]);
+    let sid = PrincipalId::from_seed(PrincipalKind::Server, &[0x63; 32], "served bench");
+    let meta = MetadataBuilder::new()
+        .writer(&writer_key.verifying_key())
+        .set_str("description", "served read bench")
+        .sign(&owner);
+    let capsule = meta.name();
+
+    let metrics = gdp_obs::Metrics::new();
+    let cfg = SegConfig {
+        segment_max_bytes: 1024 * 1024,
+        read_cache_bytes: SERVED_CACHE_BYTES,
+        ..SegConfig::default()
+    };
+    let log = SegLog::open_with(dir, cfg, &metrics.scope("store")).expect("open served log");
+    let mut store = log.handle(capsule);
+    let mut writer =
+        CapsuleWriter::new(&meta, writer_key, PointerStrategy::SkipList).expect("served writer");
+    for seq in 1..=SERVED_RECORDS {
+        let record = writer.append(&vec![seq as u8; SERVED_BODY_BYTES], 0).expect("sign");
+        store.append(&record).expect("seed append");
+        if seq % 16 == 0 {
+            store.flush(seq * 5_000).expect("seed flush"); // rotates full segments
+        }
+    }
+
+    // Mount verifies every stored record and keeps its header + signature.
+    let mut server = DataCapsuleServer::new_with_obs(sid.clone(), &metrics.scope("server"));
+    let chain = ServingChain::direct(
+        AdCert::issue(&owner, capsule, sid.name(), false, Scope::Global, FOREVER),
+        sid.principal().clone(),
+    );
+    server.host_with_store(meta, chain, vec![], Box::new(log.handle(capsule))).expect("mount");
+    let client = Name::from_content(b"served bench client");
+    let mut request_seq = 0u64;
+    let mut ask = |server: &mut DataCapsuleServer, msg: &DataMsg| {
+        request_seq += 1;
+        let out = server.handle_pdu(0, Pdu::data(client, capsule, request_seq, msg.to_wire()));
+        DataMsg::from_wire(&out.first().expect("an answer").payload).expect("decodable answer")
+    };
+    // Steady-state responses are MAC'd, as in a client session.
+    let eph = EphemeralKeyPair::from_secret([0x64; 32]);
+    let accept = ask(&mut server, &DataMsg::SessionInit { client_eph: *eph.public() });
+    assert!(matches!(accept, DataMsg::SessionAccept { .. }), "session: {accept:?}");
+
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    let mut uniform = |n: u64| {
+        rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        1 + (rng >> 33) % n
+    };
+    let spans: Vec<u64> = (0..256).map(|_| uniform(SERVED_RECORDS - SERVED_SCAN_LEN + 1)).collect();
+    let seqs: Vec<u64> = (0..2_048).map(|_| uniform(SERVED_RECORDS)).collect();
+
+    let start = Instant::now();
+    let mut raw_records = 0usize;
+    for from in &spans {
+        raw_records += store.range(*from, from + SERVED_SCAN_LEN - 1).expect("raw range").len();
+    }
+    let raw_range_records_per_sec = raw_records as f64 / start.elapsed().as_secs_f64().max(1e-9);
+
+    let counted = |name| metrics.counter_value("store", name);
+    let (reads0, hits0) = (counted("reads_served_from_store"), counted("read_cache_hits"));
+    let start = Instant::now();
+    let mut served_records = 0usize;
+    for from in &spans {
+        let target = ReadTarget::Range(*from, from + SERVED_SCAN_LEN - 1);
+        match ask(&mut server, &DataMsg::Read { target }) {
+            DataMsg::ReadResp { result: ReadResult::Records(rs), .. } => served_records += rs.len(),
+            other => panic!("served scan answered {other:?}"),
+        }
+    }
+    let served_scan_records_per_sec =
+        served_records as f64 / start.elapsed().as_secs_f64().max(1e-9);
+    assert_eq!(served_records, raw_records, "served scans must return what the store holds");
+    let scan_reads = counted("reads_served_from_store") - reads0;
+
+    let start = Instant::now();
+    for seq in &seqs {
+        match ask(&mut server, &DataMsg::Read { target: ReadTarget::ProofOf(*seq) }) {
+            DataMsg::ReadResp { result: ReadResult::Proof(p), .. } => {
+                std::hint::black_box(&p);
+            }
+            other => panic!("served proof answered {other:?}"),
+        }
+    }
+    let served_proof_reads_per_sec = seqs.len() as f64 / start.elapsed().as_secs_f64().max(1e-9);
+    let reads = counted("reads_served_from_store") - reads0;
+    assert_eq!(reads, scan_reads + seqs.len() as u64, "a proof reads one body, its target's");
+    assert_eq!(metrics.counter_value("server", "read_store_failures"), 0);
+
+    ServedPoint {
+        raw_range_records_per_sec,
+        served_scan_records_per_sec,
+        served_proof_reads_per_sec,
+        store_reads_per_scan: scan_reads as f64 / spans.len() as f64,
+        cache_hit_ratio: (counted("read_cache_hits") - hits0) as f64 / reads.max(1) as f64,
+    }
 }

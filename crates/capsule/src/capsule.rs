@@ -1,4 +1,4 @@
-//! The DataCapsule: a verified, in-memory record DAG.
+//! The DataCapsule: a verified record DAG.
 //!
 //! This structure is shared by writers (building new records), servers
 //! (ingesting and replicating), and readers (verifying). It is a grow-only
@@ -13,11 +13,19 @@
 //!   then observe strong eventual consistency (paper §VI-C).
 //! * Records whose `prev` is not (yet) present are *holes* (paper §VI-B);
 //!   they are tracked as pending until the missing ancestors arrive.
+//!
+//! The verify → link → pending logic exists once, in [`Chain`], generic
+//! over what it keeps of each verified record: a [`DataCapsule`] keeps the
+//! whole [`Record`]; a [`CapsuleIndex`] keeps a [`SignedHeader`] — the
+//! record hash covers the header alone, so linking, heartbeats and proof
+//! paths never need a body — and its owner (a storage server) keeps the
+//! bodies in its store. Which one a chain is is its type, decided where it
+//! is declared, never a flag read at run time.
 
 use crate::error::CapsuleError;
 use crate::metadata::CapsuleMetadata;
-use crate::record::{Heartbeat, Record, RecordHash};
-use gdp_crypto::VerifyingKey;
+use crate::record::{Heartbeat, Record, RecordHash, RecordHeader, SignedHeader};
+use gdp_crypto::{Signature, VerifyingKey};
 use gdp_wire::Name;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -33,32 +41,97 @@ pub enum IngestOutcome {
     Duplicate,
 }
 
-/// A verified collection of records for one capsule.
+/// What a [`Chain`] keeps of each verified record: built from the whole
+/// record once it has verified, and from then on the only form the chain
+/// holds or hands out.
+pub trait Retained: From<Record> {
+    /// The record's hashed header.
+    fn header(&self) -> &RecordHeader;
+
+    /// The writer's heartbeat signature for the record.
+    fn signature(&self) -> Signature;
+
+    /// Body bytes this entry keeps in memory.
+    fn resident_body_bytes(&self) -> u64;
+}
+
+impl Retained for Record {
+    fn header(&self) -> &RecordHeader {
+        &self.header
+    }
+    fn signature(&self) -> Signature {
+        self.signature
+    }
+    fn resident_body_bytes(&self) -> u64 {
+        self.body.len() as u64
+    }
+}
+
+impl Retained for SignedHeader {
+    fn header(&self) -> &RecordHeader {
+        &self.header
+    }
+    fn signature(&self) -> Signature {
+        self.signature
+    }
+    fn resident_body_bytes(&self) -> u64 {
+        0
+    }
+}
+
+/// A verified, body-retaining DataCapsule: what writers, readers and the
+/// CAAPI backends hold.
+pub type DataCapsule = Chain<Record>;
+
+/// A verified DataCapsule that keeps headers and signatures only: what a
+/// storage server holds in memory beside the store that has the bodies.
+pub type CapsuleIndex = Chain<SignedHeader>;
+
+/// A record that passed a chain's full verification (structure, body hash,
+/// writer signature) and is not part of it yet. Only [`Chain::verify`]
+/// makes one, so [`Chain::admit`] cannot be handed an unverified record;
+/// the gap between the two calls is where a server persists the record.
+#[derive(Debug)]
+pub struct Verified {
+    capsule: Name,
+    hash: RecordHash,
+    record: Record,
+}
+
+impl Verified {
+    /// The verified record.
+    pub fn record(&self) -> &Record {
+        &self.record
+    }
+}
+
+/// A verified collection of records for one capsule, keeping an `E` per
+/// record (see [`DataCapsule`] and [`CapsuleIndex`]).
 #[derive(Clone, Debug)]
-pub struct DataCapsule {
+pub struct Chain<E> {
     metadata: CapsuleMetadata,
     name: Name,
     writer_key: VerifyingKey,
     /// All linked (fully connected to the anchor) records by hash.
-    records: HashMap<RecordHash, Record>,
+    records: HashMap<RecordHash, E>,
     /// seq → hashes of linked records at that seq (multiple on branches).
     by_seq: BTreeMap<u64, Vec<RecordHash>>,
     /// Linked records that no linked record points to.
     heads: HashSet<RecordHash>,
     /// Verified records waiting for a missing ancestor, keyed by the
     /// ancestor hash they need.
-    pending: HashMap<RecordHash, Vec<Record>>,
+    pending: HashMap<RecordHash, Vec<(RecordHash, E)>>,
     /// Hashes of records buffered in `pending` (for duplicate detection).
     pending_hashes: HashSet<RecordHash>,
 }
 
-impl DataCapsule {
+impl<E: Retained> Chain<E> {
     /// Creates an empty capsule from verified metadata.
-    pub fn new(metadata: CapsuleMetadata) -> Result<DataCapsule, CapsuleError> {
+    pub fn new(metadata: CapsuleMetadata) -> Result<Chain<E>, CapsuleError> {
         metadata.verify()?;
         let name = metadata.name();
         let writer_key = metadata.writer_key()?;
-        Ok(DataCapsule {
+        Ok(Chain {
             metadata,
             name,
             writer_key,
@@ -108,14 +181,15 @@ impl DataCapsule {
 
     /// Current head records (linked records with no linked successor).
     /// SSW capsules have exactly one head; QSW branches produce several.
-    pub fn heads(&self) -> Vec<&Record> {
-        let mut out: Vec<&Record> = self.heads.iter().map(|h| &self.records[h]).collect();
-        out.sort_by_key(|r| (std::cmp::Reverse(r.header.seq), r.hash()));
-        out
+    pub fn heads(&self) -> Vec<&E> {
+        let mut out: Vec<(&RecordHash, &E)> =
+            self.heads.iter().map(|h| (h, &self.records[h])).collect();
+        out.sort_by_key(|(h, r)| (std::cmp::Reverse(r.header().seq), **h));
+        out.into_iter().map(|(_, r)| r).collect()
     }
 
     /// The unique head in SSW mode, or `Err(Branched)` when diverged.
-    pub fn single_head(&self) -> Result<Option<&Record>, CapsuleError> {
+    pub fn single_head(&self) -> Result<Option<&E>, CapsuleError> {
         let heads = self.heads();
         match heads.len() {
             0 => Ok(None),
@@ -130,13 +204,18 @@ impl DataCapsule {
     }
 
     /// Looks up a linked record by hash.
-    pub fn get(&self, hash: &RecordHash) -> Option<&Record> {
+    pub fn get(&self, hash: &RecordHash) -> Option<&E> {
         self.records.get(hash)
+    }
+
+    /// True when the record is held, linked or pending.
+    pub fn contains(&self, hash: &RecordHash) -> bool {
+        self.records.contains_key(hash) || self.pending_hashes.contains(hash)
     }
 
     /// Looks up linked records at a sequence number (more than one only on
     /// QSW branches).
-    pub fn get_by_seq(&self, seq: u64) -> Vec<&Record> {
+    pub fn get_by_seq(&self, seq: u64) -> Vec<&E> {
         self.by_seq
             .get(&seq)
             .map(|hashes| hashes.iter().map(|h| &self.records[h]).collect())
@@ -144,7 +223,7 @@ impl DataCapsule {
     }
 
     /// The single record at `seq`, or an error when absent/ambiguous.
-    pub fn get_one(&self, seq: u64) -> Result<&Record, CapsuleError> {
+    pub fn get_one(&self, seq: u64) -> Result<&E, CapsuleError> {
         let rs = self.get_by_seq(seq);
         match rs.len() {
             0 => Err(CapsuleError::MissingSeq(seq)),
@@ -153,16 +232,20 @@ impl DataCapsule {
         }
     }
 
+    /// Linked records in a seq range (inclusive) in SSW order, lazily. An
+    /// empty or inverted range yields nothing.
+    pub fn iter_range(&self, from: u64, to: u64) -> impl Iterator<Item = &E> {
+        // `BTreeMap::range` panics on an inverted range.
+        let span = (from <= to).then_some(from..=to);
+        span.into_iter()
+            .flat_map(|span| self.by_seq.range(span))
+            .flat_map(|(_, hashes)| hashes.iter().map(|h| &self.records[h]))
+    }
+
     /// Returns records in a seq range (inclusive), SSW order. An empty or
     /// inverted range yields no records.
-    pub fn range(&self, from: u64, to: u64) -> Vec<&Record> {
-        if from > to {
-            return Vec::new();
-        }
-        self.by_seq
-            .range(from..=to)
-            .flat_map(|(_, hashes)| hashes.iter().map(|h| &self.records[h]))
-            .collect()
+    pub fn range(&self, from: u64, to: u64) -> Vec<&E> {
+        self.iter_range(from, to).collect()
     }
 
     /// True when the chain from seq 1 to `latest_seq` has no gaps.
@@ -181,71 +264,79 @@ impl DataCapsule {
     /// body hash, structure, and (when the ancestor is present) pointer
     /// linkage — so an untrusted server's tampering is caught here.
     pub fn ingest(&mut self, record: Record) -> Result<IngestOutcome, CapsuleError> {
-        let hash = record.hash();
-        if self.records.contains_key(&hash) || self.pending_hashes.contains(&hash) {
-            return Ok(IngestOutcome::Duplicate);
-        }
-        record.verify(&self.name, &self.writer_key)?;
-
-        if self.can_link(&record) {
-            self.link(record);
-            Ok(IngestOutcome::Linked)
-        } else {
-            let needed = record.header.prev;
-            self.pending_hashes.insert(hash);
-            self.pending.entry(needed).or_default().push(record);
-            Ok(IngestOutcome::Pending)
+        match self.verify(record)? {
+            Some(verified) => Ok(self.admit(verified)),
+            None => Ok(IngestOutcome::Duplicate),
         }
     }
 
-    fn can_link(&self, record: &Record) -> bool {
-        if record.header.seq == 1 {
-            return record.header.prev == RecordHash::anchor(&self.name);
+    /// The first half of [`Chain::ingest`]: the complete verification,
+    /// without inserting. `None` when the record is already held. A server
+    /// persists the record between this and [`Chain::admit`], so that it
+    /// never indexes what its store refused.
+    pub fn verify(&self, record: Record) -> Result<Option<Verified>, CapsuleError> {
+        let hash = record.hash();
+        if self.contains(&hash) {
+            return Ok(None);
         }
-        match self.records.get(&record.header.prev) {
-            Some(prev) => prev.header.seq + 1 == record.header.seq,
+        record.verify_hashed(&self.name, &self.writer_key, &hash)?;
+        Ok(Some(Verified { capsule: self.name, hash, record }))
+    }
+
+    /// The second half of [`Chain::ingest`]: links a verified record, or
+    /// parks it until its missing ancestor arrives.
+    ///
+    /// # Panics
+    /// When `verified` came from another capsule's [`Chain::verify`].
+    pub fn admit(&mut self, verified: Verified) -> IngestOutcome {
+        let Verified { capsule, hash, record } = verified;
+        assert_eq!(capsule, self.name, "record verified against another capsule");
+        if self.contains(&hash) {
+            return IngestOutcome::Duplicate;
+        }
+        let entry = E::from(record);
+        if self.can_link(entry.header()) {
+            self.link(hash, entry);
+            IngestOutcome::Linked
+        } else {
+            self.pending_hashes.insert(hash);
+            self.pending.entry(entry.header().prev).or_default().push((hash, entry));
+            IngestOutcome::Pending
+        }
+    }
+
+    fn can_link(&self, header: &RecordHeader) -> bool {
+        if header.seq == 1 {
+            return header.prev == RecordHash::anchor(&self.name);
+        }
+        match self.records.get(&header.prev) {
+            Some(prev) => prev.header().seq + 1 == header.seq,
             None => false,
         }
     }
 
-    fn link(&mut self, record: Record) {
-        let hash = record.hash();
-        let seq = record.header.seq;
-        self.heads.remove(&record.header.prev);
-        self.heads.insert(hash);
-        self.by_seq.entry(seq).or_default().push(hash);
-        self.records.insert(hash, record);
-        // Linking may unblock pending descendants (hole healing).
-        if let Some(waiting) = self.pending.remove(&hash) {
-            for w in waiting {
-                self.pending_hashes.remove(&w.hash());
-                if self.can_link(&w) {
-                    self.link(w);
-                } else {
-                    // Ancestor present but seq relation is wrong: drop it —
-                    // it can never link.
+    fn link(&mut self, hash: RecordHash, entry: E) {
+        // Linking may unblock pending descendants (hole healing), which
+        // may unblock theirs: a worklist, so a long healed run costs no
+        // stack.
+        let mut ready = vec![(hash, entry)];
+        while let Some((hash, entry)) = ready.pop() {
+            self.heads.remove(&entry.header().prev);
+            self.heads.insert(hash);
+            // One record per seq short of a branch: `push` on an empty
+            // `Vec` would reserve room for four hashes.
+            let at_seq = self.by_seq.entry(entry.header().seq);
+            at_seq.or_insert_with(|| Vec::with_capacity(1)).push(hash);
+            self.records.insert(hash, entry);
+            for (h, waiting) in self.pending.remove(&hash).unwrap_or_default().into_iter().rev() {
+                self.pending_hashes.remove(&h);
+                // Ancestor present but seq relation wrong: it can never
+                // link, so it is dropped.
+                if self.can_link(waiting.header()) {
+                    ready.push((h, waiting));
                 }
             }
         }
-    }
-
-    /// Merges all linked and pending records from `other` (CRDT join).
-    /// Returns how many new records became linked.
-    pub fn merge(&mut self, other: &DataCapsule) -> Result<usize, CapsuleError> {
-        if other.name != self.name {
-            return Err(CapsuleError::WrongCapsule { expected: self.name, got: other.name });
-        }
-        let before = self.records.len();
-        // Ingest in seq order so most records link immediately.
-        let mut all: Vec<&Record> = other.records.values().collect();
-        for pend in other.pending.values() {
-            all.extend(pend.iter());
-        }
-        all.sort_by_key(|r| r.header.seq);
-        for r in all {
-            self.ingest(r.clone())?;
-        }
-        Ok(self.records.len() - before)
     }
 
     /// Verifies the full history ending at `head` against a heartbeat:
@@ -261,35 +352,62 @@ impl DataCapsule {
         let mut cursor = heartbeat.head;
         let mut expect_seq = heartbeat.seq;
         loop {
-            let record = self.records.get(&cursor).ok_or(CapsuleError::MissingRecord(cursor))?;
-            if record.header.seq != expect_seq {
+            let header =
+                self.records.get(&cursor).ok_or(CapsuleError::MissingRecord(cursor))?.header();
+            if header.seq != expect_seq {
                 return Err(CapsuleError::BadRecord("seq does not decrement along chain"));
             }
             if expect_seq == 1 {
-                if record.header.prev != RecordHash::anchor(&self.name) {
+                if header.prev != RecordHash::anchor(&self.name) {
                     return Err(CapsuleError::BadRecord("chain does not anchor at metadata"));
                 }
                 return Ok(());
             }
-            cursor = record.header.prev;
+            cursor = header.prev;
             expect_seq -= 1;
         }
+    }
+
+    /// The signed heartbeat `entry` carries.
+    pub fn heartbeat_of(&self, entry: &E) -> Heartbeat {
+        Heartbeat::from_header(&self.name, entry.header(), entry.signature())
     }
 
     /// A signed heartbeat for the current unique head (SSW mode), extracted
     /// from the head record itself.
     pub fn head_heartbeat(&self) -> Result<Option<Heartbeat>, CapsuleError> {
-        Ok(self.single_head()?.map(|head| Heartbeat::from_record(&self.name, head)))
+        Ok(self.single_head()?.map(|head| self.heartbeat_of(head)))
     }
 
     /// Iterates all linked records in seq order.
-    pub fn iter(&self) -> impl Iterator<Item = &Record> {
+    pub fn iter(&self) -> impl Iterator<Item = &E> {
         self.by_seq.values().flat_map(move |hashes| hashes.iter().map(move |h| &self.records[h]))
     }
 
-    /// Total body bytes across linked records.
-    pub fn body_bytes(&self) -> u64 {
-        self.records.values().map(|r| r.body.len() as u64).sum()
+    /// Body bytes held in memory across linked and pending records (zero
+    /// for a [`CapsuleIndex`], whatever it indexes).
+    pub fn resident_body_bytes(&self) -> u64 {
+        let pending = self.pending.values().flatten().map(|(_, e)| e);
+        self.records.values().chain(pending).map(Retained::resident_body_bytes).sum()
+    }
+}
+
+impl DataCapsule {
+    /// Merges all linked and pending records from `other` (CRDT join).
+    /// Returns how many new records became linked.
+    pub fn merge(&mut self, other: &DataCapsule) -> Result<usize, CapsuleError> {
+        if other.name != self.name {
+            return Err(CapsuleError::WrongCapsule { expected: self.name, got: other.name });
+        }
+        let before = self.records.len();
+        // Ingest in seq order so most records link immediately.
+        let pending = other.pending.values().flatten().map(|(_, r)| r);
+        let mut all: Vec<&Record> = other.records.values().chain(pending).collect();
+        all.sort_by_key(|r| r.header.seq);
+        for r in all {
+            self.ingest(r.clone())?;
+        }
+        Ok(self.records.len() - before)
     }
 }
 
@@ -503,7 +621,63 @@ mod tests {
         assert_eq!(r.len(), 4);
         assert_eq!(r[0].header.seq, 3);
         assert_eq!(c.iter().count(), 10);
-        assert!(c.body_bytes() > 0);
+        assert!(c.resident_body_bytes() > 0);
+    }
+
+    /// The same records in the same (scrambled) order: an index goes
+    /// through the same linked / pending / duplicate states as the
+    /// capsule, ends with the same heads, and keeps no body on the way.
+    #[test]
+    fn an_index_links_exactly_like_the_capsule_and_keeps_no_body() {
+        let mut full = fresh();
+        let rs = chain(&mut fresh(), 9);
+        let fork = make_record(&full, 5, rs[3].hash(), b"fork");
+        let mut index = CapsuleIndex::new(full.metadata().clone()).unwrap();
+        let order = [2, 0, 0, 8, 7, 1, 3, 4, 6, 5];
+        for r in order.iter().map(|i| &rs[*i]).chain([&fork, &fork]) {
+            assert_eq!(index.ingest(r.clone()).unwrap(), full.ingest(r.clone()).unwrap());
+            assert_eq!((index.len(), index.pending_len()), (full.len(), full.pending_len()));
+            let sorted = |mut hashes: Vec<RecordHash>| {
+                hashes.sort();
+                hashes
+            };
+            assert_eq!(sorted(index.missing_ancestors()), sorted(full.missing_ancestors()));
+            assert_eq!(index.resident_body_bytes(), 0);
+        }
+        assert!(full.resident_body_bytes() > 0);
+        let heads: Vec<RecordHash> = index.heads().iter().map(|e| e.hash()).collect();
+        assert_eq!(heads, full.heads().iter().map(|r| r.hash()).collect::<Vec<_>>());
+        assert_eq!(heads.len(), 2);
+        let seqs: Vec<u64> = index.iter().map(|e| e.header.seq).collect();
+        assert_eq!(seqs, full.iter().map(|r| r.header.seq).collect::<Vec<_>>());
+        assert_eq!(index.get_one(9).unwrap().signature, rs[8].signature);
+        let tip = Heartbeat::from_record(&full.name(), &rs[8]);
+        index.verify_history(&tip).unwrap();
+        assert_eq!(index.heartbeat_of(index.get_one(9).unwrap()), tip);
+    }
+
+    /// `verify` holds nothing; `admit` is the other half of `ingest`.
+    #[test]
+    fn verify_then_admit_is_ingest() {
+        let mut c = fresh();
+        let anchor = RecordHash::anchor(&c.name());
+        let r1 = make_record(&c, 1, anchor, b"1");
+        let r2 = make_record(&c, 2, r1.hash(), b"2");
+        let v2 = c.verify(r2.clone()).unwrap().expect("fresh");
+        assert_eq!(v2.record(), &r2);
+        assert_eq!((c.len(), c.pending_len()), (0, 0), "verifying inserts nothing");
+        assert!(!c.contains(&r2.hash()));
+        assert_eq!(c.admit(v2), IngestOutcome::Pending);
+        assert!(c.contains(&r2.hash()) && c.get(&r2.hash()).is_none());
+        assert!(c.verify(r2).unwrap().is_none(), "held, even if only pending");
+        let v1 = c.verify(r1.clone()).unwrap().unwrap();
+        let again = c.verify(r1).unwrap().unwrap();
+        assert_eq!(c.admit(v1), IngestOutcome::Linked);
+        assert_eq!(c.admit(again), IngestOutcome::Duplicate);
+        assert_eq!((c.len(), c.pending_len()), (2, 0));
+        let mut tampered = make_record(&c, 3, c.get_one(2).unwrap().hash(), b"3");
+        tampered.body = b"tampered".to_vec().into();
+        assert!(c.verify(tampered).is_err());
     }
 
     #[test]

@@ -11,8 +11,12 @@
 //! * [`strategy`] — configurable extra hash-pointer policies (chain,
 //!   skip-list, checkpoint, stream).
 //! * [`capsule`] — the verified record DAG: ingest, holes, branches, CRDT
-//!   merge, history verification.
-//! * [`proof`] — membership and range proofs against a heartbeat.
+//!   merge, history verification. One [`Chain`], generic over what it
+//!   keeps of each verified record: [`DataCapsule`] keeps the whole
+//!   [`Record`], [`CapsuleIndex`] a [`SignedHeader`] (what a storage
+//!   server holds beside the store that has the bodies).
+//! * [`proof`] — membership and range proofs against a heartbeat; proof
+//!   paths are built from headers alone.
 //! * [`encryption`] — end-to-end body confidentiality via read keys.
 //! * [`writer`] — the Strict/Quasi Single-Writer append state machine.
 
@@ -28,12 +32,12 @@ pub mod record;
 pub mod strategy;
 pub mod writer;
 
-pub use capsule::{DataCapsule, IngestOutcome};
+pub use capsule::{CapsuleIndex, Chain, DataCapsule, IngestOutcome, Retained, Verified};
 pub use encryption::ReadKey;
 pub use entangle::{EntanglementBody, OrderingProof};
 pub use error::CapsuleError;
 pub use metadata::{CapsuleMetadata, MetadataBuilder};
 pub use proof::{MembershipProof, RangeProof};
-pub use record::{Heartbeat, Pointer, Record, RecordHash, RecordHeader};
+pub use record::{Heartbeat, Pointer, Record, RecordHash, RecordHeader, SignedHeader};
 pub use strategy::PointerStrategy;
 pub use writer::{CapsuleWriter, WriterMode};

@@ -13,7 +13,7 @@
 //! the range", §V-A). Verification is strategy-independent: any pointer the
 //! writer chose to include is a valid step.
 
-use crate::capsule::DataCapsule;
+use crate::capsule::{Chain, DataCapsule, Retained};
 use crate::error::CapsuleError;
 use crate::record::{Heartbeat, Record, RecordHash, RecordHeader};
 use gdp_crypto::VerifyingKey;
@@ -36,30 +36,46 @@ pub struct MembershipProof {
 
 impl MembershipProof {
     /// Builds the shortest proof from the head attested by `heartbeat` down
-    /// to `target_seq`, using BFS over all available hash-pointers (so
-    /// skip-list and checkpoint pointers shorten proofs automatically).
+    /// to `target_seq` (see [`MembershipProof::path`]), with the body the
+    /// capsule retains for the target.
     pub fn build(
         capsule: &DataCapsule,
         heartbeat: &Heartbeat,
         target_seq: u64,
     ) -> Result<MembershipProof, CapsuleError> {
-        let head =
-            capsule.get(&heartbeat.head).ok_or(CapsuleError::MissingRecord(heartbeat.head))?;
-        if target_seq > head.header.seq || target_seq == 0 {
+        let (target, path) = MembershipProof::path(capsule, heartbeat, target_seq)?;
+        let body = capsule.get(&target).ok_or(CapsuleError::MissingRecord(target))?.body.clone();
+        Ok(MembershipProof { heartbeat: heartbeat.clone(), path, body })
+    }
+
+    /// The header path of the shortest proof from the head attested by
+    /// `heartbeat` down to `target_seq`, and the target's hash: BFS over
+    /// all available hash-pointers (so skip-list and checkpoint pointers
+    /// shorten proofs automatically). It reads headers only; a chain that
+    /// keeps no bodies completes the proof with the target's body fetched
+    /// by that hash.
+    pub fn path<E: Retained>(
+        capsule: &Chain<E>,
+        heartbeat: &Heartbeat,
+        target_seq: u64,
+    ) -> Result<(RecordHash, Vec<RecordHeader>), CapsuleError> {
+        let head_hash = heartbeat.head;
+        let head = capsule.get(&head_hash).ok_or(CapsuleError::MissingRecord(head_hash))?;
+        if target_seq > head.header().seq || target_seq == 0 {
             return Err(CapsuleError::MissingSeq(target_seq));
         }
         // BFS from head following pointers with seq >= target.
         let mut parent: HashMap<RecordHash, RecordHash> = HashMap::new();
         let mut queue = VecDeque::new();
-        queue.push_back(head.hash());
+        queue.push_back(head_hash);
         let mut found: Option<RecordHash> = None;
         while let Some(cur) = queue.pop_front() {
-            let rec = capsule.get(&cur).ok_or(CapsuleError::MissingRecord(cur))?;
-            if rec.header.seq == target_seq {
+            let header = capsule.get(&cur).ok_or(CapsuleError::MissingRecord(cur))?.header();
+            if header.seq == target_seq {
                 found = Some(cur);
                 break;
             }
-            for (pseq, phash) in rec.header.all_pointers() {
+            for (pseq, phash) in header.all_pointers() {
                 if pseq >= target_seq && pseq >= 1 && !parent.contains_key(&phash) {
                     parent.insert(phash, cur);
                     queue.push_back(phash);
@@ -70,18 +86,17 @@ impl MembershipProof {
         // Reconstruct path target → head, then reverse.
         let mut hashes = vec![target];
         let mut cur = target;
-        while cur != head.hash() {
+        while cur != head_hash {
             cur = parent[&cur];
             hashes.push(cur);
         }
         hashes.reverse();
         let path: Vec<RecordHeader> = hashes
             .iter()
-            .map(|h| capsule.get(h).map(|r| r.header.clone()))
+            .map(|h| capsule.get(h).map(|r| r.header().clone()))
             .collect::<Option<Vec<_>>>()
             .ok_or(CapsuleError::BadProof("record vanished during build"))?;
-        let body = capsule.get(&target).ok_or(CapsuleError::MissingRecord(target))?.body.clone();
-        Ok(MembershipProof { heartbeat: heartbeat.clone(), path, body })
+        Ok((target, path))
     }
 
     /// Verifies the proof with nothing but the capsule name and writer key —

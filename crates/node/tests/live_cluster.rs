@@ -364,6 +364,8 @@ fn capsule_hosted_over_the_wire_survives_a_restart() {
 /// from its own domain and the root carries none of it.
 #[test]
 fn two_domains_under_a_root_route_and_prefer_the_local_replica() {
+    let dir = std::env::temp_dir().join(format!("gdp-live-domains-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     // `above`: the name and address of the router above this node.
     let cfg =
         |role, seed: u8, label: &str, above: Option<(Name, std::net::SocketAddr)>| NodeConfig {
@@ -403,7 +405,8 @@ fn two_domains_under_a_root_route_and_prefer_the_local_replica() {
             me.principal().clone(),
         );
         let host = HostSpec { metadata: meta.clone(), chain, peers: vec![other.name()] };
-        NodeConfig { hosts: vec![host], ..cfg(Role::Storage, seed, label, above(domain)) }
+        let data_dir = Some(dir.join(label));
+        NodeConfig { hosts: vec![host], data_dir, ..cfg(Role::Storage, seed, label, above(domain)) }
     };
     let store_b = start(replica(76, "s-b", &in_b, &in_a, &b));
 
@@ -447,8 +450,20 @@ fn two_domains_under_a_root_route_and_prefer_the_local_replica() {
     assert_eq!(counted(&store_a, "server", "reads_served"), reads, "the local replica answers");
     assert_eq!(counted(&store_b, "server", "reads_served"), 1, "the remote one is left alone");
 
+    // Every body either replica sent — to the client, or to the other
+    // replica's anti-entropy — came through its store's read lane.
+    for node in [&store_a, &store_b] {
+        let served = counted(node, "store", "reads_served_from_store");
+        assert!(served > 0, "a storage node serves bodies from its store, not from RAM");
+        let looked_up =
+            counted(node, "store", "read_cache_hits") + counted(node, "store", "read_cache_misses");
+        assert_eq!(looked_up, served, "every store read is a cache hit or a miss");
+        assert_eq!(counted(node, "server", "read_store_failures"), 0);
+    }
+
     client.close();
     for node in [store_a, store_b, a, b, root] {
         node.stop();
     }
+    let _ = std::fs::remove_dir_all(dir);
 }

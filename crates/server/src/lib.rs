@@ -5,6 +5,13 @@
 //! (§VI-B), replicates leaderlessly with anti-entropy hole healing (§V-A),
 //! and pushes pub-sub events (§V). The [`proto`] module defines the whole
 //! client↔server and server↔server data-plane protocol.
+//!
+//! A server is storage, not a cache: per hosted capsule it keeps a
+//! [`gdp_capsule::CapsuleIndex`] — heads, links, pending bookkeeping,
+//! header + signature per record — and every body lives in the capsule's
+//! [`gdp_store::CapsuleStore`] alone. A record is indexed only once the
+//! store accepted it; a read is index → store → encode, and a body the
+//! store cannot return is a typed error, counted and traced.
 
 #![forbid(unsafe_code)]
 

@@ -6,8 +6,12 @@
 //!
 //! * verifies every record against the capsule's writer key before storing
 //!   it (the threat model assumes *other* servers may not);
-//! * answers reads with records, ranges, proofs, and heartbeats,
-//!   authenticated by signature or per-flow HMAC (§V "Secure Responses");
+//! * keeps per hosted capsule a [`CapsuleIndex`] — heads, links, pending
+//!   bookkeeping, header + signature per record — and the bodies in the
+//!   capsule's [`CapsuleStore`] alone: a node's capacity is its disk;
+//! * answers reads with records, ranges, proofs, and heartbeats — index →
+//!   store → encode — authenticated by signature or per-flow HMAC (§V
+//!   "Secure Responses");
 //! * implements the durability modes of §VI-B (local ack, quorum, all);
 //! * replicates leaderlessly: appends are forwarded to peer replicas "as
 //!   is ... in arbitrary order" and holes heal via anti-entropy (§V-A);
@@ -29,14 +33,15 @@ use crate::proto::{
     AckMode, DataMsg, ErrorCode, NackCode, ReadResult, ReadTarget, ResponseAuth,
 };
 use gdp_capsule::{
-    CapsuleError, CapsuleMetadata, DataCapsule, IngestOutcome, MembershipProof, Record, RecordHash,
+    CapsuleError, CapsuleIndex, CapsuleMetadata, IngestOutcome, MembershipProof, Record,
+    RecordHash, SignedHeader,
 };
 use gdp_cert::{CapsuleAdvert, PrincipalId, PrincipalKind, ServingChain};
 use gdp_crypto::x25519::EphemeralKeyPair;
 use gdp_crypto::{hkdf, Signature};
 use gdp_obs::{Counter, Scope as ObsScope};
 use gdp_store::{AppendAck, Backing, CapsuleStore, StorageEngine, StoreError};
-use gdp_wire::{Name, Pdu, PduType, Wire};
+use gdp_wire::{Name, Pdu, PduType, Wire, MAX_PAYLOAD};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap};
@@ -63,6 +68,8 @@ struct ServerObs {
     recovery_records_skipped: Counter,
     sync_store_failures: Counter,
     flush_failures: Counter,
+    read_store_failures: Counter,
+    reads_refused_oversize: Counter,
 }
 
 impl ServerObs {
@@ -86,6 +93,8 @@ impl ServerObs {
             recovery_records_skipped: scope.counter("recovery_records_skipped"),
             sync_store_failures: scope.counter("sync_store_failures"),
             flush_failures: scope.counter("flush_failures"),
+            read_store_failures: scope.counter("read_store_failures"),
+            reads_refused_oversize: scope.counter("reads_refused_oversize"),
             scope: scope.clone(),
         }
     }
@@ -95,12 +104,57 @@ impl ServerObs {
     }
 }
 
+/// Bytes a `ReadResp` may spend on records: a frame's payload less room
+/// for the response authentication (a signed one carries the serving chain).
+const MAX_ANSWER_BYTES: u64 = (MAX_PAYLOAD - 64 * 1024) as u64;
+
+/// True when the records' encodings together fit one `ReadResp`; stops at
+/// the first record past the budget, however long the range.
+fn fits_one_answer<'a>(mut records: impl Iterator<Item = &'a SignedHeader>) -> bool {
+    let sum = records.try_fold(0u64, |sum, r| {
+        sum.checked_add(r.record_wire_bound()).filter(|sum| *sum <= MAX_ANSWER_BYTES)
+    });
+    sum.is_some()
+}
+
 struct Hosted {
-    capsule: DataCapsule,
+    /// What verification and proofs need of every record: heads, links,
+    /// pending bookkeeping, header + signature. No body.
+    index: CapsuleIndex,
+    /// The one place bodies live; every whole record served is read back
+    /// from here.
     store: Box<dyn CapsuleStore>,
     chain: ServingChain,
     peers: Vec<Name>,
     subscribers: Vec<Name>,
+}
+
+impl Hosted {
+    /// The whole record behind an index entry.
+    fn stored(&self, hash: &RecordHash) -> Result<Record, StoreError> {
+        let found = self.store.get_by_hash(hash)?;
+        found.ok_or_else(|| StoreError::Corrupt("indexed record missing from store".to_string()))
+    }
+
+    /// The whole linked records of `[from, to]` in index order, each with
+    /// its seq. One sequential pull when the store's order is the index's
+    /// — always, short of a branch or a record parked behind a hole in
+    /// the span; otherwise, or when the pull fails, record by record, so
+    /// one unreadable body costs one entry.
+    fn stored_range(&self, from: u64, to: u64) -> Vec<(u64, Result<Record, StoreError>)> {
+        let wanted = self.index.range(from, to);
+        if wanted.is_empty() {
+            return Vec::new();
+        }
+        if let Ok(run) = self.store.range(from, to) {
+            if run.len() == wanted.len()
+                && run.iter().zip(&wanted).all(|(r, w)| r.header == w.header)
+            {
+                return run.into_iter().map(|r| (r.header.seq, Ok(r))).collect();
+            }
+        }
+        wanted.into_iter().map(|w| (w.header.seq, self.stored(&w.hash()))).collect()
+    }
 }
 
 /// An established client flow: the key plus the handshake inputs that
@@ -246,19 +300,21 @@ impl DataCapsuleServer {
         if chain.server().name() != self.name() {
             return Err(CapsuleError::BadMetadata("chain does not end at this server").into());
         }
-        let mut capsule = DataCapsule::new(metadata.clone())?;
+        let mut index = CapsuleIndex::new(metadata.clone())?;
         store.put_metadata(&metadata)?;
-        // Recover any records already in the store (restart path). A seq
-        // the store cannot read back (rot in a sealed segment) or whose
-        // record no longer verifies becomes a hole for anti-entropy to
-        // refill — counted and traced, never silent.
+        // Recover any records already in the store (restart path): each is
+        // read back whole and fully verified, and only its header and
+        // signature are kept. A seq the store cannot read back (rot in a
+        // sealed segment) or whose record no longer verifies becomes a
+        // hole for anti-entropy to refill — counted and traced, never
+        // silent.
         let latest = store.latest_seq();
         for seq in 1..=latest {
             let mut error = None;
             match store.get_all_at_seq(seq) {
                 Ok(records) => {
                     for r in records {
-                        if let Err(e) = capsule.ingest(r) {
+                        if let Err(e) = index.ingest(r) {
                             error.get_or_insert(e.to_string());
                         }
                     }
@@ -280,7 +336,7 @@ impl DataCapsuleServer {
         }
         self.hosted.insert(
             metadata.name(),
-            Hosted { capsule, store, chain, peers, subscribers: Vec::new() },
+            Hosted { index, store, chain, peers, subscribers: Vec::new() },
         );
         Ok(())
     }
@@ -296,9 +352,23 @@ impl DataCapsuleServer {
         self.hosted.keys().copied().collect()
     }
 
-    /// Read access to a hosted capsule's verified state.
-    pub fn capsule(&self, name: &Name) -> Option<&DataCapsule> {
-        self.hosted.get(name).map(|h| &h.capsule)
+    /// Read access to a hosted capsule's verified state: heads, links and
+    /// pending bookkeeping over header + signature per record. Whole
+    /// records come from [`DataCapsuleServer::stored_record`].
+    pub fn capsule(&self, name: &Name) -> Option<&CapsuleIndex> {
+        self.hosted.get(name).map(|h| &h.index)
+    }
+
+    /// The whole record linked at `seq` of a hosted capsule, read back
+    /// through the capsule's store exactly as a `Read` is served. `None`
+    /// when the capsule is not hosted or `seq` holds no single linked
+    /// record.
+    pub fn stored_record(&self, name: &Name, seq: u64) -> Result<Option<Record>, StoreError> {
+        let Some(hosted) = self.hosted.get(name) else { return Ok(None) };
+        match hosted.index.get_one(seq) {
+            Ok(entry) => hosted.stored(&entry.hash()).map(Some),
+            Err(_) => Ok(None),
+        }
     }
 
     /// Builds the advertisement entries for all hosted capsules (for the
@@ -306,10 +376,7 @@ impl DataCapsuleServer {
     pub fn advert_entries(&self) -> Vec<CapsuleAdvert> {
         self.hosted
             .values()
-            .map(|h| CapsuleAdvert {
-                metadata: h.capsule.metadata().clone(),
-                chain: h.chain.clone(),
-            })
+            .map(|h| CapsuleAdvert { metadata: h.index.metadata().clone(), chain: h.chain.clone() })
             .collect()
     }
 
@@ -433,8 +500,10 @@ impl DataCapsuleServer {
             DataMsg::Append { record, ack_mode } => {
                 self.on_append(now, pdu.dst, client, seq, record, ack_mode)
             }
-            DataMsg::Read { target } => self.on_read(pdu.dst, client, seq, target),
-            DataMsg::Subscribe { from_seq } => self.on_subscribe(pdu.dst, client, seq, from_seq),
+            DataMsg::Read { target } => self.on_read(now, pdu.dst, client, seq, target),
+            DataMsg::Subscribe { from_seq } => {
+                self.on_subscribe(now, pdu.dst, client, seq, from_seq)
+            }
             DataMsg::Host { metadata, chain, peers } => {
                 self.on_host(now, client, seq, metadata, chain, peers)
             }
@@ -446,7 +515,7 @@ impl DataCapsuleServer {
                 self.settle(now, steps, Vec::new())
             }
             DataMsg::SyncRequest { capsule, have_seq, missing } => {
-                self.on_sync_request(capsule, client, have_seq, missing)
+                self.on_sync_request(now, capsule, client, have_seq, missing)
             }
             DataMsg::SyncResponse { capsule, records } => {
                 self.on_sync_response(now, capsule, records)
@@ -607,7 +676,9 @@ impl DataCapsuleServer {
     /// local copy alone) or from an upstream replica (`Replicate`, which
     /// waits for the covering fsync exactly like a client ack, because a
     /// `ReplicateAck` may count toward a client's quorum): verify, persist,
-    /// forward, push to subscribers, park the ack.
+    /// index, forward, push to subscribers, park the ack. In that order —
+    /// the index names only records the store accepted, because the store
+    /// is where their bodies are served from.
     fn on_record(
         &mut self,
         now: u64,
@@ -620,8 +691,9 @@ impl DataCapsuleServer {
         let Some(hosted) = self.hosted.get_mut(&capsule_name) else {
             return self.refuse(to, ErrorCode::NotServing, "unknown capsule");
         };
-        let fresh = match hosted.capsule.ingest(record.clone()) {
-            Ok(outcome) => !matches!(outcome, IngestOutcome::Duplicate),
+        // `None`: already held, so verified when it first arrived.
+        let verified = match hosted.index.verify(record.clone()) {
+            Ok(verified) => verified,
             Err(e) => {
                 // Never ack unverifiable data.
                 self.obs.verify_failures.inc();
@@ -636,14 +708,15 @@ impl DataCapsuleServer {
                 return self.refuse(to, ErrorCode::VerificationFailed, &e.to_string());
             }
         };
-        // For a duplicate the store re-reports the stored copy's durability,
-        // or persists a record an earlier failed append left only in RAM.
-        // Never ack what the store failed to persist.
+        // For a duplicate the store re-reports the stored copy's
+        // durability. Never ack — or index — what the store failed to
+        // persist.
         let epoch = match hosted.store.append_acked(&record) {
             Ok(AppendAck::Durable) => 0,
             Ok(AppendAck::Pending(epoch)) => epoch,
             Err(_) => return self.refuse(to, ErrorCode::BadRequest, "storage failure"),
         };
+        let fresh = verified.is_some_and(|v| hosted.index.admit(v) != IngestOutcome::Duplicate);
         let peers = if from_client { hosted.peers.clone() } else { Vec::new() };
         let subscribers = if fresh { hosted.subscribers.clone() } else { Vec::new() };
         let mut out = Vec::new();
@@ -685,8 +758,25 @@ impl DataCapsuleServer {
         }
     }
 
+    /// Counts and traces a body the store could not return (I/O error, CRC
+    /// rot): the index entry stays — the record exists, this node cannot
+    /// read it until a restart turns it into a hole anti-entropy refills.
+    fn note_unreadable(&self, now: u64, capsule: &Name, record_seq: u64, error: &StoreError) {
+        self.obs.read_store_failures.inc();
+        self.obs.trace(
+            now,
+            "read_store_failed",
+            &[
+                ("capsule", capsule.to_hex()),
+                ("seq", record_seq.to_string()),
+                ("error", error.to_string()),
+            ],
+        );
+    }
+
     fn on_read(
         &mut self,
+        now: u64,
         capsule_name: Name,
         client: Name,
         seq: u64,
@@ -696,50 +786,73 @@ impl DataCapsuleServer {
             return vec![self.err_pdu(client, seq, ErrorCode::NotServing, "unknown capsule")];
         };
         self.obs.reads_served.inc();
-        let capsule = &hosted.capsule;
+        let index = &hosted.index;
+        // A typed answer, never a panic and never an empty body.
+        let unreadable = |record_seq: u64, error: StoreError| {
+            self.note_unreadable(now, &capsule_name, record_seq, &error);
+            vec![self.err_pdu(client, seq, ErrorCode::NotFound, "stored record unreadable")]
+        };
         let result = match target {
-            ReadTarget::One(s) => match capsule.get_one(s) {
-                Ok(r) => ReadResult::Record(r.clone()),
-                Err(_) => {
-                    return vec![self.err_pdu(client, seq, ErrorCode::NotFound, "no such seq")]
+            ReadTarget::One(s) => {
+                let Ok(entry) = index.get_one(s) else {
+                    return vec![self.err_pdu(client, seq, ErrorCode::NotFound, "no such seq")];
+                };
+                match hosted.stored(&entry.hash()) {
+                    Ok(r) => ReadResult::Record(r),
+                    Err(e) => return unreadable(s, e),
                 }
-            },
+            }
             ReadTarget::Range(a, b) => {
-                let records: Vec<Record> = capsule.range(a, b).into_iter().cloned().collect();
+                // The index knows every body length: an answer that cannot
+                // fit a frame is refused before the store is touched.
+                if !fits_one_answer(index.iter_range(a, b)) {
+                    self.obs.reads_refused_oversize.inc();
+                    return vec![self.err_pdu(
+                        client,
+                        seq,
+                        ErrorCode::BadRequest,
+                        "range exceeds one answer",
+                    )];
+                }
+                let mut records = Vec::new();
+                for (s, stored) in hosted.stored_range(a, b) {
+                    match stored {
+                        Ok(r) => records.push(r),
+                        Err(e) => return unreadable(s, e),
+                    }
+                }
                 if records.is_empty() {
                     return vec![self.err_pdu(client, seq, ErrorCode::NotFound, "empty range")];
                 }
                 ReadResult::Records(records)
             }
-            ReadTarget::Latest => match capsule.single_head() {
-                Ok(Some(head)) => ReadResult::Latest(
-                    head.clone(),
-                    gdp_capsule::Heartbeat::from_record(&capsule_name, head),
-                ),
-                Ok(None) => return vec![self.err_pdu(client, seq, ErrorCode::Empty, "no records")],
-                Err(_) => {
-                    // Branched capsule: serve the preferred head.
-                    let heads = capsule.heads();
-                    let head = heads[0];
-                    ReadResult::Latest(
-                        head.clone(),
-                        gdp_capsule::Heartbeat::from_record(&capsule_name, head),
-                    )
+            ReadTarget::Latest => {
+                // A branched capsule serves its preferred head.
+                let Some(head) = index.heads().into_iter().next() else {
+                    return vec![self.err_pdu(client, seq, ErrorCode::Empty, "no records")];
+                };
+                let hb = index.heartbeat_of(head);
+                match hosted.stored(&hb.head) {
+                    Ok(r) => ReadResult::Latest(r, hb),
+                    Err(e) => return unreadable(hb.seq, e),
                 }
-            },
+            }
             ReadTarget::ProofOf(s) => {
-                let hb = match capsule.head_heartbeat() {
+                let hb = match index.head_heartbeat() {
                     Ok(Some(hb)) => hb,
                     _ => return vec![self.err_pdu(client, seq, ErrorCode::Empty, "no head")],
                 };
-                match MembershipProof::build(capsule, &hb, s) {
-                    Ok(p) => ReadResult::Proof(p),
-                    Err(_) => {
-                        return vec![self.err_pdu(client, seq, ErrorCode::NotFound, "no proof")]
+                let Ok((target, path)) = MembershipProof::path(index, &hb, s) else {
+                    return vec![self.err_pdu(client, seq, ErrorCode::NotFound, "no proof")];
+                };
+                match hosted.stored(&target) {
+                    Ok(r) => {
+                        ReadResult::Proof(MembershipProof { heartbeat: hb, path, body: r.body })
                     }
+                    Err(e) => return unreadable(s, e),
                 }
             }
-            ReadTarget::HeartbeatOnly => match capsule.head_heartbeat() {
+            ReadTarget::HeartbeatOnly => match index.head_heartbeat() {
                 Ok(Some(hb)) => ReadResult::HeartbeatOnly(hb),
                 _ => return vec![self.err_pdu(client, seq, ErrorCode::Empty, "no records")],
             },
@@ -751,6 +864,7 @@ impl DataCapsuleServer {
 
     fn on_subscribe(
         &mut self,
+        now: u64,
         capsule_name: Name,
         client: Name,
         seq: u64,
@@ -763,19 +877,22 @@ impl DataCapsuleServer {
             hosted.subscribers.push(client);
         }
         // Replay history the subscriber asked for (secure replay / time
-        // shift, paper §V), then live events flow from appends.
-        let latest = hosted.capsule.latest_seq();
-        let replay: Vec<Record> =
-            hosted.capsule.range(from_seq.saturating_add(1), latest).into_iter().cloned().collect();
+        // shift, paper §V), then live events flow from appends. A record
+        // the store cannot return is left out, counted and traced.
+        let replay = hosted.stored_range(from_seq.saturating_add(1), hosted.index.latest_seq());
         let mut out = Vec::new();
-        for record in &replay {
-            self.push_events(&capsule_name, &[client], record, &mut out);
+        for (s, stored) in replay {
+            match stored {
+                Ok(record) => self.push_events(&capsule_name, &[client], &record, &mut out),
+                Err(e) => self.note_unreadable(now, &capsule_name, s, &e),
+            }
         }
         out
     }
 
     fn on_sync_request(
         &mut self,
+        now: u64,
         capsule_name: Name,
         peer: Name,
         have_seq: u64,
@@ -784,16 +901,19 @@ impl DataCapsuleServer {
         let Some(hosted) = self.hosted.get(&capsule_name) else {
             return Vec::new();
         };
+        // The named missing records this replica has linked, then
+        // everything newer than the peer's contiguous prefix. What the
+        // store cannot return is left out, counted and traced: the peer
+        // asks again, or another replica answers.
+        let named = missing.iter().filter_map(|h| hosted.index.get(h).map(|e| (h, e.header.seq)));
+        let mut found: Vec<(u64, Result<Record, StoreError>)> =
+            named.map(|(h, s)| (s, hosted.stored(h))).collect();
+        found.extend(hosted.stored_range(have_seq.saturating_add(1), hosted.index.latest_seq()));
         let mut records = Vec::new();
-        for h in &missing {
-            if let Some(r) = hosted.capsule.get(h) {
-                records.push(r.clone());
-            }
-        }
-        let latest = hosted.capsule.latest_seq();
-        if latest > have_seq {
-            for r in hosted.capsule.range(have_seq + 1, latest) {
-                records.push(r.clone());
+        for (s, stored) in found {
+            match stored {
+                Ok(r) => records.push(r),
+                Err(e) => self.note_unreadable(now, &capsule_name, s, &e),
             }
         }
         records.sort_by_key(|r| r.header.seq);
@@ -812,28 +932,33 @@ impl DataCapsuleServer {
         let mut sorted = records;
         sorted.sort_by_key(|r| r.header.seq);
         for record in sorted {
-            match hosted.capsule.ingest(record.clone()) {
-                Ok(IngestOutcome::Duplicate) => {}
-                Ok(_) => {
-                    // A failed persist leaves the record served from RAM
-                    // only — counted and traced, never silent; the next
-                    // Replicate/Append of it re-persists before acking.
-                    if let Err(e) = hosted.store.append_acked(&record) {
-                        self.obs.sync_store_failures.inc();
-                        self.obs.trace(
-                            now,
-                            "sync_store_failed",
-                            &[
-                                ("capsule", capsule_name.to_hex()),
-                                ("seq", record.header.seq.to_string()),
-                                ("error", e.to_string()),
-                            ],
-                        );
-                    }
-                    self.obs.replicated_in.inc();
+            // Same order as `on_record`: verify, persist, index.
+            let verified = match hosted.index.verify(record) {
+                Ok(Some(verified)) => verified,
+                Ok(None) => continue,
+                Err(_) => {
+                    self.obs.verify_failures.inc();
+                    continue;
                 }
-                Err(_) => self.obs.verify_failures.inc(),
+            };
+            // A record the store refused is not indexed either — counted
+            // and traced, never silent; the next anti-entropy pass or a
+            // Replicate/Append of it tries again.
+            if let Err(e) = hosted.store.append_acked(verified.record()) {
+                self.obs.sync_store_failures.inc();
+                self.obs.trace(
+                    now,
+                    "sync_store_failed",
+                    &[
+                        ("capsule", capsule_name.to_hex()),
+                        ("seq", verified.record().header.seq.to_string()),
+                        ("error", e.to_string()),
+                    ],
+                );
+                continue;
             }
+            hosted.index.admit(verified);
+            self.obs.replicated_in.inc();
         }
         Vec::new()
     }
@@ -874,17 +999,17 @@ impl DataCapsuleServer {
             .hosted
             .iter()
             .filter_map(|(name, h)| {
-                let missing = h.capsule.missing_ancestors();
-                let contiguous = h.capsule.first_hole().is_none();
+                let missing = h.index.missing_ancestors();
+                let contiguous = h.index.first_hole().is_none();
                 if missing.is_empty() && contiguous && !h.peers.is_empty() {
                     // Nothing known-missing: do a cheap freshness probe.
-                    let have = h.capsule.latest_seq();
+                    let have = h.index.latest_seq();
                     return Some((*name, h.peers.clone(), have, Vec::new()));
                 }
                 if h.peers.is_empty() {
                     return None;
                 }
-                let have = h.capsule.first_hole().map(|s| s - 1).unwrap_or(h.capsule.latest_seq());
+                let have = h.index.first_hole().map(|s| s - 1).unwrap_or(h.index.latest_seq());
                 Some((*name, h.peers.clone(), have, missing))
             })
             .collect();
@@ -1418,8 +1543,9 @@ mod tests {
         assert!(server.hosted_names().is_empty());
     }
 
-    /// Regression: anti-entropy discarded the store's answer, so a failed
-    /// persist left a record served from RAM that nothing mentioned.
+    /// Regression: anti-entropy discarded the store's answer; and a record
+    /// the store refused was indexed all the same, so this replica named —
+    /// to readers and to the next anti-entropy pass — a body nobody held.
     #[test]
     fn sync_response_store_failure_is_counted_traced_and_repaired_by_replicate() {
         let peer = Name::from_content(b"peer server");
@@ -1433,7 +1559,9 @@ mod tests {
         let sync = from_peer(&rig, peer, &sync);
         assert!(rig.server.handle_pdu(7, sync).is_empty());
         assert_eq!(counted(&rig, "sync_store_failures"), 1);
-        assert_eq!(counted(&rig, "replicated_in"), 1, "the capsule did ingest it");
+        assert_eq!(counted(&rig, "replicated_in"), 0, "nothing the store refused is indexed");
+        let index = rig.server.capsule(&rig.capsule).unwrap();
+        assert_eq!((index.len(), index.pending_len()), (0, 0));
         let events = rig.metrics.drain_trace();
         let failed: Vec<_> = events.iter().filter(|e| e.event == "sync_store_failed").collect();
         assert_eq!(failed.len(), 1);
@@ -1442,8 +1570,7 @@ mod tests {
         assert_eq!(field("seq"), Some("1".to_string()));
         assert!(field("error").is_some_and(|e| e.contains("injected")), "{:?}", failed[0]);
 
-        // Still failing: a Replicate of the same record (a duplicate to
-        // the capsule, absent from the store) must not be acked.
+        // Still failing: a Replicate of the same record must not be acked.
         let replicate = DataMsg::Replicate { capsule: rig.capsule, record };
         let out = rig.server.handle_pdu(8, from_peer(&rig, peer, &replicate));
         assert!(out.is_empty(), "never ack what the store failed to persist: {out:?}");
@@ -1456,6 +1583,58 @@ mod tests {
         let read = request(&mut rig, &DataMsg::Read { target: ReadTarget::One(1) });
         assert!(matches!(msg_of(&read[0]), DataMsg::ReadResp { .. }));
         assert_eq!(counted(&rig, "sync_store_failures"), 1, "the repair is not a failure");
+        assert_eq!(counted(&rig, "replicated_in"), 1);
+    }
+
+    /// Regression: `on_record` linked the record before `append_acked`, so
+    /// an append the store refused was answered with an error and then
+    /// served — to readers, subscribers and anti-entropy — until the next
+    /// restart, when it vanished.
+    #[test]
+    fn append_the_store_refuses_is_not_indexed_and_a_retry_is_acked_and_served() {
+        let (store, fail) = flaky_store();
+        let mut rig = rig_with_store(vec![], store);
+        let first = rig.writer.append(b"stored", 0).unwrap();
+        let append = DataMsg::Append { record: first, ack_mode: AckMode::Local };
+        assert!(matches!(msg_of(&request(&mut rig, &append)[0]), DataMsg::AppendAck { .. }));
+        request(&mut rig, &DataMsg::Subscribe { from_seq: 1 });
+
+        let refused = rig.writer.append(b"refused, then retried", 1).unwrap();
+        let append = DataMsg::Append { record: refused.clone(), ack_mode: AckMode::Local };
+        fail.store(true, Ordering::SeqCst);
+        let out = request(&mut rig, &append);
+        assert_eq!(out.len(), 1, "no event for a record the store refused: {out:?}");
+        assert!(matches!(msg_of(&out[0]), DataMsg::ErrResp { code: ErrorCode::BadRequest, .. }));
+
+        let read = |rig: &mut Rig, target| msg_of(&request(rig, &DataMsg::Read { target })[0]);
+        assert!(matches!(
+            read(&mut rig, ReadTarget::One(2)),
+            DataMsg::ErrResp { code: ErrorCode::NotFound, .. }
+        ));
+        match read(&mut rig, ReadTarget::Latest) {
+            DataMsg::ReadResp { result: ReadResult::Latest(r, hb), .. } => {
+                assert_eq!((r.header.seq, hb.seq), (1, 1), "the head must not advance");
+            }
+            other => panic!("{other:?}"),
+        }
+        match read(&mut rig, ReadTarget::HeartbeatOnly) {
+            DataMsg::ReadResp { result: ReadResult::HeartbeatOnly(hb), .. } => {
+                assert_eq!(hb.seq, 1, "the heartbeat must not advance");
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(counted(&rig, "appends_committed"), 1);
+
+        // The writer retries against a healthy store: acked, pushed, served.
+        fail.store(false, Ordering::SeqCst);
+        let out = request(&mut rig, &append);
+        assert!(out.iter().any(|p| matches!(msg_of(p), DataMsg::AppendAck { seq: 2, .. })));
+        assert!(out.iter().any(|p| matches!(msg_of(p), DataMsg::Event { .. })));
+        match read(&mut rig, ReadTarget::One(2)) {
+            DataMsg::ReadResp { result: ReadResult::Record(r), .. } => assert_eq!(r, refused),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(counted(&rig, "appends_committed"), 2);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! workload vary with the seed — so a failing seed reproduces exactly.
 
 use gdp_caapi::{CaapiError, CapsuleAccess};
-use gdp_capsule::{CapsuleMetadata, DataCapsule, MetadataBuilder, PointerStrategy, Record};
+use gdp_capsule::{CapsuleIndex, CapsuleMetadata, MetadataBuilder, PointerStrategy, Record};
 use gdp_cert::{AdCert, PrincipalId, PrincipalKind, Scope, ServingChain};
 use gdp_client::{ClientEvent, GdpClient, VerifiedRead};
 use gdp_crypto::SigningKey;
@@ -407,7 +407,7 @@ impl SimCluster {
     /// The live storage replicas' views of the chaos capsule, labelled.
     /// Panics if a replica is crashed (check only after full recovery)
     /// or does not host the capsule.
-    pub fn storage_capsules(&self) -> Vec<(String, &DataCapsule)> {
+    pub fn storage_capsules(&self) -> Vec<(String, &CapsuleIndex)> {
         let replicas = self.storage.iter().enumerate();
         replicas
             .map(|(i, addr)| {

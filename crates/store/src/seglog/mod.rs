@@ -179,6 +179,24 @@ impl StreamIndex {
             dirty: true,
         }
     }
+
+    /// Indexes one record entry.
+    fn insert(&mut self, seq: u64, hash: RecordHash, loc: EntryLoc) {
+        self.by_hash.insert(hash, loc);
+        // One record per seq short of a branch: `push` on an empty `Vec`
+        // would reserve room for four hashes.
+        self.by_seq.entry(seq).or_insert_with(|| Vec::with_capacity(1)).push(hash);
+    }
+
+    /// Drops one record entry from the index (its bytes stay on disk).
+    fn forget(&mut self, hash: &RecordHash) {
+        self.by_hash.remove(hash);
+        self.by_seq.retain(|_, at_seq| {
+            at_seq.retain(|h| h != hash);
+            !at_seq.is_empty()
+        });
+        self.dirty = true;
+    }
 }
 
 /// A stream is resident (index in memory) or evicted to the checkpoint.
@@ -216,6 +234,11 @@ pub(crate) struct LogInner {
     touch_clock: u64,
     /// Directory of the last durable checkpoint (section reload source).
     ckpt: Option<checkpoint::CheckpointHeader>,
+    /// True once a read found an entry rotten and until the next
+    /// checkpoint: a reopen from the older one (or from a scan, which
+    /// stops at the rot) would index the rot again and skip a good copy
+    /// re-appended since, so the next maintenance pass checkpoints.
+    ckpt_names_rot: bool,
     recovery: RecoveryStats,
     /// Shared block cache for sealed-segment reads (see `cache.rs`).
     read_cache: BlockCache,
@@ -350,11 +373,11 @@ impl CapsuleStore for SegStore {
     fn get_by_seq(&self, seq: u64) -> Result<Option<Record>, StoreError> {
         let mut inner = self.log.inner.lock();
         inner.ensure_resident(&self.capsule)?;
-        let loc = inner
+        let at = inner
             .stream(&self.capsule)
-            .and_then(|s| s.by_seq.get(&seq).and_then(|hs| hs.first()).map(|h| s.by_hash[h]));
-        match loc {
-            Some(loc) => inner.read_record(&self.capsule, loc, false).map(Some),
+            .and_then(|s| s.by_seq.get(&seq).and_then(|hs| hs.first()).map(|h| (*h, s.by_hash[h])));
+        match at {
+            Some(at) => inner.read_record(&self.capsule, at, false).map(Some),
             None => Ok(None),
         }
     }
@@ -362,16 +385,16 @@ impl CapsuleStore for SegStore {
     fn get_all_at_seq(&self, seq: u64) -> Result<Vec<Record>, StoreError> {
         let mut inner = self.log.inner.lock();
         inner.ensure_resident(&self.capsule)?;
-        let locs: Vec<EntryLoc> = inner
+        let at: Vec<(RecordHash, EntryLoc)> = inner
             .stream(&self.capsule)
             .map(|s| {
                 s.by_seq
                     .get(&seq)
-                    .map(|hs| hs.iter().map(|h| s.by_hash[h]).collect())
+                    .map(|hs| hs.iter().map(|h| (*h, s.by_hash[h])).collect())
                     .unwrap_or_default()
             })
             .unwrap_or_default();
-        locs.into_iter().map(|loc| inner.read_record(&self.capsule, loc, true)).collect()
+        at.into_iter().map(|at| inner.read_record(&self.capsule, at, true)).collect()
     }
 
     fn get_by_hash(&self, hash: &RecordHash) -> Result<Option<Record>, StoreError> {
@@ -379,7 +402,7 @@ impl CapsuleStore for SegStore {
         inner.ensure_resident(&self.capsule)?;
         let loc = inner.stream(&self.capsule).and_then(|s| s.by_hash.get(hash).copied());
         match loc {
-            Some(loc) => inner.read_record(&self.capsule, loc, false).map(Some),
+            Some(loc) => inner.read_record(&self.capsule, (*hash, loc), false).map(Some),
             None => Ok(None),
         }
     }
@@ -403,16 +426,16 @@ impl CapsuleStore for SegStore {
     fn range(&self, from: u64, to: u64) -> Result<Vec<Record>, StoreError> {
         let mut inner = self.log.inner.lock();
         inner.ensure_resident(&self.capsule)?;
-        let locs: Vec<EntryLoc> = inner
+        let at: Vec<(RecordHash, EntryLoc)> = inner
             .stream(&self.capsule)
             .map(|s| {
                 s.by_seq
                     .range(from..=to)
-                    .flat_map(|(_, hs)| hs.iter().map(|h| s.by_hash[h]))
+                    .flat_map(|(_, hs)| hs.iter().map(|h| (*h, s.by_hash[h])))
                     .collect()
             })
             .unwrap_or_default();
-        locs.into_iter().map(|loc| inner.read_record(&self.capsule, loc, true)).collect()
+        at.into_iter().map(|at| inner.read_record(&self.capsule, at, true)).collect()
     }
 
     fn hashes(&self) -> Vec<RecordHash> {
@@ -491,6 +514,7 @@ impl LogInner {
             resident: 0,
             touch_clock: 0,
             ckpt,
+            ckpt_names_rot: false,
             recovery: RecoveryStats::default(),
             obs,
         };
@@ -603,8 +627,7 @@ impl LogInner {
                 let seq = record.header.seq;
                 let fresh = self.stream_mut(capsule).filter(|s| !s.by_hash.contains_key(&hash));
                 if let Some(idx) = fresh {
-                    idx.by_hash.insert(hash, loc);
-                    idx.by_seq.entry(seq).or_default().push(hash);
+                    idx.insert(seq, hash, loc);
                     // A stream reloaded from the checkpoint starts clean;
                     // merging a post-checkpoint tail entry makes it dirty
                     // again, or eviction would rebuild it from the stale
@@ -685,8 +708,7 @@ impl LogInner {
         idx.metadata = metadata;
         idx.dirty = false;
         for r in records {
-            idx.by_hash.insert(r.hash, EntryLoc { seg: r.seg, off: r.off });
-            idx.by_seq.entry(r.seq).or_default().push(r.hash);
+            idx.insert(r.seq, r.hash, EntryLoc { seg: r.seg, off: r.off });
         }
         Ok(idx)
     }
@@ -779,8 +801,7 @@ impl LogInner {
         }
         let seq = record.header.seq;
         if let Some(idx) = self.stream_mut(capsule) {
-            idx.by_hash.insert(hash, EntryLoc { seg: active, off });
-            idx.by_seq.entry(seq).or_default().push(hash);
+            idx.insert(seq, hash, EntryLoc { seg: active, off });
             idx.dirty = true;
         }
         self.obs.entries_appended.inc();
@@ -819,6 +840,9 @@ impl LogInner {
         let epoch = self.flush_inner(now_us, false)?;
         if self.gc.total_len() >= self.cfg.segment_max_bytes {
             self.rotate(now_us)?;
+        }
+        if self.ckpt_names_rot {
+            self.checkpoint_now(now_us)?;
         }
         self.evict_over_budget(Some(now_us));
         Ok(epoch)
@@ -890,6 +914,7 @@ impl LogInner {
                 idx.dirty = false;
             }
         }
+        self.ckpt_names_rot = false;
         self.ckpt = checkpoint::load_header(&self.dir);
         if self.ckpt.is_none() {
             return Err(StoreError::Corrupt("checkpoint unreadable after write".to_string()));
@@ -900,10 +925,16 @@ impl LogInner {
     /// Random read of one record, serving the active segment through the
     /// group-commit buffer and sealed segments through the block cache.
     /// `sequential` hints an in-order range scan (enables readahead).
+    ///
+    /// An entry that reads back corrupt is reported once and then
+    /// forgotten by the stream's index: a rotten entry is not a stored
+    /// record, and while the index named it `append` would answer a
+    /// re-append of the record — anti-entropy refilling the hole — with
+    /// the rotten copy's durability instead of writing a good one.
     fn read_record(
         &mut self,
         capsule: &Name,
-        loc: EntryLoc,
+        (hash, loc): (RecordHash, EntryLoc),
         sequential: bool,
     ) -> Result<Record, StoreError> {
         let (kind, cap, body) = match self.read_entry(loc, sequential) {
@@ -911,6 +942,10 @@ impl LogInner {
             Err(e) => {
                 if matches!(e, StoreError::Corrupt(_)) {
                     self.obs.crc_failures.inc();
+                    if let Some(idx) = self.stream_mut(capsule) {
+                        idx.forget(&hash);
+                    }
+                    self.ckpt_names_rot = true;
                 }
                 return Err(e);
             }

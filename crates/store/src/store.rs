@@ -6,7 +6,9 @@
 //! backends: an in-memory map (simulation, tests, the reference model)
 //! and a per-capsule stream of the node's shared segmented log with CRC
 //! framing and crash-recovery scan (`SegStore` in `seglog`). Both index
-//! records by sequence number and header hash.
+//! records by sequence number and header hash. A hosted capsule's store is
+//! the only place its record bodies live: the server beside it keeps
+//! headers and serves every body through these reads.
 
 use crate::policy::AppendAck;
 use gdp_capsule::{CapsuleError, CapsuleMetadata, Record, RecordHash};

@@ -500,3 +500,51 @@ fn rot_under_a_cached_block_surfaces_as_corrupt_after_refill() {
     }
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// A rotten entry is not a stored record. The read that finds the rot
+/// reports it, typed, once; from then on the stream no longer names the
+/// entry, so re-appending the record (what anti-entropy does to a hole)
+/// writes a good copy instead of being deduplicated against — and acked
+/// on the durability of — the rotten one.
+#[test]
+fn a_rotten_entry_is_forgotten_so_a_reappend_writes_a_good_copy() {
+    let dir = tmpdir("forget");
+    let (meta, records) = capsule(7, 6);
+    let metrics = Metrics::new();
+    let cfg = SegConfig { policy: FsyncPolicy::Always, ..SegConfig::default() };
+    let log = SegLog::open_with(&dir, cfg.clone(), &metrics.scope("store")).unwrap();
+    let mut h = log.handle(meta.name());
+    h.put_metadata(&meta).unwrap();
+    for r in &records {
+        h.append(r).unwrap();
+    }
+    log.rotate_now(1_000).unwrap(); // seals segment 0, checkpoints it
+
+    // Rot inside the last record's body on disk (nothing is cached yet).
+    let path = dir.join(format!("{:010}.seg", 0));
+    let mut bytes = std::fs::read(&path).unwrap();
+    let pos = bytes.len() - 20;
+    bytes[pos] ^= 0x40;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let last = records.last().unwrap();
+    assert!(matches!(h.get_by_hash(&last.hash()), Err(StoreError::Corrupt(_))));
+    assert_eq!(metrics.counter_value("store", "crc_failures"), 1);
+    assert_eq!(h.get_by_hash(&last.hash()).unwrap(), None, "forgotten, not re-reported");
+    assert_eq!((h.len(), h.latest_seq()), (5, 5));
+    assert_eq!(h.range(1, 6).unwrap(), records[..5]);
+
+    let appended = metrics.counter_value("store", "entries_appended");
+    h.append(last).unwrap();
+    assert_eq!(metrics.counter_value("store", "entries_appended"), appended + 1);
+    assert_eq!(h.get_by_hash(&last.hash()).unwrap().as_ref(), Some(last));
+    assert_eq!(h.range(1, 6).unwrap(), records);
+    log.maintain(2_000).unwrap();
+    drop((h, log));
+
+    // Maintenance replaced the checkpoint that named the rotten entry: a
+    // reopen indexes the good copy, not the rot before it.
+    let log = SegLog::open(&dir, cfg).unwrap();
+    assert_eq!(log.handle(meta.name()).range(1, 6).unwrap(), records);
+    let _ = std::fs::remove_dir_all(dir);
+}

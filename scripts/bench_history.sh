@@ -48,7 +48,7 @@ floor() {
     [ -s "$1" ] || return 0
     grep -o "\"$2\":{[^{}]*\({[^{}]*}[^{}]*\)*}" "$1" | head -n 1 | sed 's/^/,/'
 }
-floors="$(floor BENCH_fig6.json perf_floor)$(floor BENCH_store.json store_floor)$(floor BENCH_store.json read_floor)"
+floors="$(floor BENCH_fig6.json perf_floor)$(floor BENCH_store.json store_floor)$(floor BENCH_store.json read_floor)$(floor BENCH_store.json served_floor)"
 
 commit="$(git rev-parse --short=12 HEAD)"
 dirty=false

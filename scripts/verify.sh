@@ -249,23 +249,26 @@ for f in BENCH_fig6.json BENCH_store.json BENCH_overload.json BENCH_fig8.json; d
     printf '%s OK\n' "$f"
 done
 
-# The store artifact must carry both recorded floors (append rate and
-# warm read rate) plus the read series, or the perf smoke below would
-# silently skip the read-path regression gate.
-for key in '"store_floor"' '"read_floor"' '"read_points"'; do
+# The store artifact must carry the recorded floors (append rate, warm
+# read rate, served-scan share of the raw range rate) plus the read and
+# served series, or the perf smoke below would silently skip a
+# read-path regression gate.
+for key in '"store_floor"' '"read_floor"' '"read_points"' '"served"' '"served_floor"'; do
     grep -q "$key" BENCH_store.json \
         || { printf '!!! BENCH_store.json missing %s\n' "$key"; exit 1; }
 done
 
 # Perf smoke: re-measure 64 B zero-copy forwarding, the sharded engine's
 # single-shard end-to-end rate and its dispatch and worker stage rates,
-# segmented durable appends, and warm sealed-segment point reads;
+# segmented durable appends, warm sealed-segment point reads, and range
+# scans served through the DataCapsule-server as a share of the raw
+# store range rate of the same run;
 # fail if any has regressed more than 30% below the floors the fig6/store
 # runs just recorded (the data-path and storage fast paths must not
 # silently rot). Every floor is a quantity this host measured: a
 # multi-shard end-to-end point runs only with more cores than shards,
 # and where it did not run it is named in the summary, not gated.
-step "perf smoke (forwarding + sharded stages + store floors)"
+step "perf smoke (forwarding + sharded stages + store floors + served reads)"
 cargo run --release -p gdp-bench --bin report -- perf-smoke
 if grep -q '"pdus_per_sec":null' BENCH_fig6.json; then
     cores="$(sed -n 's/.*"sharded_cores":\([0-9]*\).*/\1/p' BENCH_fig6.json)"

@@ -34,7 +34,7 @@ fn world_with_data(seed: u64, n: u64) -> (GdpWorld, Name) {
 /// Grabs the stored record at `seq` straight from the server (what an
 /// attacker controlling the server can see and resend).
 fn stored_record(world: &mut GdpWorld, capsule: &Name, seq: u64) -> Record {
-    world.server(0).capsule(capsule).unwrap().get_one(seq).unwrap().clone()
+    world.server(0).stored_record(capsule, seq).unwrap().unwrap()
 }
 
 /// The `ReadResp` a server holding `signer`'s key and `chain` can give
@@ -267,4 +267,66 @@ fn lossy_network_never_yields_wrong_data() {
     }
     assert!(ok > 0, "some reads should get through");
     assert!(failed > 0, "with 40% loss some reads should fail");
+}
+
+/// A ~100-byte `Range(1, u64::MAX)` on a capsule larger than one frame
+/// (`MAX_PAYLOAD`) used to make the server copy the whole capsule into a
+/// PDU no transport would carry — the client saw silence. The header index
+/// knows every body length: the request is refused, typed, before a single
+/// store read, and the flow keeps serving.
+#[test]
+fn hostile_range_is_refused_before_the_store_and_the_flow_lives_on() {
+    let mut world = GdpWorld::new(78, Placement::EdgeLan);
+    // Reboot the server onto a data_dir: bodies live in its segmented log.
+    let dir = std::env::temp_dir().join(format!("gdp-adversarial-range-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    world.cluster.crash_storage(0);
+    world.cluster.storage_config_mut(0).data_dir = Some(dir.clone());
+    world.cluster.restart_storage(0);
+    world.cluster.settle();
+    assert!(world.cluster.storage_attached(0));
+
+    let owner = world.owner.clone();
+    let meta = MetadataBuilder::new()
+        .writer(&writer_key().verifying_key())
+        .set_str("description", "larger than a frame")
+        .sign(&owner);
+    let capsule = world.provision_capsule(&meta, writer_key(), PointerStrategy::Chain).unwrap();
+    use gdp::caapi::CapsuleAccess;
+    const BODY: usize = 64 * 1024;
+    let records = gdp::wire::MAX_PAYLOAD / BODY + 8;
+    for chunk in 0..records / 8 {
+        let bodies: Vec<Vec<u8>> = (0..8).map(|i| vec![(chunk * 8 + i) as u8; BODY]).collect();
+        world.append_batch(&capsule, &bodies).unwrap();
+    }
+
+    let server = world.servers[0].0;
+    let counted = |world: &GdpWorld, scope, name| {
+        world.cluster.node_metrics(server).counter_value(scope, name)
+    };
+    let reads_before = counted(&world, "store", "reads_served_from_store");
+    let pdu = world.client_mut().read(capsule, ReadTarget::Range(1, u64::MAX));
+    let events = world.drive(pdu);
+    assert!(
+        matches!(
+            &events[..],
+            [ClientEvent::ServerError { code: gdp::server::ErrorCode::BadRequest, detail, .. }]
+                if detail == "range exceeds one answer"
+        ),
+        "{events:?}"
+    );
+    assert_eq!(counted(&world, "server", "reads_refused_oversize"), 1);
+    assert_eq!(counted(&world, "store", "reads_served_from_store"), reads_before);
+
+    let pdu = world.client_mut().read(capsule, ReadTarget::Range(1, 32));
+    let events = world.drive(pdu);
+    match &events[..] {
+        [ClientEvent::ReadOk { result: gdp::client::VerifiedRead::Records(rs), .. }] => {
+            assert_eq!(rs.len(), 32);
+            assert!(rs.iter().all(|r| r.body.len() == BODY));
+        }
+        other => panic!("the next range on the same flow must be served: {other:?}"),
+    }
+    assert_eq!(counted(&world, "store", "reads_served_from_store"), reads_before + 32);
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -100,7 +100,7 @@ fn secure_storage_untrusted_server() {
     // Build the forged ReadResp the way a compromised server would.
     use gdp::server::{DataMsg, ReadResult, ResponseAuth};
     use gdp::wire::{Pdu, PduType, Wire};
-    let mut record = world.server(0).capsule(&capsule).unwrap().get_one(1).unwrap().clone();
+    let mut record = world.server(0).stored_record(&capsule, 1).unwrap().unwrap();
     record.body = b"a falsehood".to_vec().into(); // tamper
     let msg = DataMsg::ReadResp {
         result: ReadResult::Record(record),
