@@ -26,8 +26,7 @@ use std::collections::VecDeque;
 
 const FOREVER: u64 = 1 << 50;
 
-/// Virtual tick length; matches the simulator's maintenance cadence.
-pub const TICK_US: u64 = 200_000;
+pub use gdp_node::runtime::TICK_US;
 
 /// One measured point on the goodput curve.
 #[derive(Debug, Clone)]

@@ -7,7 +7,7 @@
 //! implementations exist:
 //!
 //! * [`LocalBackend`] — in-process capsules (tests, embedded use);
-//! * `gdp_sim::SyncClient` — the same operations driven through the full
+//! * `gdp_sim::GdpWorld` — the same operations driven through the full
 //!   client → router → server stack on the simulator.
 
 use gdp_capsule::{

@@ -16,7 +16,7 @@
 //!   (§V-A option (b)).
 //!
 //! All CAAPIs run over any [`CapsuleAccess`] backend: in-process capsules
-//! or the full simulated network stack (`gdp-sim`'s `SyncClient`).
+//! or the full simulated network stack (`gdp-sim`'s `GdpWorld`).
 
 #![forbid(unsafe_code)]
 

@@ -174,9 +174,12 @@ impl<E: Retained> Chain<E> {
     }
 
     /// Hashes of missing ancestors currently blocking pending records —
-    /// the targets an anti-entropy pass should fetch.
+    /// the targets an anti-entropy pass should fetch. Sorted: the list
+    /// goes on the wire as is, and a seeded run must replay byte for byte.
     pub fn missing_ancestors(&self) -> Vec<RecordHash> {
-        self.pending.keys().copied().collect()
+        let mut missing: Vec<RecordHash> = self.pending.keys().copied().collect();
+        missing.sort_unstable();
+        missing
     }
 
     /// Current head records (linked records with no linked successor).
@@ -637,11 +640,8 @@ mod tests {
         for r in order.iter().map(|i| &rs[*i]).chain([&fork, &fork]) {
             assert_eq!(index.ingest(r.clone()).unwrap(), full.ingest(r.clone()).unwrap());
             assert_eq!((index.len(), index.pending_len()), (full.len(), full.pending_len()));
-            let sorted = |mut hashes: Vec<RecordHash>| {
-                hashes.sort();
-                hashes
-            };
-            assert_eq!(sorted(index.missing_ancestors()), sorted(full.missing_ancestors()));
+            assert_eq!(index.missing_ancestors(), full.missing_ancestors());
+            assert!(index.missing_ancestors().is_sorted(), "a wire-visible list in map order");
             assert_eq!(index.resident_body_bytes(), 0);
         }
         assert!(full.resident_body_bytes() > 0);

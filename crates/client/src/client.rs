@@ -108,10 +108,9 @@ pub enum ClientEvent {
         name: Name,
     },
     /// The server shed the request with `Nack{Busy}`. The client armed
-    /// its per-capsule backoff; drivers must not re-issue requests for
-    /// this capsule before `not_before` (see
-    /// [`GdpClient::retry_not_before`]). The pending entry survives — a
-    /// Nack is unauthenticated and must never cancel a request.
+    /// its per-capsule backoff; [`crate::ops`] issues nothing for this
+    /// capsule before `not_before`. The pending entry survives — a Nack
+    /// is unauthenticated and must never cancel a request.
     Backpressure {
         /// The capsule whose request was shed.
         capsule: Name,
@@ -123,8 +122,8 @@ pub enum ClientEvent {
     },
     /// A pending request expired without an authenticated response (the
     /// response was lost, or never sent). The pending entry is dropped;
-    /// callers should re-issue — [`GdpClient::append_record`] re-wraps an
-    /// already-signed record for exactly this case.
+    /// [`crate::ops`] re-issues — an append as the same signed record
+    /// under a fresh request seq.
     Timeout {
         /// The capsule the request addressed.
         capsule: Name,
@@ -269,23 +268,17 @@ impl GdpClient {
         self.pending.len()
     }
 
-    /// Counts a driver-level retry (re-send of an already-issued request)
-    /// in the client's `requests_retried` metric.
-    pub fn mark_retry(&self) {
+    /// Counts a driver-level retry (re-issue of a request that went
+    /// unanswered) in the client's `requests_retried` metric.
+    pub(crate) fn mark_retry(&self) {
         self.obs.requests_retried.inc();
     }
 
-    /// Earliest µs timestamp at which a retry for `capsule` may be issued
-    /// (0 when no Nack backoff is armed). Retry drivers must consult this
-    /// before re-sending — re-issuing straight into an overloaded server
-    /// is the retry storm the Nack exists to prevent.
-    pub fn retry_not_before(&self, capsule: &Name) -> u64 {
+    /// Earliest µs timestamp at which a request for `capsule` may be
+    /// issued (0 when no Nack backoff is armed). Issuing straight into an
+    /// overloaded server is the retry storm the Nack exists to prevent.
+    pub(crate) fn retry_not_before(&self, capsule: &Name) -> u64 {
         self.backoff.get(capsule).copied().unwrap_or(0)
-    }
-
-    /// True once `now` has passed the capsule's Nack backoff.
-    pub fn retry_ready(&self, capsule: &Name, now: u64) -> bool {
-        now >= self.retry_not_before(capsule)
     }
 
     /// Deadline sweep: expires pending requests older than the request
@@ -412,10 +405,14 @@ impl GdpClient {
     }
 
     /// Re-wraps an already-signed record in a fresh append request — the
-    /// re-issue path after a [`ClientEvent::Timeout`] (appends are
-    /// idempotent server-side, so re-sending a signed record is safe).
-    pub fn append_record(&mut self, capsule: Name, record: Record, ack_mode: AckMode) -> Pdu {
-        self.obs.requests_retried.inc();
+    /// re-issue path of an unanswered append (appends are idempotent
+    /// server-side, so re-sending a signed record is safe).
+    pub(crate) fn append_record(
+        &mut self,
+        capsule: Name,
+        record: Record,
+        ack_mode: AckMode,
+    ) -> Pdu {
         self.request(capsule, RequestKind::Append, &DataMsg::Append { record, ack_mode })
     }
 
@@ -802,8 +799,8 @@ mod tests {
 
     /// Regression: a `Nack{Busy}` must arm a jittered backoff instead of
     /// letting the driver retry immediately (the pre-backoff client had no
-    /// retry gate at all, so `retry_ready` right after a Nack was the
-    /// hot-loop bug this pins). The Nack must also never consume the
+    /// retry gate at all: a zero `retry_not_before` right after a Nack was
+    /// the hot-loop bug this pins). The Nack must also never consume the
     /// pending request — it is unauthenticated, exactly like `ErrResp`.
     #[test]
     fn nack_arms_jittered_backoff_without_cancelling_pending() {
@@ -826,11 +823,9 @@ mod tests {
             assert_eq!(capsule, l.capsule);
             // Pending survives: an unauthenticated Nack cancels nothing.
             assert_eq!(l.client.pending_len(), before);
-            // The hot-loop gate: not ready now (handle_pdu ran at now=0),
-            // not ready an instant before the deadline, ready at it.
-            assert!(!l.client.retry_ready(&l.capsule, 0), "immediate retry must be gated");
-            assert!(!l.client.retry_ready(&l.capsule, not_before - 1));
-            assert!(l.client.retry_ready(&l.capsule, not_before));
+            // The hot-loop gate: the event's deadline is the one the
+            // driver consults before issuing.
+            assert_eq!(l.client.retry_not_before(&l.capsule), not_before);
             // Backoff = retry_after + jitter in [0, retry_after/2].
             assert!(
                 (RETRY_AFTER..=RETRY_AFTER + RETRY_AFTER / 2).contains(&not_before),
@@ -943,7 +938,7 @@ mod tests {
     /// not leak pending state forever — the deadline sweep expires it,
     /// surfaces a [`ClientEvent::Timeout`], and counts it. A late response
     /// to the expired seq is then ignored, and re-issuing the same signed
-    /// record through [`GdpClient::append_record`] still acks.
+    /// record through `append_record` still acks.
     #[test]
     fn pending_requests_expire_and_can_be_reissued() {
         let metrics = gdp_obs::Metrics::new();
@@ -997,7 +992,6 @@ mod tests {
             }
         }
         assert!(acked);
-        assert_eq!(metrics.counter_value("client", "requests_retried"), 1);
         assert_eq!(metrics.counter_value("client", "acked_writes"), 1);
         assert_eq!(metrics.counter_value("client", "requests_issued"), 2);
     }

@@ -1,9 +1,9 @@
 //! Real-socket transport over `std::net` TCP.
 //!
-//! Where [`crate::sim`] and [`crate::simnet`] give deterministic virtual
-//! time, `TcpNet` puts GDP nodes on actual sockets so routers,
-//! DataCapsule-servers, and clients can run as separate OS processes
-//! (paper §VIII runs its prototype this way on EC2).
+//! Where [`crate::simnet`] gives deterministic virtual time, `TcpNet`
+//! puts GDP nodes on actual sockets so routers, DataCapsule-servers, and
+//! clients can run as separate OS processes (paper §VIII runs its
+//! prototype this way on EC2).
 //!
 //! Design:
 //!

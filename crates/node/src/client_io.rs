@@ -1,59 +1,45 @@
-//! Blocking client driver over TCP: wraps the sans-I/O [`GdpClient`] with
-//! a [`TcpNet`] endpoint and the retry/pump loops a live cluster needs.
+//! Blocking client over TCP: the live pump of the one client driver.
+//!
+//! Everything a client decides — attach with re-Hello, session re-init,
+//! append/read retries, Nack back-off, re-keying, which verification
+//! failures are retried and which are fatal — is `gdp_client::ops`, the
+//! same code the simulated clusters run. [`ClusterClient`] only supplies
+//! that policy's [`Pump`]: a [`TcpNet`] endpoint and a monotonic clock.
 //!
 //! This is the piece examples, integration tests, and operator tooling
 //! use to talk to a running `gdpd` cluster; latency-sensitive
 //! applications would drive `GdpClient` themselves.
 
 use gdp_capsule::{CapsuleMetadata, PointerStrategy};
-use gdp_client::{ClientEvent, GdpClient, VerifiedRead};
+use gdp_client::ops::{self, Driver, Pump};
+use gdp_client::{GdpClient, VerifiedRead};
 use gdp_crypto::SigningKey;
-use gdp_net::tcp::{TcpNet, TcpNetConfig};
-use gdp_router::{AttachStep, Attacher};
+use gdp_net::tcp::{TcpNet, TcpNetConfig, TcpNetError};
 use gdp_server::{AckMode, ReadTarget};
-use gdp_wire::Name;
+use gdp_wire::{Name, Pdu};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
+pub use gdp_client::ops::ClientError;
+
 use crate::node::FOREVER;
 
-/// Errors from the blocking client driver.
-#[derive(Debug)]
-pub enum ClientError {
-    /// Transport failure.
-    Net(String),
-    /// The attach handshake was rejected.
-    AttachRejected(String),
-    /// No acceptable response arrived before the deadline.
-    Timeout(&'static str),
-    /// The client core rejected the request.
-    Client(&'static str),
-    /// A response failed cryptographic verification.
-    Verification(String),
-}
+/// Longest one [`Pump::wait`] blocks on the socket, so timer work (the
+/// deadline sweep, the re-Hello) runs at least this often.
+const POLL: Duration = Duration::from_millis(50);
 
-impl std::fmt::Display for ClientError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClientError::Net(e) => write!(f, "transport: {e}"),
-            ClientError::AttachRejected(r) => write!(f, "attach rejected: {r}"),
-            ClientError::Timeout(what) => write!(f, "timed out waiting for {what}"),
-            ClientError::Client(e) => write!(f, "client: {e}"),
-            ClientError::Verification(e) => write!(f, "verification failed: {e}"),
-        }
-    }
+fn net_err(e: TcpNetError) -> ClientError {
+    ClientError::Net(e.to_string())
 }
-
-impl std::error::Error for ClientError {}
 
 /// A verifying GDP client attached to a router over real sockets.
 pub struct ClusterClient {
-    client: GdpClient,
+    driver: Driver,
     net: TcpNet,
     router_addr: SocketAddr,
-    /// Per-request response deadline.
+    /// How long each operation keeps retrying before it gives up.
     pub timeout: Duration,
-    /// Monotonic epoch for the pending-request deadline sweep.
+    /// Epoch of the monotonic clock every driver call is stamped with.
     started: Instant,
 }
 
@@ -68,68 +54,33 @@ impl ClusterClient {
     ) -> Result<ClusterClient, ClientError> {
         let cfg =
             TcpNetConfig { poll_interval: Duration::from_millis(5), ..TcpNetConfig::default() };
-        let net = TcpNet::bind_with("127.0.0.1:0".parse().unwrap(), cfg)
-            .map_err(|e| ClientError::Net(e.to_string()))?;
-        let client = GdpClient::from_seed(seed, label);
+        let net = TcpNet::bind_with("127.0.0.1:0".parse().unwrap(), cfg).map_err(net_err)?;
         let mut me = ClusterClient {
-            client,
+            driver: Driver::new(GdpClient::from_seed(seed, label), router_name, FOREVER),
             net,
             router_addr,
             timeout: Duration::from_secs(10),
             started: Instant::now(),
         };
-        me.attach(router_name)?;
+        // The router may not be up yet; the re-Hello cadence covers the
+        // transport redialling underneath.
+        let window = me.window_us();
+        ops::attach(&mut me, window)?;
         Ok(me)
     }
 
-    fn now_us(&self) -> u64 {
-        self.started.elapsed().as_micros() as u64
-    }
-
-    fn attach(&mut self, router_name: Name) -> Result<(), ClientError> {
-        let mut attacher =
-            Attacher::new(self.client.principal_id().clone(), router_name, Vec::new(), FOREVER);
-        let deadline = Instant::now() + self.timeout;
-        let mut last_hello = Instant::now();
-        self.send(attacher.hello())?;
-        loop {
-            if Instant::now() >= deadline {
-                return Err(ClientError::Timeout("attach"));
-            }
-            // The router may not be up yet; keep re-Hello-ing while the
-            // transport redials underneath.
-            if last_hello.elapsed() >= Duration::from_millis(300) {
-                last_hello = Instant::now();
-                self.send(attacher.hello())?;
-            }
-            let Some((_, pdu)) = self
-                .net
-                .recv_timeout(Duration::from_millis(50))
-                .map_err(|e| ClientError::Net(e.to_string()))?
-            else {
-                continue;
-            };
-            match attacher.on_pdu(&pdu) {
-                AttachStep::Send(p) => self.send(p)?,
-                AttachStep::Done(_) => return Ok(()),
-                AttachStep::Failed(r) => return Err(ClientError::AttachRejected(r)),
-                AttachStep::Ignored => {}
-            }
-        }
-    }
-
-    fn send(&self, pdu: gdp_wire::Pdu) -> Result<(), ClientError> {
-        self.net.send(self.router_addr, pdu).map_err(|e| ClientError::Net(e.to_string()))
+    fn window_us(&self) -> u64 {
+        self.timeout.as_micros() as u64
     }
 
     /// Direct access to the protocol core (track capsules, inspect state).
     pub fn core(&mut self) -> &mut GdpClient {
-        &mut self.client
+        &mut self.driver.core
     }
 
     /// Starts verifying reads of `metadata`'s capsule.
     pub fn track(&mut self, metadata: &CapsuleMetadata) -> Result<(), ClientError> {
-        self.client.track_capsule(metadata).map_err(ClientError::Client)
+        self.core().track_capsule(metadata).map_err(ClientError::Client)
     }
 
     /// Registers this client as a writer of the capsule.
@@ -139,133 +90,63 @@ impl ClusterClient {
         key: SigningKey,
         strategy: PointerStrategy,
     ) -> Result<(), ClientError> {
-        self.client.register_writer(metadata, key, strategy).map_err(ClientError::Client)
-    }
-
-    /// Pumps responses until `pred` accepts an event or the deadline hits.
-    fn wait_for<T>(
-        &mut self,
-        what: &'static str,
-        pred: impl FnMut(&ClientEvent) -> Option<T>,
-    ) -> Result<T, ClientError> {
-        self.wait_for_within(what, self.timeout, pred)
-    }
-
-    fn wait_for_within<T>(
-        &mut self,
-        what: &'static str,
-        window: Duration,
-        mut pred: impl FnMut(&ClientEvent) -> Option<T>,
-    ) -> Result<T, ClientError> {
-        let deadline = Instant::now() + window;
-        while Instant::now() < deadline {
-            // Deadline sweep: expire pending requests whose responses were
-            // lost in transit, so they can't leak or absorb late acks.
-            let now_us = self.now_us();
-            for ev in self.client.sweep_timeouts(now_us) {
-                if let Some(v) = pred(&ev) {
-                    return Ok(v);
-                }
-            }
-            let Some((_, pdu)) = self
-                .net
-                .recv_timeout(Duration::from_millis(50))
-                .map_err(|e| ClientError::Net(e.to_string()))?
-            else {
-                continue;
-            };
-            for ev in self.client.handle_pdu(0, pdu) {
-                if let ClientEvent::VerificationFailed { reason, .. } = &ev {
-                    return Err(ClientError::Verification(reason.to_string()));
-                }
-                if let Some(v) = pred(&ev) {
-                    return Ok(v);
-                }
-            }
-        }
-        Err(ClientError::Timeout(what))
+        self.core().register_writer(metadata, key, strategy).map_err(ClientError::Client)
     }
 
     /// Establishes an encrypted session flow with a serving replica.
     pub fn session(&mut self, capsule: Name) -> Result<(), ClientError> {
-        let pdu = self.client.session_init(capsule);
-        self.send(pdu)?;
-        self.wait_for("session", |ev| matches!(ev, ClientEvent::SessionReady { .. }).then_some(()))
+        let window = self.window_us();
+        ops::session(self, capsule, window)
     }
 
     /// Appends a signed record and blocks until the durability mode is
-    /// acknowledged. Retries the same signed record while the capsule is
-    /// unroutable (e.g. the serving replica has not attached yet) —
-    /// appends are idempotent server-side.
+    /// acknowledged, re-sending the same signed record while it is not.
     pub fn append(&mut self, capsule: Name, body: &[u8], ack: AckMode) -> Result<u64, ClientError> {
-        let timestamp = 0; // wall-clock timestamps are not part of the proof
-        let (mut pdu, record) =
-            self.client.append(capsule, body, timestamp, ack).map_err(ClientError::Client)?;
-        let want = record.header.seq;
-        let deadline = Instant::now() + self.timeout;
-        // Per-attempt window: short enough that a request lost to a
-        // mid-failover route is retried well before the outer deadline.
-        let slice = (self.timeout / 8).max(Duration::from_millis(250));
-        loop {
-            self.send(pdu.clone())?;
-            let request_seq = pdu.seq;
-            let acked = self.wait_for_within("append ack", slice, |ev| match ev {
-                ClientEvent::AppendAcked { seq, .. } if *seq == want => Some(true),
-                ClientEvent::Unreachable { .. } => Some(false),
-                ClientEvent::Timeout { request_seq: t, .. } if *t == request_seq => Some(false),
-                _ => None,
-            });
-            match acked {
-                Ok(true) => return Ok(want),
-                Ok(false) | Err(ClientError::Timeout(_)) => {
-                    if Instant::now() >= deadline {
-                        return Err(ClientError::Timeout("append ack"));
-                    }
-                    std::thread::sleep(Duration::from_millis(50));
-                    // Re-issue the signed record under a fresh request seq:
-                    // the old pending entry may have been swept, and a
-                    // response to it would otherwise be ignored forever.
-                    pdu = self.client.append_record(capsule, record.clone(), ack);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let window = self.window_us();
+        ops::append(self, capsule, body, ack, window)
     }
 
-    /// Issues a verified read, retrying while the capsule is unroutable
-    /// or a replica is mid-failover.
+    /// Issues a verified read, retrying while the capsule is unroutable,
+    /// a replica is mid-failover, or an answer is honestly stale.
     pub fn read(&mut self, capsule: Name, target: ReadTarget) -> Result<VerifiedRead, ClientError> {
-        let deadline = Instant::now() + self.timeout;
-        let slice = (self.timeout / 8).max(Duration::from_millis(250));
-        let mut attempts = 0u32;
-        loop {
-            let pdu = self.client.read(capsule, target);
-            attempts += 1;
-            if attempts > 1 {
-                self.client.mark_retry();
-            }
-            self.send(pdu)?;
-            let got = self.wait_for_within("read result", slice, |ev| match ev {
-                ClientEvent::ReadOk { result, .. } => Some(Ok(result.clone())),
-                ClientEvent::Unreachable { .. } => Some(Err("unreachable")),
-                ClientEvent::ServerError { .. } => Some(Err("server error")),
-                _ => None,
-            });
-            match got {
-                Ok(Ok(result)) => return Ok(result),
-                Ok(Err(_)) | Err(ClientError::Timeout(_)) => {
-                    if Instant::now() >= deadline {
-                        return Err(ClientError::Timeout("read"));
-                    }
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let window = self.window_us();
+        ops::read(self, capsule, target, window)
     }
 
     /// Shuts the client's socket down.
     pub fn close(self) {
         self.net.shutdown();
+    }
+}
+
+impl Pump for ClusterClient {
+    fn driver(&mut self) -> &mut Driver {
+        &mut self.driver
+    }
+
+    fn now(&self) -> u64 {
+        self.started.elapsed().as_micros() as u64
+    }
+
+    fn send(&mut self, pdu: Pdu) -> Result<(), ClientError> {
+        self.net.send(self.router_addr, pdu).map_err(net_err)
+    }
+
+    fn wait(&mut self, until: u64) -> Result<bool, ClientError> {
+        let now = self.now();
+        if now >= until {
+            return Ok(false);
+        }
+        if let Some(hello) = self.driver.tick(now) {
+            self.send(hello)?;
+        }
+        let nap = POLL.min(Duration::from_micros(until - now));
+        if let Some((_, pdu)) = self.net.recv_timeout(nap).map_err(net_err)? {
+            let now = self.now();
+            if let Some(reply) = self.driver.on_pdu(now, pdu) {
+                self.send(reply)?;
+            }
+        }
+        Ok(true)
     }
 }

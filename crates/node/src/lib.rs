@@ -2,7 +2,9 @@
 //!
 //! The deployable GDP node: glue between the sans-I/O protocol cores
 //! (gdp-router, gdp-server) and the real-socket TCP transport, plus the
-//! `gdpd` daemon binary and a blocking client driver.
+//! `gdpd` daemon binary and [`ClusterClient`], the blocking TCP pump of
+//! the client driver in `gdp_client::ops` (the retry and recovery policy
+//! itself lives there, shared with the simulator).
 //!
 //! A node is configured with a small text file ([`NodeConfig`]) selecting
 //! a role — `router`, `storage`, or `both` — a listen address, a

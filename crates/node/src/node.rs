@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 pub use crate::runtime::FOREVER;
 
 /// How often periodic maintenance (purge, server tick, re-attach) runs.
-const TICK_INTERVAL: Duration = Duration::from_millis(200);
+const TICK_INTERVAL: Duration = Duration::from_micros(crate::runtime::TICK_US);
 
 /// Most PDUs staged through the priority queue per loop iteration; caps
 /// how long a drain can defer the maintenance tick under a flood.

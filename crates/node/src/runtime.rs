@@ -41,6 +41,11 @@ pub const LOCAL_NID: usize = usize::MAX;
 /// network attach.
 pub const ATTACH_RETRY_US: u64 = 500_000;
 
+/// Cadence (µs) at which whoever drives a [`NodeRuntime`] calls
+/// [`NodeRuntime::tick`]: the daemon's event loop on the wall clock, the
+/// simulator and the overload figure on virtual time.
+pub const TICK_US: u64 = 200_000;
+
 /// PDUs to transmit, in order: `(peer, pdu)`.
 pub type NodeOutbox<P> = Vec<(P, Pdu)>;
 

@@ -10,8 +10,9 @@
 //! presets cover what the repo runs on it:
 //!
 //! * [`SimCluster::new`] — the chaos suite's cluster: one router, two
-//!   durable replicas of one capsule, one retrying writer/reader client,
-//!   on a fabric-wide fault model (drops, jitter, duplication), with
+//!   durable replicas of one capsule, one writer/reader client driven by
+//!   `gdp_client::ops` (the retry and recovery policy the TCP client
+//!   runs), on a fabric-wide fault model (drops, jitter, duplication), with
 //!   partitions and crash/restart injected through the fabric and through
 //!   scheduled peer-down notifications that mirror what the TCP
 //!   connection pool would report;
@@ -27,6 +28,7 @@
 use gdp_caapi::{CaapiError, CapsuleAccess};
 use gdp_capsule::{CapsuleIndex, CapsuleMetadata, MetadataBuilder, PointerStrategy, Record};
 use gdp_cert::{AdCert, PrincipalId, PrincipalKind, Scope, ServingChain};
+use gdp_client::ops::{self, ClientError, Driver, Pump};
 use gdp_client::{ClientEvent, GdpClient, VerifiedRead};
 use gdp_crypto::SigningKey;
 use gdp_net::simnet::{FaultSpec, LinkSpec, SimAddr, SimEndpoint, SimNet};
@@ -35,14 +37,10 @@ use gdp_obs::Metrics;
 use gdp_router::{AttachStep, Attacher, Router};
 use gdp_server::{AckMode, DataCapsuleServer, DataMsg, ErrorCode, ReadTarget};
 use gdp_wire::{Name, Pdu, PduType, Wire};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 
-pub use gdp_node::runtime::FOREVER;
-
-/// Virtual maintenance-tick cadence (µs) — matches the TCP daemon's
-/// 200 ms `TICK_INTERVAL`.
-pub const TICK_US: u64 = 200_000;
+pub use gdp_node::runtime::{FOREVER, TICK_US};
 
 /// How long (µs) after a crash/partition the transport "notices" and
 /// reports the peer down — mirrors the TCP pool's dial-retry window.
@@ -56,19 +54,6 @@ pub const SERVER_CPU_US: u64 = 200;
 /// Longest a [`GdpWorld`] operation waits for its answer (10 virtual
 /// minutes — a 115 MB upload at 10 Mbps takes 92 s).
 const OP_TIMEOUT_US: u64 = 600_000_000;
-
-/// Verification-failure reasons that indicate an *honest* degradation
-/// correctly detected (and rejected) by the client, not a protocol
-/// violation: stale or partial replica state during convergence, and
-/// responses MAC'd under a half-established session whose `SessionAccept`
-/// the fabric lost (the client re-keys and retries). Anything outside
-/// this list is a hard failure for the chaos invariants.
-pub const HONEST_FAILURES: [&str; 4] = [
-    "stale replica state",
-    "range not contiguous",
-    "range does not chain",
-    "MAC response without session",
-];
 
 /// Modelled service time of a simulated host: every PDU it handles
 /// occupies its single core for `per_pdu_us + per_byte_ns × payload`
@@ -97,19 +82,13 @@ struct Node {
     busy_until: u64,
 }
 
-/// A simulated host running a verifying client.
+/// A simulated host running a verifying client: the `gdp_client::ops`
+/// driver, fed at delivery time and on the cluster tick.
 struct Client {
     endpoint: SimEndpoint,
-    core: GdpClient,
+    driver: Driver,
     metrics: Metrics,
     router: SimAddr,
-    router_name: Name,
-    attach: Option<Attacher>,
-    attached: bool,
-    last_hello: u64,
-    events: VecDeque<ClientEvent>,
-    /// Every VerificationFailed reason the client ever reported.
-    verification_failures: Vec<&'static str>,
 }
 
 /// What the cluster drives at one fabric address. Endpoints allocated
@@ -138,19 +117,26 @@ pub struct SimCluster {
     hosts: BTreeMap<SimAddr, Host>,
     /// Storage nodes, in creation order.
     storage: Vec<SimAddr>,
-    /// The client the retrying driver below speaks through.
+    /// The primary client: the one `client_append` and friends drive.
     client: SimAddr,
     seed: u64,
     /// The capsule [`SimCluster::new`] hosts on every replica and the
-    /// retrying driver writes (`Name::ZERO` in a hand-assembled cluster).
+    /// primary client writes (`Name::ZERO` in a hand-assembled cluster).
     capsule: Name,
     next_tick: u64,
     /// Scheduled `(fire_at, node, dead_peer)` peer-down reports.
     pending_downs: Vec<(u64, SimAddr, SimAddr)>,
-    /// Writer-chain ground truth: every record ever signed, by seq.
-    records: Vec<Record>,
+    /// Writer-chain ground truth: the hash of every record ever signed,
+    /// by seq.
+    written: Vec<gdp_capsule::RecordHash>,
     /// Acked appends: seq → record hash (the durability contract).
     acked: BTreeMap<u64, gdp_capsule::RecordHash>,
+    /// `GDP_SIM_DEBUG` / `GDP_SIM_DEBUG2` were set when the world was
+    /// made: narrate every client event / every delivered PDU on stderr
+    /// (replay aids — they never affect the run; the second is how the
+    /// seed-160 attach storm was localized).
+    narrate_events: bool,
+    narrate_pdus: bool,
 }
 
 impl SimCluster {
@@ -167,8 +153,10 @@ impl SimCluster {
             capsule: Name::ZERO,
             next_tick: TICK_US,
             pending_downs: Vec::new(),
-            records: Vec::new(),
+            written: Vec::new(),
             acked: BTreeMap::new(),
+            narrate_events: std::env::var_os("GDP_SIM_DEBUG").is_some(),
+            narrate_pdus: std::env::var_os("GDP_SIM_DEBUG2").is_some(),
         }
     }
 
@@ -277,18 +265,8 @@ impl SimCluster {
         let mut core = GdpClient::from_seed_with_obs(seed, label, &metrics.scope("client"));
         let ordinal = self.hosts.values().filter(|h| matches!(h, Host::Client(_))).count() as u64;
         core.set_rng_seed(self.seed ^ (0x434c_4945 + ordinal));
-        let client = Client {
-            endpoint,
-            core,
-            metrics,
-            router,
-            router_name: self.node(router).name,
-            attach: None,
-            attached: false,
-            last_hello: 0,
-            events: VecDeque::new(),
-            verification_failures: Vec::new(),
-        };
+        let driver = Driver::new(core, self.node(router).name, FOREVER);
+        let client = Client { endpoint, driver, metrics, router };
         self.hosts.insert(addr, Host::Client(client));
         addr
     }
@@ -383,13 +361,13 @@ impl SimCluster {
 
     /// The client core at `addr`.
     pub fn client_at(&mut self, addr: SimAddr) -> &mut GdpClient {
-        &mut self.client_host(addr).core
+        &mut self.client_host(addr).driver.core
     }
 
     /// Ground-truth hash of the writer's record at `seq` (1-based), if
     /// the writer ever signed one.
     pub fn written_hash(&self, seq: u64) -> Option<gdp_capsule::RecordHash> {
-        self.records.get(seq as usize - 1).map(|r| r.hash())
+        self.written.get(seq as usize - 1).copied()
     }
 
     /// Every append the client saw acked: seq → record hash.
@@ -400,8 +378,7 @@ impl SimCluster {
     /// Verification failures outside the honest-degradation whitelist.
     pub fn hard_verification_failures(&self) -> Vec<&'static str> {
         let Some(Host::Client(client)) = self.hosts.get(&self.client) else { return Vec::new() };
-        let all = client.verification_failures.iter().copied();
-        all.filter(|r| !HONEST_FAILURES.contains(r)).collect()
+        client.driver.hard_failures()
     }
 
     /// The live storage replicas' views of the chaos capsule, labelled.
@@ -449,11 +426,7 @@ impl SimCluster {
                 let Ok(Some((from, pdu))) = msg else { break };
                 progressed = true;
                 let now = self.net.now();
-                // Replay aid: GDP_SIM_DEBUG2=1 narrates every delivered
-                // message (address, sender, type, seq) — one level below
-                // GDP_SIM_DEBUG's client-event narration. This is how the
-                // seed-160 attach storm was localized.
-                if std::env::var("GDP_SIM_DEBUG2").is_ok() {
+                if self.narrate_pdus {
                     eprintln!(
                         "[sim-drain] idx={addr} from={from} type={:?} seq={} len={}",
                         pdu.pdu_type,
@@ -473,7 +446,9 @@ impl SimCluster {
                         let out = rt.on_pdu(now, from, pdu);
                         Self::transmit(node, out, done - now);
                     }
-                    Host::Client(client) => client.on_pdu(now, pdu),
+                    Host::Client(client) => {
+                        client.feed(now, self.narrate_events, |d| d.on_pdu(now, pdu));
+                    }
                 }
             }
         }
@@ -502,7 +477,7 @@ impl SimCluster {
                         Self::transmit(node, out, 0);
                     }
                 }
-                Host::Client(client) => client.tick(now),
+                Host::Client(client) => client.feed(now, self.narrate_events, |d| d.tick(now)),
             }
         }
     }
@@ -569,40 +544,17 @@ impl SimCluster {
         self.run_until_quiet();
     }
 
-    /// Pumps the world until the predicate accepts an event of the client
-    /// at `addr` or the virtual deadline passes.
-    fn pump_until(
-        &mut self,
-        addr: SimAddr,
-        deadline: u64,
-        mut pred: impl FnMut(&ClientEvent) -> bool,
-    ) -> bool {
-        loop {
-            while let Some(ev) = self.client_host(addr).events.pop_front() {
-                if pred(&ev) {
-                    return true;
-                }
-            }
-            if !self.step(deadline) {
-                return false;
-            }
-        }
-    }
-
     // ---- client driving ------------------------------------------------
+
+    /// The `gdp_client::ops` pump for the client at `addr`.
+    fn pump(&mut self, addr: SimAddr) -> SimPump<'_> {
+        SimPump { cluster: self, addr }
+    }
 
     /// Attaches the client at `addr` to its router (secure-advertisement
     /// handshake), pumping up to `window_us` of virtual time.
     pub fn attach(&mut self, addr: SimAddr, window_us: u64) -> bool {
-        let now = self.net.now();
-        self.client_host(addr).start_attach(now);
-        let deadline = now + window_us;
-        while !self.client_host(addr).attached {
-            if !self.step(deadline) {
-                return false;
-            }
-        }
-        true
+        ops::attach(&mut self.pump(addr), window_us).is_ok()
     }
 
     /// Runs `attacher`'s handshake for the bare endpoint `ep` against the
@@ -637,7 +589,7 @@ impl SimCluster {
 
     /// Takes every event the client at `addr` has produced so far.
     pub fn take_events(&mut self, addr: SimAddr) -> Vec<ClientEvent> {
-        self.client_host(addr).events.drain(..).collect()
+        self.client_host(addr).driver.events.drain(..).collect()
     }
 
     /// One request, one answer: sends `pdu` from the client at `addr` and
@@ -646,11 +598,11 @@ impl SimCluster {
     /// client core's own `Timeout` event.
     pub fn request(&mut self, addr: SimAddr, pdu: Pdu, deadline: u64) -> Vec<ClientEvent> {
         self.send_from(addr, pdu);
-        while self.client_host(addr).events.is_empty() && self.step(deadline) {}
+        while self.client_host(addr).driver.events.is_empty() && self.step(deadline) {}
         self.take_events(addr)
     }
 
-    // ---- retrying driver (primary client, chaos capsule) ---------------
+    // ---- driven operations (primary client, chaos capsule) -------------
 
     /// [`SimCluster::attach`] for the primary client.
     pub fn attach_client(&mut self, window_us: u64) -> bool {
@@ -658,97 +610,25 @@ impl SimCluster {
     }
 
     /// Establishes an encrypted session flow with a serving replica,
-    /// retrying the handshake (a fresh `SessionInit` per attempt) until
-    /// the window closes. Retrying matters: a lost `SessionAccept` leaves
-    /// the handshake half-established — the server holds a flow key the
-    /// client never learned, so it MACs every response with a key the
-    /// client cannot verify (found by seed 12 of the chaos sweep).
+    /// re-initiating the handshake until the window closes.
     pub fn client_session(&mut self, window_us: u64) -> bool {
         let capsule = self.capsule;
-        let deadline = self.net.now() + window_us;
-        loop {
-            let pdu = self.client_mut().session_init(capsule);
-            self.send_from(self.client, pdu);
-            let slice = (self.net.now() + 2_000_000).min(deadline);
-            let ready = |ev: &ClientEvent| matches!(ev, ClientEvent::SessionReady { .. });
-            if self.pump_until(self.client, slice, ready) {
-                return true;
-            }
-            if self.net.now() >= deadline {
-                return false;
-            }
-        }
-    }
-
-    fn failures_seen(&mut self) -> usize {
-        self.client_host(self.client).verification_failures.len()
-    }
-
-    /// If any verification failure since `seen` was a MAC the client had
-    /// no session key for, re-key: send a fresh `SessionInit`, replacing
-    /// the server's stale flow. This is the recovery a real client driver
-    /// performs when a half-established session poisons responses.
-    fn rekey_if_poisoned(&mut self, seen: usize) {
-        let capsule = self.capsule;
-        let client = self.client_host(self.client);
-        if client.verification_failures[seen..].contains(&"MAC response without session") {
-            let pdu = client.core.session_init(capsule);
-            self.send_from(self.client, pdu);
-        }
-    }
-
-    /// Honors an armed Nack backoff before (re-)issuing: retrying
-    /// straight into an overloaded server is the storm the typed Nack
-    /// exists to prevent (events queued while waiting are still examined
-    /// by the next pump).
-    fn wait_out_backoff(&mut self, deadline: u64) {
-        let capsule = self.capsule;
-        let not_before = self.client_mut().retry_not_before(&capsule);
-        if self.net.now() < not_before {
-            self.run_until(not_before.min(deadline));
-        }
+        ops::session(&mut self.pump(self.client), capsule, window_us).is_ok()
     }
 
     /// Appends a signed record and pumps until the durability mode is
-    /// acknowledged, retrying the same signed record (appends are
-    /// idempotent server-side) for up to `window_us` of virtual time.
-    /// Returns the seq on ack; the record stays in the writer chain — and
-    /// out of [`SimCluster::acked`] — when the window closes unacked.
+    /// acknowledged, for up to `window_us` of virtual time. Returns the
+    /// seq on ack; the record stays in the writer chain — and out of
+    /// [`SimCluster::acked`] — when the window closes unacked.
     pub fn client_append(&mut self, body: &[u8], ack: AckMode, window_us: u64) -> Option<u64> {
         let capsule = self.capsule;
-        let (mut pdu, record) =
-            self.client_mut().append(capsule, body, 0, ack).expect("writer registered");
-        let want = record.header.seq;
-        let hash = record.hash();
-        self.records.push(record.clone());
-        let deadline = self.net.now() + window_us;
-        loop {
-            self.wait_out_backoff(deadline);
-            self.send_from(self.client, pdu);
-            // Per-attempt slice: short enough that a request lost to a
-            // mid-failover route retries well before the outer deadline.
-            let slice = (self.net.now() + 2_000_000).min(deadline);
-            let seen = self.failures_seen();
-            let acked = self.pump_until(
-                self.client,
-                slice,
-                |ev| matches!(ev, ClientEvent::AppendAcked { seq, .. } if *seq == want),
-            );
-            if acked {
-                self.acked.insert(want, hash);
-                return Some(want);
-            }
-            if self.net.now() >= deadline {
-                return None;
-            }
-            self.rekey_if_poisoned(seen);
-            // Retry under a fresh request seq: the deadline sweep may have
-            // expired the previous attempt's pending entry, and responses
-            // to a swept seq are ignored. Appends stay idempotent
-            // server-side (same signed record).
-            self.client_mut().mark_retry();
-            pdu = self.client_mut().append_record(capsule, record.clone(), ack);
-        }
+        let acked = ops::append(&mut self.pump(self.client), capsule, body, ack, window_us);
+        // Acked or not, the writer signed exactly one record: its head.
+        let hash = self.client_mut().writer_mut(&capsule).expect("writer registered").head();
+        self.written.push(hash);
+        let seq = acked.ok()?;
+        self.acked.insert(seq, hash);
+        Some(seq)
     }
 
     /// Issues a verified read, retrying for up to `window_us` of virtual
@@ -756,37 +636,7 @@ impl SimCluster {
     /// returned; honest-degradation rejections are retried.
     pub fn client_read(&mut self, target: ReadTarget, window_us: u64) -> Option<VerifiedRead> {
         let capsule = self.capsule;
-        let deadline = self.net.now() + window_us;
-        loop {
-            self.wait_out_backoff(deadline);
-            let pdu = self.client_mut().read(capsule, target);
-            self.send_from(self.client, pdu);
-            let slice = (self.net.now() + 2_000_000).min(deadline);
-            let seen = self.failures_seen();
-            let mut got = None;
-            let ok = self.pump_until(self.client, slice, |ev| match ev {
-                ClientEvent::ReadOk { result, .. } => {
-                    got = Some(result.clone());
-                    true
-                }
-                // Errors and unreachables end the slice early → retry.
-                ClientEvent::Unreachable { .. } | ClientEvent::ServerError { .. } => true,
-                _ => false,
-            });
-            if ok {
-                if let Some(r) = got {
-                    return Some(r);
-                }
-            }
-            if self.net.now() >= deadline {
-                return None;
-            }
-            self.rekey_if_poisoned(seen);
-            self.client_mut().mark_retry();
-            // Mirrors the live driver's 50ms pause between retries, so an
-            // unroutable capsule doesn't hot-loop request/Error cycles.
-            self.run_for(50_000);
-        }
+        ops::read(&mut self.pump(self.client), capsule, target, window_us).ok()
     }
 
     // ---- overload & hostile peers --------------------------------------
@@ -929,73 +779,47 @@ impl SimCluster {
 }
 
 impl Client {
-    fn attacher(&self) -> Attacher {
-        Attacher::new(self.core.principal_id().clone(), self.router_name, Vec::new(), FOREVER)
-    }
-
-    fn start_attach(&mut self, now: u64) {
-        let attacher = self.attacher();
-        let _ = self.endpoint.send(self.router, attacher.hello());
-        self.attach = Some(attacher);
-        self.last_hello = now;
-    }
-
-    fn on_pdu(&mut self, now: u64, pdu: Pdu) {
-        // The attach handshake claims matching PDUs first, like the node.
-        if !self.attached {
-            if let Some(attacher) = self.attach.as_mut() {
-                match attacher.on_pdu(&pdu) {
-                    AttachStep::Send(reply) => {
-                        let _ = self.endpoint.send(self.router, reply);
-                        return;
-                    }
-                    AttachStep::Done(_) => {
-                        self.attached = true;
-                        return;
-                    }
-                    AttachStep::Failed(_) => {
-                        // Re-arm but let the 300ms tick retry send the next
-                        // Hello: immediate re-Hello on rejection feeds an
-                        // attach storm (see chaos seed 160).
-                        self.attach = Some(self.attacher());
-                        self.last_hello = now;
-                        return;
-                    }
-                    AttachStep::Ignored => {}
-                }
+    /// Feeds the driver (a delivered PDU, or the cluster tick), sends what
+    /// it returns, and narrates the events it queued when asked to.
+    fn feed(&mut self, now: u64, narrate: bool, f: impl FnOnce(&mut Driver) -> Option<Pdu>) {
+        let seen = self.driver.events.len();
+        if let Some(pdu) = f(&mut self.driver) {
+            let _ = self.endpoint.send(self.router, pdu);
+        }
+        if narrate {
+            for ev in self.driver.events.iter().skip(seen) {
+                eprintln!("[sim-client] now={now} {ev:?}");
             }
         }
-        for ev in self.core.handle_pdu(now, pdu) {
-            if let ClientEvent::VerificationFailed { reason, .. } = &ev {
-                self.verification_failures.push(reason);
-            }
-            self.push_event(now, ev);
-        }
+    }
+}
+
+/// One client's view of the world as `gdp_client::ops` sees it: the
+/// fabric's virtual clock, the client's endpoint, and [`SimCluster::step`]
+/// as the quantum — so PDUs reach the driver when the fabric delivers
+/// them and its timer work runs on the cluster tick, inside an operation
+/// or between two.
+struct SimPump<'a> {
+    cluster: &'a mut SimCluster,
+    addr: SimAddr,
+}
+
+impl Pump for SimPump<'_> {
+    fn driver(&mut self) -> &mut Driver {
+        &mut self.cluster.client_host(self.addr).driver
     }
 
-    fn push_event(&mut self, now: u64, ev: ClientEvent) {
-        // Replay aid: GDP_SIM_DEBUG=1 narrates every client event with
-        // its virtual timestamp (stderr only — never affects the run).
-        if std::env::var("GDP_SIM_DEBUG").is_ok() {
-            eprintln!("[sim-client] now={now} {ev:?}");
-        }
-        self.events.push_back(ev);
+    fn now(&self) -> u64 {
+        self.cluster.net.now()
     }
 
-    fn tick(&mut self, now: u64) {
-        // Deadline sweep: expire pending requests whose responses were
-        // lost, exactly like the live driver's wait loop does.
-        for ev in self.core.sweep_timeouts(now) {
-            self.push_event(now, ev);
-        }
-        // Attach retry (mirrors ClusterClient's 300ms re-Hello, rounded
-        // to the tick cadence).
-        if !self.attached && now.saturating_sub(self.last_hello) >= 300_000 {
-            if let Some(attacher) = self.attach.as_ref() {
-                self.last_hello = now;
-                let _ = self.endpoint.send(self.router, attacher.hello());
-            }
-        }
+    fn send(&mut self, pdu: Pdu) -> Result<(), ClientError> {
+        self.cluster.send_from(self.addr, pdu);
+        Ok(())
+    }
+
+    fn wait(&mut self, until: u64) -> Result<bool, ClientError> {
+        Ok(self.cluster.step(until))
     }
 }
 
@@ -1256,13 +1080,16 @@ impl CapsuleAccess for GdpWorld {
         let last_seq = want.iter().copied().max().unwrap_or(0);
         let deadline = self.now() + OP_TIMEOUT_US;
         let mut failure = None;
-        self.cluster.pump_until(self.client_node, deadline, |ev| {
+        let waited = ops::wait_for(&mut self.cluster.pump(self.client_node), deadline, |ev| {
             match ev {
                 ClientEvent::AppendAcked { seq, .. } => drop(want.remove(seq)),
                 other => failure = Some(format!("{other:?}")),
             }
-            want.is_empty() || failure.is_some()
+            (want.is_empty() || failure.is_some()).then_some(())
         });
+        if let Err(hard) = waited {
+            failure = Some(hard.to_string());
+        }
         match failure {
             None if want.is_empty() => Ok(last_seq),
             failure => {

@@ -4,7 +4,7 @@
 #
 # Step order is deliberate and fail-fast, cheapest gate first:
 #   fmt -> lint-table check -> layering check -> clippy -> gdp-lint
-#   -> build --release -> test -> fuzz corpus -> chaos sweep
+#   -> doc links -> build --release -> test -> fuzz corpus -> chaos sweep
 #   -> metric smoke -> overload smoke -> bench JSON -> perf smoke -> summary
 # clippy is not a style pass here: it carries five workspace invariants
 # as lints declared in the files they guard (DESIGN.md, "Static analysis")
@@ -19,7 +19,7 @@
 # before minutes of compilation, not after.
 #
 # Usage: scripts/verify.sh [--quick|--tsan]
-#   --quick   skip fmt/clippy/gdp-lint (compile + test only)
+#   --quick   skip fmt/clippy/gdp-lint/doc links (compile + test only)
 #   --tsan    ThreadSanitizer pass only: build crates/node/tests/tsan_smoke.rs
 #             with -Zsanitizer=thread on nightly and run it. Without a nightly
 #             toolchain the lane cannot run: the summary says so (`NOT RUN:
@@ -91,7 +91,7 @@ else
 fi
 
 if [ "$quick" -eq 1 ]; then
-    not_run+=("fmt, clippy, gdp-lint (--quick)")
+    not_run+=("fmt, clippy, gdp-lint, doc links (--quick)")
 else
     step "cargo fmt --check"
     cargo fmt --all -- --check
@@ -124,6 +124,22 @@ else
         printf '!!! a name of the deleted callback simulator is back (see above)\n'
         exit 1
     fi
+    # The client driver is one I/O-free policy (DESIGN.md, "Client
+    # driver"): no clock, thread or socket in it, and its constants and
+    # the honest-failure list are defined once in the tree — a second
+    # definition is a second driver starting to grow.
+    if grep -n 'std::time::Instant\|std::thread\|std::net' crates/client/src/ops.rs; then
+        printf '!!! crates/client/src/ops.rs reaches for a clock, a thread or a socket (see above)\n'
+        exit 1
+    fi
+    for item in HONEST_FAILURES ATTEMPT_SLICE_US RETRY_PAUSE_US REHELLO_US; do
+        defs="$(grep -rn --include='*.rs' "const $item\b" crates | wc -l)"
+        [ "$defs" -eq 1 ] || {
+            printf '!!! %s is defined %s times under crates/ (want exactly 1, in gdp-client ops.rs)\n' \
+                "$item" "$defs"
+            exit 1
+        }
+    done
     printf 'OK\n'
 
     step "cargo clippy (deny warnings; invariants: hot-path panic, swallowed wire variant, discarded durability result, single-writer counter, unsafe)"
@@ -171,6 +187,12 @@ else
         exit 1
     fi
     printf 'lint_runtime_seconds %s (budget 5)\n' "$lint_secs"
+
+    # Intra-doc links are checked references: a link to an item that was
+    # deleted or renamed fails here instead of rotting in the rendered docs.
+    step "cargo doc (deny broken intra-doc links)"
+    RUSTDOCFLAGS='-D rustdoc::broken_intra_doc_links' \
+        cargo doc --workspace --no-deps --offline -q
 fi
 
 step "cargo build --release"
