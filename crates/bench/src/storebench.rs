@@ -511,7 +511,9 @@ pub fn served_comparison(dir: &Path) -> ServedPoint {
     for from in &spans {
         let target = ReadTarget::Range(*from, from + SERVED_SCAN_LEN - 1);
         match ask(&mut server, &DataMsg::Read { target }) {
-            DataMsg::ReadResp { result: ReadResult::Records(rs), .. } => served_records += rs.len(),
+            DataMsg::ReadResp { result: ReadResult::RangeProofResult(p), .. } => {
+                served_records += p.older.len() + 1
+            }
             other => panic!("served scan answered {other:?}"),
         }
     }

@@ -18,7 +18,6 @@ use crate::error::CapsuleError;
 use crate::record::{Heartbeat, Record, RecordHash, RecordHeader};
 use gdp_crypto::VerifyingKey;
 use gdp_wire::{Bytes, DecodeError, Decoder, Encoder, Name, Wire};
-use std::collections::{HashMap, VecDeque};
 
 /// Proof that the record at `target_seq` is part of the history attested by
 /// `heartbeat`.
@@ -35,8 +34,8 @@ pub struct MembershipProof {
 }
 
 impl MembershipProof {
-    /// Builds the shortest proof from the head attested by `heartbeat` down
-    /// to `target_seq` (see [`MembershipProof::path`]), with the body the
+    /// Builds the proof from the head attested by `heartbeat` down to
+    /// `target_seq` (see [`MembershipProof::path`]), with the body the
     /// capsule retains for the target.
     pub fn build(
         capsule: &DataCapsule,
@@ -48,55 +47,38 @@ impl MembershipProof {
         Ok(MembershipProof { heartbeat: heartbeat.clone(), path, body })
     }
 
-    /// The header path of the shortest proof from the head attested by
-    /// `heartbeat` down to `target_seq`, and the target's hash: BFS over
-    /// all available hash-pointers (so skip-list and checkpoint pointers
-    /// shorten proofs automatically). It reads headers only; a chain that
-    /// keeps no bodies completes the proof with the target's body fetched
-    /// by that hash.
+    /// The header path from the head attested by `heartbeat` down to
+    /// `target_seq`, and the target's hash: the descent the pointer
+    /// strategies are built for — from each header, the pointer with the
+    /// smallest seq not below the target (the farthest jump that does not
+    /// overshoot) — so skip-list and checkpoint pointers shorten proofs
+    /// automatically. It reads headers only and allocates nothing but the
+    /// path; a chain that keeps no bodies completes the proof with the
+    /// target's body fetched by that hash.
     pub fn path<E: Retained>(
         capsule: &Chain<E>,
         heartbeat: &Heartbeat,
         target_seq: u64,
     ) -> Result<(RecordHash, Vec<RecordHeader>), CapsuleError> {
-        let head_hash = heartbeat.head;
-        let head = capsule.get(&head_hash).ok_or(CapsuleError::MissingRecord(head_hash))?;
-        if target_seq > head.header().seq || target_seq == 0 {
+        let mut at = heartbeat.head;
+        let mut header = capsule.get(&at).ok_or(CapsuleError::MissingRecord(at))?.header();
+        if target_seq > header.seq || target_seq == 0 {
             return Err(CapsuleError::MissingSeq(target_seq));
         }
-        // BFS from head following pointers with seq >= target.
-        let mut parent: HashMap<RecordHash, RecordHash> = HashMap::new();
-        let mut queue = VecDeque::new();
-        queue.push_back(head_hash);
-        let mut found: Option<RecordHash> = None;
-        while let Some(cur) = queue.pop_front() {
-            let header = capsule.get(&cur).ok_or(CapsuleError::MissingRecord(cur))?.header();
-            if header.seq == target_seq {
-                found = Some(cur);
-                break;
-            }
-            for (pseq, phash) in header.all_pointers() {
-                if pseq >= target_seq && pseq >= 1 && !parent.contains_key(&phash) {
-                    parent.insert(phash, cur);
-                    queue.push_back(phash);
-                }
-            }
+        let mut path = vec![header.clone()];
+        while header.seq != target_seq {
+            // A pointer's seq is the writer's claim; one that lies ends the
+            // descent below the target, where no pointer qualifies.
+            let (_, next) = header
+                .all_pointers()
+                .filter(|&(pseq, _)| pseq >= target_seq)
+                .min_by_key(|&(pseq, _)| pseq)
+                .ok_or(CapsuleError::MissingSeq(target_seq))?;
+            at = next;
+            header = capsule.get(&at).ok_or(CapsuleError::MissingRecord(at))?.header();
+            path.push(header.clone());
         }
-        let target = found.ok_or(CapsuleError::MissingSeq(target_seq))?;
-        // Reconstruct path target → head, then reverse.
-        let mut hashes = vec![target];
-        let mut cur = target;
-        while cur != head_hash {
-            cur = parent[&cur];
-            hashes.push(cur);
-        }
-        hashes.reverse();
-        let path: Vec<RecordHeader> = hashes
-            .iter()
-            .map(|h| capsule.get(h).map(|r| r.header().clone()))
-            .collect::<Option<Vec<_>>>()
-            .ok_or(CapsuleError::BadProof("record vanished during build"))?;
-        Ok((target, path))
+        Ok((at, path))
     }
 
     /// Verifies the proof with nothing but the capsule name and writer key —
@@ -197,7 +179,11 @@ impl RangeProof {
         Ok(RangeProof { newest, older })
     }
 
-    /// Verifies and returns the full record run, oldest first.
+    /// Verifies and returns the full record run, oldest first. One
+    /// signature is checked, the heartbeat's: the run is authenticated by
+    /// the hash chain back from the proven newest record, and each
+    /// record's `signature` field is carried as received, unverified (the
+    /// newest carries the heartbeat's).
     pub fn verify(
         &self,
         capsule: &Name,
@@ -215,6 +201,7 @@ impl RangeProof {
             if rec.hash() != expected_hash {
                 return Err(CapsuleError::BadProof("range hash-chain broken"));
             }
+            rec.header.validate_structure()?;
             if gdp_crypto::sha256(&rec.body) != rec.header.body_hash {
                 return Err(CapsuleError::BadProof("range body mismatch"));
             }
@@ -382,6 +369,34 @@ mod tests {
         let mut proof = RangeProof::build(&c, &hb, 2, 8).unwrap();
         proof.older.swap(1, 2);
         assert!(proof.verify(&c.name(), &writer().verifying_key()).is_err());
+    }
+
+    /// A writer-signed head can chain onto a record no server would ingest
+    /// (extra pointers out of order): the run's one signature does not
+    /// vouch for that record's structure, so the proof checks it.
+    #[test]
+    fn range_proof_rejects_malformed_older_header() {
+        let c = capsule_with(&PointerStrategy::Chain, 3);
+        let name = c.name();
+        let r3 = c.get_one(3).unwrap();
+        let r2 = c.get_one(2).unwrap();
+        let ascending = vec![
+            Pointer { seq: 1, hash: c.get_one(1).unwrap().hash() },
+            Pointer { seq: 2, hash: r2.hash() },
+        ];
+        let bad = Record::create(&name, &writer(), 4, 4, r3.hash(), ascending, b"bad".to_vec());
+        assert!(bad.header.validate_structure().is_err());
+        let head = Record::create(&name, &writer(), 5, 5, bad.hash(), vec![], b"head".to_vec());
+        let proof = RangeProof {
+            newest: MembershipProof {
+                heartbeat: Heartbeat::from_record(&name, &head),
+                path: vec![head.header.clone()],
+                body: head.body.clone(),
+            },
+            older: vec![r3.clone(), bad],
+        };
+        let err = proof.verify(&name, &writer().verifying_key()).unwrap_err();
+        assert!(matches!(err, CapsuleError::BadRecord(_)), "{err:?}");
     }
 
     #[test]
