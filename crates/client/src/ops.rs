@@ -249,7 +249,8 @@ pub fn session(p: &mut impl Pump, capsule: Name, window_us: u64) -> Result<(), C
 
 /// One request under the retry rule. Each attempt: honour the capsule's
 /// Nack back-off, `issue` and send, wait out a slice for `settle` to
-/// return `Some(Some(answer))` (`Some(None)` ends the attempt early).
+/// return `Some(Some(answer))` (`Some(None)` ends the attempt early);
+/// `settle` is also given the request seqs of every attempt so far.
 /// Between attempts: re-key if the attempt saw [`NO_SESSION`], count the
 /// retry, pause.
 fn request<T>(
@@ -258,17 +259,19 @@ fn request<T>(
     window_us: u64,
     (what, pause_us): (&'static str, u64),
     mut issue: impl FnMut(&mut GdpClient) -> Pdu,
-    mut settle: impl FnMut(&ClientEvent) -> Option<Option<T>>,
+    mut settle: impl FnMut(&[u64], &ClientEvent) -> Option<Option<T>>,
 ) -> Result<T, ClientError> {
     let deadline = p.now() + window_us;
+    let mut issued = Vec::new();
     loop {
         let not_before = p.driver().core.retry_not_before(&capsule).min(deadline);
         run_until(p, not_before)?;
         let pdu = issue(&mut p.driver().core);
+        issued.push(pdu.seq);
         p.send(pdu)?;
         let slice = (p.now() + ATTEMPT_SLICE_US).min(deadline);
         let seen = p.driver().failures.len();
-        if let Some(Some(answer)) = wait_for(p, slice, &mut settle)? {
+        if let Some(Some(answer)) = wait_for(p, slice, |ev| settle(&issued, ev))? {
             return Ok(answer);
         }
         if p.now() >= deadline {
@@ -305,13 +308,15 @@ pub fn append(
         window_us,
         ("append ack", 0),
         |core| first.take().unwrap_or_else(|| core.append_record(capsule, record.clone(), ack)),
-        |ev| {
+        |_, ev| {
             matches!(ev, ClientEvent::AppendAcked { seq, .. } if *seq == want).then_some(Some(want))
         },
     )
 }
 
-/// One verified read; each attempt is a fresh request.
+/// One verified read; each attempt is a fresh request. Only an answer to
+/// one of them settles it: a late answer to an earlier read answers that
+/// read's target, not this one's.
 pub fn read(
     p: &mut impl Pump,
     capsule: Name,
@@ -324,8 +329,10 @@ pub fn read(
         window_us,
         ("read result", RETRY_PAUSE_US),
         |core| core.read(capsule, target),
-        |ev| match ev {
-            ClientEvent::ReadOk { result, .. } => Some(Some(result.clone())),
+        |issued, ev| match ev {
+            ClientEvent::ReadOk { request_seq, result, .. } if issued.contains(request_seq) => {
+                Some(Some(result.clone()))
+            }
             ClientEvent::Unreachable { .. } | ClientEvent::ServerError { .. } => Some(None),
             _ => None,
         },

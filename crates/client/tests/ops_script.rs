@@ -493,3 +493,33 @@ fn exhausted_window_is_a_typed_timeout_and_leaks_no_pending_request() {
     assert_eq!(s.counter("requests_timed_out"), 3);
     assert_eq!(s.driver.core.pending_len(), 0);
 }
+
+/// (9) A late answer to a read given up on is that read's answer: it
+/// verifies against that read's target, and the next read — asking for
+/// something else — ignores it and settles on its own answer.
+#[test]
+fn a_late_answer_to_an_earlier_read_does_not_settle_the_next_one() {
+    let mut reads = 0;
+    let mut s = script(
+        0,
+        Box::new(move |_, request, answer| {
+            if !is_read(&DataMsg::from_wire(&request.payload).unwrap()) {
+                return deliver(answer);
+            }
+            // The first answer outlives its read's 1 s window and lands
+            // inside the next read's attempt, ahead of that read's own.
+            reads += 1;
+            vec![(if reads == 1 { 1_500 * MS } else { 1_800 * MS }, answer)]
+        }),
+    );
+    let capsule = s.capsule;
+    ops::append(&mut s, capsule, b"one", AckMode::Local, S).unwrap();
+    ops::append(&mut s, capsule, b"two", AckMode::Local, S).unwrap();
+    let given_up = ops::read(&mut s, capsule, ReadTarget::One(1), S);
+    assert!(matches!(given_up, Err(ClientError::Timeout("read result"))), "{given_up:?}");
+
+    let read = ops::read(&mut s, capsule, ReadTarget::One(2), 10 * S).expect("read completes");
+    assert!(matches!(&read, VerifiedRead::Record(r) if r.body == b"two"), "{read:?}");
+    assert_eq!(s.counter("reads_ok"), 2, "the late answer verified, as the answer to One(1)");
+    assert_eq!(s.requests(is_read).len(), 2, "the second read's first attempt settled it");
+}
