@@ -225,9 +225,7 @@ impl ReadPoint {
     }
 }
 
-/// Segmented config for the read benches. Every stream index stays
-/// resident (index eviction scans all streams once over budget, which
-/// turns a seeding loop quadratic), and the largest points take bigger
+/// Segmented config for the read benches. The largest points take bigger
 /// segments with a deliberately tiny fd pool so the 1M run proves the
 /// budget holds while sealed segments outnumber it.
 fn read_cfg(capsules: usize, read_cache_bytes: usize) -> SegConfig {
@@ -235,7 +233,6 @@ fn read_cfg(capsules: usize, read_cache_bytes: usize) -> SegConfig {
     let big = capsules >= 250_000;
     SegConfig {
         policy: FsyncPolicy::DEFAULT_BATCH,
-        max_resident_streams: capsules + 16,
         segment_max_bytes: if big { 48 * 1024 * 1024 } else { defaults.segment_max_bytes },
         max_open_segments: if big { 4 } else { defaults.max_open_segments },
         read_cache_bytes,

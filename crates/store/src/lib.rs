@@ -4,14 +4,15 @@
 //!
 //! One durable engine sits behind the [`CapsuleStore`] interface:
 //! [`SegLog`], one *shared* segmented log per node with per-capsule
-//! logical streams, group-commit (one fsync per batch of appends across
-//! all capsules), checkpointed bounded recovery, and cold-capsule index
-//! eviction. The log is append-only — a sealed segment is never rewritten
-//! or deleted, because nothing in a DataCapsule supersedes a record. The
-//! paper's prototype keeps one SQLite database per capsule (§VIII); a
-//! node hosting very many capsules cannot afford a file and an fsync per
-//! capsule, so this one multiplexes them. [`FsyncPolicy`] says when an
-//! append becomes durable.
+//! logical streams, each with an in-memory index that stays resident
+//! while the log is open, group-commit (one fsync per batch of appends
+//! across all capsules), and checkpointed bounded recovery that decodes
+//! the checkpoint once at open. The log is append-only — a sealed segment
+//! is never rewritten or deleted, because nothing in a DataCapsule
+//! supersedes a record. The paper's prototype keeps one SQLite database
+//! per capsule (§VIII); a node hosting very many capsules cannot afford a
+//! file and an fsync per capsule, so this one multiplexes them.
+//! [`FsyncPolicy`] says when an append becomes durable.
 //!
 //! Plus [`MemStore`], the pure in-memory backend for simulation and the
 //! reference model the property tests compare the log against.

@@ -13,20 +13,21 @@
 //!            [ hash:32 seq:u64be seg:u64be off:u64be ]*
 //! ```
 //!
-//! The checkpoint is advisory: *any* validation failure — bad magic, bad
-//! header CRC, a referenced segment missing from the directory, a short
-//! file — makes recovery ignore it and fall back to a full scan, which is
-//! always correct because the log itself is the source of truth. Writes
-//! go through `index.ckpt.tmp` + fsync + rename + directory fsync, so a
-//! crash mid-write leaves the previous checkpoint intact.
+//! The checkpoint is read once, at open, and every section is decoded
+//! then. It is advisory: *any* validation failure — bad magic, bad header
+//! CRC, a section failing its CRC or its decode, a referenced segment
+//! missing from the directory, a short file — makes recovery ignore the
+//! whole of it and fall back to a full scan, which is always correct
+//! because the log itself is the source of truth. Writes go through
+//! `index.ckpt.tmp` + fsync + rename + directory fsync, so a crash
+//! mid-write leaves the previous checkpoint intact.
 
 use crate::crc::Crc32;
 use crate::store::StoreError;
 use gdp_capsule::{CapsuleMetadata, RecordHash};
 use gdp_wire::{Name, Wire};
-use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 
 /// Leading magic of a checkpoint file.
@@ -46,19 +47,18 @@ pub struct CheckpointPos {
     pub off: u64,
 }
 
-/// Where one stream's serialized section lives inside the checkpoint.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct SectionLoc {
-    payload_at: u64,
-    payload_len: u32,
-    crc: u32,
-}
-
-/// A validated checkpoint header plus the per-stream section directory.
-pub(crate) struct CheckpointHeader {
+/// A validated checkpoint with every stream's section decoded.
+pub(crate) struct Checkpoint {
     pub pos: CheckpointPos,
     pub segs: Vec<u64>,
-    pub sections: BTreeMap<Name, SectionLoc>,
+    pub sections: Vec<Section>,
+}
+
+/// One stream's decoded section.
+pub(crate) struct Section {
+    pub name: Name,
+    pub metadata: Option<CapsuleMetadata>,
+    pub records: Vec<SectionRecord>,
 }
 
 /// One indexed record inside a section payload.
@@ -89,35 +89,24 @@ pub(crate) fn encode_section(
 }
 
 /// Inverse of [`encode_section`]; strict (every byte must be consumed).
-pub(crate) fn decode_section(
-    payload: &[u8],
-) -> Result<(Option<CapsuleMetadata>, Vec<SectionRecord>), StoreError> {
-    let corrupt = |w: &str| StoreError::Corrupt(format!("checkpoint section: {w}"));
+fn decode_section(name: Name, payload: &[u8]) -> Option<Section> {
     let mut at = 0usize;
-    let meta_len = read_u32(payload, &mut at).ok_or_else(|| corrupt("short meta_len"))? as usize;
-    let meta_bytes = payload.get(at..at + meta_len).ok_or_else(|| corrupt("short metadata"))?;
+    let meta_len = read_u32(payload, &mut at)? as usize;
+    let meta_bytes = payload.get(at..at + meta_len)?;
     at += meta_len;
-    let metadata = if meta_len == 0 {
-        None
-    } else {
-        Some(CapsuleMetadata::from_wire(meta_bytes).map_err(|e| corrupt(&format!("meta: {e}")))?)
-    };
-    let n = read_u32(payload, &mut at).ok_or_else(|| corrupt("short n_records"))? as usize;
+    let metadata =
+        if meta_len == 0 { None } else { Some(CapsuleMetadata::from_wire(meta_bytes).ok()?) };
+    let n = read_u32(payload, &mut at)? as usize;
     let mut records = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
-        let hash = payload.get(at..at + 32).ok_or_else(|| corrupt("short hash"))?;
+        let hash = RecordHash(payload.get(at..at + 32)?.try_into().ok()?);
         at += 32;
-        let mut h = [0u8; 32];
-        h.copy_from_slice(hash);
-        let seq = read_u64(payload, &mut at).ok_or_else(|| corrupt("short seq"))?;
-        let seg = read_u64(payload, &mut at).ok_or_else(|| corrupt("short seg"))?;
-        let off = read_u64(payload, &mut at).ok_or_else(|| corrupt("short off"))?;
-        records.push(SectionRecord { hash: RecordHash(h), seq, seg, off });
+        let seq = read_u64(payload, &mut at)?;
+        let seg = read_u64(payload, &mut at)?;
+        let off = read_u64(payload, &mut at)?;
+        records.push(SectionRecord { hash, seq, seg, off });
     }
-    if at != payload.len() {
-        return Err(corrupt("trailing bytes"));
-    }
-    Ok((metadata, records))
+    (at == payload.len()).then_some(Section { name, metadata, records })
 }
 
 /// Atomically replaces the checkpoint: tmp + fsync + rename + dir fsync.
@@ -163,9 +152,9 @@ pub(crate) fn write(
     Ok(bytes)
 }
 
-/// Loads and validates the checkpoint's header and section directory.
-/// `None` on any inconsistency: recovery then falls back to a full scan.
-pub(crate) fn load_header(dir: &Path) -> Option<CheckpointHeader> {
+/// Reads, validates and decodes the whole checkpoint. `None` on any
+/// inconsistency: recovery then falls back to a full scan.
+pub(crate) fn load_snapshot(dir: &Path) -> Option<Checkpoint> {
     let path = dir.join(CKPT_FILE);
     let mut f = File::open(path).ok()?;
     let file_len = f.metadata().ok()?.len();
@@ -197,10 +186,10 @@ pub(crate) fn load_header(dir: &Path) -> Option<CheckpointHeader> {
     if crc.finish() != stored_crc {
         return None;
     }
-    // Walk the section directory, CRC-checking every payload: rot
-    // anywhere in the checkpoint voids the whole thing (full scan), so an
-    // evicted stream never becomes unreadable while its segments are fine.
-    let mut sections = BTreeMap::new();
+    // Decode every section: a payload failing its CRC or its decode voids
+    // the whole checkpoint (full scan), so no stream is ever served from
+    // half a snapshot while its segments are fine.
+    let mut sections = Vec::with_capacity(n_streams.min(1 << 16));
     let mut at = (fixed.len() + rest.len()) as u64;
     for _ in 0..n_streams {
         let mut sh = [0u8; 40];
@@ -219,13 +208,13 @@ pub(crate) fn load_header(dir: &Path) -> Option<CheckpointHeader> {
         if section_crc(&name, &payload) != payload_crc {
             return None;
         }
-        sections.insert(name, SectionLoc { payload_at: at, payload_len, crc: payload_crc });
+        sections.push(decode_section(name, &payload)?);
         at += payload_len as u64;
     }
     if at != file_len {
         return None;
     }
-    Some(CheckpointHeader { pos, segs, sections })
+    Some(Checkpoint { pos, segs, sections })
 }
 
 /// CRC-32 over a section's name, length, and payload: a flip anywhere in
@@ -236,23 +225,6 @@ fn section_crc(name: &Name, payload: &[u8]) -> u32 {
     crc.update(&(payload.len() as u32).to_be_bytes());
     crc.update(payload);
     crc.finish()
-}
-
-/// Reads one stream's raw section payload, CRC-verified (guards against
-/// bytes rotting after `load_header` validated them).
-pub(crate) fn read_raw_section(
-    dir: &Path,
-    name: &Name,
-    loc: &SectionLoc,
-) -> Result<Vec<u8>, StoreError> {
-    let mut f = File::open(dir.join(CKPT_FILE))?;
-    f.seek(SeekFrom::Start(loc.payload_at))?;
-    let mut payload = vec![0u8; loc.payload_len as usize];
-    f.read_exact(&mut payload)?;
-    if section_crc(name, &payload) != loc.crc {
-        return Err(StoreError::Corrupt("checkpoint section crc mismatch".to_string()));
-    }
-    Ok(payload)
 }
 
 fn read_u32(b: &[u8], at: &mut usize) -> Option<u32> {

@@ -2,9 +2,10 @@
 //!
 //! One append log per *node*, shared by every hosted capsule: records
 //! from all capsules multiplex onto a sequence of fixed-size segment
-//! files, with a per-capsule in-memory index for random reads. It is the
-//! node's only durable engine: a node hosting millions of capsules cannot
-//! afford one file + one fsync per capsule.
+//! files, with a per-capsule in-memory index for random reads that stays
+//! resident for as long as the log is open. It is the node's only durable
+//! engine: a node hosting millions of capsules cannot afford one file +
+//! one fsync per capsule.
 //!
 //! The moving parts (see DESIGN.md, "Storage engine"):
 //!
@@ -15,17 +16,15 @@
 //!   *unacked* tail.
 //! * **Segment rotation**: the active segment seals past
 //!   `segment_max_bytes`; a fresh segment and a checkpoint follow.
-//! * **Checkpointed recovery** (`checkpoint.rs`): recovery loads the
-//!   stream directory from the last checkpoint and replays only the log
-//!   tail past it — bounded by write traffic since the last checkpoint,
-//!   not log size. Any checkpoint damage falls back to a full scan.
+//! * **Checkpointed recovery** (`checkpoint.rs`): open reads the last
+//!   checkpoint once, decodes every stream's index from it, and replays
+//!   only the log tail past it — bounded by write traffic since the last
+//!   checkpoint, not log size. Any checkpoint damage, a section failing
+//!   its CRC or its decode included, falls back to a full scan.
 //! * **Append-only**: a sealed segment is never rewritten or deleted.
 //!   Nothing supersedes a record (`append` dedups by hash before it
 //!   writes), so there is nothing to compact; a physical duplicate found
 //!   on disk is indexed once, first occurrence wins.
-//! * **Index eviction**: streams untouched since the last checkpoint can
-//!   drop their in-memory index (resident memory is O(hot capsules)) and
-//!   reload it transparently from the checkpoint on next access.
 
 mod cache;
 mod checkpoint;
@@ -39,7 +38,7 @@ pub use segment::{RECOVERY_CHUNK, SEG_MAGIC};
 use crate::policy::{AppendAck, FsyncPolicy};
 use crate::store::{CapsuleStore, StoreError};
 use cache::BlockCache;
-use checkpoint::SectionRecord;
+use checkpoint::{Checkpoint, Section, SectionRecord};
 use fdpool::FdPool;
 use gdp_capsule::{CapsuleMetadata, Record, RecordHash};
 use gdp_obs::{Counter, Gauge, Histogram, Scope};
@@ -62,8 +61,6 @@ pub struct SegConfig {
     /// Force an inline flush when this many bytes are batched, bounding
     /// buffered (unacked) data independently of the flush interval.
     pub flush_byte_budget: usize,
-    /// Evict cold stream indexes beyond this many resident streams.
-    pub max_resident_streams: usize,
     /// Byte budget of the shared sealed-segment block cache (0 disables
     /// caching: every read refetches, correctness unchanged).
     pub read_cache_bytes: usize,
@@ -83,7 +80,6 @@ impl Default for SegConfig {
             policy: FsyncPolicy::DEFAULT_BATCH,
             segment_max_bytes: 8 * 1024 * 1024,
             flush_byte_budget: 256 * 1024,
-            max_resident_streams: 1024,
             read_cache_bytes: 4 * 1024 * 1024,
             read_block_bytes: 64 * 1024,
             readahead_blocks: 4,
@@ -104,8 +100,6 @@ struct SegObs {
     group_commits: Counter,
     checkpoints_written: Counter,
     segments_rotated: Counter,
-    index_evictions: Counter,
-    index_reloads: Counter,
     recovery_tail_entries: Counter,
     recovery_full_scans: Counter,
     read_cache_hits: Counter,
@@ -114,7 +108,6 @@ struct SegObs {
     readahead_blocks: Counter,
     reads_served_from_store: Counter,
     segment_fd_opens: Counter,
-    resident_streams: Gauge,
     segments: Gauge,
     fsync_batch_entries: Histogram,
     fsync_us: Histogram,
@@ -132,8 +125,6 @@ impl SegObs {
             group_commits: scope.counter("group_commits"),
             checkpoints_written: scope.counter("checkpoints_written"),
             segments_rotated: scope.counter("segments_rotated"),
-            index_evictions: scope.counter("index_evictions"),
-            index_reloads: scope.counter("index_reloads"),
             recovery_tail_entries: scope.counter("recovery_tail_entries"),
             recovery_full_scans: scope.counter("recovery_full_scans"),
             read_cache_hits: scope.counter("read_cache_hits"),
@@ -142,7 +133,6 @@ impl SegObs {
             readahead_blocks: scope.counter("readahead_blocks"),
             reads_served_from_store: scope.counter("reads_served_from_store"),
             segment_fd_opens: scope.counter("segment_fd_opens"),
-            resident_streams: scope.gauge("resident_streams"),
             segments: scope.gauge("segments"),
             fsync_batch_entries: scope.histogram("fsync_batch_entries"),
             fsync_us: scope.histogram("fsync_us"),
@@ -158,26 +148,37 @@ struct EntryLoc {
 }
 
 /// In-memory index of one capsule's stream.
+#[derive(Default)]
 struct StreamIndex {
     metadata: Option<CapsuleMetadata>,
     by_hash: HashMap<RecordHash, EntryLoc>,
     by_seq: BTreeMap<u64, Vec<RecordHash>>,
-    /// Logical LRU clock value of the last access.
-    touch: u64,
-    /// True when the stream has state not yet covered by a checkpoint;
-    /// only clean streams may evict (Evicted ⇒ checkpoint-covered).
-    dirty: bool,
 }
 
 impl StreamIndex {
-    fn fresh() -> StreamIndex {
-        StreamIndex {
-            metadata: None,
-            by_hash: HashMap::new(),
+    /// Rebuilds a stream's index from its checkpoint section.
+    fn from_section(section: Section) -> StreamIndex {
+        let mut idx = StreamIndex {
+            metadata: section.metadata,
+            by_hash: HashMap::with_capacity(section.records.len()),
             by_seq: BTreeMap::new(),
-            touch: 0,
-            dirty: true,
+        };
+        for r in section.records {
+            idx.insert(r.seq, r.hash, EntryLoc { seg: r.seg, off: r.off });
         }
+        idx
+    }
+
+    /// Serializes the index into its checkpoint section payload.
+    fn section_payload(&self) -> Vec<u8> {
+        let mut records = Vec::with_capacity(self.by_hash.len());
+        for (seq, hashes) in &self.by_seq {
+            for h in hashes {
+                let loc = self.by_hash[h];
+                records.push(SectionRecord { hash: *h, seq: *seq, seg: loc.seg, off: loc.off });
+            }
+        }
+        checkpoint::encode_section(self.metadata.as_ref(), &records)
     }
 
     /// Indexes one record entry.
@@ -195,14 +196,7 @@ impl StreamIndex {
             at_seq.retain(|h| h != hash);
             !at_seq.is_empty()
         });
-        self.dirty = true;
     }
-}
-
-/// A stream is resident (index in memory) or evicted to the checkpoint.
-enum StreamSlot {
-    Resident(Box<StreamIndex>),
-    Evicted,
 }
 
 /// Per-segment bookkeeping.
@@ -229,11 +223,7 @@ pub(crate) struct LogInner {
     segments: BTreeMap<u64, SegMeta>,
     active: u64,
     gc: GroupCommit,
-    streams: BTreeMap<Name, StreamSlot>,
-    resident: usize,
-    touch_clock: u64,
-    /// Directory of the last durable checkpoint (section reload source).
-    ckpt: Option<checkpoint::CheckpointHeader>,
+    streams: BTreeMap<Name, StreamIndex>,
     /// True once a read found an entry rotten and until the next
     /// checkpoint: a reopen from the older one (or from a scan, which
     /// stops at the rot) would index the rot again and skip a good copy
@@ -281,7 +271,7 @@ impl SegLog {
         self.inner.lock().flush_inner(now_us, true)
     }
 
-    /// Periodic maintenance: due flushes, rotation, index eviction.
+    /// Periodic maintenance: due flushes, rotation, checkpoints.
     /// Returns the durable epoch. This is what [`SegStore::flush`] calls
     /// from the server tick.
     pub fn maintain(&self, now_us: u64) -> Result<u64, StoreError> {
@@ -303,12 +293,8 @@ impl SegLog {
         self.inner.lock().segments.keys().copied().collect()
     }
 
-    /// Number of streams with a resident in-memory index.
-    pub fn resident_streams(&self) -> usize {
-        self.inner.lock().resident
-    }
-
-    /// Total streams known (resident + evicted).
+    /// Streams known to the log: every capsule it has indexed metadata or
+    /// a record for.
     pub fn stream_count(&self) -> usize {
         self.inner.lock().streams.len()
     }
@@ -354,9 +340,8 @@ impl CapsuleStore for SegStore {
     }
 
     fn metadata(&self) -> Result<CapsuleMetadata, StoreError> {
-        let mut inner = self.log.inner.lock();
-        inner.ensure_resident(&self.capsule)?;
-        match inner.stream(&self.capsule).and_then(|s| s.metadata.clone()) {
+        let inner = self.log.inner.lock();
+        match inner.streams.get(&self.capsule).and_then(|s| s.metadata.clone()) {
             Some(m) => Ok(m),
             None => Err(StoreError::NoMetadata),
         }
@@ -372,9 +357,9 @@ impl CapsuleStore for SegStore {
 
     fn get_by_seq(&self, seq: u64) -> Result<Option<Record>, StoreError> {
         let mut inner = self.log.inner.lock();
-        inner.ensure_resident(&self.capsule)?;
         let at = inner
-            .stream(&self.capsule)
+            .streams
+            .get(&self.capsule)
             .and_then(|s| s.by_seq.get(&seq).and_then(|hs| hs.first()).map(|h| (*h, s.by_hash[h])));
         match at {
             Some(at) => inner.read_record(&self.capsule, at, false).map(Some),
@@ -384,9 +369,9 @@ impl CapsuleStore for SegStore {
 
     fn get_all_at_seq(&self, seq: u64) -> Result<Vec<Record>, StoreError> {
         let mut inner = self.log.inner.lock();
-        inner.ensure_resident(&self.capsule)?;
         let at: Vec<(RecordHash, EntryLoc)> = inner
-            .stream(&self.capsule)
+            .streams
+            .get(&self.capsule)
             .map(|s| {
                 s.by_seq
                     .get(&seq)
@@ -399,8 +384,7 @@ impl CapsuleStore for SegStore {
 
     fn get_by_hash(&self, hash: &RecordHash) -> Result<Option<Record>, StoreError> {
         let mut inner = self.log.inner.lock();
-        inner.ensure_resident(&self.capsule)?;
-        let loc = inner.stream(&self.capsule).and_then(|s| s.by_hash.get(hash).copied());
+        let loc = inner.streams.get(&self.capsule).and_then(|s| s.by_hash.get(hash).copied());
         match loc {
             Some(loc) => inner.read_record(&self.capsule, (*hash, loc), false).map(Some),
             None => Ok(None),
@@ -408,26 +392,24 @@ impl CapsuleStore for SegStore {
     }
 
     fn latest_seq(&self) -> u64 {
-        let mut inner = self.log.inner.lock();
-        if inner.ensure_resident(&self.capsule).is_err() {
-            return 0;
-        }
-        inner.stream(&self.capsule).and_then(|s| s.by_seq.keys().next_back().copied()).unwrap_or(0)
+        self.log
+            .inner
+            .lock()
+            .streams
+            .get(&self.capsule)
+            .and_then(|s| s.by_seq.keys().next_back().copied())
+            .unwrap_or(0)
     }
 
     fn len(&self) -> usize {
-        let mut inner = self.log.inner.lock();
-        if inner.ensure_resident(&self.capsule).is_err() {
-            return 0;
-        }
-        inner.stream(&self.capsule).map(|s| s.by_hash.len()).unwrap_or(0)
+        self.log.inner.lock().streams.get(&self.capsule).map(|s| s.by_hash.len()).unwrap_or(0)
     }
 
     fn range(&self, from: u64, to: u64) -> Result<Vec<Record>, StoreError> {
         let mut inner = self.log.inner.lock();
-        inner.ensure_resident(&self.capsule)?;
         let at: Vec<(RecordHash, EntryLoc)> = inner
-            .stream(&self.capsule)
+            .streams
+            .get(&self.capsule)
             .map(|s| {
                 s.by_seq
                     .range(from..=to)
@@ -439,11 +421,13 @@ impl CapsuleStore for SegStore {
     }
 
     fn hashes(&self) -> Vec<RecordHash> {
-        let mut inner = self.log.inner.lock();
-        if inner.ensure_resident(&self.capsule).is_err() {
-            return Vec::new();
-        }
-        inner.stream(&self.capsule).map(|s| s.by_hash.keys().copied().collect()).unwrap_or_default()
+        self.log
+            .inner
+            .lock()
+            .streams
+            .get(&self.capsule)
+            .map(|s| s.by_hash.keys().copied().collect())
+            .unwrap_or_default()
     }
 
     fn flush(&mut self, now_us: u64) -> Result<u64, StoreError> {
@@ -495,9 +479,9 @@ impl LogInner {
 
         // Validate the checkpoint against the directory: every referenced
         // segment must exist and the position must be inside the log.
-        let ckpt = checkpoint::load_header(dir).filter(|h| {
-            h.segs.iter().all(|id| segments.contains_key(id))
-                && segments.get(&h.pos.seg).is_some_and(|m| h.pos.off <= m.len)
+        let ckpt = checkpoint::load_snapshot(dir).filter(|c| {
+            c.segs.iter().all(|id| segments.contains_key(id))
+                && segments.get(&c.pos.seg).is_some_and(|m| c.pos.off <= m.len)
         });
 
         let mut inner = LogInner {
@@ -511,26 +495,23 @@ impl LogInner {
             // file is reopened below.
             gc: GroupCommit::new(open_segment_append(dir, active)?, 0),
             streams: BTreeMap::new(),
-            resident: 0,
-            touch_clock: 0,
-            ckpt,
             ckpt_names_rot: false,
             recovery: RecoveryStats::default(),
             obs,
         };
-        inner.recover()?;
+        inner.recover(ckpt)?;
         Ok(inner)
     }
 
-    /// Rebuilds stream indexes: checkpoint directory + tail scan (or a
-    /// full scan when the checkpoint is missing/damaged).
-    fn recover(&mut self) -> Result<(), StoreError> {
-        let scan_from = match &self.ckpt {
-            Some(h) => {
-                for name in h.sections.keys() {
-                    self.streams.insert(*name, StreamSlot::Evicted);
+    /// Rebuilds stream indexes: the checkpoint's sections + tail scan (or
+    /// a full scan when the checkpoint is missing/damaged).
+    fn recover(&mut self, ckpt: Option<Checkpoint>) -> Result<(), StoreError> {
+        let scan_from = match ckpt {
+            Some(c) => {
+                for section in c.sections {
+                    self.streams.insert(section.name, StreamIndex::from_section(section));
                 }
-                h.pos
+                c.pos
             }
             None => {
                 // A brand-new log (one empty segment, nothing but magic)
@@ -596,7 +577,6 @@ impl LogInner {
         active_file.sync_data()?;
         self.gc = GroupCommit::new(active_file, active_valid_end);
         self.obs.segments.set(self.segments.len() as i64);
-        self.obs.resident_streams.set(self.resident as i64);
         Ok(())
     }
 
@@ -610,29 +590,19 @@ impl LogInner {
         body: &[u8],
         loc: EntryLoc,
     ) -> Result<(), StoreError> {
-        self.ensure_resident(capsule)?;
         match kind {
             KIND_METADATA => {
                 let meta = CapsuleMetadata::from_wire(body)
                     .map_err(|e| StoreError::Corrupt(format!("metadata: {e}")))?;
-                if let Some(idx) = self.stream_mut(capsule).filter(|s| s.metadata.is_none()) {
-                    idx.metadata = Some(meta);
-                    idx.dirty = true;
-                }
+                self.streams.entry(*capsule).or_default().metadata.get_or_insert(meta);
             }
             KIND_RECORD => {
                 let record = Record::from_wire(body)
                     .map_err(|e| StoreError::Corrupt(format!("record: {e}")))?;
                 let hash = record.hash();
-                let seq = record.header.seq;
-                let fresh = self.stream_mut(capsule).filter(|s| !s.by_hash.contains_key(&hash));
-                if let Some(idx) = fresh {
-                    idx.insert(seq, hash, loc);
-                    // A stream reloaded from the checkpoint starts clean;
-                    // merging a post-checkpoint tail entry makes it dirty
-                    // again, or eviction would rebuild it from the stale
-                    // checkpoint section and drop the tail.
-                    idx.dirty = true;
+                let idx = self.streams.entry(*capsule).or_default();
+                if !idx.by_hash.contains_key(&hash) {
+                    idx.insert(record.header.seq, hash, loc);
                 }
             }
             other => {
@@ -648,106 +618,6 @@ impl LogInner {
         (self.cfg.read_block_bytes * self.cfg.readahead_blocks.max(1)).max(RECOVERY_CHUNK)
     }
 
-    fn stream(&self, capsule: &Name) -> Option<&StreamIndex> {
-        match self.streams.get(capsule) {
-            Some(StreamSlot::Resident(idx)) => Some(idx),
-            _ => None,
-        }
-    }
-
-    fn stream_mut(&mut self, capsule: &Name) -> Option<&mut StreamIndex> {
-        match self.streams.get_mut(capsule) {
-            Some(StreamSlot::Resident(idx)) => Some(idx),
-            _ => None,
-        }
-    }
-
-    /// Makes `capsule`'s index resident, reloading an evicted one from
-    /// the checkpoint or creating a fresh one, and bumps its LRU touch.
-    fn ensure_resident(&mut self, capsule: &Name) -> Result<(), StoreError> {
-        self.touch_clock += 1;
-        let touch = self.touch_clock;
-        match self.streams.get_mut(capsule) {
-            Some(StreamSlot::Resident(idx)) => {
-                idx.touch = touch;
-                return Ok(());
-            }
-            Some(StreamSlot::Evicted) => {
-                let idx = self.reload_stream(capsule)?;
-                self.streams.insert(*capsule, StreamSlot::Resident(Box::new(idx)));
-                self.resident += 1;
-                self.obs.index_reloads.inc();
-            }
-            None => {
-                let mut idx = StreamIndex::fresh();
-                idx.touch = touch;
-                self.streams.insert(*capsule, StreamSlot::Resident(Box::new(idx)));
-                self.resident += 1;
-            }
-        }
-        if let Some(StreamSlot::Resident(idx)) = self.streams.get_mut(capsule) {
-            idx.touch = touch;
-        }
-        self.evict_over_budget(None);
-        self.obs.resident_streams.set(self.resident as i64);
-        Ok(())
-    }
-
-    /// Rebuilds an evicted stream's index from its checkpoint section.
-    /// Evicted ⇒ clean at the last checkpoint, so the section is exact.
-    fn reload_stream(&mut self, capsule: &Name) -> Result<StreamIndex, StoreError> {
-        let Some(h) = &self.ckpt else {
-            return Err(StoreError::Corrupt("evicted stream without checkpoint".to_string()));
-        };
-        let Some(loc) = h.sections.get(capsule) else {
-            return Err(StoreError::Corrupt("evicted stream missing from checkpoint".to_string()));
-        };
-        let payload = checkpoint::read_raw_section(&self.dir, capsule, loc)?;
-        let (metadata, records) = checkpoint::decode_section(&payload)?;
-        let mut idx = StreamIndex::fresh();
-        idx.metadata = metadata;
-        idx.dirty = false;
-        for r in records {
-            idx.insert(r.seq, r.hash, EntryLoc { seg: r.seg, off: r.off });
-        }
-        Ok(idx)
-    }
-
-    /// Evicts clean cold streams while over the residency budget. With
-    /// `checkpoint_at` (maintenance only), dirty streams are first made
-    /// clean by checkpointing. The most-recently-touched stream is never
-    /// evicted — the caller is in the middle of using it.
-    fn evict_over_budget(&mut self, checkpoint_at: Option<u64>) {
-        if self.resident <= self.cfg.max_resident_streams {
-            return;
-        }
-        if let Some(now_us) = checkpoint_at {
-            if !self.streams.values().any(|s| matches!(s, StreamSlot::Resident(i) if !i.dirty)) {
-                // All resident streams are dirty: a checkpoint makes them
-                // evictable. Failure just defers eviction.
-                let _ = self.checkpoint_now(now_us);
-            }
-        }
-        while self.resident > self.cfg.max_resident_streams {
-            let newest = self.touch_clock;
-            let coldest = self
-                .streams
-                .iter()
-                .filter_map(|(name, slot)| match slot {
-                    StreamSlot::Resident(idx) if !idx.dirty && idx.touch < newest => {
-                        Some((idx.touch, *name))
-                    }
-                    _ => None,
-                })
-                .min();
-            let Some((_, name)) = coldest else { break };
-            self.streams.insert(name, StreamSlot::Evicted);
-            self.resident -= 1;
-            self.obs.index_evictions.inc();
-        }
-        self.obs.resident_streams.set(self.resident as i64);
-    }
-
     fn durability_at(&self, loc: EntryLoc) -> AppendAck {
         if loc.seg < self.active || loc.off < self.gc.durable_len() {
             AppendAck::Durable
@@ -761,8 +631,7 @@ impl LogInner {
         capsule: &Name,
         metadata: &CapsuleMetadata,
     ) -> Result<(), StoreError> {
-        self.ensure_resident(capsule)?;
-        if self.stream(capsule).is_some_and(|s| s.metadata.is_some()) {
+        if self.streams.get(capsule).is_some_and(|s| s.metadata.is_some()) {
             return Ok(());
         }
         let body = metadata.to_wire();
@@ -772,10 +641,7 @@ impl LogInner {
         if let Some(m) = self.segments.get_mut(&active) {
             m.len += disk_len;
         }
-        if let Some(idx) = self.stream_mut(capsule) {
-            idx.metadata = Some(metadata.clone());
-            idx.dirty = true;
-        }
+        self.streams.entry(*capsule).or_default().metadata = Some(metadata.clone());
         self.obs.entries_appended.inc();
         self.obs.bytes_appended.add(disk_len);
         // Capsule creation is acked immediately by the server, so make it
@@ -785,9 +651,8 @@ impl LogInner {
     }
 
     fn append(&mut self, capsule: &Name, record: &Record) -> Result<AppendAck, StoreError> {
-        self.ensure_resident(capsule)?;
         let hash = record.hash();
-        if let Some(loc) = self.stream(capsule).and_then(|s| s.by_hash.get(&hash).copied()) {
+        if let Some(loc) = self.streams.get(capsule).and_then(|s| s.by_hash.get(&hash).copied()) {
             // Duplicate: report the stored record's current durability so
             // retried appends never ack ahead of their covering fsync.
             return Ok(self.durability_at(loc));
@@ -799,11 +664,8 @@ impl LogInner {
         if let Some(m) = self.segments.get_mut(&active) {
             m.len += disk_len;
         }
-        let seq = record.header.seq;
-        if let Some(idx) = self.stream_mut(capsule) {
-            idx.insert(seq, hash, EntryLoc { seg: active, off });
-            idx.dirty = true;
-        }
+        let loc = EntryLoc { seg: active, off };
+        self.streams.entry(*capsule).or_default().insert(record.header.seq, hash, loc);
         self.obs.entries_appended.inc();
         self.obs.bytes_appended.add(disk_len);
 
@@ -835,7 +697,7 @@ impl LogInner {
         Ok(self.gc.epoch_durable())
     }
 
-    /// Maintenance pass: due flush, rotation, eviction.
+    /// Maintenance pass: due flush, rotation, checkpoint after rot.
     fn maintain(&mut self, now_us: u64) -> Result<u64, StoreError> {
         let epoch = self.flush_inner(now_us, false)?;
         if self.gc.total_len() >= self.cfg.segment_max_bytes {
@@ -844,7 +706,6 @@ impl LogInner {
         if self.ckpt_names_rot {
             self.checkpoint_now(now_us)?;
         }
-        self.evict_over_budget(Some(now_us));
         Ok(epoch)
     }
 
@@ -863,62 +724,18 @@ impl LogInner {
         Ok(())
     }
 
-    /// Writes a checkpoint covering everything durable: resident streams
-    /// serialize from memory, evicted streams copy their (still-exact)
-    /// section from the previous checkpoint.
+    /// Writes a checkpoint covering everything durable: every stream's
+    /// index, serialized from memory.
     fn checkpoint_now(&mut self, now_us: u64) -> Result<(), StoreError> {
         self.flush_inner(now_us, true)?;
         let pos = CheckpointPos { seg: self.active, off: self.gc.durable_len() };
-        let names: Vec<Name> = self.streams.keys().copied().collect();
-        let mut sections = Vec::with_capacity(names.len());
-        for name in names {
-            let payload = match self.streams.get(&name) {
-                Some(StreamSlot::Resident(idx)) => {
-                    let mut records = Vec::with_capacity(idx.by_hash.len());
-                    for (seq, hashes) in &idx.by_seq {
-                        for h in hashes {
-                            let loc = idx.by_hash[h];
-                            records.push(SectionRecord {
-                                hash: *h,
-                                seq: *seq,
-                                seg: loc.seg,
-                                off: loc.off,
-                            });
-                        }
-                    }
-                    checkpoint::encode_section(idx.metadata.as_ref(), &records)
-                }
-                Some(StreamSlot::Evicted) => {
-                    let Some(h) = &self.ckpt else {
-                        return Err(StoreError::Corrupt(
-                            "evicted stream without checkpoint".to_string(),
-                        ));
-                    };
-                    let Some(loc) = h.sections.get(&name) else {
-                        return Err(StoreError::Corrupt(
-                            "evicted stream missing from checkpoint".to_string(),
-                        ));
-                    };
-                    checkpoint::read_raw_section(&self.dir, &name, loc)?
-                }
-                None => continue,
-            };
-            sections.push((name, payload));
-        }
+        let sections: Vec<(Name, Vec<u8>)> =
+            self.streams.iter().map(|(name, idx)| (*name, idx.section_payload())).collect();
         let segs: Vec<u64> = self.segments.keys().copied().collect();
         checkpoint::write(&self.dir, pos, &segs, &sections)?;
         self.obs.dir_fsyncs.inc();
         self.obs.checkpoints_written.inc();
-        for slot in self.streams.values_mut() {
-            if let StreamSlot::Resident(idx) = slot {
-                idx.dirty = false;
-            }
-        }
         self.ckpt_names_rot = false;
-        self.ckpt = checkpoint::load_header(&self.dir);
-        if self.ckpt.is_none() {
-            return Err(StoreError::Corrupt("checkpoint unreadable after write".to_string()));
-        }
         Ok(())
     }
 
@@ -942,7 +759,7 @@ impl LogInner {
             Err(e) => {
                 if matches!(e, StoreError::Corrupt(_)) {
                     self.obs.crc_failures.inc();
-                    if let Some(idx) = self.stream_mut(capsule) {
+                    if let Some(idx) = self.streams.get_mut(capsule) {
                         idx.forget(&hash);
                     }
                     self.ckpt_names_rot = true;

@@ -1,7 +1,8 @@
 //! Corruption and crash-window torture tests for the segmented shared
 //! log: torn tail writes on the active segment, every-byte bit flips
 //! across segment *and* checkpoint files, a checkpoint that names a
-//! missing segment, physical duplicates on disk, and a crash injected
+//! missing segment, a CRC-clean checkpoint section that does not decode,
+//! physical duplicates on disk, and a crash injected
 //! mid-rotation. Every scenario must recover to a
 //! consistent state — a served record is always bit-identical to an
 //! appended one, damage surfaces as typed [`StoreError::Corrupt`] or a
@@ -282,6 +283,101 @@ fn every_byte_flip_across_segments_and_checkpoint_recovers_consistently() {
         }
     }
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Two capsules of six records each. The checkpoint covers all of the
+/// first and half of the second; the rest of the second is a flushed tail
+/// past it.
+fn log_with_tail_on_the_second_capsule(dir: &Path) -> Vec<(CapsuleMetadata, Vec<Record>)> {
+    let caps = vec![capsule(1, 6), capsule(2, 6)];
+    let log = SegLog::open(dir, small_seg_cfg()).unwrap();
+    for ((m, rs), covered) in caps.iter().zip([6, 3]) {
+        let mut h = log.handle(m.name());
+        h.put_metadata(m).unwrap();
+        for r in &rs[..covered] {
+            h.append(r).unwrap();
+        }
+    }
+    log.checkpoint_now(1_000_000).unwrap();
+    let (m, rs) = &caps[1];
+    let mut h = log.handle(m.name());
+    for r in &rs[3..] {
+        h.append(r).unwrap();
+    }
+    log.flush_now(2_000_000).unwrap();
+    caps
+}
+
+/// Lowers the record count of `victim`'s checkpoint section by one and
+/// re-seals the section CRC: every CRC in the file holds, but the section
+/// no longer decodes (one record's bytes trail its last record).
+fn make_section_undecodable(dir: &Path, victim: &Name) {
+    let path = dir.join("index.ckpt");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let be32 = |b: &[u8], at: usize| u32::from_be_bytes(b[at..at + 4].try_into().unwrap());
+    // magic 8 ‖ pos 16 ‖ n_segs 4 ‖ segs ‖ n_streams 4 ‖ header crc 4
+    let n_segs = be32(&bytes, 24) as usize;
+    let n_streams = be32(&bytes, 28 + 8 * n_segs);
+    let mut at = 28 + 8 * n_segs + 8;
+    for _ in 0..n_streams {
+        // name 32 ‖ payload_len 4 ‖ payload_crc 4 ‖ payload
+        let payload_len = be32(&bytes, at + 32) as usize;
+        let payload = at + 40;
+        if bytes[at..at + 32] == victim.as_bytes()[..] {
+            // payload := meta_len 4 ‖ meta ‖ n_records 4 ‖ records
+            let count_at = payload + 4 + be32(&bytes, payload) as usize;
+            let count = be32(&bytes, count_at) - 1;
+            bytes[count_at..count_at + 4].copy_from_slice(&count.to_be_bytes());
+            let mut crc = Crc32::new();
+            crc.update(&bytes[at..at + 36]);
+            crc.update(&bytes[payload..payload + payload_len]);
+            bytes[at + 36..payload].copy_from_slice(&crc.finish().to_be_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            return;
+        }
+        at = payload + payload_len;
+    }
+    panic!("the checkpoint has no section for the victim");
+}
+
+/// A CRC-clean checkpoint section that does not decode voids the whole
+/// checkpoint: open full-scans (counted) and serves every record of every
+/// capsule bit-identical, whether or not the damaged stream also has
+/// entries past the checkpoint.
+fn undecodable_section_degrades_to_a_full_scan(victim: usize) {
+    let dir = tmpdir("undecodable");
+    let caps = log_with_tail_on_the_second_capsule(&dir);
+    make_section_undecodable(&dir, &caps[victim].0.name());
+
+    let metrics = Metrics::new();
+    let log = SegLog::open_with(&dir, small_seg_cfg(), &metrics.scope("store"))
+        .unwrap_or_else(|e| panic!("checkpoint damage must degrade, not fail the open: {e}"));
+    assert!(log.recovery_stats().full_scan, "an undecodable section voids the checkpoint");
+    assert_eq!(metrics.counter_value("store", "recovery_full_scans"), 1);
+    for (m, rs) in &caps {
+        let h = log.handle(m.name());
+        assert_eq!(h.metadata().unwrap(), *m);
+        assert_eq!((h.len(), h.latest_seq()), (rs.len(), rs.len() as u64));
+        let mut hashes = h.hashes();
+        hashes.sort();
+        let mut want: Vec<RecordHash> = rs.iter().map(Record::hash).collect();
+        want.sort();
+        assert_eq!(hashes, want);
+        for r in rs {
+            assert_eq!(h.get_by_seq(r.header.seq).unwrap().as_ref(), Some(r));
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn undecodable_checkpoint_section_without_a_tail_means_a_full_scan() {
+    undecodable_section_degrades_to_a_full_scan(0);
+}
+
+#[test]
+fn undecodable_checkpoint_section_with_a_tail_means_a_full_scan() {
+    undecodable_section_degrades_to_a_full_scan(1);
 }
 
 /// The framed bytes (header + body) of every entry in a segment file.

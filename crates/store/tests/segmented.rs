@@ -1,6 +1,6 @@
 //! Functional tests of the segmented shared-log engine: group-commit ack
-//! semantics, rotation, checkpointed (bounded) recovery and cold-index
-//! eviction — the tentpole behaviors of `SegLog`.
+//! semantics, rotation and checkpointed (bounded) recovery — the tentpole
+//! behaviors of `SegLog`.
 
 use gdp_capsule::{CapsuleMetadata, Record, RecordHash};
 use gdp_crypto::SigningKey;
@@ -314,53 +314,11 @@ fn full_scan_recovery_is_streamed_in_bounded_chunks() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A tail merged at open lives only in memory until the next checkpoint,
+/// which must cover it: after that checkpoint a reopen replays nothing,
+/// and every record of the merged tail is still there.
 #[test]
-fn cold_index_eviction_bounds_residency_and_reloads_transparently() {
-    let dir = tmpdir("evict");
-    let metrics = Metrics::new();
-    let cfg = SegConfig { max_resident_streams: 4, ..batch_cfg() };
-    let log = SegLog::open_with(&dir, cfg, &metrics.scope("store")).unwrap();
-    let caps: Vec<_> = (1u8..=10).map(|t| capsule(t, 2)).collect();
-    for (m, rs) in &caps {
-        let mut h = log.handle(m.name());
-        h.put_metadata(m).unwrap();
-        for r in rs {
-            h.append(r).unwrap();
-        }
-    }
-    assert_eq!(log.stream_count(), 10);
-    // Dirty streams cannot evict; maintenance checkpoints to free them.
-    log.maintain(1_000_000).unwrap();
-    assert!(
-        log.resident_streams() <= 4,
-        "resident indexes ({}) must respect the budget",
-        log.resident_streams()
-    );
-    assert!(metrics.counter_value("store", "index_evictions") >= 6);
-
-    // Reads from evicted streams reload from the checkpoint and stay
-    // correct; residency never exceeds the budget while doing so.
-    for (m, rs) in &caps {
-        let h = log.handle(m.name());
-        assert_eq!(h.metadata().unwrap(), *m);
-        for r in rs {
-            assert_eq!(h.get_by_hash(&r.hash()).unwrap().unwrap(), *r);
-        }
-        assert!(log.resident_streams() <= 4 + 1, "reload must not leak residency");
-    }
-    assert!(metrics.counter_value("store", "index_reloads") >= 6);
-    assert_eq!(log.stream_count(), 10, "eviction drops indexes, never streams");
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-/// Regression: tail entries replayed past the checkpoint must mark their
-/// streams dirty. Without that, a stream reloaded from the checkpoint and
-/// then merged still looks checkpoint-clean, eviction (possible even
-/// mid-recovery once residency crosses the budget) drops its index, and
-/// the reload rebuilds from the stale checkpoint section — acked durable
-/// tail records silently vanish and latest_seq regresses.
-#[test]
-fn recovered_tail_survives_index_eviction() {
+fn recovered_tail_survives_the_next_checkpoint_and_reopen() {
     let dir = tmpdir("tailsafe");
     let caps: Vec<_> = (1u8..=8).map(|t| capsule(t, 2)).collect();
     {
@@ -379,24 +337,26 @@ fn recovered_tail_survives_index_eviction() {
         // any further checkpoint.
         log.flush_now(2_000_000).unwrap();
     }
-    // Reopen under a tiny residency budget, so recovery itself churns
-    // streams in and out while it merges the tail.
-    let cfg = SegConfig { max_resident_streams: 2, ..batch_cfg() };
-    let log = SegLog::open(&dir, cfg).unwrap();
-    assert!(!log.recovery_stats().full_scan, "checkpoint present: tail-only replay");
-    // Maintenance checkpoints the dirty streams and evicts down to the
-    // budget; reads then reload from the *new* checkpoint.
-    log.maintain(3_000_000).unwrap();
-    for (m, _) in &caps {
-        let _ = log.handle(m.name()).latest_seq(); // churn the LRU
+    {
+        let log = SegLog::open(&dir, batch_cfg()).unwrap();
+        let stats = log.recovery_stats();
+        assert!(!stats.full_scan, "checkpoint present: tail-only replay");
+        assert_eq!(stats.tail_entries, caps.len() as u64);
+        log.checkpoint_now(3_000_000).unwrap();
     }
-    assert!(log.resident_streams() <= 2 + 1, "eviction must still enforce the budget");
+    let log = SegLog::open(&dir, batch_cfg()).unwrap();
+    let stats = log.recovery_stats();
+    assert!(!stats.full_scan);
+    assert_eq!(stats.tail_entries, 0, "the new checkpoint covers the merged tail");
+    assert_eq!(log.stream_count(), caps.len());
     for (m, rs) in &caps {
         let h = log.handle(m.name());
-        assert_eq!(h.latest_seq(), 2, "tail record lost after eviction/reload");
+        assert_eq!(h.metadata().unwrap(), *m);
+        assert_eq!(h.latest_seq(), 2, "tail record lost across the checkpoint");
         assert_eq!(h.len(), 2);
-        assert_eq!(h.get_by_hash(&rs[1].hash()).unwrap().unwrap(), rs[1]);
-        assert_eq!(h.get_by_hash(&rs[0].hash()).unwrap().unwrap(), rs[0]);
+        for r in rs {
+            assert_eq!(h.get_by_hash(&r.hash()).unwrap().unwrap(), *r);
+        }
     }
     let _ = std::fs::remove_dir_all(dir);
 }

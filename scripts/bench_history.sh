@@ -3,13 +3,14 @@
 # (BENCHMARK.json) measured once per workload on this box, at this tree.
 #
 # The file is the trajectory ROADMAP asks for: committed, append-only, one
-# JSON object per line. Each line names what was measured (`commit`, and
-# `dirty` when the tree had uncommitted changes on top of it — the PR
-# being prepared), where (`date`, `nproc`, `cpu`), and carries every
-# workload's result line as the driver command printed it (`correct`,
-# `attempted`, `failed`, and the seven end-to-end `metrics`). When
-# `report fig6` / `report store` have left BENCH_fig6.json /
-# BENCH_store.json in the tree, their recorded floors ride along.
+# JSON object per line. Each line names what was measured (`commit`: the
+# script refuses a tree with uncommitted changes, so the line measures
+# exactly that commit and `dirty` is always false), where (`date`,
+# `nproc`, `cpu`), and carries every workload's result line as the
+# driver command printed it (`correct`, `attempted`, `failed`, and the
+# seven end-to-end `metrics`). When `report fig6` / `report store` have
+# left BENCH_fig6.json / BENCH_store.json in the tree, their recorded
+# floors ride along.
 #
 # One 10 s run per workload is a trajectory point, not a comparison:
 # claims of gain or no-regression need the paired runs benchmark/README.md
@@ -22,6 +23,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 history=BENCH_history.jsonl
+
+# Before any build: cargo rewrites benchmark/Cargo.lock, so a reading
+# taken after it would call every tree dirty.
+changed="$(git status --porcelain -- . ":!$history")"
+if [ -n "$changed" ]; then
+    printf '!!! uncommitted changes; commit them (or stash them) and re-run:\n%s\n' "$changed" >&2
+    exit 1
+fi
+commit="$(git rev-parse --short=12 HEAD)"
+
 lock=benchmark/Cargo.lock
 saved_lock="$(mktemp)"
 cp "$lock" "$saved_lock"
@@ -50,12 +61,9 @@ floor() {
 }
 floors="$(floor BENCH_fig6.json perf_floor)$(floor BENCH_store.json store_floor)$(floor BENCH_store.json read_floor)$(floor BENCH_store.json served_floor)"
 
-commit="$(git rev-parse --short=12 HEAD)"
-dirty=false
-[ -z "$(git status --porcelain -- . ":!$history")" ] || dirty=true
 cpu="$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -n 1 | tr -d '"\\')"
 
-entry="{\"commit\":\"$commit\",\"dirty\":$dirty,\"date\":\"$(date -u +%Y-%m-%dT%H:%M:%SZ)\""
+entry="{\"commit\":\"$commit\",\"dirty\":false,\"date\":\"$(date -u +%Y-%m-%dT%H:%M:%SZ)\""
 entry="$entry,\"nproc\":$(nproc),\"cpu\":\"${cpu:-unknown}\",\"seconds\":10,\"seed\":1"
 entry="$entry,\"workloads\":{$results}$floors}"
 

@@ -124,6 +124,13 @@ else
         printf '!!! a name of the deleted callback simulator is back (see above)\n'
         exit 1
     fi
+    # Every hosted stream's index stays resident in the seglog; the
+    # eviction knob and the lazy checkpoint reload must not come back.
+    evicted='max_resident_streams|StreamSlot|reload_stream|evict_over_budget|read_raw_section'
+    if grep -rnE "$evicted|index_evictions|index_reloads" crates src tests examples; then
+        printf '!!! a name of the deleted seglog index eviction is back (see above)\n'
+        exit 1
+    fi
     # The client driver is one I/O-free policy (DESIGN.md, "Client
     # driver"): no clock, thread or socket in it, and its constants and
     # the honest-failure list are defined once in the tree — a second
