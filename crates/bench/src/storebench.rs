@@ -279,7 +279,7 @@ fn seed_capsules(
         let mut h = log.handle(*name);
         for seq in 1..=per_capsule as u64 {
             let body = format!("read bench payload {appended}").into_bytes();
-            h.append(&unsigned_record(name, seq, body)).expect("seed append");
+            h.append_acked(&unsigned_record(name, seq, body)).expect("seed append");
             appended += 1;
             if appended.is_multiple_of(4096) {
                 now_us += 5_000;
@@ -461,7 +461,7 @@ pub fn served_comparison(dir: &Path) -> ServedPoint {
         CapsuleWriter::new(&meta, writer_key, PointerStrategy::SkipList).expect("served writer");
     for seq in 1..=SERVED_RECORDS {
         let record = writer.append(&vec![seq as u8; SERVED_BODY_BYTES], 0).expect("sign");
-        store.append(&record).expect("seed append");
+        store.append_acked(&record).expect("seed append");
         if seq % 16 == 0 {
             store.flush(seq * 5_000).expect("seed flush"); // rotates full segments
         }

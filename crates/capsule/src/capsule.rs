@@ -2,7 +2,8 @@
 //!
 //! This structure is shared by writers (building new records), servers
 //! (ingesting and replicating), and readers (verifying). It is a grow-only
-//! set of signature-verified records keyed by header hash — which makes it a
+//! set of signature-verified records keyed by their address, the
+//! hash-pointer `(seq, header hash)` that names them — which makes it a
 //! state-based CRDT: merge is set union, so "a DataCapsule meets the
 //! definition of a Conflict-Free Replicated Data Type" (paper §V-A).
 //!
@@ -24,7 +25,7 @@
 
 use crate::error::CapsuleError;
 use crate::metadata::CapsuleMetadata;
-use crate::record::{Heartbeat, Record, RecordHash, RecordHeader, SignedHeader};
+use crate::record::{Heartbeat, Pointer, Record, RecordHash, RecordHeader, SignedHeader};
 use gdp_crypto::{Signature, VerifyingKey};
 use gdp_wire::Name;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -94,7 +95,7 @@ pub type CapsuleIndex = Chain<SignedHeader>;
 #[derive(Debug)]
 pub struct Verified {
     capsule: Name,
-    hash: RecordHash,
+    at: Pointer,
     record: Record,
 }
 
@@ -112,17 +113,17 @@ pub struct Chain<E> {
     metadata: CapsuleMetadata,
     name: Name,
     writer_key: VerifyingKey,
-    /// All linked (fully connected to the anchor) records by hash.
-    records: HashMap<RecordHash, E>,
-    /// seq → hashes of linked records at that seq (multiple on branches).
-    by_seq: BTreeMap<u64, Vec<RecordHash>>,
+    /// All linked (fully connected to the anchor) records by address: in
+    /// seq order, more than one per seq only on QSW branches.
+    records: BTreeMap<Pointer, E>,
     /// Linked records that no linked record points to.
-    heads: HashSet<RecordHash>,
+    heads: HashSet<Pointer>,
     /// Verified records waiting for a missing ancestor, keyed by the
     /// ancestor hash they need.
-    pending: HashMap<RecordHash, Vec<(RecordHash, E)>>,
-    /// Hashes of records buffered in `pending` (for duplicate detection).
-    pending_hashes: HashSet<RecordHash>,
+    pending: HashMap<RecordHash, Vec<(Pointer, E)>>,
+    /// Addresses of records buffered in `pending` (for duplicate
+    /// detection).
+    pending_at: HashSet<Pointer>,
 }
 
 impl<E: Retained> Chain<E> {
@@ -135,11 +136,10 @@ impl<E: Retained> Chain<E> {
             metadata,
             name,
             writer_key,
-            records: HashMap::new(),
-            by_seq: BTreeMap::new(),
+            records: BTreeMap::new(),
             heads: HashSet::new(),
             pending: HashMap::new(),
-            pending_hashes: HashSet::new(),
+            pending_at: HashSet::new(),
         })
     }
 
@@ -170,24 +170,33 @@ impl<E: Retained> Chain<E> {
 
     /// Number of verified-but-unlinked records (waiting on holes).
     pub fn pending_len(&self) -> usize {
-        self.pending_hashes.len()
+        self.pending_at.len()
     }
 
-    /// Hashes of missing ancestors currently blocking pending records —
-    /// the targets an anti-entropy pass should fetch. Sorted: the list
-    /// goes on the wire as is, and a seeded run must replay byte for byte.
-    pub fn missing_ancestors(&self) -> Vec<RecordHash> {
-        let mut missing: Vec<RecordHash> = self.pending.keys().copied().collect();
+    /// Addresses of missing ancestors currently blocking pending records —
+    /// the targets an anti-entropy pass should fetch: each waiting
+    /// record's `prev` at the seq before its own. Sorted: the list goes on
+    /// the wire as is, and a seeded run must replay byte for byte.
+    pub fn missing_ancestors(&self) -> Vec<Pointer> {
+        let mut missing: Vec<Pointer> = self
+            .pending
+            .values()
+            .flatten()
+            .map(|(_, waiting)| waiting.header())
+            .map(|h| Pointer { seq: h.seq.saturating_sub(1), hash: h.prev })
+            .collect();
         missing.sort_unstable();
+        missing.dedup();
         missing
     }
 
     /// Current head records (linked records with no linked successor).
     /// SSW capsules have exactly one head; QSW branches produce several.
+    /// Newest first; heads at one seq in hash order.
     pub fn heads(&self) -> Vec<&E> {
-        let mut out: Vec<(&RecordHash, &E)> =
-            self.heads.iter().map(|h| (h, &self.records[h])).collect();
-        out.sort_by_key(|(h, r)| (std::cmp::Reverse(r.header().seq), **h));
+        let mut out: Vec<(&Pointer, &E)> =
+            self.heads.iter().filter_map(|h| self.records.get_key_value(h)).collect();
+        out.sort_by_key(|(h, _)| (std::cmp::Reverse(h.seq), h.hash));
         out.into_iter().map(|(_, r)| r).collect()
     }
 
@@ -203,26 +212,23 @@ impl<E: Retained> Chain<E> {
 
     /// Highest linked sequence number.
     pub fn latest_seq(&self) -> u64 {
-        self.by_seq.keys().next_back().copied().unwrap_or(0)
+        self.records.keys().next_back().map_or(0, |at| at.seq)
     }
 
-    /// Looks up a linked record by hash.
-    pub fn get(&self, hash: &RecordHash) -> Option<&E> {
-        self.records.get(hash)
+    /// Looks up a linked record by its address.
+    pub fn get(&self, at: &Pointer) -> Option<&E> {
+        self.records.get(at)
     }
 
     /// True when the record is held, linked or pending.
-    pub fn contains(&self, hash: &RecordHash) -> bool {
-        self.records.contains_key(hash) || self.pending_hashes.contains(hash)
+    pub fn contains(&self, at: &Pointer) -> bool {
+        self.records.contains_key(at) || self.pending_at.contains(at)
     }
 
     /// Looks up linked records at a sequence number (more than one only on
     /// QSW branches).
     pub fn get_by_seq(&self, seq: u64) -> Vec<&E> {
-        self.by_seq
-            .get(&seq)
-            .map(|hashes| hashes.iter().map(|h| &self.records[h]).collect())
-            .unwrap_or_default()
+        self.range(seq, seq)
     }
 
     /// The single record at `seq`, or an error when absent/ambiguous.
@@ -235,32 +241,18 @@ impl<E: Retained> Chain<E> {
         }
     }
 
-    /// Linked records in a seq range (inclusive) in SSW order, lazily. An
-    /// empty or inverted range yields nothing.
-    pub fn iter_range(&self, from: u64, to: u64) -> impl Iterator<Item = &E> {
+    /// Linked records in a seq range (inclusive) in SSW order, each with
+    /// its address, lazily. An empty or inverted range yields nothing.
+    pub fn iter_range(&self, from: u64, to: u64) -> impl Iterator<Item = (&Pointer, &E)> {
         // `BTreeMap::range` panics on an inverted range.
-        let span = (from <= to).then_some(from..=to);
-        span.into_iter()
-            .flat_map(|span| self.by_seq.range(span))
-            .flat_map(|(_, hashes)| hashes.iter().map(|h| &self.records[h]))
+        let span = (from <= to).then(|| Pointer::span(from, to));
+        span.into_iter().flat_map(|span| self.records.range(span))
     }
 
     /// Returns records in a seq range (inclusive), SSW order. An empty or
     /// inverted range yields no records.
     pub fn range(&self, from: u64, to: u64) -> Vec<&E> {
-        self.iter_range(from, to).collect()
-    }
-
-    /// True when the chain from seq 1 to `latest_seq` has no gaps.
-    pub fn is_contiguous(&self) -> bool {
-        let latest = self.latest_seq();
-        (1..=latest).all(|s| self.by_seq.contains_key(&s))
-    }
-
-    /// First missing sequence number, if the capsule has a hole.
-    pub fn first_hole(&self) -> Option<u64> {
-        let latest = self.latest_seq();
-        (1..=latest).find(|s| !self.by_seq.contains_key(s))
+        self.iter_range(from, to).map(|(_, e)| e).collect()
     }
 
     /// Verifies and inserts a record. Verification is complete — signature,
@@ -278,12 +270,12 @@ impl<E: Retained> Chain<E> {
     /// persists the record between this and [`Chain::admit`], so that it
     /// never indexes what its store refused.
     pub fn verify(&self, record: Record) -> Result<Option<Verified>, CapsuleError> {
-        let hash = record.hash();
-        if self.contains(&hash) {
+        let at = record.pointer();
+        if self.contains(&at) {
             return Ok(None);
         }
-        record.verify_hashed(&self.name, &self.writer_key, &hash)?;
-        Ok(Some(Verified { capsule: self.name, hash, record }))
+        record.verify_hashed(&self.name, &self.writer_key, &at.hash)?;
+        Ok(Some(Verified { capsule: self.name, at, record }))
     }
 
     /// The second half of [`Chain::ingest`]: links a verified record, or
@@ -292,51 +284,47 @@ impl<E: Retained> Chain<E> {
     /// # Panics
     /// When `verified` came from another capsule's [`Chain::verify`].
     pub fn admit(&mut self, verified: Verified) -> IngestOutcome {
-        let Verified { capsule, hash, record } = verified;
+        let Verified { capsule, at, record } = verified;
         assert_eq!(capsule, self.name, "record verified against another capsule");
-        if self.contains(&hash) {
+        if self.contains(&at) {
             return IngestOutcome::Duplicate;
         }
         let entry = E::from(record);
         if self.can_link(entry.header()) {
-            self.link(hash, entry);
+            self.link(at, entry);
             IngestOutcome::Linked
         } else {
-            self.pending_hashes.insert(hash);
-            self.pending.entry(entry.header().prev).or_default().push((hash, entry));
+            self.pending_at.insert(at);
+            self.pending.entry(entry.header().prev).or_default().push((at, entry));
             IngestOutcome::Pending
         }
     }
 
+    /// True when the record's `prev` is linked at the seq before its own
+    /// (the anchor, for seq 1).
     fn can_link(&self, header: &RecordHeader) -> bool {
         if header.seq == 1 {
             return header.prev == RecordHash::anchor(&self.name);
         }
-        match self.records.get(&header.prev) {
-            Some(prev) => prev.header().seq + 1 == header.seq,
-            None => false,
-        }
+        self.records.contains_key(&Pointer { seq: header.seq - 1, hash: header.prev })
     }
 
-    fn link(&mut self, hash: RecordHash, entry: E) {
+    fn link(&mut self, at: Pointer, entry: E) {
         // Linking may unblock pending descendants (hole healing), which
         // may unblock theirs: a worklist, so a long healed run costs no
         // stack.
-        let mut ready = vec![(hash, entry)];
-        while let Some((hash, entry)) = ready.pop() {
-            self.heads.remove(&entry.header().prev);
-            self.heads.insert(hash);
-            // One record per seq short of a branch: `push` on an empty
-            // `Vec` would reserve room for four hashes.
-            let at_seq = self.by_seq.entry(entry.header().seq);
-            at_seq.or_insert_with(|| Vec::with_capacity(1)).push(hash);
-            self.records.insert(hash, entry);
-            for (h, waiting) in self.pending.remove(&hash).unwrap_or_default().into_iter().rev() {
-                self.pending_hashes.remove(&h);
+        let mut ready = vec![(at, entry)];
+        while let Some((at, entry)) = ready.pop() {
+            self.heads.remove(&Pointer { seq: at.seq - 1, hash: entry.header().prev });
+            self.heads.insert(at);
+            self.records.insert(at, entry);
+            for (at, waiting) in self.pending.remove(&at.hash).unwrap_or_default().into_iter().rev()
+            {
+                self.pending_at.remove(&at);
                 // Ancestor present but seq relation wrong: it can never
                 // link, so it is dropped.
                 if self.can_link(waiting.header()) {
-                    ready.push((h, waiting));
+                    ready.push((at, waiting));
                 }
             }
         }
@@ -352,22 +340,18 @@ impl<E: Retained> Chain<E> {
             return Err(CapsuleError::WrongCapsule { expected: self.name, got: heartbeat.capsule });
         }
         heartbeat.verify(&self.writer_key)?;
-        let mut cursor = heartbeat.head;
-        let mut expect_seq = heartbeat.seq;
+        // Each step looks `prev` up at the seq before, so the seqs
+        // decrement along the chain by construction.
+        let mut at = Pointer { seq: heartbeat.seq, hash: heartbeat.head };
         loop {
-            let header =
-                self.records.get(&cursor).ok_or(CapsuleError::MissingRecord(cursor))?.header();
-            if header.seq != expect_seq {
-                return Err(CapsuleError::BadRecord("seq does not decrement along chain"));
-            }
-            if expect_seq == 1 {
+            let header = self.get(&at).ok_or(CapsuleError::MissingRecord(at.hash))?.header();
+            if at.seq == 1 {
                 if header.prev != RecordHash::anchor(&self.name) {
                     return Err(CapsuleError::BadRecord("chain does not anchor at metadata"));
                 }
                 return Ok(());
             }
-            cursor = header.prev;
-            expect_seq -= 1;
+            at = Pointer { seq: at.seq - 1, hash: header.prev };
         }
     }
 
@@ -384,7 +368,7 @@ impl<E: Retained> Chain<E> {
 
     /// Iterates all linked records in seq order.
     pub fn iter(&self) -> impl Iterator<Item = &E> {
-        self.by_seq.values().flat_map(move |hashes| hashes.iter().map(move |h| &self.records[h]))
+        self.records.values()
     }
 
     /// Body bytes held in memory across linked and pending records (zero
@@ -418,7 +402,6 @@ impl DataCapsule {
 mod tests {
     use super::*;
     use crate::metadata::MetadataBuilder;
-    use crate::record::Pointer;
     use gdp_crypto::SigningKey;
 
     fn owner() -> SigningKey {
@@ -458,7 +441,6 @@ mod tests {
         chain(&mut c, 10);
         assert_eq!(c.len(), 10);
         assert_eq!(c.latest_seq(), 10);
-        assert!(c.is_contiguous());
         assert_eq!(c.heads().len(), 1);
         assert_eq!(c.single_head().unwrap().unwrap().header.seq, 10);
     }
@@ -498,12 +480,27 @@ mod tests {
         let r3 = make_record(&c, 3, r2.hash(), b"3");
         c.ingest(r1).unwrap();
         c.ingest(r3).unwrap();
-        assert!(!c.is_contiguous() || c.latest_seq() == 1);
-        assert_eq!(c.pending_len(), 1);
-        assert_eq!(c.missing_ancestors(), vec![r2.hash()]);
+        assert_eq!((c.latest_seq(), c.pending_len()), (1, 1));
+        assert_eq!(c.missing_ancestors(), vec![r2.pointer()]);
         c.ingest(r2).unwrap();
-        assert!(c.is_contiguous());
-        assert_eq!(c.first_hole(), None);
+        assert_eq!((c.latest_seq(), c.len(), c.pending_len()), (3, 3, 0));
+        assert!(c.missing_ancestors().is_empty());
+    }
+
+    /// A parked record whose claimed seq does not follow its ancestor's is
+    /// dropped when that ancestor links: it can never link itself.
+    #[test]
+    fn a_parked_record_whose_seq_skips_its_ancestor_is_dropped_when_the_ancestor_links() {
+        let mut c = fresh();
+        let anchor = RecordHash::anchor(&c.name());
+        let r1 = make_record(&c, 1, anchor, b"1");
+        let skips = make_record(&c, 3, r1.hash(), b"claims seq 3 on top of seq 1");
+        assert_eq!(c.ingest(skips.clone()).unwrap(), IngestOutcome::Pending);
+        assert_eq!(c.missing_ancestors(), vec![Pointer { seq: 2, hash: r1.hash() }]);
+        assert_eq!(c.ingest(r1).unwrap(), IngestOutcome::Linked);
+        assert_eq!((c.len(), c.pending_len(), c.latest_seq()), (1, 0, 1));
+        assert!(!c.contains(&skips.pointer()));
+        assert!(c.missing_ancestors().is_empty());
     }
 
     #[test]
@@ -550,8 +547,7 @@ mod tests {
         b.ingest(rs[4].clone()).unwrap(); // pending
         let added = b.merge(&a).unwrap();
         assert_eq!(added, 4);
-        assert_eq!(b.len(), 6);
-        assert!(b.is_contiguous());
+        assert_eq!((b.len(), b.pending_len(), b.latest_seq()), (6, 0, 6));
     }
 
     #[test]
@@ -666,9 +662,9 @@ mod tests {
         let v2 = c.verify(r2.clone()).unwrap().expect("fresh");
         assert_eq!(v2.record(), &r2);
         assert_eq!((c.len(), c.pending_len()), (0, 0), "verifying inserts nothing");
-        assert!(!c.contains(&r2.hash()));
+        assert!(!c.contains(&r2.pointer()));
         assert_eq!(c.admit(v2), IngestOutcome::Pending);
-        assert!(c.contains(&r2.hash()) && c.get(&r2.hash()).is_none());
+        assert!(c.contains(&r2.pointer()) && c.get(&r2.pointer()).is_none());
         assert!(c.verify(r2).unwrap().is_none(), "held, even if only pending");
         let v1 = c.verify(r1.clone()).unwrap().unwrap();
         let again = c.verify(r1).unwrap().unwrap();

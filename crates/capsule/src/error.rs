@@ -19,6 +19,8 @@ pub enum CapsuleError {
     MissingSeq(u64),
     /// A proof failed verification.
     BadProof(&'static str),
+    /// A proof would take more bytes than its builder's budget allows.
+    ProofTooLarge,
     /// Decoding failed.
     Decode(DecodeError),
     /// A cryptographic payload operation failed (e.g. AEAD open).
@@ -41,6 +43,7 @@ impl std::fmt::Display for CapsuleError {
             CapsuleError::MissingRecord(h) => write!(f, "missing record {h}"),
             CapsuleError::MissingSeq(s) => write!(f, "no record at seq {s}"),
             CapsuleError::BadProof(w) => write!(f, "bad proof: {w}"),
+            CapsuleError::ProofTooLarge => write!(f, "proof exceeds its byte budget"),
             CapsuleError::Decode(e) => write!(f, "decode error: {e}"),
             CapsuleError::Crypto(w) => write!(f, "crypto failure: {w}"),
             CapsuleError::Branched => write!(f, "capsule has divergent branches"),

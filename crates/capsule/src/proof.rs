@@ -15,7 +15,7 @@
 
 use crate::capsule::{Chain, DataCapsule, Retained};
 use crate::error::CapsuleError;
-use crate::record::{Heartbeat, Record, RecordHash, RecordHeader};
+use crate::record::{Heartbeat, Pointer, Record, RecordHeader};
 use gdp_crypto::VerifyingKey;
 use gdp_wire::{Bytes, DecodeError, Decoder, Encoder, Name, Wire};
 
@@ -42,41 +42,58 @@ impl MembershipProof {
         heartbeat: &Heartbeat,
         target_seq: u64,
     ) -> Result<MembershipProof, CapsuleError> {
-        let (target, path) = MembershipProof::path(capsule, heartbeat, target_seq)?;
-        let body = capsule.get(&target).ok_or(CapsuleError::MissingRecord(target))?.body.clone();
-        Ok(MembershipProof { heartbeat: heartbeat.clone(), path, body })
+        let (target, path) = MembershipProof::path(capsule, heartbeat, target_seq, u64::MAX)?;
+        let record = capsule.get(&target).ok_or(CapsuleError::MissingRecord(target.hash))?;
+        Ok(MembershipProof { heartbeat: heartbeat.clone(), path, body: record.body.clone() })
     }
 
     /// The header path from the head attested by `heartbeat` down to
-    /// `target_seq`, and the target's hash: the descent the pointer
+    /// `target_seq`, and the target's address: the descent the pointer
     /// strategies are built for — from each header, the pointer with the
     /// smallest seq not below the target (the farthest jump that does not
     /// overshoot) — so skip-list and checkpoint pointers shorten proofs
     /// automatically. It reads headers only and allocates nothing but the
     /// path; a chain that keeps no bodies completes the proof with the
-    /// target's body fetched by that hash.
+    /// target's body fetched by that address.
+    ///
+    /// The headers and the target's body are counted against `budget`
+    /// bytes on the way down: a path that would pass it stops there with
+    /// [`CapsuleError::ProofTooLarge`], so a descent of one header per
+    /// record costs at most the budget before it is refused.
     pub fn path<E: Retained>(
         capsule: &Chain<E>,
         heartbeat: &Heartbeat,
         target_seq: u64,
-    ) -> Result<(RecordHash, Vec<RecordHeader>), CapsuleError> {
-        let mut at = heartbeat.head;
-        let mut header = capsule.get(&at).ok_or(CapsuleError::MissingRecord(at))?.header();
+        budget: u64,
+    ) -> Result<(Pointer, Vec<RecordHeader>), CapsuleError> {
+        let mut at = Pointer { seq: heartbeat.seq, hash: heartbeat.head };
+        let mut header = capsule.get(&at).ok_or(CapsuleError::MissingRecord(at.hash))?.header();
         if target_seq > header.seq || target_seq == 0 {
             return Err(CapsuleError::MissingSeq(target_seq));
         }
-        let mut path = vec![header.clone()];
-        while header.seq != target_seq {
-            // A pointer's seq is the writer's claim; one that lies ends the
-            // descent below the target, where no pointer qualifies.
-            let (_, next) = header
-                .all_pointers()
-                .filter(|&(pseq, _)| pseq >= target_seq)
-                .min_by_key(|&(pseq, _)| pseq)
-                .ok_or(CapsuleError::MissingSeq(target_seq))?;
-            at = next;
-            header = capsule.get(&at).ok_or(CapsuleError::MissingRecord(at))?.header();
+        let mut spent = 0u64;
+        let mut path = Vec::new();
+        loop {
+            spent = spent.saturating_add(header.wire_bound());
+            if spent > budget {
+                return Err(CapsuleError::ProofTooLarge);
+            }
             path.push(header.clone());
+            if header.seq == target_seq {
+                break;
+            }
+            // A pointer's seq is the writer's claim; one that lies names no
+            // record at that address, or ends the descent below the target,
+            // where no pointer qualifies.
+            at = header
+                .all_pointers()
+                .filter(|p| p.seq >= target_seq)
+                .min_by_key(|p| p.seq)
+                .ok_or(CapsuleError::MissingSeq(target_seq))?;
+            header = capsule.get(&at).ok_or(CapsuleError::MissingRecord(at.hash))?.header();
+        }
+        if spent.saturating_add(u64::from(header.body_len)) > budget {
+            return Err(CapsuleError::ProofTooLarge);
         }
         Ok((at, path))
     }
@@ -98,10 +115,8 @@ impl MembershipProof {
         // Each hop must be justified by a hash-pointer in the previous header.
         for w in self.path.windows(2) {
             let (from, to) = (&w[0], &w[1]);
-            let to_hash = to.hash();
-            let justified =
-                from.all_pointers().any(|(pseq, phash)| phash == to_hash && pseq == to.seq);
-            if !justified {
+            let to = Pointer { seq: to.seq, hash: to.hash() };
+            if !from.all_pointers().any(|p| p == to) {
                 return Err(CapsuleError::BadProof("hop not justified by a hash-pointer"));
             }
         }
@@ -231,7 +246,7 @@ impl Wire for RangeProof {
 mod tests {
     use super::*;
     use crate::metadata::MetadataBuilder;
-    use crate::record::Pointer;
+    use crate::record::RecordHash;
     use crate::strategy::PointerStrategy;
     use gdp_crypto::SigningKey;
 

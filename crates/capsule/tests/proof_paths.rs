@@ -10,7 +10,7 @@
 
 use gdp_capsule::{
     CapsuleError, CapsuleWriter, Chain, DataCapsule, Heartbeat, MembershipProof, MetadataBuilder,
-    PointerStrategy, RecordHash, RecordHeader, Retained,
+    Pointer, PointerStrategy, RecordHeader, Retained,
 };
 use gdp_crypto::SigningKey;
 use proptest::prelude::*;
@@ -28,27 +28,27 @@ fn bfs_path<E: Retained>(
     capsule: &Chain<E>,
     heartbeat: &Heartbeat,
     target_seq: u64,
-) -> Result<(RecordHash, Vec<RecordHeader>), CapsuleError> {
-    let head_hash = heartbeat.head;
-    let head = capsule.get(&head_hash).ok_or(CapsuleError::MissingRecord(head_hash))?;
+) -> Result<(Pointer, Vec<RecordHeader>), CapsuleError> {
+    let head_hash = Pointer { seq: heartbeat.seq, hash: heartbeat.head };
+    let head = capsule.get(&head_hash).ok_or(CapsuleError::MissingRecord(head_hash.hash))?;
     if target_seq > head.header().seq || target_seq == 0 {
         return Err(CapsuleError::MissingSeq(target_seq));
     }
     // BFS from head following pointers with seq >= target.
-    let mut parent: HashMap<RecordHash, RecordHash> = HashMap::new();
+    let mut parent: HashMap<Pointer, Pointer> = HashMap::new();
     let mut queue = VecDeque::new();
     queue.push_back(head_hash);
-    let mut found: Option<RecordHash> = None;
+    let mut found: Option<Pointer> = None;
     while let Some(cur) = queue.pop_front() {
-        let header = capsule.get(&cur).ok_or(CapsuleError::MissingRecord(cur))?.header();
+        let header = capsule.get(&cur).ok_or(CapsuleError::MissingRecord(cur.hash))?.header();
         if header.seq == target_seq {
             found = Some(cur);
             break;
         }
-        for (pseq, phash) in header.all_pointers() {
-            if pseq >= target_seq && pseq >= 1 && !parent.contains_key(&phash) {
-                parent.insert(phash, cur);
-                queue.push_back(phash);
+        for p in header.all_pointers() {
+            if p.seq >= target_seq && p.seq >= 1 && !parent.contains_key(&p) {
+                parent.insert(p, cur);
+                queue.push_back(p);
             }
         }
     }
@@ -115,7 +115,7 @@ fn check_every_target(
     let hb = capsule.head_heartbeat().unwrap().unwrap();
     let key = writer_key().verifying_key();
     for target in 1..=hb.seq {
-        let (hash, path) = MembershipProof::path(capsule, &hb, target).unwrap();
+        let (hash, path) = MembershipProof::path(capsule, &hb, target, u64::MAX).unwrap();
         let (oracle_hash, oracle) = bfs_path(capsule, &hb, target).unwrap();
         prop_assert_eq!(hash, oracle_hash, "{} target {}", label, target);
         prop_assert!(
@@ -135,7 +135,7 @@ fn check_every_target(
         prop_assert_eq!(record.body, format!("body-{}", target - 1).into_bytes());
     }
     for beyond in [0, hb.seq + 1] {
-        let greedy = MembershipProof::path(capsule, &hb, beyond).map(|(h, _)| h);
+        let greedy = MembershipProof::path(capsule, &hb, beyond, u64::MAX).map(|(h, _)| h);
         prop_assert_eq!(greedy.ok(), bfs_path(capsule, &hb, beyond).map(|(h, _)| h).ok());
     }
     Ok(())

@@ -70,10 +70,45 @@ proptest! {
         }
         prop_assert_eq!(shuffled.len(), reference.len());
         prop_assert_eq!(shuffled.pending_len(), 0);
-        prop_assert!(shuffled.is_contiguous());
+        prop_assert_eq!(shuffled.latest_seq(), n);
         let h1: Vec<_> = shuffled.heads().iter().map(|r| r.hash()).collect();
         let h2: Vec<_> = reference.heads().iter().map(|r| r.hash()).collect();
         prop_assert_eq!(h1, h2);
+    }
+
+    /// A record links only once its `prev` is linked at the seq before its
+    /// own, so whatever subset of a history arrives, in whatever order, a
+    /// fork included, the linked seqs are exactly `1..=latest_seq`: a
+    /// capsule never holds a hole below its newest linked record, only
+    /// records parked above it.
+    #[test]
+    fn linked_seqs_are_exactly_one_to_latest_under_any_ingest_order(
+        strategy in strategy_strategy(),
+        n in 2u64..24,
+        mask in any::<u32>(),
+        fork_frac in 0.0f64..1.0,
+        seed in any::<u64>(),
+    ) {
+        let (reference, mut records) = build_chain(strategy, n);
+        let name = reference.name();
+        let fork_at = ((fork_frac * (n - 1) as f64) as u64).clamp(1, n - 1);
+        let on = records[fork_at as usize - 1].hash();
+        let fork = Record::create(&name, &writer_key(), fork_at + 1, 0, on, vec![], b"fork".to_vec());
+        records.push(fork);
+        records.retain(|r| mask & (1 << (r.header.seq % 32)) != 0);
+        let mut state = seed;
+        for i in (1..records.len()).rev() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            records.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        let mut capsule = DataCapsule::new(reference.metadata().clone()).unwrap();
+        for r in &records {
+            capsule.ingest(r.clone()).unwrap();
+            let mut linked: Vec<u64> = capsule.iter().map(|r| r.header.seq).collect();
+            linked.dedup();
+            prop_assert_eq!(linked, (1..=capsule.latest_seq()).collect::<Vec<u64>>());
+        }
+        prop_assert_eq!(capsule.len() + capsule.pending_len(), records.len());
     }
 
     /// CRDT laws: merge is commutative and idempotent for arbitrary

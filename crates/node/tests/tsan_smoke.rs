@@ -79,7 +79,7 @@ fn store_read_fast_lane_under_concurrent_load() {
                             vec![seq as u8; 700],
                         );
                         prev = r.hash();
-                        store.append(&r).expect("append");
+                        store.append_acked(&r).expect("append");
                     }
                     store.flush(phase * 1_000_000 + 900_000).expect("flush");
                     prev

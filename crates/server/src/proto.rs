@@ -12,7 +12,9 @@
 // new variant is a compile error here, not silent message loss behind a `_ =>`.
 #![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
-use gdp_capsule::{CapsuleMetadata, Heartbeat, MembershipProof, RangeProof, Record, RecordHash};
+use gdp_capsule::{
+    CapsuleMetadata, Heartbeat, MembershipProof, Pointer, RangeProof, Record, RecordHash,
+};
 use gdp_cert::{Principal, ServingChain};
 use gdp_crypto::hmac::hmac_sha256;
 use gdp_crypto::{Signature, SigningKey};
@@ -419,10 +421,12 @@ pub enum DataMsg {
     SyncRequest {
         /// The capsule to synchronize.
         capsule: Name,
-        /// Highest contiguous seq the requester holds.
+        /// Highest seq the requester has linked (it holds every seq
+        /// below it).
         have_seq: u64,
-        /// Specific missing ancestors the requester wants.
-        missing: Vec<RecordHash>,
+        /// The addresses of specific missing ancestors the requester
+        /// wants: a record is sent only if it has that seq and hash.
+        missing: Vec<Pointer>,
     },
     /// Server → server: anti-entropy payload.
     SyncResponse {
@@ -530,8 +534,9 @@ impl Wire for DataMsg {
                 enc.u8(11);
                 enc.name(capsule);
                 enc.varint(*have_seq);
-                enc.seq(missing, |e, h| {
-                    e.raw(&h.0);
+                enc.seq(missing, |e, p| {
+                    e.varint(p.seq);
+                    e.raw(&p.hash.0);
                 });
             }
             DataMsg::SyncResponse { capsule, records } => {
@@ -584,7 +589,9 @@ impl Wire for DataMsg {
             11 => DataMsg::SyncRequest {
                 capsule: dec.name()?,
                 have_seq: dec.varint()?,
-                missing: dec.seq(|d| Ok(RecordHash(d.array::<32>()?)))?,
+                missing: dec.seq(|d| {
+                    Ok(Pointer { seq: d.varint()?, hash: RecordHash(d.array::<32>()?) })
+                })?,
             },
             12 => DataMsg::SyncResponse { capsule: dec.name()?, records: dec.seq(Record::decode)? },
             13 => DataMsg::ErrResp {
@@ -682,7 +689,11 @@ mod tests {
             },
             DataMsg::Replicate { capsule: name, record: record.clone() },
             DataMsg::ReplicateAck { capsule: name, hash: record.hash() },
-            DataMsg::SyncRequest { capsule: name, have_seq: 9, missing: vec![record.hash()] },
+            DataMsg::SyncRequest {
+                capsule: name,
+                have_seq: 9,
+                missing: vec![record.pointer(), Pointer { seq: u64::MAX, hash: record.hash() }],
+            },
             DataMsg::SyncResponse { capsule: name, records: vec![record.clone()] },
             DataMsg::ErrResp { code: ErrorCode::NotFound, detail: "nope".to_string() },
             DataMsg::Nack { code: NackCode::Busy, retry_after_us: 250_000 },

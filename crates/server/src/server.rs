@@ -34,7 +34,7 @@ use crate::proto::{
 };
 use gdp_capsule::{
     CapsuleError, CapsuleIndex, CapsuleMetadata, Heartbeat, IngestOutcome, MembershipProof,
-    RangeProof, Record, RecordHash, SignedHeader,
+    Pointer, RangeProof, Record, SignedHeader,
 };
 use gdp_cert::{CapsuleAdvert, PrincipalId, PrincipalKind, ServingChain};
 use gdp_crypto::x25519::EphemeralKeyPair;
@@ -104,8 +104,9 @@ impl ServerObs {
     }
 }
 
-/// Bytes a `ReadResp` may spend on records: a frame's payload less room
-/// for the response authentication (a signed one carries the serving chain).
+/// Bytes a `ReadResp` may spend on records or a proof: a frame's payload
+/// less room for the response authentication (a signed one carries the
+/// serving chain).
 const MAX_ANSWER_BYTES: u64 = (MAX_PAYLOAD - 64 * 1024) as u64;
 
 /// True when the records' encodings together fit one `ReadResp`; stops at
@@ -130,30 +131,39 @@ struct Hosted {
 }
 
 impl Hosted {
-    /// The whole record behind an index entry.
-    fn stored(&self, hash: &RecordHash) -> Result<Record, StoreError> {
-        let found = self.store.get_by_hash(hash)?;
+    /// The whole record behind an index entry, read by the entry's key.
+    fn stored(&self, at: &Pointer) -> Result<Record, StoreError> {
+        let found = self.store.get(at)?;
         found.ok_or_else(|| StoreError::Corrupt("indexed record missing from store".to_string()))
+    }
+
+    /// The whole record linked at `seq`; `None` when no single record is.
+    fn stored_at(&self, seq: u64) -> Option<Result<Record, StoreError>> {
+        let mut linked = self.index.iter_range(seq, seq);
+        match (linked.next(), linked.next()) {
+            (Some((at, _)), None) => Some(self.stored(at)),
+            _ => None,
+        }
     }
 
     /// The whole linked records of `[from, to]` in index order, each with
     /// its seq. One sequential pull when the store's order is the index's
-    /// — always, short of a branch or a record parked behind a hole in
-    /// the span; otherwise, or when the pull fails, record by record, so
-    /// one unreadable body costs one entry.
+    /// — always, short of a record parked behind a hole in the span;
+    /// otherwise, or when the pull fails, record by record, so one
+    /// unreadable body costs one entry.
     fn stored_range(&self, from: u64, to: u64) -> Vec<(u64, Result<Record, StoreError>)> {
-        let wanted = self.index.range(from, to);
+        let wanted: Vec<(&Pointer, &SignedHeader)> = self.index.iter_range(from, to).collect();
         if wanted.is_empty() {
             return Vec::new();
         }
         if let Ok(run) = self.store.range(from, to) {
             if run.len() == wanted.len()
-                && run.iter().zip(&wanted).all(|(r, w)| r.header == w.header)
+                && run.iter().zip(&wanted).all(|(r, (_, w))| r.header == w.header)
             {
                 return run.into_iter().map(|r| (r.header.seq, Ok(r))).collect();
             }
         }
-        wanted.into_iter().map(|w| (w.header.seq, self.stored(&w.hash()))).collect()
+        wanted.into_iter().map(|(at, _)| (at.seq, self.stored(at))).collect()
     }
 }
 
@@ -365,10 +375,7 @@ impl DataCapsuleServer {
     /// record.
     pub fn stored_record(&self, name: &Name, seq: u64) -> Result<Option<Record>, StoreError> {
         let Some(hosted) = self.hosted.get(name) else { return Ok(None) };
-        match hosted.index.get_one(seq) {
-            Ok(entry) => hosted.stored(&entry.hash()).map(Some),
-            Err(_) => Ok(None),
-        }
+        hosted.stored_at(seq).transpose()
     }
 
     /// Builds the advertisement entries for all hosted capsules (for the
@@ -793,19 +800,15 @@ impl DataCapsuleServer {
             vec![self.err_pdu(client, seq, ErrorCode::NotFound, "stored record unreadable")]
         };
         let result = match target {
-            ReadTarget::One(s) => {
-                let Ok(entry) = index.get_one(s) else {
-                    return vec![self.err_pdu(client, seq, ErrorCode::NotFound, "no such seq")];
-                };
-                match hosted.stored(&entry.hash()) {
-                    Ok(r) => ReadResult::Record(r),
-                    Err(e) => return unreadable(s, e),
-                }
-            }
+            ReadTarget::One(s) => match hosted.stored_at(s) {
+                Some(Ok(r)) => ReadResult::Record(r),
+                Some(Err(e)) => return unreadable(s, e),
+                None => return vec![self.err_pdu(client, seq, ErrorCode::NotFound, "no such seq")],
+            },
             ReadTarget::Range(a, b) => {
                 // The index knows every body length: an answer that cannot
                 // fit a frame is refused before the store is touched.
-                if !fits_one_answer(index.iter_range(a, b)) {
+                if !fits_one_answer(index.iter_range(a, b).map(|(_, h)| h)) {
                     self.obs.reads_refused_oversize.inc();
                     return vec![self.err_pdu(
                         client,
@@ -850,7 +853,7 @@ impl DataCapsuleServer {
                     return vec![self.err_pdu(client, seq, ErrorCode::Empty, "no records")];
                 };
                 let hb = index.heartbeat_of(head);
-                match hosted.stored(&hb.head) {
+                match hosted.stored(&Pointer { seq: hb.seq, hash: hb.head }) {
                     Ok(r) => ReadResult::Latest(r, hb),
                     Err(e) => return unreadable(hb.seq, e),
                 }
@@ -860,7 +863,20 @@ impl DataCapsuleServer {
                     Ok(Some(hb)) => hb,
                     _ => return vec![self.err_pdu(client, seq, ErrorCode::Empty, "no head")],
                 };
-                let Ok((target, path)) = MembershipProof::path(index, &hb, s) else {
+                // The path is counted as it is built: a descent of one
+                // header per record is refused at the budget, not built
+                // whole for a send the transport would refuse.
+                let found = MembershipProof::path(index, &hb, s, MAX_ANSWER_BYTES);
+                if matches!(found, Err(CapsuleError::ProofTooLarge)) {
+                    self.obs.reads_refused_oversize.inc();
+                    return vec![self.err_pdu(
+                        client,
+                        seq,
+                        ErrorCode::BadRequest,
+                        "proof exceeds one answer",
+                    )];
+                }
+                let Ok((target, path)) = found else {
                     return vec![self.err_pdu(client, seq, ErrorCode::NotFound, "no proof")];
                 };
                 match hosted.stored(&target) {
@@ -914,7 +930,7 @@ impl DataCapsuleServer {
         capsule_name: Name,
         peer: Name,
         have_seq: u64,
-        missing: Vec<RecordHash>,
+        missing: Vec<Pointer>,
     ) -> Vec<Pdu> {
         let Some(hosted) = self.hosted.get(&capsule_name) else {
             return Vec::new();
@@ -923,9 +939,9 @@ impl DataCapsuleServer {
         // everything newer than the peer's contiguous prefix. What the
         // store cannot return is left out, counted and traced: the peer
         // asks again, or another replica answers.
-        let named = missing.iter().filter_map(|h| hosted.index.get(h).map(|e| (h, e.header.seq)));
+        let named = missing.iter().filter(|at| hosted.index.get(at).is_some());
         let mut found: Vec<(u64, Result<Record, StoreError>)> =
-            named.map(|(h, s)| (s, hosted.stored(h))).collect();
+            named.map(|at| (at.seq, hosted.stored(at))).collect();
         found.extend(hosted.stored_range(have_seq.saturating_add(1), hosted.index.latest_seq()));
         let mut records = Vec::new();
         for (s, stored) in found {
@@ -983,8 +999,8 @@ impl DataCapsuleServer {
 
     /// Periodic maintenance: flushes hosted stores (group commit) and
     /// releases acks whose covering fsync landed, fails acks parked past
-    /// their deadline, and emits anti-entropy requests for capsules with
-    /// holes.
+    /// their deadline, and asks a peer of each replicated capsule for what
+    /// is newer than its latest linked seq and for its missing ancestors.
     pub fn tick(&mut self, now: u64) -> Vec<Pdu> {
         // A new tick opens a fresh append budget (see set_overload_policy).
         self.appends_this_tick = 0;
@@ -1012,29 +1028,22 @@ impl DataCapsuleServer {
         self.obs.acks_released.add(steps.len() as u64);
         steps.extend(self.ledger.expire(now));
         let mut out = self.settle(now, steps, Vec::new());
-        // Anti-entropy for holes and missing ancestors.
-        let requests: Vec<(Name, Vec<Name>, u64, Vec<RecordHash>)> = self
-            .hosted
-            .iter()
-            .filter_map(|(name, h)| {
-                let missing = h.index.missing_ancestors();
-                let contiguous = h.index.first_hole().is_none();
-                if missing.is_empty() && contiguous && !h.peers.is_empty() {
-                    // Nothing known-missing: do a cheap freshness probe.
-                    let have = h.index.latest_seq();
-                    return Some((*name, h.peers.clone(), have, Vec::new()));
-                }
-                if h.peers.is_empty() {
-                    return None;
-                }
-                let have = h.index.first_hole().map(|s| s - 1).unwrap_or(h.index.latest_seq());
-                Some((*name, h.peers.clone(), have, missing))
-            })
-            .collect();
-        for (capsule, peers, have_seq, missing) in requests {
+        // Anti-entropy. A record links only on top of its linked `prev`,
+        // so the linked seqs are exactly `1..=latest_seq`: everything past
+        // it and the ancestors parked records wait on is all there is to
+        // ask for.
+        for (name, h) in &self.hosted {
+            if h.peers.is_empty() {
+                continue;
+            }
             // Ask one peer, rotating by time for variety.
-            let peer = peers[(now as usize / 1000) % peers.len()];
-            out.push(self.data_pdu(peer, 0, &DataMsg::SyncRequest { capsule, have_seq, missing }));
+            let peer = h.peers[(now as usize / 1000) % h.peers.len()];
+            let msg = DataMsg::SyncRequest {
+                capsule: *name,
+                have_seq: h.index.latest_seq(),
+                missing: h.index.missing_ancestors(),
+            };
+            out.push(self.data_pdu(peer, 0, &msg));
         }
         out
     }
@@ -1186,17 +1195,14 @@ mod tests {
         fn metadata(&self) -> Result<CapsuleMetadata, StoreError> {
             self.inner.metadata()
         }
-        fn append(&mut self, record: &Record) -> Result<(), StoreError> {
-            self.inner.append(record)
-        }
         fn get_by_seq(&self, seq: u64) -> Result<Option<Record>, StoreError> {
             self.inner.get_by_seq(seq)
         }
         fn get_all_at_seq(&self, seq: u64) -> Result<Vec<Record>, StoreError> {
             self.inner.get_all_at_seq(seq)
         }
-        fn get_by_hash(&self, h: &RecordHash) -> Result<Option<Record>, StoreError> {
-            self.inner.get_by_hash(h)
+        fn get(&self, at: &Pointer) -> Result<Option<Record>, StoreError> {
+            self.inner.get(at)
         }
         fn latest_seq(&self) -> u64 {
             self.inner.latest_seq()
@@ -1207,8 +1213,8 @@ mod tests {
         fn range(&self, from: u64, to: u64) -> Result<Vec<Record>, StoreError> {
             self.inner.range(from, to)
         }
-        fn hashes(&self) -> Vec<RecordHash> {
-            self.inner.hashes()
+        fn pointers(&self) -> Vec<Pointer> {
+            self.inner.pointers()
         }
         fn flush(&mut self, now_us: u64) -> Result<u64, StoreError> {
             if self.fail_flush.load(Ordering::SeqCst) {
@@ -1728,38 +1734,88 @@ mod tests {
         assert_eq!(counted(&rig, "events_pushed"), 2);
     }
 
+    /// A named record is served by its address: its hash under another
+    /// seq names nothing.
     #[test]
     fn sync_request_serves_missing_and_newer() {
         let mut rig = rig();
-        let mut hashes = Vec::new();
+        let mut first = None;
         for i in 0..4u64 {
             let r = rig.writer.append(&[i as u8], i).unwrap();
-            hashes.push(r.hash());
+            first.get_or_insert(r.pointer());
             request(&mut rig, &DataMsg::Append { record: r, ack_mode: AckMode::Local });
         }
+        let first = first.unwrap();
         let peer = Name::from_content(b"lagging peer");
-        let pdu = Pdu {
-            pdu_type: PduType::Data,
-            src: peer,
-            dst: rig.server.name(),
-            seq: 0,
-            payload: DataMsg::SyncRequest {
-                capsule: rig.capsule,
-                have_seq: 2,
-                missing: vec![hashes[0]],
+        let wrong_seq = Pointer { seq: 2, ..first };
+        for (missing, want) in [(first, vec![1, 3, 4]), (wrong_seq, vec![3, 4])] {
+            let ask =
+                DataMsg::SyncRequest { capsule: rig.capsule, have_seq: 2, missing: vec![missing] };
+            let out = rig.server.handle_pdu(0, from_peer(&rig, peer, &ask));
+            match msg_of(&out[0]) {
+                // Records 3, 4 (newer than have_seq), and the named one if
+                // it is held at that address.
+                DataMsg::SyncResponse { records, .. } => {
+                    let seqs: Vec<u64> = records.iter().map(|r| r.header.seq).collect();
+                    assert_eq!(seqs, want, "{missing:?}");
+                }
+                other => panic!("{other:?}"),
             }
-            .to_wire()
-            .into(),
-        };
-        let out = rig.server.handle_pdu(0, pdu);
+        }
+    }
+
+    /// Regression: a `ProofOf` descends one header per record on a capsule
+    /// whose pointers all jump below the target, and the path was built and
+    /// sent whole — an answer larger than a frame. It is now counted as it
+    /// is built and refused, typed, at the answer budget; the session keeps
+    /// serving proofs that fit.
+    #[test]
+    fn a_proof_longer_than_one_answer_is_refused_and_the_flow_lives_on() {
+        let mut rig = rig();
+        let name = rig.capsule;
+        let (target, extras) = (640u64, 620u64);
+        let mut hashes = vec![gdp_capsule::RecordHash::anchor(&name)];
+        // Every header past the target points at the `extras` records
+        // below it: ~21 KB of pointers, none of which the descent can use.
+        // Appended until the headers from the head down to the target
+        // take more than a frame.
+        let (mut head, mut path_bytes) = (0u64, 0usize);
+        while path_bytes <= MAX_PAYLOAD {
+            head += 1;
+            let extra = if head > target {
+                (1..=extras).rev().map(|s| Pointer { seq: s, hash: hashes[s as usize] }).collect()
+            } else {
+                Vec::new()
+            };
+            let prev = hashes[head as usize - 1];
+            let record = Record::create(&name, &wkey(), head, 0, prev, extra, vec![7u8; 8]);
+            if head >= target {
+                path_bytes += record.header.to_wire().len();
+            }
+            hashes.push(record.hash());
+            let out = request(&mut rig, &DataMsg::Append { record, ack_mode: AckMode::Local });
+            assert!(matches!(msg_of(&out[0]), DataMsg::AppendAck { .. }));
+        }
+        assert!(head < 3_000, "a few thousand records at most: {head}");
+
+        let out = request(&mut rig, &DataMsg::Read { target: ReadTarget::ProofOf(target) });
+        assert_eq!(out.len(), 1);
+        assert!(out[0].payload.len() < 1024, "refused, not built: {} bytes", out[0].payload.len());
+        assert!(matches!(
+            msg_of(&out[0]),
+            DataMsg::ErrResp { code: ErrorCode::BadRequest, detail } if detail == "proof exceeds one answer"
+        ));
+        assert_eq!(counted(&rig, "reads_refused_oversize"), 1);
+
+        let out = request(&mut rig, &DataMsg::Read { target: ReadTarget::ProofOf(head - 1) });
         match msg_of(&out[0]) {
-            DataMsg::SyncResponse { records, .. } => {
-                // records 3,4 (newer than have_seq) + record 1 (missing).
-                let seqs: Vec<u64> = records.iter().map(|r| r.header.seq).collect();
-                assert_eq!(seqs, vec![1, 3, 4]);
+            DataMsg::ReadResp { result: ReadResult::Proof(p), .. } => {
+                let proven = p.verify(&rig.capsule, &wkey().verifying_key()).unwrap();
+                assert_eq!((proven.header.seq, p.hops()), (head - 1, 2));
             }
             other => panic!("{other:?}"),
         }
+        assert_eq!(counted(&rig, "reads_refused_oversize"), 1);
     }
 
     #[test]
@@ -1883,7 +1939,7 @@ mod tests {
             let mut store = log.handle(meta.name());
             store.put_metadata(&meta).unwrap();
             for (i, r) in records.iter().enumerate() {
-                store.append(r).unwrap();
+                store.append_acked(r).unwrap();
                 store.flush(i as u64).unwrap(); // rotates (and checkpoints) full segments
             }
             assert!(log.segment_ids().len() >= 3, "fixture must seal segments");

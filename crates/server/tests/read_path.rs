@@ -15,7 +15,7 @@
 
 use gdp_capsule::{
     CapsuleMetadata, CapsuleWriter, DataCapsule, Heartbeat, MembershipProof, MetadataBuilder,
-    PointerStrategy, Record, RecordHash, RecordHeader,
+    Pointer, PointerStrategy, Record, RecordHash, RecordHeader,
 };
 use gdp_cert::{AdCert, PrincipalId, PrincipalKind, Scope, ServingChain};
 use gdp_crypto::SigningKey;
@@ -176,8 +176,8 @@ fn model_replay(model: &DataCapsule, from_seq: u64) -> Vec<Record> {
     model.range(from_seq.saturating_add(1), model.latest_seq()).into_iter().cloned().collect()
 }
 
-fn model_sync(model: &DataCapsule, have_seq: u64, missing: &[RecordHash]) -> Vec<Record> {
-    let mut records: Vec<Record> = missing.iter().filter_map(|h| model.get(h)).cloned().collect();
+fn model_sync(model: &DataCapsule, have_seq: u64, missing: &[Pointer]) -> Vec<Record> {
+    let mut records: Vec<Record> = missing.iter().filter_map(|p| model.get(p)).cloned().collect();
     let latest = model.latest_seq();
     if latest > have_seq {
         records.extend(model.range(have_seq + 1, latest).into_iter().cloned());
@@ -193,7 +193,7 @@ fn model_sync(model: &DataCapsule, have_seq: u64, missing: &[RecordHash]) -> Vec
 fn assert_same_answers(
     server: &mut DataCapsuleServer,
     model: &DataCapsule,
-    unlinked: &[RecordHash],
+    unlinked: &[Pointer],
     step: &str,
 ) {
     let name = model.name();
@@ -225,10 +225,12 @@ fn assert_same_answers(
         assert_eq!(replayed, model_replay(model, from_seq), "{step}: subscribe({from_seq})");
     }
 
-    let mut missing: Vec<RecordHash> = unlinked.to_vec();
-    missing.push(RecordHash([0xEE; 32]));
-    missing.extend(model.get_by_seq(1).iter().map(|r| r.hash()));
-    missing.extend(model.get_by_seq(latest).iter().map(|r| r.hash()));
+    // Unlinked, unknown, linked, and a linked hash under the wrong seq.
+    let mut missing: Vec<Pointer> = unlinked.to_vec();
+    missing.push(Pointer { seq: 1, hash: RecordHash([0xEE; 32]) });
+    missing.extend(model.get_by_seq(1).iter().map(|r| r.pointer()));
+    missing.extend(model.get_by_seq(latest).iter().map(|r| r.pointer()));
+    missing.extend(model.get_by_seq(1).iter().map(|r| Pointer { seq: 2, hash: r.hash() }));
     for have_seq in [0, latest / 2, latest] {
         let ask = DataMsg::SyncRequest { capsule: name, have_seq, missing: missing.clone() };
         let out = server.handle_pdu(0, pdu(server.name(), 0, &ask));
@@ -259,7 +261,7 @@ fn run_script(seed: u64) {
     };
     let mut now = 0u64;
     let mut held: Vec<Record> = Vec::new();
-    let mut written: Vec<RecordHash> = Vec::new();
+    let mut written: Vec<Pointer> = Vec::new();
     let mut branched = false;
     let (mut saw_pending, mut saw_buffered) = (false, false);
     let deliver = |server: &mut DataCapsuleServer, model: &mut DataCapsule, now, r: &Record| {
@@ -272,14 +274,14 @@ fn run_script(seed: u64) {
             0..=9 => {
                 let body = vec![step as u8; 40 + roll(200) as usize];
                 let r = writer.append(&body, step).unwrap();
-                written.push(r.hash());
+                written.push(r.pointer());
                 deliver(&mut server, &mut model, now, &r);
                 saw_buffered = true;
                 "append"
             }
             10..=11 if held.is_empty() => {
                 held.push(writer.append(b"withheld", step).unwrap());
-                written.extend(held.iter().map(|r| r.hash()));
+                written.extend(held.iter().map(|r| r.pointer()));
                 "withhold"
             }
             10..=12 if !held.is_empty() => {
@@ -323,9 +325,9 @@ fn run_script(seed: u64) {
             "seed {seed} step {step} ({what})"
         );
         // Withheld, or delivered and parked behind the hole: asked for by
-        // hash, neither may be served.
-        let unlinked: Vec<RecordHash> =
-            written.iter().copied().filter(|h| model.get(h).is_none()).collect();
+        // address, neither may be served.
+        let unlinked: Vec<Pointer> =
+            written.iter().copied().filter(|p| model.get(p).is_none()).collect();
         assert_same_answers(
             &mut server,
             &model,

@@ -7,7 +7,7 @@
 //! failure").
 
 use crate::cluster::SimCluster;
-use gdp_capsule::RecordHash;
+use gdp_capsule::{Pointer, RecordHash};
 use std::collections::BTreeMap;
 
 /// Asserts the four chaos invariants on a recovered cluster:
@@ -60,10 +60,10 @@ pub fn check_invariants(cluster: &SimCluster) {
 
     // 2. No acked write may be lost — and after convergence, every
     // replica must hold it.
-    for (seq, hash) in cluster.acked() {
+    for (&seq, &hash) in cluster.acked() {
         for (label, cap) in &replicas {
             assert!(
-                cap.get(hash).is_some(),
+                cap.get(&Pointer { seq, hash }).is_some(),
                 // gdp-lint: allow(SK01) -- GDP_SIM_SEED is the chaos-reproduction handle, deliberately printed so failures can be replayed; it is an RNG seed, not key material
                 "GDP_SIM_SEED={seed}: invariant 2 (durability): acked append seq {seq} \
                  missing from replica {label} after recovery"

@@ -55,8 +55,7 @@ fn append_replicates_and_reads_verify() {
     // Both replicas hold all three records (leaderless replication).
     for i in 0..2 {
         let c = world.server(i).capsule(&capsule).unwrap();
-        assert_eq!(c.len(), 3);
-        assert!(c.is_contiguous());
+        assert_eq!((c.len(), c.latest_seq()), (3, 3));
     }
 
     // Read latest and a membership proof; both verify client-side.

@@ -110,7 +110,7 @@ mod tests {
                 vec![],
                 b"only in one".to_vec(),
             );
-            s1.append(&r).unwrap();
+            s1.append_acked(&r).unwrap();
             s1.flush(10_000_000).unwrap();
             assert_eq!(s1.len(), 1);
             assert_eq!(s2.len(), 0);

@@ -22,9 +22,12 @@
 //!   checkpoint, not log size. Any checkpoint damage, a section failing
 //!   its CRC or its decode included, falls back to a full scan.
 //! * **Append-only**: a sealed segment is never rewritten or deleted.
-//!   Nothing supersedes a record (`append` dedups by hash before it
+//!   Nothing supersedes a record (`append` dedups by address before it
 //!   writes), so there is nothing to compact; a physical duplicate found
 //!   on disk is indexed once, first occurrence wins.
+//! * **One map per stream**: a record's entry location, keyed by the
+//!   record's address — its hash-pointer `(seq, hash)` — so the same map
+//!   answers point reads, seq lookups and range scans.
 
 mod cache;
 mod checkpoint;
@@ -40,12 +43,12 @@ use crate::store::{CapsuleStore, StoreError};
 use cache::BlockCache;
 use checkpoint::{Checkpoint, Section, SectionRecord};
 use fdpool::FdPool;
-use gdp_capsule::{CapsuleMetadata, Record, RecordHash};
+use gdp_capsule::{CapsuleMetadata, Pointer, Record};
 use gdp_obs::{Counter, Gauge, Histogram, Scope};
 use gdp_wire::{Bytes, Name, Wire};
 use parking_lot::Mutex;
 use segment::{seg_path, ScanEnd};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -147,55 +150,37 @@ struct EntryLoc {
     off: u64,
 }
 
-/// In-memory index of one capsule's stream.
+/// In-memory index of one capsule's stream: where each record's entry
+/// lives, by the record's address (in seq order).
 #[derive(Default)]
 struct StreamIndex {
     metadata: Option<CapsuleMetadata>,
-    by_hash: HashMap<RecordHash, EntryLoc>,
-    by_seq: BTreeMap<u64, Vec<RecordHash>>,
+    records: BTreeMap<Pointer, EntryLoc>,
 }
 
 impl StreamIndex {
     /// Rebuilds a stream's index from its checkpoint section.
     fn from_section(section: Section) -> StreamIndex {
-        let mut idx = StreamIndex {
-            metadata: section.metadata,
-            by_hash: HashMap::with_capacity(section.records.len()),
-            by_seq: BTreeMap::new(),
-        };
-        for r in section.records {
-            idx.insert(r.seq, r.hash, EntryLoc { seg: r.seg, off: r.off });
-        }
-        idx
+        let records = section
+            .records
+            .into_iter()
+            .map(|r| (Pointer { seq: r.seq, hash: r.hash }, EntryLoc { seg: r.seg, off: r.off }));
+        StreamIndex { metadata: section.metadata, records: records.collect() }
     }
 
     /// Serializes the index into its checkpoint section payload.
     fn section_payload(&self) -> Vec<u8> {
-        let mut records = Vec::with_capacity(self.by_hash.len());
-        for (seq, hashes) in &self.by_seq {
-            for h in hashes {
-                let loc = self.by_hash[h];
-                records.push(SectionRecord { hash: *h, seq: *seq, seg: loc.seg, off: loc.off });
-            }
-        }
+        let records: Vec<SectionRecord> = self
+            .records
+            .iter()
+            .map(|(at, loc)| SectionRecord {
+                hash: at.hash,
+                seq: at.seq,
+                seg: loc.seg,
+                off: loc.off,
+            })
+            .collect();
         checkpoint::encode_section(self.metadata.as_ref(), &records)
-    }
-
-    /// Indexes one record entry.
-    fn insert(&mut self, seq: u64, hash: RecordHash, loc: EntryLoc) {
-        self.by_hash.insert(hash, loc);
-        // One record per seq short of a branch: `push` on an empty `Vec`
-        // would reserve room for four hashes.
-        self.by_seq.entry(seq).or_insert_with(|| Vec::with_capacity(1)).push(hash);
-    }
-
-    /// Drops one record entry from the index (its bytes stay on disk).
-    fn forget(&mut self, hash: &RecordHash) {
-        self.by_hash.remove(hash);
-        self.by_seq.retain(|_, at_seq| {
-            at_seq.retain(|h| h != hash);
-            !at_seq.is_empty()
-        });
     }
 }
 
@@ -347,87 +332,56 @@ impl CapsuleStore for SegStore {
         }
     }
 
-    fn append(&mut self, record: &Record) -> Result<(), StoreError> {
-        self.log.inner.lock().append(&self.capsule, record).map(|_| ())
-    }
-
     fn append_acked(&mut self, record: &Record) -> Result<AppendAck, StoreError> {
         self.log.inner.lock().append(&self.capsule, record)
     }
 
     fn get_by_seq(&self, seq: u64) -> Result<Option<Record>, StoreError> {
         let mut inner = self.log.inner.lock();
-        let at = inner
-            .streams
-            .get(&self.capsule)
-            .and_then(|s| s.by_seq.get(&seq).and_then(|hs| hs.first()).map(|h| (*h, s.by_hash[h])));
-        match at {
+        let stream = inner.streams.get(&self.capsule);
+        let first = stream.and_then(|s| s.records.range(Pointer::span(seq, seq)).next());
+        match first.map(|(at, loc)| (*at, *loc)) {
             Some(at) => inner.read_record(&self.capsule, at, false).map(Some),
             None => Ok(None),
         }
     }
 
     fn get_all_at_seq(&self, seq: u64) -> Result<Vec<Record>, StoreError> {
-        let mut inner = self.log.inner.lock();
-        let at: Vec<(RecordHash, EntryLoc)> = inner
-            .streams
-            .get(&self.capsule)
-            .map(|s| {
-                s.by_seq
-                    .get(&seq)
-                    .map(|hs| hs.iter().map(|h| (*h, s.by_hash[h])).collect())
-                    .unwrap_or_default()
-            })
-            .unwrap_or_default();
-        at.into_iter().map(|at| inner.read_record(&self.capsule, at, true)).collect()
+        self.range(seq, seq)
     }
 
-    fn get_by_hash(&self, hash: &RecordHash) -> Result<Option<Record>, StoreError> {
+    fn get(&self, at: &Pointer) -> Result<Option<Record>, StoreError> {
         let mut inner = self.log.inner.lock();
-        let loc = inner.streams.get(&self.capsule).and_then(|s| s.by_hash.get(hash).copied());
+        let loc = inner.streams.get(&self.capsule).and_then(|s| s.records.get(at).copied());
         match loc {
-            Some(loc) => inner.read_record(&self.capsule, (*hash, loc), false).map(Some),
+            Some(loc) => inner.read_record(&self.capsule, (*at, loc), false).map(Some),
             None => Ok(None),
         }
     }
 
     fn latest_seq(&self) -> u64 {
-        self.log
-            .inner
-            .lock()
-            .streams
-            .get(&self.capsule)
-            .and_then(|s| s.by_seq.keys().next_back().copied())
-            .unwrap_or(0)
+        let inner = self.log.inner.lock();
+        let stream = inner.streams.get(&self.capsule);
+        stream.and_then(|s| s.records.keys().next_back()).map_or(0, |at| at.seq)
     }
 
     fn len(&self) -> usize {
-        self.log.inner.lock().streams.get(&self.capsule).map(|s| s.by_hash.len()).unwrap_or(0)
+        self.log.inner.lock().streams.get(&self.capsule).map_or(0, |s| s.records.len())
     }
 
     fn range(&self, from: u64, to: u64) -> Result<Vec<Record>, StoreError> {
         let mut inner = self.log.inner.lock();
-        let at: Vec<(RecordHash, EntryLoc)> = inner
-            .streams
-            .get(&self.capsule)
-            .map(|s| {
-                s.by_seq
-                    .range(from..=to)
-                    .flat_map(|(_, hs)| hs.iter().map(|h| (*h, s.by_hash[h])))
-                    .collect()
-            })
-            .unwrap_or_default();
+        let stream = inner.streams.get(&self.capsule);
+        let span = stream.map(|s| s.records.range(Pointer::span(from, to)));
+        let at: Vec<(Pointer, EntryLoc)> =
+            span.into_iter().flatten().map(|(a, l)| (*a, *l)).collect();
         at.into_iter().map(|at| inner.read_record(&self.capsule, at, true)).collect()
     }
 
-    fn hashes(&self) -> Vec<RecordHash> {
-        self.log
-            .inner
-            .lock()
-            .streams
-            .get(&self.capsule)
-            .map(|s| s.by_hash.keys().copied().collect())
-            .unwrap_or_default()
+    fn pointers(&self) -> Vec<Pointer> {
+        let inner = self.log.inner.lock();
+        let stream = inner.streams.get(&self.capsule);
+        stream.map(|s| s.records.keys().copied().collect()).unwrap_or_default()
     }
 
     fn flush(&mut self, now_us: u64) -> Result<u64, StoreError> {
@@ -580,7 +534,7 @@ impl LogInner {
         Ok(())
     }
 
-    /// Merges one scanned entry into the indexes. Dedup by hash, first
+    /// Merges one scanned entry into the indexes. Dedup by address, first
     /// occurrence wins: a physical duplicate (a log written by a build
     /// that still compacted can hold crash-interrupted copies) is skipped.
     fn merge_entry(
@@ -599,11 +553,8 @@ impl LogInner {
             KIND_RECORD => {
                 let record = Record::from_wire(body)
                     .map_err(|e| StoreError::Corrupt(format!("record: {e}")))?;
-                let hash = record.hash();
                 let idx = self.streams.entry(*capsule).or_default();
-                if !idx.by_hash.contains_key(&hash) {
-                    idx.insert(record.header.seq, hash, loc);
-                }
+                idx.records.entry(record.pointer()).or_insert(loc);
             }
             other => {
                 return Err(StoreError::Corrupt(format!("unknown entry kind {other}")));
@@ -651,8 +602,8 @@ impl LogInner {
     }
 
     fn append(&mut self, capsule: &Name, record: &Record) -> Result<AppendAck, StoreError> {
-        let hash = record.hash();
-        if let Some(loc) = self.streams.get(capsule).and_then(|s| s.by_hash.get(&hash).copied()) {
+        let at = record.pointer();
+        if let Some(loc) = self.streams.get(capsule).and_then(|s| s.records.get(&at).copied()) {
             // Duplicate: report the stored record's current durability so
             // retried appends never ack ahead of their covering fsync.
             return Ok(self.durability_at(loc));
@@ -665,7 +616,7 @@ impl LogInner {
             m.len += disk_len;
         }
         let loc = EntryLoc { seg: active, off };
-        self.streams.entry(*capsule).or_default().insert(record.header.seq, hash, loc);
+        self.streams.entry(*capsule).or_default().records.insert(at, loc);
         self.obs.entries_appended.inc();
         self.obs.bytes_appended.add(disk_len);
 
@@ -751,7 +702,7 @@ impl LogInner {
     fn read_record(
         &mut self,
         capsule: &Name,
-        (hash, loc): (RecordHash, EntryLoc),
+        (at, loc): (Pointer, EntryLoc),
         sequential: bool,
     ) -> Result<Record, StoreError> {
         let (kind, cap, body) = match self.read_entry(loc, sequential) {
@@ -759,8 +710,9 @@ impl LogInner {
             Err(e) => {
                 if matches!(e, StoreError::Corrupt(_)) {
                     self.obs.crc_failures.inc();
+                    // Its bytes stay on disk; the index no longer names them.
                     if let Some(idx) = self.streams.get_mut(capsule) {
-                        idx.forget(&hash);
+                        idx.records.remove(&at);
                     }
                     self.ckpt_names_rot = true;
                 }

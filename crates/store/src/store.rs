@@ -5,15 +5,15 @@
 //! (§VIII). The equivalent here is a [`CapsuleStore`] trait with two
 //! backends: an in-memory map (simulation, tests, the reference model)
 //! and a per-capsule stream of the node's shared segmented log with CRC
-//! framing and crash-recovery scan (`SegStore` in `seglog`). Both index
-//! records by sequence number and header hash. A hosted capsule's store is
-//! the only place its record bodies live: the server beside it keeps
-//! headers and serves every body through these reads.
+//! framing and crash-recovery scan (`SegStore` in `seglog`). Both key
+//! records by their address, the hash-pointer `(seq, header hash)`, in one
+//! ordered map. A hosted capsule's store is the only place its record
+//! bodies live: the server beside it keeps headers and serves every body
+//! through these reads.
 
 use crate::policy::AppendAck;
-use gdp_capsule::{CapsuleError, CapsuleMetadata, Record, RecordHash};
+use gdp_capsule::{CapsuleError, CapsuleMetadata, Pointer, Record};
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 
 /// Errors from the storage layer.
 #[derive(Debug)]
@@ -64,17 +64,16 @@ pub trait CapsuleStore: Send {
     /// Reads the capsule metadata.
     fn metadata(&self) -> Result<CapsuleMetadata, StoreError>;
 
-    /// Persists a record (idempotent on duplicate hashes).
-    fn append(&mut self, record: &Record) -> Result<(), StoreError>;
-
-    /// Random read by sequence number (first match on branches).
+    /// Random read by sequence number (first match in address order on
+    /// branches).
     fn get_by_seq(&self, seq: u64) -> Result<Option<Record>, StoreError>;
 
     /// All records at a sequence number (branch-aware).
     fn get_all_at_seq(&self, seq: u64) -> Result<Vec<Record>, StoreError>;
 
-    /// Random read by header hash.
-    fn get_by_hash(&self, hash: &RecordHash) -> Result<Option<Record>, StoreError>;
+    /// Random read by address: `None` unless a record with exactly that
+    /// seq and hash is stored.
+    fn get(&self, at: &Pointer) -> Result<Option<Record>, StoreError>;
 
     /// Highest stored sequence number (0 when empty).
     fn latest_seq(&self) -> u64;
@@ -90,21 +89,16 @@ pub trait CapsuleStore: Send {
     /// Records in `[from, to]` in seq order.
     fn range(&self, from: u64, to: u64) -> Result<Vec<Record>, StoreError>;
 
-    /// All stored record hashes (for anti-entropy comparison).
-    fn hashes(&self) -> Vec<RecordHash>;
+    /// Addresses of every stored record, in address (seq) order.
+    fn pointers(&self) -> Vec<Pointer>;
 
     /// Persists a record and reports whether it is already durable or
     /// waiting on a group-commit fsync. Idempotent: a duplicate append
     /// returns the *current* durability of the stored record, so a retried
-    /// append is never acked before its covering fsync either.
-    ///
-    /// The default (memory stores, fsync-per-append engines) is durable at
-    /// return; group-commit engines override this to return
+    /// append is never acked before its covering fsync either. A memory
+    /// store is durable at return; a group-commit engine returns
     /// [`AppendAck::Pending`] with the covering durability epoch.
-    fn append_acked(&mut self, record: &Record) -> Result<AppendAck, StoreError> {
-        self.append(record)?;
-        Ok(AppendAck::Durable)
-    }
+    fn append_acked(&mut self, record: &Record) -> Result<AppendAck, StoreError>;
 
     /// Drives group-commit: writes and fsyncs any batched appends whose
     /// flush window has elapsed at `now_us`, then returns the durable
@@ -126,8 +120,7 @@ pub trait CapsuleStore: Send {
 #[derive(Default)]
 pub struct MemStore {
     metadata: Option<CapsuleMetadata>,
-    by_hash: HashMap<RecordHash, Record>,
-    by_seq: BTreeMap<u64, Vec<RecordHash>>,
+    records: BTreeMap<Pointer, Record>,
 }
 
 impl MemStore {
@@ -149,50 +142,37 @@ impl CapsuleStore for MemStore {
         self.metadata.clone().ok_or(StoreError::NoMetadata)
     }
 
-    fn append(&mut self, record: &Record) -> Result<(), StoreError> {
-        let hash = record.hash();
-        if self.by_hash.contains_key(&hash) {
-            return Ok(());
-        }
-        self.by_seq.entry(record.header.seq).or_default().push(hash);
-        self.by_hash.insert(hash, record.clone());
-        Ok(())
+    fn append_acked(&mut self, record: &Record) -> Result<AppendAck, StoreError> {
+        self.records.entry(record.pointer()).or_insert_with(|| record.clone());
+        Ok(AppendAck::Durable)
     }
 
     fn get_by_seq(&self, seq: u64) -> Result<Option<Record>, StoreError> {
-        Ok(self.by_seq.get(&seq).and_then(|hs| hs.first()).map(|h| self.by_hash[h].clone()))
+        Ok(self.records.range(Pointer::span(seq, seq)).next().map(|(_, r)| r.clone()))
     }
 
     fn get_all_at_seq(&self, seq: u64) -> Result<Vec<Record>, StoreError> {
-        Ok(self
-            .by_seq
-            .get(&seq)
-            .map(|hs| hs.iter().map(|h| self.by_hash[h].clone()).collect())
-            .unwrap_or_default())
+        self.range(seq, seq)
     }
 
-    fn get_by_hash(&self, hash: &RecordHash) -> Result<Option<Record>, StoreError> {
-        Ok(self.by_hash.get(hash).cloned())
+    fn get(&self, at: &Pointer) -> Result<Option<Record>, StoreError> {
+        Ok(self.records.get(at).cloned())
     }
 
     fn latest_seq(&self) -> u64 {
-        self.by_seq.keys().next_back().copied().unwrap_or(0)
+        self.records.keys().next_back().map_or(0, |at| at.seq)
     }
 
     fn len(&self) -> usize {
-        self.by_hash.len()
+        self.records.len()
     }
 
     fn range(&self, from: u64, to: u64) -> Result<Vec<Record>, StoreError> {
-        Ok(self
-            .by_seq
-            .range(from..=to)
-            .flat_map(|(_, hs)| hs.iter().map(|h| self.by_hash[h].clone()))
-            .collect())
+        Ok(self.records.range(Pointer::span(from, to)).map(|(_, r)| r.clone()).collect())
     }
 
-    fn hashes(&self) -> Vec<RecordHash> {
-        self.by_hash.keys().copied().collect()
+    fn pointers(&self) -> Vec<Pointer> {
+        self.records.keys().copied().collect()
     }
 }
 
@@ -225,12 +205,12 @@ mod tests {
         s.put_metadata(&meta).unwrap();
         assert_eq!(s.metadata().unwrap(), meta);
         for r in &records {
-            s.append(r).unwrap();
+            s.append_acked(r).unwrap();
         }
         assert_eq!(s.len(), 5);
         assert_eq!(s.latest_seq(), 5);
         assert_eq!(s.get_by_seq(3).unwrap().unwrap(), records[2]);
-        assert_eq!(s.get_by_hash(&records[0].hash()).unwrap().unwrap(), records[0]);
+        assert_eq!(s.get(&records[0].pointer()).unwrap().unwrap(), records[0]);
         assert_eq!(s.range(2, 4).unwrap().len(), 3);
         assert!(s.get_by_seq(99).unwrap().is_none());
     }
@@ -240,8 +220,8 @@ mod tests {
         let (meta, records) = setup();
         let mut s = MemStore::new();
         s.put_metadata(&meta).unwrap();
-        s.append(&records[0]).unwrap();
-        s.append(&records[0]).unwrap();
+        assert_eq!(s.append_acked(&records[0]).unwrap(), AppendAck::Durable);
+        assert_eq!(s.append_acked(&records[0]).unwrap(), AppendAck::Durable);
         assert_eq!(s.len(), 1);
     }
 

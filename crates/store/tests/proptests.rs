@@ -4,7 +4,9 @@
 //! Segments are tiny, so rotation, checkpointing and reopen all happen
 //! inside the model property.
 
-use gdp_capsule::{CapsuleMetadata, CapsuleWriter, MetadataBuilder, PointerStrategy, Record};
+use gdp_capsule::{
+    CapsuleMetadata, CapsuleWriter, MetadataBuilder, Pointer, PointerStrategy, Record, RecordHash,
+};
 use gdp_crypto::SigningKey;
 use gdp_obs::Metrics;
 use gdp_store::{CapsuleStore, MemStore, SegConfig, SegLog, SegStore, StoreError};
@@ -49,7 +51,7 @@ fn written_log(dir: &Path, meta: &CapsuleMetadata, rs: &[Record]) {
     let mut h = log.handle(meta.name());
     h.put_metadata(meta).unwrap();
     for (i, r) in rs.iter().enumerate() {
-        h.append(r).unwrap();
+        h.append_acked(r).unwrap();
         h.flush((i as u64 + 1) * 10_000).unwrap();
     }
 }
@@ -72,11 +74,21 @@ fn assert_same(seg: &SegStore, mem: &MemStore, query: u64) -> Result<(), TestCas
     prop_assert_eq!(seg.get_all_at_seq(query).unwrap(), mem.get_all_at_seq(query).unwrap());
     let lo = query.min(3);
     prop_assert_eq!(seg.range(lo, query).unwrap(), mem.range(lo, query).unwrap());
-    let mut sh = seg.hashes();
-    let mut mh = mem.hashes();
-    sh.sort();
-    mh.sort();
-    prop_assert_eq!(sh, mh);
+    let pointers = seg.pointers();
+    prop_assert_eq!(&pointers, &mem.pointers());
+    for at in &pointers {
+        let got = seg.get(at).unwrap();
+        prop_assert_eq!(&got, &mem.get(at).unwrap());
+        prop_assert_eq!(got.map(|r| r.pointer()), Some(*at));
+        // A held hash under another seq, and a held seq under another
+        // hash, name nothing.
+        let wrong_seq = Pointer { seq: at.seq + 1, ..*at };
+        let wrong_hash = Pointer { hash: RecordHash([0xAB; 32]), ..*at };
+        for wrong in [wrong_seq, wrong_hash] {
+            prop_assert_eq!(seg.get(&wrong).unwrap(), None);
+            prop_assert_eq!(mem.get(&wrong).unwrap(), None);
+        }
+    }
     Ok(())
 }
 
@@ -85,8 +97,9 @@ proptest! {
 
     /// SegLog streams and MemStores answer identically for any
     /// subset/order of appends across three capsules (duplicates
-    /// included) and any queried seq/range — before and after a reopen at
-    /// an arbitrary point.
+    /// included), any queried seq/range and every address, held or
+    /// wrong by seq or by hash — before and after a reopen at an
+    /// arbitrary point.
     #[test]
     fn seg_log_matches_memory_model(
         order in proptest::collection::vec((0usize..3, 0usize..12), 1..36),
@@ -115,8 +128,8 @@ proptest! {
         for (k, &(c, i)) in order.iter().enumerate() {
             let (meta, rs) = &caps[c];
             let mut seg = log.handle(meta.name());
-            seg.append(&rs[i]).unwrap();
-            mems[c].append(&rs[i]).unwrap();
+            seg.append_acked(&rs[i]).unwrap();
+            mems[c].append_acked(&rs[i]).unwrap();
             now += 10_000;
             // Group commit; rotating a full segment also checkpoints.
             seg.flush(now).unwrap();

@@ -9,13 +9,13 @@
 //! clean truncation, and checkpoint damage of any kind degrades to a full
 //! scan rather than losing reachable data.
 
-use gdp_capsule::{CapsuleMetadata, Record, RecordHash};
+use gdp_capsule::{CapsuleMetadata, Pointer, Record, RecordHash};
 use gdp_crypto::SigningKey;
 use gdp_obs::Metrics;
 use gdp_store::crc::Crc32;
 use gdp_store::{CapsuleStore, FsyncPolicy, SegConfig, SegLog, StoreError, SEGLOG_MAGIC};
 use gdp_wire::Name;
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -66,7 +66,7 @@ fn seeded_log(dir: &Path, caps: &[(CapsuleMetadata, Vec<Record>)]) {
     for i in 0..longest {
         for (m, rs) in caps {
             if let Some(r) = rs.get(i) {
-                log.handle(m.name()).append(r).unwrap();
+                log.handle(m.name()).append_acked(r).unwrap();
             }
         }
         now += 10_000;
@@ -100,7 +100,7 @@ fn torn_tail_on_active_segment_is_truncated() {
         let h = log.handle(caps[0].0.name());
         assert_eq!(h.len(), 20, "torn tail must not cost durable records");
         for r in &caps[0].1 {
-            assert_eq!(h.get_by_hash(&r.hash()).unwrap().unwrap(), *r);
+            assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
         }
         assert_eq!(metrics.counter_value("store", "recovery_truncations"), 1);
         assert_eq!(
@@ -148,7 +148,7 @@ fn every_truncation_point_of_the_active_segment_recovers_cleanly() {
         let latest = h.latest_seq();
         assert_eq!(h.len() as u64, latest, "cut at {cut}: survivors must be a prefix");
         for r in &records[..latest as usize] {
-            assert_eq!(h.get_by_hash(&r.hash()).unwrap().unwrap(), *r, "cut at {cut}");
+            assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r, "cut at {cut}");
         }
         assert!(latest >= floor, "cut at {cut}: a longer tail recovered fewer records");
         floor = latest;
@@ -208,10 +208,8 @@ fn every_byte_flip_across_segments_and_checkpoint_recovers_consistently() {
     let dir = tmpdir("flip");
     let caps = vec![capsule(1, 8), capsule(2, 8)];
     seeded_log(&dir, &caps);
-    let originals: HashSet<[u8; 32]> =
-        caps.iter().flat_map(|(_, rs)| rs.iter().map(|r| r.hash().0)).collect();
-    let by_hash: std::collections::HashMap<[u8; 32], &Record> =
-        caps.iter().flat_map(|(_, rs)| rs.iter().map(|r| (r.hash().0, r))).collect();
+    let originals: HashMap<Pointer, &Record> =
+        caps.iter().flat_map(|(_, rs)| rs.iter().map(|r| (r.pointer(), r))).collect();
 
     let files: Vec<PathBuf> = std::fs::read_dir(&dir)
         .unwrap()
@@ -242,20 +240,21 @@ fn every_byte_flip_across_segments_and_checkpoint_recovers_consistently() {
                     let mut served = 0usize;
                     for (m, _) in &caps {
                         let h = log.handle(m.name());
-                        for hash in h.hashes() {
-                            assert!(
-                                originals.contains(&hash.0),
-                                "{path:?} flip at {pos} fabricated a record"
-                            );
-                            match h.get_by_hash(&hash) {
+                        for at in h.pointers() {
+                            let Some(original) = originals.get(&at) else {
+                                panic!("{path:?} flip at {pos} fabricated a record")
+                            };
+                            match h.get(&at) {
                                 Ok(Some(r)) => {
                                     assert_eq!(
-                                        &r, by_hash[&hash.0],
+                                        &r, *original,
                                         "{path:?} flip at {pos} silently altered a record"
                                     );
                                     served += 1;
                                 }
-                                Ok(None) => panic!("{path:?} flip at {pos}: indexed hash vanished"),
+                                Ok(None) => {
+                                    panic!("{path:?} flip at {pos}: indexed record vanished")
+                                }
                                 Err(StoreError::Corrupt(_)) => {} // typed rot on the read path
                                 Err(e) => {
                                     panic!("{path:?} flip at {pos}: non-corruption error {e}")
@@ -295,14 +294,14 @@ fn log_with_tail_on_the_second_capsule(dir: &Path) -> Vec<(CapsuleMetadata, Vec<
         let mut h = log.handle(m.name());
         h.put_metadata(m).unwrap();
         for r in &rs[..covered] {
-            h.append(r).unwrap();
+            h.append_acked(r).unwrap();
         }
     }
     log.checkpoint_now(1_000_000).unwrap();
     let (m, rs) = &caps[1];
     let mut h = log.handle(m.name());
     for r in &rs[3..] {
-        h.append(r).unwrap();
+        h.append_acked(r).unwrap();
     }
     log.flush_now(2_000_000).unwrap();
     caps
@@ -358,11 +357,8 @@ fn undecodable_section_degrades_to_a_full_scan(victim: usize) {
         let h = log.handle(m.name());
         assert_eq!(h.metadata().unwrap(), *m);
         assert_eq!((h.len(), h.latest_seq()), (rs.len(), rs.len() as u64));
-        let mut hashes = h.hashes();
-        hashes.sort();
-        let mut want: Vec<RecordHash> = rs.iter().map(Record::hash).collect();
-        want.sort();
-        assert_eq!(hashes, want);
+        let want: Vec<Pointer> = rs.iter().map(Record::pointer).collect();
+        assert_eq!(h.pointers(), want);
         for r in rs {
             assert_eq!(h.get_by_seq(r.header.seq).unwrap().as_ref(), Some(r));
         }
@@ -425,7 +421,7 @@ fn duplicate_entries_on_disk_are_indexed_once_first_occurrence_wins() {
         assert_eq!(h.len(), 20, "a duplicate must not be indexed twice");
         assert_eq!(h.metadata().unwrap(), *meta);
         for r in records {
-            assert_eq!(h.get_by_hash(&r.hash()).unwrap().unwrap(), *r);
+            assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
             assert_eq!(h.get_all_at_seq(r.header.seq).unwrap().len(), 1);
         }
     }
@@ -438,7 +434,7 @@ fn duplicate_entries_on_disk_are_indexed_once_first_occurrence_wins() {
     let last_of_record_1 = SEGLOG_MAGIC.len() + originals[0].len() + originals[1].len() - 1;
     rotted[last_of_record_1] ^= 0x40;
     std::fs::write(&seg0, &rotted).unwrap();
-    match log.handle(meta.name()).get_by_hash(&records[0].hash()) {
+    match log.handle(meta.name()).get(&records[0].pointer()) {
         Err(StoreError::Corrupt(_)) => {}
         other => panic!("index must point at the first occurrence, got {other:?}"),
     }
@@ -472,7 +468,7 @@ fn checkpoint_naming_a_missing_segment_falls_back_to_full_scan() {
     assert_eq!(h.metadata().unwrap(), *meta);
     assert_eq!(h.len(), 20 - lost_records, "exactly the lost segment's records are gone");
     for r in records {
-        match h.get_by_hash(&r.hash()).unwrap() {
+        match h.get(&r.pointer()).unwrap() {
             Some(got) => assert_eq!(got, *r),
             None => assert!(h.get_all_at_seq(r.header.seq).unwrap().is_empty()),
         }
@@ -508,12 +504,12 @@ fn crash_mid_rotation_with_fresh_empty_segment_recovers() {
     let h = log.handle(caps[0].0.name());
     assert_eq!(h.len(), 20);
     for r in &caps[0].1 {
-        assert_eq!(h.get_by_hash(&r.hash()).unwrap().unwrap(), *r);
+        assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
     }
     // And the log keeps accepting writes on the adopted segment.
     let (_, more) = capsule(1, 21);
     let mut h = log.handle(caps[0].0.name());
-    h.append(&more[20]).unwrap();
+    h.append_acked(&more[20]).unwrap();
     log.flush_now(5_000_000).unwrap();
     assert_eq!(h.len(), 21);
     let _ = std::fs::remove_dir_all(dir);
@@ -551,12 +547,12 @@ fn rot_under_a_cached_block_surfaces_as_corrupt_after_refill() {
     let mut h = log.handle(meta.name());
     h.put_metadata(&meta).unwrap();
     for r in &records {
-        h.append(r).unwrap();
+        h.append_acked(r).unwrap();
     }
     // Seal segment 0 and warm the cache over it.
     log.rotate_now(1_000_000).unwrap();
     for r in &records {
-        assert_eq!(h.get_by_hash(&r.hash()).unwrap().unwrap(), *r);
+        assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
     }
 
     // Flip a byte inside the last record's body on disk.
@@ -569,7 +565,7 @@ fn rot_under_a_cached_block_surfaces_as_corrupt_after_refill() {
     // The cached block still serves the verified original bits.
     let last = records.last().unwrap();
     assert_eq!(
-        h.get_by_hash(&last.hash()).unwrap().unwrap(),
+        h.get(&last.pointer()).unwrap().unwrap(),
         *last,
         "cached reads must keep serving the bits verified at fill"
     );
@@ -582,14 +578,14 @@ fn rot_under_a_cached_block_surfaces_as_corrupt_after_refill() {
     let metrics = Metrics::new();
     let log = SegLog::open_with(&dir, cfg, &metrics.scope("store")).unwrap();
     let h = log.handle(meta.name());
-    match h.get_by_hash(&last.hash()) {
+    match h.get(&last.pointer()) {
         Err(StoreError::Corrupt(_)) => {}
         other => panic!("rotted entry must read as typed corruption, got {other:?}"),
     }
     assert!(metrics.counter_value("store", "crc_failures") >= 1);
     for r in &records[..records.len() - 1] {
         assert_eq!(
-            h.get_by_hash(&r.hash()).unwrap().unwrap(),
+            h.get(&r.pointer()).unwrap().unwrap(),
             *r,
             "rot must cost only the damaged entry, not its block neighbors"
         );
@@ -612,7 +608,7 @@ fn a_rotten_entry_is_forgotten_so_a_reappend_writes_a_good_copy() {
     let mut h = log.handle(meta.name());
     h.put_metadata(&meta).unwrap();
     for r in &records {
-        h.append(r).unwrap();
+        h.append_acked(r).unwrap();
     }
     log.rotate_now(1_000).unwrap(); // seals segment 0, checkpoints it
 
@@ -624,16 +620,16 @@ fn a_rotten_entry_is_forgotten_so_a_reappend_writes_a_good_copy() {
     std::fs::write(&path, &bytes).unwrap();
 
     let last = records.last().unwrap();
-    assert!(matches!(h.get_by_hash(&last.hash()), Err(StoreError::Corrupt(_))));
+    assert!(matches!(h.get(&last.pointer()), Err(StoreError::Corrupt(_))));
     assert_eq!(metrics.counter_value("store", "crc_failures"), 1);
-    assert_eq!(h.get_by_hash(&last.hash()).unwrap(), None, "forgotten, not re-reported");
+    assert_eq!(h.get(&last.pointer()).unwrap(), None, "forgotten, not re-reported");
     assert_eq!((h.len(), h.latest_seq()), (5, 5));
     assert_eq!(h.range(1, 6).unwrap(), records[..5]);
 
     let appended = metrics.counter_value("store", "entries_appended");
-    h.append(last).unwrap();
+    h.append_acked(last).unwrap();
     assert_eq!(metrics.counter_value("store", "entries_appended"), appended + 1);
-    assert_eq!(h.get_by_hash(&last.hash()).unwrap().as_ref(), Some(last));
+    assert_eq!(h.get(&last.pointer()).unwrap().as_ref(), Some(last));
     assert_eq!(h.range(1, 6).unwrap(), records);
     log.maintain(2_000).unwrap();
     drop((h, log));

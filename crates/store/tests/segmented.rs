@@ -66,7 +66,7 @@ fn multi_capsule_roundtrip_and_reopen() {
         }
         for i in 0..5 {
             for (h, (_, rs)) in handles.iter_mut().zip(&caps) {
-                h.append(&rs[i]).unwrap();
+                h.append_acked(&rs[i]).unwrap();
             }
         }
         log.flush_now(1_000_000).unwrap();
@@ -80,7 +80,7 @@ fn multi_capsule_roundtrip_and_reopen() {
         assert_eq!(h.len(), 5);
         assert_eq!(h.latest_seq(), 5);
         for r in rs {
-            assert_eq!(h.get_by_hash(&r.hash()).unwrap().unwrap(), *r);
+            assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
             assert_eq!(h.get_by_seq(r.header.seq).unwrap().unwrap(), *r);
         }
         let range = h.range(2, 4).unwrap();
@@ -185,7 +185,7 @@ fn crash_loses_exactly_the_unacked_tail() {
         let mut h = log.handle(meta.name());
         h.put_metadata(&meta).unwrap();
         for r in &records[..5] {
-            h.append(r).unwrap();
+            h.append_acked(r).unwrap();
         }
         log.flush_now(1_000_000).unwrap(); // acked durable
         for r in &records[5..] {
@@ -197,10 +197,10 @@ fn crash_loses_exactly_the_unacked_tail() {
     let h = log.handle(meta.name());
     assert_eq!(h.len(), 5, "acked records survive, unacked buffered tail is lost");
     for r in &records[..5] {
-        assert_eq!(h.get_by_hash(&r.hash()).unwrap().unwrap(), *r);
+        assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
     }
     for r in &records[5..] {
-        assert_eq!(h.get_by_hash(&r.hash()).unwrap(), None);
+        assert_eq!(h.get(&r.pointer()).unwrap(), None);
     }
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -215,12 +215,12 @@ fn rotation_seals_segments_and_data_survives() {
         let mut h = log.handle(meta.name());
         h.put_metadata(&meta).unwrap();
         for (i, r) in records.iter().enumerate() {
-            h.append(r).unwrap();
+            h.append_acked(r).unwrap();
             h.flush((i as u64 + 1) * 10_000).unwrap(); // maintenance tick
         }
         assert!(log.segment_ids().len() >= 3, "workload must span segments");
         for r in &records {
-            assert_eq!(h.get_by_hash(&r.hash()).unwrap().unwrap(), *r, "read across segments");
+            assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r, "read across segments");
         }
     }
     let log = SegLog::open(&dir, cfg).unwrap();
@@ -230,7 +230,7 @@ fn rotation_seals_segments_and_data_survives() {
     assert_eq!(h.len(), records.len());
     assert_eq!(h.metadata().unwrap(), meta);
     for r in &records {
-        assert_eq!(h.get_by_hash(&r.hash()).unwrap().unwrap(), *r);
+        assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
     }
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -246,11 +246,11 @@ fn recovery_replays_only_the_tail_past_the_checkpoint() {
         let mut h = log.handle(meta.name());
         h.put_metadata(&meta).unwrap();
         for r in &records[..25] {
-            h.append(r).unwrap();
+            h.append_acked(r).unwrap();
         }
         log.checkpoint_now(1_000_000).unwrap();
         for r in &records[25..] {
-            h.append(r).unwrap();
+            h.append_acked(r).unwrap();
         }
         log.flush_now(2_000_000).unwrap();
     }
@@ -261,7 +261,7 @@ fn recovery_replays_only_the_tail_past_the_checkpoint() {
     let h = log.handle(meta.name());
     assert_eq!(h.len(), 30);
     for r in &records {
-        assert_eq!(h.get_by_hash(&r.hash()).unwrap().unwrap(), *r);
+        assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
     }
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -286,7 +286,7 @@ fn full_scan_recovery_is_streamed_in_bounded_chunks() {
         for seq in 1..=count {
             let r = Record::create(&name, &writer, seq, seq, prev, vec![], vec![seq as u8; 8192]);
             prev = r.hash();
-            h.append(&r).unwrap();
+            h.append_acked(&r).unwrap();
         }
         log.flush_now(1_000_000).unwrap(); // durable, never checkpointed
     }
@@ -308,8 +308,8 @@ fn full_scan_recovery_is_streamed_in_bounded_chunks() {
     let log = SegLog::open(&dir, cfg).unwrap();
     let h = log.handle(name);
     assert!(!h.is_empty() && h.len() < count as usize);
-    for hash in h.hashes() {
-        h.get_by_hash(&hash).unwrap().unwrap();
+    for at in h.pointers() {
+        h.get(&at).unwrap().unwrap();
     }
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -326,12 +326,12 @@ fn recovered_tail_survives_the_next_checkpoint_and_reopen() {
         for (m, rs) in &caps {
             let mut h = log.handle(m.name());
             h.put_metadata(m).unwrap();
-            h.append(&rs[0]).unwrap();
+            h.append_acked(&rs[0]).unwrap();
         }
         log.checkpoint_now(1_000_000).unwrap();
         // Post-checkpoint tail: the second record of every stream.
         for (m, rs) in &caps {
-            log.handle(m.name()).append(&rs[1]).unwrap();
+            log.handle(m.name()).append_acked(&rs[1]).unwrap();
         }
         // Flushed (durable) but past the checkpoint; then crash before
         // any further checkpoint.
@@ -355,7 +355,7 @@ fn recovered_tail_survives_the_next_checkpoint_and_reopen() {
         assert_eq!(h.latest_seq(), 2, "tail record lost across the checkpoint");
         assert_eq!(h.len(), 2);
         for r in rs {
-            assert_eq!(h.get_by_hash(&r.hash()).unwrap().unwrap(), *r);
+            assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
         }
     }
     let _ = std::fs::remove_dir_all(dir);
@@ -372,7 +372,7 @@ fn warm_range_reads_are_zero_copy_and_conserve_cache_counters() {
     let mut h = log.handle(meta.name());
     h.put_metadata(&meta).unwrap();
     for r in &records {
-        h.append(r).unwrap();
+        h.append_acked(r).unwrap();
     }
     // Seal segment 0: active-segment reads serve from the group-commit
     // buffer and never exercise the cache.
@@ -419,11 +419,11 @@ fn active_segment_reads_count_as_cache_hits() {
     let mut h = log.handle(meta.name());
     h.put_metadata(&meta).unwrap();
     for r in &records {
-        h.append(r).unwrap();
+        h.append_acked(r).unwrap();
     }
     // No rotation: every read serves from the active group-commit buffer.
     for r in &records {
-        assert_eq!(h.get_by_hash(&r.hash()).unwrap().unwrap(), *r);
+        assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
     }
     let hits = metrics.counter_value("store", "read_cache_hits");
     let served = metrics.counter_value("store", "reads_served_from_store");
@@ -451,7 +451,7 @@ fn fd_pool_bounds_open_segments_and_skips_reopen_when_warm() {
     let mut h = log.handle(meta.name());
     h.put_metadata(&meta).unwrap();
     for (i, r) in records.iter().enumerate() {
-        h.append(r).unwrap();
+        h.append_acked(r).unwrap();
         h.flush((i as u64 + 1) * 10_000).unwrap();
     }
     let sealed = log.segment_ids().len() - 1;
@@ -460,7 +460,7 @@ fn fd_pool_bounds_open_segments_and_skips_reopen_when_warm() {
     // Sweep every record twice: the pool may never exceed its cap.
     for _ in 0..2 {
         for r in &records {
-            assert_eq!(h.get_by_hash(&r.hash()).unwrap().unwrap(), *r);
+            assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
             assert!(log.open_fds() <= 2, "fd budget exceeded: {}", log.open_fds());
         }
     }
@@ -470,7 +470,7 @@ fn fd_pool_bounds_open_segments_and_skips_reopen_when_warm() {
     // a single record and require the open count to stay flat.
     let before = log.fd_opens();
     for _ in 0..10 {
-        let _ = h.get_by_hash(&records[0].hash()).unwrap().unwrap();
+        let _ = h.get(&records[0].pointer()).unwrap().unwrap();
     }
     assert!(
         log.fd_opens() <= before + 1,

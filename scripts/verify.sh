@@ -131,6 +131,13 @@ else
         printf '!!! a name of the deleted seglog index eviction is back (see above)\n'
         exit 1
     fi
+    # Every record index is keyed by the record's address `(seq, hash)`,
+    # one map per index: no lookup by bare hash, no second per-record map,
+    # and no hole scan over linked seqs that are always `1..=latest_seq`.
+    if grep -rnE 'get_by_hash|first_hole|is_contiguous|\bby_hash\b' crates src tests examples; then
+        printf '!!! a deleted by-hash lookup, by_hash map or hole scan is back (see above)\n'
+        exit 1
+    fi
     # The client driver is one I/O-free policy (DESIGN.md, "Client
     # driver"): no clock, thread or socket in it, and its constants and
     # the honest-failure list are defined once in the tree — a second
