@@ -8,10 +8,10 @@
 //! cargo run --release -p gdp-bench --bin report -- <experiment>
 //!   fig6                router forwarding rate / throughput vs PDU size
 //!                       (+ data-path ablations and the perf-smoke floor)
-//!   perf-smoke          re-measure 64 B forwarding, the sharded stage
-//!                       rates, the store floors and the served-scan
-//!                       share of the raw range rate; fail if any is
-//!                       >30% below the floor its full run recorded
+//!   perf-smoke          re-measure 64 B forwarding, the store floors and
+//!                       the served-scan share of the raw range rate;
+//!                       fail if any is >30% below the floor its full
+//!                       run recorded
 //!   store               the segmented group-commit log: durable
 //!                       appends/s and p99 ack latency at 1 / 10k / 100k
 //!                       capsules, bounded crash recovery, the
@@ -87,78 +87,28 @@ fn run_fig6() {
     let floor_64b = (0..2)
         .map(|_| fig6::in_process(64, 200_000).pdus_per_sec)
         .fold(zero_copy.pdus_per_sec, f64::min);
-    let (verify_cold, verify_cached) = fig6::verify_cold_vs_cached(2_000);
-    let shard_points: Vec<fig6::ShardedPoint> =
-        [1usize, 2, 4].iter().map(|&n| fig6::sharded(64, 200_000, n)).collect();
-    let mut t = Table::new(&["ablation", "PDUs/s or ops/s"]);
+    let mut t = Table::new(&["ablation", "PDUs/s"]);
     t.row(&["copying data plane (allocate per PDU)".into(), rate(copying.pdus_per_sec)]);
     t.row(&["zero-copy data plane (shared payload)".into(), rate(zero_copy.pdus_per_sec)]);
-    t.row(&["route verify, cold (full chain)".into(), rate(verify_cold)]);
-    t.row(&["route verify, cached (digest hit)".into(), rate(verify_cached)]);
-    for p in &shard_points {
-        t.row(&[
-            format!("sharded forwarding, {} shard(s), end to end", p.shards),
-            p.pdus_per_sec.map_or_else(|| format!("not run ({} cores)", p.cores), rate),
-        ]);
-    }
     t.print();
-    // The stage rates are measured on any host (each is one thread). Like
-    // the 64 B floor above, the floors perf-smoke holds are the minimum
-    // over the three points just measured.
-    let stage_floor = |stage: fn(&fig6::ShardedPoint) -> f64| {
-        shard_points.iter().map(stage).fold(f64::INFINITY, f64::min)
-    };
-    let dispatch_floor = stage_floor(|p| p.dispatch_rate);
-    let worker_floor = stage_floor(|p| p.worker_rate);
-    println!(
-        "\nsharded stages (slowest of the three points): dispatch {} /s, worker {} /s \
-         ({} core(s))",
-        rate(dispatch_floor),
-        rate(worker_floor),
-        shard_points[0].cores,
-    );
 
     println!("\nshape: PDU rate ≈ flat (CPU-bound) for small PDUs; throughput rises with");
     println!("PDU size and saturates near 1 Gbps around 10 kB — matching the paper.");
-    let sharded_json: Vec<String> = shard_points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"shards\":{},\"pdus_per_sec\":{},\
-                 \"dispatch_rate\":{:.3},\"worker_rate\":{:.3}}}",
-                p.shards,
-                p.pdus_per_sec.map_or("null".into(), |r| format!("{r:.3}")),
-                p.dispatch_rate,
-                p.worker_rate
-            )
-        })
-        .collect();
     write_bench_json(
         "BENCH_fig6.json",
         format!(
             "{{\"figure\":\"fig6\",\"cpu_model\":{{\"per_pdu_us\":{},\"per_byte_ns\":{}}},\
              \"simulated\":[{}],\"in_process\":[{}],\
              \"ablation\":{{\"pdu_bytes\":64,\
-             \"copying_pdus_per_sec\":{:.3},\"zero_copy_pdus_per_sec\":{:.3},\
-             \"verify_cold_per_sec\":{:.3},\"verify_cached_per_sec\":{:.3},\
-             \"sharded_cores\":{},\"sharded\":[{}]}},\
-             \"perf_floor\":{{\"pdu_bytes\":64,\"pdus_per_sec\":{:.3},\
-             \"sharded\":{{\"single_shard_pdus_per_sec\":{:.3},\
-             \"dispatch_rate\":{:.3},\"worker_rate\":{:.3}}}}}}}",
+             \"copying_pdus_per_sec\":{:.3},\"zero_copy_pdus_per_sec\":{:.3}}},\
+             \"perf_floor\":{{\"pdu_bytes\":64,\"pdus_per_sec\":{:.3}}}}}",
             fig6::PER_PDU_US,
             fig6::PER_BYTE_NS,
             simulated.join(","),
             in_process.join(","),
             copying.pdus_per_sec,
             zero_copy.pdus_per_sec,
-            verify_cold,
-            verify_cached,
-            shard_points[0].cores,
-            sharded_json.join(","),
             floor_64b,
-            shard_points[0].pdus_per_sec.expect("a single shard always runs end to end"),
-            dispatch_floor,
-            worker_floor,
         ),
     );
 }
@@ -249,8 +199,7 @@ fn run_overload_smoke() {
 }
 
 /// CI perf smoke: re-measures the 64 B zero-copy forwarding rate, the
-/// sharded engine's measured rates, the store floors and the served-scan
-/// share of the raw range rate, and fails (exit 1) when any regresses
+/// store floors and the served-scan share of the raw range rate, and fails (exit 1) when any regresses
 /// more than 30% below the floor recorded in `BENCH_fig6.json` /
 /// `BENCH_store.json` by the last full run.
 fn run_perf_smoke() {
@@ -280,50 +229,6 @@ fn run_perf_smoke() {
              ({measured:.0} < {threshold:.0} PDUs/s)"
         );
         std::process::exit(1);
-    }
-
-    // Sharded floors: the three quantities every host measures — the
-    // end-to-end single-shard rate and the dispatch and worker stage
-    // rates (each stage is one thread). Multi-shard end-to-end points
-    // are not gated: they run only on hosts with the cores.
-    let floor_tail = &doc[doc.find("\"perf_floor\"").unwrap_or(0)..];
-    let sharded_tail = &floor_tail[floor_tail.find("\"sharded\"").unwrap_or(0)..];
-    let keys = ["single_shard_pdus_per_sec", "dispatch_rate", "worker_rate"];
-    let floors = keys.map(|key| {
-        json::extract_number(sharded_tail, key).unwrap_or_else(|| {
-            eprintln!(
-                "perf-smoke: no perf_floor.sharded.{key} in BENCH_fig6.json; run `report fig6` first"
-            );
-            std::process::exit(2);
-        })
-    });
-    // Best of three rounds, as above; a round stages through one lane
-    // and through four, and both runs time both stages.
-    let mut measured = [0.0f64; 3];
-    for _ in 0..3 {
-        let single = fig6::sharded(64, 200_000, 1);
-        let quad = fig6::sharded(64, 200_000, 4);
-        let run = [
-            single.pdus_per_sec.expect("a single shard always runs end to end"),
-            single.dispatch_rate.max(quad.dispatch_rate),
-            single.worker_rate.max(quad.worker_rate),
-        ];
-        for (best, r) in measured.iter_mut().zip(run) {
-            *best = best.max(r);
-        }
-    }
-    for ((key, floor), measured) in keys.iter().zip(floors).zip(measured) {
-        let threshold = floor * 0.7;
-        println!(
-            "perf-smoke: sharded {key} {measured:.0} PDUs/s (floor {floor:.0}, threshold {threshold:.0})"
-        );
-        if measured < threshold {
-            eprintln!(
-                "perf-smoke: FAIL — sharded {key} regressed >30% below the recorded floor \
-                 ({measured:.0} < {threshold:.0} PDUs/s)"
-            );
-            std::process::exit(1);
-        }
     }
 
     // Store floor: re-measure segmented durable appends at the same

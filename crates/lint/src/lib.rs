@@ -129,8 +129,6 @@ impl Default for LintConfig {
             blocking_sensitive_modules: vec![
                 "crates/router/src/router.rs".into(),
                 "crates/router/src/fib.rs".into(),
-                "crates/router/src/vcache.rs".into(),
-                "crates/node/src/shard.rs".into(),
                 "crates/node/src/runtime.rs".into(),
                 "crates/node/src/bin/gdpd.rs".into(),
                 "crates/net/src/tcp.rs".into(),
@@ -167,7 +165,6 @@ impl Default for LintConfig {
             .collect(),
             data_plane_modules: vec![
                 "crates/router/src/router.rs".into(),
-                "crates/node/src/shard.rs".into(),
                 "crates/node/src/runtime.rs".into(),
                 "crates/node/src/bin/gdpd.rs".into(),
                 "crates/net/src/tcp.rs".into(),

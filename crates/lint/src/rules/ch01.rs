@@ -10,9 +10,8 @@
 //!    data lane converts overload into unbounded memory growth instead
 //!    of typed backpressure.
 //! 2. **Control before data** — any loop body polling both a
-//!    control-marked and a data receiver must drain control first. This
-//!    statically pins the shard workers' control-no-stall invariant:
-//!    reorder the drains and the build fails here.
+//!    control-marked and a data receiver must drain control first
+//!    (control-no-stall): reorder the drains and the build fails here.
 //! 3. **Shutdown evidence** — a cloned, classified sender constructed
 //!    in a data-plane module must have a visible shutdown path: a
 //!    `drop(name)` somewhere, or the name (or a container it is stored

@@ -10,7 +10,7 @@
 //! (`CH01`), and per-file `use` imports (call-graph resolution hints).
 //!
 //! Identity conventions:
-//! * a lock is `Owner.field` (`Shared.peers`, `NidMap.inner`);
+//! * a lock is `Owner.field` (`Shared.peers`, `Shared.threads`);
 //! * a function is its bare name plus a `Type::name` qualifier when it
 //!   is defined inside an `impl` block;
 //! * a channel endpoint is its binding name, with classification

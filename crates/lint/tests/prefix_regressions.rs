@@ -199,12 +199,11 @@ fn pins_fdpool_blockcache_single_lock_audit() {
 }
 
 #[test]
-fn pins_shard_control_before_data_drain_order() {
-    // crates/node/src/shard.rs:609 — the PR-8 control-no-stall
-    // invariant, now statically pinned: the worker loop drains the
-    // control lane before polling data. Reverting the order (verified
-    // against the real file) fires CH01 and fails the build.
-    let reverted = "fn shard_worker(data_rx: Receiver<u8>, ctrl_rx: Receiver<u8>) {\n\
+fn pins_control_before_data_drain_order() {
+    // The control-no-stall invariant: a worker loop in a data-plane
+    // module that polls both a control and a data lane drains control
+    // first. Reverting the order fires CH01.
+    let reverted = "fn worker(data_rx: Receiver<u8>, ctrl_rx: Receiver<u8>) {\n\
                     \x20   loop {\n\
                     \x20       match data_rx.recv_timeout(DATA_POLL) {\n\
                     \x20           Ok(batch) => {\n\
@@ -217,13 +216,13 @@ fn pins_shard_control_before_data_drain_order() {
                     \x20       }\n\
                     \x20   }\n\
                     }\n";
-    let found = workspace_findings(&[("crates/node/src/shard.rs", reverted)]);
+    let found = workspace_findings(&[("crates/net/src/tcp.rs", reverted)]);
     assert!(
         found.iter().any(|(r, _, l)| r == "CH01" && *l == 3),
         "data-before-control drain must fire CH01: {found:?}"
     );
 
-    let upstream = "fn shard_worker(data_rx: Receiver<u8>, ctrl_rx: Receiver<u8>) {\n\
+    let upstream = "fn worker(data_rx: Receiver<u8>, ctrl_rx: Receiver<u8>) {\n\
                     \x20   loop {\n\
                     \x20       while let Ok(msg) = ctrl_rx.try_recv() {\n\
                     \x20           let _ = msg;\n\
@@ -236,6 +235,6 @@ fn pins_shard_control_before_data_drain_order() {
                     \x20       }\n\
                     \x20   }\n\
                     }\n";
-    let found = workspace_findings(&[("crates/node/src/shard.rs", upstream)]);
+    let found = workspace_findings(&[("crates/net/src/tcp.rs", upstream)]);
     assert!(found.is_empty(), "control-first drain must be clean: {found:?}");
 }

@@ -30,10 +30,7 @@ pub mod simnet;
 pub mod tcp;
 
 pub use admission::{AdmissionGate, TokenBucket, Verdict};
-pub use tcp::{
-    IngestSink, IngestSinkFactory, PeerEvent, PeerHandle, PeerSendError, TcpNet, TcpNetConfig,
-    TcpNetError, TcpStats,
-};
+pub use tcp::{PeerEvent, TcpNet, TcpNetConfig, TcpNetError, TcpStats};
 
 use gdp_wire::Pdu;
 use std::time::Duration;

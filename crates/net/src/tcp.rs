@@ -172,8 +172,8 @@ pub struct TcpStats {
     pub dial_failures: u64,
     /// Inbound connections accepted (HELLO completed).
     pub accepts: u64,
-    /// PDUs admitted past the framing layer (delivered to the receive
-    /// queue or consumed by an installed [`IngestSink`]).
+    /// PDUs admitted past the framing layer (offered to the receive
+    /// queue).
     pub pdus_received: u64,
     /// PDUs written to a socket.
     pub pdus_sent: u64,
@@ -237,71 +237,6 @@ impl StatCells {
 /// out alone (the budget only gates *adding* frames to a batch).
 const EGRESS_FLUSH_BUDGET: usize = 64 * 1024;
 
-/// Per-connection ingest hook: a fast path that runs *on the reader
-/// thread*, after frame decode and admission, before the shared receive
-/// queue.
-///
-/// A sharded router installs one (via [`TcpNet::set_ingest_sink`]) to
-/// classify and batch data-plane PDUs straight into its shard workers,
-/// so the node's event-loop thread only ever sees control traffic. Each
-/// connection's reader owns its own sink instance, so sinks need no
-/// internal locking and per-connection FIFO order is preserved by
-/// construction.
-pub trait IngestSink: Send {
-    /// Offers one decoded, admitted PDU. Return `None` to consume it
-    /// (the sink dispatched it itself) or `Some(pdu)` to pass it on to
-    /// the shared receive queue.
-    fn offer(&mut self, from: SocketAddr, pdu: Pdu) -> Option<Pdu>;
-
-    /// Called after the reader drained every complete frame from a
-    /// socket read, before it blocks again: flush anything staged so a
-    /// quiet connection never strands a partial batch.
-    fn idle(&mut self);
-}
-
-/// Builds one [`IngestSink`] per connection; installed once per fabric.
-pub trait IngestSinkFactory: Send + Sync {
-    /// A fresh sink for one connection's reader thread.
-    fn make(&self) -> Box<dyn IngestSink>;
-}
-
-/// A cached direct handle to one peer's egress queue, skipping the
-/// shared peer-map lock that [`TcpNet::send`] takes per call. Shard
-/// workers cache one per destination and fall back to `send` (which
-/// respawns the writer) when the handle reports [`PeerSendError::Gone`].
-#[derive(Clone)]
-pub struct PeerHandle {
-    tx: Sender<Pdu>,
-    shared: Arc<Shared>,
-}
-
-/// Why a [`PeerHandle::try_send`] did not enqueue.
-pub enum PeerSendError {
-    /// The peer's bounded queue is full (backpressure) — the PDU is
-    /// dropped, exactly as [`TcpNetError::Backpressure`] drops it.
-    Full,
-    /// The writer thread exited (peer died); the PDU is returned so the
-    /// caller can retry through [`TcpNet::send`], which respawns it.
-    Gone(Pdu),
-    /// The PDU's frame exceeds `max_frame` — refused and counted exactly
-    /// as [`TcpNetError::Oversized`].
-    Oversized,
-}
-
-impl PeerHandle {
-    /// Queues a PDU on the peer's writer without touching shared state.
-    pub fn try_send(&self, pdu: Pdu) -> Result<(), PeerSendError> {
-        if self.shared.refuse_oversized(&pdu).is_err() {
-            return Err(PeerSendError::Oversized);
-        }
-        match self.tx.try_send(pdu) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(_)) => Err(PeerSendError::Full),
-            Err(TrySendError::Disconnected(p)) => Err(PeerSendError::Gone(p)),
-        }
-    }
-}
-
 const HELLO_MAGIC: [u8; 4] = *b"GDPT";
 const HELLO_VERSION: u8 = 1;
 /// Fixed-size preamble: magic(4) + version(1) + addr_len(1) + addr(58).
@@ -318,11 +253,6 @@ struct Shared {
     shutdown: AtomicBool,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     stats: StatCells,
-    /// Per-connection ingest fast path (see [`IngestSink`]). A reader
-    /// samples this once when its loop starts, so a given connection is
-    /// either all fast-path or all slow-path for its lifetime — mixing
-    /// mid-stream could reorder PDUs between the two paths.
-    ingest_sink: Mutex<Option<Arc<dyn IngestSinkFactory>>>,
 }
 
 impl Shared {
@@ -380,7 +310,6 @@ impl TcpNet {
             shutdown: AtomicBool::new(false),
             threads: Mutex::new(Vec::new()),
             stats: StatCells::new(obs),
-            ingest_sink: Mutex::new(None),
         });
         let net = TcpNet { inner: Arc::clone(&inner) };
         let accept_net = net.clone();
@@ -428,25 +357,6 @@ impl TcpNet {
                 r
             }
         }
-    }
-
-    /// Installs the per-connection ingest fast path. Call before peers
-    /// start sending: a connection whose reader started earlier keeps the
-    /// slow path for its whole lifetime (switching mid-stream could let a
-    /// fast-path PDU overtake an earlier one still in the receive queue).
-    pub fn set_ingest_sink(&self, factory: Arc<dyn IngestSinkFactory>) {
-        *self.inner.ingest_sink.lock() = Some(factory);
-    }
-
-    /// A direct handle to `to`'s egress queue, spawning the writer if
-    /// none exists. Callers cache it to skip the shared peer-map lock on
-    /// every send; when it reports [`PeerSendError::Gone`], drop it and
-    /// retry through [`TcpNet::send`], which respawns the writer.
-    pub fn peer_handle(&self, to: SocketAddr) -> Result<PeerHandle, TcpNetError> {
-        if self.inner.shutdown.load(Ordering::SeqCst) {
-            return Err(TcpNetError::Shutdown);
-        }
-        Ok(PeerHandle { tx: writer_for(&self.inner, to), shared: Arc::clone(&self.inner) })
     }
 
     /// Blocks until a PDU arrives or the fabric shuts down.
@@ -656,9 +566,6 @@ fn inbound_connection(shared: Arc<Shared>, mut stream: TcpStream) {
 fn read_loop(shared: Arc<Shared>, peer: SocketAddr, mut stream: TcpStream) {
     let mut frames = FrameReader::with_max_frame(shared.cfg.max_frame);
     let mut buf = vec![0u8; 64 * 1024];
-    // Sampled once: this connection is fast-path for life, or not at all
-    // (see the `ingest_sink` field for the ordering argument).
-    let mut sink = shared.ingest_sink.lock().as_ref().map(|f| f.make());
     // Per-peer ingest admission: each connection thread owns its peer's
     // gate, clocked off a thread-local monotonic epoch (the bucket only
     // consumes time *differences*, so the epoch choice is immaterial).
@@ -695,16 +602,6 @@ fn read_loop(shared: Arc<Shared>, peer: SocketAddr, mut stream: TcpStream) {
                                 }
                             }
                             shared.stats.pdus_received.inc();
-                            // The ingest fast path may consume the PDU on
-                            // this thread (shard dispatch); whatever it
-                            // declines continues into the shared queue.
-                            let pdu = match sink.as_mut() {
-                                Some(s) => match s.offer(peer, pdu) {
-                                    Some(p) => p,
-                                    None => continue,
-                                },
-                                None => pdu,
-                            };
                             // Bounded lane: a full queue (consumer
                             // wedged/overloaded) sheds with a typed
                             // counter instead of growing the heap.
@@ -719,12 +616,6 @@ fn read_loop(shared: Arc<Shared>, peer: SocketAddr, mut stream: TcpStream) {
                             return;
                         }
                     }
-                }
-                // Every complete frame from this read chunk is staged;
-                // flush before the next (possibly blocking) read so a
-                // lull never strands a partial batch.
-                if let Some(s) = sink.as_mut() {
-                    s.idle();
                 }
             }
             Err(e)

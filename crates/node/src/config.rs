@@ -26,9 +26,6 @@
 //! stats_path = /run/gdp/stats.json # optional: metrics dump target; the
 //!                                # daemon dumps on shutdown and whenever
 //!                                # `<stats_path>.request` appears
-//! shards     = 4                 # optional (router role): data-plane
-//!                                # forwarding shards; default 1 keeps the
-//!                                # single-threaded router
 //! admission_rate  = 5000         # optional: per-peer ingest admission,
 //!                                # frames/second; 0 (default) disables
 //! admission_burst = 256          # optional: admission bucket depth in
@@ -157,11 +154,6 @@ pub struct NodeConfig {
     pub stats_path: Option<PathBuf>,
     /// Capsules this node serves (storage roles).
     pub hosts: Vec<HostSpec>,
-    /// Data-plane forwarding shards for `role = router` nodes: `1` (the
-    /// default) keeps the single-threaded event-loop router; `N > 1`
-    /// spawns N worker shards fed over bounded channels, with the FIB
-    /// partitioned by destination-name hash (see `crate::shard`).
-    pub shards: usize,
     /// Per-peer token-bucket admission at TCP ingest, in frames/second;
     /// `0` (the default) disables admission control entirely (see
     /// DESIGN.md, "Overload & admission").
@@ -184,7 +176,6 @@ impl std::fmt::Debug for NodeConfig {
             .field("fsync", &self.fsync)
             .field("stats_path", &self.stats_path)
             .field("hosts", &self.hosts)
-            .field("shards", &self.shards)
             .field("admission_rate", &self.admission_rate)
             .field("admission_burst", &self.admission_burst)
             .finish()
@@ -229,7 +220,6 @@ impl NodeConfig {
         let mut stats_path = None;
         let mut peers = Vec::new();
         let mut hosts = Vec::new();
-        let mut shards = None;
         let mut admission_rate = None;
         let mut admission_burst = None;
         for raw in text.lines() {
@@ -287,16 +277,7 @@ impl NodeConfig {
                 }
                 "stats_path" => stats_path = Some(PathBuf::from(value)),
                 "host" => hosts.push(HostSpec::parse(value)?),
-                "shards" => {
-                    let n: usize = value
-                        .parse()
-                        .map_err(|_| ConfigError::bad("shards", "must be a positive integer"))?;
-                    if n == 0 {
-                        return Err(ConfigError::bad("shards", "must be at least 1"));
-                    }
-                    shards = Some(n);
-                }
-                "read_cache_bytes" | "max_open_segments" | "shard_batch" => {
+                "read_cache_bytes" | "max_open_segments" | "shards" | "shard_batch" => {
                     return Err(ConfigError::bad(
                         key,
                         "was removed; the built-in default is the only value in use",
@@ -330,13 +311,9 @@ impl NodeConfig {
             fsync,
             stats_path,
             hosts,
-            shards: shards.unwrap_or(1),
             admission_rate: admission_rate.unwrap_or(0),
             admission_burst: admission_burst.unwrap_or(64),
         };
-        if cfg.shards > 1 && cfg.role != Role::Router {
-            return Err(ConfigError::bad("shards", "sharding requires role = router"));
-        }
         if admission_burst.is_some() && cfg.admission_rate == 0 {
             return Err(ConfigError::bad("admission_burst", "requires admission_rate > 0"));
         }
@@ -356,11 +333,6 @@ impl NodeConfig {
         }
         if cfg.router.is_some() && cfg.peers.is_empty() {
             return Err(ConfigError::bad("peer", "the router above is reached through a peer"));
-        }
-        if cfg.router.is_some() && cfg.shards > 1 {
-            // Shard workers forward from mirrored routes only; none of
-            // them would hold the default route.
-            return Err(ConfigError::bad("shards", "a sharded router cannot name a parent"));
         }
         Ok(cfg)
     }
@@ -392,9 +364,6 @@ impl NodeConfig {
         }
         if let Some(s) = &self.stats_path {
             out.push_str(&format!("stats_path = {}\n", s.display()));
-        }
-        if self.shards != 1 {
-            out.push_str(&format!("shards = {}\n", self.shards));
         }
         if self.admission_rate != 0 {
             out.push_str(&format!("admission_rate = {}\n", self.admission_rate));
@@ -458,7 +427,6 @@ mod tests {
             fsync: Some(FsyncPolicy::Batch { interval_us: 7_000 }),
             stats_path: Some(PathBuf::from("/tmp/gdp-test/stats.json")),
             hosts: vec![sample_host()],
-            shards: 1,
             admission_rate: 2_000,
             admission_burst: 128,
         };
@@ -535,7 +503,7 @@ mod tests {
     }
 
     #[test]
-    fn a_parent_router_needs_a_peer_and_one_shard() {
+    fn a_parent_router_needs_a_peer() {
         let base = format!(
             "role = router\nlisten = 127.0.0.1:0\nseed = {}\nlabel = leaf\nrouter = {}\n",
             hex_encode(&[9u8; 32]),
@@ -547,27 +515,6 @@ mod tests {
             NodeConfig::parse(&with_peer).unwrap().router,
             Some(Name::from_content(b"root"))
         );
-        assert_eq!(
-            NodeConfig::parse(&format!("{with_peer}shards = 2\n")).unwrap_err().key,
-            "shards"
-        );
-    }
-
-    #[test]
-    fn shards_parse_render_and_validation() {
-        let base = "role = router\nlisten = 127.0.0.1:0\nseed = 0101010101010101010101010101010101010101010101010101010101010101\nlabel = r\n";
-        // Default is 1 and round-trips without emitting the key.
-        let cfg = NodeConfig::parse(base).unwrap();
-        assert_eq!(cfg.shards, 1);
-        assert!(!cfg.render().contains("shards"));
-        // Explicit value round-trips.
-        let cfg = NodeConfig::parse(&format!("{base}shards = 4\n")).unwrap();
-        assert_eq!(cfg.shards, 4);
-        assert_eq!(NodeConfig::parse(&cfg.render()).unwrap().shards, 4);
-        // Zero and non-router sharding are rejected.
-        assert_eq!(NodeConfig::parse(&format!("{base}shards = 0\n")).unwrap_err().key, "shards");
-        let both = base.replace("role = router", "role = both");
-        assert_eq!(NodeConfig::parse(&format!("{both}shards = 2\n")).unwrap_err().key, "shards");
     }
 
     #[test]
@@ -605,9 +552,15 @@ mod tests {
 
     #[test]
     fn removed_tuning_keys_are_rejected_by_name() {
-        let base = "role = router\nlisten = 127.0.0.1:0\nseed = 0101010101010101010101010101010101010101010101010101010101010101\nlabel = r\ndata_dir = /tmp/d\nshards = 4\n";
-        for key in ["read_cache_bytes", "max_open_segments", "shard_batch"] {
-            let err = NodeConfig::parse(&format!("{base}{key} = 64\n")).unwrap_err();
+        let base = "role = router\nlisten = 127.0.0.1:0\nseed = 0101010101010101010101010101010101010101010101010101010101010101\nlabel = r\ndata_dir = /tmp/d\n";
+        for (key, value) in [
+            ("read_cache_bytes", "64"),
+            ("max_open_segments", "64"),
+            ("shards", "1"),
+            ("shards", "4"),
+            ("shard_batch", "64"),
+        ] {
+            let err = NodeConfig::parse(&format!("{base}{key} = {value}\n")).unwrap_err();
             assert_eq!(err.key, key);
             assert!(err.reason.contains("removed"), "{err}");
         }

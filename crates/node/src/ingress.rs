@@ -14,13 +14,8 @@
 //! it never drops or corrupts one. Within each class order stays FIFO, so
 //! per-peer ordering guarantees survive for same-class traffic.
 //!
-//! On a sharded router (`shards > 1`) most Data never reaches this queue
-//! at all: the per-connection TCP readers classify with
-//! [`crate::shard::is_data_plane`] and stage forwarding traffic straight
-//! into the shard lanes (see `crate::shard`), so the event loop — and
-//! this queue — carry only the control plane plus session handshakes.
-//! On unsharded nodes this queue remains the sole ingress path and its
-//! prioritization is what keeps convergence alive under a Data flood.
+//! This queue is every node's sole ingress path, and its prioritization
+//! is what keeps convergence alive under a Data flood.
 
 // Non-test matches on wire enums (`Pdu`, `PduType`, `DataMsg`) name every variant: a
 // new variant is a compile error here, not silent message loss behind a `_ =>`.

@@ -22,14 +22,9 @@ pub mod config;
 pub mod ingress;
 pub mod node;
 pub mod runtime;
-pub mod shard;
 
 pub use client_io::{ClientError, ClusterClient};
 pub use config::{ConfigError, HostSpec, NodeConfig, Role};
 pub use ingress::IngressQueue;
 pub use node::{request_path, start, NodeError, NodeHandle, FOREVER};
-pub use runtime::{build_cores_with_obs, NidMap, NidSnapshot, NodeOutbox, NodeRuntime};
-pub use shard::{
-    is_data_plane, shard_of, Egress, EgressPort, NetEgress, ShardBatch, ShardBatcher, ShardState,
-    ShardedEngine, DEFAULT_SHARD_BATCH, SHARD_QUEUE_BATCHES,
-};
+pub use runtime::{build_cores_with_obs, NodeOutbox, NodeRuntime};

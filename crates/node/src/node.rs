@@ -11,10 +11,9 @@
 //! The same runtime, wrapped over `gdp_net::simnet` instead of TCP, runs
 //! inside the deterministic chaos simulator in `gdp-sim`.
 
-use crate::config::{NodeConfig, Role};
+use crate::config::NodeConfig;
 use crate::ingress::IngressQueue;
 use crate::runtime::{build_cores_with_obs, NodeRuntime};
-use crate::shard::{NetEgress, ShardedEngine, DEFAULT_SHARD_BATCH};
 use gdp_net::tcp::{PeerEvent, TcpNet, TcpNetConfig};
 use gdp_obs::{Histogram, Metrics};
 use gdp_wire::Name;
@@ -122,39 +121,9 @@ pub fn start(cfg: NodeConfig) -> Result<NodeHandle, NodeError> {
 
     let (router, server) = build_cores_with_obs(&cfg, &metrics)?;
     let uplink = cfg.peers.first().copied();
-    let mut runtime = NodeRuntime::new(cfg.role, router, server, cfg.router, uplink);
+    let runtime = NodeRuntime::new(cfg.role, router, server, cfg.router, uplink);
     let router_name = runtime.router_name();
     let server_name = runtime.server_name();
-
-    // Router role with `shards > 1`: spawn the data-plane shard pool,
-    // have the control router record installs so they can be mirrored,
-    // and install the reader-side ingest sink so data-plane PDUs are
-    // classified and batched straight into shard lanes — the event-loop
-    // thread only ever sees control traffic.
-    let epoch = Instant::now();
-    let engine = if cfg.role == Role::Router && cfg.shards > 1 {
-        let shards_scope = metrics.scope("router-shards");
-        let egress = Arc::new(NetEgress::new(net.clone(), shards_scope.counter("egress_drops")));
-        let engine = ShardedEngine::start(
-            cfg.shards,
-            DEFAULT_SHARD_BATCH,
-            &cfg.seed,
-            &cfg.label,
-            &metrics,
-            runtime.nid_map(),
-            egress,
-            epoch,
-        );
-        if let Some(router) = runtime.router_mut() {
-            router.record_installs(true);
-        }
-        if let Some(name) = router_name {
-            net.set_ingest_sink(Arc::new(engine.ingest_factory(name)));
-        }
-        Some(engine)
-    } else {
-        None
-    };
 
     let loop_net = net.clone();
     let loop_stop = Arc::clone(&stop);
@@ -170,13 +139,12 @@ pub fn start(cfg: NodeConfig) -> Result<NodeHandle, NodeError> {
                 net: loop_net,
                 stop: loop_stop,
                 runtime,
-                epoch,
+                epoch: Instant::now(),
                 metrics: loop_metrics,
                 tick_us,
                 control_preempts,
                 ingress: IngressQueue::new(),
                 stats_path,
-                engine,
             }
             .run();
         })
@@ -205,11 +173,6 @@ struct EventLoop {
     ingress: IngressQueue<SocketAddr>,
     /// Metrics dump target; `<stats_path>.request` triggers a dump.
     stats_path: Option<PathBuf>,
-    /// Data-plane shard pool (`shards > 1`, router role only). Data
-    /// PDUs are staged into it by the TCP readers themselves (the
-    /// ingest sink installed in [`start`]); the event loop only mirrors
-    /// control-router state into it.
-    engine: Option<ShardedEngine>,
 }
 
 impl EventLoop {
@@ -226,7 +189,6 @@ impl EventLoop {
     fn run(mut self) {
         let out = self.runtime.start(self.now());
         self.transmit(out);
-        self.mirror_installs();
 
         let mut last_tick = Instant::now() - TICK_INTERVAL;
         while !self.stop.load(Ordering::SeqCst) {
@@ -235,9 +197,6 @@ impl EventLoop {
                     let now = self.now();
                     let out = self.runtime.on_peer_down(now, addr);
                     self.transmit(out);
-                    if let Some(engine) = &self.engine {
-                        engine.neighbor_down(self.runtime.neighbor_id(addr));
-                    }
                 }
             }
             // Stage a batch through the priority queue: block briefly for
@@ -260,15 +219,8 @@ impl EventLoop {
             let preempts_before = self.ingress.preemptions();
             while let Some((from, pdu)) = self.ingress.pop() {
                 let now = self.now();
-                // When sharding is on, TCP readers already divert
-                // data-plane PDUs into shard lanes before they reach
-                // this queue — what arrives here is control traffic
-                // (plus, at most, a handful of data PDUs from the sliver
-                // between bind and sink install, which the control
-                // router forwards correctly itself).
                 let out = self.runtime.on_pdu(now, from, pdu);
                 self.transmit(out);
-                self.mirror_installs();
             }
             self.control_preempts.add(self.ingress.preemptions() - preempts_before);
             if last_tick.elapsed() >= TICK_INTERVAL {
@@ -278,34 +230,11 @@ impl EventLoop {
                 let out = self.runtime.tick(now);
                 self.tick_us.observe(started.elapsed().as_micros() as u64);
                 self.transmit(out);
-                self.mirror_installs();
-                if let Some(engine) = &self.engine {
-                    engine.purge(now);
-                }
                 self.serve_stats_request();
             }
         }
         // Final dump: a stopping daemon leaves its counters behind.
         self.dump_stats();
-        if let Some(engine) = self.engine.take() {
-            engine.shutdown();
-        }
-    }
-
-    /// Replays control-router route installs into the shard that owns
-    /// each name. Egress addresses need no separate publish step: the
-    /// runtime and the shard workers share one [`crate::runtime::NidMap`],
-    /// which binds a neighbor id to its address at allocation.
-    fn mirror_installs(&mut self) {
-        let Some(engine) = &self.engine else { return };
-        let now = self.now();
-        let installs = match self.runtime.router_mut() {
-            Some(router) => router.drain_installs(),
-            None => return,
-        };
-        for install in installs {
-            engine.mirror_install(install, now);
-        }
     }
 
     /// Operator-triggered stats dump: touching `<stats_path>.request`

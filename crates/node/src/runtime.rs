@@ -23,12 +23,9 @@ use gdp_router::{attach_directly, AttachStep, Attacher, Router};
 use gdp_server::DataCapsuleServer;
 use gdp_store::{Backing, StorageEngine};
 use gdp_wire::{Name, Pdu};
-use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Catalog/RtCert expiry for runtime attachments: effectively forever on
 /// the node's own clock (node time starts at zero at process start).
@@ -49,114 +46,21 @@ pub const TICK_US: u64 = 200_000;
 /// PDUs to transmit, in order: `(peer, pdu)`.
 pub type NodeOutbox<P> = Vec<(P, Pdu)>;
 
-/// Shared peer ↔ neighbor-id table with epoch-snapshot address reads.
-///
-/// The runtime used to own the peer→nid map privately; with reader-side
-/// shard dispatch the per-connection TCP reader threads must allocate and
-/// resolve the *same* id space as the control router, so the map lives
-/// behind an `Arc` with two access paths tuned very differently:
-///
-/// * **Allocation and peer→nid lookup** take a mutex. Both are off the
-///   per-PDU path: a reader resolves its own peer's id once per
-///   connection, and the control plane allocates once per new peer.
-/// * **nid→peer resolution** (shard egress, per PDU) is contention-free:
-///   every allocation publishes a fresh immutable `Arc<Vec<P>>` snapshot
-///   and bumps an epoch counter. Workers cache the snapshot and compare
-///   the epoch at most once per *batch* — one relaxed atomic load — so
-///   the steady state does no locking and no reference-count traffic.
-///
-/// Ids are dense, allocated in first-sight order, and never reused — a
-/// returning peer keeps its id, which is what keeps SimNet runs (where
-/// one thread drives everything through the same structure) replayable.
-pub struct NidMap<P> {
-    inner: Mutex<NidInner<P>>,
-    epoch: AtomicU64,
-}
-
-struct NidInner<P> {
+/// Peer ↔ neighbor-id table. Ids are dense, allocated in first-sight
+/// order, and never reused — a returning peer keeps its id, which is what
+/// keeps SimNet runs replayable.
+struct Neighbors<P> {
     ids: HashMap<P, usize>,
-    snap: Arc<Vec<P>>,
+    addrs: Vec<P>,
 }
 
-/// A worker-cached view of a [`NidMap`] snapshot; see
-/// [`NidMap::refresh`].
-pub struct NidSnapshot<P> {
-    epoch: u64,
-    addrs: Arc<Vec<P>>,
-}
-
-impl<P> Default for NidSnapshot<P> {
-    fn default() -> NidSnapshot<P> {
-        NidSnapshot { epoch: 0, addrs: Arc::new(Vec::new()) }
-    }
-}
-
-impl<P> NidSnapshot<P> {
-    /// The peer bound to `nid` in this snapshot, if allocated by then.
-    pub fn addr(&self, nid: usize) -> Option<&P> {
-        self.addrs.get(nid)
-    }
-}
-
-impl<P> Default for NidMap<P> {
-    fn default() -> NidMap<P> {
-        NidMap {
-            inner: Mutex::new(NidInner { ids: HashMap::new(), snap: Arc::new(Vec::new()) }),
-            epoch: AtomicU64::new(0),
-        }
-    }
-}
-
-impl<P: Copy + Eq + Hash> NidMap<P> {
+impl<P: Copy + Eq + Hash> Neighbors<P> {
     /// The stable neighbor id for `peer`, allocating one on first sight.
-    pub fn nid(&self, peer: P) -> usize {
-        let mut inner = self.inner.lock();
-        if let Some(&n) = inner.ids.get(&peer) {
-            return n;
-        }
-        let n = inner.snap.len();
-        // Copy-on-write: readers keep whatever snapshot they hold; the
-        // O(n) copy runs once per *new peer*, never per PDU.
-        let mut next = Vec::with_capacity(n + 1);
-        next.extend_from_slice(&inner.snap);
-        next.push(peer);
-        inner.snap = Arc::new(next);
-        inner.ids.insert(peer, n);
-        // Release pairs with the Acquire in `refresh`: a worker that sees
-        // the new epoch also sees the snapshot that produced it.
-        self.epoch.fetch_add(1, Ordering::Release);
-        n
-    }
-
-    /// The id already bound to `peer`, without allocating.
-    pub fn lookup(&self, peer: P) -> Option<usize> {
-        self.inner.lock().ids.get(&peer).copied()
-    }
-
-    /// The peer bound to `nid` (locking convenience for cold paths).
-    pub fn addr(&self, nid: usize) -> Option<P> {
-        self.inner.lock().snap.get(nid).copied()
-    }
-
-    /// Allocated id count.
-    pub fn len(&self) -> usize {
-        self.inner.lock().snap.len()
-    }
-
-    /// True when no id has been allocated.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Brings a worker-owned snapshot cache up to date. Unchanged epochs
-    /// cost one relaxed atomic load; call once per batch, then resolve
-    /// through [`NidSnapshot::addr`] with no locking at all.
-    pub fn refresh(&self, cache: &mut NidSnapshot<P>) {
-        let epoch = self.epoch.load(Ordering::Acquire);
-        if epoch != cache.epoch {
-            cache.addrs = Arc::clone(&self.inner.lock().snap);
-            cache.epoch = epoch;
-        }
+    fn nid(&mut self, peer: P) -> usize {
+        *self.ids.entry(peer).or_insert_with(|| {
+            self.addrs.push(peer);
+            self.addrs.len() - 1
+        })
     }
 }
 
@@ -264,9 +168,8 @@ pub struct NodeRuntime<P> {
     /// The peer that router is reached through (the first `peer =`).
     uplink: Option<P>,
     /// Stable peer ↔ neighbor-id table (never reused; a returning peer
-    /// keeps its id). Shared so TCP reader threads dispatching data-plane
-    /// PDUs straight into shard workers use the same id space.
-    nids: Arc<NidMap<P>>,
+    /// keeps its id).
+    nids: Neighbors<P>,
 }
 
 impl<P: Copy + Eq + Hash> NodeRuntime<P> {
@@ -281,7 +184,7 @@ impl<P: Copy + Eq + Hash> NodeRuntime<P> {
         attach_target: Option<Name>,
         uplink: Option<P>,
     ) -> NodeRuntime<P> {
-        let nids = Arc::new(NidMap::default());
+        let mut nids = Neighbors { ids: HashMap::new(), addrs: Vec::new() };
         if let (Some(router), Some(_), Some(uplink)) = (router.as_mut(), attach_target, uplink) {
             router.set_parent(nids.nid(uplink));
         }
@@ -330,29 +233,9 @@ impl<P: Copy + Eq + Hash> NodeRuntime<P> {
         self.router.as_ref()
     }
 
-    /// Mutable access to the routing core (e.g. to turn on route-install
-    /// recording for the sharded forwarding engine).
+    /// Mutable access to the routing core.
     pub fn router_mut(&mut self) -> Option<&mut Router> {
         self.router.as_mut()
-    }
-
-    /// The stable neighbor id for a peer, allocating one on first sight.
-    /// This is the same id space `on_pdu` uses, so external dispatchers
-    /// (the sharded engine) stay consistent with the control router.
-    pub fn neighbor_id(&mut self, peer: P) -> usize {
-        self.nid(peer)
-    }
-
-    /// The shared peer ↔ neighbor-id table. The sharded engine holds a
-    /// clone so its reader-side classifiers and worker egress resolve
-    /// through the exact ids the control plane allocates.
-    pub fn nid_map(&self) -> Arc<NidMap<P>> {
-        Arc::clone(&self.nids)
-    }
-
-    /// The peer address bound to a neighbor id, if one was ever mapped.
-    pub fn neighbor_addr(&self, nid: usize) -> Option<P> {
-        self.nids.addr(nid)
     }
 
     /// True once a storage node's network attach has completed.
@@ -369,10 +252,6 @@ impl<P: Copy + Eq + Hash> NodeRuntime<P> {
         if let Some(s) = self.server.as_mut() {
             s.set_rng_seed(seed ^ 0x5352_5652);
         }
-    }
-
-    fn nid(&mut self, peer: P) -> usize {
-        self.nids.nid(peer)
     }
 
     /// Starts the node: a `both` node attaches its server to its own
@@ -443,8 +322,8 @@ impl<P: Copy + Eq + Hash> NodeRuntime<P> {
         let mut out = Vec::new();
         // Withdraw everything the dead neighbor advertised so reads fail
         // over to surviving replicas.
-        if let (Some(router), Some(nid)) = (self.router.as_mut(), self.nids.lookup(peer)) {
-            router.neighbor_down(nid);
+        if let (Some(router), Some(nid)) = (self.router.as_mut(), self.nids.ids.get(&peer)) {
+            router.neighbor_down(*nid);
         }
         // A storage node that lost its uplink must re-attach once the
         // router is reachable again.
@@ -486,7 +365,7 @@ impl<P: Copy + Eq + Hash> NodeRuntime<P> {
         }
 
         if self.router.is_some() {
-            let nid = self.nid(from);
+            let nid = self.nids.nid(from);
             self.route(now, nid, pdu, &mut out);
         } else if let Some(server) = self.server.as_mut() {
             let replies = server.handle_pdu(now, pdu);
@@ -520,7 +399,7 @@ impl<P: Copy + Eq + Hash> NodeRuntime<P> {
                             work.push_back((LOCAL_NID, reply));
                         }
                     }
-                } else if let Some(peer) = self.nids.addr(to) {
+                } else if let Some(&peer) = self.nids.addrs.get(to) {
                     out.push((peer, pdu_out));
                 }
             }
@@ -574,5 +453,46 @@ impl<P: Copy + Eq + Hash> NodeRuntime<P> {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Peers are plain integers here: the runtime is generic over `P`.
+    const UPLINK: u32 = 100;
+
+    /// A Data PDU for a name no router knows: forwarded up the default
+    /// route, so the outbox names the peer the parent's id resolves to.
+    fn unknown_dst(seq: u64) -> Pdu {
+        Pdu::data(Name::from_content(b"src"), Name::from_content(b"nowhere"), seq, vec![0u8; 8])
+    }
+
+    #[test]
+    fn neighbor_ids_are_dense_first_sight_and_stable() {
+        let router = Router::from_seed(&[5u8; 32], "rt-test");
+        let parent = Name::from_content(b"parent");
+        let mut rt = NodeRuntime::new(Role::Router, Some(router), None, Some(parent), Some(UPLINK));
+        // The uplink is seen first (at construction) and is the parent
+        // the router was given: unknown names go out through it.
+        assert_eq!(rt.nids.ids.get(&UPLINK), Some(&0));
+        for (seq, peer) in [7u32, 3, 9, 7].into_iter().enumerate() {
+            assert_eq!(
+                rt.on_pdu(0, peer, unknown_dst(seq as u64)),
+                vec![(UPLINK, unknown_dst(seq as u64))]
+            );
+        }
+        assert_eq!(rt.nids.addrs, vec![UPLINK, 7, 3, 9]);
+
+        // A peer that goes down and comes back keeps its id; the next
+        // new peer takes the next dense id.
+        assert!(rt.on_peer_down(0, 3).is_empty());
+        rt.on_pdu(0, 3, unknown_dst(10));
+        rt.on_pdu(0, 5, unknown_dst(11));
+        assert_eq!(rt.nids.addrs, vec![UPLINK, 7, 3, 9, 5]);
+        for (nid, peer) in rt.nids.addrs.iter().enumerate() {
+            assert_eq!(rt.nids.ids[peer], nid);
+        }
     }
 }

@@ -111,7 +111,6 @@ fn three_process_cluster_with_failover() {
             fsync: None,
             stats_path: None,
             hosts: vec![],
-            shards: 1,
             admission_rate: 0,
             admission_burst: 64,
         },
@@ -128,7 +127,6 @@ fn three_process_cluster_with_failover() {
             data_dir: Some(dir.join(label)),
             fsync: None,
             stats_path: None,
-            shards: 1,
             admission_rate: 0,
             admission_burst: 64,
             hosts: vec![HostSpec {
@@ -226,7 +224,6 @@ fn single_both_node_serves_clients() {
         data_dir: Some(dir.join("data")),
         fsync: None,
         stats_path: None,
-        shards: 1,
         admission_rate: 0,
         admission_burst: 64,
         hosts: vec![HostSpec { metadata: meta.clone(), chain, peers: vec![] }],
@@ -292,7 +289,6 @@ fn capsule_hosted_over_the_wire_survives_a_restart() {
         data_dir: Some(dir.join("data")),
         fsync: None,
         stats_path: None,
-        shards: 1,
         admission_rate: 0,
         admission_burst: 64,
         hosts,
@@ -379,7 +375,6 @@ fn two_domains_under_a_root_route_and_prefer_the_local_replica() {
             fsync: None,
             stats_path: None,
             hosts: vec![],
-            shards: 1,
             admission_rate: 0,
             admission_burst: 64,
         };

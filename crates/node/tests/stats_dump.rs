@@ -28,7 +28,6 @@ fn trigger_file_and_shutdown_both_dump_valid_json() {
         fsync: None,
         stats_path: Some(stats.clone()),
         hosts: vec![],
-        shards: 1,
         admission_rate: 0,
         admission_burst: 64,
     })

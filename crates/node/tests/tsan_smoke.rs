@@ -8,8 +8,8 @@
 //! - the segmented store's sealed-read fast lane (BlockCache + FdPool,
 //!   both owned by `LogInner`'s one mutex, fds handed out as `Arc<File>`)
 //!   under concurrent writers and readers;
-//! - the 4-shard forwarding engine carrying a live cluster workload
-//!   (event-loop thread, shard workers, net reader/writer threads).
+//! - a router carrying a live cluster workload (event-loop thread, net
+//!   reader/writer threads).
 
 use gdp_capsule::{MetadataBuilder, PointerStrategy, Record, RecordHash};
 use gdp_cert::{AdCert, PrincipalId, PrincipalKind, Scope, ServingChain};
@@ -124,8 +124,8 @@ fn store_read_fast_lane_under_concurrent_load() {
 }
 
 #[test]
-fn sharded_engine_carries_traffic_under_tsan() {
-    let dir = std::env::temp_dir().join(format!("gdp-tsan-shard-{}", std::process::id()));
+fn router_carries_cluster_traffic_under_tsan() {
+    let dir = std::env::temp_dir().join(format!("gdp-tsan-cluster-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
@@ -142,11 +142,10 @@ fn sharded_engine_carries_traffic_under_tsan() {
         fsync: None,
         stats_path: None,
         hosts: vec![],
-        shards: 4,
         admission_rate: 0,
         admission_burst: 64,
     })
-    .expect("start sharded router");
+    .expect("start router");
 
     // The node derives its server identity from the config seed with the
     // first byte XOR'd (distinct seed domain from the router half).
@@ -177,14 +176,14 @@ fn sharded_engine_carries_traffic_under_tsan() {
             ),
             peers: vec![],
         }],
-        shards: 1,
         admission_rate: 0,
         admission_burst: 64,
     })
     .expect("start storage node");
 
-    // A live client workload: every data PDU crosses a shard worker, the
-    // egress writer threads, and the storage node's segmented engine.
+    // A live client workload: every data PDU crosses the router's event
+    // loop, the egress writer threads, and the storage node's segmented
+    // engine.
     let mut client = ClusterClient::connect(router.local_addr(), router_name, &[74u8; 32], "cli")
         .expect("client attach");
     client.timeout = Duration::from_secs(30);

@@ -19,12 +19,10 @@ pub mod fib;
 pub mod glookup;
 pub mod messages;
 pub mod router;
-pub mod vcache;
 
 pub use attach::{attach_directly, AttachStep, Attacher};
 pub use dht::{DhtCluster, DhtNode};
 pub use fib::{Fib, FibEntry, NeighborId};
 pub use glookup::GLookup;
 pub use messages::{AdvertiseMsg, ControlMsg, LookupMsg, VerifiedRoute};
-pub use router::{is_data_plane, Outbox, RouteInstall, Router};
-pub use vcache::{VerifyCache, DEFAULT_VERIFY_CACHE_CAP};
+pub use router::{Outbox, Router};

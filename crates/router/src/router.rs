@@ -21,13 +21,12 @@
 #![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 #![allow(
     clippy::disallowed_methods,
-    reason = "Counter::inc_single_writer: each Router instance is owned by exactly one thread — the gdpd event loop, or its shard worker (crates/node/src/shard.rs) when `shards > 1`"
+    reason = "Counter::inc_single_writer: each Router instance is owned by exactly one thread, the gdpd event loop (or the simulator driving it)"
 )]
 
 use crate::fib::{Fib, FibEntry, NeighborId};
 use crate::glookup::GLookup;
 use crate::messages::{AdvertiseMsg, ControlMsg, LookupMsg, VerifiedRoute};
-use crate::vcache::{self, VerifyCache, DEFAULT_VERIFY_CACHE_CAP};
 use gdp_cert::{Challenge, Principal, PrincipalId, PrincipalKind, Scope};
 use gdp_obs::{Counter, Scope as ObsScope};
 use gdp_wire::{FastMap, Name, Pdu, PduType, Wire};
@@ -58,8 +57,6 @@ struct RouterObs {
     announces_rejected: Counter,
     lookups_local: Counter,
     lookups_escalated: Counter,
-    verify_cache_hits: Counter,
-    verify_cache_misses: Counter,
     ctrl_undecodable: Counter,
 }
 
@@ -80,8 +77,6 @@ impl RouterObs {
             announces_rejected: scope.counter("announces_rejected"),
             lookups_local: scope.counter("lookups_local"),
             lookups_escalated: scope.counter("lookups_escalated"),
-            verify_cache_hits: scope.counter("verify_cache_hits"),
-            verify_cache_misses: scope.counter("verify_cache_misses"),
             ctrl_undecodable: scope.counter("ctrl_undecodable"),
             scope: scope.clone(),
         }
@@ -123,12 +118,6 @@ pub struct Router {
     /// In-flight lookup escalations: local id → (original id, requester).
     pending_lookups: FastMap<u64, (u64, NeighborId)>,
     next_query_id: u64,
-    /// Memoized signature verifications (see [`crate::vcache`]).
-    vcache: VerifyCache,
-    /// When set, every route installation is also appended here so a
-    /// sharded engine can mirror FIB state into its worker shards. Off by
-    /// default — only the gdpd control router enables it.
-    install_log: Option<Vec<RouteInstall>>,
     /// Cached metric handles (shared registry when built `with_obs`).
     obs: RouterObs,
     /// Where routers at this level send unknown names (`None` = root, which
@@ -143,13 +132,9 @@ pub struct Router {
 pub type Outbox = Vec<(NeighborId, Pdu)>;
 
 /// True when a router named `router_name` would *forward* this PDU in
-/// the data plane rather than consume it in the control plane.
-///
-/// This is the single source of truth for the split:
-/// [`Router::handle_pdu_into`] derives its dispatch from it, and the
-/// sharded engine's reader-side classifier (`gdp-node`) re-exports it —
-/// adding a `PduType` variant forces both through this one match, so the
-/// two can never drift apart.
+/// the data plane rather than consume it in the control plane. This is
+/// the predicate [`Router::handle_pdu_into`] dispatches on; adding a
+/// `PduType` variant forces a routing decision through this one match.
 #[inline]
 pub fn is_data_plane(pdu: &Pdu, router_name: &Name) -> bool {
     match pdu.pdu_type {
@@ -164,17 +149,6 @@ pub fn is_data_plane(pdu: &Pdu, router_name: &Name) -> bool {
         // Errors always travel the data plane back toward the source.
         PduType::Error => true,
     }
-}
-
-/// One recorded route installation (for mirroring into shard workers).
-#[derive(Clone, Debug)]
-pub struct RouteInstall {
-    /// Neighbor the route points at.
-    pub neighbor: NeighborId,
-    /// Router-hop distance.
-    pub distance: u32,
-    /// The verified route itself.
-    pub route: VerifiedRoute,
 }
 
 impl Router {
@@ -200,8 +174,6 @@ impl Router {
             obs: RouterObs::new(obs),
             seq: 0,
             rng: StdRng::from_entropy(),
-            vcache: VerifyCache::new(DEFAULT_VERIFY_CACHE_CAP),
-            install_log: None,
         }
     }
 
@@ -264,10 +236,7 @@ impl Router {
     /// append order is identical to `handle_pdu`'s return order, keeping
     /// simulator determinism intact.
     pub fn handle_pdu_into(&mut self, now: u64, from: NeighborId, pdu: Pdu, out: &mut Outbox) {
-        // The forward-vs-consume split is derived from the shared
-        // [`is_data_plane`] predicate — the same function the sharded
-        // engine's reader-side classifier uses — so routing dispatch and
-        // shard classification cannot drift apart.
+        // The forward-vs-consume split is the [`is_data_plane`] predicate.
         if is_data_plane(&pdu, &self.name()) {
             return self.forward_into(now, from, pdu, out);
         }
@@ -447,32 +416,14 @@ impl Router {
         if proof.principal != advertisement.advertiser {
             return Err("proof principal is not the advertiser");
         }
-        // The challenge proof above is NEVER cached — every nonce is
-        // unique. The catalog and RtCert verifications are memoizable:
-        // the same advertiser re-attaching (refresh, reconnect, flap)
-        // re-presents byte-identical signed objects.
-        let advert_key = vcache::advert_digest(advertisement);
-        if self.vcache.hit(&advert_key, now) {
-            self.obs.verify_cache_hits.inc();
-        } else {
-            self.obs.verify_cache_misses.inc();
-            advertisement.verify(now).map_err(|_| "advertisement failed verification")?;
-            self.vcache.insert(advert_key, vcache::advert_expiry(advertisement));
-        }
+        advertisement.verify(now).map_err(|_| "advertisement failed verification")?;
         let advertiser = advertisement.advertiser.name();
         if rtcert.principal != advertiser || rtcert.router != self.name() {
             return Err("rtcert does not bind advertiser to this router");
         }
-        let rtcert_key = vcache::rtcert_digest(rtcert, &advertisement.advertiser.key);
-        if self.vcache.hit(&rtcert_key, now) {
-            self.obs.verify_cache_hits.inc();
-        } else {
-            self.obs.verify_cache_misses.inc();
-            rtcert
-                .verify(&advertisement.advertiser.key, now)
-                .map_err(|_| "rtcert signature invalid")?;
-            self.vcache.insert(rtcert_key, rtcert.expires);
-        }
+        rtcert
+            .verify(&advertisement.advertiser.key, now)
+            .map_err(|_| "rtcert signature invalid")?;
 
         self.attached.insert(from, advertiser);
         let mut accepted = Vec::new();
@@ -487,7 +438,7 @@ impl Router {
             rtcert: rtcert.clone(),
             expires: advertisement.expires.min(rtcert.expires),
         };
-        self.install_route(from, 0, &own_route, now);
+        self.install_route(from, 0, &own_route);
         accepted.push(advertiser);
         catalog_names.push((advertiser, rtcert.expires));
         if let Some(parent) = self.parent {
@@ -509,7 +460,7 @@ impl Router {
                 rtcert: rtcert.clone(),
                 expires,
             };
-            self.install_route(from, 0, &route, now);
+            self.install_route(from, 0, &route);
             accepted.push(capsule);
             catalog_names.push((capsule, rtcert.expires.min(entry.chain.adcert.expires)));
             if self.may_propagate(&entry.chain.adcert.scope) {
@@ -583,46 +534,12 @@ impl Router {
         }
     }
 
-    fn install_route(
-        &mut self,
-        neighbor: NeighborId,
-        distance: u32,
-        route: &VerifiedRoute,
-        _now: u64,
-    ) {
+    fn install_route(&mut self, neighbor: NeighborId, distance: u32, route: &VerifiedRoute) {
         self.fib.install(
             route.name,
             FibEntry { neighbor, distance, expires: route.expires, server: route.server_name() },
         );
         self.glookup.insert(route.clone());
-        if let Some(log) = &mut self.install_log {
-            log.push(RouteInstall { neighbor, distance, route: route.clone() });
-        }
-    }
-
-    /// Installs an already-verified route without re-running verification.
-    ///
-    /// For shard workers only: the control router verified the route
-    /// (admission or announcement) and mirrors it here. Callers outside a
-    /// sharded engine should let the normal PDU paths install routes.
-    pub fn install_verified(
-        &mut self,
-        neighbor: NeighborId,
-        distance: u32,
-        route: &VerifiedRoute,
-        now: u64,
-    ) {
-        self.install_route(neighbor, distance, route, now);
-    }
-
-    /// Enables (or disables) route-install recording for shard mirroring.
-    pub fn record_installs(&mut self, on: bool) {
-        self.install_log = if on { Some(Vec::new()) } else { None };
-    }
-
-    /// Takes the route installations recorded since the last drain.
-    pub fn drain_installs(&mut self) -> Vec<RouteInstall> {
-        self.install_log.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     fn control_pdu(&self, msg: ControlMsg) -> Pdu {
@@ -648,10 +565,8 @@ impl Router {
             }
         };
         // Independently re-verify: child routers are in other trust
-        // domains. Re-announcement refresh presents byte-identical routes,
-        // so the verification memoizes; first sight and post-expiry runs
-        // the full chain check.
-        if !self.verify_route_cached(&route, now) {
+        // domains.
+        if route.verify(now).is_err() {
             self.obs.announces_rejected.inc();
             return Vec::new();
         }
@@ -660,7 +575,7 @@ impl Router {
             Some(entry) => self.may_propagate(&entry.chain.adcert.scope),
             None => true,
         };
-        self.install_route(from, distance, &route, now);
+        self.install_route(from, distance, &route);
         if scope_ok {
             if let Some(parent) = self.parent {
                 return vec![(
@@ -670,23 +585,6 @@ impl Router {
             }
         }
         Vec::new()
-    }
-
-    /// Route verification through the memoization cache: a digest hit
-    /// (within its recorded expiry) skips the Ed25519 chain walk; a miss
-    /// runs [`VerifiedRoute::verify`] in full and caches success.
-    fn verify_route_cached(&mut self, route: &VerifiedRoute, now: u64) -> bool {
-        let digest = vcache::route_digest(route);
-        if self.vcache.hit(&digest, now) {
-            self.obs.verify_cache_hits.inc();
-            return true;
-        }
-        self.obs.verify_cache_misses.inc();
-        if route.verify(now).is_err() {
-            return false;
-        }
-        self.vcache.insert(digest, vcache::route_expiry(route));
-        true
     }
 
     // ---- GLookupService queries ------------------------------------------
@@ -718,14 +616,14 @@ impl Router {
             }
             Ok(LookupMsg::Answer { query_id, name, routes }) => {
                 // Re-verify before caching: the parent GLookupService is
-                // untrusted. Repeat answers memoize via the verify cache.
+                // untrusted.
                 let verified: Vec<VerifiedRoute> = routes
                     .into_iter()
-                    .filter(|r| r.name == name && self.verify_route_cached(r, now))
+                    .filter(|r| r.name == name && r.verify(now).is_ok())
                     .collect();
                 for r in &verified {
                     // Cache: reachable via the neighbor that answered.
-                    self.install_route(from, u32::MAX / 2, r, now);
+                    self.install_route(from, u32::MAX / 2, r);
                 }
                 match self.pending_lookups.remove(&query_id) {
                     Some((orig_id, requester)) => {

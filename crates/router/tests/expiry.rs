@@ -55,6 +55,25 @@ fn routes_expire_without_extension() {
 }
 
 #[test]
+fn installed_route_fails_verify_once_expired_or_tampered() {
+    let (mut router, mut attacher, capsule) = setup(1000);
+    attach_directly(&mut router, 5, &mut attacher, 0).unwrap();
+    let route = router
+        .lookup_local(&capsule, 0)
+        .into_iter()
+        .find(|r| r.entry.is_some())
+        .expect("attach installed a chained route");
+    assert_eq!(route.expires, 1000);
+    route.verify(1000).expect("a live route verifies");
+    // One microsecond past expiry the route no longer verifies.
+    assert!(route.verify(1001).is_err(), "verify accepted an expired route");
+    // A flipped bit in the RtCert signature is rejected.
+    let mut tampered = route.clone();
+    tampered.rtcert.signature.0[0] ^= 0x01;
+    assert!(tampered.verify(1).is_err(), "verify accepted a tampered RtCert");
+}
+
+#[test]
 fn extension_defers_whole_catalog() {
     let (mut router, mut attacher, capsule) = setup(1000);
     attach_directly(&mut router, 5, &mut attacher, 0).unwrap();

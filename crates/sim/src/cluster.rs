@@ -216,7 +216,6 @@ impl SimCluster {
             fsync: None,
             stats_path: None,
             hosts: vec![],
-            shards: 1,
             admission_rate: 0,
             admission_burst: 64,
         };

@@ -57,7 +57,6 @@ fn main() {
         fsync: None,
         stats_path: None,
         hosts: vec![],
-        shards: 1,
         admission_rate: 0,
         admission_burst: 64,
     })
@@ -75,7 +74,6 @@ fn main() {
             data_dir: None, // in-memory stores for the demo
             fsync: None,
             stats_path: None,
-            shards: 1,
             admission_rate: 0,
             admission_burst: 64,
             hosts: vec![HostSpec {

@@ -138,6 +138,15 @@ else
         printf '!!! a deleted by-hash lookup, by_hash map or hole scan is back (see above)\n'
         exit 1
     fi
+    # One forwarding path: a router forwards on its event loop. The sharded
+    # data plane, its reader-side ingest hook, the route-install log that
+    # fed it, and the verification memo no workload ever hit must not come
+    # back.
+    sharded='ShardedEngine|ShardBatcher|IngestSink|set_ingest_sink|record_installs|drain_installs'
+    if grep -rnE "$sharded|install_verified|NidSnapshot|VerifyCache|vcache" crates src tests examples; then
+        printf '!!! a name of the deleted sharded data plane or verify cache is back (see above)\n'
+        exit 1
+    fi
     # The client driver is one I/O-free policy (DESIGN.md, "Client
     # driver"): no clock, thread or socket in it, and its constants and
     # the honest-failure list are defined once in the tree — a second
@@ -294,22 +303,15 @@ for key in '"store_floor"' '"read_floor"' '"read_points"' '"served"' '"served_fl
         || { printf '!!! BENCH_store.json missing %s\n' "$key"; exit 1; }
 done
 
-# Perf smoke: re-measure 64 B zero-copy forwarding, the sharded engine's
-# single-shard end-to-end rate and its dispatch and worker stage rates,
-# segmented durable appends, warm sealed-segment point reads, and range
-# scans served through the DataCapsule-server as a share of the raw
-# store range rate of the same run;
-# fail if any has regressed more than 30% below the floors the fig6/store
-# runs just recorded (the data-path and storage fast paths must not
-# silently rot). Every floor is a quantity this host measured: a
-# multi-shard end-to-end point runs only with more cores than shards,
-# and where it did not run it is named in the summary, not gated.
-step "perf smoke (forwarding + sharded stages + store floors + served reads)"
+# Perf smoke: re-measure 64 B zero-copy forwarding, segmented durable
+# appends, warm sealed-segment point reads, and range scans served
+# through the DataCapsule-server as a share of the raw store range rate
+# of the same run; fail if any has regressed more than 30% below the
+# floors the fig6/store runs just recorded (the data-path and storage
+# fast paths must not silently rot). Every floor is a quantity this host
+# measured.
+step "perf smoke (forwarding + store floors + served reads)"
 cargo run --release -p gdp-bench --bin report -- perf-smoke
-if grep -q '"pdus_per_sec":null' BENCH_fig6.json; then
-    cores="$(sed -n 's/.*"sharded_cores":\([0-9]*\).*/\1/p' BENCH_fig6.json)"
-    not_run+=("live multi-shard fig6 point (${cores:-?} cores)")
-fi
 
 # Overload floor: the saturated 4x point must keep serving the full
 # append budget (goodput never collapses below the recorded floor).

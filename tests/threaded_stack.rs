@@ -35,7 +35,6 @@ fn full_stack_on_threads() {
         fsync: None,
         stats_path: None,
         hosts: vec![],
-        shards: 1,
         admission_rate: 0,
         admission_burst: 64,
     };
