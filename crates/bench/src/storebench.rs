@@ -409,7 +409,7 @@ pub const SERVED_CACHE_BYTES: usize = 512 * 1024;
 pub const SERVED_SCAN_LEN: u64 = 32;
 
 /// The path requests take, beside the raw store lane under it: reads
-/// through `DataCapsuleServer::handle_pdu` (header index → store → encode
+/// through `DataCapsuleServer::handle_pdu` (index → store → encode
 /// → session MAC) on a seglog-backed host whose capsule is 8× its cache.
 #[derive(Clone, Copy, Debug)]
 pub struct ServedPoint {
@@ -467,7 +467,7 @@ pub fn served_comparison(dir: &Path) -> ServedPoint {
         }
     }
 
-    // Mount verifies every stored record and keeps its header + signature.
+    // Mount verifies every stored record and keeps its address and wire bound.
     let mut server = DataCapsuleServer::new_with_obs(sid.clone(), &metrics.scope("server"));
     let chain = ServingChain::direct(
         AdCert::issue(&owner, capsule, sid.name(), false, Scope::Global, FOREVER),
@@ -520,9 +520,11 @@ pub fn served_comparison(dir: &Path) -> ServedPoint {
     let scan_reads = counted("reads_served_from_store") - reads0;
 
     let start = Instant::now();
+    let mut hops = 0u64;
     for seq in &seqs {
         match ask(&mut server, &DataMsg::Read { target: ReadTarget::ProofOf(*seq) }) {
             DataMsg::ReadResp { result: ReadResult::Proof(p), .. } => {
+                hops += p.hops() as u64;
                 std::hint::black_box(&p);
             }
             other => panic!("served proof answered {other:?}"),
@@ -530,7 +532,7 @@ pub fn served_comparison(dir: &Path) -> ServedPoint {
     }
     let served_proof_reads_per_sec = seqs.len() as f64 / start.elapsed().as_secs_f64().max(1e-9);
     let reads = counted("reads_served_from_store") - reads0;
-    assert_eq!(reads, scan_reads + seqs.len() as u64, "a proof reads one body, its target's");
+    assert_eq!(reads, scan_reads + hops, "a proof reads one record per hop, the head's once");
     assert_eq!(metrics.counter_value("server", "read_store_failures"), 0);
 
     ServedPoint {

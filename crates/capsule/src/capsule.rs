@@ -17,16 +17,17 @@
 //!
 //! The verify → link → pending logic exists once, in [`Chain`], generic
 //! over what it keeps of each verified record: a [`DataCapsule`] keeps the
-//! whole [`Record`]; a [`CapsuleIndex`] keeps a [`SignedHeader`] — the
-//! record hash covers the header alone, so linking, heartbeats and proof
-//! paths never need a body — and its owner (a storage server) keeps the
-//! bodies in its store. Which one a chain is is its type, decided where it
-//! is declared, never a flag read at run time.
+//! whole [`Record`]; a [`CapsuleIndex`] keeps one integer, the record's
+//! wire bound. A chain links on addresses alone — a record's seq is in its
+//! address, and a parked record's `prev` is the key it waits under — so
+//! the index's owner (a storage server) reads every header, signature and
+//! body back from its store. Which one a chain is is its type, decided
+//! where it is declared, never a flag read at run time.
 
 use crate::error::CapsuleError;
 use crate::metadata::CapsuleMetadata;
-use crate::record::{Heartbeat, Pointer, Record, RecordHash, RecordHeader, SignedHeader};
-use gdp_crypto::{Signature, VerifyingKey};
+use crate::record::{Heartbeat, Pointer, Record, RecordHash};
+use gdp_crypto::VerifyingKey;
 use gdp_wire::Name;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -42,41 +43,33 @@ pub enum IngestOutcome {
     Duplicate,
 }
 
-/// What a [`Chain`] keeps of each verified record: built from the whole
+/// What a [`Chain`] keeps of each verified record: made from the whole
 /// record once it has verified, and from then on the only form the chain
-/// holds or hands out.
-pub trait Retained: From<Record> {
-    /// The record's hashed header.
-    fn header(&self) -> &RecordHeader;
+/// holds.
+pub trait Retained {
+    /// The kept form of a verified record.
+    fn retain(record: Record) -> Self;
 
-    /// The writer's heartbeat signature for the record.
-    fn signature(&self) -> Signature;
-
-    /// Body bytes this entry keeps in memory.
-    fn resident_body_bytes(&self) -> u64;
+    /// The record's [`Record::wire_bound`]: what sizing an answer needs
+    /// before any record is read.
+    fn wire_bound(&self) -> u64;
 }
 
 impl Retained for Record {
-    fn header(&self) -> &RecordHeader {
-        &self.header
+    fn retain(record: Record) -> Record {
+        record
     }
-    fn signature(&self) -> Signature {
-        self.signature
-    }
-    fn resident_body_bytes(&self) -> u64 {
-        self.body.len() as u64
+    fn wire_bound(&self) -> u64 {
+        Record::wire_bound(self)
     }
 }
 
-impl Retained for SignedHeader {
-    fn header(&self) -> &RecordHeader {
-        &self.header
+impl Retained for u64 {
+    fn retain(record: Record) -> u64 {
+        record.wire_bound()
     }
-    fn signature(&self) -> Signature {
-        self.signature
-    }
-    fn resident_body_bytes(&self) -> u64 {
-        0
+    fn wire_bound(&self) -> u64 {
+        *self
     }
 }
 
@@ -84,9 +77,10 @@ impl Retained for SignedHeader {
 /// CAAPI backends hold.
 pub type DataCapsule = Chain<Record>;
 
-/// A verified DataCapsule that keeps headers and signatures only: what a
-/// storage server holds in memory beside the store that has the bodies.
-pub type CapsuleIndex = Chain<SignedHeader>;
+/// A verified DataCapsule that keeps each record's address and wire bound
+/// only: what a storage server holds in memory beside the store that has
+/// the records.
+pub type CapsuleIndex = Chain<u64>;
 
 /// A record that passed a chain's full verification (structure, body hash,
 /// writer signature) and is not part of it yet. Only [`Chain::verify`]
@@ -119,7 +113,7 @@ pub struct Chain<E> {
     /// Linked records that no linked record points to.
     heads: HashSet<Pointer>,
     /// Verified records waiting for a missing ancestor, keyed by the
-    /// ancestor hash they need.
+    /// ancestor hash they need: their `prev`.
     pending: HashMap<RecordHash, Vec<(Pointer, E)>>,
     /// Addresses of records buffered in `pending` (for duplicate
     /// detection).
@@ -180,32 +174,30 @@ impl<E: Retained> Chain<E> {
     pub fn missing_ancestors(&self) -> Vec<Pointer> {
         let mut missing: Vec<Pointer> = self
             .pending
-            .values()
-            .flatten()
-            .map(|(_, waiting)| waiting.header())
-            .map(|h| Pointer { seq: h.seq.saturating_sub(1), hash: h.prev })
+            .iter()
+            .flat_map(|(&hash, waiting)| {
+                waiting.iter().map(move |(at, _)| Pointer { seq: at.seq.saturating_sub(1), hash })
+            })
             .collect();
         missing.sort_unstable();
         missing.dedup();
         missing
     }
 
-    /// Current head records (linked records with no linked successor).
-    /// SSW capsules have exactly one head; QSW branches produce several.
-    /// Newest first; heads at one seq in hash order.
-    pub fn heads(&self) -> Vec<&E> {
-        let mut out: Vec<(&Pointer, &E)> =
-            self.heads.iter().filter_map(|h| self.records.get_key_value(h)).collect();
-        out.sort_by_key(|(h, _)| (std::cmp::Reverse(h.seq), h.hash));
-        out.into_iter().map(|(_, r)| r).collect()
+    /// Addresses of the current heads (linked records with no linked
+    /// successor). SSW capsules have exactly one head; QSW branches
+    /// produce several. Newest first; heads at one seq in hash order.
+    pub fn heads(&self) -> Vec<Pointer> {
+        let mut out: Vec<Pointer> = self.heads.iter().copied().collect();
+        out.sort_by_key(|h| (std::cmp::Reverse(h.seq), h.hash));
+        out
     }
 
     /// The unique head in SSW mode, or `Err(Branched)` when diverged.
     pub fn single_head(&self) -> Result<Option<&E>, CapsuleError> {
-        let heads = self.heads();
-        match heads.len() {
-            0 => Ok(None),
-            1 => Ok(Some(heads[0])),
+        match self.heads()[..] {
+            [] => Ok(None),
+            [head] => Ok(self.get(&head)),
             _ => Err(CapsuleError::Branched),
         }
     }
@@ -289,47 +281,56 @@ impl<E: Retained> Chain<E> {
         if self.contains(&at) {
             return IngestOutcome::Duplicate;
         }
-        let entry = E::from(record);
-        if self.can_link(entry.header()) {
-            self.link(at, entry);
+        let prev = record.header.prev;
+        let entry = E::retain(record);
+        if self.can_link(at, prev) {
+            self.link(at, prev, entry);
             IngestOutcome::Linked
         } else {
             self.pending_at.insert(at);
-            self.pending.entry(entry.header().prev).or_default().push((at, entry));
+            self.pending.entry(prev).or_default().push((at, entry));
             IngestOutcome::Pending
         }
     }
 
-    /// True when the record's `prev` is linked at the seq before its own
-    /// (the anchor, for seq 1).
-    fn can_link(&self, header: &RecordHeader) -> bool {
-        if header.seq == 1 {
-            return header.prev == RecordHash::anchor(&self.name);
+    /// True when `prev` is linked at the seq before `at`'s (the anchor,
+    /// for seq 1).
+    fn can_link(&self, at: Pointer, prev: RecordHash) -> bool {
+        if at.seq == 1 {
+            return prev == RecordHash::anchor(&self.name);
         }
-        self.records.contains_key(&Pointer { seq: header.seq - 1, hash: header.prev })
+        self.records.contains_key(&Pointer { seq: at.seq - 1, hash: prev })
     }
 
-    fn link(&mut self, at: Pointer, entry: E) {
+    fn link(&mut self, at: Pointer, prev: RecordHash, entry: E) {
         // Linking may unblock pending descendants (hole healing), which
         // may unblock theirs: a worklist, so a long healed run costs no
         // stack.
-        let mut ready = vec![(at, entry)];
-        while let Some((at, entry)) = ready.pop() {
-            self.heads.remove(&Pointer { seq: at.seq - 1, hash: entry.header().prev });
+        let mut ready = vec![(at, prev, entry)];
+        while let Some((at, prev, entry)) = ready.pop() {
+            self.heads.remove(&Pointer { seq: at.seq - 1, hash: prev });
             self.heads.insert(at);
             self.records.insert(at, entry);
-            for (at, waiting) in self.pending.remove(&at.hash).unwrap_or_default().into_iter().rev()
+            for (waiting_at, waiting) in
+                self.pending.remove(&at.hash).unwrap_or_default().into_iter().rev()
             {
-                self.pending_at.remove(&at);
+                self.pending_at.remove(&waiting_at);
                 // Ancestor present but seq relation wrong: it can never
                 // link, so it is dropped.
-                if self.can_link(waiting.header()) {
-                    ready.push((at, waiting));
+                if self.can_link(waiting_at, at.hash) {
+                    ready.push((waiting_at, at.hash, waiting));
                 }
             }
         }
     }
 
+    /// Iterates all linked records in seq order.
+    pub fn iter(&self) -> impl Iterator<Item = &E> {
+        self.records.values()
+    }
+}
+
+impl DataCapsule {
     /// Verifies the full history ending at `head` against a heartbeat:
     /// walks prev-pointers back to the anchor, checking hashes and seq
     /// decrements. This is the "verify the entire history of DataCapsule up
@@ -344,7 +345,7 @@ impl<E: Retained> Chain<E> {
         // decrement along the chain by construction.
         let mut at = Pointer { seq: heartbeat.seq, hash: heartbeat.head };
         loop {
-            let header = self.get(&at).ok_or(CapsuleError::MissingRecord(at.hash))?.header();
+            let header = &self.get(&at).ok_or(CapsuleError::MissingRecord(at.hash))?.header;
             if at.seq == 1 {
                 if header.prev != RecordHash::anchor(&self.name) {
                     return Err(CapsuleError::BadRecord("chain does not anchor at metadata"));
@@ -355,31 +356,12 @@ impl<E: Retained> Chain<E> {
         }
     }
 
-    /// The signed heartbeat `entry` carries.
-    pub fn heartbeat_of(&self, entry: &E) -> Heartbeat {
-        Heartbeat::from_header(&self.name, entry.header(), entry.signature())
-    }
-
     /// A signed heartbeat for the current unique head (SSW mode), extracted
     /// from the head record itself.
     pub fn head_heartbeat(&self) -> Result<Option<Heartbeat>, CapsuleError> {
-        Ok(self.single_head()?.map(|head| self.heartbeat_of(head)))
+        Ok(self.single_head()?.map(|head| Heartbeat::from_record(&self.name, head)))
     }
 
-    /// Iterates all linked records in seq order.
-    pub fn iter(&self) -> impl Iterator<Item = &E> {
-        self.records.values()
-    }
-
-    /// Body bytes held in memory across linked and pending records (zero
-    /// for a [`CapsuleIndex`], whatever it indexes).
-    pub fn resident_body_bytes(&self) -> u64 {
-        let pending = self.pending.values().flatten().map(|(_, e)| e);
-        self.records.values().chain(pending).map(Retained::resident_body_bytes).sum()
-    }
-}
-
-impl DataCapsule {
     /// Merges all linked and pending records from `other` (CRDT join).
     /// Returns how many new records became linked.
     pub fn merge(&mut self, other: &DataCapsule) -> Result<usize, CapsuleError> {
@@ -565,9 +547,7 @@ mod tests {
         let mut yx = y.clone();
         yx.merge(&x).unwrap();
         assert_eq!(xy.len(), yx.len());
-        let hx: Vec<_> = xy.heads().iter().map(|r| r.hash()).collect();
-        let hy: Vec<_> = yx.heads().iter().map(|r| r.hash()).collect();
-        assert_eq!(hx, hy);
+        assert_eq!(xy.heads(), yx.heads());
     }
 
     #[test]
@@ -620,14 +600,14 @@ mod tests {
         assert_eq!(r.len(), 4);
         assert_eq!(r[0].header.seq, 3);
         assert_eq!(c.iter().count(), 10);
-        assert!(c.resident_body_bytes() > 0);
     }
 
     /// The same records in the same (scrambled) order: an index goes
     /// through the same linked / pending / duplicate states as the
-    /// capsule, ends with the same heads, and keeps no body on the way.
+    /// capsule, ends with the same heads, and keeps one integer per
+    /// record, its wire bound.
     #[test]
-    fn an_index_links_exactly_like_the_capsule_and_keeps_no_body() {
+    fn an_index_links_exactly_like_the_capsule_and_keeps_one_integer_per_record() {
         let mut full = fresh();
         let rs = chain(&mut fresh(), 9);
         let fork = make_record(&full, 5, rs[3].hash(), b"fork");
@@ -638,18 +618,15 @@ mod tests {
             assert_eq!((index.len(), index.pending_len()), (full.len(), full.pending_len()));
             assert_eq!(index.missing_ancestors(), full.missing_ancestors());
             assert!(index.missing_ancestors().is_sorted(), "a wire-visible list in map order");
-            assert_eq!(index.resident_body_bytes(), 0);
         }
-        assert!(full.resident_body_bytes() > 0);
-        let heads: Vec<RecordHash> = index.heads().iter().map(|e| e.hash()).collect();
-        assert_eq!(heads, full.heads().iter().map(|r| r.hash()).collect::<Vec<_>>());
-        assert_eq!(heads.len(), 2);
-        let seqs: Vec<u64> = index.iter().map(|e| e.header.seq).collect();
-        assert_eq!(seqs, full.iter().map(|r| r.header.seq).collect::<Vec<_>>());
-        assert_eq!(index.get_one(9).unwrap().signature, rs[8].signature);
-        let tip = Heartbeat::from_record(&full.name(), &rs[8]);
-        index.verify_history(&tip).unwrap();
-        assert_eq!(index.heartbeat_of(index.get_one(9).unwrap()), tip);
+        assert_eq!(index.heads(), full.heads());
+        assert_eq!(index.heads().len(), 2);
+        let linked = |c: &Chain<_>| c.iter_range(0, u64::MAX).map(|(at, _)| *at).collect();
+        let addresses: Vec<Pointer> = linked(&index);
+        assert_eq!(addresses, full.iter().map(Record::pointer).collect::<Vec<_>>());
+        let bounds: Vec<u64> = index.iter().copied().collect();
+        assert_eq!(bounds, full.iter().map(Record::wire_bound).collect::<Vec<_>>());
+        assert_eq!(std::mem::size_of_val(index.get_one(9).unwrap()), 8);
     }
 
     /// `verify` holds nothing; `admit` is the other half of `ingest`.

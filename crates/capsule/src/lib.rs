@@ -11,12 +11,14 @@
 //! * [`strategy`] — configurable extra hash-pointer policies (chain,
 //!   skip-list, checkpoint, stream).
 //! * [`capsule`] — the verified record DAG: ingest, holes, branches, CRDT
-//!   merge, history verification. One [`Chain`], generic over what it
-//!   keeps of each verified record: [`DataCapsule`] keeps the whole
-//!   [`Record`], [`CapsuleIndex`] a [`SignedHeader`] (what a storage
-//!   server holds beside the store that has the bodies).
-//! * [`proof`] — membership and range proofs against a heartbeat; proof
-//!   paths are built from headers alone.
+//!   merge, history verification. One [`Chain`], linking on addresses
+//!   alone and generic over what it keeps of each verified record:
+//!   [`DataCapsule`] keeps the whole [`Record`], [`CapsuleIndex`] one
+//!   integer, the record's wire bound (what a storage server holds beside
+//!   the store that has the records).
+//! * [`proof`] — membership and range proofs against a heartbeat; a proof
+//!   path is walked through a record lookup, so a chain that keeps no
+//!   headers builds one from its store.
 //! * [`encryption`] — end-to-end body confidentiality via read keys.
 //! * [`writer`] — the Strict/Quasi Single-Writer append state machine.
 
@@ -38,6 +40,6 @@ pub use entangle::{EntanglementBody, OrderingProof};
 pub use error::CapsuleError;
 pub use metadata::{CapsuleMetadata, MetadataBuilder};
 pub use proof::{MembershipProof, RangeProof};
-pub use record::{Heartbeat, Pointer, Record, RecordHash, RecordHeader, SignedHeader};
+pub use record::{Heartbeat, Pointer, Record, RecordHash, RecordHeader};
 pub use strategy::PointerStrategy;
 pub use writer::{CapsuleWriter, WriterMode};

@@ -35,52 +35,54 @@ pub struct MembershipProof {
 
 impl MembershipProof {
     /// Builds the proof from the head attested by `heartbeat` down to
-    /// `target_seq` (see [`MembershipProof::path`]), with the body the
-    /// capsule retains for the target.
+    /// `target_seq` (see [`MembershipProof::path`]) over the capsule's own
+    /// records.
     pub fn build(
         capsule: &DataCapsule,
         heartbeat: &Heartbeat,
         target_seq: u64,
     ) -> Result<MembershipProof, CapsuleError> {
-        let (target, path) = MembershipProof::path(capsule, heartbeat, target_seq, u64::MAX)?;
-        let record = capsule.get(&target).ok_or(CapsuleError::MissingRecord(target.hash))?;
-        Ok(MembershipProof { heartbeat: heartbeat.clone(), path, body: record.body.clone() })
+        MembershipProof::path(capsule, heartbeat, target_seq, u64::MAX, |at| {
+            capsule.get(at).cloned().ok_or(CapsuleError::MissingRecord(at.hash))
+        })
     }
 
-    /// The header path from the head attested by `heartbeat` down to
-    /// `target_seq`, and the target's address: the descent the pointer
-    /// strategies are built for — from each header, the pointer with the
-    /// smallest seq not below the target (the farthest jump that does not
-    /// overshoot) — so skip-list and checkpoint pointers shorten proofs
-    /// automatically. It reads headers only and allocates nothing but the
-    /// path; a chain that keeps no bodies completes the proof with the
-    /// target's body fetched by that address.
+    /// The proof from the head attested by `heartbeat` down to
+    /// `target_seq`, along the descent the pointer strategies are built
+    /// for — from each header, the pointer with the smallest seq not below
+    /// the target (the farthest jump that does not overshoot) — so
+    /// skip-list and checkpoint pointers shorten proofs automatically.
+    /// Each hop must be linked in `capsule`; its record comes from `read`:
+    /// the capsule's own for a [`DataCapsule`], the store's for a chain
+    /// that keeps no headers. The target's is the last read.
     ///
-    /// The headers and the target's body are counted against `budget`
-    /// bytes on the way down: a path that would pass it stops there with
-    /// [`CapsuleError::ProofTooLarge`], so a descent of one header per
-    /// record costs at most the budget before it is refused.
-    pub fn path<E: Retained>(
+    /// Each hop is charged its record's wire bound against `budget` bytes
+    /// before it is read: a path that would pass it stops there with
+    /// [`CapsuleError::ProofTooLarge`], so a descent reads at most the
+    /// budget before it is refused.
+    pub fn path<E: Retained, X: From<CapsuleError>>(
         capsule: &Chain<E>,
         heartbeat: &Heartbeat,
         target_seq: u64,
         budget: u64,
-    ) -> Result<(Pointer, Vec<RecordHeader>), CapsuleError> {
-        let mut at = Pointer { seq: heartbeat.seq, hash: heartbeat.head };
-        let mut header = capsule.get(&at).ok_or(CapsuleError::MissingRecord(at.hash))?.header();
-        if target_seq > header.seq || target_seq == 0 {
-            return Err(CapsuleError::MissingSeq(target_seq));
+        mut read: impl FnMut(&Pointer) -> Result<Record, X>,
+    ) -> Result<MembershipProof, X> {
+        if target_seq > heartbeat.seq || target_seq == 0 {
+            return Err(CapsuleError::MissingSeq(target_seq).into());
         }
+        let mut at = Pointer { seq: heartbeat.seq, hash: heartbeat.head };
         let mut spent = 0u64;
         let mut path = Vec::new();
         loop {
-            spent = spent.saturating_add(header.wire_bound());
+            let bound = capsule.get(&at).ok_or(CapsuleError::MissingRecord(at.hash))?.wire_bound();
+            spent = spent.saturating_add(bound);
             if spent > budget {
-                return Err(CapsuleError::ProofTooLarge);
+                return Err(CapsuleError::ProofTooLarge.into());
             }
-            path.push(header.clone());
+            let Record { header, body, .. } = read(&at)?;
             if header.seq == target_seq {
-                break;
+                path.push(header);
+                return Ok(MembershipProof { heartbeat: heartbeat.clone(), path, body });
             }
             // A pointer's seq is the writer's claim; one that lies names no
             // record at that address, or ends the descent below the target,
@@ -90,12 +92,8 @@ impl MembershipProof {
                 .filter(|p| p.seq >= target_seq)
                 .min_by_key(|p| p.seq)
                 .ok_or(CapsuleError::MissingSeq(target_seq))?;
-            header = capsule.get(&at).ok_or(CapsuleError::MissingRecord(at.hash))?.header();
+            path.push(header);
         }
-        if spent.saturating_add(u64::from(header.body_len)) > budget {
-            return Err(CapsuleError::ProofTooLarge);
-        }
-        Ok((at, path))
     }
 
     /// Verifies the proof with nothing but the capsule name and writer key —

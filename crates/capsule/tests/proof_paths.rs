@@ -9,8 +9,8 @@
 //! chain; see [`descent_is_shortest`] for the others).
 
 use gdp_capsule::{
-    CapsuleError, CapsuleWriter, Chain, DataCapsule, Heartbeat, MembershipProof, MetadataBuilder,
-    Pointer, PointerStrategy, RecordHeader, Retained,
+    CapsuleError, CapsuleWriter, DataCapsule, Heartbeat, MembershipProof, MetadataBuilder, Pointer,
+    PointerStrategy, RecordHeader,
 };
 use gdp_crypto::SigningKey;
 use proptest::prelude::*;
@@ -24,14 +24,14 @@ fn writer_key() -> SigningKey {
 }
 
 /// The oracle: the BFS path builder, as `MembershipProof::path` had it.
-fn bfs_path<E: Retained>(
-    capsule: &Chain<E>,
+fn bfs_path(
+    capsule: &DataCapsule,
     heartbeat: &Heartbeat,
     target_seq: u64,
 ) -> Result<(Pointer, Vec<RecordHeader>), CapsuleError> {
     let head_hash = Pointer { seq: heartbeat.seq, hash: heartbeat.head };
     let head = capsule.get(&head_hash).ok_or(CapsuleError::MissingRecord(head_hash.hash))?;
-    if target_seq > head.header().seq || target_seq == 0 {
+    if target_seq > head.header.seq || target_seq == 0 {
         return Err(CapsuleError::MissingSeq(target_seq));
     }
     // BFS from head following pointers with seq >= target.
@@ -40,7 +40,7 @@ fn bfs_path<E: Retained>(
     queue.push_back(head_hash);
     let mut found: Option<Pointer> = None;
     while let Some(cur) = queue.pop_front() {
-        let header = capsule.get(&cur).ok_or(CapsuleError::MissingRecord(cur.hash))?.header();
+        let header = &capsule.get(&cur).ok_or(CapsuleError::MissingRecord(cur.hash))?.header;
         if header.seq == target_seq {
             found = Some(cur);
             break;
@@ -63,7 +63,7 @@ fn bfs_path<E: Retained>(
     hashes.reverse();
     let path: Vec<RecordHeader> = hashes
         .iter()
-        .map(|h| capsule.get(h).map(|r| r.header().clone()))
+        .map(|h| capsule.get(h).map(|r| r.header.clone()))
         .collect::<Option<Vec<_>>>()
         .ok_or(CapsuleError::BadProof("record vanished during build"))?;
     Ok((target, path))
@@ -104,6 +104,19 @@ fn descent_is_shortest(strategy: &PointerStrategy) -> bool {
     chain.windows(2).all(|w| w[1] % w[0] == 0)
 }
 
+/// The greedy descent over `capsule`'s records, as a store-backed chain
+/// walks it, with the target's address.
+fn descend(
+    capsule: &DataCapsule,
+    hb: &Heartbeat,
+    target: u64,
+) -> Result<(Pointer, MembershipProof), CapsuleError> {
+    let read = |at: &Pointer| capsule.get(at).cloned().ok_or(CapsuleError::MissingRecord(at.hash));
+    let proof = MembershipProof::path(capsule, hb, target, u64::MAX, read)?;
+    let last = proof.path.last().ok_or(CapsuleError::BadProof("empty path"))?;
+    Ok((Pointer { seq: last.seq, hash: last.hash() }, proof))
+}
+
 /// Every target of `capsule`: the greedy path ends at the target, its
 /// proof verifies to the target's record, and — where the strategy makes
 /// the descent a shortest path — it is as short as the oracle's.
@@ -115,7 +128,8 @@ fn check_every_target(
     let hb = capsule.head_heartbeat().unwrap().unwrap();
     let key = writer_key().verifying_key();
     for target in 1..=hb.seq {
-        let (hash, path) = MembershipProof::path(capsule, &hb, target, u64::MAX).unwrap();
+        let (hash, greedy) = descend(capsule, &hb, target).unwrap();
+        let path = &greedy.path;
         let (oracle_hash, oracle) = bfs_path(capsule, &hb, target).unwrap();
         prop_assert_eq!(hash, oracle_hash, "{} target {}", label, target);
         prop_assert!(
@@ -129,13 +143,13 @@ fn check_every_target(
             prop_assert_eq!(hops.0, hops.1, "{} target {}: greedy vs BFS hops", label, target);
         }
         let proof = MembershipProof::build(capsule, &hb, target).unwrap();
-        prop_assert_eq!(proof.hops(), path.len());
+        prop_assert_eq!(&proof, &greedy);
         let record = proof.verify(&capsule.name(), &key).unwrap();
         prop_assert_eq!(record.header.seq, target);
         prop_assert_eq!(record.body, format!("body-{}", target - 1).into_bytes());
     }
     for beyond in [0, hb.seq + 1] {
-        let greedy = MembershipProof::path(capsule, &hb, beyond, u64::MAX).map(|(h, _)| h);
+        let greedy = descend(capsule, &hb, beyond).map(|(h, _)| h);
         prop_assert_eq!(greedy.ok(), bfs_path(capsule, &hb, beyond).map(|(h, _)| h).ok());
     }
     Ok(())

@@ -71,8 +71,8 @@ proptest! {
         prop_assert_eq!(shuffled.len(), reference.len());
         prop_assert_eq!(shuffled.pending_len(), 0);
         prop_assert_eq!(shuffled.latest_seq(), n);
-        let h1: Vec<_> = shuffled.heads().iter().map(|r| r.hash()).collect();
-        let h2: Vec<_> = reference.heads().iter().map(|r| r.hash()).collect();
+        let h1 = shuffled.heads();
+        let h2 = reference.heads();
         prop_assert_eq!(h1, h2);
     }
 
@@ -272,8 +272,8 @@ proptest! {
         for &i in order.iter().rev() {
             r2.ingest(records[i].clone()).unwrap();
         }
-        let h1: Vec<_> = r1.heads().iter().map(|r| r.hash()).collect();
-        let h2: Vec<_> = r2.heads().iter().map(|r| r.hash()).collect();
+        let h1 = r1.heads();
+        let h2 = r2.heads();
         prop_assert_eq!(&h1, &h2, "replicas must converge");
         // Fork from the true head produces 1 head (extends the chain at a
         // dup seq only if fork_at < n-1); otherwise 2 heads.

@@ -7,11 +7,13 @@
 //! client↔server and server↔server data-plane protocol.
 //!
 //! A server is storage, not a cache: per hosted capsule it keeps a
-//! [`gdp_capsule::CapsuleIndex`] — heads, links, pending bookkeeping,
-//! header + signature per record — and every body lives in the capsule's
-//! [`gdp_store::CapsuleStore`] alone. A record is indexed only once the
-//! store accepted it; a read is index → store → encode, and a body the
-//! store cannot return is a typed error, counted and traced.
+//! [`gdp_capsule::CapsuleIndex`] — heads, links, pending bookkeeping, an
+//! address and a wire bound per record — and every record, header and
+//! signature included, lives in the capsule's [`gdp_store::CapsuleStore`]
+//! alone. A record is indexed only once the store accepted it; a read is
+//! index → store → encode, proof hops and the head a heartbeat comes from
+//! included, and a record the store cannot return is a typed error,
+//! counted and traced.
 
 #![forbid(unsafe_code)]
 

@@ -7,11 +7,13 @@
 //! * verifies every record against the capsule's writer key before storing
 //!   it (the threat model assumes *other* servers may not);
 //! * keeps per hosted capsule a [`CapsuleIndex`] — heads, links, pending
-//!   bookkeeping, header + signature per record — and the bodies in the
-//!   capsule's [`CapsuleStore`] alone: a node's capacity is its disk;
+//!   bookkeeping, an address and a wire bound per record — and the records
+//!   themselves, headers and signatures included, in the capsule's
+//!   [`CapsuleStore`] alone: a node's capacity is its disk;
 //! * answers reads with records, ranges, proofs, and heartbeats — index →
-//!   store → encode — authenticated by signature or per-flow HMAC (§V
-//!   "Secure Responses");
+//!   store → encode, proof hops and heartbeats read through the store like
+//!   bodies — authenticated by signature or per-flow HMAC (§V "Secure
+//!   Responses");
 //! * implements the durability modes of §VI-B (local ack, quorum, all);
 //! * replicates leaderlessly: appends are forwarded to peer replicas "as
 //!   is ... in arbitrary order" and holes heal via anti-entropy (§V-A);
@@ -34,7 +36,7 @@ use crate::proto::{
 };
 use gdp_capsule::{
     CapsuleError, CapsuleIndex, CapsuleMetadata, Heartbeat, IngestOutcome, MembershipProof,
-    Pointer, RangeProof, Record, SignedHeader,
+    Pointer, RangeProof, Record,
 };
 use gdp_cert::{CapsuleAdvert, PrincipalId, PrincipalKind, ServingChain};
 use gdp_crypto::x25519::EphemeralKeyPair;
@@ -109,21 +111,21 @@ impl ServerObs {
 /// serving chain).
 const MAX_ANSWER_BYTES: u64 = (MAX_PAYLOAD - 64 * 1024) as u64;
 
-/// True when the records' encodings together fit one `ReadResp`; stops at
-/// the first record past the budget, however long the range.
-fn fits_one_answer<'a>(mut records: impl Iterator<Item = &'a SignedHeader>) -> bool {
-    let sum = records.try_fold(0u64, |sum, r| {
-        sum.checked_add(r.record_wire_bound()).filter(|sum| *sum <= MAX_ANSWER_BYTES)
+/// True when records of these wire bounds together fit one `ReadResp`;
+/// stops at the first record past the budget, however long the range.
+fn fits_one_answer<'a>(mut bounds: impl Iterator<Item = &'a u64>) -> bool {
+    let sum = bounds.try_fold(0u64, |sum, bound| {
+        sum.checked_add(*bound).filter(|sum| *sum <= MAX_ANSWER_BYTES)
     });
     sum.is_some()
 }
 
 struct Hosted {
-    /// What verification and proofs need of every record: heads, links,
-    /// pending bookkeeping, header + signature. No body.
+    /// What linking and sizing need of every record: heads, links, pending
+    /// bookkeeping, an address and a wire bound. No header, no body.
     index: CapsuleIndex,
-    /// The one place bodies live; every whole record served is read back
-    /// from here.
+    /// The one place records live; every record served — a proof hop or a
+    /// heartbeat's head included — is read back from here.
     store: Box<dyn CapsuleStore>,
     chain: ServingChain,
     peers: Vec<Name>,
@@ -146,24 +148,31 @@ impl Hosted {
         }
     }
 
+    /// The unique head's whole record and the heartbeat it carries;
+    /// `None` when there is no unique head.
+    fn stored_head(&self) -> Option<Result<(Heartbeat, Record), StoreError>> {
+        let [head] = self.index.heads()[..] else { return None };
+        Some(self.stored(&head).map(|r| (Heartbeat::from_record(&self.index.name(), &r), r)))
+    }
+
     /// The whole linked records of `[from, to]` in index order, each with
-    /// its seq. One sequential pull when the store's order is the index's
-    /// — always, short of a record parked behind a hole in the span;
-    /// otherwise, or when the pull fails, record by record, so one
-    /// unreadable body costs one entry.
-    fn stored_range(&self, from: u64, to: u64) -> Vec<(u64, Result<Record, StoreError>)> {
-        let wanted: Vec<(&Pointer, &SignedHeader)> = self.index.iter_range(from, to).collect();
+    /// its address. One sequential pull when the store's records are the
+    /// linked ones — always, short of a record parked behind a hole in the
+    /// span; otherwise, or when the pull fails, record by record, so one
+    /// unreadable entry costs one entry.
+    fn stored_range(&self, from: u64, to: u64) -> Vec<(Pointer, Result<Record, StoreError>)> {
+        let wanted: Vec<Pointer> = self.index.iter_range(from, to).map(|(at, _)| *at).collect();
         if wanted.is_empty() {
             return Vec::new();
         }
         if let Ok(run) = self.store.range(from, to) {
             if run.len() == wanted.len()
-                && run.iter().zip(&wanted).all(|(r, (_, w))| r.header == w.header)
+                && run.iter().zip(&wanted).all(|(r, at)| r.pointer() == *at)
             {
-                return run.into_iter().map(|r| (r.header.seq, Ok(r))).collect();
+                return wanted.into_iter().zip(run.into_iter().map(Ok)).collect();
             }
         }
-        wanted.into_iter().map(|(at, _)| (at.seq, self.stored(at))).collect()
+        wanted.into_iter().map(|at| (at, self.stored(&at))).collect()
     }
 }
 
@@ -206,6 +215,9 @@ pub struct DataCapsuleServer {
     /// The backoff hint carried in `Nack{Busy}` responses (µs).
     retry_after_us: u64,
     readvertise: bool,
+    /// Anti-entropy rounds so far: each [`DataCapsuleServer::tick`] asks
+    /// the next peer of a capsule, whatever the tick's time.
+    sync_rounds: usize,
     /// Session-ephemeral-key generator. Entropy-seeded by default;
     /// [`DataCapsuleServer::set_rng_seed`] makes handshakes replayable.
     rng: StdRng,
@@ -233,6 +245,7 @@ impl DataCapsuleServer {
             appends_this_tick: 0,
             retry_after_us: 50_000,
             readvertise: false,
+            sync_rounds: 0,
             rng: StdRng::from_entropy(),
         }
     }
@@ -313,15 +326,15 @@ impl DataCapsuleServer {
         let mut index = CapsuleIndex::new(metadata.clone())?;
         store.put_metadata(&metadata)?;
         // Recover any records already in the store (restart path): each is
-        // read back whole and fully verified, and only its header and
-        // signature are kept. A seq the store cannot read back (rot in a
+        // read back whole and fully verified, and only its address and
+        // wire bound are kept. A seq the store cannot read back (rot in a
         // sealed segment) or whose record no longer verifies becomes a
         // hole for anti-entropy to refill — counted and traced, never
         // silent.
         let latest = store.latest_seq();
         for seq in 1..=latest {
             let mut error = None;
-            match store.get_all_at_seq(seq) {
+            match store.range(seq, seq) {
                 Ok(records) => {
                     for r in records {
                         if let Err(e) = index.ingest(r) {
@@ -363,8 +376,8 @@ impl DataCapsuleServer {
     }
 
     /// Read access to a hosted capsule's verified state: heads, links and
-    /// pending bookkeeping over header + signature per record. Whole
-    /// records come from [`DataCapsuleServer::stored_record`].
+    /// pending bookkeeping over an address and a wire bound per record.
+    /// Whole records come from [`DataCapsuleServer::stored_record`].
     pub fn capsule(&self, name: &Name) -> Option<&CapsuleIndex> {
         self.hosted.get(name).map(|h| &h.index)
     }
@@ -808,7 +821,7 @@ impl DataCapsuleServer {
             ReadTarget::Range(a, b) => {
                 // The index knows every body length: an answer that cannot
                 // fit a frame is refused before the store is touched.
-                if !fits_one_answer(index.iter_range(a, b).map(|(_, h)| h)) {
+                if !fits_one_answer(index.iter_range(a, b).map(|(_, bound)| bound)) {
                     self.obs.reads_refused_oversize.inc();
                     return vec![self.err_pdu(
                         client,
@@ -818,10 +831,10 @@ impl DataCapsuleServer {
                     )];
                 }
                 let mut records = Vec::new();
-                for (s, stored) in hosted.stored_range(a, b) {
+                for (at, stored) in hosted.stored_range(a, b) {
                     match stored {
                         Ok(r) => records.push(r),
-                        Err(e) => return unreadable(s, e),
+                        Err(e) => return unreadable(at.seq, e),
                     }
                 }
                 // One signature for the run, its newest record's own — every
@@ -852,43 +865,49 @@ impl DataCapsuleServer {
                 let Some(head) = index.heads().into_iter().next() else {
                     return vec![self.err_pdu(client, seq, ErrorCode::Empty, "no records")];
                 };
-                let hb = index.heartbeat_of(head);
-                match hosted.stored(&Pointer { seq: hb.seq, hash: hb.head }) {
-                    Ok(r) => ReadResult::Latest(r, hb),
-                    Err(e) => return unreadable(hb.seq, e),
+                match hosted.stored(&head) {
+                    Ok(r) => {
+                        let hb = Heartbeat::from_record(&capsule_name, &r);
+                        ReadResult::Latest(r, hb)
+                    }
+                    Err(e) => return unreadable(head.seq, e),
                 }
             }
             ReadTarget::ProofOf(s) => {
-                let hb = match index.head_heartbeat() {
-                    Ok(Some(hb)) => hb,
-                    _ => return vec![self.err_pdu(client, seq, ErrorCode::Empty, "no head")],
+                let (hb, head) = match hosted.stored_head() {
+                    Some(Ok(found)) => found,
+                    Some(Err(e)) => return unreadable(index.latest_seq(), e),
+                    None => return vec![self.err_pdu(client, seq, ErrorCode::Empty, "no head")],
                 };
-                // The path is counted as it is built: a descent of one
-                // header per record is refused at the budget, not built
-                // whole for a send the transport would refuse.
-                let found = MembershipProof::path(index, &hb, s, MAX_ANSWER_BYTES);
-                if matches!(found, Err(CapsuleError::ProofTooLarge)) {
-                    self.obs.reads_refused_oversize.inc();
-                    return vec![self.err_pdu(
-                        client,
-                        seq,
-                        ErrorCode::BadRequest,
-                        "proof exceeds one answer",
-                    )];
-                }
-                let Ok((target, path)) = found else {
-                    return vec![self.err_pdu(client, seq, ErrorCode::NotFound, "no proof")];
-                };
-                match hosted.stored(&target) {
-                    Ok(r) => {
-                        ReadResult::Proof(MembershipProof { heartbeat: hb, path, body: r.body })
+                // The descent starts at the head just read, and each hop
+                // is charged its record's wire bound before it is read: a
+                // proof reads at most one answer's worth of store bytes.
+                let (mut head, mut at_seq) = (Some(head), hb.seq);
+                let found = MembershipProof::path(index, &hb, s, MAX_ANSWER_BYTES, |at| {
+                    at_seq = at.seq;
+                    head.take().map_or_else(|| hosted.stored(at), Ok)
+                });
+                match found {
+                    Ok(proof) => ReadResult::Proof(proof),
+                    Err(StoreError::Capsule(CapsuleError::ProofTooLarge)) => {
+                        self.obs.reads_refused_oversize.inc();
+                        return vec![self.err_pdu(
+                            client,
+                            seq,
+                            ErrorCode::BadRequest,
+                            "proof exceeds one answer",
+                        )];
                     }
-                    Err(e) => return unreadable(s, e),
+                    Err(StoreError::Capsule(_)) => {
+                        return vec![self.err_pdu(client, seq, ErrorCode::NotFound, "no proof")]
+                    }
+                    Err(e) => return unreadable(at_seq, e),
                 }
             }
-            ReadTarget::HeartbeatOnly => match index.head_heartbeat() {
-                Ok(Some(hb)) => ReadResult::HeartbeatOnly(hb),
-                _ => return vec![self.err_pdu(client, seq, ErrorCode::Empty, "no records")],
+            ReadTarget::HeartbeatOnly => match hosted.stored_head() {
+                Some(Ok((hb, _))) => ReadResult::HeartbeatOnly(hb),
+                Some(Err(e)) => return unreadable(index.latest_seq(), e),
+                None => return vec![self.err_pdu(client, seq, ErrorCode::Empty, "no records")],
             },
         };
         let body = read_result_body(&result);
@@ -915,10 +934,10 @@ impl DataCapsuleServer {
         // the store cannot return is left out, counted and traced.
         let replay = hosted.stored_range(from_seq.saturating_add(1), hosted.index.latest_seq());
         let mut out = Vec::new();
-        for (s, stored) in replay {
+        for (at, stored) in replay {
             match stored {
                 Ok(record) => self.push_events(&capsule_name, &[client], &record, &mut out),
-                Err(e) => self.note_unreadable(now, &capsule_name, s, &e),
+                Err(e) => self.note_unreadable(now, &capsule_name, at.seq, &e),
             }
         }
         out
@@ -936,22 +955,24 @@ impl DataCapsuleServer {
             return Vec::new();
         };
         // The named missing records this replica has linked, then
-        // everything newer than the peer's contiguous prefix. What the
-        // store cannot return is left out, counted and traced: the peer
-        // asks again, or another replica answers.
+        // everything newer than the peer's contiguous prefix, each once, in
+        // address order: a named record is also in the newer run when the
+        // peer is behind it. What the store cannot return is left out,
+        // counted and traced: the peer asks again, or another replica
+        // answers.
         let named = missing.iter().filter(|at| hosted.index.get(at).is_some());
-        let mut found: Vec<(u64, Result<Record, StoreError>)> =
-            named.map(|at| (at.seq, hosted.stored(at))).collect();
+        let mut found: Vec<(Pointer, Result<Record, StoreError>)> =
+            named.map(|at| (*at, hosted.stored(at))).collect();
         found.extend(hosted.stored_range(have_seq.saturating_add(1), hosted.index.latest_seq()));
+        found.sort_by_key(|(at, _)| *at);
+        found.dedup_by_key(|(at, _)| *at);
         let mut records = Vec::new();
-        for (s, stored) in found {
+        for (at, stored) in found {
             match stored {
                 Ok(r) => records.push(r),
-                Err(e) => self.note_unreadable(now, &capsule_name, s, &e),
+                Err(e) => self.note_unreadable(now, &capsule_name, at.seq, &e),
             }
         }
-        records.sort_by_key(|r| r.header.seq);
-        records.dedup_by_key(|r| r.hash());
         if records.is_empty() {
             return Vec::new();
         }
@@ -1036,8 +1057,8 @@ impl DataCapsuleServer {
             if h.peers.is_empty() {
                 continue;
             }
-            // Ask one peer, rotating by time for variety.
-            let peer = h.peers[(now as usize / 1000) % h.peers.len()];
+            // Ask one peer, the next one each round.
+            let peer = h.peers[self.sync_rounds % h.peers.len()];
             let msg = DataMsg::SyncRequest {
                 capsule: *name,
                 have_seq: h.index.latest_seq(),
@@ -1045,6 +1066,7 @@ impl DataCapsuleServer {
             };
             out.push(self.data_pdu(peer, 0, &msg));
         }
+        self.sync_rounds = self.sync_rounds.wrapping_add(1);
         out
     }
 }
@@ -1056,7 +1078,7 @@ mod tests {
     use gdp_cert::{AdCert, Scope};
     use gdp_store::MemStore;
     use gdp_wire::PduType;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
 
     const FOREVER: u64 = 1 << 50;
@@ -1155,27 +1177,38 @@ mod tests {
 
     /// A store whose `append_acked` and `put_metadata` (or `flush`) fail
     /// while the shared switch is on — the store-side faults the server must never turn
-    /// into an ack.
+    /// into an ack — and which counts the record bytes its random and
+    /// range reads return.
     struct FlakyStore {
         inner: Box<dyn CapsuleStore>,
         fail: Arc<AtomicBool>,
         fail_flush: Arc<AtomicBool>,
+        read_bytes: Arc<AtomicU64>,
+    }
+
+    impl FlakyStore {
+        /// `inner` with every switch off.
+        fn over(inner: Box<dyn CapsuleStore>) -> FlakyStore {
+            let (fail, fail_flush, read_bytes) = Default::default();
+            FlakyStore { inner, fail, fail_flush, read_bytes }
+        }
+
+        fn count<'a>(&self, records: impl IntoIterator<Item = &'a Record>) {
+            let bytes = records.into_iter().map(|r| r.to_wire().len() as u64).sum();
+            self.read_bytes.fetch_add(bytes, Ordering::SeqCst);
+        }
     }
 
     fn flaky_store() -> (Box<dyn CapsuleStore>, Arc<AtomicBool>) {
-        let fail = Arc::new(AtomicBool::new(false));
-        let store = FlakyStore {
-            inner: Box::new(MemStore::new()),
-            fail: fail.clone(),
-            fail_flush: Arc::default(),
-        };
+        let store = FlakyStore::over(Box::new(MemStore::new()));
+        let fail = store.fail.clone();
         (Box::new(store), fail)
     }
 
     /// `inner` behind a switch that fails `flush`.
     fn flaky_flush_store(inner: Box<dyn CapsuleStore>) -> (Box<dyn CapsuleStore>, Arc<AtomicBool>) {
-        let fail_flush = Arc::new(AtomicBool::new(false));
-        let store = FlakyStore { inner, fail: Arc::default(), fail_flush: fail_flush.clone() };
+        let store = FlakyStore::over(inner);
+        let fail_flush = store.fail_flush.clone();
         (Box::new(store), fail_flush)
     }
 
@@ -1198,11 +1231,10 @@ mod tests {
         fn get_by_seq(&self, seq: u64) -> Result<Option<Record>, StoreError> {
             self.inner.get_by_seq(seq)
         }
-        fn get_all_at_seq(&self, seq: u64) -> Result<Vec<Record>, StoreError> {
-            self.inner.get_all_at_seq(seq)
-        }
         fn get(&self, at: &Pointer) -> Result<Option<Record>, StoreError> {
-            self.inner.get(at)
+            let found = self.inner.get(at)?;
+            self.count(&found);
+            Ok(found)
         }
         fn latest_seq(&self) -> u64 {
             self.inner.latest_seq()
@@ -1211,7 +1243,9 @@ mod tests {
             self.inner.len()
         }
         fn range(&self, from: u64, to: u64) -> Result<Vec<Record>, StoreError> {
-            self.inner.range(from, to)
+            let run = self.inner.range(from, to)?;
+            self.count(&run);
+            Ok(run)
         }
         fn pointers(&self) -> Vec<Pointer> {
             self.inner.pointers()
@@ -1816,6 +1850,94 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert_eq!(counted(&rig, "reads_refused_oversize"), 1);
+    }
+
+    /// A `ProofOf` hop is charged its record, not its header: on a Chain
+    /// capsule of large records whose headers all fit one answer, a proof
+    /// of the first record is refused, typed, after reading at most one
+    /// answer's worth of records, and a proof that fits is still served.
+    #[test]
+    fn a_proof_is_charged_its_hops_records_and_reads_at_most_one_answer() {
+        let store = FlakyStore::over(Box::new(MemStore::new()));
+        let read_bytes = store.read_bytes.clone();
+        let mut rig = rig_with_store(vec![], Box::new(store));
+        let (mut head, mut record_bytes, mut header_bytes) = (0u64, 0u64, 0u64);
+        while record_bytes <= MAX_ANSWER_BYTES {
+            let record = rig.writer.append(&[7u8; 17 * 1024], head).unwrap();
+            head += 1;
+            record_bytes += record.to_wire().len() as u64;
+            header_bytes += record.header.to_wire().len() as u64;
+            let out = request(&mut rig, &DataMsg::Append { record, ack_mode: AckMode::Local });
+            assert!(matches!(msg_of(&out[0]), DataMsg::AppendAck { .. }));
+        }
+        assert!(header_bytes < MAX_ANSWER_BYTES / 100, "{head} headers fit one answer");
+
+        let out = request(&mut rig, &DataMsg::Read { target: ReadTarget::ProofOf(1) });
+        assert!(matches!(
+            msg_of(&out[0]),
+            DataMsg::ErrResp { code: ErrorCode::BadRequest, detail } if detail == "proof exceeds one answer"
+        ));
+        assert_eq!(counted(&rig, "reads_refused_oversize"), 1);
+        let read = read_bytes.swap(0, Ordering::SeqCst);
+        assert!(read > MAX_ANSWER_BYTES / 2 && read <= MAX_ANSWER_BYTES, "{read} bytes read");
+
+        let out = request(&mut rig, &DataMsg::Read { target: ReadTarget::ProofOf(head - 1) });
+        match msg_of(&out[0]) {
+            DataMsg::ReadResp { result: ReadResult::Proof(p), .. } => {
+                let proven = p.verify(&rig.capsule, &wkey().verifying_key()).unwrap();
+                assert_eq!((proven.header.seq, p.hops()), (head - 1, 2));
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(counted(&rig, "reads_refused_oversize"), 1);
+    }
+
+    /// Regression: a tick asked `peers[(now / 1000) % len]`, so on a 200 ms
+    /// tick grid a capsule with two peers asked the first one every time,
+    /// even while it was down. Each tick now asks the next peer.
+    #[test]
+    fn anti_entropy_asks_each_peer_in_turn_whatever_the_tick_time() {
+        let peers = vec![Name::from_content(b"peer a"), Name::from_content(b"peer b")];
+        let mut rig = rig_with_peers(peers.clone());
+        let mut asked = Vec::new();
+        for now in [200_000, 400_000] {
+            for pdu in rig.server.tick(now) {
+                assert!(matches!(msg_of(&pdu), DataMsg::SyncRequest { .. }));
+                asked.push(pdu.dst);
+            }
+        }
+        assert_eq!(asked, peers);
+    }
+
+    /// Regression: a sync answer was sorted by seq alone before dropping
+    /// adjacent duplicates, so on a fork a named head whose hash sorts
+    /// after its sibling's was sent twice. Each record is answered once,
+    /// in address order.
+    #[test]
+    fn sync_request_answers_each_record_of_a_fork_once() {
+        let mut rig = rig();
+        let mut linked = Vec::new();
+        for i in 0..3u64 {
+            let record = rig.writer.append(&[i as u8], i).unwrap();
+            linked.push(record.clone());
+            request(&mut rig, &DataMsg::Append { record, ack_mode: AckMode::Local });
+        }
+        let prev = linked[1].hash();
+        let fork = Record::create(&rig.capsule, &wkey(), 3, 9, prev, vec![], b"fork".to_vec());
+        request(&mut rig, &DataMsg::Append { record: fork.clone(), ack_mode: AckMode::Local });
+        let mut heads = vec![linked[2].pointer(), fork.pointer()];
+        heads.sort_unstable();
+        assert_eq!(rig.server.capsule(&rig.capsule).unwrap().heads(), heads);
+
+        let ask =
+            DataMsg::SyncRequest { capsule: rig.capsule, have_seq: 2, missing: vec![heads[1]] };
+        let out = rig.server.handle_pdu(0, from_peer(&rig, Name::from_content(b"peer"), &ask));
+        match msg_of(&out[0]) {
+            DataMsg::SyncResponse { records, .. } => {
+                assert_eq!(records.iter().map(Record::pointer).collect::<Vec<_>>(), heads);
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! The server's read path — header index → store → encode — against the
+//! The server's read path — index → store → encode — against the
 //! behaviour it replaced.
 //!
-//! A storage server keeps header + signature per record and serves every
-//! body through the capsule's store. The reference here is a plain
+//! A storage server keeps an address and a wire bound per record and reads
+//! every record it serves through the capsule's store: bodies, proof hops
+//! and the head a heartbeat comes from. The reference here is a plain
 //! body-retaining [`DataCapsule`] fed the same records, answering exactly
 //! as a server that mirrored every record in memory would: after every
 //! step of a seeded script the two must agree byte for byte on every
@@ -11,11 +12,12 @@
 //! heartbeat anchoring it, the run's newest record's own under a single
 //! head and none (a record-by-record answer) on a branched capsule — whether
 //! the records sit in the group-commit buffer, in the active segment or
-//! in sealed ones, linked, branched or parked behind a hole.
+//! in sealed ones, linked, branched or parked behind a hole. The script's
+//! cache is a few blocks, so most proof hops are read from disk.
 
 use gdp_capsule::{
-    CapsuleMetadata, CapsuleWriter, DataCapsule, Heartbeat, MembershipProof, MetadataBuilder,
-    Pointer, PointerStrategy, Record, RecordHash, RecordHeader,
+    CapsuleMetadata, CapsuleWriter, Chain, DataCapsule, Heartbeat, MembershipProof,
+    MetadataBuilder, Pointer, PointerStrategy, Record, RecordHash, RecordHeader,
 };
 use gdp_cert::{AdCert, PrincipalId, PrincipalKind, Scope, ServingChain};
 use gdp_crypto::SigningKey;
@@ -120,7 +122,7 @@ fn model_read(model: &DataCapsule, target: ReadTarget) -> Result<ReadResult, Err
             }
             Ok(None) => Err(ErrorCode::Empty),
             Err(_) => {
-                let head = model.heads()[0];
+                let head = model.get(&model.heads()[0]).unwrap();
                 Ok(ReadResult::Latest(head.clone(), Heartbeat::from_record(&name, head)))
             }
         },
@@ -182,9 +184,14 @@ fn model_sync(model: &DataCapsule, have_seq: u64, missing: &[Pointer]) -> Vec<Re
     if latest > have_seq {
         records.extend(model.range(have_seq + 1, latest).into_iter().cloned());
     }
-    records.sort_by_key(|r| r.header.seq);
-    records.dedup_by_key(|r| r.hash());
+    records.sort_by_key(Record::pointer);
+    records.dedup_by_key(|r| r.pointer());
     records
+}
+
+/// Bytes a chain keeps in memory per record, beside its address.
+fn entry_bytes<E>(_: &Chain<E>) -> usize {
+    std::mem::size_of::<E>()
 }
 
 // ---- the comparison ------------------------------------------------------
@@ -320,8 +327,8 @@ fn run_script(seed: u64) {
         saw_pending |= model.pending_len() > 0;
         let index = server.capsule(&meta.name()).unwrap();
         assert_eq!(
-            (index.len(), index.pending_len(), index.resident_body_bytes()),
-            (model.len(), model.pending_len(), 0),
+            (index.len(), index.pending_len(), entry_bytes(index)),
+            (model.len(), model.pending_len(), 8),
             "seed {seed} step {step} ({what})"
         );
         // Withheld, or delivered and parked behind the hole: asked for by
@@ -363,25 +370,22 @@ fn index_plus_store_answers_exactly_like_a_body_retaining_capsule() {
 
 // ---- rot under a live server ---------------------------------------------
 
-/// Offset of the body of the `nth` record entry of a segment file, and the
-/// record in it.
-fn nth_record_body(seg: &[u8], nth: usize) -> (usize, Record) {
+/// The record entries of a segment file: the offset of each entry's body,
+/// and the record in it.
+fn record_entries(seg: &[u8]) -> Vec<(usize, Record)> {
     const ENTRY_HEADER: usize = 1 + 4 + 4 + 32;
     let mut off = SEGLOG_MAGIC.len();
-    let mut seen = 0;
+    let mut entries = Vec::new();
     while off + ENTRY_HEADER <= seg.len() {
         let kind = seg[off];
         let len = u32::from_be_bytes(seg[off + 1..off + 5].try_into().unwrap()) as usize;
         let body = off + ENTRY_HEADER;
         if kind == 1 {
-            if seen == nth {
-                return (body, Record::from_wire(&seg[body..body + len]).unwrap());
-            }
-            seen += 1;
+            entries.push((body, Record::from_wire(&seg[body..body + len]).unwrap()));
         }
         off = body + len;
     }
-    panic!("segment holds fewer than {} records", nth + 1);
+    entries
 }
 
 #[test]
@@ -402,7 +406,7 @@ fn rot_in_a_sealed_entry_is_a_typed_error_for_that_seq_only_and_a_refillable_hol
     // Flip one byte inside the body of sealed segment 0's third record.
     let seg0 = dir.join(format!("{:010}.seg", 0));
     let mut bytes = std::fs::read(&seg0).unwrap();
-    let (body_at, rotted) = nth_record_body(&bytes, 2);
+    let (body_at, rotted) = record_entries(&bytes).swap_remove(2);
     let rotted = rotted.header.seq;
     bytes[body_at + 30] ^= 0x04;
     std::fs::write(&seg0, &bytes).unwrap();
@@ -418,14 +422,27 @@ fn rot_in_a_sealed_entry_is_a_typed_error_for_that_seq_only_and_a_refillable_hol
     assert_eq!(field("seq"), Some(rotted.to_string()));
     assert!(field("error").is_some_and(|e| e.contains("corrupt")), "{:?}", failed[0]);
 
-    // Its neighbours, and everything that does not need its body, are
-    // served: the header index is intact.
+    // Its neighbours, and everything that does not read the rotted entry,
+    // are served.
     for seq in [rotted - 1, rotted + 1, 24] {
         let expect = ReadResult::Record(records[seq as usize - 1].clone());
         assert_eq!(read(&mut server, ReadTarget::One(seq)), Ok(expect));
     }
-    assert!(matches!(read(&mut server, ReadTarget::ProofOf(1)), Ok(ReadResult::Proof(_))));
     assert!(matches!(read(&mut server, ReadTarget::Latest), Ok(ReadResult::Latest(..))));
+    assert!(matches!(
+        read(&mut server, ReadTarget::HeartbeatOnly),
+        Ok(ReadResult::HeartbeatOnly(_))
+    ));
+    assert!(matches!(
+        read(&mut server, ReadTarget::ProofOf(rotted + 1)),
+        Ok(ReadResult::Proof(p)) if p.hops() == (24 - rotted) as usize
+    ));
+    // A Chain proof below it descends through it: typed, and counted.
+    let failures = metrics.counter_value("server", "read_store_failures");
+    for target in [rotted, 1] {
+        assert_eq!(read(&mut server, ReadTarget::ProofOf(target)), Err(ErrorCode::NotFound));
+    }
+    assert_eq!(metrics.counter_value("server", "read_store_failures"), failures + 2);
     // A range over the rot is refused whole, typed; one beside it is served.
     assert_eq!(read(&mut server, ReadTarget::Range(1, 24)), Err(ErrorCode::NotFound));
     assert!(matches!(
@@ -471,6 +488,57 @@ fn rot_in_a_sealed_entry_is_a_typed_error_for_that_seq_only_and_a_refillable_hol
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// The head's entry rots: every answer anchored at the head — its
+/// heartbeat, the latest record, any proof — is typed `NotFound` and
+/// counted, while the records below it and ranges over them are served.
+#[test]
+fn rot_in_the_head_entry_is_a_typed_error_for_heartbeats_and_proofs_and_ranges_below_are_served() {
+    let dir = tmpdir("head-rot");
+    let (mut server, log, metrics) = mount(&dir, tiny_cfg(FsyncPolicy::Always));
+    let meta = meta();
+    let mut writer = CapsuleWriter::new(&meta, wkey(), PointerStrategy::Chain).unwrap();
+    let records: Vec<Record> =
+        (0..12u64).map(|i| writer.append(&[i as u8; 100], i).unwrap()).collect();
+    for (i, r) in records.iter().enumerate() {
+        append(&mut server, i as u64, r);
+        server.tick(i as u64);
+    }
+    // Seal the head's segment, unread: its entry is read from disk next.
+    log.rotate_now(100).unwrap();
+    let (seg, body_at) = log
+        .segment_ids()
+        .into_iter()
+        .map(|id| dir.join(format!("{id:010}.seg")))
+        .find_map(|seg| {
+            let entries = record_entries(&std::fs::read(&seg).unwrap());
+            let head = entries.into_iter().find(|(_, r)| r.header.seq == 12);
+            head.map(|(body_at, _)| (seg, body_at))
+        })
+        .unwrap();
+    let mut bytes = std::fs::read(&seg).unwrap();
+    bytes[body_at + 30] ^= 0x04;
+    std::fs::write(&seg, &bytes).unwrap();
+
+    assert_eq!(read(&mut server, ReadTarget::HeartbeatOnly), Err(ErrorCode::NotFound));
+    assert_eq!(metrics.counter_value("server", "read_store_failures"), 1);
+    let events = metrics.drain_trace();
+    let failed: Vec<_> = events.iter().filter(|e| e.event == "read_store_failed").collect();
+    assert_eq!(failed.len(), 1, "{events:?}");
+    assert!(failed[0].fields.contains(&("seq".to_string(), "12".to_string())));
+    for target in [ReadTarget::Latest, ReadTarget::ProofOf(12), ReadTarget::ProofOf(3)] {
+        assert_eq!(read(&mut server, target), Err(ErrorCode::NotFound), "{target:?}");
+    }
+    assert_eq!(metrics.counter_value("server", "read_store_failures"), 4);
+
+    let below = ReadResult::Record(records[10].clone());
+    assert_eq!(read(&mut server, ReadTarget::One(11)), Ok(below));
+    let served = read(&mut server, ReadTarget::Range(1, 11)).map(verified_run);
+    let tip = Heartbeat::from_record(&meta.name(), &records[10]);
+    assert_eq!(served, Ok((pairs(records[..11].to_vec()), Some(tip))));
+    assert_eq!(metrics.counter_value("server", "read_store_failures"), 4);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 // ---- residency -----------------------------------------------------------
 
 #[test]
@@ -489,7 +557,7 @@ fn a_server_keeps_no_body_bytes_after_appends_or_after_mount() {
         }
         let index = server.capsule(&meta.name()).unwrap();
         assert_eq!((index.len(), index.pending_len()), (39, 8));
-        assert_eq!(index.resident_body_bytes(), 0, "linked and pending records keep no body");
+        assert_eq!(entry_bytes(index), 8, "linked and pending records keep one integer");
         assert_eq!(
             read(&mut server, ReadTarget::One(39)),
             Ok(ReadResult::Record(records[38].clone()))
@@ -498,10 +566,9 @@ fn a_server_keeps_no_body_bytes_after_appends_or_after_mount() {
     let (mut server, _log, _) = mount(&dir, cfg);
     let index = server.capsule(&meta.name()).unwrap();
     assert_eq!((index.len(), index.pending_len()), (39, 8), "mount verified all 47");
-    assert_eq!(index.resident_body_bytes(), 0, "mount retains nothing of what it read");
     append(&mut server, 0, &records[39]);
     let index = server.capsule(&meta.name()).unwrap();
-    assert_eq!((index.len(), index.pending_len(), index.resident_body_bytes()), (48, 0, 0));
+    assert_eq!((index.len(), index.pending_len(), entry_bytes(index)), (48, 0, 8));
     let tip = Heartbeat::from_record(&meta.name(), &records[47]);
     let served = read(&mut server, ReadTarget::Range(1, 48)).map(verified_run);
     assert_eq!(served, Ok((pairs(records), Some(tip))));

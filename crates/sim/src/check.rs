@@ -31,7 +31,7 @@ pub fn check_invariants(cluster: &SimCluster) {
     // 1. Fork-freedom against the writer's ground-truth chain.
     for (label, cap) in &replicas {
         for seq in 1..=cap.latest_seq() {
-            let recs = cap.get_by_seq(seq);
+            let recs: Vec<&Pointer> = cap.iter_range(seq, seq).map(|(at, _)| at).collect();
             assert!(
                 recs.len() <= 1,
                 // gdp-lint: allow(SK01) -- GDP_SIM_SEED is the chaos-reproduction handle, deliberately printed so failures can be replayed; it is an RNG seed, not key material
@@ -48,8 +48,7 @@ pub fn check_invariants(cluster: &SimCluster) {
                     )
                 });
                 assert_eq!(
-                    r.hash(),
-                    expect,
+                    r.hash, expect,
                     // gdp-lint: allow(SK01) -- GDP_SIM_SEED is the chaos-reproduction handle, deliberately printed so failures can be replayed; it is an RNG seed, not key material
                     "GDP_SIM_SEED={seed}: invariant 1: replica {label} seq {seq} \
                      diverges from the writer chain"
@@ -75,7 +74,7 @@ pub fn check_invariants(cluster: &SimCluster) {
     let views: Vec<(String, BTreeMap<u64, RecordHash>)> = replicas
         .iter()
         .map(|(label, cap)| {
-            let map = cap.iter().map(|r| (r.header.seq, r.hash())).collect();
+            let map = cap.iter_range(0, u64::MAX).map(|(at, _)| (at.seq, at.hash)).collect();
             (label.clone(), map)
         })
         .collect();

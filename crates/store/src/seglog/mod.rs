@@ -346,10 +346,6 @@ impl CapsuleStore for SegStore {
         }
     }
 
-    fn get_all_at_seq(&self, seq: u64) -> Result<Vec<Record>, StoreError> {
-        self.range(seq, seq)
-    }
-
     fn get(&self, at: &Pointer) -> Result<Option<Record>, StoreError> {
         let mut inner = self.log.inner.lock();
         let loc = inner.streams.get(&self.capsule).and_then(|s| s.records.get(at).copied());

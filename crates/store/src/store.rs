@@ -7,9 +7,10 @@
 //! and a per-capsule stream of the node's shared segmented log with CRC
 //! framing and crash-recovery scan (`SegStore` in `seglog`). Both key
 //! records by their address, the hash-pointer `(seq, header hash)`, in one
-//! ordered map. A hosted capsule's store is the only place its record
-//! bodies live: the server beside it keeps headers and serves every body
-//! through these reads.
+//! ordered map. A hosted capsule's store is the only place its records
+//! live — headers, signatures and bodies: the server beside it keeps an
+//! address and a wire bound per record and reads every record it serves,
+//! proof hops and heartbeats included, through these reads.
 
 use crate::policy::AppendAck;
 use gdp_capsule::{CapsuleError, CapsuleMetadata, Pointer, Record};
@@ -68,9 +69,6 @@ pub trait CapsuleStore: Send {
     /// branches).
     fn get_by_seq(&self, seq: u64) -> Result<Option<Record>, StoreError>;
 
-    /// All records at a sequence number (branch-aware).
-    fn get_all_at_seq(&self, seq: u64) -> Result<Vec<Record>, StoreError>;
-
     /// Random read by address: `None` unless a record with exactly that
     /// seq and hash is stored.
     fn get(&self, at: &Pointer) -> Result<Option<Record>, StoreError>;
@@ -86,7 +84,8 @@ pub trait CapsuleStore: Send {
         self.len() == 0
     }
 
-    /// Records in `[from, to]` in seq order.
+    /// Records in `[from, to]` in address order: every record at a seq,
+    /// branches included, for `range(seq, seq)`.
     fn range(&self, from: u64, to: u64) -> Result<Vec<Record>, StoreError>;
 
     /// Addresses of every stored record, in address (seq) order.
@@ -149,10 +148,6 @@ impl CapsuleStore for MemStore {
 
     fn get_by_seq(&self, seq: u64) -> Result<Option<Record>, StoreError> {
         Ok(self.records.range(Pointer::span(seq, seq)).next().map(|(_, r)| r.clone()))
-    }
-
-    fn get_all_at_seq(&self, seq: u64) -> Result<Vec<Record>, StoreError> {
-        self.range(seq, seq)
     }
 
     fn get(&self, at: &Pointer) -> Result<Option<Record>, StoreError> {

@@ -71,7 +71,7 @@ fn assert_same(seg: &SegStore, mem: &MemStore, query: u64) -> Result<(), TestCas
     prop_assert_eq!(seg.len(), mem.len());
     prop_assert_eq!(seg.latest_seq(), mem.latest_seq());
     prop_assert_eq!(seg.get_by_seq(query).unwrap(), mem.get_by_seq(query).unwrap());
-    prop_assert_eq!(seg.get_all_at_seq(query).unwrap(), mem.get_all_at_seq(query).unwrap());
+    prop_assert_eq!(seg.range(query, query).unwrap(), mem.range(query, query).unwrap());
     let lo = query.min(3);
     prop_assert_eq!(seg.range(lo, query).unwrap(), mem.range(lo, query).unwrap());
     let pointers = seg.pointers();

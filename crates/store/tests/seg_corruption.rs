@@ -422,7 +422,7 @@ fn duplicate_entries_on_disk_are_indexed_once_first_occurrence_wins() {
         assert_eq!(h.metadata().unwrap(), *meta);
         for r in records {
             assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
-            assert_eq!(h.get_all_at_seq(r.header.seq).unwrap().len(), 1);
+            assert_eq!(h.range(r.header.seq, r.header.seq).unwrap().len(), 1);
         }
     }
 
@@ -470,7 +470,7 @@ fn checkpoint_naming_a_missing_segment_falls_back_to_full_scan() {
     for r in records {
         match h.get(&r.pointer()).unwrap() {
             Some(got) => assert_eq!(got, *r),
-            None => assert!(h.get_all_at_seq(r.header.seq).unwrap().is_empty()),
+            None => assert!(h.range(r.header.seq, r.header.seq).unwrap().is_empty()),
         }
     }
     let _ = std::fs::remove_dir_all(dir);

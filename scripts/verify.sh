@@ -5,7 +5,8 @@
 # Step order is deliberate and fail-fast, cheapest gate first:
 #   fmt -> lint-table check -> layering check -> clippy -> gdp-lint
 #   -> doc links -> build --release -> test -> fuzz corpus -> chaos sweep
-#   -> metric smoke -> overload smoke -> bench JSON -> perf smoke -> summary
+#   -> metric smoke -> overload smoke -> bench JSON -> perf smoke -> tsan
+#   -> summary
 # clippy is not a style pass here: it carries five workspace invariants
 # as lints declared in the files they guard (DESIGN.md, "Static analysis")
 # — no panic in a hot-path module, no wire-enum variant swallowed by a
@@ -19,12 +20,15 @@
 # before minutes of compilation, not after.
 #
 # Usage: scripts/verify.sh [--quick|--tsan]
-#   --quick   skip fmt/clippy/gdp-lint/doc links (compile + test only)
-#   --tsan    ThreadSanitizer pass only: build crates/node/tests/tsan_smoke.rs
-#             with -Zsanitizer=thread on nightly and run it. Without a nightly
-#             toolchain the lane cannot run: the summary says so (`NOT RUN:
-#             tsan ...`, exit 0); the same test file runs un-instrumented in
-#             the tier-1 suite, so the workload itself is always exercised.
+#   (none)    every lane, the ThreadSanitizer one included whenever a
+#             nightly toolchain is installed
+#   --quick   skip fmt/clippy/gdp-lint/doc links and tsan (compile + test
+#             only)
+#   --tsan    ThreadSanitizer lane only: build crates/node/tests/tsan_smoke.rs
+#             with -Zsanitizer=thread on nightly and run it.
+# Without a nightly toolchain the tsan lane cannot run: the summary says so
+# (`NOT RUN: tsan ...`, exit 0); the same test file runs un-instrumented in
+# the tier-1 suite, so the workload itself is always exercised.
 #
 # Every mode ends with a summary that names each lane it did not run, so a
 # skipped lane is never mistaken for a passed one.
@@ -54,13 +58,14 @@ summary() {
 
 has_nightly() { rustup toolchain list 2>/dev/null | grep -q '^nightly'; }
 
-if [ "$tsan" -eq 1 ]; then
+# The ThreadSanitizer lane; `NOT RUN` when no nightly toolchain is
+# installed.
+tsan_lane() {
     step "ThreadSanitizer smoke (crates/node/tests/tsan_smoke.rs)"
     if ! has_nightly; then
         printf 'install a nightly toolchain (`rustup toolchain install nightly`) to enable this lane\n'
         not_run+=("tsan (no nightly toolchain)")
-        summary
-        exit 0
+        return 0
     fi
     # -Zsanitizer=thread instruments every cargo-built crate. Without the
     # rust-src component we cannot -Zbuild-std, so std itself stays
@@ -80,18 +85,16 @@ if [ "$tsan" -eq 1 ]; then
         exit 1
     fi
     printf 'tsan_smoke OK\n'
+}
+
+if [ "$tsan" -eq 1 ]; then
+    tsan_lane
     summary
     exit 0
 fi
 
-if has_nightly; then
-    not_run+=("tsan (separate lane: scripts/verify.sh --tsan)")
-else
-    not_run+=("tsan (no nightly toolchain)")
-fi
-
 if [ "$quick" -eq 1 ]; then
-    not_run+=("fmt, clippy, gdp-lint, doc links (--quick)")
+    not_run+=("fmt, clippy, gdp-lint, doc links, tsan (--quick)")
 else
     step "cargo fmt --check"
     cargo fmt --all -- --check
@@ -136,6 +139,13 @@ else
     # and no hole scan over linked seqs that are always `1..=latest_seq`.
     if grep -rnE 'get_by_hash|first_hole|is_contiguous|\bby_hash\b' crates src tests examples; then
         printf '!!! a deleted by-hash lookup, by_hash map or hole scan is back (see above)\n'
+        exit 1
+    fi
+    # One copy of each record's header, in the store: the server's index
+    # keeps an address and a wire bound per record, and a store reads a
+    # seq's records with `range(seq, seq)`.
+    if grep -rnE '\bSignedHeader\b|\bget_all_at_seq\b' crates src tests examples; then
+        printf '!!! a deleted resident header type or per-seq store read is back (see above)\n'
         exit 1
     fi
     # One forwarding path: a router forwards on its event loop. The sharded
@@ -317,5 +327,9 @@ cargo run --release -p gdp-bench --bin report -- perf-smoke
 # append budget (goodput never collapses below the recorded floor).
 step "overload perf smoke (saturated goodput floor)"
 cargo run --release -p gdp-bench --bin report -- overload-smoke
+
+if [ "$quick" -eq 0 ]; then
+    tsan_lane
+fi
 
 summary

@@ -271,9 +271,9 @@ fn lossy_network_never_yields_wrong_data() {
 
 /// A ~100-byte `Range(1, u64::MAX)` on a capsule larger than one frame
 /// (`MAX_PAYLOAD`) used to make the server copy the whole capsule into a
-/// PDU no transport would carry — the client saw silence. The header index
-/// knows every body length: the request is refused, typed, before a single
-/// store read, and the flow keeps serving.
+/// PDU no transport would carry — the client saw silence. The index knows
+/// every record's wire bound: the request is refused, typed, before a
+/// single store read, and the flow keeps serving.
 #[test]
 fn hostile_range_is_refused_before_the_store_and_the_flow_lives_on() {
     let mut world = GdpWorld::new(78, Placement::EdgeLan);
