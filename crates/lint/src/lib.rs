@@ -150,6 +150,10 @@ impl Default for LintConfig {
                 "read_fill",
                 "pread_fill",
                 "read_exact",
+                // The store's file layer (`gdp_store::io`): its sync, write
+                // and open names are the std ones above.
+                "read_at",
+                "read_exact_at",
                 "sleep",
                 "send",
                 "recv",

@@ -24,3 +24,12 @@ pub fn wait_under_lock(l: &Ledger) {
     settle();
     drop(g);
 }
+
+// The store's file layer: a positional read of a segment is blocking I/O
+// like any other, wherever the fd comes from.
+pub fn read_under_lock(l: &Ledger, fd: &gdp_store::io::Fd) {
+    let g = l.cursor.lock();
+    let mut block = [0u8; 64];
+    fd.read_at(0, &mut block).ok();
+    drop(g);
+}

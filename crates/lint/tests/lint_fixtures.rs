@@ -78,10 +78,11 @@ fn lk01_flags_cross_file_cycle_and_self_deadlock() {
 fn lk02_flags_direct_and_interprocedural_blocking() {
     let report = lint_fixture("lk02");
     // Line 14: fsync directly under the guard. Line 24: a call whose
-    // may-block witness chain reaches thread::sleep.
+    // may-block witness chain reaches thread::sleep. Line 33: a read
+    // through the store's file layer.
     assert_eq!(
         triples(&report),
-        expect("LK02", "fixtures/lk02/bad.rs", &[14, 24]),
+        expect("LK02", "fixtures/lk02/bad.rs", &[14, 24, 33]),
         "LK02 fixture drift"
     );
     let msg = &report.findings[1].message;

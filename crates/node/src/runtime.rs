@@ -102,10 +102,11 @@ pub fn build_cores_with_obs(
             DataCapsuleServer::from_seed_with_obs(&seed, &cfg.label, &metrics.scope("server"));
         // One backing is shared by every hosted capsule — those in the
         // config and those a wire `Host` request adds later: the segmented
-        // group-commit log under `<data_dir>/seglog/`, or memory when no
-        // data_dir is configured. Restart recovery (torn tails, checkpoint
-        // replay) happens inside the engine's open path, then `host`
-        // replays the store into the server core.
+        // group-commit log under `<data_dir>/seglog/`, or the same log on
+        // an in-memory file system when no data_dir is configured. Restart
+        // recovery (torn tails, checkpoint replay) happens inside the
+        // engine's open path, then `host` replays the store into the
+        // server core.
         let backing = match &cfg.data_dir {
             None => Backing::Memory,
             Some(dir) => {

@@ -258,8 +258,8 @@ fn single_both_node_serves_clients() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Regression: a capsule mounted by a wire `Host` request went to a
-/// `MemStore` even on a node with a `data_dir`, so its appends were acked
+/// Regression: a capsule mounted by a wire `Host` request went to an
+/// in-memory store even on a node with a `data_dir`, so its appends were acked
 /// "durable" from RAM and gone after a restart. It now lands in the node's
 /// segmented log like a capsule named in the config.
 #[test]

@@ -294,7 +294,7 @@ impl DataCapsuleServer {
     /// Installs the node's storage engine: every later
     /// [`DataCapsuleServer::host`] — from the config or from a wire
     /// `Host` request — opens the capsule's store from it. The default is
-    /// an in-memory engine.
+    /// a log on an in-memory file system.
     pub fn set_storage_engine(&mut self, engine: StorageEngine) {
         self.engine = engine;
     }
@@ -1076,10 +1076,9 @@ mod tests {
     use super::*;
     use gdp_capsule::{CapsuleWriter, MetadataBuilder, PointerStrategy};
     use gdp_cert::{AdCert, Scope};
-    use gdp_store::MemStore;
+    use gdp_store::io::{Fault, MemFs, Op};
+    use gdp_store::{FsyncPolicy, SegConfig, SegLog};
     use gdp_wire::PduType;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Arc;
 
     const FOREVER: u64 = 1 << 50;
 
@@ -1105,7 +1104,20 @@ mod tests {
     }
 
     fn rig_with_peers(peers: Vec<Name>) -> Rig {
-        rig_with_store(peers, Box::new(MemStore::new()))
+        rig_with_store(peers, store_on(&MemFs::new(), FsyncPolicy::Always))
+    }
+
+    /// The unit capsule's stream of a log of its own on `fs`, where a test
+    /// injects its store faults.
+    fn store_on(fs: &MemFs, policy: FsyncPolicy) -> Box<dyn CapsuleStore> {
+        let cfg = SegConfig { policy, ..SegConfig::default() };
+        Box::new(SegLog::open(fs, cfg).unwrap().handle(unit_meta().name()))
+    }
+
+    /// Fails every `op` on `fs` from now until `fs.heal()`.
+    fn fail_every(fs: &MemFs, op: Op) {
+        let from = fs.ops(Some(op));
+        fs.fail(Some(op), from..u64::MAX, Fault::Eio);
     }
 
     fn server_id() -> PrincipalId {
@@ -1172,92 +1184,6 @@ mod tests {
             dst: rig.server.name(),
             seq: 0,
             payload: msg.to_wire().into(),
-        }
-    }
-
-    /// A store whose `append_acked` and `put_metadata` (or `flush`) fail
-    /// while the shared switch is on — the store-side faults the server must never turn
-    /// into an ack — and which counts the record bytes its random and
-    /// range reads return.
-    struct FlakyStore {
-        inner: Box<dyn CapsuleStore>,
-        fail: Arc<AtomicBool>,
-        fail_flush: Arc<AtomicBool>,
-        read_bytes: Arc<AtomicU64>,
-    }
-
-    impl FlakyStore {
-        /// `inner` with every switch off.
-        fn over(inner: Box<dyn CapsuleStore>) -> FlakyStore {
-            let (fail, fail_flush, read_bytes) = Default::default();
-            FlakyStore { inner, fail, fail_flush, read_bytes }
-        }
-
-        fn count<'a>(&self, records: impl IntoIterator<Item = &'a Record>) {
-            let bytes = records.into_iter().map(|r| r.to_wire().len() as u64).sum();
-            self.read_bytes.fetch_add(bytes, Ordering::SeqCst);
-        }
-    }
-
-    fn flaky_store() -> (Box<dyn CapsuleStore>, Arc<AtomicBool>) {
-        let store = FlakyStore::over(Box::new(MemStore::new()));
-        let fail = store.fail.clone();
-        (Box::new(store), fail)
-    }
-
-    /// `inner` behind a switch that fails `flush`.
-    fn flaky_flush_store(inner: Box<dyn CapsuleStore>) -> (Box<dyn CapsuleStore>, Arc<AtomicBool>) {
-        let store = FlakyStore::over(inner);
-        let fail_flush = store.fail_flush.clone();
-        (Box::new(store), fail_flush)
-    }
-
-    impl CapsuleStore for FlakyStore {
-        fn append_acked(&mut self, record: &Record) -> Result<AppendAck, StoreError> {
-            if self.fail.load(Ordering::SeqCst) {
-                return Err(StoreError::Corrupt("injected append failure".into()));
-            }
-            self.inner.append_acked(record)
-        }
-        fn put_metadata(&mut self, m: &CapsuleMetadata) -> Result<(), StoreError> {
-            if self.fail.load(Ordering::SeqCst) {
-                return Err(StoreError::Corrupt("injected metadata failure".into()));
-            }
-            self.inner.put_metadata(m)
-        }
-        fn metadata(&self) -> Result<CapsuleMetadata, StoreError> {
-            self.inner.metadata()
-        }
-        fn get_by_seq(&self, seq: u64) -> Result<Option<Record>, StoreError> {
-            self.inner.get_by_seq(seq)
-        }
-        fn get(&self, at: &Pointer) -> Result<Option<Record>, StoreError> {
-            let found = self.inner.get(at)?;
-            self.count(&found);
-            Ok(found)
-        }
-        fn latest_seq(&self) -> u64 {
-            self.inner.latest_seq()
-        }
-        fn len(&self) -> usize {
-            self.inner.len()
-        }
-        fn range(&self, from: u64, to: u64) -> Result<Vec<Record>, StoreError> {
-            let run = self.inner.range(from, to)?;
-            self.count(&run);
-            Ok(run)
-        }
-        fn pointers(&self) -> Vec<Pointer> {
-            self.inner.pointers()
-        }
-        fn flush(&mut self, now_us: u64) -> Result<u64, StoreError> {
-            if self.fail_flush.load(Ordering::SeqCst) {
-                return Err(StoreError::Corrupt("injected flush failure".into()));
-            }
-            self.inner.flush(now_us)
-        }
-        fn durable_epoch(&self) -> u64 {
-            self.inner.durable_epoch()
         }
     }
 
@@ -1565,17 +1491,8 @@ mod tests {
     /// quorum waits had a deadline, so an fsync-parked ack hung forever.
     #[test]
     fn failed_flush_is_counted_traced_and_fails_the_parked_ack_at_its_deadline() {
-        use gdp_store::{FsyncPolicy, SegConfig, SegLog};
-        let dir = std::env::temp_dir().join(format!(
-            "gdp-server-flushfail-{}-{}",
-            std::process::id(),
-            line!()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg =
-            SegConfig { policy: FsyncPolicy::Batch { interval_us: 5_000 }, ..SegConfig::default() };
-        let log = SegLog::open(&dir, cfg).unwrap();
-        let (store, fail_flush) = flaky_flush_store(Box::new(log.handle(unit_meta().name())));
+        let fs = MemFs::new();
+        let store = store_on(&fs, FsyncPolicy::Batch { interval_us: 5_000 });
         let mut rig = rig_with_store(vec![], store);
         rig.server.durability_timeout = 20_000;
 
@@ -1584,7 +1501,7 @@ mod tests {
         assert!(out.is_empty(), "parked behind the group commit: {out:?}");
         assert_eq!(counted(&rig, "acks_deferred"), 1);
 
-        fail_flush.store(true, Ordering::SeqCst);
+        fail_every(&fs, Op::Sync);
         assert!(rig.server.tick(10_000).is_empty(), "neither acked nor failed yet");
         assert_eq!(counted(&rig, "flush_failures"), 1);
         let events = rig.metrics.drain_trace();
@@ -1604,23 +1521,27 @@ mod tests {
         assert_eq!(counted(&rig, "durability_timeouts"), 1);
         assert_eq!(counted(&rig, "acks_released"), 0);
         // The failed request is gone: a healthy flush releases nothing.
-        fail_flush.store(false, Ordering::SeqCst);
+        fs.heal();
         assert!(rig.server.tick(30_000).is_empty());
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     /// Regression: both metadata writes discarded the store's answer.
     #[test]
     fn metadata_store_failures_are_answered_not_discarded() {
-        let (store, fail) = flaky_store();
-        let mut rig = rig_with_store(vec![], store);
-        fail.store(true, Ordering::SeqCst);
+        let fs = MemFs::new();
+        let mut rig = rig_with_store(vec![], store_on(&fs, FsyncPolicy::Always));
+        fail_every(&fs, Op::Write);
+        // Once a flush has failed the log cannot vouch for what it
+        // buffered: repeating the metadata retries the flush.
+        let record = rig.writer.append(b"refused", 0).unwrap();
+        request(&mut rig, &DataMsg::Append { record, ack_mode: AckMode::Local });
         let out = request(&mut rig, &DataMsg::PutMetadata { metadata: unit_meta() });
         assert!(matches!(msg_of(&out[0]), DataMsg::ErrResp { code: ErrorCode::BadRequest, .. }));
 
         // A store that cannot persist the metadata gets no capsule mounted.
-        let (store, fail) = flaky_store();
-        fail.store(true, Ordering::SeqCst);
+        let fs = MemFs::new();
+        let store = store_on(&fs, FsyncPolicy::Always);
+        fail_every(&fs, Op::Write);
         let id = server_id();
         let mut server = DataCapsuleServer::new(id.clone());
         let meta = unit_meta();
@@ -1637,12 +1558,12 @@ mod tests {
     #[test]
     fn sync_response_store_failure_is_counted_traced_and_repaired_by_replicate() {
         let peer = Name::from_content(b"peer server");
-        let (store, fail) = flaky_store();
-        let mut rig = rig_with_store(vec![peer], store);
+        let fs = MemFs::new();
+        let mut rig = rig_with_store(vec![peer], store_on(&fs, FsyncPolicy::Always));
         let record = rig.writer.append(b"synced", 0).unwrap();
         let hash = record.hash();
 
-        fail.store(true, Ordering::SeqCst);
+        fail_every(&fs, Op::Write);
         let sync = DataMsg::SyncResponse { capsule: rig.capsule, records: vec![record.clone()] };
         let sync = from_peer(&rig, peer, &sync);
         assert!(rig.server.handle_pdu(7, sync).is_empty());
@@ -1664,7 +1585,7 @@ mod tests {
         assert!(out.is_empty(), "never ack what the store failed to persist: {out:?}");
 
         // Store healthy again: the same Replicate persists, then acks.
-        fail.store(false, Ordering::SeqCst);
+        fs.heal();
         let out = rig.server.handle_pdu(9, from_peer(&rig, peer, &replicate));
         assert!(out.iter().any(|p| p.dst == peer
             && matches!(msg_of(p), DataMsg::ReplicateAck { hash: h, .. } if h == hash)));
@@ -1680,8 +1601,8 @@ mod tests {
     /// restart, when it vanished.
     #[test]
     fn append_the_store_refuses_is_not_indexed_and_a_retry_is_acked_and_served() {
-        let (store, fail) = flaky_store();
-        let mut rig = rig_with_store(vec![], store);
+        let fs = MemFs::new();
+        let mut rig = rig_with_store(vec![], store_on(&fs, FsyncPolicy::Always));
         let first = rig.writer.append(b"stored", 0).unwrap();
         let append = DataMsg::Append { record: first, ack_mode: AckMode::Local };
         assert!(matches!(msg_of(&request(&mut rig, &append)[0]), DataMsg::AppendAck { .. }));
@@ -1689,7 +1610,7 @@ mod tests {
 
         let refused = rig.writer.append(b"refused, then retried", 1).unwrap();
         let append = DataMsg::Append { record: refused.clone(), ack_mode: AckMode::Local };
-        fail.store(true, Ordering::SeqCst);
+        fail_every(&fs, Op::Write);
         let out = request(&mut rig, &append);
         assert_eq!(out.len(), 1, "no event for a record the store refused: {out:?}");
         assert!(matches!(msg_of(&out[0]), DataMsg::ErrResp { code: ErrorCode::BadRequest, .. }));
@@ -1714,7 +1635,7 @@ mod tests {
         assert_eq!(counted(&rig, "appends_committed"), 1);
 
         // The writer retries against a healthy store: acked, pushed, served.
-        fail.store(false, Ordering::SeqCst);
+        fs.heal();
         let out = request(&mut rig, &append);
         assert!(out.iter().any(|p| matches!(msg_of(p), DataMsg::AppendAck { seq: 2, .. })));
         assert!(out.iter().any(|p| matches!(msg_of(p), DataMsg::Event { .. })));
@@ -1728,10 +1649,10 @@ mod tests {
     #[test]
     fn replicate_of_a_fresh_record_the_store_rejects_is_not_acked() {
         let peer = Name::from_content(b"peer server");
-        let (store, fail) = flaky_store();
-        let mut rig = rig_with_store(vec![peer], store);
+        let fs = MemFs::new();
+        let mut rig = rig_with_store(vec![peer], store_on(&fs, FsyncPolicy::Always));
         let record = rig.writer.append(b"unstorable", 0).unwrap();
-        fail.store(true, Ordering::SeqCst);
+        fail_every(&fs, Op::Write);
         let replicate = DataMsg::Replicate { capsule: rig.capsule, record };
         let out = rig.server.handle_pdu(1, from_peer(&rig, peer, &replicate));
         assert!(out.is_empty(), "no ReplicateAck (and no events) for an unstored record: {out:?}");
@@ -1858,9 +1779,8 @@ mod tests {
     /// answer's worth of records, and a proof that fits is still served.
     #[test]
     fn a_proof_is_charged_its_hops_records_and_reads_at_most_one_answer() {
-        let store = FlakyStore::over(Box::new(MemStore::new()));
-        let read_bytes = store.read_bytes.clone();
-        let mut rig = rig_with_store(vec![], Box::new(store));
+        let fs = MemFs::new();
+        let mut rig = rig_with_store(vec![], store_on(&fs, FsyncPolicy::Always));
         let (mut head, mut record_bytes, mut header_bytes) = (0u64, 0u64, 0u64);
         while record_bytes <= MAX_ANSWER_BYTES {
             let record = rig.writer.append(&[7u8; 17 * 1024], head).unwrap();
@@ -1872,13 +1792,15 @@ mod tests {
         }
         assert!(header_bytes < MAX_ANSWER_BYTES / 100, "{head} headers fit one answer");
 
+        // Entry frames included: every byte the proof pulls off the file.
+        let read_before = fs.read_bytes();
         let out = request(&mut rig, &DataMsg::Read { target: ReadTarget::ProofOf(1) });
         assert!(matches!(
             msg_of(&out[0]),
             DataMsg::ErrResp { code: ErrorCode::BadRequest, detail } if detail == "proof exceeds one answer"
         ));
         assert_eq!(counted(&rig, "reads_refused_oversize"), 1);
-        let read = read_bytes.swap(0, Ordering::SeqCst);
+        let read = fs.read_bytes() - read_before;
         assert!(read > MAX_ANSWER_BYTES / 2 && read <= MAX_ANSWER_BYTES, "{read} bytes read");
 
         let out = request(&mut rig, &DataMsg::Read { target: ReadTarget::ProofOf(head - 1) });

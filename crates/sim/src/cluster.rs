@@ -237,7 +237,8 @@ impl SimCluster {
     }
 
     /// Adds a storage node attached through `router`, serving `hosts`
-    /// from the segmented log under `data_dir` (from memory without one).
+    /// from the segmented log under `data_dir` (on an in-memory file
+    /// system without one).
     pub fn add_storage(
         &mut self,
         seed: &[u8; 32],

@@ -1,30 +1,35 @@
 //! Multi-capsule storage engine: what a DataCapsule-server mounts.
 //!
-//! Hosted capsules live in one shared segmented log for the whole node
-//! (`seglog`, when gdpd has a `data_dir`) or in memory. The engine also
-//! carries the node's [`FsyncPolicy`].
+//! Hosted capsules live in one shared segmented log for the whole node:
+//! on disk when gdpd has a `data_dir`, else on a fresh [`MemFs`]. The
+//! engine also carries the node's [`FsyncPolicy`].
 
+use crate::io::{Dir, MemFs};
 use crate::policy::FsyncPolicy;
 use crate::seglog::{SegConfig, SegLog};
-use crate::store::{CapsuleStore, MemStore, StoreError};
+use crate::store::{CapsuleStore, StoreError};
 use gdp_obs::Scope;
 use gdp_wire::Name;
 use parking_lot::Mutex;
 use std::path::PathBuf;
 
-/// Backing medium for a [`StorageEngine`].
+/// Backing medium for a [`StorageEngine`]'s one segmented log.
 #[derive(Clone, Debug)]
 pub enum Backing {
-    /// Everything in memory (simulations, tests).
+    /// A fresh [`MemFs`] (simulations, tests). Its syncs cost nothing, so
+    /// the policy defaults to [`FsyncPolicy::Always`]: every ack is
+    /// durable at return.
     Memory,
-    /// One shared segmented log for all capsules under this directory.
+    /// This directory; the policy defaults to
+    /// [`FsyncPolicy::DEFAULT_BATCH`].
     Segmented(PathBuf),
 }
 
 /// The node's store: mounts one [`CapsuleStore`] per hosted capsule.
 pub struct StorageEngine {
     backing: Backing,
-    policy: FsyncPolicy,
+    /// Set by [`StorageEngine::with_policy`]; else the backing's default.
+    policy: Option<FsyncPolicy>,
     seg: Mutex<Option<SegLog>>,
     obs: Scope,
 }
@@ -37,41 +42,36 @@ impl StorageEngine {
 
     /// Creates an engine registering store metrics under `scope`.
     pub fn with_obs(backing: Backing, scope: Scope) -> StorageEngine {
-        StorageEngine {
-            backing,
-            policy: FsyncPolicy::DEFAULT_BATCH,
-            seg: Mutex::new(None),
-            obs: scope,
-        }
+        StorageEngine { backing, policy: None, seg: Mutex::new(None), obs: scope }
     }
 
-    /// Sets the durability policy (default: [`FsyncPolicy::DEFAULT_BATCH`]).
+    /// Sets the durability policy (default: see [`Backing`]).
     pub fn with_policy(mut self, policy: FsyncPolicy) -> StorageEngine {
-        self.policy = policy;
+        self.policy = Some(policy);
         self
     }
 
     /// Opens an owned store for `capsule` — what a server core mounts per
-    /// hosted capsule. Segmented handles all view the node's one
-    /// [`SegLog`], opened (and recovered) by the first call.
+    /// hosted capsule. Handles all view the node's one [`SegLog`], opened
+    /// (and recovered) by the first call.
     pub fn open_boxed(&self, capsule: &Name) -> Result<Box<dyn CapsuleStore>, StoreError> {
-        Ok(match &self.backing {
-            Backing::Memory => Box::new(MemStore::new()),
-            Backing::Segmented(dir) => {
-                let mut seg = self.seg.lock();
-                let log = match &*seg {
-                    Some(log) => log.clone(),
-                    None => {
-                        let cfg = SegConfig { policy: self.policy, ..SegConfig::default() };
-                        // gdp-lint: allow(LK02) -- once-cell init: the `seg` guard deliberately serializes concurrent first-openers so exactly one runs recovery on the shared directory; steady state takes the Some(..) fast arm
-                        let log = SegLog::open_with(dir, cfg, &self.obs)?;
-                        *seg = Some(log.clone());
-                        log
-                    }
+        let mut seg = self.seg.lock();
+        let log = match &*seg {
+            Some(log) => log.clone(),
+            None => {
+                let (dir, policy) = match &self.backing {
+                    Backing::Memory => (Dir::from(&MemFs::new()), FsyncPolicy::Always),
+                    Backing::Segmented(path) => (Dir::from(path), FsyncPolicy::DEFAULT_BATCH),
                 };
-                Box::new(log.handle(*capsule))
+                let cfg =
+                    SegConfig { policy: self.policy.unwrap_or(policy), ..SegConfig::default() };
+                // gdp-lint: allow(LK02) -- once-cell init: the `seg` guard deliberately serializes concurrent first-openers so exactly one runs recovery on the shared directory; steady state takes the Some(..) fast arm
+                let log = SegLog::open_with(dir, cfg, &self.obs)?;
+                *seg = Some(log.clone());
+                log
             }
-        })
+        };
+        Ok(Box::new(log.handle(*capsule)))
     }
 }
 
@@ -80,6 +80,26 @@ mod tests {
     use super::*;
     use gdp_capsule::{MetadataBuilder, Record, RecordHash};
     use gdp_crypto::SigningKey;
+
+    /// A memory engine acks durable at return unless a policy is set:
+    /// what every simulated node and `DataCapsuleServer::new` relies on.
+    #[test]
+    fn memory_engine_acks_durable_at_return_unless_a_policy_is_set() {
+        use crate::AppendAck;
+        let writer = SigningKey::from_seed(&[2u8; 32]);
+        let meta = MetadataBuilder::new().writer(&writer.verifying_key()).sign(&writer);
+        let anchor = RecordHash::anchor(&meta.name());
+        let r = Record::create(&meta.name(), &writer, 1, 0, anchor, vec![], b"r".to_vec());
+        let batch = FsyncPolicy::DEFAULT_BATCH;
+        for (engine, durable) in [
+            (StorageEngine::new(Backing::Memory), true),
+            (StorageEngine::new(Backing::Memory).with_policy(batch), false),
+        ] {
+            let mut store = engine.open_boxed(&meta.name()).unwrap();
+            store.put_metadata(&meta).unwrap();
+            assert_eq!(store.append_acked(&r).unwrap() == AppendAck::Durable, durable);
+        }
+    }
 
     #[test]
     fn segmented_engine_shares_one_log_and_persists() {

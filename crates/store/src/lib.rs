@@ -2,7 +2,7 @@
 //!
 //! Storage for DataCapsule-servers.
 //!
-//! One durable engine sits behind the [`CapsuleStore`] interface:
+//! One storage engine sits behind the [`CapsuleStore`] interface:
 //! [`SegLog`], one *shared* segmented log per node with per-capsule
 //! logical streams, each with an in-memory index that stays resident
 //! while the log is open, group-commit (one fsync per batch of appends
@@ -14,16 +14,17 @@
 //! file and an fsync per capsule, so this one multiplexes them.
 //! [`FsyncPolicy`] says when an append becomes durable.
 //!
-//! Plus [`MemStore`], the pure in-memory backend for simulation and the
-//! reference model the property tests compare the log against.
-//! [`StorageEngine`] is what a server mounts: segmented under a
-//! directory, or memory.
+//! The log reaches files only through [`io`], one file layer with two
+//! file systems: the OS, and [`io::MemFs`], an in-memory twin that models
+//! what a crash keeps and can fail any operation on a schedule.
+//! [`StorageEngine`] is what a server mounts: the log under a directory,
+//! or on a fresh `MemFs`.
 
 #![forbid(unsafe_code)]
 
 pub mod crc;
 pub mod engine;
-mod io;
+pub mod io;
 pub mod policy;
 pub mod seglog;
 pub mod store;
@@ -34,4 +35,4 @@ pub use seglog::{
     RecoveryStats, SegConfig, SegLog, SegStore, CKPT_MAGIC, RECOVERY_CHUNK,
     SEG_MAGIC as SEGLOG_MAGIC,
 };
-pub use store::{CapsuleStore, MemStore, StoreError};
+pub use store::{CapsuleStore, StoreError};

@@ -23,19 +23,17 @@
 //! mid-write leaves the previous checkpoint intact.
 
 use crate::crc::Crc32;
+use crate::io::{Dir, Mode};
 use crate::store::StoreError;
 use gdp_capsule::{CapsuleMetadata, RecordHash};
 use gdp_wire::{Name, Wire};
-use std::fs::File;
-use std::io::{Read, Write};
-use std::path::Path;
 
 /// Leading magic of a checkpoint file.
 pub const CKPT_MAGIC: [u8; 8] = *b"GDPCKP\x00\x01";
 
-/// File name of the checkpoint within a log directory.
+/// Name of the checkpoint file within a log directory.
 pub(crate) const CKPT_FILE: &str = "index.ckpt";
-const CKPT_TMP: &str = "index.ckpt.tmp";
+pub(crate) const CKPT_TMP: &str = "index.ckpt.tmp";
 
 /// Log position a checkpoint covers: everything before `(seg, off)` is in
 /// the snapshot; recovery replays only entries at or past it.
@@ -112,7 +110,7 @@ fn decode_section(name: Name, payload: &[u8]) -> Option<Section> {
 /// Atomically replaces the checkpoint: tmp + fsync + rename + dir fsync.
 /// Returns the bytes written (for observability).
 pub(crate) fn write(
-    dir: &Path,
+    dir: &Dir,
     pos: CheckpointPos,
     segs: &[u64],
     sections: &[(Name, Vec<u8>)],
@@ -130,10 +128,9 @@ pub(crate) fn write(
     crc.update(&header);
     header.extend_from_slice(&crc.finish().to_be_bytes());
 
-    let tmp = dir.join(CKPT_TMP);
     let mut bytes = 0u64;
     {
-        let mut f = File::create(&tmp)?;
+        let f = dir.open(CKPT_TMP, Mode::Create)?;
         f.write_all(&header)?;
         bytes += header.len() as u64;
         for (name, payload) in sections {
@@ -147,20 +144,25 @@ pub(crate) fn write(
         }
         f.sync_data()?;
     }
-    std::fs::rename(&tmp, dir.join(CKPT_FILE))?;
-    File::open(dir)?.sync_all()?;
+    dir.rename(CKPT_TMP, CKPT_FILE)?;
+    dir.sync_all()?;
     Ok(bytes)
 }
 
 /// Reads, validates and decodes the whole checkpoint. `None` on any
 /// inconsistency: recovery then falls back to a full scan.
-pub(crate) fn load_snapshot(dir: &Path) -> Option<Checkpoint> {
-    let path = dir.join(CKPT_FILE);
-    let mut f = File::open(path).ok()?;
-    let file_len = f.metadata().ok()?.len();
+pub(crate) fn load_snapshot(dir: &Dir) -> Option<Checkpoint> {
+    let f = dir.open(CKPT_FILE, Mode::Read).ok()?;
+    let file_len = f.len().ok()?;
+    let mut at = 0u64;
+    let mut read = |dst: &mut [u8]| {
+        let ok = f.read_exact_at(at, dst).is_ok();
+        at += dst.len() as u64;
+        ok.then_some(())
+    };
     // Header fixed part through n_segs.
     let mut fixed = [0u8; 28];
-    f.read_exact(&mut fixed).ok()?;
+    read(&mut fixed)?;
     if fixed[..8] != CKPT_MAGIC {
         return None;
     }
@@ -173,7 +175,7 @@ pub(crate) fn load_snapshot(dir: &Path) -> Option<Checkpoint> {
         return None;
     }
     let mut rest = vec![0u8; n_segs * 8 + 8];
-    f.read_exact(&mut rest).ok()?;
+    read(&mut rest)?;
     let mut segs = Vec::with_capacity(n_segs);
     for i in 0..n_segs {
         segs.push(u64::from_be_bytes(rest[i * 8..i * 8 + 8].try_into().ok()?));
@@ -190,31 +192,27 @@ pub(crate) fn load_snapshot(dir: &Path) -> Option<Checkpoint> {
     // the whole checkpoint (full scan), so no stream is ever served from
     // half a snapshot while its segments are fine.
     let mut sections = Vec::with_capacity(n_streams.min(1 << 16));
-    let mut at = (fixed.len() + rest.len()) as u64;
+    let mut payload_end = (fixed.len() + rest.len()) as u64;
     for _ in 0..n_streams {
         let mut sh = [0u8; 40];
-        f.read_exact(&mut sh).ok()?;
+        read(&mut sh)?;
         let mut nb = [0u8; 32];
         nb.copy_from_slice(&sh[..32]);
         let payload_len = u32::from_be_bytes(sh[32..36].try_into().ok()?);
         let payload_crc = u32::from_be_bytes(sh[36..40].try_into().ok()?);
-        at += 40;
-        if at + payload_len as u64 > file_len {
+        payload_end += 40 + payload_len as u64;
+        if payload_end > file_len {
             return None;
         }
         let mut payload = vec![0u8; payload_len as usize];
-        f.read_exact(&mut payload).ok()?;
+        read(&mut payload)?;
         let name = Name(nb);
         if section_crc(&name, &payload) != payload_crc {
             return None;
         }
         sections.push(decode_section(name, &payload)?);
-        at += payload_len as u64;
     }
-    if at != file_len {
-        return None;
-    }
-    Some(Checkpoint { pos, segs, sections })
+    (payload_end == file_len).then_some(Checkpoint { pos, segs, sections })
 }
 
 /// CRC-32 over a section's name, length, and payload: a flip anywhere in

@@ -1,7 +1,7 @@
 //! Bounded LRU pool of read-only fds for sealed segments.
 //!
-//! Before this pool, every random read of a sealed segment paid a
-//! `File::open` + `seek` (the `read_entry_at` hot spot): under a
+//! Before this pool, every random read of a sealed segment paid an
+//! open + `seek` (the `read_entry_at` hot spot): under a
 //! read-heavy load over many segments that is one `open(2)`/`close(2)`
 //! pair per record. The pool keeps at most `max_open_segments` fds
 //! resident, evicting the coldest on overflow, and positional reads
@@ -15,20 +15,19 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 #![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-use super::segment::seg_path;
+use super::segment::seg_name;
+use crate::io::{Dir, Fd, Mode};
 use std::collections::HashMap;
-use std::fs::File;
-use std::path::Path;
 use std::sync::Arc;
 
 pub(crate) struct FdPool {
     cap: usize,
     /// Logical LRU clock; bumped per lookup.
     tick: u64,
-    /// Total `File::open` calls ever made — the regression hook proving
+    /// Total opens ever made — the regression hook proving
     /// read-heavy runs reopen segments instead of hoarding fds.
     opens: u64,
-    files: HashMap<u64, (Arc<File>, u64)>,
+    files: HashMap<u64, (Arc<Fd>, u64)>,
 }
 
 impl FdPool {
@@ -36,7 +35,7 @@ impl FdPool {
         FdPool { cap: cap.max(1), tick: 0, opens: 0, files: HashMap::new() }
     }
 
-    /// Total `File::open` calls made by this pool.
+    /// Total opens made by this pool.
     pub fn opens(&self) -> u64 {
         self.opens
     }
@@ -56,7 +55,7 @@ impl FdPool {
     /// pool's reference while the in-flight read keeps the file alive
     /// (LK01/LK02 audit: no second lock, and no pool borrow, is ever held
     /// across the `pread`).
-    pub fn get(&mut self, dir: &Path, seg: u64) -> std::io::Result<(Arc<File>, bool)> {
+    pub fn get(&mut self, dir: &Dir, seg: u64) -> std::io::Result<(Arc<Fd>, bool)> {
         self.tick += 1;
         let tick = self.tick;
         let mut opened = false;
@@ -70,7 +69,7 @@ impl FdPool {
                     None => break,
                 }
             }
-            let file = Arc::new(File::open(seg_path(dir, seg))?);
+            let file = Arc::new(dir.open(&seg_name(seg), Mode::Read)?);
             self.opens += 1;
             opened = true;
             self.files.insert(seg, (file, tick));
@@ -90,16 +89,12 @@ impl FdPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
-    use std::path::PathBuf;
+    use crate::io::MemFs;
 
-    fn dir_with_segs(n: u64) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("gdp-fdpool-{}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+    fn dir_with_segs(n: u64) -> Dir {
+        let dir = Dir::from(&MemFs::new());
         for id in 0..n {
-            let mut f = File::create(seg_path(&dir, id)).unwrap();
-            f.write_all(&[id as u8]).unwrap();
+            dir.open(&seg_name(id), Mode::CreateNew).unwrap().write_all(&[id as u8]).unwrap();
         }
         dir
     }
@@ -123,6 +118,5 @@ mod tests {
         assert!(opened);
         let (_, opened) = pool.get(&dir, 5).unwrap();
         assert!(!opened, "recently-touched fd evicted out of LRU order");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -28,6 +28,9 @@
 //! * **One map per stream**: a record's entry location, keyed by the
 //!   record's address — its hash-pointer `(seq, hash)` — so the same map
 //!   answers point reads, seq lookups and range scans.
+//! * **One file layer** ([`crate::io`]): every file operation goes
+//!   through a [`Dir`], on the OS or on an in-memory
+//!   [`MemFs`](crate::io::MemFs), where tests fail and crash it.
 
 mod cache;
 mod checkpoint;
@@ -38,6 +41,7 @@ mod writer;
 pub use checkpoint::{CheckpointPos, CKPT_MAGIC};
 pub use segment::{RECOVERY_CHUNK, SEG_MAGIC};
 
+use crate::io::{Dir, Fd, Mode};
 use crate::policy::{AppendAck, FsyncPolicy};
 use crate::store::{CapsuleStore, StoreError};
 use cache::BlockCache;
@@ -47,10 +51,8 @@ use gdp_capsule::{CapsuleMetadata, Pointer, Record};
 use gdp_obs::{Counter, Gauge, Histogram, Scope};
 use gdp_wire::{Bytes, Name, Wire};
 use parking_lot::Mutex;
-use segment::{seg_path, ScanEnd};
+use segment::{seg_name, ScanEnd};
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use writer::{entry_crc, GroupCommit, ENTRY_HEADER, KIND_METADATA, KIND_RECORD};
 
@@ -203,7 +205,7 @@ pub struct RecoveryStats {
 }
 
 pub(crate) struct LogInner {
-    dir: PathBuf,
+    dir: Dir,
     cfg: SegConfig,
     segments: BTreeMap<u64, SegMeta>,
     active: u64,
@@ -230,19 +232,19 @@ pub struct SegLog {
 }
 
 impl SegLog {
-    /// Opens (or creates) the log under `dir` with a private metric
-    /// registry.
-    pub fn open(dir: impl AsRef<Path>, cfg: SegConfig) -> Result<SegLog, StoreError> {
+    /// Opens (or creates) the log in `dir` — a path on the OS, or a
+    /// [`MemFs`](crate::io::MemFs) — with a private metric registry.
+    pub fn open(dir: impl Into<Dir>, cfg: SegConfig) -> Result<SegLog, StoreError> {
         SegLog::open_with(dir, cfg, &gdp_obs::Metrics::new().scope("store"))
     }
 
     /// [`SegLog::open`], registering metrics under `scope`.
     pub fn open_with(
-        dir: impl AsRef<Path>,
+        dir: impl Into<Dir>,
         cfg: SegConfig,
         scope: &Scope,
     ) -> Result<SegLog, StoreError> {
-        let inner = LogInner::open(dir.as_ref(), cfg, scope)?;
+        let inner = LogInner::open(dir.into(), cfg, scope)?;
         Ok(SegLog { inner: Arc::new(Mutex::new(inner)) })
     }
 
@@ -294,7 +296,7 @@ impl SegLog {
         self.inner.lock().gc.epoch_durable()
     }
 
-    /// Total sealed-segment `File::open` calls made by the read path
+    /// Total sealed-segment opens made by the read path
     /// (the fd-pool regression hook: warm reads must not reopen).
     pub fn fd_opens(&self) -> u64 {
         self.inner.lock().fds.opens()
@@ -390,19 +392,15 @@ impl CapsuleStore for SegStore {
 }
 
 impl LogInner {
-    fn open(dir: &Path, cfg: SegConfig, scope: &Scope) -> Result<LogInner, StoreError> {
-        std::fs::create_dir_all(dir)?;
-        let _ = std::fs::remove_file(dir.join("index.ckpt.tmp"));
+    fn open(dir: Dir, cfg: SegConfig, scope: &Scope) -> Result<LogInner, StoreError> {
+        dir.create()?;
+        let _ = dir.remove(checkpoint::CKPT_TMP);
         let obs = SegObs::new(scope);
 
         // Inventory segment files.
         let mut segments: BTreeMap<u64, SegMeta> = BTreeMap::new();
-        for entry in std::fs::read_dir(dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(id) = segment::parse_seg_id(name) {
-                let len = entry.metadata()?.len();
+        for (name, len) in dir.list()? {
+            if let Some(id) = segment::parse_seg_id(&name) {
                 segments.insert(id, SegMeta { len });
             }
         }
@@ -411,9 +409,8 @@ impl LogInner {
         // its first bytes did). Nothing was ever appended to it: re-stamp.
         if let Some((&id, m)) = segments.iter_mut().next_back() {
             if m.len < SEG_MAGIC.len() as u64 {
-                let mut f =
-                    OpenOptions::new().write(true).truncate(true).open(seg_path(dir, id))?;
-                std::io::Write::write_all(&mut f, &SEG_MAGIC)?;
+                let f = dir.open(&seg_name(id), Mode::Create)?;
+                f.write_all(&SEG_MAGIC)?;
                 f.sync_data()?;
                 m.len = SEG_MAGIC.len() as u64;
                 obs.recovery_truncations.inc();
@@ -421,7 +418,7 @@ impl LogInner {
         }
         let fresh = segments.is_empty();
         if fresh {
-            create_segment(dir, 0)?;
+            create_segment(&dir, 0)?;
             obs.dir_fsyncs.inc();
             segments.insert(0, SegMeta { len: SEG_MAGIC.len() as u64 });
         }
@@ -429,21 +426,21 @@ impl LogInner {
 
         // Validate the checkpoint against the directory: every referenced
         // segment must exist and the position must be inside the log.
-        let ckpt = checkpoint::load_snapshot(dir).filter(|c| {
+        let ckpt = checkpoint::load_snapshot(&dir).filter(|c| {
             c.segs.iter().all(|id| segments.contains_key(id))
                 && segments.get(&c.pos.seg).is_some_and(|m| c.pos.off <= m.len)
         });
 
         let mut inner = LogInner {
-            dir: dir.to_path_buf(),
+            // Placeholder until the scan fixes the true durable tail; the
+            // file is reopened below.
+            gc: GroupCommit::new(open_segment_append(&dir, active)?, 0),
+            dir,
             read_cache: BlockCache::new(cfg.read_cache_bytes, cfg.read_block_bytes),
             fds: FdPool::new(cfg.max_open_segments),
             cfg,
             segments,
             active,
-            // Placeholder until the scan fixes the true durable tail; the
-            // file is reopened below.
-            gc: GroupCommit::new(open_segment_append(dir, active)?, 0),
             streams: BTreeMap::new(),
             ckpt_names_rot: false,
             recovery: RecoveryStats::default(),
@@ -482,11 +479,11 @@ impl LogInner {
         let chunk = self.scan_chunk();
         for id in seg_ids {
             let from = if id == scan_from.seg { scan_from.off } else { 0 };
-            let path = seg_path(&self.dir, id);
             // Merge each entry as the scanner yields it: peak memory stays
             // one chunk plus the largest entry (what `peak_buffer` claims),
             // never the decoded contents of a whole segment.
-            let outcome = segment::scan_segment(&path, from, chunk, |e| {
+            let dir = self.dir.clone();
+            let outcome = segment::scan_segment(&dir, id, from, chunk, |e| {
                 self.merge_entry(e.kind, &e.capsule, e.body, EntryLoc { seg: id, off: e.offset })?;
                 self.recovery.tail_entries += 1;
                 Ok(())
@@ -501,7 +498,7 @@ impl LogInner {
                     if id == self.active {
                         // Torn tail of the active segment: truncate so
                         // appends restart from a clean edge.
-                        let f = OpenOptions::new().write(true).open(&path)?;
+                        let f = open_segment_append(&self.dir, id)?;
                         f.set_len(valid_end)?;
                         f.sync_data()?;
                         self.obs.recovery_truncations.inc();
@@ -573,12 +570,19 @@ impl LogInner {
         }
     }
 
+    /// First write wins. Capsule creation is acked immediately by the
+    /// server, so the entry is flushed at once; a call that finds the
+    /// metadata while a failed flush is outstanding flushes again, so it
+    /// never answers `Ok` for metadata that is only buffered.
     fn put_metadata(
         &mut self,
         capsule: &Name,
         metadata: &CapsuleMetadata,
     ) -> Result<(), StoreError> {
         if self.streams.get(capsule).is_some_and(|s| s.metadata.is_some()) {
+            if self.gc.failed() {
+                self.flush_inner(self.gc.last_now(), true)?;
+            }
             return Ok(());
         }
         let body = metadata.to_wire();
@@ -591,18 +595,23 @@ impl LogInner {
         self.streams.entry(*capsule).or_default().metadata = Some(metadata.clone());
         self.obs.entries_appended.inc();
         self.obs.bytes_appended.add(disk_len);
-        // Capsule creation is acked immediately by the server, so make it
-        // durable immediately: metadata writes are once-per-capsule.
         self.flush_inner(self.gc.last_now(), true)?;
         Ok(())
     }
 
+    /// Idempotent: a duplicate reports the stored entry's durability, so
+    /// a retried append never acks ahead of its covering fsync — and under
+    /// [`FsyncPolicy::Always`] a retry of an append whose flush failed
+    /// flushes again, like the first attempt.
     fn append(&mut self, capsule: &Name, record: &Record) -> Result<AppendAck, StoreError> {
         let at = record.pointer();
         if let Some(loc) = self.streams.get(capsule).and_then(|s| s.records.get(&at).copied()) {
-            // Duplicate: report the stored record's current durability so
-            // retried appends never ack ahead of their covering fsync.
-            return Ok(self.durability_at(loc));
+            let ack = self.durability_at(loc);
+            if ack != AppendAck::Durable && self.cfg.policy == FsyncPolicy::Always {
+                self.flush_inner(self.gc.last_now(), true)?;
+                return Ok(AppendAck::Durable);
+            }
+            return Ok(ack);
         }
         let body = record.to_wire();
         let off = self.gc.append(KIND_RECORD, capsule, &body);
@@ -733,7 +742,7 @@ impl LogInner {
         sequential: bool,
     ) -> Result<(u8, Name, Bytes), StoreError> {
         if loc.seg == self.active {
-            let gc = &mut self.gc;
+            let gc = &self.gc;
             let mut header = [0u8; ENTRY_HEADER];
             let decoded = match gc.read_at(loc.off, &mut header) {
                 Ok(()) => segment::decode_entry_header_and_body(&header, |body| {
@@ -880,7 +889,7 @@ impl LogInner {
         // bookkeeping can never deadlock against the read (see the
         // LK01/LK02 audit note in `fdpool.rs`).
         let (file, opened) = self.fds.get(&self.dir, seg)?;
-        let got = crate::io::pread_fill(&file, idx * bb as u64, &mut buf)?;
+        let got = file.read_at(idx * bb as u64, &mut buf)?;
         if opened {
             self.obs.segment_fd_opens.inc();
         }
@@ -912,16 +921,18 @@ impl LogInner {
 }
 
 /// Creates segment `id` with its magic, fsyncing file and directory.
-fn create_segment(dir: &Path, id: u64) -> Result<File, StoreError> {
-    let path = seg_path(dir, id);
-    let mut f = OpenOptions::new().create_new(true).append(true).read(true).open(&path)?;
-    std::io::Write::write_all(&mut f, &SEG_MAGIC)?;
+/// `id` is past every segment the log holds, so a file already there is
+/// what a failed attempt left: it goes, or every later rotation would fail.
+fn create_segment(dir: &Dir, id: u64) -> Result<Fd, StoreError> {
+    let _ = dir.remove(&seg_name(id));
+    let f = dir.open(&seg_name(id), Mode::CreateNew)?;
+    f.write_all(&SEG_MAGIC)?;
     f.sync_data()?;
-    File::open(dir)?.sync_all()?;
+    dir.sync_all()?;
     Ok(f)
 }
 
 /// Opens segment `id` for appending (reads allowed for the buffer path).
-fn open_segment_append(dir: &Path, id: u64) -> Result<File, StoreError> {
-    Ok(OpenOptions::new().read(true).append(true).open(seg_path(dir, id))?)
+fn open_segment_append(dir: &Dir, id: u64) -> Result<Fd, StoreError> {
+    Ok(dir.open(&seg_name(id), Mode::Append)?)
 }

@@ -6,12 +6,9 @@
 //! segment size.
 
 use super::writer::{entry_crc, ENTRY_HEADER};
-use crate::io::read_fill;
+use crate::io::{Dir, Fd, Mode};
 use crate::store::StoreError;
 use gdp_wire::Name;
-use std::fs::File;
-use std::io::{Seek, SeekFrom};
-use std::path::{Path, PathBuf};
 
 /// Leading magic of a shared-log segment file.
 pub const SEG_MAGIC: [u8; 8] = *b"GDPSEG\x00\x01";
@@ -20,12 +17,12 @@ pub const SEG_MAGIC: [u8; 8] = *b"GDPSEG\x00\x01";
 /// bounded by the scan chunk plus the largest single entry.
 pub const RECOVERY_CHUNK: usize = 64 * 1024;
 
-/// `<dir>/<id>.seg`, zero-padded so lexical order is id order.
-pub(crate) fn seg_path(dir: &Path, id: u64) -> PathBuf {
-    dir.join(format!("{id:010}.seg"))
+/// `<id>.seg`, zero-padded so lexical order is id order.
+pub(crate) fn seg_name(id: u64) -> String {
+    format!("{id:010}.seg")
 }
 
-/// Inverse of [`seg_path`] on a file name.
+/// Inverse of [`seg_name`].
 pub(crate) fn parse_seg_id(name: &str) -> Option<u64> {
     let stem = name.strip_suffix(".seg")?;
     if stem.len() != 10 || !stem.bytes().all(|b| b.is_ascii_digit()) {
@@ -68,69 +65,40 @@ pub(crate) struct ScanOutcome {
 /// `chunk` sets the sequential read size (recovery readahead tuning);
 /// it is clamped to at least [`RECOVERY_CHUNK`].
 pub(crate) fn scan_segment(
-    path: &Path,
+    dir: &Dir,
+    id: u64,
     offset: u64,
     chunk: usize,
     mut on_entry: impl FnMut(ScanEntry<'_>) -> Result<(), StoreError>,
 ) -> Result<ScanOutcome, StoreError> {
     let chunk = chunk.max(RECOVERY_CHUNK);
-    let mut file = File::open(path)?;
-    let file_len = file.metadata()?.len();
+    let file = dir.open(&seg_name(id), Mode::Read)?;
+    let file_len = file.len()?;
     let start_at = if offset == 0 { SEG_MAGIC.len() as u64 } else { offset };
     if offset == 0 {
         let mut magic = [0u8; SEG_MAGIC.len()];
-        let got = read_fill(&mut file, &mut magic)?;
+        let got = file.read_at(0, &mut magic)?;
         if got < magic.len() || magic != SEG_MAGIC {
-            return Err(StoreError::Corrupt(format!("{}: bad segment magic", path.display())));
+            let path = dir.show(&seg_name(id));
+            return Err(StoreError::Corrupt(format!("{path}: bad segment magic")));
         }
-    } else {
-        file.seek(SeekFrom::Start(start_at))?;
     }
 
-    let mut buf: Vec<u8> = Vec::new();
-    let mut start = 0usize;
-    let mut eof = false;
-    let mut peak = 0usize;
+    let mut win =
+        Window { file, read_to: start_at, buf: Vec::new(), start: 0, eof: false, peak: 0 };
     let mut valid_end = start_at;
-
-    // Bounded top-up: compact consumed bytes, then read until `need`
-    // unparsed bytes are available or EOF.
-    fn ensure(
-        file: &mut File,
-        buf: &mut Vec<u8>,
-        start: &mut usize,
-        eof: &mut bool,
-        peak: &mut usize,
-        need: usize,
-        chunk: usize,
-    ) -> Result<bool, std::io::Error> {
-        while buf.len() - *start < need && !*eof {
-            if *start > 0 {
-                buf.drain(..*start);
-                *start = 0;
-            }
-            let want = need.saturating_sub(buf.len()).max(chunk);
-            let old = buf.len();
-            buf.resize(old + want, 0);
-            let got = read_fill(file, &mut buf[old..])?;
-            buf.truncate(old + got);
-            if got == 0 {
-                *eof = true;
-            }
-            *peak = (*peak).max(buf.len());
-        }
-        Ok(buf.len() - *start >= need)
-    }
-
     loop {
-        if !ensure(&mut file, &mut buf, &mut start, &mut eof, &mut peak, ENTRY_HEADER, chunk)? {
-            let end = if valid_end == file_len {
-                ScanEnd::Clean
-            } else {
-                ScanEnd::Invalid { valid_end, crc_mismatch: false }
-            };
-            return Ok(ScanOutcome { end, peak_buffer: peak });
+        let invalid = |win: &Window, crc_mismatch| ScanOutcome {
+            end: ScanEnd::Invalid { valid_end, crc_mismatch },
+            peak_buffer: win.peak,
+        };
+        if !win.ensure(ENTRY_HEADER, chunk)? {
+            if valid_end == file_len {
+                return Ok(ScanOutcome { end: ScanEnd::Clean, peak_buffer: win.peak });
+            }
+            return Ok(invalid(&win, false));
         }
+        let (buf, start) = (&win.buf, win.start);
         let kind = buf[start];
         let len = u32::from_be_bytes(buf[start + 1..start + 5].try_into().unwrap()) as usize;
         let crc = u32::from_be_bytes(buf[start + 5..start + 9].try_into().unwrap());
@@ -140,29 +108,50 @@ pub(crate) fn scan_segment(
         // Bounds-check `len` against the file before trusting it with an
         // allocation: a rotted length byte must tear, not OOM.
         let remaining = file_len.saturating_sub(valid_end + ENTRY_HEADER as u64);
-        if len as u64 > remaining {
-            return Ok(ScanOutcome {
-                end: ScanEnd::Invalid { valid_end, crc_mismatch: false },
-                peak_buffer: peak,
-            });
+        if len as u64 > remaining || !win.ensure(ENTRY_HEADER + len, chunk)? {
+            return Ok(invalid(&win, false));
         }
-        if !ensure(&mut file, &mut buf, &mut start, &mut eof, &mut peak, ENTRY_HEADER + len, chunk)?
-        {
-            return Ok(ScanOutcome {
-                end: ScanEnd::Invalid { valid_end, crc_mismatch: false },
-                peak_buffer: peak,
-            });
-        }
-        let body = &buf[start + ENTRY_HEADER..start + ENTRY_HEADER + len];
+        let start = win.start;
+        let body = &win.buf[start + ENTRY_HEADER..start + ENTRY_HEADER + len];
         if entry_crc(kind, &capsule, body) != crc {
-            return Ok(ScanOutcome {
-                end: ScanEnd::Invalid { valid_end, crc_mismatch: true },
-                peak_buffer: peak,
-            });
+            return Ok(invalid(&win, true));
         }
         on_entry(ScanEntry { kind, capsule, body, offset: valid_end })?;
-        start += ENTRY_HEADER + len;
+        win.start += ENTRY_HEADER + len;
         valid_end += (ENTRY_HEADER + len) as u64;
+    }
+}
+
+/// The scanner's read window over one file: `buf[start..]` holds the
+/// unparsed bytes, read positionally up to file offset `read_to`.
+struct Window {
+    file: Fd,
+    read_to: u64,
+    buf: Vec<u8>,
+    start: usize,
+    eof: bool,
+    peak: usize,
+}
+
+impl Window {
+    /// Bounded top-up: compacts consumed bytes, then reads until `need`
+    /// unparsed bytes are available or EOF.
+    fn ensure(&mut self, need: usize, chunk: usize) -> std::io::Result<bool> {
+        while self.buf.len() - self.start < need && !self.eof {
+            if self.start > 0 {
+                self.buf.drain(..self.start);
+                self.start = 0;
+            }
+            let want = need.saturating_sub(self.buf.len()).max(chunk);
+            let old = self.buf.len();
+            self.buf.resize(old + want, 0);
+            let got = self.file.read_at(self.read_to, &mut self.buf[old..])?;
+            self.read_to += got as u64;
+            self.buf.truncate(old + got);
+            self.eof = got == 0;
+            self.peak = self.peak.max(self.buf.len());
+        }
+        Ok(self.buf.len() - self.start >= need)
     }
 }
 

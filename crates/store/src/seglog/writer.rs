@@ -10,7 +10,10 @@
 //! times either wholly durable or wholly buffered — never split across
 //! the durable boundary.
 //!
-//! Every fallible step returns `io::Result`.
+//! A failed flush keeps the batch, and the next flush first cuts the
+//! active segment back to the durable end: whatever part of the batch the
+//! failed attempt left there would otherwise shift every entry behind it
+//! off the offset it was given. Every fallible step returns `io::Result`.
 
 // Hot path: a panic here takes down a node other domains route through
 // (DESIGN.md, "Static analysis"); an exception is a reasoned `#[allow]` at the site.
@@ -18,9 +21,8 @@
 #![deny(clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::crc::Crc32;
+use crate::io::Fd;
 use gdp_wire::Name;
-use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
 
 /// Entry kinds shared with recovery.
 pub(crate) const KIND_METADATA: u8 = 0;
@@ -53,9 +55,12 @@ pub(crate) fn encode_entry(out: &mut Vec<u8>, kind: u8, capsule: &Name, body: &[
 
 /// The batched writer for the active segment.
 pub(crate) struct GroupCommit {
-    file: File,
+    file: Fd,
     /// Bytes durably on disk: `flush` always pairs write with fsync.
     durable_len: u64,
+    /// True from a flush's first write until its fsync returns: the file
+    /// may hold bytes past `durable_len` that no entry is at.
+    torn: bool,
     /// Framed entries awaiting the next flush.
     buf: Vec<u8>,
     buf_entries: u64,
@@ -69,10 +74,11 @@ pub(crate) struct GroupCommit {
 impl GroupCommit {
     /// Wraps an active segment opened in append mode, durable up to
     /// `durable_len` (the recovery scan's valid end).
-    pub fn new(file: File, durable_len: u64) -> GroupCommit {
+    pub fn new(file: Fd, durable_len: u64) -> GroupCommit {
         GroupCommit {
             file,
             durable_len,
+            torn: false,
             buf: Vec::new(),
             buf_entries: 0,
             epoch_durable: 0,
@@ -123,16 +129,27 @@ impl GroupCommit {
         self.last_flush_us
     }
 
-    /// One `write_all` + one `fdatasync` covering every buffered append.
+    /// True after a failed flush, until one succeeds.
+    pub fn failed(&self) -> bool {
+        self.torn
+    }
+
+    /// One `write_all` + one `fdatasync` covering every buffered append,
+    /// after cutting what a failed flush left past the durable end.
     /// Returns the number of entries committed — `None` (window restart
-    /// only) when nothing was buffered.
+    /// only) when nothing was buffered. On error the batch stays buffered.
     pub fn flush(&mut self, now_us: u64) -> std::io::Result<Option<u64>> {
         self.last_flush_us = self.last_flush_us.max(now_us);
         if self.buf.is_empty() {
             return Ok(None);
         }
+        if self.torn {
+            self.file.set_len(self.durable_len)?;
+        }
+        self.torn = true;
         self.file.write_all(&self.buf)?;
         self.file.sync_data()?;
+        self.torn = false;
         let entries = self.buf_entries;
         self.durable_len += self.buf.len() as u64;
         self.buf.clear();
@@ -142,9 +159,8 @@ impl GroupCommit {
     }
 
     /// Reads `dst.len()` bytes at `offset`, serving the in-memory batch
-    /// for offsets past the durable boundary. The file is opened in
-    /// append mode, so seeking for reads cannot misplace writes.
-    pub fn read_at(&mut self, offset: u64, dst: &mut [u8]) -> std::io::Result<()> {
+    /// for offsets past the durable boundary.
+    pub fn read_at(&self, offset: u64, dst: &mut [u8]) -> std::io::Result<()> {
         if offset >= self.durable_len {
             let rel = (offset - self.durable_len) as usize;
             let end = rel.saturating_add(dst.len());
@@ -159,15 +175,14 @@ impl GroupCommit {
                 )),
             }
         } else {
-            self.file.seek(SeekFrom::Start(offset))?;
-            self.file.read_exact(dst)
+            self.file.read_exact_at(offset, dst)
         }
     }
 
     /// Swaps in a freshly-created next segment (rotation). The caller
     /// must have flushed first; rotating with a non-empty buffer would
     /// re-home buffered offsets, so it is refused.
-    pub fn rotate_to(&mut self, file: File, durable_len: u64) -> std::io::Result<()> {
+    pub fn rotate_to(&mut self, file: Fd, durable_len: u64) -> std::io::Result<()> {
         if !self.buf.is_empty() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,

@@ -2,19 +2,18 @@
 //!
 //! The paper's prototype keeps "each DataCapsule ... in its own separate
 //! SQLite database" so servers "respond to random reads efficiently"
-//! (§VIII). The equivalent here is a [`CapsuleStore`] trait with two
-//! backends: an in-memory map (simulation, tests, the reference model)
-//! and a per-capsule stream of the node's shared segmented log with CRC
-//! framing and crash-recovery scan (`SegStore` in `seglog`). Both key
-//! records by their address, the hash-pointer `(seq, header hash)`, in one
-//! ordered map. A hosted capsule's store is the only place its records
+//! (§VIII). The equivalent here is the [`CapsuleStore`] interface, which
+//! one type implements: `SegStore`, a per-capsule stream of the node's
+//! shared segmented log with CRC framing and crash-recovery scan, on disk
+//! or on an in-memory file system (`seglog`, `io`). It keys records by
+//! their address, the hash-pointer `(seq, header hash)`, in one ordered
+//! map. A hosted capsule's store is the only place its records
 //! live — headers, signatures and bodies: the server beside it keeps an
 //! address and a wire bound per record and reads every record it serves,
 //! proof hops and heartbeats included, through these reads.
 
 use crate::policy::AppendAck;
 use gdp_capsule::{CapsuleError, CapsuleMetadata, Pointer, Record};
-use std::collections::BTreeMap;
 
 /// Errors from the storage layer.
 #[derive(Debug)]
@@ -58,6 +57,7 @@ impl From<CapsuleError> for StoreError {
 ///
 /// Stores are deliberately dumb: they persist what they are given and answer
 /// random reads. Verification policy lives in `gdp-server`.
+#[allow(clippy::len_without_is_empty, reason = "no caller asks a store whether it is empty")]
 pub trait CapsuleStore: Send {
     /// Persists capsule metadata (idempotent; first write wins).
     fn put_metadata(&mut self, metadata: &CapsuleMetadata) -> Result<(), StoreError>;
@@ -79,11 +79,6 @@ pub trait CapsuleStore: Send {
     /// Number of stored records.
     fn len(&self) -> usize;
 
-    /// True when no records are stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Records in `[from, to]` in address order: every record at a seq,
     /// branches included, for `range(seq, seq)`.
     fn range(&self, from: u64, to: u64) -> Result<Vec<Record>, StoreError>;
@@ -94,88 +89,34 @@ pub trait CapsuleStore: Send {
     /// Persists a record and reports whether it is already durable or
     /// waiting on a group-commit fsync. Idempotent: a duplicate append
     /// returns the *current* durability of the stored record, so a retried
-    /// append is never acked before its covering fsync either. A memory
-    /// store is durable at return; a group-commit engine returns
+    /// append is never acked before its covering fsync either. Under
+    /// `fsync = always` it is durable at return; under group commit it is
     /// [`AppendAck::Pending`] with the covering durability epoch.
     fn append_acked(&mut self, record: &Record) -> Result<AppendAck, StoreError>;
 
     /// Drives group-commit: writes and fsyncs any batched appends whose
     /// flush window has elapsed at `now_us`, then returns the durable
     /// epoch (acks pending an epoch `<=` the returned value may be
-    /// released). Engines without batching return their current epoch
-    /// unchanged. `now_us` is caller time (sim or wall) in microseconds.
-    fn flush(&mut self, _now_us: u64) -> Result<u64, StoreError> {
-        Ok(self.durable_epoch())
-    }
+    /// released). `now_us` is caller time (sim or wall) in microseconds.
+    fn flush(&mut self, now_us: u64) -> Result<u64, StoreError>;
 
-    /// The highest durability epoch this store has fsynced (0 for engines
-    /// without group-commit).
-    fn durable_epoch(&self) -> u64 {
-        0
-    }
-}
-
-/// In-memory store: the default for simulations and tests.
-#[derive(Default)]
-pub struct MemStore {
-    metadata: Option<CapsuleMetadata>,
-    records: BTreeMap<Pointer, Record>,
-}
-
-impl MemStore {
-    /// Creates an empty store.
-    pub fn new() -> MemStore {
-        MemStore::default()
-    }
-}
-
-impl CapsuleStore for MemStore {
-    fn put_metadata(&mut self, metadata: &CapsuleMetadata) -> Result<(), StoreError> {
-        if self.metadata.is_none() {
-            self.metadata = Some(metadata.clone());
-        }
-        Ok(())
-    }
-
-    fn metadata(&self) -> Result<CapsuleMetadata, StoreError> {
-        self.metadata.clone().ok_or(StoreError::NoMetadata)
-    }
-
-    fn append_acked(&mut self, record: &Record) -> Result<AppendAck, StoreError> {
-        self.records.entry(record.pointer()).or_insert_with(|| record.clone());
-        Ok(AppendAck::Durable)
-    }
-
-    fn get_by_seq(&self, seq: u64) -> Result<Option<Record>, StoreError> {
-        Ok(self.records.range(Pointer::span(seq, seq)).next().map(|(_, r)| r.clone()))
-    }
-
-    fn get(&self, at: &Pointer) -> Result<Option<Record>, StoreError> {
-        Ok(self.records.get(at).cloned())
-    }
-
-    fn latest_seq(&self) -> u64 {
-        self.records.keys().next_back().map_or(0, |at| at.seq)
-    }
-
-    fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    fn range(&self, from: u64, to: u64) -> Result<Vec<Record>, StoreError> {
-        Ok(self.records.range(Pointer::span(from, to)).map(|(_, r)| r.clone()).collect())
-    }
-
-    fn pointers(&self) -> Vec<Pointer> {
-        self.records.keys().copied().collect()
-    }
+    /// The highest durability epoch this store has fsynced.
+    fn durable_epoch(&self) -> u64;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::MemFs;
+    use crate::{FsyncPolicy, SegConfig, SegLog};
     use gdp_capsule::{MetadataBuilder, Record, RecordHash};
     use gdp_crypto::SigningKey;
+
+    /// A stream of a log on a fresh in-memory file system.
+    fn store_for(meta: &CapsuleMetadata) -> impl CapsuleStore {
+        let cfg = SegConfig { policy: FsyncPolicy::Always, ..SegConfig::default() };
+        SegLog::open(&MemFs::new(), cfg).unwrap().handle(meta.name())
+    }
 
     fn setup() -> (CapsuleMetadata, Vec<Record>) {
         let owner = SigningKey::from_seed(&[1u8; 32]);
@@ -193,9 +134,9 @@ mod tests {
     }
 
     #[test]
-    fn memstore_roundtrip() {
+    fn roundtrip() {
         let (meta, records) = setup();
-        let mut s = MemStore::new();
+        let mut s = store_for(&meta);
         assert!(matches!(s.metadata(), Err(StoreError::NoMetadata)));
         s.put_metadata(&meta).unwrap();
         assert_eq!(s.metadata().unwrap(), meta);
@@ -211,9 +152,9 @@ mod tests {
     }
 
     #[test]
-    fn memstore_idempotent_append() {
+    fn idempotent_append() {
         let (meta, records) = setup();
-        let mut s = MemStore::new();
+        let mut s = store_for(&meta);
         s.put_metadata(&meta).unwrap();
         assert_eq!(s.append_acked(&records[0]).unwrap(), AppendAck::Durable);
         assert_eq!(s.append_acked(&records[0]).unwrap(), AppendAck::Durable);
@@ -225,7 +166,7 @@ mod tests {
         let (meta, _) = setup();
         let owner2 = SigningKey::from_seed(&[9u8; 32]);
         let meta2 = MetadataBuilder::new().writer(&owner2.verifying_key()).sign(&owner2);
-        let mut s = MemStore::new();
+        let mut s = store_for(&meta);
         s.put_metadata(&meta).unwrap();
         s.put_metadata(&meta2).unwrap();
         assert_eq!(s.metadata().unwrap(), meta);

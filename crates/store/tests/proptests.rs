@@ -1,6 +1,7 @@
 //! Property tests for the storage engine: a [`SegLog`] stream must agree
-//! with the in-memory model ([`MemStore`]) under arbitrary operation
-//! sequences, and survive arbitrary tail truncation and byte corruption.
+//! with a reference model (a `BTreeMap` by address, [`Model`]) under
+//! arbitrary operation sequences, and survive arbitrary tail truncation
+//! and byte corruption.
 //! Segments are tiny, so rotation, checkpointing and reopen all happen
 //! inside the model property.
 
@@ -9,9 +10,9 @@ use gdp_capsule::{
 };
 use gdp_crypto::SigningKey;
 use gdp_obs::Metrics;
-use gdp_store::{CapsuleStore, MemStore, SegConfig, SegLog, SegStore, StoreError};
+use gdp_store::{CapsuleStore, SegConfig, SegLog, SegStore, StoreError};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -67,18 +68,32 @@ fn segment_files(dir: &Path) -> Vec<PathBuf> {
     segs
 }
 
-fn assert_same(seg: &SegStore, mem: &MemStore, query: u64) -> Result<(), TestCaseError> {
-    prop_assert_eq!(seg.len(), mem.len());
-    prop_assert_eq!(seg.latest_seq(), mem.latest_seq());
-    prop_assert_eq!(seg.get_by_seq(query).unwrap(), mem.get_by_seq(query).unwrap());
-    prop_assert_eq!(seg.range(query, query).unwrap(), mem.range(query, query).unwrap());
+/// What one capsule's store must answer: its first metadata and every
+/// distinct record by address.
+#[derive(Default)]
+struct Model {
+    metadata: Option<CapsuleMetadata>,
+    records: BTreeMap<Pointer, Record>,
+}
+
+impl Model {
+    fn range(&self, from: u64, to: u64) -> Vec<Record> {
+        self.records.range(Pointer::span(from, to)).map(|(_, r)| r.clone()).collect()
+    }
+}
+
+fn assert_same(seg: &SegStore, mem: &Model, query: u64) -> Result<(), TestCaseError> {
+    prop_assert_eq!(seg.len(), mem.records.len());
+    prop_assert_eq!(seg.latest_seq(), mem.records.keys().next_back().map_or(0, |at| at.seq));
+    prop_assert_eq!(seg.get_by_seq(query).unwrap(), mem.range(query, query).first().cloned());
+    prop_assert_eq!(seg.range(query, query).unwrap(), mem.range(query, query));
     let lo = query.min(3);
-    prop_assert_eq!(seg.range(lo, query).unwrap(), mem.range(lo, query).unwrap());
+    prop_assert_eq!(seg.range(lo, query).unwrap(), mem.range(lo, query));
     let pointers = seg.pointers();
-    prop_assert_eq!(&pointers, &mem.pointers());
+    prop_assert_eq!(&pointers, &mem.records.keys().copied().collect::<Vec<_>>());
     for at in &pointers {
         let got = seg.get(at).unwrap();
-        prop_assert_eq!(&got, &mem.get(at).unwrap());
+        prop_assert_eq!(&got, &mem.records.get(at).cloned());
         prop_assert_eq!(got.map(|r| r.pointer()), Some(*at));
         // A held hash under another seq, and a held seq under another
         // hash, name nothing.
@@ -86,7 +101,7 @@ fn assert_same(seg: &SegStore, mem: &MemStore, query: u64) -> Result<(), TestCas
         let wrong_hash = Pointer { hash: RecordHash([0xAB; 32]), ..*at };
         for wrong in [wrong_seq, wrong_hash] {
             prop_assert_eq!(seg.get(&wrong).unwrap(), None);
-            prop_assert_eq!(mem.get(&wrong).unwrap(), None);
+            prop_assert!(!mem.records.contains_key(&wrong));
         }
     }
     Ok(())
@@ -95,7 +110,7 @@ fn assert_same(seg: &SegStore, mem: &MemStore, query: u64) -> Result<(), TestCas
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// SegLog streams and MemStores answer identically for any
+    /// SegLog streams and their models answer identically for any
     /// subset/order of appends across three capsules (duplicates
     /// included), any queried seq/range and every address, held or
     /// wrong by seq or by hash — before and after a reopen at an
@@ -112,24 +127,24 @@ proptest! {
         let open = || SegLog::open_with(&dir, small_cfg(), &metrics.scope("store")).unwrap();
         let counter = |name| metrics.counter_value("store", name);
         let mut log = open();
-        let mut mems: Vec<MemStore> = caps.iter().map(|_| MemStore::new()).collect();
+        let mut mems: Vec<Model> = caps.iter().map(|_| Model::default()).collect();
 
         // An untouched stream is an empty store.
         let seg = log.handle(caps[0].0.name());
-        prop_assert!(seg.is_empty() && seg.latest_seq() == 0);
+        prop_assert!(seg.len() == 0 && seg.latest_seq() == 0);
         prop_assert!(matches!(seg.metadata(), Err(StoreError::NoMetadata)));
         drop(seg);
 
         for ((meta, _), mem) in caps.iter().zip(&mut mems) {
             log.handle(meta.name()).put_metadata(meta).unwrap();
-            mem.put_metadata(meta).unwrap();
+            mem.metadata.get_or_insert_with(|| meta.clone());
         }
         let mut now = 0u64;
         for (k, &(c, i)) in order.iter().enumerate() {
             let (meta, rs) = &caps[c];
             let mut seg = log.handle(meta.name());
             seg.append_acked(&rs[i]).unwrap();
-            mems[c].append_acked(&rs[i]).unwrap();
+            mems[c].records.entry(rs[i].pointer()).or_insert_with(|| rs[i].clone());
             now += 10_000;
             // Group commit; rotating a full segment also checkpoints.
             seg.flush(now).unwrap();
@@ -143,7 +158,7 @@ proptest! {
             for ((meta, _), mem) in caps.iter().zip(&mems) {
                 let seg = log.handle(meta.name());
                 assert_same(&seg, mem, query)?;
-                prop_assert_eq!(seg.metadata().unwrap(), mem.metadata().unwrap());
+                prop_assert_eq!(Some(seg.metadata().unwrap()), mem.metadata.clone());
             }
             Ok(())
         };

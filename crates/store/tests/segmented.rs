@@ -5,6 +5,7 @@
 use gdp_capsule::{CapsuleMetadata, Record, RecordHash};
 use gdp_crypto::SigningKey;
 use gdp_obs::Metrics;
+use gdp_store::io::{Fault, MemFs, Op};
 use gdp_store::{AppendAck, CapsuleStore, FsyncPolicy, SegConfig, SegLog, RECOVERY_CHUNK};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -205,6 +206,139 @@ fn crash_loses_exactly_the_unacked_tail() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// Regression: a failed group-commit flush kept its batch, and the next
+/// flush appended the batch again at the file's end — behind whatever the
+/// failed attempt had left there. Every entry of the batch and every later
+/// one then sat off the offset its index named: a read there failed its
+/// CRC or returned another record whole, and a reopen stopped its scan
+/// at the shifted bytes and truncated the acked retry away. A failed flush now cuts the segment back to the
+/// durable end before the batch is written again.
+fn failed_flush_then_healthy_flush_keeps_every_entry(inject: impl Fn(&MemFs)) {
+    let fs = MemFs::new();
+    let (meta, records) = capsule(1, 8);
+    let log = SegLog::open(&fs, batch_cfg()).unwrap();
+    let mut h = log.handle(meta.name());
+    h.put_metadata(&meta).unwrap();
+    h.append_acked(&records[0]).unwrap();
+    log.flush_now(10_000).unwrap();
+    for r in &records[1..5] {
+        assert!(matches!(h.append_acked(r).unwrap(), AppendAck::Pending(_)));
+    }
+    inject(&fs);
+    assert!(log.flush_now(20_000).is_err(), "the injected fault fails the flush");
+    fs.heal();
+    // Appends after the failure join the retried batch.
+    let mut epoch = 0;
+    for r in &records[5..] {
+        let AppendAck::Pending(e) = h.append_acked(r).unwrap() else { panic!("not batched") };
+        epoch = e;
+    }
+    assert!(log.flush_now(30_000).unwrap() >= epoch, "the healthy flush acks the retry");
+    for r in &records {
+        assert_eq!(h.get(&r.pointer()).unwrap().as_ref(), Some(r), "seq {}", r.header.seq);
+    }
+    assert_eq!(h.range(1, 8).unwrap(), records);
+    drop((h, log));
+
+    fs.crash();
+    let log = SegLog::open(&fs, batch_cfg()).unwrap();
+    let h = log.handle(meta.name());
+    assert_eq!(h.metadata().unwrap(), meta);
+    assert_eq!(h.range(1, 8).unwrap(), records, "every acked entry survives the crash");
+}
+
+#[test]
+fn short_write_then_enospc_then_a_healthy_flush_keeps_every_entry() {
+    failed_flush_then_healthy_flush_keeps_every_entry(|fs| {
+        let w = fs.ops(Some(Op::Write));
+        fs.fail(Some(Op::Write), w..w + 1, Fault::ShortWrite);
+        fs.fail(Some(Op::Write), w + 1..w + 2, Fault::Enospc);
+    });
+}
+
+#[test]
+fn sync_eio_then_a_healthy_flush_keeps_every_entry() {
+    failed_flush_then_healthy_flush_keeps_every_entry(|fs| {
+        let s = fs.ops(Some(Op::Sync));
+        fs.fail(Some(Op::Sync), s..s + 1, Fault::Eio);
+    });
+}
+
+/// Regression: `put_metadata` recorded the metadata before its forced
+/// flush, so a retry after a failed flush found it and answered `Ok` while
+/// the entry was only buffered — a capsule hosted on metadata a crash
+/// would take away. A retry now flushes.
+#[test]
+fn put_metadata_retried_after_a_failed_sync_is_durable() {
+    let fs = MemFs::new();
+    let (meta, _) = capsule(1, 0);
+    let log = SegLog::open(&fs, batch_cfg()).unwrap();
+    let mut h = log.handle(meta.name());
+    let s = fs.ops(Some(Op::Sync));
+    fs.fail(Some(Op::Sync), s..s + 1, Fault::Eio);
+    assert!(h.put_metadata(&meta).is_err());
+    h.put_metadata(&meta).unwrap();
+    drop((h, log));
+
+    fs.crash();
+    let log = SegLog::open(&fs, batch_cfg()).unwrap();
+    assert_eq!(log.handle(meta.name()).metadata().unwrap(), meta);
+}
+
+/// Under `fsync = always` an append is durable at return or an error. A
+/// retry of an append whose flush failed finds the record buffered and
+/// flushes again instead of answering `Pending` for a flush that a policy
+/// without a batch window never schedules.
+#[test]
+fn always_append_retried_after_a_failed_write_flushes_again() {
+    let fs = MemFs::new();
+    let (meta, records) = capsule(1, 1);
+    let cfg = SegConfig { policy: FsyncPolicy::Always, ..SegConfig::default() };
+    let log = SegLog::open(&fs, cfg.clone()).unwrap();
+    let mut h = log.handle(meta.name());
+    h.put_metadata(&meta).unwrap();
+    let w = fs.ops(Some(Op::Write));
+    fs.fail(Some(Op::Write), w..u64::MAX, Fault::Eio);
+    assert!(h.append_acked(&records[0]).is_err());
+    assert!(h.append_acked(&records[0]).is_err(), "the retry writes, and fails");
+    fs.heal();
+    assert_eq!(h.append_acked(&records[0]).unwrap(), AppendAck::Durable);
+    drop((h, log));
+
+    fs.crash();
+    let log = SegLog::open(&fs, cfg).unwrap();
+    assert_eq!(log.handle(meta.name()).range(1, 1).unwrap(), records);
+}
+
+/// Regression: a rotation that failed after creating its segment file
+/// left the file behind, and every later rotation failed creating it
+/// again (`AlreadyExists`): the active segment grew without bound and
+/// every maintenance pass reported a failure.
+#[test]
+fn a_rotation_that_failed_once_rotates_at_the_next_pass() {
+    let fs = MemFs::new();
+    let (meta, records) = capsule(1, 12);
+    let cfg = SegConfig { segment_max_bytes: 1_024, ..batch_cfg() };
+    let log = SegLog::open(&fs, cfg.clone()).unwrap();
+    let mut h = log.handle(meta.name());
+    h.put_metadata(&meta).unwrap();
+    for r in &records {
+        h.append_acked(r).unwrap();
+    }
+    // The new segment's magic fails to land.
+    let w = fs.ops(Some(Op::Write)) + 1;
+    fs.fail(Some(Op::Write), w..w + 1, Fault::Eio);
+    assert!(h.flush(10_000).is_err(), "the rotation fails after the flush");
+    assert_eq!(log.segment_ids(), vec![0]);
+    h.flush(20_000).unwrap();
+    assert_eq!(log.segment_ids(), vec![0, 1], "the next pass rotates");
+    drop((h, log));
+
+    fs.crash();
+    let log = SegLog::open(&fs, cfg).unwrap();
+    assert_eq!(log.handle(meta.name()).range(1, 12).unwrap(), records);
+}
+
 #[test]
 fn rotation_seals_segments_and_data_survives() {
     let dir = tmpdir("rotate");
@@ -307,7 +441,7 @@ fn full_scan_recovery_is_streamed_in_bounded_chunks() {
     std::fs::write(&seg, &full[..2 * RECOVERY_CHUNK + 17]).unwrap();
     let log = SegLog::open(&dir, cfg).unwrap();
     let h = log.handle(name);
-    assert!(!h.is_empty() && h.len() < count as usize);
+    assert!(h.len() > 0 && h.len() < count as usize);
     for at in h.pointers() {
         h.get(&at).unwrap().unwrap();
     }

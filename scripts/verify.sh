@@ -148,6 +148,18 @@ else
         printf '!!! a deleted resident header type or per-seq store read is back (see above)\n'
         exit 1
     fi
+    # One storage engine over one file layer: the seglog reaches files
+    # only through `gdp_store::io` (the OS, or the in-memory `MemFs` its
+    # own tests use too), and the memory store and the server tests' fault
+    # wrapper it replaced must not come back.
+    if grep -rnE 'std::fs|File::|OpenOptions' crates/store/src/seglog; then
+        printf '!!! the seglog reaches a file around gdp_store::io (see above)\n'
+        exit 1
+    fi
+    if grep -rnE '\bMemStore\b|\bFlakyStore\b' crates src tests examples; then
+        printf '!!! a deleted second store implementation is back (see above)\n'
+        exit 1
+    fi
     # One forwarding path: a router forwards on its event loop. The sharded
     # data plane, its reader-side ingest hook, the route-install log that
     # fed it, and the verification memo no workload ever hit must not come
