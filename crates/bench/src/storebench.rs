@@ -473,7 +473,8 @@ pub fn served_comparison(dir: &Path) -> ServedPoint {
         AdCert::issue(&owner, capsule, sid.name(), false, Scope::Global, FOREVER),
         sid.principal().clone(),
     );
-    server.host_with_store(meta, chain, vec![], Box::new(log.handle(capsule))).expect("mount");
+    server.mount(log);
+    server.host(meta, chain, vec![]).expect("mount");
     let client = Name::from_content(b"served bench client");
     let mut request_seq = 0u64;
     let mut ask = |server: &mut DataCapsuleServer, msg: &DataMsg| {

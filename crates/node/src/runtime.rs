@@ -100,12 +100,12 @@ pub fn build_cores_with_obs(
         seed[0] ^= 0x5a;
         let mut server =
             DataCapsuleServer::from_seed_with_obs(&seed, &cfg.label, &metrics.scope("server"));
-        // One backing is shared by every hosted capsule — those in the
-        // config and those a wire `Host` request adds later: the segmented
+        // One log is shared by every hosted capsule — those in the config
+        // and those a wire `Host` request adds later: the segmented
         // group-commit log under `<data_dir>/seglog/`, or the same log on
         // an in-memory file system when no data_dir is configured. Restart
-        // recovery (torn tails, checkpoint replay) happens inside the
-        // engine's open path, then `host` replays the store into the
+        // recovery (torn tails, checkpoint replay) happens when the engine
+        // opens it, then `host` replays each capsule's stream into the
         // server core.
         let backing = match &cfg.data_dir {
             None => Backing::Memory,
@@ -120,7 +120,7 @@ pub fn build_cores_with_obs(
         if let Some(policy) = cfg.fsync {
             engine = engine.with_policy(policy);
         }
-        server.set_storage_engine(engine);
+        server.mount(engine.log().map_err(|e| NodeError::Host(format!("{e:?}")))?);
         for spec in &cfg.hosts {
             server
                 .host(spec.metadata.clone(), spec.chain.clone(), spec.peers.clone())

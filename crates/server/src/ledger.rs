@@ -9,13 +9,15 @@
 //! feeds it four inputs ([`AckLedger::park`], [`AckLedger::replica_ack`],
 //! [`AckLedger::durable`], [`AckLedger::expire`]) and turns the
 //! [`Step`]s it returns into PDUs and counters (DESIGN.md, "Ack ledger").
+//! Every hosted capsule lives in the node's one log under one group
+//! commit, so durability is one node-wide epoch: the ledger keeps that
+//! epoch and one list of parked acks, in arrival order.
 
 // A discarded `Result` in the ack path is a discarded durability answer.
 #![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
 
 use gdp_capsule::RecordHash;
 use gdp_wire::Name;
-use std::collections::BTreeMap;
 
 /// Where a parked ack goes once released.
 #[derive(Clone, Copy)]
@@ -27,7 +29,7 @@ pub(crate) enum AckTo {
 }
 
 /// One ack waiting for its release condition:
-/// `needed == 0 ∧ epoch ≤ the capsule's durable epoch`.
+/// `needed == 0 ∧ epoch ≤ the node's durable epoch`.
 #[derive(Clone)]
 pub(crate) struct Parked {
     pub(crate) capsule: Name,
@@ -59,42 +61,34 @@ pub(crate) enum Step {
     Deferred,
 }
 
-/// One capsule's parked acks (FIFO) and the highest durable epoch its
-/// store has reported.
-#[derive(Clone, Default)]
-struct Lot {
-    durable: u64,
-    parked: Vec<Parked>,
-}
-
-/// All parked acks, by capsule (ordered, so `expire` replays identically).
+/// Every parked ack, in arrival order, and the highest durable epoch the
+/// node's log has reported.
 #[derive(Clone, Default)]
 pub(crate) struct AckLedger {
-    lots: BTreeMap<Name, Lot>,
+    durable: u64,
+    parked: Vec<Parked>,
 }
 
 impl AckLedger {
     /// Parks `ack`, or releases it at once when nothing is outstanding.
     pub(crate) fn park(&mut self, mut ack: Parked) -> Vec<Step> {
         ack.needed = ack.needed.min(ack.unacked.len() as u32);
-        let lot = self.lots.entry(ack.capsule).or_default();
-        if ack.needed == 0 && ack.epoch <= lot.durable {
+        if ack.needed == 0 && ack.epoch <= self.durable {
             return vec![Step::Release(ack)];
         }
         let waits = if ack.needed == 0 { vec![Step::Deferred] } else { Vec::new() };
-        lot.parked.push(ack);
+        self.parked.push(ack);
         waits
     }
 
-    /// Counts `peer`'s `ReplicateAck` toward every parked ack for `hash`
-    /// that still waits on that peer. A peer outside the capsule's replica
-    /// set, or one that already acked, moves nothing.
+    /// Counts `peer`'s `ReplicateAck` toward every parked ack for
+    /// `(capsule, hash)` that still waits on that peer. A peer outside the
+    /// capsule's replica set, or one that already acked, moves nothing.
     pub(crate) fn replica_ack(&mut self, capsule: Name, hash: RecordHash, peer: Name) -> Vec<Step> {
-        let Some(lot) = self.lots.get_mut(&capsule) else { return Vec::new() };
-        let complete: Vec<Parked> = lot
+        let complete: Vec<Parked> = self
             .parked
             .extract_if(.., |p| {
-                if p.needed == 0 || p.hash != hash {
+                if p.needed == 0 || p.hash != hash || p.capsule != capsule {
                     return false;
                 }
                 let Some(i) = p.unacked.iter().position(|n| *n == peer) else { return false };
@@ -108,14 +102,13 @@ impl AckLedger {
         complete.into_iter().flat_map(|p| self.park(p)).collect()
     }
 
-    /// The capsule's store reports everything up to `epoch` fsynced.
-    pub(crate) fn durable(&mut self, capsule: Name, epoch: u64) -> Vec<Step> {
-        let lot = self.lots.entry(capsule).or_default();
-        if epoch <= lot.durable {
+    /// The node's log reports everything up to `epoch` fsynced.
+    pub(crate) fn durable(&mut self, epoch: u64) -> Vec<Step> {
+        if epoch <= self.durable {
             return Vec::new();
         }
-        lot.durable = epoch;
-        lot.parked
+        self.durable = epoch;
+        self.parked
             .extract_if(.., |p| p.needed == 0 && p.epoch <= epoch)
             .map(Step::Release)
             .collect()
@@ -123,11 +116,7 @@ impl AckLedger {
 
     /// Fails every ack whose deadline is at or before `now`.
     pub(crate) fn expire(&mut self, now: u64) -> Vec<Step> {
-        let mut steps = Vec::new();
-        for lot in self.lots.values_mut() {
-            steps.extend(lot.parked.extract_if(.., |p| now >= p.deadline).map(Step::Fail));
-        }
-        steps
+        self.parked.extract_if(.., |p| now >= p.deadline).map(Step::Fail).collect()
     }
 }
 
@@ -154,7 +143,7 @@ mod tests {
     enum Input {
         Park { id: u64, capsule: usize, hash: usize, k: u32, epoch: u64, deadline: u64 },
         ReplicaAck { capsule: usize, hash: usize, peer: usize },
-        Durable { capsule: usize, epoch: u64 },
+        Durable { epoch: u64 },
         Expire { now: u64 },
     }
 
@@ -171,12 +160,12 @@ mod tests {
     /// The reference model — the rule, with no incremental state: an ack
     /// keeps the raw facts about it, and after every input every ack is
     /// re-judged. Released ⇔ (distinct acks from its capsule's peers ≥ k)
-    /// ∧ (its epoch ≤ the capsule's durable epoch); failed ⇔ its deadline
+    /// ∧ (its epoch ≤ the node's durable epoch); failed ⇔ its deadline
     /// passes first.
     #[derive(Clone, Default)]
     struct Model {
         acks: Vec<ModelAck>,
-        durable: BTreeMap<usize, u64>,
+        durable: u64,
     }
 
     #[derive(Clone)]
@@ -216,19 +205,16 @@ mod tests {
                     }
                 }
                 Input::ReplicaAck { .. } => {}
-                Input::Durable { capsule, epoch } => {
-                    let d = self.durable.entry(capsule).or_default();
-                    *d = (*d).max(epoch);
-                }
+                Input::Durable { epoch } => self.durable = self.durable.max(epoch),
                 Input::Expire { now } => {
                     out.failed.extend(self.acks.iter().filter(|a| a.deadline <= now).map(|a| a.id));
                     self.acks.retain(|a| a.deadline > now);
                 }
             }
-            let durable = &self.durable;
+            let durable = self.durable;
             self.acks.retain_mut(|a| {
                 let quorum = a.got.len() >= a.k;
-                let covered = a.epoch <= durable.get(&a.capsule).copied().unwrap_or(0);
+                let covered = a.epoch <= durable;
                 if quorum && covered {
                     out.released.push((a.id, 1 + a.k as u32, a.deferred));
                 } else if quorum && !a.deferred {
@@ -268,7 +254,7 @@ mod tests {
             Input::ReplicaAck { capsule, hash: h, peer } => {
                 ledger.replica_ack(name("capsule", capsule), hash(h), name("peer", peer))
             }
-            Input::Durable { capsule, epoch } => ledger.durable(name("capsule", capsule), epoch),
+            Input::Durable { epoch } => ledger.durable(epoch),
             Input::Expire { now } => ledger.expire(now),
         };
         let mut out = Outcome::default();
@@ -296,7 +282,7 @@ mod tests {
         let last = Input::Expire { now: u64::MAX };
         let (got, want) = (apply(&mut ledger, &last), model.step(&last));
         assert_eq!(got, want);
-        assert!(ledger.lots.values().all(|l| l.parked.is_empty()), "an ack is parked forever");
+        assert!(ledger.parked.is_empty(), "an ack is parked forever");
         assert_eq!(left + got.failed.len(), parked, "every parked ack was released or failed");
     }
 
@@ -317,7 +303,7 @@ mod tests {
                 hash,
                 peer
             }),
-            (0usize..3, 0u64..5).prop_map(|(capsule, epoch)| Input::Durable { capsule, epoch }),
+            (0u64..5).prop_map(|epoch| Input::Durable { epoch }),
             (0u64..8).prop_map(|now| Input::Expire { now }),
         ]
     }
@@ -347,20 +333,23 @@ mod tests {
     }
 
     /// Bounded exhaustive enumeration (ROADMAP 8b's first tenant): three
-    /// appends — `Local`, `Quorum(1)`, `All` — to one capsule with two
-    /// replicas behind a group-commit store, and *every* order, to depth
-    /// `DEPTH`, of: append (a repeat is the duplicate/retry), replica ack
-    /// (each record × each peer), epoch advance (an fsync), deadline.
+    /// appends behind the node's one group-commit log — `Local` to capsule 0
+    /// (replica peer0; peer1's ack of it is a stray), `Quorum(1)` and `All`
+    /// to capsule 1 (replicas peer0, peer1, so `All` waits on two distinct
+    /// acks) — and *every* order, to depth `DEPTH`, of: append (a repeat is
+    /// the duplicate/retry), replica ack (each record × each peer), epoch
+    /// advance (an fsync, which releases across capsules), deadline.
     #[test]
     fn every_input_order_to_a_bounded_depth_matches_the_model() {
         const DEPTH: usize = 6;
         const TTL: u64 = 10;
         const MODES: [u32; 3] = [0, 1, u32::MAX];
+        const CAPSULE: [usize; 3] = [0, 1, 1];
         #[derive(Clone, Default)]
         struct World {
             ledger: AckLedger,
             model: Model,
-            /// The store: its durable epoch, and the epoch covering each
+            /// The log: its durable epoch, and the epoch covering each
             /// record once appended.
             durable: u64,
             stored: [Option<u64>; 3],
@@ -393,17 +382,17 @@ mod tests {
                         let k = MODES[record];
                         Input::Park {
                             id,
-                            capsule: 1,
+                            capsule: CAPSULE[record],
                             hash: record,
                             k,
                             epoch,
                             deadline: w.now + TTL,
                         }
                     }
-                    1 => Input::ReplicaAck { capsule: 1, hash: record, peer },
+                    1 => Input::ReplicaAck { capsule: CAPSULE[record], hash: record, peer },
                     2 => {
                         w.durable += 1;
-                        Input::Durable { capsule: 1, epoch: w.durable }
+                        Input::Durable { epoch: w.durable }
                     }
                     _ => {
                         w.now += TTL;

@@ -8,8 +8,12 @@
 //!   it (the threat model assumes *other* servers may not);
 //! * keeps per hosted capsule a [`CapsuleIndex`] — heads, links, pending
 //!   bookkeeping, an address and a wire bound per record — and the records
-//!   themselves, headers and signatures included, in the capsule's
-//!   [`CapsuleStore`] alone: a node's capacity is its disk;
+//!   themselves, headers and signatures included, in the capsule's stream
+//!   ([`SegStore`]) of the node's one [`SegLog`] alone: a node's capacity
+//!   is its disk;
+//! * makes them durable with that log's one group commit: [`tick`] flushes
+//!   the log once and releases every ack, whatever its capsule, that the
+//!   node's durable epoch now covers;
 //! * answers reads with records, ranges, proofs, and heartbeats — index →
 //!   store → encode, proof hops and heartbeats read through the store like
 //!   bodies — authenticated by signature or per-flow HMAC (§V "Secure
@@ -21,6 +25,8 @@
 //!
 //! Like the router, it is sans-I/O: `handle_pdu` maps one inbound PDU to
 //! outbound PDUs, so it runs identically on the simulator or threads.
+//!
+//! [`tick`]: DataCapsuleServer::tick
 
 // Non-test matches on wire enums (`Pdu`, `PduType`, `DataMsg`) name every variant: a
 // new variant is a compile error here, not silent message loss behind a `_ =>`.
@@ -42,7 +48,7 @@ use gdp_cert::{CapsuleAdvert, PrincipalId, PrincipalKind, ServingChain};
 use gdp_crypto::x25519::EphemeralKeyPair;
 use gdp_crypto::{hkdf, Signature};
 use gdp_obs::{Counter, Scope as ObsScope};
-use gdp_store::{AppendAck, Backing, CapsuleStore, StorageEngine, StoreError};
+use gdp_store::{AppendAck, Backing, CapsuleStore, SegLog, SegStore, StorageEngine, StoreError};
 use gdp_wire::{Name, Pdu, PduType, Wire, MAX_PAYLOAD};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -126,7 +132,7 @@ struct Hosted {
     index: CapsuleIndex,
     /// The one place records live; every record served — a proof hop or a
     /// heartbeat's head included — is read back from here.
-    store: Box<dyn CapsuleStore>,
+    store: SegStore,
     chain: ServingChain,
     peers: Vec<Name>,
     subscribers: Vec<Name>,
@@ -200,8 +206,9 @@ pub struct DataCapsuleServer {
     sessions: HashMap<(Name, Name), FlowSession>,
     /// Every ack not yet allowed to leave (DESIGN.md, "Ack ledger").
     ledger: AckLedger,
-    /// Where [`DataCapsuleServer::host`] opens a capsule's store.
-    engine: StorageEngine,
+    /// The node's one log: [`DataCapsuleServer::host`] opens each capsule's
+    /// stream in it, and [`DataCapsuleServer::tick`] flushes it.
+    log: SegLog,
     /// Cached metric handles (shared registry when built `with_obs`).
     obs: ServerObs,
     /// How long an ack may stay parked — waiting for replica acks or its
@@ -238,7 +245,8 @@ impl DataCapsuleServer {
             hosted: BTreeMap::new(),
             sessions: HashMap::new(),
             ledger: AckLedger::default(),
-            engine: StorageEngine::new(Backing::Memory),
+            // A fresh `MemFs` nobody else holds has no fault scheduled.
+            log: StorageEngine::new(Backing::Memory).log().expect("a fresh MemFs opens"),
             obs: ServerObs::new(obs),
             durability_timeout: 10_000_000,
             append_budget: 0,
@@ -291,39 +299,36 @@ impl DataCapsuleServer {
         &self.id
     }
 
-    /// Installs the node's storage engine: every later
-    /// [`DataCapsuleServer::host`] — from the config or from a wire
-    /// `Host` request — opens the capsule's store from it. The default is
-    /// a log on an in-memory file system.
-    pub fn set_storage_engine(&mut self, engine: StorageEngine) {
-        self.engine = engine;
+    /// Mounts the node's log: every later [`DataCapsuleServer::host`] —
+    /// from the config or from a wire `Host` request — opens the capsule's
+    /// stream in it, and [`DataCapsuleServer::tick`] flushes it. The
+    /// default is a log on an in-memory file system under `fsync = always`.
+    /// The ack ledger starts over: its durable epoch was the old log's.
+    ///
+    /// # Panics
+    ///
+    /// If a capsule is already hosted: its stream is in the old log, which
+    /// no tick would flush again.
+    pub fn mount(&mut self, log: SegLog) {
+        assert!(self.hosted.is_empty(), "mount the node's log before hosting a capsule");
+        self.log = log;
+        self.ledger = AckLedger::default();
     }
 
-    /// Starts hosting a capsule on a store opened from the server's
-    /// storage engine. `chain` must be a delegation ending at this
-    /// server; `peers` are the other delegated replicas.
+    /// Starts hosting a capsule on its stream of the node's log, replaying
+    /// whatever the stream already holds. `chain` must be a delegation
+    /// ending at this server; `peers` are the other delegated replicas.
     pub fn host(
         &mut self,
         metadata: CapsuleMetadata,
         chain: ServingChain,
         peers: Vec<Name>,
     ) -> Result<(), StoreError> {
-        let store = self.engine.open_boxed(&metadata.name())?;
-        self.host_with_store(metadata, chain, peers, store)
-    }
-
-    /// Starts hosting with a caller-provided store backend.
-    pub fn host_with_store(
-        &mut self,
-        metadata: CapsuleMetadata,
-        chain: ServingChain,
-        peers: Vec<Name>,
-        mut store: Box<dyn CapsuleStore>,
-    ) -> Result<(), StoreError> {
         if chain.server().name() != self.name() {
             return Err(CapsuleError::BadMetadata("chain does not end at this server").into());
         }
         let mut index = CapsuleIndex::new(metadata.clone())?;
+        let mut store = self.log.handle(metadata.name());
         store.put_metadata(&metadata)?;
         // Recover any records already in the store (restart path): each is
         // read back whole and fully verified, and only its address and
@@ -1018,33 +1023,26 @@ impl DataCapsuleServer {
         Vec::new()
     }
 
-    /// Periodic maintenance: flushes hosted stores (group commit) and
+    /// Periodic maintenance: flushes the node's log (group commit) and
     /// releases acks whose covering fsync landed, fails acks parked past
     /// their deadline, and asks a peer of each replicated capsule for what
     /// is newer than its latest linked seq and for its missing ancestors.
     pub fn tick(&mut self, now: u64) -> Vec<Pdu> {
         // A new tick opens a fresh append budget (see set_overload_policy).
         self.appends_this_tick = 0;
-        // Drive batched-durability stores (the due-ness check is theirs)
-        // and tell the ledger what each has fsynced. A failed flush is
-        // counted and traced; acks it leaves uncovered fail at their
-        // deadline below instead of waiting forever.
-        let mut steps = Vec::new();
-        for (name, h) in self.hosted.iter_mut() {
-            let epoch = match h.store.flush(now) {
-                Ok(epoch) => epoch,
-                Err(e) => {
-                    self.obs.flush_failures.inc();
-                    self.obs.trace(
-                        now,
-                        "flush_failed",
-                        &[("capsule", name.to_hex()), ("error", e.to_string())],
-                    );
-                    h.store.durable_epoch()
-                }
-            };
-            steps.extend(self.ledger.durable(*name, epoch));
-        }
+        // Drive the log's group commit (the due-ness check is the log's)
+        // and tell the ledger what it has fsynced. A failed flush is the
+        // node's, counted and traced once; acks it leaves uncovered fail
+        // at their deadline below instead of waiting forever.
+        let epoch = match self.log.maintain(now) {
+            Ok(epoch) => epoch,
+            Err(e) => {
+                self.obs.flush_failures.inc();
+                self.obs.trace(now, "flush_failed", &[("error", e.to_string())]);
+                self.log.durable_epoch()
+            }
+        };
+        let mut steps = self.ledger.durable(epoch);
         // What a durable epoch lets out had waited on nothing else.
         self.obs.acks_released.add(steps.len() as u64);
         steps.extend(self.ledger.expire(now));
@@ -1104,14 +1102,12 @@ mod tests {
     }
 
     fn rig_with_peers(peers: Vec<Name>) -> Rig {
-        rig_with_store(peers, store_on(&MemFs::new(), FsyncPolicy::Always))
+        rig_on(peers, log_on(&MemFs::new(), FsyncPolicy::Always))
     }
 
-    /// The unit capsule's stream of a log of its own on `fs`, where a test
-    /// injects its store faults.
-    fn store_on(fs: &MemFs, policy: FsyncPolicy) -> Box<dyn CapsuleStore> {
-        let cfg = SegConfig { policy, ..SegConfig::default() };
-        Box::new(SegLog::open(fs, cfg).unwrap().handle(unit_meta().name()))
+    /// A log of its own on `fs`, where a test injects its store faults.
+    fn log_on(fs: &MemFs, policy: FsyncPolicy) -> SegLog {
+        SegLog::open(fs, SegConfig { policy, ..SegConfig::default() }).unwrap()
     }
 
     /// Fails every `op` on `fs` from now until `fs.heal()`.
@@ -1139,12 +1135,14 @@ mod tests {
         )
     }
 
-    fn rig_with_store(peers: Vec<Name>, store: Box<dyn CapsuleStore>) -> Rig {
+    /// A server that mounts `log` and hosts the unit capsule on it.
+    fn rig_on(peers: Vec<Name>, log: SegLog) -> Rig {
         let id = server_id();
         let metrics = gdp_obs::Metrics::new();
         let mut server = DataCapsuleServer::new_with_obs(id.clone(), &metrics.scope("server"));
+        server.mount(log);
         let meta = unit_meta();
-        server.host_with_store(meta.clone(), unit_chain(&id, &meta), peers, store).unwrap();
+        server.host(meta.clone(), unit_chain(&id, &meta), peers).unwrap();
         let writer = CapsuleWriter::new(&meta, wkey(), PointerStrategy::Chain).unwrap();
         Rig {
             server,
@@ -1161,15 +1159,31 @@ mod tests {
     }
 
     fn request(rig: &mut Rig, msg: &DataMsg) -> Vec<Pdu> {
+        request_to(rig, rig.capsule, msg)
+    }
+
+    /// A client request to `capsule`, numbered after every earlier one.
+    fn request_to(rig: &mut Rig, capsule: Name, msg: &DataMsg) -> Vec<Pdu> {
         rig.seq += 1;
         let pdu = Pdu {
             pdu_type: PduType::Data,
             src: rig.client,
-            dst: rig.capsule,
+            dst: capsule,
             seq: rig.seq,
             payload: msg.to_wire().into(),
         };
         rig.server.handle_pdu(0, pdu)
+    }
+
+    /// Hosts a second capsule, same writer key, on the rig's server and
+    /// so on its log; returns its name and a writer for it.
+    fn host_second(rig: &mut Rig) -> (Name, CapsuleWriter) {
+        let meta = MetadataBuilder::new()
+            .writer(&wkey().verifying_key())
+            .set_str("description", "second")
+            .sign(&owner());
+        rig.server.host(meta.clone(), unit_chain(&server_id(), &meta), vec![]).unwrap();
+        (meta.name(), CapsuleWriter::new(&meta, wkey(), PointerStrategy::Chain).unwrap())
     }
 
     fn msg_of(pdu: &Pdu) -> DataMsg {
@@ -1492,8 +1506,7 @@ mod tests {
     #[test]
     fn failed_flush_is_counted_traced_and_fails_the_parked_ack_at_its_deadline() {
         let fs = MemFs::new();
-        let store = store_on(&fs, FsyncPolicy::Batch { interval_us: 5_000 });
-        let mut rig = rig_with_store(vec![], store);
+        let mut rig = rig_on(vec![], log_on(&fs, FsyncPolicy::Batch { interval_us: 5_000 }));
         rig.server.durability_timeout = 20_000;
 
         let record = rig.writer.append(b"never fsynced", 0).unwrap();
@@ -1508,7 +1521,6 @@ mod tests {
         let failed: Vec<_> = events.iter().filter(|e| e.event == "flush_failed").collect();
         assert_eq!(failed.len(), 1);
         let field = |k: &str| failed[0].fields.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone());
-        assert_eq!(field("capsule"), Some(rig.capsule.to_hex()));
         assert!(field("error").is_some_and(|e| e.contains("injected")), "{:?}", failed[0]);
 
         let out = rig.server.tick(20_000);
@@ -1525,11 +1537,88 @@ mod tests {
         assert!(rig.server.tick(30_000).is_empty());
     }
 
+    /// Regression: `tick` ran the node's one flush once per hosted capsule,
+    /// so a failed group commit was counted and traced once per capsule,
+    /// each trace naming a capsule, one of them with no bytes in the batch.
+    #[test]
+    fn a_failed_node_flush_is_counted_and_traced_once_whatever_the_capsules() {
+        let fs = MemFs::new();
+        let mut rig = rig_on(vec![], log_on(&fs, FsyncPolicy::Always));
+        let (other, mut writer) = host_second(&mut rig);
+        fail_every(&fs, Op::Sync);
+        // Refused, its entry stays buffered for the next flush to retry.
+        let record = writer.append(b"refused", 0).unwrap();
+        let out =
+            request_to(&mut rig, other, &DataMsg::Append { record, ack_mode: AckMode::Local });
+        assert!(matches!(msg_of(&out[0]), DataMsg::ErrResp { code: ErrorCode::BadRequest, .. }));
+
+        rig.server.tick(1_000);
+        assert_eq!(counted(&rig, "flush_failures"), 1);
+        let events = rig.metrics.drain_trace();
+        let failed: Vec<_> = events.iter().filter(|e| e.event == "flush_failed").collect();
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        // The flush is the node's: its trace names no capsule.
+        let fields: Vec<&str> = failed[0].fields.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(fields, ["error"]);
+    }
+
+    /// One tick flushes the node's log once, and the epoch it reaches
+    /// releases every ack it covers, whatever the capsule, in the order
+    /// the acks were parked.
+    #[test]
+    fn one_tick_releases_acks_across_capsules_in_arrival_order() {
+        let store = gdp_obs::Metrics::new();
+        let cfg =
+            SegConfig { policy: FsyncPolicy::Batch { interval_us: 5_000 }, ..SegConfig::default() };
+        let log = SegLog::open_with(&MemFs::new(), cfg, &store.scope("store")).unwrap();
+        let mut rig = rig_on(vec![], log);
+        let (other, mut other_writer) = host_second(&mut rig);
+        // The later name parks first, so arrival order is not name order.
+        let mut appends = vec![
+            (rig.capsule, rig.writer.append(b"unit", 0).unwrap()),
+            (other, other_writer.append(b"second", 0).unwrap()),
+        ];
+        if rig.capsule < other {
+            appends.reverse();
+        }
+        for (capsule, record) in appends {
+            let out = request_to(
+                &mut rig,
+                capsule,
+                &DataMsg::Append { record, ack_mode: AckMode::Local },
+            );
+            assert!(out.is_empty(), "parked behind the group commit: {out:?}");
+        }
+        assert_eq!(counted(&rig, "acks_deferred"), 2);
+        let fsyncs = store.counter_value("store", "fsyncs");
+
+        // The window anchors at the metadata flushes, logical time 0.
+        assert!(rig.server.tick(2_000).is_empty(), "released before the window elapsed");
+        let out = rig.server.tick(6_000);
+        let acked: Vec<(Name, u64)> = out
+            .iter()
+            .filter(|p| matches!(msg_of(p), DataMsg::AppendAck { .. }))
+            .map(|p| (p.dst, p.seq))
+            .collect();
+        assert_eq!(acked, vec![(rig.client, 1), (rig.client, 2)], "{out:?}");
+        assert_eq!(counted(&rig, "acks_released"), 2);
+        assert_eq!(store.counter_value("store", "fsyncs"), fsyncs + 1);
+    }
+
+    /// A hosted capsule's stream is in the mounted log, so a second mount
+    /// would leave it where no tick flushes: refused.
+    #[test]
+    #[should_panic(expected = "before hosting")]
+    fn mounting_a_log_after_hosting_is_refused() {
+        let mut rig = rig_on(vec![], log_on(&MemFs::new(), FsyncPolicy::Always));
+        rig.server.mount(log_on(&MemFs::new(), FsyncPolicy::Always));
+    }
+
     /// Regression: both metadata writes discarded the store's answer.
     #[test]
     fn metadata_store_failures_are_answered_not_discarded() {
         let fs = MemFs::new();
-        let mut rig = rig_with_store(vec![], store_on(&fs, FsyncPolicy::Always));
+        let mut rig = rig_on(vec![], log_on(&fs, FsyncPolicy::Always));
         fail_every(&fs, Op::Write);
         // Once a flush has failed the log cannot vouch for what it
         // buffered: repeating the metadata retries the flush.
@@ -1540,14 +1629,12 @@ mod tests {
 
         // A store that cannot persist the metadata gets no capsule mounted.
         let fs = MemFs::new();
-        let store = store_on(&fs, FsyncPolicy::Always);
-        fail_every(&fs, Op::Write);
         let id = server_id();
         let mut server = DataCapsuleServer::new(id.clone());
+        server.mount(log_on(&fs, FsyncPolicy::Always));
+        fail_every(&fs, Op::Write);
         let meta = unit_meta();
-        let err = server
-            .host_with_store(meta.clone(), unit_chain(&id, &meta), vec![], store)
-            .unwrap_err();
+        let err = server.host(meta.clone(), unit_chain(&id, &meta), vec![]).unwrap_err();
         assert!(err.to_string().contains("injected"), "{err}");
         assert!(server.hosted_names().is_empty());
     }
@@ -1559,7 +1646,7 @@ mod tests {
     fn sync_response_store_failure_is_counted_traced_and_repaired_by_replicate() {
         let peer = Name::from_content(b"peer server");
         let fs = MemFs::new();
-        let mut rig = rig_with_store(vec![peer], store_on(&fs, FsyncPolicy::Always));
+        let mut rig = rig_on(vec![peer], log_on(&fs, FsyncPolicy::Always));
         let record = rig.writer.append(b"synced", 0).unwrap();
         let hash = record.hash();
 
@@ -1602,7 +1689,7 @@ mod tests {
     #[test]
     fn append_the_store_refuses_is_not_indexed_and_a_retry_is_acked_and_served() {
         let fs = MemFs::new();
-        let mut rig = rig_with_store(vec![], store_on(&fs, FsyncPolicy::Always));
+        let mut rig = rig_on(vec![], log_on(&fs, FsyncPolicy::Always));
         let first = rig.writer.append(b"stored", 0).unwrap();
         let append = DataMsg::Append { record: first, ack_mode: AckMode::Local };
         assert!(matches!(msg_of(&request(&mut rig, &append)[0]), DataMsg::AppendAck { .. }));
@@ -1650,7 +1737,7 @@ mod tests {
     fn replicate_of_a_fresh_record_the_store_rejects_is_not_acked() {
         let peer = Name::from_content(b"peer server");
         let fs = MemFs::new();
-        let mut rig = rig_with_store(vec![peer], store_on(&fs, FsyncPolicy::Always));
+        let mut rig = rig_on(vec![peer], log_on(&fs, FsyncPolicy::Always));
         let record = rig.writer.append(b"unstorable", 0).unwrap();
         fail_every(&fs, Op::Write);
         let replicate = DataMsg::Replicate { capsule: rig.capsule, record };
@@ -1780,7 +1867,7 @@ mod tests {
     #[test]
     fn a_proof_is_charged_its_hops_records_and_reads_at_most_one_answer() {
         let fs = MemFs::new();
-        let mut rig = rig_with_store(vec![], store_on(&fs, FsyncPolicy::Always));
+        let mut rig = rig_on(vec![], log_on(&fs, FsyncPolicy::Always));
         let (mut head, mut record_bytes, mut header_bytes) = (0u64, 0u64, 0u64);
         while record_bytes <= MAX_ANSWER_BYTES {
             let record = rig.writer.append(&[7u8; 17 * 1024], head).unwrap();
@@ -1925,10 +2012,8 @@ mod tests {
         );
         let cfg =
             SegConfig { policy: FsyncPolicy::Batch { interval_us: 5_000 }, ..SegConfig::default() };
-        let log = SegLog::open(&dir, cfg).unwrap();
-        server
-            .host_with_store(meta.clone(), chain, vec![], Box::new(log.handle(meta.name())))
-            .unwrap();
+        server.mount(SegLog::open(&dir, cfg).unwrap());
+        server.host(meta.clone(), chain, vec![]).unwrap();
         let mut writer = CapsuleWriter::new(&meta, wkey(), PointerStrategy::Chain).unwrap();
         let client = Name::from_content(b"client");
 
@@ -2002,10 +2087,8 @@ mod tests {
             AdCert::issue(&owner(), meta.name(), id.name(), false, Scope::Global, FOREVER),
             id.principal().clone(),
         );
-        let log = SegLog::open(&dir, cfg).unwrap();
-        server
-            .host_with_store(meta.clone(), chain, vec![], Box::new(log.handle(meta.name())))
-            .unwrap();
+        server.mount(SegLog::open(&dir, cfg).unwrap());
+        server.host(meta.clone(), chain, vec![]).unwrap();
 
         assert_eq!(metrics.counter_value("server", "recovery_records_skipped"), 1);
         // Every other record was ingested: the prefix before the rotted

@@ -75,7 +75,8 @@ fn mount(dir: &Path, cfg: SegConfig) -> (DataCapsuleServer, SegLog, Metrics) {
         AdCert::issue(&owner(), meta.name(), id.name(), false, Scope::Global, FOREVER),
         id.principal().clone(),
     );
-    server.host_with_store(meta.clone(), chain, vec![], Box::new(log.handle(meta.name()))).unwrap();
+    server.mount(log.clone());
+    server.host(meta.clone(), chain, vec![]).unwrap();
     (server, log, metrics)
 }
 

@@ -1,8 +1,11 @@
-//! Multi-capsule storage engine: what a DataCapsule-server mounts.
+//! Multi-capsule storage engine: opens the log a DataCapsule-server
+//! mounts.
 //!
 //! Hosted capsules live in one shared segmented log for the whole node:
 //! on disk when gdpd has a `data_dir`, else on a fresh [`MemFs`]. The
-//! engine also carries the node's [`FsyncPolicy`].
+//! engine also carries the node's [`FsyncPolicy`]. [`StorageEngine::log`]
+//! opens that log once; the server mounts it, holds one stream of it per
+//! hosted capsule and flushes it once per tick.
 
 use crate::io::{Dir, MemFs};
 use crate::policy::FsyncPolicy;
@@ -25,7 +28,7 @@ pub enum Backing {
     Segmented(PathBuf),
 }
 
-/// The node's store: mounts one [`CapsuleStore`] per hosted capsule.
+/// The node's store: opens the node's one [`SegLog`] once.
 pub struct StorageEngine {
     backing: Backing,
     /// Set by [`StorageEngine::with_policy`]; else the backing's default.
@@ -51,27 +54,27 @@ impl StorageEngine {
         self
     }
 
-    /// Opens an owned store for `capsule` — what a server core mounts per
-    /// hosted capsule. Handles all view the node's one [`SegLog`], opened
-    /// (and recovered) by the first call.
-    pub fn open_boxed(&self, capsule: &Name) -> Result<Box<dyn CapsuleStore>, StoreError> {
+    /// The node's one log, opened (and recovered) by the first call; every
+    /// call returns a handle to that same log.
+    pub fn log(&self) -> Result<SegLog, StoreError> {
         let mut seg = self.seg.lock();
-        let log = match &*seg {
-            Some(log) => log.clone(),
-            None => {
-                let (dir, policy) = match &self.backing {
-                    Backing::Memory => (Dir::from(&MemFs::new()), FsyncPolicy::Always),
-                    Backing::Segmented(path) => (Dir::from(path), FsyncPolicy::DEFAULT_BATCH),
-                };
-                let cfg =
-                    SegConfig { policy: self.policy.unwrap_or(policy), ..SegConfig::default() };
-                // gdp-lint: allow(LK02) -- once-cell init: the `seg` guard deliberately serializes concurrent first-openers so exactly one runs recovery on the shared directory; steady state takes the Some(..) fast arm
-                let log = SegLog::open_with(dir, cfg, &self.obs)?;
-                *seg = Some(log.clone());
-                log
-            }
+        if let Some(log) = &*seg {
+            return Ok(log.clone());
+        }
+        let (dir, policy) = match &self.backing {
+            Backing::Memory => (Dir::from(&MemFs::new()), FsyncPolicy::Always),
+            Backing::Segmented(path) => (Dir::from(path), FsyncPolicy::DEFAULT_BATCH),
         };
-        Ok(Box::new(log.handle(*capsule)))
+        let cfg = SegConfig { policy: self.policy.unwrap_or(policy), ..SegConfig::default() };
+        // gdp-lint: allow(LK02) -- once-cell init: the `seg` guard deliberately serializes concurrent first-openers so exactly one runs recovery on the shared directory; steady state takes the early-return arm
+        let log = SegLog::open_with(dir, cfg, &self.obs)?;
+        *seg = Some(log.clone());
+        Ok(log)
+    }
+
+    /// An owned store for `capsule`: its stream of [`StorageEngine::log`].
+    pub fn open_boxed(&self, capsule: &Name) -> Result<Box<dyn CapsuleStore>, StoreError> {
+        Ok(Box::new(self.log()?.handle(*capsule)))
     }
 }
 
@@ -82,7 +85,8 @@ mod tests {
     use gdp_crypto::SigningKey;
 
     /// A memory engine acks durable at return unless a policy is set:
-    /// what every simulated node and `DataCapsuleServer::new` relies on.
+    /// what a node without a `data_dir` relies on (a server's default log
+    /// is this engine's).
     #[test]
     fn memory_engine_acks_durable_at_return_unless_a_policy_is_set() {
         use crate::AppendAck;

@@ -17,8 +17,8 @@
 //! The log reaches files only through [`io`], one file layer with two
 //! file systems: the OS, and [`io::MemFs`], an in-memory twin that models
 //! what a crash keeps and can fail any operation on a schedule.
-//! [`StorageEngine`] is what a server mounts: the log under a directory,
-//! or on a fresh `MemFs`.
+//! [`StorageEngine`] opens the log a server mounts: under a directory, or
+//! on a fresh `MemFs`.
 
 #![forbid(unsafe_code)]
 

@@ -259,8 +259,9 @@ impl SegLog {
     }
 
     /// Periodic maintenance: due flushes, rotation, checkpoints.
-    /// Returns the durable epoch. This is what [`SegStore::flush`] calls
-    /// from the server tick.
+    /// Returns the durable epoch. A server's tick calls this once for the
+    /// whole node; [`SegStore::flush`] is the same pass through one
+    /// capsule's handle.
     pub fn maintain(&self, now_us: u64) -> Result<u64, StoreError> {
         self.inner.lock().maintain(now_us)
     }
@@ -384,10 +385,6 @@ impl CapsuleStore for SegStore {
 
     fn flush(&mut self, now_us: u64) -> Result<u64, StoreError> {
         self.log.inner.lock().maintain(now_us)
-    }
-
-    fn durable_epoch(&self) -> u64 {
-        self.log.inner.lock().gc.epoch_durable()
     }
 }
 

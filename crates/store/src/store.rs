@@ -99,9 +99,6 @@ pub trait CapsuleStore: Send {
     /// epoch (acks pending an epoch `<=` the returned value may be
     /// released). `now_us` is caller time (sim or wall) in microseconds.
     fn flush(&mut self, now_us: u64) -> Result<u64, StoreError>;
-
-    /// The highest durability epoch this store has fsynced.
-    fn durable_epoch(&self) -> u64;
 }
 
 #[cfg(test)]

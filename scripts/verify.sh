@@ -160,6 +160,18 @@ else
         printf '!!! a deleted second store implementation is back (see above)\n'
         exit 1
     fi
+    # One durable epoch per node: a server mounts the node's one log and
+    # holds one stream of it per hosted capsule, flushed once per tick; a
+    # store handed in from outside, which the tick would not flush, must
+    # not come back.
+    if grep -rnE '\bhost_with_store\b' crates src tests examples; then
+        printf '!!! the deleted caller-provided store mount is back (see above)\n'
+        exit 1
+    fi
+    if grep -rn 'dyn CapsuleStore' crates/server/src crates/node/src; then
+        printf '!!! a server or node holds a store other than its stream of the node log (see above)\n'
+        exit 1
+    fi
     # One forwarding path: a router forwards on its event loop. The sharded
     # data plane, its reader-side ingest hook, the route-install log that
     # fed it, and the verification memo no workload ever hit must not come

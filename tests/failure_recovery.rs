@@ -73,9 +73,9 @@ fn server_restart_recovers_from_disk() {
     // First server lifetime: host on the segmented log, ingest records.
     {
         let mut server = DataCapsuleServer::new(server_id.clone());
-        let store = durable_engine(&dir).open_boxed(&capsule_name).unwrap();
+        server.mount(durable_engine(&dir).log().unwrap());
         // Move records in via the public protocol path.
-        server.host_with_store(meta.clone(), chain.clone(), vec![], store).unwrap();
+        server.host(meta.clone(), chain.clone(), vec![]).unwrap();
         let mut writer =
             gdp::capsule::CapsuleWriter::new(&meta, writer_key(), PointerStrategy::Chain).unwrap();
         for i in 0..8u64 {
@@ -97,8 +97,8 @@ fn server_restart_recovers_from_disk() {
 
     // Second lifetime: a fresh server rebuilds from the same directory.
     let mut revived = DataCapsuleServer::new(server_id);
-    let store = durable_engine(&dir).open_boxed(&capsule_name).unwrap();
-    revived.host_with_store(meta, chain, vec![], store).unwrap();
+    revived.mount(durable_engine(&dir).log().unwrap());
+    revived.host(meta, chain, vec![]).unwrap();
     let c = revived.capsule(&capsule_name).unwrap();
     assert_eq!(c.len(), 8, "all records recovered from the segment log");
     assert_eq!((c.latest_seq(), c.pending_len()), (8, 0));
