@@ -651,6 +651,9 @@ impl GdpClient {
                 else {
                     return Vec::new();
                 };
+                // The authentication covers the answer's commitment, every
+                // byte but the bodies; `verify_read` binds each body to its
+                // authenticated header's `body_hash`.
                 let body = read_result_body(&result);
                 if let Err(reason) = self.check_auth(&capsule, pdu.seq, &body, &auth, now) {
                     self.obs.verify_failures.inc();

@@ -18,7 +18,7 @@ use gdp_capsule::{
 use gdp_cert::{Principal, ServingChain};
 use gdp_crypto::hmac::hmac_sha256;
 use gdp_crypto::{Signature, SigningKey};
-use gdp_wire::{DecodeError, Decoder, Encoder, Name, Wire};
+use gdp_wire::{Bytes, DecodeError, Decoder, Encoder, Name, Wire};
 
 /// How many replica acknowledgments an append requires before the server
 /// confirms it to the writer (paper §VI-B).
@@ -129,6 +129,21 @@ pub enum ReadResult {
 }
 
 impl ReadResult {
+    /// Every record body the answer carries, in wire order.
+    fn bodies_mut(&mut self) -> Vec<&mut Bytes> {
+        match self {
+            ReadResult::Record(r) | ReadResult::Latest(r, _) => vec![&mut r.body],
+            ReadResult::Records(rs) => rs.iter_mut().map(|r| &mut r.body).collect(),
+            ReadResult::Proof(p) => vec![&mut p.body],
+            ReadResult::RangeProofResult(p) => std::iter::once(&mut p.newest.body)
+                .chain(p.older.iter_mut().map(|r| &mut r.body))
+                .collect(),
+            ReadResult::HeartbeatOnly(_) => Vec::new(),
+        }
+    }
+}
+
+impl Wire for ReadResult {
     fn encode(&self, enc: &mut Encoder) {
         match self {
             ReadResult::Record(r) => {
@@ -622,10 +637,25 @@ pub fn append_ack_body(seq: u64, hash: &RecordHash, replicas: u32) -> Vec<u8> {
     enc.finish()
 }
 
-/// Canonical auth-body for a ReadResp.
+/// Canonical auth-body for a ReadResp: the answer's *commitment*, its
+/// canonical encoding with every record body's bytes left out and each
+/// body's length kept, after a tag of its own (DESIGN.md, "Read answers
+/// are authenticated by their commitment"). Each body is bound instead by the `body_hash` of
+/// the header it belongs to, which the commitment covers and every read
+/// check compares the body against before it accepts, so each served
+/// body byte is hashed once, by the reader.
 pub fn read_result_body(result: &ReadResult) -> Vec<u8> {
+    let mut bodiless = result.clone();
+    let mut lengths = Vec::new();
+    for body in bodiless.bodies_mut() {
+        lengths.push(std::mem::take(body).len());
+    }
     let mut enc = Encoder::new();
-    result.encode(&mut enc);
+    enc.string("gdp/read-commitment/v1");
+    bodiless.encode(&mut enc);
+    enc.seq(&lengths, |e, len| {
+        e.varint(*len as u64);
+    });
     enc.finish()
 }
 
@@ -702,6 +732,61 @@ mod tests {
             assert_eq!(DataMsg::from_wire(&m.to_wire()).unwrap(), m, "roundtrip failed");
         }
         let _ = server;
+    }
+
+    /// One small genuine answer of each kind, over a `SkipList` capsule
+    /// (so headers carry extra pointers) whose bodies each occur once in
+    /// any encoding.
+    fn one_answer_of_each_kind() -> Vec<ReadResult> {
+        use gdp_capsule::{CapsuleWriter, DataCapsule, PointerStrategy};
+        let owner = SigningKey::from_seed(&[1u8; 32]);
+        let writer = SigningKey::from_seed(&[2u8; 32]);
+        let meta = MetadataBuilder::new().writer(&writer.verifying_key()).sign(&owner);
+        let mut w = CapsuleWriter::new(&meta, writer, PointerStrategy::SkipList).unwrap();
+        let mut capsule = DataCapsule::new(meta).unwrap();
+        let records: Vec<Record> = (1..=4u64)
+            .map(|seq| w.append(format!("<body of record {seq}>").as_bytes(), seq).unwrap())
+            .collect();
+        for r in &records {
+            capsule.ingest(r.clone()).unwrap();
+        }
+        let hb = capsule.head_heartbeat().unwrap().unwrap();
+        vec![
+            ReadResult::Record(records[1].clone()),
+            ReadResult::Records(records[1..3].to_vec()),
+            ReadResult::Latest(records[3].clone(), hb.clone()),
+            ReadResult::Proof(MembershipProof::build(&capsule, &hb, 1).unwrap()),
+            ReadResult::RangeProofResult(RangeProof::build(&capsule, &hb, 2, 3).unwrap()),
+            ReadResult::HeartbeatOnly(hb),
+        ]
+    }
+
+    /// The commitment covers every byte of an answer but its bodies: a
+    /// flipped byte outside a body either does not decode or changes the
+    /// commitment, and one inside a body never changes it.
+    #[test]
+    fn the_commitment_covers_every_byte_but_the_bodies() {
+        for genuine in one_answer_of_each_kind() {
+            let wire = genuine.to_wire();
+            let committed = read_result_body(&genuine);
+            let mut in_body = vec![false; wire.len()];
+            let mut bodies = genuine.clone();
+            for body in bodies.bodies_mut() {
+                let at = wire.windows(body.len()).position(|w| w == &body[..]).unwrap();
+                let again = wire[at + 1..].windows(body.len()).any(|w| w == &body[..]);
+                assert!(!again, "a body occurs once in the encoding");
+                in_body[at..at + body.len()].iter_mut().for_each(|b| *b = true);
+            }
+            for (i, inside) in in_body.into_iter().enumerate() {
+                let mut flipped = wire.clone();
+                flipped[i] ^= 0xFF;
+                match ReadResult::from_wire(&flipped) {
+                    Ok(other) if inside => assert_eq!(read_result_body(&other), committed),
+                    Ok(other) => assert_ne!(read_result_body(&other), committed, "byte {i}"),
+                    Err(_) => assert!(!inside, "a flip inside a body still decodes"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -72,6 +72,13 @@ impl BlockCache {
         self.bytes
     }
 
+    /// Bytes the resident blocks keep alive: each block's whole backing
+    /// allocation (test/diagnostic hook).
+    #[cfg(test)]
+    pub fn resident_backing_bytes(&self) -> usize {
+        self.blocks.values().map(|b| b.data.backing_len()).sum()
+    }
+
     /// Whether `(seg, idx)` is resident, without bumping its LRU touch.
     pub fn contains(&self, seg: u64, idx: u64) -> bool {
         self.blocks.contains_key(&(seg, idx))

@@ -72,7 +72,7 @@ pub struct SegConfig {
     /// Fixed block size sealed-segment reads are aligned to.
     pub read_block_bytes: usize,
     /// On a cache miss with a sequential hint (range scans), read this
-    /// many blocks in one `pread` instead of one.
+    /// many blocks instead of one, each into its own cached allocation.
     pub readahead_blocks: usize,
     /// At most this many sealed-segment fds stay pooled for reads
     /// (LRU-evicted beyond it).
@@ -864,9 +864,11 @@ impl LogInner {
     }
 
     /// One block of a sealed segment: cache hit, or a pooled-fd `pread`
-    /// that fills the cache — `readahead_blocks`-sized when the caller
-    /// hinted a sequential scan, with every prefetched block slicing one
-    /// shared allocation (no per-block copy).
+    /// that fills the cache — followed, when the caller hinted a
+    /// sequential scan, by the next `readahead_blocks - 1` blocks not
+    /// already resident. Each block is read into an allocation of its
+    /// own: a block sliced out of one shared readahead buffer would keep
+    /// the whole buffer alive, past the cache's byte budget.
     fn fetch_block(
         &mut self,
         seg: u64,
@@ -880,40 +882,43 @@ impl LogInner {
         *missed = true;
         let bb = self.read_cache.block_bytes();
         let blocks = if sequential { self.cfg.readahead_blocks.max(1) } else { 1 };
-        let mut buf = vec![0u8; bb * blocks];
         // The pooled handle is refcounted: the pread holds no borrow of
         // the pool (and no lock but LogInner's own), so cache/pool
         // bookkeeping can never deadlock against the read (see the
         // LK01/LK02 audit note in `fdpool.rs`).
         let (file, opened) = self.fds.get(&self.dir, seg)?;
-        let got = file.read_at(idx * bb as u64, &mut buf)?;
         if opened {
             self.obs.segment_fd_opens.inc();
         }
-        if got == 0 {
-            return Err(StoreError::Corrupt("read past segment end".to_string()));
-        }
-        buf.truncate(got);
-        let shared = Bytes::from_vec(buf);
-        let n_blocks = got.div_ceil(bb);
+        let mut first = None;
         let mut evicted = 0u64;
-        for k in 0..n_blocks {
-            if k > 0 && self.read_cache.contains(seg, idx + k as u64) {
+        for at in idx..idx + blocks as u64 {
+            if at > idx && self.read_cache.contains(seg, at) {
                 // Never clobber a resident (possibly verified) block with
                 // a readahead copy of the same bytes.
                 continue;
             }
-            let s = k * bb;
-            let e = (s + bb).min(got);
-            evicted += self.read_cache.insert(seg, idx + k as u64, shared.slice(s, e));
-            if k > 0 {
+            let mut buf = vec![0u8; bb];
+            let got = file.read_at(at * bb as u64, &mut buf)?;
+            if got == 0 {
+                break;
+            }
+            buf.truncate(got);
+            let block = Bytes::from_vec(buf);
+            evicted += self.read_cache.insert(seg, at, block.clone());
+            if at == idx {
+                first = Some(block);
+            } else {
                 self.obs.readahead_blocks.inc();
+            }
+            if got < bb {
+                break;
             }
         }
         if evicted > 0 {
             self.obs.read_cache_evictions.add(evicted);
         }
-        Ok(shared.slice(0, bb.min(got)))
+        first.ok_or_else(|| StoreError::Corrupt("read past segment end".to_string()))
     }
 }
 
@@ -932,4 +937,69 @@ fn create_segment(dir: &Dir, id: u64) -> Result<Fd, StoreError> {
 /// Opens segment `id` for appending (reads allowed for the buffer path).
 fn open_segment_append(dir: &Dir, id: u64) -> Result<Fd, StoreError> {
     Ok(dir.open(&seg_name(id), Mode::Append)?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::io::MemFs;
+    use gdp_capsule::RecordHash;
+    use gdp_crypto::SigningKey;
+
+    /// `n` chained 4 KiB records of one capsule, sealed in a log on
+    /// `MemFs` under `cfg` with 16 KiB blocks and 256 KiB segments.
+    fn sealed_log(cfg: SegConfig, n: u64) -> (SegLog, SegStore, SegConfig) {
+        let cfg = SegConfig {
+            policy: FsyncPolicy::Always,
+            segment_max_bytes: 256 * 1024,
+            read_block_bytes: 16 * 1024,
+            ..cfg
+        };
+        let log = SegLog::open(&MemFs::new(), cfg.clone()).unwrap();
+        let writer = SigningKey::from_seed(&[7; 32]);
+        let name = Name::from_content(b"block budget");
+        let mut store = log.handle(name);
+        let mut prev = RecordHash::anchor(&name);
+        for seq in 1..=n {
+            let r = Record::create(&name, &writer, seq, seq, prev, vec![], vec![seq as u8; 4096]);
+            prev = r.hash();
+            store.append_acked(&r).unwrap();
+        }
+        log.rotate_now(0).unwrap();
+        (log, store, cfg)
+    }
+
+    /// Readahead fills the cache with blocks that each own their bytes:
+    /// after random range reads, whose answers are all dropped, the
+    /// resident blocks keep at most the cache's byte budget alive.
+    #[test]
+    fn resident_blocks_hold_no_more_than_the_cache_budget() {
+        let cfg = SegConfig { read_cache_bytes: 256 * 1024, ..SegConfig::default() };
+        let (log, store, cfg) = sealed_log(cfg, 200);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..300 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let len = [1, 2, 32][(x % 3) as usize];
+            let from = 1 + (x >> 8) % (200 - len + 1);
+            assert_eq!(store.range(from, from + len - 1).unwrap().len() as u64, len);
+        }
+        let resident = log.inner.lock().read_cache.resident_backing_bytes();
+        assert!(resident > 0, "the reads filled the cache");
+        assert!(resident <= cfg.read_cache_bytes, "{resident} B resident");
+    }
+
+    /// With no cache, a body read by a range scan keeps at most its one
+    /// block alive, not the whole readahead.
+    #[test]
+    fn an_uncached_body_keeps_at_most_one_block_alive() {
+        let cfg = SegConfig { read_cache_bytes: 0, ..SegConfig::default() };
+        let (_log, store, cfg) = sealed_log(cfg, 40);
+        let run = store.range(3, 34).unwrap();
+        assert_eq!(run.len(), 32);
+        for r in &run {
+            assert!(r.body.backing_len() <= cfg.read_block_bytes, "seq {}", r.header.seq);
+        }
+    }
 }

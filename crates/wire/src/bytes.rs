@@ -86,6 +86,12 @@ impl Bytes {
     pub fn ref_count(&self) -> usize {
         self.data.as_ref().map_or(0, Arc::strong_count)
     }
+
+    /// Length of the whole allocation this window keeps alive (0 for the
+    /// empty buffer). Test/diagnostic aid.
+    pub fn backing_len(&self) -> usize {
+        self.data.as_ref().map_or(0, |d| d.len())
+    }
 }
 
 impl Default for Bytes {

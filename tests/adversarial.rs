@@ -510,3 +510,137 @@ fn proof_of_the_wrong_seq_rejected() {
     assert_eq!(reason, "proof is for another seq");
     flow_lives_on(&mut world, &capsule);
 }
+
+// ---- a body swapped under a valid authentication -----------------------
+
+/// Swaps one body of an answer.
+type Forge = fn(&mut ReadResult);
+
+/// Other bytes of the same length.
+fn swap(body: &mut gdp::wire::Bytes) {
+    *body = body.iter().map(|b| b ^ 0x55).collect::<Vec<u8>>().into();
+}
+
+/// Asks `target` and has the world's server answer it over its session:
+/// the answer's PDU, and the result and MAC it carries.
+fn served_under_mac(
+    world: &mut GdpWorld,
+    capsule: &Name,
+    target: ReadTarget,
+) -> (Pdu, ReadResult, ResponseAuth) {
+    let ask = world.client_mut().read(*capsule, target);
+    let answer = world.server(0).handle_pdu(0, ask).remove(0);
+    match DataMsg::from_wire(&answer.payload).unwrap() {
+        DataMsg::ReadResp { result, auth: auth @ ResponseAuth::Mac { .. } } => {
+            (answer, result, auth)
+        }
+        other => panic!("{target:?} answered {other:?} over a session"),
+    }
+}
+
+/// The server's genuine answer to `target` with one body swapped by
+/// `forge` is refused with `reason`, delivered (a) under the session MAC
+/// the server computed for the genuine answer and (b) under the server's
+/// own signature; the flow then still serves. The swap leaves the
+/// commitment the authentication covers as it was: only the body check
+/// against the authenticated header can refuse it.
+fn swapped_body_refused(
+    world: &mut GdpWorld,
+    capsule: &Name,
+    target: ReadTarget,
+    forge: Forge,
+    reason: &str,
+) {
+    use gdp::server::proto::read_result_body;
+    let (mut answer, genuine, auth) = served_under_mac(world, capsule, target);
+    let mut swapped = genuine.clone();
+    forge(&mut swapped);
+    assert_ne!(swapped, genuine, "{target:?}: a body was swapped");
+    assert_eq!(read_result_body(&swapped), read_result_body(&genuine), "{target:?}");
+
+    answer.payload = DataMsg::ReadResp { result: swapped.clone(), auth }.to_wire().into();
+    match &world.client_mut().handle_pdu(0, answer)[..] {
+        [ClientEvent::VerificationFailed { reason: got, .. }] => assert_eq!(*got, reason),
+        other => panic!("{target:?}: swapped body under the MAC: {other:?}"),
+    }
+    assert_eq!(rejection(world, capsule, target, swapped), reason, "{target:?}: signed");
+    flow_lives_on(world, capsule);
+}
+
+/// A body swapped for other bytes of the same length, in transit or by the
+/// server, is refused on every answer kind although the MAC or signature
+/// over the answer's commitment verifies: the header's `body_hash` binds it.
+#[test]
+fn a_body_swapped_under_a_valid_authentication_is_refused_on_every_answer_kind() {
+    use gdp::capsule::WriterMode;
+    let (mut world, capsule) = world_with_data(95, 8);
+    world.establish_session(capsule).unwrap();
+    let cases: [(ReadTarget, Forge, &str); 5] = [
+        (
+            ReadTarget::One(3),
+            |r| match r {
+                ReadResult::Record(r) => swap(&mut r.body),
+                other => panic!("One answered {other:?}"),
+            },
+            "record verification failed",
+        ),
+        (
+            ReadTarget::Latest,
+            |r| match r {
+                ReadResult::Latest(r, _) => swap(&mut r.body),
+                other => panic!("Latest answered {other:?}"),
+            },
+            "record verification failed",
+        ),
+        (
+            ReadTarget::ProofOf(3),
+            |r| match r {
+                ReadResult::Proof(p) => swap(&mut p.body),
+                other => panic!("ProofOf answered {other:?}"),
+            },
+            "membership proof invalid",
+        ),
+        (
+            ReadTarget::Range(2, 6),
+            |r| match r {
+                ReadResult::RangeProofResult(p) => swap(&mut p.older[1].body),
+                other => panic!("Range answered {other:?}"),
+            },
+            "range proof invalid",
+        ),
+        (
+            ReadTarget::Range(2, 6),
+            |r| match r {
+                ReadResult::RangeProofResult(p) => swap(&mut p.newest.body),
+                other => panic!("Range answered {other:?}"),
+            },
+            "range proof invalid",
+        ),
+    ];
+    for (target, forge, reason) in cases {
+        swapped_body_refused(&mut world, &capsule, target, forge, reason);
+    }
+
+    // A branched capsule answers a range record by record: fork it at its
+    // head, as a writer resumed from stale state does.
+    let stale = stored_record(&mut world, &capsule, 7);
+    let writer = world.client_mut().writer_mut(&capsule).unwrap();
+    let mut quasi = writer.clone().with_mode(WriterMode::Quasi);
+    quasi.resume_possibly_stale(&stale).unwrap();
+    *writer = quasi;
+    use gdp::caapi::CapsuleAccess;
+    assert_eq!(world.append(&capsule, b"a fork at seq 8").unwrap(), 8);
+    let records: Vec<Record> = (2..=5).map(|s| stored_record(&mut world, &capsule, s)).collect();
+    let (_, served, _) = served_under_mac(&mut world, &capsule, ReadTarget::Range(2, 5));
+    assert_eq!(served, ReadResult::Records(records));
+    swapped_body_refused(
+        &mut world,
+        &capsule,
+        ReadTarget::Range(2, 5),
+        |r| match r {
+            ReadResult::Records(rs) => swap(&mut rs[1].body),
+            other => panic!("a branched Range answered {other:?}"),
+        },
+        "record verification failed",
+    );
+}
