@@ -274,6 +274,120 @@ mod tests {
         assert!(!key.verifying_key().verify(b"malleability", &Signature(forged)));
     }
 
+    /// Verification as it ran before the table-driven kernels: the same
+    /// checks, with the bit-by-bit Straus loop for the group equation.
+    fn oracle_verify(key: &[u8; 32], msg: &[u8], sig: &[u8; 64]) -> bool {
+        let (r_enc, s_enc) = (sig[..32].try_into().unwrap(), sig[32..].try_into().unwrap());
+        let (Some(s), Some(a), Some(r)) =
+            (Scalar::from_canonical_bytes(s_enc), Point::decompress(key), Point::decompress(r_enc))
+        else {
+            return false;
+        };
+        let k = challenge(r_enc, key, msg);
+        Point::double_scalar_mul_bitwise(&s, &k, &a.neg()) == r
+    }
+
+    fn challenge(r_enc: &[u8; 32], key: &[u8; 32], msg: &[u8]) -> Scalar {
+        let mut h = Sha512::new();
+        h.update(r_enc).update(key).update(msg);
+        Scalar::from_bytes_mod_order_wide(&h.finalize())
+    }
+
+    /// Runs both verifiers on raw bytes (no key parsing on the way in),
+    /// asserts they agree, and returns the verdict.
+    fn both_verify(key: &[u8; 32], msg: &[u8], sig: &[u8; 64]) -> bool {
+        let new = VerifyingKey { compressed: *key }.verify(msg, &Signature(*sig));
+        assert_eq!(new, oracle_verify(key, msg, sig), "key {}", hex::encode(key));
+        new
+    }
+
+    /// The signature (R, s) with s = r + k·a, k hashed over `r_enc`.
+    fn forge(r_enc: [u8; 32], r: Scalar, a: Scalar, key: &[u8; 32], msg: &[u8]) -> [u8; 64] {
+        let s = r.add(challenge(&r_enc, key, msg).mul(a));
+        let mut sig = [0u8; 64];
+        sig[..32].copy_from_slice(&r_enc);
+        sig[32..].copy_from_slice(&s.to_bytes());
+        sig
+    }
+
+    #[test]
+    fn verify_accepts_and_rejects_exactly_what_the_bitwise_check_did() {
+        use crate::field::Fe;
+        use crate::scalar::L;
+        let key = SigningKey::from_seed(&[11u8; 32]);
+        let pk = key.verifying_key().to_bytes();
+        let sig = key.sign(b"pinned").0;
+        assert!(both_verify(&pk, b"pinned", &sig));
+        assert!(!both_verify(&pk, b"pinnee", &sig));
+        let mut flipped_r = sig;
+        flipped_r[3] ^= 0x01;
+        assert!(!both_verify(&pk, b"pinned", &flipped_r));
+        let r_point = Point::decompress(&sig[..32].try_into().unwrap()).unwrap();
+        let mut moved_r = sig;
+        moved_r[..32].copy_from_slice(&r_point.add(&Point::base()).compress());
+        assert!(!both_verify(&pk, b"pinned", &moved_r));
+
+        // s + ℓ: the same group equation, a non-canonical s.
+        let s = Scalar::from_canonical_bytes(&sig[32..].try_into().unwrap()).unwrap();
+        let mut s_plus_l = sig;
+        let mut carry = 0u128;
+        for (i, limb) in s.0.iter().enumerate() {
+            let v = *limb as u128 + L[i] as u128 + carry;
+            s_plus_l[32 + 8 * i..40 + 8 * i].copy_from_slice(&(v as u64).to_le_bytes());
+            carry = v >> 64;
+        }
+        assert!(!both_verify(&pk, b"pinned", &s_plus_l));
+
+        // Encodings of the identity (y = 1), of the order-2 point (y = −1),
+        // of y = p + 1 (the identity, non-canonical) and "−0" (the identity
+        // with the sign bit set).
+        let identity = Point::identity().compress();
+        let order2 = (Fe::ZERO - Fe::ONE).to_bytes();
+        let mut y_p_plus_1 = order2;
+        y_p_plus_1[0] += 2;
+        let mut minus_zero = identity;
+        minus_zero[31] |= 0x80;
+        let r = Scalar::from_u64(31337);
+        let r_b = Point::mul_base(&r);
+        let zero = Scalar::ZERO;
+
+        // The identity as A: s = r with R = r·B holds for every message; the
+        // same signature under "−0" or y = p + 1 is refused.
+        for key in [identity, minus_zero, y_p_plus_1] {
+            let sig = forge(r_b.compress(), r, zero, &key, b"any");
+            assert_eq!(both_verify(&key, b"any", &sig), key == identity);
+        }
+
+        // R as the identity with s = k·a holds; the same R as y = p + 1 or
+        // "−0" is refused; an order-4 or order-8 R never equals s·B − k·A.
+        let a = Scalar::from_u64(5);
+        let pk5 = Point::mul_base(&a).compress();
+        for r_enc in [identity, minus_zero, y_p_plus_1] {
+            let sig = forge(r_enc, zero, a, &pk5, b"m");
+            assert_eq!(both_verify(&pk5, b"m", &sig), r_enc == identity);
+        }
+        let order4 = Point::decompress(&[0u8; 32]).unwrap();
+        for t in [order4, crate::edwards::tests::order8_point()] {
+            let sig = forge(r_b.add(&t).compress(), r, a, &pk5, b"m");
+            assert!(!both_verify(&pk5, b"m", &sig));
+        }
+
+        // The order-2 point T2 as A: s·B − k·A == R holds iff k is even.
+        // A = a·B + T2 with R = r·B + T2: holds iff k is odd. Both outcomes
+        // must occur, and the two verifiers must agree on each.
+        let t2 = Point::decompress(&order2).unwrap();
+        let mixed = Point::mul_base(&a).add(&t2).compress();
+        let mut seen = [[false; 2]; 2];
+        for i in 0u8..32 {
+            let msg = [i; 3];
+            let v = both_verify(&order2, &msg, &forge(r_b.compress(), r, zero, &order2, &msg));
+            seen[0][usize::from(v)] = true;
+            let sig = forge(r_b.add(&t2).compress(), r, a, &mixed, &msg);
+            seen[1][usize::from(both_verify(&mixed, &msg, &sig))] = true;
+        }
+        assert_eq!(seen, [[true; 2]; 2]);
+    }
+
     #[test]
     fn deterministic_signatures() {
         let key = SigningKey::from_seed(&[42u8; 32]);

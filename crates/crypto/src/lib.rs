@@ -16,9 +16,18 @@
 //! ## Security caveat
 //!
 //! These implementations pass the relevant RFC test vectors and are suitable
-//! for research and reproduction, but they have not been audited and some
-//! paths (e.g. Edwards scalar multiplication) are variable-time. Do not use
-//! for production secrets.
+//! for research and reproduction, but they have not been audited. Do not
+//! use for production secrets. On timing:
+//!
+//! * Base-point multiplication by a secret scalar (key derivation, the
+//!   signing nonce, X25519 public keys) is table-driven: every table lookup
+//!   reads a whole row and keeps one entry by mask, so the scalar chooses
+//!   no branch and no address. The X25519 ladder swaps by mask, and field
+//!   inversion runs a fixed addition chain.
+//! * Signature verification is variable-time (wNAF recoding and
+//!   digit-dependent additions); every input to it is public.
+//! * Scalar arithmetic modulo ℓ ([`scalar`]) branches on its values
+//!   (conditional subtraction of ℓ), secret ones included.
 
 #![forbid(unsafe_code)]
 // Reference-style crypto code indexes fixed-size limb arrays directly and

@@ -48,7 +48,9 @@ impl Fib {
 
     /// Installs (or refreshes) a candidate next hop for `name`.
     pub fn install(&mut self, name: Name, entry: FibEntry) {
-        let slot = self.entries.entry(name).or_default();
+        // Most names have one candidate: start the slot at capacity 1, not
+        // the 4 a first `push` would reserve.
+        let slot = self.entries.entry(name).or_insert_with(|| Vec::with_capacity(1));
         // Replace an existing candidate from the same server via the same
         // neighbor (refresh), otherwise add.
         if let Some(existing) =
@@ -177,6 +179,17 @@ mod tests {
         assert_eq!(fib.best(&n, 0).unwrap().neighbor, 2);
         fib.purge_neighbor(2);
         assert!(fib.best(&n, 0).is_none());
+    }
+
+    #[test]
+    fn a_name_with_one_candidate_holds_one_slot() {
+        let mut fib = Fib::new();
+        for i in 0u8..16 {
+            fib.install(name(&[i]), entry(1, 0, 100, b"s"));
+        }
+        for (_, slot) in fib.iter() {
+            assert_eq!(slot.capacity(), 1);
+        }
     }
 
     #[test]

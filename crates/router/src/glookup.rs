@@ -27,7 +27,9 @@ impl GLookup {
     /// for having verified the chain; the database itself is untrusted
     /// storage and queriers re-verify.
     pub fn insert(&mut self, route: VerifiedRoute) {
-        let slot = self.routes.entry(route.name).or_default();
+        // Most names have one route: start the slot at capacity 1, not
+        // the 4 a first `push` would reserve.
+        let slot = self.routes.entry(route.name).or_insert_with(|| Vec::with_capacity(1));
         if let Some(existing) = slot.iter_mut().find(|r| r.server == route.server) {
             *existing = route;
         } else {
@@ -123,5 +125,19 @@ mod tests {
         assert!(!g.contains(&Name::from_content(b"a"), 100));
         g.purge_expired(100);
         assert!(g.is_empty());
+    }
+
+    #[test]
+    fn a_bare_principal_route_costs_one_small_slot() {
+        let mut g = GLookup::new();
+        for i in 0u8..16 {
+            g.insert(route(&[i], 1, 100));
+        }
+        for slot in g.routes.values() {
+            assert_eq!(slot.capacity(), 1);
+        }
+        // The capsule advert is boxed, so a bare route carries no advert's
+        // worth of inline space.
+        assert!(std::mem::size_of::<VerifiedRoute>() <= 256);
     }
 }

@@ -19,7 +19,9 @@ use gdp_wire::{DecodeError, Decoder, Encoder, Name, Wire};
 pub struct VerifiedRoute {
     /// The capsule entry (metadata + serving chain), or `None` when the
     /// route is for a bare principal (a client or server's own name).
-    pub entry: Option<CapsuleAdvert>,
+    /// Boxed: a bare route, one per attached principal, then holds a
+    /// pointer rather than an advert's worth of empty space.
+    pub entry: Option<Box<CapsuleAdvert>>,
     /// The served name (capsule name, or the principal's own name).
     pub name: Name,
     /// The serving principal (public identity; lets anyone re-verify the
@@ -78,7 +80,7 @@ impl Wire for VerifiedRoute {
         enc.varint(self.expires);
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let entry = dec.option(CapsuleAdvert::decode)?;
+        let entry = dec.option(CapsuleAdvert::decode)?.map(Box::new);
         let name = dec.name()?;
         let server = Principal::decode(dec)?;
         let rtcert = RtCert::decode(dec)?;

@@ -454,7 +454,7 @@ impl Router {
             let capsule = entry.capsule();
             let expires = advertisement.expires.min(rtcert.expires).min(entry.chain.adcert.expires);
             let route = VerifiedRoute {
-                entry: Some(entry.clone()),
+                entry: Some(Box::new(entry.clone())),
                 name: capsule,
                 server: advertisement.advertiser.clone(),
                 rtcert: rtcert.clone(),
