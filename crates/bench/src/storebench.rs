@@ -9,11 +9,11 @@
 //! [`RecoveryStats::tail_entries`], not wall-clock).
 
 use gdp_capsule::{
-    CapsuleWriter, MetadataBuilder, PointerStrategy, Record, RecordHash, RecordHeader,
+    body_digest, CapsuleWriter, MetadataBuilder, PointerStrategy, Record, RecordHash, RecordHeader,
 };
 use gdp_cert::{AdCert, PrincipalId, PrincipalKind, Scope, ServingChain};
 use gdp_crypto::x25519::EphemeralKeyPair;
-use gdp_crypto::{sha256, Signature, SigningKey};
+use gdp_crypto::{Signature, SigningKey};
 use gdp_server::{DataCapsuleServer, DataMsg, ReadResult, ReadTarget};
 use gdp_store::{CapsuleStore, FsyncPolicy, RecoveryStats, SegConfig, SegLog};
 use gdp_wire::{Bytes, Name, Pdu, Wire};
@@ -250,7 +250,7 @@ pub fn unsigned_record(capsule: &Name, seq: u64, body: Vec<u8>) -> Record {
         timestamp_micros: 0,
         prev: RecordHash::anchor(capsule),
         extra: vec![],
-        body_hash: sha256(&body),
+        body_hash: body_digest(&body),
         body_len: body.len() as u32,
     };
     Record { header, body: Bytes::from_vec(body), signature: Signature([0u8; 64]) }

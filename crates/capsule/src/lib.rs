@@ -7,7 +7,8 @@
 //! to the DataCapsule." (paper §V)
 //!
 //! * [`metadata`] — owner-signed key-value metadata; its hash is the name.
-//! * [`record`] — hash-linked immutable records and writer heartbeats.
+//! * [`record`] — hash-linked immutable records and writer heartbeats;
+//!   [`body_digest`] (BLAKE2b-256) binds each body to its header.
 //! * [`strategy`] — configurable extra hash-pointer policies (chain,
 //!   skip-list, checkpoint, stream).
 //! * [`capsule`] — the verified record DAG: ingest, holes, branches, CRDT
@@ -40,6 +41,6 @@ pub use entangle::{EntanglementBody, OrderingProof};
 pub use error::CapsuleError;
 pub use metadata::{CapsuleMetadata, MetadataBuilder};
 pub use proof::{MembershipProof, RangeProof};
-pub use record::{Heartbeat, Pointer, Record, RecordHash, RecordHeader};
+pub use record::{body_digest, Heartbeat, Pointer, Record, RecordHash, RecordHeader};
 pub use strategy::PointerStrategy;
 pub use writer::{CapsuleWriter, WriterMode};

@@ -15,8 +15,8 @@
 
 use crate::capsule::{Chain, DataCapsule, Retained};
 use crate::error::CapsuleError;
-use crate::record::{Heartbeat, Pointer, Record, RecordHeader};
-use gdp_crypto::VerifyingKey;
+use crate::record::{body_digest, Heartbeat, Pointer, Record, RecordHeader};
+use gdp_crypto::{ct, VerifyingKey};
 use gdp_wire::{Bytes, DecodeError, Decoder, Encoder, Name, Wire};
 
 /// Proof that the record at `target_seq` is part of the history attested by
@@ -119,7 +119,7 @@ impl MembershipProof {
             }
         }
         let last = self.path.last().unwrap();
-        if gdp_crypto::sha256(&self.body) != last.body_hash {
+        if !ct::eq(&body_digest(&self.body), &last.body_hash) {
             return Err(CapsuleError::BadProof("body does not match proven header"));
         }
         last.validate_structure()?;
@@ -215,7 +215,7 @@ impl RangeProof {
                 return Err(CapsuleError::BadProof("range hash-chain broken"));
             }
             rec.header.validate_structure()?;
-            if gdp_crypto::sha256(&rec.body) != rec.header.body_hash {
+            if !ct::eq(&body_digest(&rec.body), &rec.header.body_hash) {
                 return Err(CapsuleError::BadProof("range body mismatch"));
             }
             expected_hash = rec.header.prev;

@@ -11,13 +11,21 @@
 //! and are verified — separately.
 
 use crate::error::CapsuleError;
-use gdp_crypto::{sha256, Signature, SigningKey, VerifyingKey};
+use gdp_crypto::{ct, sha256, Signature, SigningKey, VerifyingKey};
 use gdp_wire::{Bytes, DecodeError, Decoder, Encoder, Name, Wire};
 
 /// Domain-separation tag for record-header hashes.
 pub const RECORD_TAG: &str = "gdp/record-header/v1";
 /// Domain-separation tag for writer heartbeat signatures.
 pub const HEARTBEAT_TAG: &str = "gdp/heartbeat/v1";
+
+/// Digest binding a record's body to its header (`RecordHeader::body_hash`):
+/// BLAKE2b-256. Every served body byte is hashed with it once on the read
+/// path, so it is the faster function; the header hash a pointer holds
+/// stays SHA-256 ([`RecordHeader::hash`]).
+pub fn body_digest(body: &[u8]) -> [u8; 32] {
+    gdp_crypto::blake2b256(body)
+}
 
 /// The SHA-256 hash of a record header — a hash-pointer target.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -85,7 +93,7 @@ pub struct RecordHeader {
     /// (paper §V: "a variable number of additional hash-pointers to past
     /// records for efficiency and fault-tolerance").
     pub extra: Vec<Pointer>,
-    /// SHA-256 of the (possibly encrypted) body bytes.
+    /// [`body_digest`] of the (possibly encrypted) body bytes.
     pub body_hash: [u8; 32],
     /// Body length in bytes.
     pub body_len: u32,
@@ -201,7 +209,7 @@ impl Record {
             timestamp_micros,
             prev,
             extra,
-            body_hash: sha256(&body),
+            body_hash: body_digest(&body),
             body_len: body.len() as u32,
         };
         let hash = header.hash();
@@ -242,7 +250,7 @@ impl Record {
         hash: &RecordHash,
     ) -> Result<(), CapsuleError> {
         self.header.validate_structure()?;
-        if sha256(&self.body) != self.header.body_hash {
+        if !ct::eq(&body_digest(&self.body), &self.header.body_hash) {
             return Err(CapsuleError::BadRecord("body hash mismatch"));
         }
         if self.body.len() as u32 != self.header.body_len {

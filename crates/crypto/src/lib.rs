@@ -5,6 +5,8 @@
 //! crates):
 //!
 //! * [`sha2`] — SHA-256 / SHA-512 (all GDP names are SHA-256 hashes).
+//! * [`blake2b`] — BLAKE2b-256, the record body digest (the read path
+//!   hashes every served body byte with it).
 //! * [`hmac`] — HMAC-SHA256 (steady-state secure responses).
 //! * [`hkdf`] — HKDF-SHA256 (per-flow and per-capsule key derivation).
 //! * [`x25519`] — Diffie-Hellman for flow-key establishment.
@@ -35,6 +37,7 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod aead;
+pub mod blake2b;
 pub mod ct;
 pub mod ed25519;
 pub mod edwards;
@@ -46,6 +49,7 @@ pub mod scalar;
 pub mod sha2;
 pub mod x25519;
 
+pub use blake2b::blake2b256;
 pub use ed25519::{Signature, SigningKey, VerifyingKey};
 pub use sha2::{sha256, sha512, Sha256, Sha512};
 

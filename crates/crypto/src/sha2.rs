@@ -3,7 +3,10 @@
 //! The Global Data Plane derives every name — DataCapsules, organizations,
 //! DataCapsule-servers, GDP-routers — as a SHA-256 hash over signed metadata
 //! (paper §V: "unless otherwise specified, 'hash' refers to a SHA256 hash
-//! function"). SHA-512 is required internally by Ed25519.
+//! function"), and so is every record-header hash and hash pointer.
+//! SHA-512 is required internally by Ed25519. Record bodies are the one
+//! exception: their digest is BLAKE2b-256 ([`crate::blake2b`]), the bulk
+//! hash of the read path.
 
 /// Output size of SHA-256 in bytes.
 pub const SHA256_LEN: usize = 32;

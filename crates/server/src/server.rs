@@ -1370,6 +1370,28 @@ mod tests {
         assert_eq!(counted(&rig, "appends_rejected"), 1);
     }
 
+    /// A record from before the body digest became BLAKE2b-256 — its
+    /// header commits to SHA-256(body), under a valid writer signature —
+    /// is refused like any other body mismatch, and counted.
+    #[test]
+    fn sha256_body_hash_append_is_refused_and_counted() {
+        let mut rig = rig();
+        let mut record = rig.writer.append(b"pre-change", 0).unwrap();
+        record.header.body_hash = gdp_crypto::sha256(&record.body);
+        let hash = record.hash();
+        record.signature =
+            gdp_capsule::Heartbeat::sign(&rig.capsule, &wkey(), record.header.seq, hash).signature;
+        let out = request(&mut rig, &DataMsg::Append { record, ack_mode: AckMode::Local });
+        match msg_of(&out[0]) {
+            DataMsg::ErrResp { code: ErrorCode::VerificationFailed, detail } => {
+                assert!(detail.contains("body hash mismatch"), "{detail}")
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        assert_eq!(counted(&rig, "appends_rejected"), 1);
+        assert_eq!(counted(&rig, "appends_committed"), 0);
+    }
+
     #[test]
     fn read_errors() {
         let mut rig = rig();
