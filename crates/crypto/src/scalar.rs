@@ -1,9 +1,9 @@
 //! Arithmetic modulo the Ed25519 group order
 //! ℓ = 2^252 + 27742317777372353535851937790883648493.
 //!
-//! Implemented with 4×u64 limbs and Montgomery multiplication (CIOS). All
-//! Montgomery constants are computed at startup from ℓ itself, so there are
-//! no long transcribed magic tables to get wrong.
+//! Implemented with 4×u64 limbs and Montgomery multiplication (CIOS). The
+//! Montgomery constants `R2` and `L_INV_NEG` are derived from ℓ itself
+//! at compile time, so there are no transcribed magic values to get wrong.
 
 /// The group order ℓ as four little-endian u64 limbs.
 pub const L: [u64; 4] =
@@ -15,43 +15,47 @@ pub const L: [u64; 4] =
 pub struct Scalar(pub(crate) [u64; 4]);
 
 #[inline]
-fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
+const fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
     let t = (a as u128) + (b as u128) + (carry as u128);
     (t as u64, (t >> 64) as u64)
 }
 
 #[inline]
-fn sbb(a: u64, b: u64, borrow: u64) -> (u64, u64) {
+const fn sbb(a: u64, b: u64, borrow: u64) -> (u64, u64) {
     let t = (a as u128).wrapping_sub(b as u128).wrapping_sub(borrow as u128);
     (t as u64, ((t >> 64) as u64) & 1)
 }
 
 /// a + b with carry out (4 limbs).
-fn add4(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
+const fn add4(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
     let mut out = [0u64; 4];
     let mut c = 0u64;
-    for i in 0..4 {
+    let mut i = 0;
+    while i < 4 {
         let (v, nc) = adc(a[i], b[i], c);
         out[i] = v;
         c = nc;
+        i += 1;
     }
     (out, c)
 }
 
 /// a - b with borrow out (4 limbs).
-fn sub4(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
+const fn sub4(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
     let mut out = [0u64; 4];
     let mut brw = 0u64;
-    for i in 0..4 {
+    let mut i = 0;
+    while i < 4 {
         let (v, nb) = sbb(a[i], b[i], brw);
         out[i] = v;
         brw = nb;
+        i += 1;
     }
     (out, brw)
 }
 
 /// Reduces a value < 2ℓ (given with a possible carry bit) to < ℓ.
-fn cond_sub_l(v: [u64; 4], carry: u64) -> [u64; 4] {
+const fn cond_sub_l(v: [u64; 4], carry: u64) -> [u64; 4] {
     let (sub, borrow) = sub4(&v, &L);
     // Subtract if v >= L, i.e. carry out from the high part or no borrow.
     if carry == 1 || borrow == 0 {
@@ -62,40 +66,50 @@ fn cond_sub_l(v: [u64; 4], carry: u64) -> [u64; 4] {
 }
 
 /// -ℓ^{-1} mod 2^64, computed by Newton iteration on the odd limb ℓ[0].
-fn l_inv_neg() -> u64 {
+const fn l_inv_neg() -> u64 {
     // x_{k+1} = x_k (2 - ℓ0 x_k) doubles correct bits each step.
     let l0 = L[0];
     let mut x: u64 = 1;
-    for _ in 0..6 {
+    let mut k = 0;
+    while k < 6 {
         x = x.wrapping_mul(2u64.wrapping_sub(l0.wrapping_mul(x)));
+        k += 1;
     }
     x.wrapping_neg()
 }
 
-/// R mod ℓ where R = 2^256: computed by doubling 1 two hundred fifty six
-/// times modulo ℓ.
-fn r_mod_l() -> [u64; 4] {
-    let mut v = [1u64, 0, 0, 0];
-    for _ in 0..256 {
+/// `v` doubled `n` times modulo ℓ (`v` < ℓ).
+const fn double_mod_l(mut v: [u64; 4], n: u32) -> [u64; 4] {
+    let mut k = 0;
+    while k < n {
         let (dbl, carry) = add4(&v, &v);
         v = cond_sub_l(dbl, carry);
+        k += 1;
     }
     v
+}
+
+/// R mod ℓ where R = 2^256: computed by doubling 1 two hundred fifty six
+/// times modulo ℓ.
+const fn r_mod_l() -> [u64; 4] {
+    double_mod_l([1, 0, 0, 0], 256)
 }
 
 /// R^2 mod ℓ: doubling R another 256 times.
-fn r2_mod_l() -> [u64; 4] {
-    let mut v = r_mod_l();
-    for _ in 0..256 {
-        let (dbl, carry) = add4(&v, &v);
-        v = cond_sub_l(dbl, carry);
-    }
-    v
+const fn r2_mod_l() -> [u64; 4] {
+    double_mod_l(r_mod_l(), 256)
 }
+
+/// R² mod ℓ, folding a value into Montgomery form (evaluated at compile
+/// time).
+const R2: [u64; 4] = r2_mod_l();
+
+/// −ℓ⁻¹ mod 2^64, the CIOS reduction factor (evaluated at compile time).
+const L_INV_NEG: u64 = l_inv_neg();
 
 /// Montgomery multiplication: returns a·b·R^{-1} mod ℓ (CIOS).
 fn mont_mul(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
-    let ninv = l_inv_neg();
+    let ninv = L_INV_NEG;
     let mut t = [0u64; 6]; // 4 limbs + 2 carry slots
     for i in 0..4 {
         // t += a[i] * b
@@ -164,8 +178,7 @@ impl Scalar {
         let hi = limbs_from_le(b[32..].try_into().unwrap());
         // value = hi·2^256 + lo = hi·R + lo (mod ℓ)
         // mont_mul(hi, R²) = hi·R²·R^{-1} = hi·R (mod ℓ)
-        let r2 = r2_mod_l();
-        let hi_part = mont_mul(&hi, &r2);
+        let hi_part = mont_mul(&hi, &R2);
         // Reduce lo (< 2^256 < 16ℓ) by repeated conditional subtraction.
         let mut lo_red = lo;
         for _ in 0..17 {
@@ -208,9 +221,8 @@ impl Scalar {
 
     /// Multiplication mod ℓ.
     pub fn mul(self, rhs: Scalar) -> Scalar {
-        let r2 = r2_mod_l();
         // (a·R)·(b)·R^{-1} = a·b — fold one to Montgomery form then multiply.
-        let a_mont = mont_mul(&self.0, &r2);
+        let a_mont = mont_mul(&self.0, &R2);
         Scalar(mont_mul(&a_mont, &rhs.0))
     }
 
@@ -300,6 +312,24 @@ mod tests {
     fn mont_inverse_constant() {
         let ninv = l_inv_neg();
         assert_eq!(L[0].wrapping_mul(ninv), 1u64.wrapping_neg());
+    }
+
+    /// The compile-time constants equal the same derivations run now, and
+    /// mean what they claim: ℓ·(−ℓ⁻¹) ≡ −1 (mod 2^64), and R²·1·R⁻¹ ≡ R
+    /// (mod ℓ), with R mod ℓ cross-checked as 2^256 reduced by the wide
+    /// path.
+    #[test]
+    fn montgomery_constants_recompute_at_runtime() {
+        use std::hint::black_box;
+        assert_eq!(R2, double_mod_l(black_box([1, 0, 0, 0]), black_box(512)));
+        assert_eq!(R2, r2_mod_l());
+        assert_eq!(L_INV_NEG, l_inv_neg());
+        assert_eq!(L[0].wrapping_mul(L_INV_NEG), 1u64.wrapping_neg());
+        let r = r_mod_l();
+        assert_eq!(mont_mul(&R2, &[1, 0, 0, 0]), r);
+        let mut wide = [0u8; 64];
+        wide[32] = 1;
+        assert_eq!(Scalar::from_bytes_mod_order_wide(&wide).0, r);
     }
 
     #[test]
