@@ -33,8 +33,12 @@
 //! host       = <meta>:<chain>:<peer>,<peer>   # repeatable, see below
 //! ```
 //!
-//! `store_engine = segmented` is still accepted (it was the opt-in when
-//! there was a second engine) and changes nothing; `render` never emits it.
+//! `store_engine = segmented` is still accepted and changes nothing;
+//! `render` never emits it. It was the opt-in when there was a second
+//! engine, and it stays because the end-to-end benchmark's frozen driver
+//! (`benchmark/src/sut.rs`) writes it into every storage node's config:
+//! dropping the key would fail every benchmark run. The test
+//! `the_benchmark_storage_config_shape_parses` pins that text.
 //!
 //! A `host` entry tells a storage node to serve one DataCapsule. The three
 //! `:`-separated fields are the hex-encoded wire encodings of the
@@ -548,6 +552,35 @@ mod tests {
         assert_eq!(err.key, "store_engine");
         let err = NodeConfig::parse(&format!("{base}fsync = always\n")).unwrap_err();
         assert_eq!(err.key, "fsync");
+    }
+
+    /// The exact shape the end-to-end benchmark's driver renders for each
+    /// storage node (`benchmark/src/sut.rs`, `storage_config_text`): the
+    /// driver is frozen, so this text must keep parsing, no-op
+    /// `store_engine = segmented` included.
+    #[test]
+    fn the_benchmark_storage_config_shape_parses() {
+        let seed = "0101010101010101010101010101010101010101010101010101010101010101";
+        let router = Name::from_content(b"bench-router");
+        let host = sample_host();
+        let text = format!(
+            "role = storage\nlisten = 127.0.0.1:0\nseed = {seed}\nlabel = storage-0\n\
+             peer = 127.0.0.1:7000\nrouter = {}\ndata_dir = /tmp/gdp-bench/storage-0\n\
+             store_engine = segmented\nfsync = batch(5)\nhost = {}\n",
+            router.to_hex(),
+            host.render(),
+        );
+        let cfg = NodeConfig::parse(&text).unwrap();
+        assert_eq!(cfg.role, Role::Storage);
+        assert_eq!(cfg.listen, "127.0.0.1:0".parse().unwrap());
+        assert_eq!(cfg.seed, [1u8; 32]);
+        assert_eq!(cfg.label, "storage-0");
+        assert_eq!(cfg.peers, vec!["127.0.0.1:7000".parse().unwrap()]);
+        assert_eq!(cfg.router, Some(router));
+        assert_eq!(cfg.data_dir, Some(PathBuf::from("/tmp/gdp-bench/storage-0")));
+        assert_eq!(cfg.fsync, Some(FsyncPolicy::Batch { interval_us: 5_000 }));
+        assert_eq!(cfg.hosts.len(), 1);
+        assert_eq!(cfg.hosts[0].metadata.name(), host.metadata.name());
     }
 
     #[test]
