@@ -1,5 +1,5 @@
 //! A deterministic, seeded, discrete-event network fabric that implements
-//! the [`Transport`](crate::Transport) trait — so the *real* router,
+//! the [`Transport`] trait — so the *real* router,
 //! server, client, and node runtimes run unmodified inside a reproducible
 //! simulated world (FoundationDB-style simulation testing).
 //!

@@ -246,9 +246,10 @@ else
     printf 'lint_runtime_seconds %s (budget 5)\n' "$lint_secs"
 
     # Intra-doc links are checked references: a link to an item that was
-    # deleted or renamed fails here instead of rotting in the rendered docs.
-    step "cargo doc (deny broken intra-doc links)"
-    RUSTDOCFLAGS='-D rustdoc::broken_intra_doc_links' \
+    # deleted or renamed, or to a private one, fails here instead of
+    # rotting in the rendered docs; so does every other rustdoc warning.
+    step "cargo doc (deny every rustdoc warning)"
+    RUSTDOCFLAGS='-D warnings' \
         cargo doc --workspace --no-deps --offline -q
 fi
 

@@ -11,7 +11,7 @@
 //! un-instrumented and TSan cannot see the happens-before edges their
 //! futexes establish — every correctly-locked structure would be reported
 //! as racing. Under `--cfg gdp_tsan` each lock carries a fence word
-//! ([`TsanClock`]) in *instrumented* code: unlock does a release-increment
+//! (`TsanClock`) in *instrumented* code: unlock does a release-increment
 //! while still holding the lock, lock does an acquire-load right after
 //! acquiring. Mutual exclusion orders the increment before the next
 //! holder's load, so TSan derives exactly the happens-before edges the
