@@ -63,9 +63,9 @@ pub fn blake2b<const N: usize>(data: &[u8]) -> [u8; N] {
         t += BLOCK as u128;
         compress(&mut h, block, t, false);
     }
-    let tail = data.get(full * BLOCK..).unwrap_or_default();
+    let tail = &data[full * BLOCK..];
     let mut last = [0u8; BLOCK];
-    last.iter_mut().zip(tail).for_each(|(d, s)| *d = *s);
+    last[..tail.len()].copy_from_slice(tail);
     t += tail.len() as u128;
     compress(&mut h, &last, t, true);
 
