@@ -465,7 +465,7 @@ fn run_store() {
     println!(
         "\nserved reads — through DataCapsuleServer::handle_pdu (index → store → encode → MAC)\n\
          on a seglog-backed host, capsule {} x {} B = 8x the {} KiB block cache;\n\
-         raw = SegStore::range over the same {}-record spans:",
+         raw = SegLog::range over the same {}-record spans:",
         storebench::SERVED_RECORDS,
         storebench::SERVED_BODY_BYTES,
         storebench::SERVED_CACHE_BYTES / 1024,

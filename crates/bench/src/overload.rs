@@ -58,7 +58,7 @@ fn run_point(budget: u64, multiplier: u64, ticks: u64) -> OverloadPoint {
         .set_str("description", "overload bench")
         .sign(&owner);
     let capsule = meta.name();
-    let mut server = DataCapsuleServer::new(sid.clone());
+    let mut server = DataCapsuleServer::new(sid.clone(), &gdp_obs::Scope::default());
     let chain = ServingChain::direct(
         AdCert::issue(&owner, capsule, sid.name(), false, Scope::Global, FOREVER),
         sid.principal().clone(),

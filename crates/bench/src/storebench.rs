@@ -15,7 +15,7 @@ use gdp_cert::{AdCert, PrincipalId, PrincipalKind, Scope, ServingChain};
 use gdp_crypto::x25519::EphemeralKeyPair;
 use gdp_crypto::{Signature, SigningKey};
 use gdp_server::{DataCapsuleServer, DataMsg, ReadResult, ReadTarget};
-use gdp_store::{CapsuleStore, FsyncPolicy, RecoveryStats, SegConfig, SegLog};
+use gdp_store::{FsyncPolicy, RecoveryStats, SegConfig, SegLog};
 use gdp_wire::{Bytes, Name, Pdu, Wire};
 use std::path::Path;
 use std::time::Instant;
@@ -99,8 +99,7 @@ fn p99(mut latencies: Vec<u64>) -> u64 {
 fn bench_seg(dir: &Path, names: &[Name], records: &[Record]) -> (f64, u64) {
     let scope = gdp_obs::Metrics::new().scope("store");
     let cfg = SegConfig { policy: FsyncPolicy::DEFAULT_BATCH, ..SegConfig::default() };
-    let log = SegLog::open_with(dir.join("seg-engine"), cfg, &scope).expect("open seg log");
-    let mut handles: Vec<_> = names.iter().map(|n| log.handle(*n)).collect();
+    let mut log = SegLog::open(dir.join("seg-engine"), cfg, &scope).expect("open seg log");
     let mut lat = Vec::with_capacity(records.len());
     let mut pending: Vec<Instant> = Vec::with_capacity(GROUP_SIZE);
     let mut now_us = 0u64;
@@ -108,7 +107,7 @@ fn bench_seg(dir: &Path, names: &[Name], records: &[Record]) -> (f64, u64) {
     for (i, r) in records.iter().enumerate() {
         let c = i % names.len();
         pending.push(Instant::now());
-        handles[c].append_acked(r).expect("append");
+        log.append(&names[c], r).expect("append");
         if pending.len() >= GROUP_SIZE || i == records.len() - 1 {
             now_us += 5_000;
             log.flush_now(now_us).expect("flush");
@@ -148,11 +147,10 @@ pub fn recovery_point(dir: &Path, records: u64, tail: u64) -> RecoveryPoint {
     let scope = gdp_obs::Metrics::new().scope("store");
     let cfg = SegConfig { policy: FsyncPolicy::DEFAULT_BATCH, ..SegConfig::default() };
     {
-        let log = SegLog::open_with(&seg_dir, cfg.clone(), &scope).expect("open seg log");
-        let mut handles: Vec<_> = names.iter().map(|n| log.handle(*n)).collect();
+        let mut log = SegLog::open(&seg_dir, cfg.clone(), &scope).expect("open seg log");
         let mut now_us = 0u64;
         for (i, r) in all.iter().enumerate() {
-            handles[i % streams].append_acked(r).expect("append");
+            log.append(&names[i % streams], r).expect("append");
             if i as u64 + 1 == records - tail {
                 now_us += 5_000;
                 log.checkpoint_now(now_us).expect("checkpoint");
@@ -162,7 +160,7 @@ pub fn recovery_point(dir: &Path, records: u64, tail: u64) -> RecoveryPoint {
         log.flush_now(now_us).expect("final flush");
     }
     let t0 = Instant::now();
-    let log = SegLog::open_with(&seg_dir, cfg, &scope).expect("reopen seg log");
+    let log = SegLog::open(&seg_dir, cfg, &scope).expect("reopen seg log");
     let seg_us = t0.elapsed().as_micros() as u64;
     let seg_stats = log.recovery_stats();
     assert!(!seg_stats.full_scan, "recovery bench: checkpoint was not used");
@@ -270,16 +268,15 @@ fn seed_capsules(
     per_capsule: usize,
 ) -> (SegLog, Vec<Name>) {
     let scope = gdp_obs::Metrics::new().scope("store");
-    let log = SegLog::open_with(dir, cfg, &scope).expect("open seg log for seeding");
+    let mut log = SegLog::open(dir, cfg, &scope).expect("open seg log for seeding");
     let names: Vec<Name> =
         (0..capsules).map(|i| Name::from_content(format!("bench-cap-{i}").as_bytes())).collect();
     let mut now_us = 0u64;
     let mut appended = 0usize;
     for name in &names {
-        let mut h = log.handle(*name);
         for seq in 1..=per_capsule as u64 {
             let body = format!("read bench payload {appended}").into_bytes();
-            h.append_acked(&unsigned_record(name, seq, body)).expect("seed append");
+            log.append(name, &unsigned_record(name, seq, body)).expect("seed append");
             appended += 1;
             if appended.is_multiple_of(4096) {
                 now_us += 5_000;
@@ -302,12 +299,11 @@ fn sample_names(names: &[Name]) -> Vec<Name> {
 }
 
 /// Times `reps` passes of one point read per sampled capsule.
-fn point_pass(log: &SegLog, sample: &[Name], seq: u64, reps: usize) -> f64 {
-    let handles: Vec<_> = sample.iter().map(|n| log.handle(*n)).collect();
+fn point_pass(log: &mut SegLog, sample: &[Name], seq: u64, reps: usize) -> f64 {
     let start = Instant::now();
     for _ in 0..reps {
-        for h in &handles {
-            let r = h.get_by_seq(seq).expect("point read").expect("sampled record exists");
+        for name in sample {
+            let r = log.get_by_seq(name, seq).expect("point read").expect("sampled record exists");
             std::hint::black_box(&r);
         }
     }
@@ -324,31 +320,30 @@ fn point_pass(log: &SegLog, sample: &[Name], seq: u64, reps: usize) -> f64 {
 pub fn read_comparison(dir: &Path, capsules: usize, per_capsule: usize) -> ReadPoint {
     let seq = per_capsule as u64;
     let (sample, uncached_point_per_sec) = {
-        let (log, names) = seed_capsules(dir, read_cfg(capsules, 0), capsules, per_capsule);
+        let (mut log, names) = seed_capsules(dir, read_cfg(capsules, 0), capsules, per_capsule);
         let sample = sample_names(&names);
         let reps = (20_000 / sample.len()).max(2);
-        let rate = point_pass(&log, &sample, seq, reps);
+        let rate = point_pass(&mut log, &sample, seq, reps);
         (sample, rate)
     };
 
     let cfg = read_cfg(capsules, READ_CACHE_BYTES);
     let max_open_segments = cfg.max_open_segments;
     let scope = gdp_obs::Metrics::new().scope("store");
-    let log = SegLog::open_with(dir, cfg, &scope).expect("reopen seg log with cache");
-    point_pass(&log, &sample, seq, 1); // fill
+    let mut log = SegLog::open(dir, cfg, &scope).expect("reopen seg log with cache");
+    point_pass(&mut log, &sample, seq, 1); // fill
     let reps = (100_000 / sample.len()).max(4);
-    let warm_point_per_sec = point_pass(&log, &sample, seq, reps);
+    let warm_point_per_sec = point_pass(&mut log, &sample, seq, reps);
 
-    let handles: Vec<_> = sample.iter().map(|n| log.handle(*n)).collect();
-    for h in &handles {
-        h.range(1, seq).expect("range fill");
+    for name in &sample {
+        log.range(name, 1, seq).expect("range fill");
     }
     let (mut zero_copy, mut total) = (0usize, 0usize);
     let range_reps = (100_000 / (sample.len() * per_capsule)).max(2);
     let start = Instant::now();
     for _ in 0..range_reps {
-        for h in &handles {
-            for r in h.range(1, seq).expect("range read") {
+        for name in &sample {
+            for r in log.range(name, 1, seq).expect("range read") {
                 total += 1;
                 if r.body.ref_count() > 1 {
                     zero_copy += 1;
@@ -386,13 +381,13 @@ pub fn read_comparison(dir: &Path, capsules: usize, per_capsule: usize) -> ReadP
 /// Warm point-read rate at the floor workload (the perf-smoke probe):
 /// seeds cache-enabled, seals, fills with one pass, times the rest.
 pub fn seg_read_rate(dir: &Path, capsules: usize, per_capsule: usize) -> f64 {
-    let (log, names) =
+    let (mut log, names) =
         seed_capsules(dir, read_cfg(capsules, READ_CACHE_BYTES), capsules, per_capsule);
     let sample = sample_names(&names);
     let seq = per_capsule as u64;
-    point_pass(&log, &sample, seq, 1); // fill
+    point_pass(&mut log, &sample, seq, 1); // fill
     let reps = (100_000 / sample.len()).max(4);
-    point_pass(&log, &sample, seq, reps)
+    point_pass(&mut log, &sample, seq, reps)
 }
 
 // ----------------------------------------------------------------- served
@@ -413,7 +408,7 @@ pub const SERVED_SCAN_LEN: u64 = 32;
 /// → session MAC) on a seglog-backed host whose capsule is 8× its cache.
 #[derive(Clone, Copy, Debug)]
 pub struct ServedPoint {
-    /// Records/s of `SegStore::range` over uniform 32-record spans.
+    /// Records/s of `SegLog::range` over uniform 32-record spans.
     pub raw_range_records_per_sec: f64,
     /// Records/s of `Read Range` over the same spans, through the server.
     pub served_scan_records_per_sec: f64,
@@ -455,20 +450,19 @@ pub fn served_comparison(dir: &Path) -> ServedPoint {
         read_cache_bytes: SERVED_CACHE_BYTES,
         ..SegConfig::default()
     };
-    let log = SegLog::open_with(dir, cfg, &metrics.scope("store")).expect("open served log");
-    let mut store = log.handle(capsule);
+    let mut log = SegLog::open(dir, cfg, &metrics.scope("store")).expect("open served log");
     let mut writer =
         CapsuleWriter::new(&meta, writer_key, PointerStrategy::SkipList).expect("served writer");
     for seq in 1..=SERVED_RECORDS {
         let record = writer.append(&vec![seq as u8; SERVED_BODY_BYTES], 0).expect("sign");
-        store.append_acked(&record).expect("seed append");
+        log.append(&capsule, &record).expect("seed append");
         if seq % 16 == 0 {
-            store.flush(seq * 5_000).expect("seed flush"); // rotates full segments
+            log.maintain(seq * 5_000).expect("seed flush"); // rotates full segments
         }
     }
 
     // Mount verifies every stored record and keeps its address and wire bound.
-    let mut server = DataCapsuleServer::new_with_obs(sid.clone(), &metrics.scope("server"));
+    let mut server = DataCapsuleServer::new(sid.clone(), &metrics.scope("server"));
     let chain = ServingChain::direct(
         AdCert::issue(&owner, capsule, sid.name(), false, Scope::Global, FOREVER),
         sid.principal().clone(),
@@ -498,7 +492,8 @@ pub fn served_comparison(dir: &Path) -> ServedPoint {
     let start = Instant::now();
     let mut raw_records = 0usize;
     for from in &spans {
-        raw_records += store.range(*from, from + SERVED_SCAN_LEN - 1).expect("raw range").len();
+        let raw = server.log_mut().range(&capsule, *from, from + SERVED_SCAN_LEN - 1);
+        raw_records += raw.expect("raw range").len();
     }
     let raw_range_records_per_sec = raw_records as f64 / start.elapsed().as_secs_f64().max(1e-9);
 

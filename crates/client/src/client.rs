@@ -837,7 +837,7 @@ mod tests {
             &[3u8; 32],
             "loop server",
         );
-        let mut server = DataCapsuleServer::new(sid.clone());
+        let mut server = DataCapsuleServer::new(sid.clone(), &gdp_obs::Scope::default());
         let meta = MetadataBuilder::new()
             .writer(&wkey().verifying_key())
             .set_str("description", "loopback")
@@ -1059,7 +1059,7 @@ mod tests {
             &[3u8; 32],
             "loop server",
         );
-        let mut server = DataCapsuleServer::new(sid.clone());
+        let mut server = DataCapsuleServer::new(sid.clone(), &gdp_obs::Scope::default());
         let meta = MetadataBuilder::new().writer(&wkey().verifying_key()).sign(&owner());
         let chain = ServingChain::direct(
             AdCert::issue(&owner(), meta.name(), sid.name(), false, Scope::Global, FOREVER),

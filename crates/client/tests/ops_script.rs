@@ -78,7 +78,7 @@ fn script(start: u64, fate: Fate) -> Script {
     let meta = metadata();
     let capsule = meta.name();
     let server_id = PrincipalId::from_seed(PrincipalKind::Server, &[3u8; 32], "scripted server");
-    let mut server = DataCapsuleServer::new(server_id.clone());
+    let mut server = DataCapsuleServer::new(server_id.clone(), &gdp_obs::Scope::default());
     server.host(meta.clone(), chain_for(&server_id, capsule), vec![]).unwrap();
     let router = Router::from_seed(&[5u8; 32], "scripted router");
     let metrics = Metrics::new();
@@ -348,7 +348,7 @@ fn honest_degradations_are_retried_and_counted() {
         ops::append(&mut s, capsule, b"two", AckMode::Local, S).unwrap();
         ops::append(&mut s, capsule, b"three", AckMode::Local, S).unwrap();
         ops::read(&mut s, capsule, ReadTarget::Latest, S).unwrap();
-        let record = |seq| s.server.stored_record(&capsule, seq).unwrap().unwrap();
+        let mut record = |seq| s.server.stored_record(&capsule, seq).unwrap().unwrap();
         let (target, degraded) = match reason {
             "stale replica state" => (ReadTarget::Latest, lagging),
             "range not contiguous" => {

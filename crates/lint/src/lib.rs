@@ -102,11 +102,7 @@ impl Report {
 #[derive(Clone, Debug)]
 pub struct LintConfig {
     /// Path fragments of modules where `LK02` polices blocking calls
-    /// under a held lock. Deliberately *excludes* `seglog/mod.rs`: the
-    /// segmented log's `LogInner` is an I/O-owning coarse lock by design
-    /// (see DESIGN.md, "Lock policy") — its read path is kept honest by
-    /// the fetch-outside/install-under-lock structure and the TSan
-    /// smoke, not by this rule.
+    /// under a held lock.
     pub blocking_sensitive_modules: Vec<String>,
     /// Call names `LK02` treats as blocking. Structural refinements in
     /// the call-graph scan keep the common ones precise (`join` must be
@@ -132,9 +128,12 @@ impl Default for LintConfig {
                 "crates/node/src/runtime.rs".into(),
                 "crates/node/src/bin/gdpd.rs".into(),
                 "crates/net/src/tcp.rs".into(),
-                // The storage engine's capsule map is on every open;
-                // recovery I/O must never run under it.
+                // The engine's once-cell for its shared log: only the
+                // first open may run recovery under it, by an allow.
                 "crates/store/src/engine.rs".into(),
+                // The log has no lock; one put back around its I/O is
+                // flagged here.
+                "crates/store/src/seglog/mod.rs".into(),
                 "crates/store/src/seglog/writer.rs".into(),
                 "crates/store/src/seglog/cache.rs".into(),
                 "crates/store/src/seglog/fdpool.rs".into(),

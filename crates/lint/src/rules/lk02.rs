@@ -9,9 +9,9 @@
 //!
 //! The fix direction is always the same: stage the I/O outside the
 //! critical section (fetch-outside/install-under-lock), or split the
-//! lock. Modules whose lock deliberately *owns* the I/O (the segmented
-//! log's `LogInner`) are excluded from the list and documented in
-//! DESIGN.md instead.
+//! lock. A module whose lock deliberately *owns* the I/O (the shared-log
+//! adapter in gdp-store's `store.rs`) is left off the list and documented
+//! in DESIGN.md instead.
 
 use crate::callgraph::CallGraph;
 use crate::engine::SourceFile;

@@ -400,8 +400,8 @@ fn scan_struct_fields(
                     _ => {}
                 }
                 // The useful head type skips smart-pointer / sync
-                // wrappers: `Arc<Mutex<LogInner>>` types the field as
-                // `LogInner` for method-receiver resolution.
+                // wrappers: `Arc<Mutex<SegLog>>` types the field as
+                // `SegLog` for method-receiver resolution.
                 if head_type.is_none()
                     && toks[t].kind == TokKind::Ident
                     && !is_keyword(&toks[t].text)

@@ -18,6 +18,7 @@
 
 use crate::config::{NodeConfig, Role};
 use crate::node::NodeError;
+use gdp_cert::{PrincipalId, PrincipalKind};
 use gdp_obs::Metrics;
 use gdp_router::{attach_directly, AttachStep, Attacher, Router};
 use gdp_server::DataCapsuleServer;
@@ -98,8 +99,8 @@ pub fn build_cores_with_obs(
         // router and server identities never collide.
         let mut seed = cfg.seed;
         seed[0] ^= 0x5a;
-        let mut server =
-            DataCapsuleServer::from_seed_with_obs(&seed, &cfg.label, &metrics.scope("server"));
+        let id = PrincipalId::from_seed(PrincipalKind::Server, &seed, &cfg.label);
+        let mut server = DataCapsuleServer::new(id, &metrics.scope("server"));
         // One log is shared by every hosted capsule — those in the config
         // and those a wire `Host` request adds later: the segmented
         // group-commit log under `<data_dir>/seglog/`, or the same log on

@@ -9,10 +9,9 @@
 //! A server is storage, not a cache: per hosted capsule it keeps a
 //! [`gdp_capsule::CapsuleIndex`] — heads, links, pending bookkeeping, an
 //! address and a wire bound per record — and every record, header and
-//! signature included, lives in the capsule's stream
-//! ([`gdp_store::SegStore`]) of the node's one log alone; the server
-//! flushes that log once per tick and releases acks against its one
-//! durable epoch. A record is indexed only once the store accepted it; a
+//! signature included, lives only in the capsule's stream of the node's
+//! one [`gdp_store::SegLog`], which the server owns; it flushes that log
+//! once per tick and releases acks against its one durable epoch. A record is indexed only once the store accepted it; a
 //! read is index → store → encode, proof hops and the head a heartbeat
 //! comes from included, and a record the store cannot return is a typed
 //! error, counted and traced.

@@ -65,19 +65,19 @@ fn tiny_cfg(policy: FsyncPolicy) -> SegConfig {
 }
 
 /// A server hosting [`meta`] on a seglog under `dir`, and its registry.
-fn mount(dir: &Path, cfg: SegConfig) -> (DataCapsuleServer, SegLog, Metrics) {
+fn mount(dir: &Path, cfg: SegConfig) -> (DataCapsuleServer, Metrics) {
     let metrics = Metrics::new();
-    let log = SegLog::open_with(dir, cfg, &metrics.scope("store")).unwrap();
+    let log = SegLog::open(dir, cfg, &metrics.scope("store")).unwrap();
     let id = server_id();
-    let mut server = DataCapsuleServer::new_with_obs(id.clone(), &metrics.scope("server"));
+    let mut server = DataCapsuleServer::new(id.clone(), &metrics.scope("server"));
     let meta = meta();
     let chain = ServingChain::direct(
         AdCert::issue(&owner(), meta.name(), id.name(), false, Scope::Global, FOREVER),
         id.principal().clone(),
     );
-    server.mount(log.clone());
+    server.mount(log);
     server.host(meta.clone(), chain, vec![]).unwrap();
-    (server, log, metrics)
+    (server, metrics)
 }
 
 fn client() -> Name {
@@ -257,7 +257,7 @@ fn assert_same_answers(
 fn run_script(seed: u64) {
     let dir = tmpdir(&format!("oracle-{seed}"));
     let policy = FsyncPolicy::Batch { interval_us: 5_000 };
-    let (mut server, log, metrics) = mount(&dir, tiny_cfg(policy));
+    let (mut server, metrics) = mount(&dir, tiny_cfg(policy));
     let meta = meta();
     let mut model = DataCapsule::new(meta.clone()).unwrap();
     let mut writer = CapsuleWriter::new(&meta, wkey(), PointerStrategy::SkipList).unwrap();
@@ -316,7 +316,7 @@ fn run_script(seed: u64) {
             }
             14 => {
                 now += 1_000;
-                log.rotate_now(now).unwrap();
+                server.log_mut().rotate_now(now).unwrap();
                 "rotate"
             }
             _ => {
@@ -350,7 +350,7 @@ fn run_script(seed: u64) {
 
     // The script reached what it is for.
     assert!(saw_pending && saw_buffered && branched, "seed {seed}: script too tame");
-    assert!(log.segment_ids().len() >= 4, "seed {seed}: nothing sealed");
+    assert!(server.log_mut().segment_ids().len() >= 4, "seed {seed}: nothing sealed");
     let count = |name| metrics.counter_value("store", name);
     assert!(count("read_cache_misses") > 0, "seed {seed}: no sealed read left the cache");
     assert!(count("read_cache_evictions") > 0, "seed {seed}: the cache never filled");
@@ -393,7 +393,7 @@ fn record_entries(seg: &[u8]) -> Vec<(usize, Record)> {
 fn rot_in_a_sealed_entry_is_a_typed_error_for_that_seq_only_and_a_refillable_hole_after_restart() {
     let dir = tmpdir("rot");
     let cfg = tiny_cfg(FsyncPolicy::Always);
-    let (mut server, log, metrics) = mount(&dir, cfg.clone());
+    let (mut server, metrics) = mount(&dir, cfg.clone());
     let meta = meta();
     let mut writer = CapsuleWriter::new(&meta, wkey(), PointerStrategy::Chain).unwrap();
     let records: Vec<Record> =
@@ -402,7 +402,7 @@ fn rot_in_a_sealed_entry_is_a_typed_error_for_that_seq_only_and_a_refillable_hol
         append(&mut server, i as u64, r);
         server.tick(i as u64); // rotates full segments
     }
-    assert!(log.segment_ids().len() >= 3, "fixture must seal segments");
+    assert!(server.log_mut().segment_ids().len() >= 3, "fixture must seal segments");
 
     // Flip one byte inside the body of sealed segment 0's third record.
     let seg0 = dir.join(format!("{:010}.seg", 0));
@@ -455,10 +455,10 @@ fn rot_in_a_sealed_entry_is_a_typed_error_for_that_seq_only_and_a_refillable_hol
     let out = server.handle_pdu(0, pdu(meta.name(), 9, &DataMsg::Subscribe { from_seq: 0 }));
     assert_eq!(out.len(), 23);
     assert_eq!(metrics.counter_value("server", "read_store_failures"), before + 1);
-    drop((server, log));
+    drop(server);
 
     // A restart verifies every stored record: the rot becomes a hole.
-    let (mut server, _log, metrics) = mount(&dir, cfg);
+    let (mut server, metrics) = mount(&dir, cfg);
     assert_eq!(metrics.counter_value("server", "recovery_records_skipped"), 1);
     let events = metrics.drain_trace();
     let skipped: Vec<_> = events.iter().filter(|e| e.event == "recovery_skipped").collect();
@@ -480,8 +480,8 @@ fn rot_in_a_sealed_entry_is_a_typed_error_for_that_seq_only_and_a_refillable_hol
     assert_eq!((index.len(), index.pending_len()), (24, 0));
     assert_eq!(read(&mut server, ReadTarget::One(rotted)), Ok(ReadResult::Record(whole)));
     server.tick(1_000_000);
-    drop((server, _log));
-    let (mut server, _log, metrics) = mount(&dir, tiny_cfg(FsyncPolicy::Always));
+    drop(server);
+    let (mut server, metrics) = mount(&dir, tiny_cfg(FsyncPolicy::Always));
     assert_eq!(metrics.counter_value("server", "recovery_records_skipped"), 0);
     let served = read(&mut server, ReadTarget::Range(1, 24)).map(verified_run);
     let tip = Heartbeat::from_record(&meta.name(), &records[23]);
@@ -495,7 +495,7 @@ fn rot_in_a_sealed_entry_is_a_typed_error_for_that_seq_only_and_a_refillable_hol
 #[test]
 fn rot_in_the_head_entry_is_a_typed_error_for_heartbeats_and_proofs_and_ranges_below_are_served() {
     let dir = tmpdir("head-rot");
-    let (mut server, log, metrics) = mount(&dir, tiny_cfg(FsyncPolicy::Always));
+    let (mut server, metrics) = mount(&dir, tiny_cfg(FsyncPolicy::Always));
     let meta = meta();
     let mut writer = CapsuleWriter::new(&meta, wkey(), PointerStrategy::Chain).unwrap();
     let records: Vec<Record> =
@@ -505,8 +505,9 @@ fn rot_in_the_head_entry_is_a_typed_error_for_heartbeats_and_proofs_and_ranges_b
         server.tick(i as u64);
     }
     // Seal the head's segment, unread: its entry is read from disk next.
-    log.rotate_now(100).unwrap();
-    let (seg, body_at) = log
+    server.log_mut().rotate_now(100).unwrap();
+    let (seg, body_at) = server
+        .log_mut()
         .segment_ids()
         .into_iter()
         .map(|id| dir.join(format!("{id:010}.seg")))
@@ -551,7 +552,7 @@ fn a_server_keeps_no_body_bytes_after_appends_or_after_mount() {
     let records: Vec<Record> =
         (0..48u64).map(|i| writer.append(&[i as u8; 4096], i).unwrap()).collect();
     {
-        let (mut server, _log, _) = mount(&dir, cfg.clone());
+        let (mut server, _) = mount(&dir, cfg.clone());
         // Seq 40 arrives last: 41..=48 wait behind the hole, parked.
         for r in records.iter().filter(|r| r.header.seq != 40) {
             append(&mut server, 0, r);
@@ -564,7 +565,7 @@ fn a_server_keeps_no_body_bytes_after_appends_or_after_mount() {
             Ok(ReadResult::Record(records[38].clone()))
         );
     }
-    let (mut server, _log, _) = mount(&dir, cfg);
+    let (mut server, _) = mount(&dir, cfg);
     let index = server.capsule(&meta.name()).unwrap();
     assert_eq!((index.len(), index.pending_len()), (39, 8), "mount verified all 47");
     append(&mut server, 0, &records[39]);

@@ -1,20 +1,22 @@
 //! Multi-capsule storage engine: opens the log a DataCapsule-server
 //! mounts.
 //!
-//! Hosted capsules live in one shared segmented log for the whole node:
-//! on disk when gdpd has a `data_dir`, else on a fresh [`MemFs`]. The
-//! engine also carries the node's [`FsyncPolicy`]. [`StorageEngine::log`]
-//! opens that log once; the server mounts it, holds one stream of it per
-//! hosted capsule and flushes it once per tick.
+//! Hosted capsules live in one segmented log for the whole node: on disk
+//! when gdpd has a `data_dir`, else on a fresh [`MemFs`]. The engine also
+//! carries the node's [`FsyncPolicy`]. [`StorageEngine::log`] consumes the
+//! engine and opens that log once; the server mounts it, owns it, and
+//! flushes it once per tick. [`StorageEngine::open_boxed`] is for callers
+//! outside a server: it shares one lazily opened log between its handles.
 
 use crate::io::{Dir, MemFs};
 use crate::policy::FsyncPolicy;
 use crate::seglog::{SegConfig, SegLog};
-use crate::store::{CapsuleStore, StoreError};
+use crate::store::{CapsuleStore, SharedStream, StoreError};
 use gdp_obs::Scope;
 use gdp_wire::Name;
 use parking_lot::Mutex;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Backing medium for a [`StorageEngine`]'s one segmented log.
 #[derive(Clone, Debug)]
@@ -28,12 +30,14 @@ pub enum Backing {
     Segmented(PathBuf),
 }
 
-/// The node's store: opens the node's one [`SegLog`] once.
+/// The node's store: opens the node's one [`SegLog`].
 pub struct StorageEngine {
     backing: Backing,
     /// Set by [`StorageEngine::with_policy`]; else the backing's default.
     policy: Option<FsyncPolicy>,
-    seg: Mutex<Option<SegLog>>,
+    /// The log every [`StorageEngine::open_boxed`] handle shares, opened
+    /// by the first call.
+    shared: Mutex<Option<Arc<Mutex<SegLog>>>>,
     obs: Scope,
 }
 
@@ -45,7 +49,7 @@ impl StorageEngine {
 
     /// Creates an engine registering store metrics under `scope`.
     pub fn with_obs(backing: Backing, scope: Scope) -> StorageEngine {
-        StorageEngine { backing, policy: None, seg: Mutex::new(None), obs: scope }
+        StorageEngine { backing, policy: None, shared: Mutex::new(None), obs: scope }
     }
 
     /// Sets the durability policy (default: see [`Backing`]).
@@ -54,27 +58,34 @@ impl StorageEngine {
         self
     }
 
-    /// The node's one log, opened (and recovered) by the first call; every
-    /// call returns a handle to that same log.
-    pub fn log(&self) -> Result<SegLog, StoreError> {
-        let mut seg = self.seg.lock();
-        if let Some(log) = &*seg {
-            return Ok(log.clone());
-        }
+    /// Opens (and recovers) the node's one log. The engine is consumed, so
+    /// a node cannot open its directory twice.
+    pub fn log(self) -> Result<SegLog, StoreError> {
+        self.open_log()
+    }
+
+    fn open_log(&self) -> Result<SegLog, StoreError> {
         let (dir, policy) = match &self.backing {
             Backing::Memory => (Dir::from(&MemFs::new()), FsyncPolicy::Always),
             Backing::Segmented(path) => (Dir::from(path), FsyncPolicy::DEFAULT_BATCH),
         };
         let cfg = SegConfig { policy: self.policy.unwrap_or(policy), ..SegConfig::default() };
-        // gdp-lint: allow(LK02) -- once-cell init: the `seg` guard deliberately serializes concurrent first-openers so exactly one runs recovery on the shared directory; steady state takes the early-return arm
-        let log = SegLog::open_with(dir, cfg, &self.obs)?;
-        *seg = Some(log.clone());
-        Ok(log)
+        SegLog::open(dir, cfg, &self.obs)
     }
 
-    /// An owned store for `capsule`: its stream of [`StorageEngine::log`].
+    /// A store for `capsule`: its stream of one log that every handle from
+    /// this engine shares, opened by the first call.
     pub fn open_boxed(&self, capsule: &Name) -> Result<Box<dyn CapsuleStore>, StoreError> {
-        Ok(Box::new(self.log()?.handle(*capsule)))
+        let mut shared = self.shared.lock();
+        let log = match &*shared {
+            Some(log) => log.clone(),
+            None => {
+                // gdp-lint: allow(LK02) -- once-cell init: the `shared` guard deliberately serializes concurrent first-openers so exactly one runs recovery on the directory; later calls take the clone arm
+                let log = Arc::new(Mutex::new(self.open_log()?));
+                shared.insert(log).clone()
+            }
+        };
+        Ok(Box::new(SharedStream { log, capsule: *capsule }))
     }
 }
 
@@ -99,9 +110,9 @@ mod tests {
             (StorageEngine::new(Backing::Memory), true),
             (StorageEngine::new(Backing::Memory).with_policy(batch), false),
         ] {
-            let mut store = engine.open_boxed(&meta.name()).unwrap();
-            store.put_metadata(&meta).unwrap();
-            assert_eq!(store.append_acked(&r).unwrap() == AppendAck::Durable, durable);
+            let mut log = engine.log().unwrap();
+            log.put_metadata(&meta.name(), &meta).unwrap();
+            assert_eq!(log.append(&meta.name(), &r).unwrap() == AppendAck::Durable, durable);
         }
     }
 
@@ -120,11 +131,9 @@ mod tests {
             .set_str("description", "two")
             .sign(&owner);
         {
-            let engine = StorageEngine::new(Backing::Segmented(dir.clone()));
-            let mut s1 = engine.open_boxed(&m1.name()).unwrap();
-            let mut s2 = engine.open_boxed(&m2.name()).unwrap();
-            s1.put_metadata(&m1).unwrap();
-            s2.put_metadata(&m2).unwrap();
+            let mut log = StorageEngine::new(Backing::Segmented(dir.clone())).log().unwrap();
+            log.put_metadata(&m1.name(), &m1).unwrap();
+            log.put_metadata(&m2.name(), &m2).unwrap();
             let r = Record::create(
                 &m1.name(),
                 &writer,
@@ -134,17 +143,16 @@ mod tests {
                 vec![],
                 b"only in one".to_vec(),
             );
-            s1.append_acked(&r).unwrap();
-            s1.flush(10_000_000).unwrap();
-            assert_eq!(s1.len(), 1);
-            assert_eq!(s2.len(), 0);
+            log.append(&m1.name(), &r).unwrap();
+            log.maintain(10_000_000).unwrap();
+            assert_eq!(log.len(&m1.name()), 1);
+            assert_eq!(log.len(&m2.name()), 0);
             let files: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap()).collect();
             assert_eq!(files.len(), 1, "both capsules share one log: {files:?}");
         }
-        let engine = StorageEngine::new(Backing::Segmented(dir.clone()));
-        let s1 = engine.open_boxed(&m1.name()).unwrap();
-        assert_eq!(s1.len(), 1);
-        assert_eq!(s1.metadata().unwrap(), m1);
+        let log = StorageEngine::new(Backing::Segmented(dir.clone())).log().unwrap();
+        assert_eq!(log.len(&m1.name()), 1);
+        assert_eq!(log.metadata(&m1.name()).unwrap(), m1);
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -56,14 +56,14 @@ impl FsyncPolicy {
     }
 }
 
-/// What an [`append_acked`](crate::CapsuleStore::append_acked) caller may
+/// What a [`SegLog::append`](crate::SegLog::append) caller may
 /// tell the client.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AppendAck {
     /// The record is durable: ack immediately.
     Durable,
     /// The record is written but not yet fsynced; hold the ack until
-    /// [`flush`](crate::CapsuleStore::flush) returns an epoch `>=` this.
+    /// [`maintain`](crate::SegLog::maintain) returns an epoch `>=` this.
     Pending(u64),
 }
 

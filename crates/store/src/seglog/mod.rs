@@ -43,17 +43,15 @@ pub use segment::{RECOVERY_CHUNK, SEG_MAGIC};
 
 use crate::io::{Dir, Fd, Mode};
 use crate::policy::{AppendAck, FsyncPolicy};
-use crate::store::{CapsuleStore, StoreError};
+use crate::store::StoreError;
 use cache::BlockCache;
 use checkpoint::{Checkpoint, Section, SectionRecord};
 use fdpool::FdPool;
 use gdp_capsule::{CapsuleMetadata, Pointer, Record};
 use gdp_obs::{Counter, Gauge, Histogram, Scope};
 use gdp_wire::{Bytes, Name, Wire};
-use parking_lot::Mutex;
 use segment::{seg_name, ScanEnd};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use writer::{entry_crc, GroupCommit, ENTRY_HEADER, KIND_METADATA, KIND_RECORD};
 
 /// Tuning knobs for a [`SegLog`].
@@ -204,7 +202,12 @@ pub struct RecoveryStats {
     pub peak_buffer: usize,
 }
 
-pub(crate) struct LogInner {
+/// The node's segmented log: one value, owned by the server that mounts
+/// it (or by [`crate::StorageEngine::open_boxed`]'s adapter). Every
+/// stream is named by its capsule. Reads take `&mut self` too: they fill
+/// the block cache and the fd pool, and drop a rotten entry from the
+/// index.
+pub struct SegLog {
     dir: Dir,
     cfg: SegConfig,
     segments: BTreeMap<u64, SegMeta>,
@@ -217,179 +220,19 @@ pub(crate) struct LogInner {
     /// re-appended since, so the next maintenance pass checkpoints.
     ckpt_names_rot: bool,
     recovery: RecoveryStats,
-    /// Shared block cache for sealed-segment reads (see `cache.rs`).
+    /// Block cache for sealed-segment reads (see `cache.rs`).
     read_cache: BlockCache,
     /// Bounded pool of read-only sealed-segment fds (see `fdpool.rs`).
     fds: FdPool,
     obs: SegObs,
 }
 
-/// The shared segmented log: cheap-to-clone node-wide handle. Per-capsule
-/// [`CapsuleStore`] views come from [`SegLog::handle`].
-#[derive(Clone)]
-pub struct SegLog {
-    inner: Arc<Mutex<LogInner>>,
-}
-
 impl SegLog {
     /// Opens (or creates) the log in `dir` — a path on the OS, or a
-    /// [`MemFs`](crate::io::MemFs) — with a private metric registry.
-    pub fn open(dir: impl Into<Dir>, cfg: SegConfig) -> Result<SegLog, StoreError> {
-        SegLog::open_with(dir, cfg, &gdp_obs::Metrics::new().scope("store"))
-    }
-
-    /// [`SegLog::open`], registering metrics under `scope`.
-    pub fn open_with(
-        dir: impl Into<Dir>,
-        cfg: SegConfig,
-        scope: &Scope,
-    ) -> Result<SegLog, StoreError> {
-        let inner = LogInner::open(dir.into(), cfg, scope)?;
-        Ok(SegLog { inner: Arc::new(Mutex::new(inner)) })
-    }
-
-    /// A [`CapsuleStore`] view of one capsule's stream.
-    pub fn handle(&self, capsule: Name) -> SegStore {
-        SegStore { log: self.clone(), capsule }
-    }
-
-    /// Forces a group-commit flush now; returns the durable epoch.
-    pub fn flush_now(&self, now_us: u64) -> Result<u64, StoreError> {
-        self.inner.lock().flush_inner(now_us, true)
-    }
-
-    /// Periodic maintenance: due flushes, rotation, checkpoints.
-    /// Returns the durable epoch. A server's tick calls this once for the
-    /// whole node; [`SegStore::flush`] is the same pass through one
-    /// capsule's handle.
-    pub fn maintain(&self, now_us: u64) -> Result<u64, StoreError> {
-        self.inner.lock().maintain(now_us)
-    }
-
-    /// Writes a checkpoint now (flushing first).
-    pub fn checkpoint_now(&self, now_us: u64) -> Result<(), StoreError> {
-        self.inner.lock().checkpoint_now(now_us)
-    }
-
-    /// Seals the active segment and starts a new one (flushing first).
-    pub fn rotate_now(&self, now_us: u64) -> Result<(), StoreError> {
-        self.inner.lock().rotate(now_us)
-    }
-
-    /// Ids of all live segments, ascending (last is the active one).
-    pub fn segment_ids(&self) -> Vec<u64> {
-        self.inner.lock().segments.keys().copied().collect()
-    }
-
-    /// Streams known to the log: every capsule it has indexed metadata or
-    /// a record for.
-    pub fn stream_count(&self) -> usize {
-        self.inner.lock().streams.len()
-    }
-
-    /// What the opening recovery scan did.
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        self.inner.lock().recovery
-    }
-
-    /// The current durable epoch.
-    pub fn durable_epoch(&self) -> u64 {
-        self.inner.lock().gc.epoch_durable()
-    }
-
-    /// Total sealed-segment opens made by the read path
-    /// (the fd-pool regression hook: warm reads must not reopen).
-    pub fn fd_opens(&self) -> u64 {
-        self.inner.lock().fds.opens()
-    }
-
-    /// Sealed-segment fds currently pooled (always ≤ `max_open_segments`).
-    pub fn open_fds(&self) -> usize {
-        self.inner.lock().fds.open_fds()
-    }
-}
-
-/// One capsule's [`CapsuleStore`] view of a [`SegLog`].
-pub struct SegStore {
-    log: SegLog,
-    capsule: Name,
-}
-
-impl SegStore {
-    /// The capsule this handle serves.
-    pub fn capsule(&self) -> &Name {
-        &self.capsule
-    }
-}
-
-impl CapsuleStore for SegStore {
-    fn put_metadata(&mut self, metadata: &CapsuleMetadata) -> Result<(), StoreError> {
-        self.log.inner.lock().put_metadata(&self.capsule, metadata)
-    }
-
-    fn metadata(&self) -> Result<CapsuleMetadata, StoreError> {
-        let inner = self.log.inner.lock();
-        match inner.streams.get(&self.capsule).and_then(|s| s.metadata.clone()) {
-            Some(m) => Ok(m),
-            None => Err(StoreError::NoMetadata),
-        }
-    }
-
-    fn append_acked(&mut self, record: &Record) -> Result<AppendAck, StoreError> {
-        self.log.inner.lock().append(&self.capsule, record)
-    }
-
-    fn get_by_seq(&self, seq: u64) -> Result<Option<Record>, StoreError> {
-        let mut inner = self.log.inner.lock();
-        let stream = inner.streams.get(&self.capsule);
-        let first = stream.and_then(|s| s.records.range(Pointer::span(seq, seq)).next());
-        match first.map(|(at, loc)| (*at, *loc)) {
-            Some(at) => inner.read_record(&self.capsule, at, false).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    fn get(&self, at: &Pointer) -> Result<Option<Record>, StoreError> {
-        let mut inner = self.log.inner.lock();
-        let loc = inner.streams.get(&self.capsule).and_then(|s| s.records.get(at).copied());
-        match loc {
-            Some(loc) => inner.read_record(&self.capsule, (*at, loc), false).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    fn latest_seq(&self) -> u64 {
-        let inner = self.log.inner.lock();
-        let stream = inner.streams.get(&self.capsule);
-        stream.and_then(|s| s.records.keys().next_back()).map_or(0, |at| at.seq)
-    }
-
-    fn len(&self) -> usize {
-        self.log.inner.lock().streams.get(&self.capsule).map_or(0, |s| s.records.len())
-    }
-
-    fn range(&self, from: u64, to: u64) -> Result<Vec<Record>, StoreError> {
-        let mut inner = self.log.inner.lock();
-        let stream = inner.streams.get(&self.capsule);
-        let span = stream.map(|s| s.records.range(Pointer::span(from, to)));
-        let at: Vec<(Pointer, EntryLoc)> =
-            span.into_iter().flatten().map(|(a, l)| (*a, *l)).collect();
-        at.into_iter().map(|at| inner.read_record(&self.capsule, at, true)).collect()
-    }
-
-    fn pointers(&self) -> Vec<Pointer> {
-        let inner = self.log.inner.lock();
-        let stream = inner.streams.get(&self.capsule);
-        stream.map(|s| s.records.keys().copied().collect()).unwrap_or_default()
-    }
-
-    fn flush(&mut self, now_us: u64) -> Result<u64, StoreError> {
-        self.log.inner.lock().maintain(now_us)
-    }
-}
-
-impl LogInner {
-    fn open(dir: Dir, cfg: SegConfig, scope: &Scope) -> Result<LogInner, StoreError> {
+    /// [`MemFs`](crate::io::MemFs) — registering metrics under `scope`
+    /// (`&Scope::default()` for a private registry).
+    pub fn open(dir: impl Into<Dir>, cfg: SegConfig, scope: &Scope) -> Result<SegLog, StoreError> {
+        let dir = dir.into();
         dir.create()?;
         let _ = dir.remove(checkpoint::CKPT_TMP);
         let obs = SegObs::new(scope);
@@ -428,7 +271,7 @@ impl LogInner {
                 && segments.get(&c.pos.seg).is_some_and(|m| c.pos.off <= m.len)
         });
 
-        let mut inner = LogInner {
+        let mut log = SegLog {
             // Placeholder until the scan fixes the true durable tail; the
             // file is reopened below.
             gc: GroupCommit::new(open_segment_append(&dir, active)?, 0),
@@ -443,8 +286,8 @@ impl LogInner {
             recovery: RecoveryStats::default(),
             obs,
         };
-        inner.recover(ckpt)?;
-        Ok(inner)
+        log.recover(ckpt)?;
+        Ok(log)
     }
 
     /// Rebuilds stream indexes: the checkpoint's sections + tail scan (or
@@ -567,11 +410,12 @@ impl LogInner {
         }
     }
 
-    /// First write wins. Capsule creation is acked immediately by the
-    /// server, so the entry is flushed at once; a call that finds the
-    /// metadata while a failed flush is outstanding flushes again, so it
-    /// never answers `Ok` for metadata that is only buffered.
-    fn put_metadata(
+    /// Persists `capsule`'s metadata. First write wins. Capsule creation
+    /// is acked immediately by the server, so the entry is flushed at once;
+    /// a call that finds the metadata while a failed flush is outstanding
+    /// flushes again, so it never answers `Ok` for metadata that is only
+    /// buffered.
+    pub fn put_metadata(
         &mut self,
         capsule: &Name,
         metadata: &CapsuleMetadata,
@@ -596,11 +440,14 @@ impl LogInner {
         Ok(())
     }
 
-    /// Idempotent: a duplicate reports the stored entry's durability, so
-    /// a retried append never acks ahead of its covering fsync — and under
-    /// [`FsyncPolicy::Always`] a retry of an append whose flush failed
-    /// flushes again, like the first attempt.
-    fn append(&mut self, capsule: &Name, record: &Record) -> Result<AppendAck, StoreError> {
+    /// Persists a record of `capsule` and reports whether it is already
+    /// durable or waiting on a group-commit fsync: durable at return under
+    /// [`FsyncPolicy::Always`], else [`AppendAck::Pending`] with the
+    /// covering durability epoch. Idempotent: a duplicate reports the
+    /// stored entry's durability, so a retried append never acks ahead of
+    /// its covering fsync — and under [`FsyncPolicy::Always`] a retry of
+    /// an append whose flush failed flushes again, like the first attempt.
+    pub fn append(&mut self, capsule: &Name, record: &Record) -> Result<AppendAck, StoreError> {
         let at = record.pointer();
         if let Some(loc) = self.streams.get(capsule).and_then(|s| s.records.get(&at).copied()) {
             let ack = self.durability_at(loc);
@@ -650,11 +497,20 @@ impl LogInner {
         Ok(self.gc.epoch_durable())
     }
 
-    /// Maintenance pass: due flush, rotation, checkpoint after rot.
-    fn maintain(&mut self, now_us: u64) -> Result<u64, StoreError> {
+    /// Forces a group-commit flush now; returns the durable epoch.
+    pub fn flush_now(&mut self, now_us: u64) -> Result<u64, StoreError> {
+        self.flush_inner(now_us, true)
+    }
+
+    /// Periodic maintenance, once per server tick for the whole node:
+    /// writes and fsyncs the batched appends whose flush window has
+    /// elapsed at `now_us` (caller time, sim or wall, in µs), rotates a
+    /// full segment and checkpoints after rot. Returns the durable epoch:
+    /// acks pending an epoch `<=` it may be released.
+    pub fn maintain(&mut self, now_us: u64) -> Result<u64, StoreError> {
         let epoch = self.flush_inner(now_us, false)?;
         if self.gc.total_len() >= self.cfg.segment_max_bytes {
-            self.rotate(now_us)?;
+            self.rotate_now(now_us)?;
         }
         if self.ckpt_names_rot {
             self.checkpoint_now(now_us)?;
@@ -662,8 +518,9 @@ impl LogInner {
         Ok(epoch)
     }
 
-    /// Seals the active segment, starts the next, checkpoints.
-    fn rotate(&mut self, now_us: u64) -> Result<(), StoreError> {
+    /// Seals the active segment, starts the next and checkpoints
+    /// (flushing first).
+    pub fn rotate_now(&mut self, now_us: u64) -> Result<(), StoreError> {
         self.flush_inner(now_us, true)?;
         let next = self.active + 1;
         let file = create_segment(&self.dir, next)?;
@@ -677,9 +534,9 @@ impl LogInner {
         Ok(())
     }
 
-    /// Writes a checkpoint covering everything durable: every stream's
-    /// index, serialized from memory.
-    fn checkpoint_now(&mut self, now_us: u64) -> Result<(), StoreError> {
+    /// Writes a checkpoint (flushing first) covering everything durable:
+    /// every stream's index, serialized from memory.
+    pub fn checkpoint_now(&mut self, now_us: u64) -> Result<(), StoreError> {
         self.flush_inner(now_us, true)?;
         let pos = CheckpointPos { seg: self.active, off: self.gc.durable_len() };
         let sections: Vec<(Name, Vec<u8>)> =
@@ -690,6 +547,87 @@ impl LogInner {
         self.obs.checkpoints_written.inc();
         self.ckpt_names_rot = false;
         Ok(())
+    }
+
+    /// Ids of all live segments, ascending (last is the active one).
+    pub fn segment_ids(&self) -> Vec<u64> {
+        self.segments.keys().copied().collect()
+    }
+
+    /// Streams known to the log: every capsule it has indexed metadata or
+    /// a record for.
+    pub fn stream_count(&self) -> usize {
+        self.streams.len()
+    }
+
+    /// What the opening recovery scan did.
+    pub fn recovery_stats(&self) -> RecoveryStats {
+        self.recovery
+    }
+
+    /// The current durable epoch.
+    pub fn durable_epoch(&self) -> u64 {
+        self.gc.epoch_durable()
+    }
+
+    /// Total sealed-segment opens made by the read path
+    /// (the fd-pool regression hook: warm reads must not reopen).
+    pub fn fd_opens(&self) -> u64 {
+        self.fds.opens()
+    }
+
+    /// Sealed-segment fds currently pooled (always ≤ `max_open_segments`).
+    pub fn open_fds(&self) -> usize {
+        self.fds.open_fds()
+    }
+
+    /// `capsule`'s metadata.
+    pub fn metadata(&self, capsule: &Name) -> Result<CapsuleMetadata, StoreError> {
+        let stream = self.streams.get(capsule);
+        stream.and_then(|s| s.metadata.clone()).ok_or(StoreError::NoMetadata)
+    }
+
+    /// Random read by address: `None` unless `capsule` holds a record with
+    /// exactly that seq and hash.
+    pub fn get(&mut self, capsule: &Name, at: &Pointer) -> Result<Option<Record>, StoreError> {
+        let loc = self.streams.get(capsule).and_then(|s| s.records.get(at).copied());
+        loc.map(|loc| self.read_record(capsule, (*at, loc), false)).transpose()
+    }
+
+    /// Random read by sequence number (first match in address order on
+    /// branches).
+    pub fn get_by_seq(&mut self, capsule: &Name, seq: u64) -> Result<Option<Record>, StoreError> {
+        let stream = self.streams.get(capsule);
+        let first = stream.and_then(|s| s.records.range(Pointer::span(seq, seq)).next());
+        let first = first.map(|(at, loc)| (*at, *loc));
+        first.map(|at| self.read_record(capsule, at, false)).transpose()
+    }
+
+    /// `capsule`'s records in `[from, to]` in address order: every record
+    /// at a seq, branches included, for `range(capsule, seq, seq)`.
+    pub fn range(&mut self, capsule: &Name, from: u64, to: u64) -> Result<Vec<Record>, StoreError> {
+        let stream = self.streams.get(capsule);
+        let span = stream.map(|s| s.records.range(Pointer::span(from, to)));
+        let at: Vec<(Pointer, EntryLoc)> =
+            span.into_iter().flatten().map(|(a, l)| (*a, *l)).collect();
+        at.into_iter().map(|at| self.read_record(capsule, at, true)).collect()
+    }
+
+    /// `capsule`'s highest stored sequence number (0 when empty).
+    pub fn latest_seq(&self, capsule: &Name) -> u64 {
+        let stream = self.streams.get(capsule);
+        stream.and_then(|s| s.records.keys().next_back()).map_or(0, |at| at.seq)
+    }
+
+    /// Number of records stored for `capsule`.
+    pub fn len(&self, capsule: &Name) -> usize {
+        self.streams.get(capsule).map_or(0, |s| s.records.len())
+    }
+
+    /// Addresses of every record stored for `capsule`, in address order.
+    pub fn pointers(&self, capsule: &Name) -> Vec<Pointer> {
+        let stream = self.streams.get(capsule);
+        stream.map(|s| s.records.keys().copied().collect()).unwrap_or_default()
     }
 
     /// Random read of one record, serving the active segment through the
@@ -883,9 +821,8 @@ impl LogInner {
         let bb = self.read_cache.block_bytes();
         let blocks = if sequential { self.cfg.readahead_blocks.max(1) } else { 1 };
         // The pooled handle is refcounted: the pread holds no borrow of
-        // the pool (and no lock but LogInner's own), so cache/pool
-        // bookkeeping can never deadlock against the read (see the
-        // LK01/LK02 audit note in `fdpool.rs`).
+        // the pool, so cache/pool bookkeeping is independent of the read
+        // (see the LK01/LK02 audit note in `fdpool.rs`).
         let (file, opened) = self.fds.get(&self.dir, seg)?;
         if opened {
             self.obs.segment_fd_opens.inc();
@@ -948,25 +885,24 @@ mod tests {
 
     /// `n` chained 4 KiB records of one capsule, sealed in a log on
     /// `MemFs` under `cfg` with 16 KiB blocks and 256 KiB segments.
-    fn sealed_log(cfg: SegConfig, n: u64) -> (SegLog, SegStore, SegConfig) {
+    fn sealed_log(cfg: SegConfig, n: u64) -> (SegLog, Name, SegConfig) {
         let cfg = SegConfig {
             policy: FsyncPolicy::Always,
             segment_max_bytes: 256 * 1024,
             read_block_bytes: 16 * 1024,
             ..cfg
         };
-        let log = SegLog::open(&MemFs::new(), cfg.clone()).unwrap();
+        let mut log = SegLog::open(&MemFs::new(), cfg.clone(), &Scope::default()).unwrap();
         let writer = SigningKey::from_seed(&[7; 32]);
         let name = Name::from_content(b"block budget");
-        let mut store = log.handle(name);
         let mut prev = RecordHash::anchor(&name);
         for seq in 1..=n {
             let r = Record::create(&name, &writer, seq, seq, prev, vec![], vec![seq as u8; 4096]);
             prev = r.hash();
-            store.append_acked(&r).unwrap();
+            log.append(&name, &r).unwrap();
         }
         log.rotate_now(0).unwrap();
-        (log, store, cfg)
+        (log, name, cfg)
     }
 
     /// Readahead fills the cache with blocks that each own their bytes:
@@ -975,7 +911,7 @@ mod tests {
     #[test]
     fn resident_blocks_hold_no_more_than_the_cache_budget() {
         let cfg = SegConfig { read_cache_bytes: 256 * 1024, ..SegConfig::default() };
-        let (log, store, cfg) = sealed_log(cfg, 200);
+        let (mut log, name, cfg) = sealed_log(cfg, 200);
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         for _ in 0..300 {
             x ^= x << 13;
@@ -983,9 +919,9 @@ mod tests {
             x ^= x << 17;
             let len = [1, 2, 32][(x % 3) as usize];
             let from = 1 + (x >> 8) % (200 - len + 1);
-            assert_eq!(store.range(from, from + len - 1).unwrap().len() as u64, len);
+            assert_eq!(log.range(&name, from, from + len - 1).unwrap().len() as u64, len);
         }
-        let resident = log.inner.lock().read_cache.resident_backing_bytes();
+        let resident = log.read_cache.resident_backing_bytes();
         assert!(resident > 0, "the reads filled the cache");
         assert!(resident <= cfg.read_cache_bytes, "{resident} B resident");
     }
@@ -995,8 +931,8 @@ mod tests {
     #[test]
     fn an_uncached_body_keeps_at_most_one_block_alive() {
         let cfg = SegConfig { read_cache_bytes: 0, ..SegConfig::default() };
-        let (_log, store, cfg) = sealed_log(cfg, 40);
-        let run = store.range(3, 34).unwrap();
+        let (mut log, name, cfg) = sealed_log(cfg, 40);
+        let run = log.range(&name, 3, 34).unwrap();
         assert_eq!(run.len(), 32);
         for r in &run {
             assert!(r.body.backing_len() <= cfg.read_block_bytes, "seq {}", r.header.seq);

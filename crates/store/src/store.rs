@@ -1,19 +1,27 @@
-//! Per-capsule record stores.
+//! Store errors, and the one shared handle onto the node's log.
 //!
 //! The paper's prototype keeps "each DataCapsule ... in its own separate
 //! SQLite database" so servers "respond to random reads efficiently"
-//! (§VIII). The equivalent here is the [`CapsuleStore`] interface, which
-//! one type implements: `SegStore`, a per-capsule stream of the node's
-//! shared segmented log with CRC framing and crash-recovery scan, on disk
-//! or on an in-memory file system (`seglog`, `io`). It keys records by
-//! their address, the hash-pointer `(seq, header hash)`, in one ordered
-//! map. A hosted capsule's store is the only place its records
-//! live — headers, signatures and bodies: the server beside it keeps an
-//! address and a wire bound per record and reads every record it serves,
-//! proof hops and heartbeats included, through these reads.
+//! (§VIII). Here every hosted capsule is a stream of the node's one
+//! [`SegLog`], keyed by record address — the hash-pointer `(seq, header
+//! hash)` — and the server that mounts the log owns it outright.
+//!
+//! [`CapsuleStore`] is what is left for callers outside a server: one
+//! capsule's stream of a log that every handle from the same
+//! [`StorageEngine`](crate::StorageEngine) shares. Its one implementation
+//! holds the log behind a mutex, and that lock owns the log: appends,
+//! reads and flushes run their file I/O under it, by design. A caller
+//! that shares a log across threads shares it through this lock; the
+//! product path (a server on its event-loop thread) never takes it. This
+//! module is therefore not on gdp-lint LK02's list of modules where I/O
+//! under a lock is flagged, and `seglog/mod.rs` is.
 
 use crate::policy::AppendAck;
-use gdp_capsule::{CapsuleError, CapsuleMetadata, Pointer, Record};
+use crate::seglog::SegLog;
+use gdp_capsule::{CapsuleError, Record};
+use gdp_wire::Name;
+use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// Errors from the storage layer.
 #[derive(Debug)]
@@ -53,66 +61,53 @@ impl From<CapsuleError> for StoreError {
     }
 }
 
-/// Durable storage for one capsule's metadata and records.
-///
-/// Stores are deliberately dumb: they persist what they are given and answer
-/// random reads. Verification policy lives in `gdp-server`.
-#[allow(clippy::len_without_is_empty, reason = "no caller asks a store whether it is empty")]
+/// One capsule's stream of a shared log, as
+/// [`StorageEngine::open_boxed`](crate::StorageEngine::open_boxed) hands
+/// it out. Verification policy lives in `gdp-server`.
 pub trait CapsuleStore: Send {
-    /// Persists capsule metadata (idempotent; first write wins).
-    fn put_metadata(&mut self, metadata: &CapsuleMetadata) -> Result<(), StoreError>;
-
-    /// Reads the capsule metadata.
-    fn metadata(&self) -> Result<CapsuleMetadata, StoreError>;
-
-    /// Random read by sequence number (first match in address order on
-    /// branches).
-    fn get_by_seq(&self, seq: u64) -> Result<Option<Record>, StoreError>;
-
-    /// Random read by address: `None` unless a record with exactly that
-    /// seq and hash is stored.
-    fn get(&self, at: &Pointer) -> Result<Option<Record>, StoreError>;
-
-    /// Highest stored sequence number (0 when empty).
-    fn latest_seq(&self) -> u64;
-
-    /// Number of stored records.
-    fn len(&self) -> usize;
-
-    /// Records in `[from, to]` in address order: every record at a seq,
-    /// branches included, for `range(seq, seq)`.
-    fn range(&self, from: u64, to: u64) -> Result<Vec<Record>, StoreError>;
-
-    /// Addresses of every stored record, in address (seq) order.
-    fn pointers(&self) -> Vec<Pointer>;
-
-    /// Persists a record and reports whether it is already durable or
-    /// waiting on a group-commit fsync. Idempotent: a duplicate append
-    /// returns the *current* durability of the stored record, so a retried
-    /// append is never acked before its covering fsync either. Under
-    /// `fsync = always` it is durable at return; under group commit it is
-    /// [`AppendAck::Pending`] with the covering durability epoch.
+    /// [`SegLog::append`] on this stream.
     fn append_acked(&mut self, record: &Record) -> Result<AppendAck, StoreError>;
 
-    /// Drives group-commit: writes and fsyncs any batched appends whose
-    /// flush window has elapsed at `now_us`, then returns the durable
-    /// epoch (acks pending an epoch `<=` the returned value may be
-    /// released). `now_us` is caller time (sim or wall) in microseconds.
+    /// [`SegLog::get_by_seq`] on this stream.
+    fn get_by_seq(&self, seq: u64) -> Result<Option<Record>, StoreError>;
+
+    /// [`SegLog::maintain`] on the whole shared log; returns its durable
+    /// epoch.
     fn flush(&mut self, now_us: u64) -> Result<u64, StoreError>;
+}
+
+/// The [`CapsuleStore`] over a log shared behind its I/O-owning lock.
+pub(crate) struct SharedStream {
+    pub(crate) log: Arc<Mutex<SegLog>>,
+    pub(crate) capsule: Name,
+}
+
+impl CapsuleStore for SharedStream {
+    fn append_acked(&mut self, record: &Record) -> Result<AppendAck, StoreError> {
+        self.log.lock().append(&self.capsule, record)
+    }
+
+    fn get_by_seq(&self, seq: u64) -> Result<Option<Record>, StoreError> {
+        self.log.lock().get_by_seq(&self.capsule, seq)
+    }
+
+    fn flush(&mut self, now_us: u64) -> Result<u64, StoreError> {
+        self.log.lock().maintain(now_us)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::io::MemFs;
-    use crate::{FsyncPolicy, SegConfig, SegLog};
-    use gdp_capsule::{MetadataBuilder, Record, RecordHash};
+    use crate::{FsyncPolicy, SegConfig};
+    use gdp_capsule::{CapsuleMetadata, MetadataBuilder, Record, RecordHash};
     use gdp_crypto::SigningKey;
 
-    /// A stream of a log on a fresh in-memory file system.
-    fn store_for(meta: &CapsuleMetadata) -> impl CapsuleStore {
+    /// A log on a fresh in-memory file system.
+    fn fresh_log() -> SegLog {
         let cfg = SegConfig { policy: FsyncPolicy::Always, ..SegConfig::default() };
-        SegLog::open(&MemFs::new(), cfg).unwrap().handle(meta.name())
+        SegLog::open(&MemFs::new(), cfg, &gdp_obs::Scope::default()).unwrap()
     }
 
     fn setup() -> (CapsuleMetadata, Vec<Record>) {
@@ -133,29 +128,29 @@ mod tests {
     #[test]
     fn roundtrip() {
         let (meta, records) = setup();
-        let mut s = store_for(&meta);
-        assert!(matches!(s.metadata(), Err(StoreError::NoMetadata)));
-        s.put_metadata(&meta).unwrap();
-        assert_eq!(s.metadata().unwrap(), meta);
+        let (mut s, name) = (fresh_log(), meta.name());
+        assert!(matches!(s.metadata(&name), Err(StoreError::NoMetadata)));
+        s.put_metadata(&name, &meta).unwrap();
+        assert_eq!(s.metadata(&name).unwrap(), meta);
         for r in &records {
-            s.append_acked(r).unwrap();
+            s.append(&name, r).unwrap();
         }
-        assert_eq!(s.len(), 5);
-        assert_eq!(s.latest_seq(), 5);
-        assert_eq!(s.get_by_seq(3).unwrap().unwrap(), records[2]);
-        assert_eq!(s.get(&records[0].pointer()).unwrap().unwrap(), records[0]);
-        assert_eq!(s.range(2, 4).unwrap().len(), 3);
-        assert!(s.get_by_seq(99).unwrap().is_none());
+        assert_eq!(s.len(&name), 5);
+        assert_eq!(s.latest_seq(&name), 5);
+        assert_eq!(s.get_by_seq(&name, 3).unwrap().unwrap(), records[2]);
+        assert_eq!(s.get(&name, &records[0].pointer()).unwrap().unwrap(), records[0]);
+        assert_eq!(s.range(&name, 2, 4).unwrap().len(), 3);
+        assert!(s.get_by_seq(&name, 99).unwrap().is_none());
     }
 
     #[test]
     fn idempotent_append() {
         let (meta, records) = setup();
-        let mut s = store_for(&meta);
-        s.put_metadata(&meta).unwrap();
-        assert_eq!(s.append_acked(&records[0]).unwrap(), AppendAck::Durable);
-        assert_eq!(s.append_acked(&records[0]).unwrap(), AppendAck::Durable);
-        assert_eq!(s.len(), 1);
+        let (mut s, name) = (fresh_log(), meta.name());
+        s.put_metadata(&name, &meta).unwrap();
+        assert_eq!(s.append(&name, &records[0]).unwrap(), AppendAck::Durable);
+        assert_eq!(s.append(&name, &records[0]).unwrap(), AppendAck::Durable);
+        assert_eq!(s.len(&name), 1);
     }
 
     #[test]
@@ -163,9 +158,9 @@ mod tests {
         let (meta, _) = setup();
         let owner2 = SigningKey::from_seed(&[9u8; 32]);
         let meta2 = MetadataBuilder::new().writer(&owner2.verifying_key()).sign(&owner2);
-        let mut s = store_for(&meta);
-        s.put_metadata(&meta).unwrap();
-        s.put_metadata(&meta2).unwrap();
-        assert_eq!(s.metadata().unwrap(), meta);
+        let (mut s, name) = (fresh_log(), meta.name());
+        s.put_metadata(&name, &meta).unwrap();
+        s.put_metadata(&name, &meta2).unwrap();
+        assert_eq!(s.metadata(&name).unwrap(), meta);
     }
 }

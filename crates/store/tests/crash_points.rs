@@ -7,9 +7,9 @@
 
 use gdp_capsule::{CapsuleMetadata, MetadataBuilder, Pointer, Record, RecordHash};
 use gdp_crypto::SigningKey;
-use gdp_obs::Metrics;
+use gdp_obs::{Metrics, Scope};
 use gdp_store::io::{Fault, MemFs};
-use gdp_store::{AppendAck, CapsuleStore, FsyncPolicy, SegConfig, SegLog, StoreError};
+use gdp_store::{AppendAck, FsyncPolicy, SegConfig, SegLog, StoreError};
 use gdp_wire::Name;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -72,17 +72,16 @@ impl Acked {
 /// Every error is swallowed: past the cut, operations fail.
 fn workload(fs: &MemFs, metrics: &Metrics, streams: &[(CapsuleMetadata, Vec<Record>)]) -> Acked {
     let mut acked = Acked::default();
-    let Ok(log) = SegLog::open_with(fs, cfg(), &metrics.scope("store")) else { return acked };
-    let mut handles: Vec<_> = streams.iter().map(|(m, _)| log.handle(m.name())).collect();
-    for ((meta, _), h) in streams.iter().zip(&mut handles) {
-        if h.put_metadata(meta).is_ok() {
+    let Ok(mut log) = SegLog::open(fs, cfg(), &metrics.scope("store")) else { return acked };
+    for (meta, _) in streams {
+        if log.put_metadata(&meta.name(), meta).is_ok() {
             acked.metadata.push(meta.clone());
         }
     }
     let mut now = 0;
     for i in 0..N as usize {
-        for ((_, records), h) in streams.iter().zip(&mut handles) {
-            match h.append_acked(&records[i]) {
+        for (meta, records) in streams {
+            match log.append(&meta.name(), &records[i]) {
                 Ok(AppendAck::Durable) => acked.durable.push(records[i].clone()),
                 Ok(AppendAck::Pending(e)) => acked.pending.push((e, records[i].clone())),
                 Err(_) => {}
@@ -90,7 +89,7 @@ fn workload(fs: &MemFs, metrics: &Metrics, streams: &[(CapsuleMetadata, Vec<Reco
         }
         if i % 2 == 1 {
             now += 5_000;
-            if let Ok(epoch) = handles[0].flush(now) {
+            if let Ok(epoch) = log.maintain(now) {
                 acked.flushed = acked.flushed.max(epoch);
             }
         }
@@ -111,8 +110,8 @@ fn check_after_crash(
 ) {
     fs.heal();
     fs.crash();
-    let opened = catch_unwind(AssertUnwindSafe(|| SegLog::open(fs, cfg())));
-    let log = match opened {
+    let opened = catch_unwind(AssertUnwindSafe(|| SegLog::open(fs, cfg(), &Scope::default())));
+    let mut log = match opened {
         Ok(Ok(log)) => log,
         Ok(Err(e)) => {
             let promised = acked.kept().count() + acked.metadata.len();
@@ -123,7 +122,7 @@ fn check_after_crash(
         Err(_) => panic!("{at}: reopen panicked"),
     };
     for meta in &acked.metadata {
-        let got = log.handle(meta.name()).metadata();
+        let got = log.metadata(&meta.name());
         assert_eq!(got.ok().as_ref(), Some(meta), "{at}: acked metadata lost");
     }
     // Which stream each record was appended to.
@@ -132,16 +131,18 @@ fn check_after_crash(
         .flat_map(|(m, rs)| rs.iter().map(move |r| (r.pointer(), (m.name(), r))))
         .collect();
     for (meta, _) in streams {
-        let h = log.handle(meta.name());
-        for ptr in h.pointers() {
-            let got = h.get(&ptr).unwrap_or_else(|e| panic!("{at}: {ptr:?} unreadable: {e}"));
+        for ptr in log.pointers(&meta.name()) {
+            let got = log
+                .get(&meta.name(), &ptr)
+                .unwrap_or_else(|e| panic!("{at}: {ptr:?} unreadable: {e}"));
             let want = appended.get(&ptr).filter(|(name, _)| *name == meta.name());
             assert_eq!(got.as_ref(), want.map(|(_, r)| *r), "{at}: never appended");
         }
     }
     for r in acked.kept() {
-        let h = log.handle(appended[&r.pointer()].0);
-        let got = h.get(&r.pointer()).unwrap_or_else(|e| panic!("{at}: acked read failed: {e}"));
+        let got = log
+            .get(&appended[&r.pointer()].0, &r.pointer())
+            .unwrap_or_else(|e| panic!("{at}: acked read failed: {e}"));
         assert_eq!(got.as_ref(), Some(r), "{at}: acked record seq {} lost", r.header.seq);
     }
 }

@@ -9,8 +9,9 @@ use gdp_capsule::{
     CapsuleMetadata, CapsuleWriter, MetadataBuilder, Pointer, PointerStrategy, Record, RecordHash,
 };
 use gdp_crypto::SigningKey;
-use gdp_obs::Metrics;
-use gdp_store::{CapsuleStore, SegConfig, SegLog, SegStore, StoreError};
+use gdp_obs::{Metrics, Scope};
+use gdp_store::{SegConfig, SegLog, StoreError};
+use gdp_wire::Name;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -48,12 +49,11 @@ fn small_cfg() -> SegConfig {
 /// Writes `meta` + `rs` through a fresh log, one group commit (and, when
 /// the segment is full, one rotation) per record, then closes it.
 fn written_log(dir: &Path, meta: &CapsuleMetadata, rs: &[Record]) {
-    let log = SegLog::open(dir, small_cfg()).unwrap();
-    let mut h = log.handle(meta.name());
-    h.put_metadata(meta).unwrap();
+    let mut log = SegLog::open(dir, small_cfg(), &Scope::default()).unwrap();
+    log.put_metadata(&meta.name(), meta).unwrap();
     for (i, r) in rs.iter().enumerate() {
-        h.append_acked(r).unwrap();
-        h.flush((i as u64 + 1) * 10_000).unwrap();
+        log.append(&meta.name(), r).unwrap();
+        log.maintain((i as u64 + 1) * 10_000).unwrap();
     }
 }
 
@@ -82,17 +82,23 @@ impl Model {
     }
 }
 
-fn assert_same(seg: &SegStore, mem: &Model, query: u64) -> Result<(), TestCaseError> {
-    prop_assert_eq!(seg.len(), mem.records.len());
-    prop_assert_eq!(seg.latest_seq(), mem.records.keys().next_back().map_or(0, |at| at.seq));
-    prop_assert_eq!(seg.get_by_seq(query).unwrap(), mem.range(query, query).first().cloned());
-    prop_assert_eq!(seg.range(query, query).unwrap(), mem.range(query, query));
+fn assert_same(
+    log: &mut SegLog,
+    name: &Name,
+    mem: &Model,
+    query: u64,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(log.len(name), mem.records.len());
+    prop_assert_eq!(log.latest_seq(name), mem.records.keys().next_back().map_or(0, |at| at.seq));
+    let first = mem.range(query, query).first().cloned();
+    prop_assert_eq!(log.get_by_seq(name, query).unwrap(), first);
+    prop_assert_eq!(log.range(name, query, query).unwrap(), mem.range(query, query));
     let lo = query.min(3);
-    prop_assert_eq!(seg.range(lo, query).unwrap(), mem.range(lo, query));
-    let pointers = seg.pointers();
+    prop_assert_eq!(log.range(name, lo, query).unwrap(), mem.range(lo, query));
+    let pointers = log.pointers(name);
     prop_assert_eq!(&pointers, &mem.records.keys().copied().collect::<Vec<_>>());
     for at in &pointers {
-        let got = seg.get(at).unwrap();
+        let got = log.get(name, at).unwrap();
         prop_assert_eq!(&got, &mem.records.get(at).cloned());
         prop_assert_eq!(got.map(|r| r.pointer()), Some(*at));
         // A held hash under another seq, and a held seq under another
@@ -100,7 +106,7 @@ fn assert_same(seg: &SegStore, mem: &Model, query: u64) -> Result<(), TestCaseEr
         let wrong_seq = Pointer { seq: at.seq + 1, ..*at };
         let wrong_hash = Pointer { hash: RecordHash([0xAB; 32]), ..*at };
         for wrong in [wrong_seq, wrong_hash] {
-            prop_assert_eq!(seg.get(&wrong).unwrap(), None);
+            prop_assert_eq!(log.get(name, &wrong).unwrap(), None);
             prop_assert!(!mem.records.contains_key(&wrong));
         }
     }
@@ -124,50 +130,46 @@ proptest! {
         let caps: Vec<_> = (1u8..=3).map(|tag| records(tag, 12)).collect();
         let dir = tmpdir();
         let metrics = Metrics::new();
-        let open = || SegLog::open_with(&dir, small_cfg(), &metrics.scope("store")).unwrap();
+        let open = || SegLog::open(&dir, small_cfg(), &metrics.scope("store")).unwrap();
         let counter = |name| metrics.counter_value("store", name);
         let mut log = open();
         let mut mems: Vec<Model> = caps.iter().map(|_| Model::default()).collect();
 
         // An untouched stream is an empty store.
-        let seg = log.handle(caps[0].0.name());
-        prop_assert!(seg.len() == 0 && seg.latest_seq() == 0);
-        prop_assert!(matches!(seg.metadata(), Err(StoreError::NoMetadata)));
-        drop(seg);
+        let first = caps[0].0.name();
+        prop_assert!(log.len(&first) == 0 && log.latest_seq(&first) == 0);
+        prop_assert!(matches!(log.metadata(&first), Err(StoreError::NoMetadata)));
 
         for ((meta, _), mem) in caps.iter().zip(&mut mems) {
-            log.handle(meta.name()).put_metadata(meta).unwrap();
+            log.put_metadata(&meta.name(), meta).unwrap();
             mem.metadata.get_or_insert_with(|| meta.clone());
         }
         let mut now = 0u64;
         for (k, &(c, i)) in order.iter().enumerate() {
             let (meta, rs) = &caps[c];
-            let mut seg = log.handle(meta.name());
-            seg.append_acked(&rs[i]).unwrap();
+            log.append(&meta.name(), &rs[i]).unwrap();
             mems[c].records.entry(rs[i].pointer()).or_insert_with(|| rs[i].clone());
             now += 10_000;
             // Group commit; rotating a full segment also checkpoints.
-            seg.flush(now).unwrap();
-            drop(seg);
+            log.maintain(now).unwrap();
             if k == reopen_at {
                 drop(log);
                 log = open();
             }
         }
-        let matches_model = |log: &SegLog| -> Result<(), TestCaseError> {
+        let matches_model = |log: &mut SegLog| -> Result<(), TestCaseError> {
             for ((meta, _), mem) in caps.iter().zip(&mems) {
-                let seg = log.handle(meta.name());
-                assert_same(&seg, mem, query)?;
-                prop_assert_eq!(Some(seg.metadata().unwrap()), mem.metadata.clone());
+                assert_same(log, &meta.name(), mem, query)?;
+                prop_assert_eq!(Some(log.metadata(&meta.name()).unwrap()), mem.metadata.clone());
             }
             Ok(())
         };
-        matches_model(&log)?;
+        matches_model(&mut log)?;
         drop(log);
-        let log = open();
+        let mut log = open();
         // Once a rotation has checkpointed, every reopen starts from it.
         prop_assert_eq!(log.recovery_stats().full_scan, counter("checkpoints_written") == 0);
-        matches_model(&log)?;
+        matches_model(&mut log)?;
         drop(log);
 
         // Duplicate appends are never rewritten: one entry per distinct
@@ -187,10 +189,10 @@ proptest! {
         // every entry on disk — exactly one per append that was written —
         // and the rebuilt indexes still match the model.
         std::fs::remove_file(dir.join("index.ckpt")).unwrap();
-        let log = open();
+        let mut log = open();
         prop_assert!(log.recovery_stats().full_scan);
         prop_assert_eq!(log.recovery_stats().tail_entries, appended);
-        matches_model(&log)?;
+        matches_model(&mut log)?;
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -211,13 +213,12 @@ proptest! {
         let keep = bytes.len().saturating_sub(cut);
         std::fs::write(active, &bytes[..keep]).unwrap();
 
-        let log = SegLog::open(&dir, small_cfg()).unwrap();
-        let store = log.handle(meta.name());
+        let mut log = SegLog::open(&dir, small_cfg(), &Scope::default()).unwrap();
         // The survivors are exactly records 1..=latest, byte-identical.
-        let latest = store.latest_seq();
-        prop_assert_eq!(store.len() as u64, latest);
+        let latest = log.latest_seq(&meta.name());
+        prop_assert_eq!(log.len(&meta.name()) as u64, latest);
         for seq in 1..=latest {
-            prop_assert_eq!(&store.get_by_seq(seq).unwrap().unwrap(), &rs[(seq - 1) as usize]);
+            prop_assert_eq!(&log.get_by_seq(&meta.name(), seq).unwrap().unwrap(), &rs[(seq - 1) as usize]);
         }
         // Only the active segment was cut: a record costs ~200 bytes on
         // disk, so at most `cut / 200 + 1` of them can be gone.
@@ -245,11 +246,10 @@ proptest! {
         bytes[pos] ^= flip;
         std::fs::write(victim, &bytes).unwrap();
 
-        match SegLog::open(&dir, small_cfg()) {
-            Ok(log) => {
-                let store = log.handle(meta.name());
-                for seq in 1..=store.latest_seq() {
-                    match store.get_by_seq(seq) {
+        match SegLog::open(&dir, small_cfg(), &Scope::default()) {
+            Ok(mut log) => {
+                for seq in 1..=log.latest_seq(&meta.name()) {
+                    match log.get_by_seq(&meta.name(), seq) {
                         Ok(Some(got)) => prop_assert!(
                             rs.contains(&got),
                             "served record must be one of the originals"

@@ -11,9 +11,9 @@
 
 use gdp_capsule::{CapsuleMetadata, Pointer, Record, RecordHash};
 use gdp_crypto::SigningKey;
-use gdp_obs::Metrics;
+use gdp_obs::{Metrics, Scope};
 use gdp_store::crc::Crc32;
-use gdp_store::{CapsuleStore, FsyncPolicy, SegConfig, SegLog, StoreError, SEGLOG_MAGIC};
+use gdp_store::{FsyncPolicy, SegConfig, SegLog, StoreError, SEGLOG_MAGIC};
 use gdp_wire::Name;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -57,16 +57,16 @@ fn small_seg_cfg() -> SegConfig {
 /// Builds a multi-segment log with a checkpoint (from rotations) plus an
 /// un-checkpointed flushed tail, then closes it.
 fn seeded_log(dir: &Path, caps: &[(CapsuleMetadata, Vec<Record>)]) {
-    let log = SegLog::open(dir, small_seg_cfg()).unwrap();
+    let mut log = SegLog::open(dir, small_seg_cfg(), &Scope::default()).unwrap();
     let mut now = 0u64;
     for (m, _) in caps {
-        log.handle(m.name()).put_metadata(m).unwrap();
+        log.put_metadata(&m.name(), m).unwrap();
     }
     let longest = caps.iter().map(|(_, rs)| rs.len()).max().unwrap_or(0);
     for i in 0..longest {
         for (m, rs) in caps {
             if let Some(r) = rs.get(i) {
-                log.handle(m.name()).append_acked(r).unwrap();
+                log.append(&m.name(), r).unwrap();
             }
         }
         now += 10_000;
@@ -96,11 +96,10 @@ fn torn_tail_on_active_segment_is_truncated() {
         std::fs::write(&path, &bytes).unwrap();
 
         let metrics = Metrics::new();
-        let log = SegLog::open_with(&dir, small_seg_cfg(), &metrics.scope("store")).unwrap();
-        let h = log.handle(caps[0].0.name());
-        assert_eq!(h.len(), 20, "torn tail must not cost durable records");
+        let mut log = SegLog::open(&dir, small_seg_cfg(), &metrics.scope("store")).unwrap();
+        assert_eq!(log.len(&caps[0].0.name()), 20, "torn tail must not cost durable records");
         for r in &caps[0].1 {
-            assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
+            assert_eq!(log.get(&caps[0].0.name(), &r.pointer()).unwrap().unwrap(), *r);
         }
         assert_eq!(metrics.counter_value("store", "recovery_truncations"), 1);
         assert_eq!(
@@ -142,13 +141,16 @@ fn every_truncation_point_of_the_active_segment_recovers_cleanly() {
     for cut in 0..pristine.len() {
         std::fs::write(&path, &pristine[..cut]).unwrap();
         std::fs::write(dir.join("index.ckpt"), &ckpt).unwrap();
-        let log = SegLog::open(&dir, small_seg_cfg())
+        let mut log = SegLog::open(&dir, small_seg_cfg(), &Scope::default())
             .unwrap_or_else(|e| panic!("cut at {cut} failed open: {e}"));
-        let h = log.handle(meta.name());
-        let latest = h.latest_seq();
-        assert_eq!(h.len() as u64, latest, "cut at {cut}: survivors must be a prefix");
+        let latest = log.latest_seq(&meta.name());
+        assert_eq!(
+            log.len(&meta.name()) as u64,
+            latest,
+            "cut at {cut}: survivors must be a prefix"
+        );
         for r in &records[..latest as usize] {
-            assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r, "cut at {cut}");
+            assert_eq!(log.get(&meta.name(), &r.pointer()).unwrap().unwrap(), *r, "cut at {cut}");
         }
         assert!(latest >= floor, "cut at {cut}: a longer tail recovered fewer records");
         floor = latest;
@@ -163,7 +165,7 @@ fn every_truncation_point_of_the_active_segment_recovers_cleanly() {
 
 /// Appends one hand-framed entry (valid CRC) to a fresh log's segment 0.
 fn log_with_forged_entry(dir: &Path, kind: u8, body: &[u8]) {
-    drop(SegLog::open(dir, small_seg_cfg()).unwrap());
+    drop(SegLog::open(dir, small_seg_cfg(), &Scope::default()).unwrap());
     let capsule = Name::from_content(b"forged");
     let mut crc = Crc32::new();
     crc.update(&[kind]);
@@ -189,7 +191,7 @@ fn valid_crc_undecodable_entries_are_typed_corruption() {
     for (kind, body, detail) in [(1u8, undecodable, "record"), (7, b"x", "kind")] {
         let dir = tmpdir("forged");
         log_with_forged_entry(&dir, kind, body);
-        match SegLog::open(&dir, small_seg_cfg()) {
+        match SegLog::open(&dir, small_seg_cfg(), &Scope::default()) {
             Err(StoreError::Corrupt(w)) => assert!(w.contains(detail), "unexpected detail: {w}"),
             Ok(_) => panic!("entry kind {kind} with an uninterpretable body accepted"),
             Err(e) => panic!("expected Corrupt, got: {e}"),
@@ -229,8 +231,8 @@ fn every_byte_flip_across_segments_and_checkpoint_recovers_consistently() {
             mutated[pos] ^= 0xA5;
             std::fs::write(path, &mutated).unwrap();
 
-            match SegLog::open(&dir, small_seg_cfg()) {
-                Ok(log) => {
+            match SegLog::open(&dir, small_seg_cfg(), &Scope::default()) {
+                Ok(mut log) => {
                     if is_ckpt {
                         assert!(
                             log.recovery_stats().full_scan,
@@ -239,12 +241,11 @@ fn every_byte_flip_across_segments_and_checkpoint_recovers_consistently() {
                     }
                     let mut served = 0usize;
                     for (m, _) in &caps {
-                        let h = log.handle(m.name());
-                        for at in h.pointers() {
+                        for at in log.pointers(&m.name()) {
                             let Some(original) = originals.get(&at) else {
                                 panic!("{path:?} flip at {pos} fabricated a record")
                             };
-                            match h.get(&at) {
+                            match log.get(&m.name(), &at) {
                                 Ok(Some(r)) => {
                                     assert_eq!(
                                         &r, *original,
@@ -289,19 +290,17 @@ fn every_byte_flip_across_segments_and_checkpoint_recovers_consistently() {
 /// past it.
 fn log_with_tail_on_the_second_capsule(dir: &Path) -> Vec<(CapsuleMetadata, Vec<Record>)> {
     let caps = vec![capsule(1, 6), capsule(2, 6)];
-    let log = SegLog::open(dir, small_seg_cfg()).unwrap();
+    let mut log = SegLog::open(dir, small_seg_cfg(), &Scope::default()).unwrap();
     for ((m, rs), covered) in caps.iter().zip([6, 3]) {
-        let mut h = log.handle(m.name());
-        h.put_metadata(m).unwrap();
+        log.put_metadata(&m.name(), m).unwrap();
         for r in &rs[..covered] {
-            h.append_acked(r).unwrap();
+            log.append(&m.name(), r).unwrap();
         }
     }
     log.checkpoint_now(1_000_000).unwrap();
     let (m, rs) = &caps[1];
-    let mut h = log.handle(m.name());
     for r in &rs[3..] {
-        h.append_acked(r).unwrap();
+        log.append(&m.name(), r).unwrap();
     }
     log.flush_now(2_000_000).unwrap();
     caps
@@ -349,18 +348,17 @@ fn undecodable_section_degrades_to_a_full_scan(victim: usize) {
     make_section_undecodable(&dir, &caps[victim].0.name());
 
     let metrics = Metrics::new();
-    let log = SegLog::open_with(&dir, small_seg_cfg(), &metrics.scope("store"))
+    let mut log = SegLog::open(&dir, small_seg_cfg(), &metrics.scope("store"))
         .unwrap_or_else(|e| panic!("checkpoint damage must degrade, not fail the open: {e}"));
     assert!(log.recovery_stats().full_scan, "an undecodable section voids the checkpoint");
     assert_eq!(metrics.counter_value("store", "recovery_full_scans"), 1);
     for (m, rs) in &caps {
-        let h = log.handle(m.name());
-        assert_eq!(h.metadata().unwrap(), *m);
-        assert_eq!((h.len(), h.latest_seq()), (rs.len(), rs.len() as u64));
+        assert_eq!(log.metadata(&m.name()).unwrap(), *m);
+        assert_eq!((log.len(&m.name()), log.latest_seq(&m.name())), (rs.len(), rs.len() as u64));
         let want: Vec<Pointer> = rs.iter().map(Record::pointer).collect();
-        assert_eq!(h.pointers(), want);
+        assert_eq!(log.pointers(&m.name()), want);
         for r in rs {
-            assert_eq!(h.get_by_seq(r.header.seq).unwrap().as_ref(), Some(r));
+            assert_eq!(log.get_by_seq(&m.name(), r.header.seq).unwrap().as_ref(), Some(r));
         }
     }
     let _ = std::fs::remove_dir_all(dir);
@@ -415,26 +413,25 @@ fn duplicate_entries_on_disk_are_indexed_once_first_occurrence_wins() {
         if full_scan {
             std::fs::remove_file(dir.join("index.ckpt")).unwrap();
         }
-        let log = SegLog::open(&dir, small_seg_cfg()).unwrap();
+        let mut log = SegLog::open(&dir, small_seg_cfg(), &Scope::default()).unwrap();
         assert_eq!(log.recovery_stats().full_scan, full_scan);
-        let h = log.handle(meta.name());
-        assert_eq!(h.len(), 20, "a duplicate must not be indexed twice");
-        assert_eq!(h.metadata().unwrap(), *meta);
+        assert_eq!(log.len(&meta.name()), 20, "a duplicate must not be indexed twice");
+        assert_eq!(log.metadata(&meta.name()).unwrap(), *meta);
         for r in records {
-            assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
-            assert_eq!(h.range(r.header.seq, r.header.seq).unwrap().len(), 1);
+            assert_eq!(log.get(&meta.name(), &r.pointer()).unwrap().unwrap(), *r);
+            assert_eq!(log.range(&meta.name(), r.header.seq, r.header.seq).unwrap().len(), 1);
         }
     }
 
     // First occurrence wins: rot the original of record 1 in segment 0 and
     // the read must hit it (typed corruption) instead of being served from
     // the later copy.
-    let log = SegLog::open(&dir, small_seg_cfg()).unwrap();
+    let mut log = SegLog::open(&dir, small_seg_cfg(), &Scope::default()).unwrap();
     let mut rotted = seg0_bytes.clone();
     let last_of_record_1 = SEGLOG_MAGIC.len() + originals[0].len() + originals[1].len() - 1;
     rotted[last_of_record_1] ^= 0x40;
     std::fs::write(&seg0, &rotted).unwrap();
-    match log.handle(meta.name()).get(&records[0].pointer()) {
+    match log.get(&meta.name(), &records[0].pointer()) {
         Err(StoreError::Corrupt(_)) => {}
         other => panic!("index must point at the first occurrence, got {other:?}"),
     }
@@ -459,18 +456,23 @@ fn checkpoint_naming_a_missing_segment_falls_back_to_full_scan() {
     assert!(lost_records > 0);
     std::fs::remove_file(&lost).unwrap();
 
-    let log = SegLog::open(&dir, small_seg_cfg()).unwrap();
+    let mut log = SegLog::open(&dir, small_seg_cfg(), &Scope::default()).unwrap();
     assert!(
         log.recovery_stats().full_scan,
         "checkpoint referencing a deleted segment must be discarded"
     );
-    let h = log.handle(meta.name());
-    assert_eq!(h.metadata().unwrap(), *meta);
-    assert_eq!(h.len(), 20 - lost_records, "exactly the lost segment's records are gone");
+    assert_eq!(log.metadata(&meta.name()).unwrap(), *meta);
+    assert_eq!(
+        log.len(&meta.name()),
+        20 - lost_records,
+        "exactly the lost segment's records are gone"
+    );
     for r in records {
-        match h.get(&r.pointer()).unwrap() {
+        match log.get(&meta.name(), &r.pointer()).unwrap() {
             Some(got) => assert_eq!(got, *r),
-            None => assert!(h.range(r.header.seq, r.header.seq).unwrap().is_empty()),
+            None => {
+                assert!(log.range(&meta.name(), r.header.seq, r.header.seq).unwrap().is_empty())
+            }
         }
     }
     let _ = std::fs::remove_dir_all(dir);
@@ -498,20 +500,18 @@ fn crash_mid_rotation_with_fresh_empty_segment_recovers() {
     let next = dir.join(format!("{:010}.seg", max_id + 1));
     std::fs::write(&next, SEGLOG_MAGIC).unwrap();
 
-    let log = SegLog::open(&dir, small_seg_cfg()).unwrap();
+    let mut log = SegLog::open(&dir, small_seg_cfg(), &Scope::default()).unwrap();
     assert!(!log.recovery_stats().full_scan, "old checkpoint is still fully valid");
     assert_eq!(*log.segment_ids().last().unwrap(), max_id + 1, "empty segment becomes active");
-    let h = log.handle(caps[0].0.name());
-    assert_eq!(h.len(), 20);
+    assert_eq!(log.len(&caps[0].0.name()), 20);
     for r in &caps[0].1 {
-        assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
+        assert_eq!(log.get(&caps[0].0.name(), &r.pointer()).unwrap().unwrap(), *r);
     }
     // And the log keeps accepting writes on the adopted segment.
     let (_, more) = capsule(1, 21);
-    let mut h = log.handle(caps[0].0.name());
-    h.append_acked(&more[20]).unwrap();
+    log.append(&caps[0].0.name(), &more[20]).unwrap();
     log.flush_now(5_000_000).unwrap();
-    assert_eq!(h.len(), 21);
+    assert_eq!(log.len(&caps[0].0.name()), 21);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -524,10 +524,10 @@ fn stale_checkpoint_tmp_is_ignored_and_removed() {
     seeded_log(&dir, &caps);
     std::fs::write(dir.join("index.ckpt.tmp"), b"half-written garbage").unwrap();
 
-    let log = SegLog::open(&dir, small_seg_cfg()).unwrap();
+    let log = SegLog::open(&dir, small_seg_cfg(), &Scope::default()).unwrap();
     assert!(!log.recovery_stats().full_scan, "the durable checkpoint still counts");
     assert!(!dir.join("index.ckpt.tmp").exists(), "stale tmp must be swept");
-    assert_eq!(log.handle(caps[0].0.name()).len(), 20);
+    assert_eq!(log.len(&caps[0].0.name()), 20);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -543,16 +543,15 @@ fn rot_under_a_cached_block_surfaces_as_corrupt_after_refill() {
     let cfg =
         SegConfig { policy: FsyncPolicy::Batch { interval_us: 5_000 }, ..SegConfig::default() };
     let metrics = Metrics::new();
-    let log = SegLog::open_with(&dir, cfg.clone(), &metrics.scope("store")).unwrap();
-    let mut h = log.handle(meta.name());
-    h.put_metadata(&meta).unwrap();
+    let mut log = SegLog::open(&dir, cfg.clone(), &metrics.scope("store")).unwrap();
+    log.put_metadata(&meta.name(), &meta).unwrap();
     for r in &records {
-        h.append_acked(r).unwrap();
+        log.append(&meta.name(), r).unwrap();
     }
     // Seal segment 0 and warm the cache over it.
     log.rotate_now(1_000_000).unwrap();
     for r in &records {
-        assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
+        assert_eq!(log.get(&meta.name(), &r.pointer()).unwrap().unwrap(), *r);
     }
 
     // Flip a byte inside the last record's body on disk.
@@ -565,27 +564,25 @@ fn rot_under_a_cached_block_surfaces_as_corrupt_after_refill() {
     // The cached block still serves the verified original bits.
     let last = records.last().unwrap();
     assert_eq!(
-        h.get(&last.pointer()).unwrap().unwrap(),
+        log.get(&meta.name(), &last.pointer()).unwrap().unwrap(),
         *last,
         "cached reads must keep serving the bits verified at fill"
     );
     assert_eq!(metrics.counter_value("store", "crc_failures"), 0);
-    drop(h);
     drop(log);
 
     // A fresh open starts with an empty cache: the refill re-verifies and
     // the rot becomes a typed Corrupt on exactly the damaged entry.
     let metrics = Metrics::new();
-    let log = SegLog::open_with(&dir, cfg, &metrics.scope("store")).unwrap();
-    let h = log.handle(meta.name());
-    match h.get(&last.pointer()) {
+    let mut log = SegLog::open(&dir, cfg, &metrics.scope("store")).unwrap();
+    match log.get(&meta.name(), &last.pointer()) {
         Err(StoreError::Corrupt(_)) => {}
         other => panic!("rotted entry must read as typed corruption, got {other:?}"),
     }
     assert!(metrics.counter_value("store", "crc_failures") >= 1);
     for r in &records[..records.len() - 1] {
         assert_eq!(
-            h.get(&r.pointer()).unwrap().unwrap(),
+            log.get(&meta.name(), &r.pointer()).unwrap().unwrap(),
             *r,
             "rot must cost only the damaged entry, not its block neighbors"
         );
@@ -604,11 +601,10 @@ fn a_rotten_entry_is_forgotten_so_a_reappend_writes_a_good_copy() {
     let (meta, records) = capsule(7, 6);
     let metrics = Metrics::new();
     let cfg = SegConfig { policy: FsyncPolicy::Always, ..SegConfig::default() };
-    let log = SegLog::open_with(&dir, cfg.clone(), &metrics.scope("store")).unwrap();
-    let mut h = log.handle(meta.name());
-    h.put_metadata(&meta).unwrap();
+    let mut log = SegLog::open(&dir, cfg.clone(), &metrics.scope("store")).unwrap();
+    log.put_metadata(&meta.name(), &meta).unwrap();
     for r in &records {
-        h.append_acked(r).unwrap();
+        log.append(&meta.name(), r).unwrap();
     }
     log.rotate_now(1_000).unwrap(); // seals segment 0, checkpoints it
 
@@ -620,23 +616,23 @@ fn a_rotten_entry_is_forgotten_so_a_reappend_writes_a_good_copy() {
     std::fs::write(&path, &bytes).unwrap();
 
     let last = records.last().unwrap();
-    assert!(matches!(h.get(&last.pointer()), Err(StoreError::Corrupt(_))));
+    assert!(matches!(log.get(&meta.name(), &last.pointer()), Err(StoreError::Corrupt(_))));
     assert_eq!(metrics.counter_value("store", "crc_failures"), 1);
-    assert_eq!(h.get(&last.pointer()).unwrap(), None, "forgotten, not re-reported");
-    assert_eq!((h.len(), h.latest_seq()), (5, 5));
-    assert_eq!(h.range(1, 6).unwrap(), records[..5]);
+    assert_eq!(log.get(&meta.name(), &last.pointer()).unwrap(), None, "forgotten, not re-reported");
+    assert_eq!((log.len(&meta.name()), log.latest_seq(&meta.name())), (5, 5));
+    assert_eq!(log.range(&meta.name(), 1, 6).unwrap(), records[..5]);
 
     let appended = metrics.counter_value("store", "entries_appended");
-    h.append_acked(last).unwrap();
+    log.append(&meta.name(), last).unwrap();
     assert_eq!(metrics.counter_value("store", "entries_appended"), appended + 1);
-    assert_eq!(h.get(&last.pointer()).unwrap().as_ref(), Some(last));
-    assert_eq!(h.range(1, 6).unwrap(), records);
+    assert_eq!(log.get(&meta.name(), &last.pointer()).unwrap().as_ref(), Some(last));
+    assert_eq!(log.range(&meta.name(), 1, 6).unwrap(), records);
     log.maintain(2_000).unwrap();
-    drop((h, log));
+    drop(log);
 
     // Maintenance replaced the checkpoint that named the rotten entry: a
     // reopen indexes the good copy, not the rot before it.
-    let log = SegLog::open(&dir, cfg).unwrap();
-    assert_eq!(log.handle(meta.name()).range(1, 6).unwrap(), records);
+    let mut log = SegLog::open(&dir, cfg, &Scope::default()).unwrap();
+    assert_eq!(log.range(&meta.name(), 1, 6).unwrap(), records);
     let _ = std::fs::remove_dir_all(dir);
 }

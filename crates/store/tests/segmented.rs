@@ -4,9 +4,9 @@
 
 use gdp_capsule::{CapsuleMetadata, Record, RecordHash};
 use gdp_crypto::SigningKey;
-use gdp_obs::Metrics;
+use gdp_obs::{Metrics, Scope};
 use gdp_store::io::{Fault, MemFs, Op};
-use gdp_store::{AppendAck, CapsuleStore, FsyncPolicy, SegConfig, SegLog, RECOVERY_CHUNK};
+use gdp_store::{AppendAck, FsyncPolicy, SegConfig, SegLog, RECOVERY_CHUNK};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -59,32 +59,30 @@ fn multi_capsule_roundtrip_and_reopen() {
     let dir = tmpdir("roundtrip");
     let caps: Vec<_> = (1u8..=3).map(|t| capsule(t, 5)).collect();
     {
-        let log = SegLog::open(&dir, batch_cfg()).unwrap();
+        let mut log = SegLog::open(&dir, batch_cfg(), &Scope::default()).unwrap();
         // Interleave appends across capsules: they multiplex onto one log.
-        let mut handles: Vec<_> = caps.iter().map(|(m, _)| log.handle(m.name())).collect();
-        for (h, (m, _)) in handles.iter_mut().zip(&caps) {
-            h.put_metadata(m).unwrap();
+        for (m, _) in &caps {
+            log.put_metadata(&m.name(), m).unwrap();
         }
         for i in 0..5 {
-            for (h, (_, rs)) in handles.iter_mut().zip(&caps) {
-                h.append_acked(&rs[i]).unwrap();
+            for (m, rs) in &caps {
+                log.append(&m.name(), &rs[i]).unwrap();
             }
         }
         log.flush_now(1_000_000).unwrap();
         assert_eq!(log.segment_ids(), vec![0], "small workload stays in one segment");
     }
-    let log = SegLog::open(&dir, batch_cfg()).unwrap();
+    let mut log = SegLog::open(&dir, batch_cfg(), &Scope::default()).unwrap();
     assert!(log.recovery_stats().full_scan, "no checkpoint yet: full scan expected");
     for (m, rs) in &caps {
-        let h = log.handle(m.name());
-        assert_eq!(h.metadata().unwrap(), *m);
-        assert_eq!(h.len(), 5);
-        assert_eq!(h.latest_seq(), 5);
+        assert_eq!(log.metadata(&m.name()).unwrap(), *m);
+        assert_eq!(log.len(&m.name()), 5);
+        assert_eq!(log.latest_seq(&m.name()), 5);
         for r in rs {
-            assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
-            assert_eq!(h.get_by_seq(r.header.seq).unwrap().unwrap(), *r);
+            assert_eq!(log.get(&m.name(), &r.pointer()).unwrap().unwrap(), *r);
+            assert_eq!(log.get_by_seq(&m.name(), r.header.seq).unwrap().unwrap(), *r);
         }
-        let range = h.range(2, 4).unwrap();
+        let range = log.range(&m.name(), 2, 4).unwrap();
         assert_eq!(range, rs[1..4].to_vec());
     }
     let _ = std::fs::remove_dir_all(dir);
@@ -94,29 +92,28 @@ fn multi_capsule_roundtrip_and_reopen() {
 fn group_commit_acks_only_after_covering_fsync() {
     let dir = tmpdir("ack");
     let metrics = Metrics::new();
-    let log = SegLog::open_with(&dir, batch_cfg(), &metrics.scope("store")).unwrap();
+    let mut log = SegLog::open(&dir, batch_cfg(), &metrics.scope("store")).unwrap();
     let (meta, records) = capsule(1, 3);
-    let mut h = log.handle(meta.name());
-    h.put_metadata(&meta).unwrap(); // metadata force-flushes (create acks)
+    log.put_metadata(&meta.name(), &meta).unwrap(); // metadata force-flushes (create acks)
     let epoch0 = log.durable_epoch();
 
-    let ack = h.append_acked(&records[0]).unwrap();
+    let ack = log.append(&meta.name(), &records[0]).unwrap();
     let AppendAck::Pending(epoch) = ack else { panic!("batched append acked durable: {ack:?}") };
     assert_eq!(epoch, epoch0 + 1, "buffered appends are covered by the next epoch");
     // A retried (duplicate) append must not ack ahead of the fsync.
-    assert_eq!(h.append_acked(&records[0]).unwrap(), AppendAck::Pending(epoch));
+    assert_eq!(log.append(&meta.name(), &records[0]).unwrap(), AppendAck::Pending(epoch));
 
     // Before the batch window elapses, maintenance must NOT fsync.
     let fsyncs_before = metrics.counter_value("store", "fsyncs");
-    assert_eq!(h.flush(1_000).unwrap(), epoch0, "window not elapsed: no new epoch");
+    assert_eq!(log.maintain(1_000).unwrap(), epoch0, "window not elapsed: no new epoch");
     assert_eq!(metrics.counter_value("store", "fsyncs"), fsyncs_before);
-    assert_eq!(h.append_acked(&records[0]).unwrap(), AppendAck::Pending(epoch));
+    assert_eq!(log.append(&meta.name(), &records[0]).unwrap(), AppendAck::Pending(epoch));
 
     // Once the window elapses, one fsync covers the batch and the ack
     // epoch becomes durable.
-    assert_eq!(h.flush(10_000).unwrap(), epoch);
+    assert_eq!(log.maintain(10_000).unwrap(), epoch);
     assert_eq!(metrics.counter_value("store", "fsyncs"), fsyncs_before + 1);
-    assert_eq!(h.append_acked(&records[0]).unwrap(), AppendAck::Durable);
+    assert_eq!(log.append(&meta.name(), &records[0]).unwrap(), AppendAck::Durable);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -124,16 +121,15 @@ fn group_commit_acks_only_after_covering_fsync() {
 fn one_fsync_covers_appends_across_many_capsules() {
     let dir = tmpdir("batch");
     let metrics = Metrics::new();
-    let log = SegLog::open_with(&dir, batch_cfg(), &metrics.scope("store")).unwrap();
+    let mut log = SegLog::open(&dir, batch_cfg(), &metrics.scope("store")).unwrap();
     let caps: Vec<_> = (1u8..=8).map(|t| capsule(t, 2)).collect();
     for (m, _) in &caps {
-        log.handle(m.name()).put_metadata(m).unwrap();
+        log.put_metadata(&m.name(), m).unwrap();
     }
     let fsyncs_before = metrics.counter_value("store", "fsyncs");
     for (m, rs) in &caps {
-        let mut h = log.handle(m.name());
         for r in rs {
-            assert!(matches!(h.append_acked(r).unwrap(), AppendAck::Pending(_)));
+            assert!(matches!(log.append(&m.name(), r).unwrap(), AppendAck::Pending(_)));
         }
     }
     log.flush_now(1_000_000).unwrap();
@@ -143,7 +139,7 @@ fn one_fsync_covers_appends_across_many_capsules() {
         "16 appends across 8 capsules must group-commit under a single fsync"
     );
     for (m, rs) in &caps {
-        assert_eq!(log.handle(m.name()).append_acked(&rs[1]).unwrap(), AppendAck::Durable);
+        assert_eq!(log.append(&m.name(), &rs[1]).unwrap(), AppendAck::Durable);
     }
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -152,14 +148,13 @@ fn one_fsync_covers_appends_across_many_capsules() {
 fn byte_budget_bounds_unacked_data() {
     let dir = tmpdir("budget");
     let cfg = SegConfig { flush_byte_budget: 1, ..batch_cfg() };
-    let log = SegLog::open(&dir, cfg).unwrap();
+    let mut log = SegLog::open(&dir, cfg, &Scope::default()).unwrap();
     let (meta, records) = capsule(1, 2);
-    let mut h = log.handle(meta.name());
-    h.put_metadata(&meta).unwrap();
+    log.put_metadata(&meta.name(), &meta).unwrap();
     // Budget of one byte: every batched append crosses it and forces an
     // inline group commit, so the ack comes back already durable.
-    assert_eq!(h.append_acked(&records[0]).unwrap(), AppendAck::Durable);
-    assert_eq!(h.append_acked(&records[1]).unwrap(), AppendAck::Durable);
+    assert_eq!(log.append(&meta.name(), &records[0]).unwrap(), AppendAck::Durable);
+    assert_eq!(log.append(&meta.name(), &records[1]).unwrap(), AppendAck::Durable);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -167,11 +162,10 @@ fn byte_budget_bounds_unacked_data() {
 fn always_policy_acks_durable_immediately() {
     let dir = tmpdir("always");
     let cfg = SegConfig { policy: FsyncPolicy::Always, ..SegConfig::default() };
-    let log = SegLog::open(&dir, cfg).unwrap();
+    let mut log = SegLog::open(&dir, cfg, &Scope::default()).unwrap();
     let (meta, records) = capsule(1, 1);
-    let mut h = log.handle(meta.name());
-    h.put_metadata(&meta).unwrap();
-    assert_eq!(h.append_acked(&records[0]).unwrap(), AppendAck::Durable);
+    log.put_metadata(&meta.name(), &meta).unwrap();
+    assert_eq!(log.append(&meta.name(), &records[0]).unwrap(), AppendAck::Durable);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -182,26 +176,24 @@ fn crash_loses_exactly_the_unacked_tail() {
     let dir = tmpdir("crash");
     let (meta, records) = capsule(1, 8);
     {
-        let log = SegLog::open(&dir, batch_cfg()).unwrap();
-        let mut h = log.handle(meta.name());
-        h.put_metadata(&meta).unwrap();
+        let mut log = SegLog::open(&dir, batch_cfg(), &Scope::default()).unwrap();
+        log.put_metadata(&meta.name(), &meta).unwrap();
         for r in &records[..5] {
-            h.append_acked(r).unwrap();
+            log.append(&meta.name(), r).unwrap();
         }
         log.flush_now(1_000_000).unwrap(); // acked durable
         for r in &records[5..] {
-            assert!(matches!(h.append_acked(r).unwrap(), AppendAck::Pending(_)));
+            assert!(matches!(log.append(&meta.name(), r).unwrap(), AppendAck::Pending(_)));
         }
         // Crash: the process state (group-commit buffer) evaporates.
     }
-    let log = SegLog::open(&dir, batch_cfg()).unwrap();
-    let h = log.handle(meta.name());
-    assert_eq!(h.len(), 5, "acked records survive, unacked buffered tail is lost");
+    let mut log = SegLog::open(&dir, batch_cfg(), &Scope::default()).unwrap();
+    assert_eq!(log.len(&meta.name()), 5, "acked records survive, unacked buffered tail is lost");
     for r in &records[..5] {
-        assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
+        assert_eq!(log.get(&meta.name(), &r.pointer()).unwrap().unwrap(), *r);
     }
     for r in &records[5..] {
-        assert_eq!(h.get(&r.pointer()).unwrap(), None);
+        assert_eq!(log.get(&meta.name(), &r.pointer()).unwrap(), None);
     }
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -216,13 +208,12 @@ fn crash_loses_exactly_the_unacked_tail() {
 fn failed_flush_then_healthy_flush_keeps_every_entry(inject: impl Fn(&MemFs)) {
     let fs = MemFs::new();
     let (meta, records) = capsule(1, 8);
-    let log = SegLog::open(&fs, batch_cfg()).unwrap();
-    let mut h = log.handle(meta.name());
-    h.put_metadata(&meta).unwrap();
-    h.append_acked(&records[0]).unwrap();
+    let mut log = SegLog::open(&fs, batch_cfg(), &Scope::default()).unwrap();
+    log.put_metadata(&meta.name(), &meta).unwrap();
+    log.append(&meta.name(), &records[0]).unwrap();
     log.flush_now(10_000).unwrap();
     for r in &records[1..5] {
-        assert!(matches!(h.append_acked(r).unwrap(), AppendAck::Pending(_)));
+        assert!(matches!(log.append(&meta.name(), r).unwrap(), AppendAck::Pending(_)));
     }
     inject(&fs);
     assert!(log.flush_now(20_000).is_err(), "the injected fault fails the flush");
@@ -230,21 +221,31 @@ fn failed_flush_then_healthy_flush_keeps_every_entry(inject: impl Fn(&MemFs)) {
     // Appends after the failure join the retried batch.
     let mut epoch = 0;
     for r in &records[5..] {
-        let AppendAck::Pending(e) = h.append_acked(r).unwrap() else { panic!("not batched") };
+        let AppendAck::Pending(e) = log.append(&meta.name(), r).unwrap() else {
+            panic!("not batched")
+        };
         epoch = e;
     }
     assert!(log.flush_now(30_000).unwrap() >= epoch, "the healthy flush acks the retry");
     for r in &records {
-        assert_eq!(h.get(&r.pointer()).unwrap().as_ref(), Some(r), "seq {}", r.header.seq);
+        assert_eq!(
+            log.get(&meta.name(), &r.pointer()).unwrap().as_ref(),
+            Some(r),
+            "seq {}",
+            r.header.seq
+        );
     }
-    assert_eq!(h.range(1, 8).unwrap(), records);
-    drop((h, log));
+    assert_eq!(log.range(&meta.name(), 1, 8).unwrap(), records);
+    drop(log);
 
     fs.crash();
-    let log = SegLog::open(&fs, batch_cfg()).unwrap();
-    let h = log.handle(meta.name());
-    assert_eq!(h.metadata().unwrap(), meta);
-    assert_eq!(h.range(1, 8).unwrap(), records, "every acked entry survives the crash");
+    let mut log = SegLog::open(&fs, batch_cfg(), &Scope::default()).unwrap();
+    assert_eq!(log.metadata(&meta.name()).unwrap(), meta);
+    assert_eq!(
+        log.range(&meta.name(), 1, 8).unwrap(),
+        records,
+        "every acked entry survives the crash"
+    );
 }
 
 #[test]
@@ -272,17 +273,16 @@ fn sync_eio_then_a_healthy_flush_keeps_every_entry() {
 fn put_metadata_retried_after_a_failed_sync_is_durable() {
     let fs = MemFs::new();
     let (meta, _) = capsule(1, 0);
-    let log = SegLog::open(&fs, batch_cfg()).unwrap();
-    let mut h = log.handle(meta.name());
+    let mut log = SegLog::open(&fs, batch_cfg(), &Scope::default()).unwrap();
     let s = fs.ops(Some(Op::Sync));
     fs.fail(Some(Op::Sync), s..s + 1, Fault::Eio);
-    assert!(h.put_metadata(&meta).is_err());
-    h.put_metadata(&meta).unwrap();
-    drop((h, log));
+    assert!(log.put_metadata(&meta.name(), &meta).is_err());
+    log.put_metadata(&meta.name(), &meta).unwrap();
+    drop(log);
 
     fs.crash();
-    let log = SegLog::open(&fs, batch_cfg()).unwrap();
-    assert_eq!(log.handle(meta.name()).metadata().unwrap(), meta);
+    let log = SegLog::open(&fs, batch_cfg(), &Scope::default()).unwrap();
+    assert_eq!(log.metadata(&meta.name()).unwrap(), meta);
 }
 
 /// Under `fsync = always` an append is durable at return or an error. A
@@ -294,20 +294,19 @@ fn always_append_retried_after_a_failed_write_flushes_again() {
     let fs = MemFs::new();
     let (meta, records) = capsule(1, 1);
     let cfg = SegConfig { policy: FsyncPolicy::Always, ..SegConfig::default() };
-    let log = SegLog::open(&fs, cfg.clone()).unwrap();
-    let mut h = log.handle(meta.name());
-    h.put_metadata(&meta).unwrap();
+    let mut log = SegLog::open(&fs, cfg.clone(), &Scope::default()).unwrap();
+    log.put_metadata(&meta.name(), &meta).unwrap();
     let w = fs.ops(Some(Op::Write));
     fs.fail(Some(Op::Write), w..u64::MAX, Fault::Eio);
-    assert!(h.append_acked(&records[0]).is_err());
-    assert!(h.append_acked(&records[0]).is_err(), "the retry writes, and fails");
+    assert!(log.append(&meta.name(), &records[0]).is_err());
+    assert!(log.append(&meta.name(), &records[0]).is_err(), "the retry writes, and fails");
     fs.heal();
-    assert_eq!(h.append_acked(&records[0]).unwrap(), AppendAck::Durable);
-    drop((h, log));
+    assert_eq!(log.append(&meta.name(), &records[0]).unwrap(), AppendAck::Durable);
+    drop(log);
 
     fs.crash();
-    let log = SegLog::open(&fs, cfg).unwrap();
-    assert_eq!(log.handle(meta.name()).range(1, 1).unwrap(), records);
+    let mut log = SegLog::open(&fs, cfg, &Scope::default()).unwrap();
+    assert_eq!(log.range(&meta.name(), 1, 1).unwrap(), records);
 }
 
 /// Regression: a rotation that failed after creating its segment file
@@ -319,24 +318,23 @@ fn a_rotation_that_failed_once_rotates_at_the_next_pass() {
     let fs = MemFs::new();
     let (meta, records) = capsule(1, 12);
     let cfg = SegConfig { segment_max_bytes: 1_024, ..batch_cfg() };
-    let log = SegLog::open(&fs, cfg.clone()).unwrap();
-    let mut h = log.handle(meta.name());
-    h.put_metadata(&meta).unwrap();
+    let mut log = SegLog::open(&fs, cfg.clone(), &Scope::default()).unwrap();
+    log.put_metadata(&meta.name(), &meta).unwrap();
     for r in &records {
-        h.append_acked(r).unwrap();
+        log.append(&meta.name(), r).unwrap();
     }
     // The new segment's magic fails to land.
     let w = fs.ops(Some(Op::Write)) + 1;
     fs.fail(Some(Op::Write), w..w + 1, Fault::Eio);
-    assert!(h.flush(10_000).is_err(), "the rotation fails after the flush");
+    assert!(log.maintain(10_000).is_err(), "the rotation fails after the flush");
     assert_eq!(log.segment_ids(), vec![0]);
-    h.flush(20_000).unwrap();
+    log.maintain(20_000).unwrap();
     assert_eq!(log.segment_ids(), vec![0, 1], "the next pass rotates");
-    drop((h, log));
+    drop(log);
 
     fs.crash();
-    let log = SegLog::open(&fs, cfg).unwrap();
-    assert_eq!(log.handle(meta.name()).range(1, 12).unwrap(), records);
+    let mut log = SegLog::open(&fs, cfg, &Scope::default()).unwrap();
+    assert_eq!(log.range(&meta.name(), 1, 12).unwrap(), records);
 }
 
 #[test]
@@ -345,26 +343,28 @@ fn rotation_seals_segments_and_data_survives() {
     let cfg = SegConfig { segment_max_bytes: 2_048, ..batch_cfg() };
     let (meta, records) = capsule(1, 40);
     {
-        let log = SegLog::open(&dir, cfg.clone()).unwrap();
-        let mut h = log.handle(meta.name());
-        h.put_metadata(&meta).unwrap();
+        let mut log = SegLog::open(&dir, cfg.clone(), &Scope::default()).unwrap();
+        log.put_metadata(&meta.name(), &meta).unwrap();
         for (i, r) in records.iter().enumerate() {
-            h.append_acked(r).unwrap();
-            h.flush((i as u64 + 1) * 10_000).unwrap(); // maintenance tick
+            log.append(&meta.name(), r).unwrap();
+            log.maintain((i as u64 + 1) * 10_000).unwrap(); // maintenance tick
         }
         assert!(log.segment_ids().len() >= 3, "workload must span segments");
         for r in &records {
-            assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r, "read across segments");
+            assert_eq!(
+                log.get(&meta.name(), &r.pointer()).unwrap().unwrap(),
+                *r,
+                "read across segments"
+            );
         }
     }
-    let log = SegLog::open(&dir, cfg).unwrap();
+    let mut log = SegLog::open(&dir, cfg, &Scope::default()).unwrap();
     let stats = log.recovery_stats();
     assert!(!stats.full_scan, "rotation checkpoints: recovery must be tail-only");
-    let h = log.handle(meta.name());
-    assert_eq!(h.len(), records.len());
-    assert_eq!(h.metadata().unwrap(), meta);
+    assert_eq!(log.len(&meta.name()), records.len());
+    assert_eq!(log.metadata(&meta.name()).unwrap(), meta);
     for r in &records {
-        assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
+        assert_eq!(log.get(&meta.name(), &r.pointer()).unwrap().unwrap(), *r);
     }
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -376,26 +376,24 @@ fn recovery_replays_only_the_tail_past_the_checkpoint() {
     let dir = tmpdir("bounded");
     let (meta, records) = capsule(1, 30);
     {
-        let log = SegLog::open(&dir, batch_cfg()).unwrap();
-        let mut h = log.handle(meta.name());
-        h.put_metadata(&meta).unwrap();
+        let mut log = SegLog::open(&dir, batch_cfg(), &Scope::default()).unwrap();
+        log.put_metadata(&meta.name(), &meta).unwrap();
         for r in &records[..25] {
-            h.append_acked(r).unwrap();
+            log.append(&meta.name(), r).unwrap();
         }
         log.checkpoint_now(1_000_000).unwrap();
         for r in &records[25..] {
-            h.append_acked(r).unwrap();
+            log.append(&meta.name(), r).unwrap();
         }
         log.flush_now(2_000_000).unwrap();
     }
-    let log = SegLog::open(&dir, batch_cfg()).unwrap();
+    let mut log = SegLog::open(&dir, batch_cfg(), &Scope::default()).unwrap();
     let stats = log.recovery_stats();
     assert!(!stats.full_scan);
     assert_eq!(stats.tail_entries, 5, "only the 5 post-checkpoint records replay");
-    let h = log.handle(meta.name());
-    assert_eq!(h.len(), 30);
+    assert_eq!(log.len(&meta.name()), 30);
     for r in &records {
-        assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
+        assert_eq!(log.get(&meta.name(), &r.pointer()).unwrap().unwrap(), *r);
     }
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -413,24 +411,23 @@ fn full_scan_recovery_is_streamed_in_bounded_chunks() {
     let name = meta.name();
     let count = 64u64;
     {
-        let log = SegLog::open(&dir, cfg.clone()).unwrap();
-        let mut h = log.handle(name);
-        h.put_metadata(&meta).unwrap();
+        let mut log = SegLog::open(&dir, cfg.clone(), &Scope::default()).unwrap();
+        log.put_metadata(&name, &meta).unwrap();
         let mut prev = RecordHash::anchor(&name);
         for seq in 1..=count {
             let r = Record::create(&name, &writer, seq, seq, prev, vec![], vec![seq as u8; 8192]);
             prev = r.hash();
-            h.append_acked(&r).unwrap();
+            log.append(&name, &r).unwrap();
         }
         log.flush_now(1_000_000).unwrap(); // durable, never checkpointed
     }
     let seg = dir.join(format!("{:010}.seg", 0));
     let log_len = std::fs::metadata(&seg).unwrap().len() as usize;
     assert!(log_len > 6 * RECOVERY_CHUNK, "fixture log too small to exercise streaming");
-    let log = SegLog::open(&dir, cfg.clone()).unwrap();
+    let log = SegLog::open(&dir, cfg.clone(), &Scope::default()).unwrap();
     let stats = log.recovery_stats();
     assert!(stats.full_scan);
-    assert_eq!(log.handle(name).len(), count as usize);
+    assert_eq!(log.len(&name), count as usize);
     assert!(
         stats.peak_buffer <= 2 * RECOVERY_CHUNK,
         "recovery buffered {} bytes for a {log_len} byte log",
@@ -439,11 +436,10 @@ fn full_scan_recovery_is_streamed_in_bounded_chunks() {
     drop(log);
     let full = std::fs::read(&seg).unwrap();
     std::fs::write(&seg, &full[..2 * RECOVERY_CHUNK + 17]).unwrap();
-    let log = SegLog::open(&dir, cfg).unwrap();
-    let h = log.handle(name);
-    assert!(h.len() > 0 && h.len() < count as usize);
-    for at in h.pointers() {
-        h.get(&at).unwrap().unwrap();
+    let mut log = SegLog::open(&dir, cfg, &Scope::default()).unwrap();
+    assert!(log.len(&name) > 0 && log.len(&name) < count as usize);
+    for at in log.pointers(&name) {
+        log.get(&name, &at).unwrap().unwrap();
     }
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -456,40 +452,38 @@ fn recovered_tail_survives_the_next_checkpoint_and_reopen() {
     let dir = tmpdir("tailsafe");
     let caps: Vec<_> = (1u8..=8).map(|t| capsule(t, 2)).collect();
     {
-        let log = SegLog::open(&dir, batch_cfg()).unwrap();
+        let mut log = SegLog::open(&dir, batch_cfg(), &Scope::default()).unwrap();
         for (m, rs) in &caps {
-            let mut h = log.handle(m.name());
-            h.put_metadata(m).unwrap();
-            h.append_acked(&rs[0]).unwrap();
+            log.put_metadata(&m.name(), m).unwrap();
+            log.append(&m.name(), &rs[0]).unwrap();
         }
         log.checkpoint_now(1_000_000).unwrap();
         // Post-checkpoint tail: the second record of every stream.
         for (m, rs) in &caps {
-            log.handle(m.name()).append_acked(&rs[1]).unwrap();
+            log.append(&m.name(), &rs[1]).unwrap();
         }
         // Flushed (durable) but past the checkpoint; then crash before
         // any further checkpoint.
         log.flush_now(2_000_000).unwrap();
     }
     {
-        let log = SegLog::open(&dir, batch_cfg()).unwrap();
+        let mut log = SegLog::open(&dir, batch_cfg(), &Scope::default()).unwrap();
         let stats = log.recovery_stats();
         assert!(!stats.full_scan, "checkpoint present: tail-only replay");
         assert_eq!(stats.tail_entries, caps.len() as u64);
         log.checkpoint_now(3_000_000).unwrap();
     }
-    let log = SegLog::open(&dir, batch_cfg()).unwrap();
+    let mut log = SegLog::open(&dir, batch_cfg(), &Scope::default()).unwrap();
     let stats = log.recovery_stats();
     assert!(!stats.full_scan);
     assert_eq!(stats.tail_entries, 0, "the new checkpoint covers the merged tail");
     assert_eq!(log.stream_count(), caps.len());
     for (m, rs) in &caps {
-        let h = log.handle(m.name());
-        assert_eq!(h.metadata().unwrap(), *m);
-        assert_eq!(h.latest_seq(), 2, "tail record lost across the checkpoint");
-        assert_eq!(h.len(), 2);
+        assert_eq!(log.metadata(&m.name()).unwrap(), *m);
+        assert_eq!(log.latest_seq(&m.name()), 2, "tail record lost across the checkpoint");
+        assert_eq!(log.len(&m.name()), 2);
         for r in rs {
-            assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
+            assert_eq!(log.get(&m.name(), &r.pointer()).unwrap().unwrap(), *r);
         }
     }
     let _ = std::fs::remove_dir_all(dir);
@@ -501,18 +495,17 @@ fn warm_range_reads_are_zero_copy_and_conserve_cache_counters() {
     let metrics = Metrics::new();
     // Default 64 KiB blocks: the whole workload fits inside one block, so
     // every sealed-segment record body must be a slice of a cached block.
-    let log = SegLog::open_with(&dir, batch_cfg(), &metrics.scope("store")).unwrap();
+    let mut log = SegLog::open(&dir, batch_cfg(), &metrics.scope("store")).unwrap();
     let (meta, records) = capsule(1, 20);
-    let mut h = log.handle(meta.name());
-    h.put_metadata(&meta).unwrap();
+    log.put_metadata(&meta.name(), &meta).unwrap();
     for r in &records {
-        h.append_acked(r).unwrap();
+        log.append(&meta.name(), r).unwrap();
     }
     // Seal segment 0: active-segment reads serve from the group-commit
     // buffer and never exercise the cache.
     log.rotate_now(1_000_000).unwrap();
 
-    let cold = h.range(1, 20).unwrap();
+    let cold = log.range(&meta.name(), 1, 20).unwrap();
     assert_eq!(cold.len(), 20);
     assert!(
         metrics.counter_value("store", "read_cache_misses") >= 1,
@@ -520,7 +513,7 @@ fn warm_range_reads_are_zero_copy_and_conserve_cache_counters() {
     );
     let misses_after_cold = metrics.counter_value("store", "read_cache_misses");
 
-    let warm = h.range(1, 20).unwrap();
+    let warm = log.range(&meta.name(), 1, 20).unwrap();
     assert_eq!(warm, records);
     assert_eq!(
         metrics.counter_value("store", "read_cache_misses"),
@@ -548,16 +541,15 @@ fn warm_range_reads_are_zero_copy_and_conserve_cache_counters() {
 fn active_segment_reads_count_as_cache_hits() {
     let dir = tmpdir("activehit");
     let metrics = Metrics::new();
-    let log = SegLog::open_with(&dir, batch_cfg(), &metrics.scope("store")).unwrap();
+    let mut log = SegLog::open(&dir, batch_cfg(), &metrics.scope("store")).unwrap();
     let (meta, records) = capsule(2, 5);
-    let mut h = log.handle(meta.name());
-    h.put_metadata(&meta).unwrap();
+    log.put_metadata(&meta.name(), &meta).unwrap();
     for r in &records {
-        h.append_acked(r).unwrap();
+        log.append(&meta.name(), r).unwrap();
     }
     // No rotation: every read serves from the active group-commit buffer.
     for r in &records {
-        assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
+        assert_eq!(log.get(&meta.name(), &r.pointer()).unwrap().unwrap(), *r);
     }
     let hits = metrics.counter_value("store", "read_cache_hits");
     let served = metrics.counter_value("store", "reads_served_from_store");
@@ -581,12 +573,11 @@ fn fd_pool_bounds_open_segments_and_skips_reopen_when_warm() {
         ..batch_cfg()
     };
     let (meta, records) = capsule(3, 40);
-    let log = SegLog::open_with(&dir, cfg, &metrics.scope("store")).unwrap();
-    let mut h = log.handle(meta.name());
-    h.put_metadata(&meta).unwrap();
+    let mut log = SegLog::open(&dir, cfg, &metrics.scope("store")).unwrap();
+    log.put_metadata(&meta.name(), &meta).unwrap();
     for (i, r) in records.iter().enumerate() {
-        h.append_acked(r).unwrap();
-        h.flush((i as u64 + 1) * 10_000).unwrap();
+        log.append(&meta.name(), r).unwrap();
+        log.maintain((i as u64 + 1) * 10_000).unwrap();
     }
     let sealed = log.segment_ids().len() - 1;
     assert!(sealed >= 3, "workload must span several sealed segments");
@@ -594,7 +585,7 @@ fn fd_pool_bounds_open_segments_and_skips_reopen_when_warm() {
     // Sweep every record twice: the pool may never exceed its cap.
     for _ in 0..2 {
         for r in &records {
-            assert_eq!(h.get(&r.pointer()).unwrap().unwrap(), *r);
+            assert_eq!(log.get(&meta.name(), &r.pointer()).unwrap().unwrap(), *r);
             assert!(log.open_fds() <= 2, "fd budget exceeded: {}", log.open_fds());
         }
     }
@@ -604,7 +595,7 @@ fn fd_pool_bounds_open_segments_and_skips_reopen_when_warm() {
     // a single record and require the open count to stay flat.
     let before = log.fd_opens();
     for _ in 0..10 {
-        let _ = h.get(&records[0].pointer()).unwrap().unwrap();
+        let _ = log.get(&meta.name(), &records[0].pointer()).unwrap().unwrap();
     }
     assert!(
         log.fd_opens() <= before + 1,

@@ -72,7 +72,7 @@ fn server_restart_recovers_from_disk() {
 
     // First server lifetime: host on the segmented log, ingest records.
     {
-        let mut server = DataCapsuleServer::new(server_id.clone());
+        let mut server = DataCapsuleServer::new(server_id.clone(), &gdp::obs::Scope::default());
         server.mount(durable_engine(&dir).log().unwrap());
         // Move records in via the public protocol path.
         server.host(meta.clone(), chain.clone(), vec![]).unwrap();
@@ -96,7 +96,7 @@ fn server_restart_recovers_from_disk() {
     } // server process "dies"
 
     // Second lifetime: a fresh server rebuilds from the same directory.
-    let mut revived = DataCapsuleServer::new(server_id);
+    let mut revived = DataCapsuleServer::new(server_id, &gdp::obs::Scope::default());
     revived.mount(durable_engine(&dir).log().unwrap());
     revived.host(meta, chain, vec![]).unwrap();
     let c = revived.capsule(&capsule_name).unwrap();
@@ -160,24 +160,24 @@ fn torn_disk_write_bounded_loss() {
     let name = meta.name();
     let path = dir.join("0000000000.seg"); // the log's first (active) segment
     {
-        let mut store = durable_engine(&dir).open_boxed(&name).unwrap();
-        store.put_metadata(&meta).unwrap();
+        let mut log = durable_engine(&dir).log().unwrap();
+        log.put_metadata(&name, &meta).unwrap();
         let mut writer =
             gdp::capsule::CapsuleWriter::new(&meta, writer_key(), PointerStrategy::Chain).unwrap();
         for i in 0..10u64 {
-            store.append_acked(&writer.append(&[i as u8], i).unwrap()).unwrap();
+            log.append(&name, &writer.append(&[i as u8], i).unwrap()).unwrap();
         }
     }
     // Crash mid-write: truncate the file inside the last record.
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 13]).unwrap();
 
-    let store = durable_engine(&dir).open_boxed(&name).unwrap();
-    assert_eq!(store.len(), 9, "only the torn record is lost");
+    let mut log = durable_engine(&dir).log().unwrap();
+    assert_eq!(log.len(&name), 9, "only the torn record is lost");
     // The surviving prefix forms a verifiable capsule.
-    let mut capsule = gdp::capsule::DataCapsule::new(store.metadata().unwrap()).unwrap();
+    let mut capsule = gdp::capsule::DataCapsule::new(log.metadata(&name).unwrap()).unwrap();
     for seq in 1..=9u64 {
-        capsule.ingest(store.get_by_seq(seq).unwrap().unwrap()).unwrap();
+        capsule.ingest(log.get_by_seq(&name, seq).unwrap().unwrap()).unwrap();
     }
     assert_eq!((capsule.len(), capsule.latest_seq()), (9, 9));
     capsule.verify_history(&capsule.head_heartbeat().unwrap().unwrap()).unwrap();
