@@ -9,8 +9,8 @@
 # `nproc`, `cpu`), and carries every workload's result line as the
 # driver command printed it (`correct`, `attempted`, `failed`, and the
 # seven end-to-end `metrics`). When `report fig6` / `report store` have
-# left BENCH_fig6.json / BENCH_store.json in the tree, their recorded
-# floors ride along.
+# left BENCH_fig6.json / BENCH_store.json in the tree since this commit
+# was made, their recorded floors ride along.
 #
 # One 10 s run per workload is a trajectory point, not a comparison:
 # claims of gain or no-regression need the paired runs benchmark/README.md
@@ -54,9 +54,16 @@ for w in $workloads; do
 done
 
 # A `"key":{...}` object (at most one level of nesting) out of a one-line
-# JSON file, with a leading comma; nothing when the file or key is absent.
+# JSON file, with a leading comma; nothing when the file or key is absent,
+# or when the file is older than the commit (a leftover of another tree).
+committed_at="$(git log -1 --format=%ct HEAD)"
 floor() {
     [ -s "$1" ] || return 0
+    if [ "$(stat -c %Y "$1")" -lt "$committed_at" ]; then
+        printf '!!! %s predates %s; its %s is left out (run report fig6/store first)\n' \
+            "$1" "$commit" "$2" >&2
+        return 0
+    fi
     grep -o "\"$2\":{[^{}]*\({[^{}]*}[^{}]*\)*}" "$1" | head -n 1 | sed 's/^/,/'
 }
 floors="$(floor BENCH_fig6.json perf_floor)$(floor BENCH_store.json store_floor)$(floor BENCH_store.json read_floor)$(floor BENCH_store.json served_floor)"
